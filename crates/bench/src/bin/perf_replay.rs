@@ -29,12 +29,6 @@
 //!   with no FlashTier system combined with `--shards` is a usage error
 //!   (exit 2). With the flag absent the output is byte-identical to a
 //!   shard-free build.
-//! * `--batch N` — replay through the batched pipeline (`run_batch`) with
-//!   N-event decode batches instead of the scalar event loop. Simulated
-//!   time and counters are bit-identical at every batch size (the
-//!   equivalence suite proves it); only host throughput changes. The JSON
-//!   gains a top-level `batch` key; with the flag absent the output is
-//!   byte-identical to a batch-free build.
 //! * `--profile PATH` — write a folded-stacks profile (one
 //!   `frame;frame;... count` line per phase, counts in microseconds of
 //!   wall time) to PATH after the run. The folds cover workload
@@ -50,7 +44,7 @@ use std::time::Instant;
 
 use flashtier_bench::cli::{parse_or_exit, usage_error};
 use flashtier_bench::replay::{
-    run_system_batched, run_system_sharded_batched, ReplaySetup, ReplaySystem, SystemResult,
+    run_system, run_system_sharded, ReplaySetup, ReplaySystem, SystemResult,
 };
 
 const FLAGS: &[&str] = &[
@@ -59,7 +53,6 @@ const FLAGS: &[&str] = &[
     "--systems",
     "--faults",
     "--shards",
-    "--batch",
     "--profile",
 ];
 
@@ -89,12 +82,6 @@ fn main() {
         .unwrap_or_else(|e| usage_error(&e));
     if shards == Some(0) {
         usage_error("--shards must be at least 1");
-    }
-    let batch: Option<usize> = args
-        .get_parsed("--batch")
-        .unwrap_or_else(|e| usage_error(&e));
-    if batch == Some(0) {
-        usage_error("--batch must be at least 1");
     }
     let profile_path: Option<String> = args.get("--profile").map(str::to_string);
     let systems: Vec<ReplaySystem> = match args.get("--systems") {
@@ -133,7 +120,7 @@ fn main() {
         let warm_setup = ReplaySetup::perf(WARMUP_EVENTS);
         let mut warm = warm_setup.flashtier_wt();
         let prefix = &t.events[..t.events.len().min(WARMUP_EVENTS as usize)];
-        let _ = cachemgr::replay_batched(&mut warm, prefix, batch.unwrap_or(1024).max(1));
+        let _ = cachemgr::replay(&mut warm, prefix);
     }
 
     // The systems replay on a worker pool sized to the host: one worker
@@ -165,8 +152,8 @@ fn main() {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 let Some(&kind) = systems.get(i) else { break };
                 let r = match shards {
-                    Some(n) => run_system_sharded_batched(kind, setup, t, n, batch),
-                    None => run_system_batched(kind, setup, t, batch),
+                    Some(n) => run_system_sharded(kind, setup, t, n),
+                    None => run_system(kind, setup, t),
                 };
                 **slots[i].lock().expect("result slot") = Some(r);
             });
@@ -227,12 +214,8 @@ fn main() {
         Some(n) => format!(",\"shards\":{n}"),
         None => String::new(),
     };
-    let batch_field = match batch {
-        Some(n) => format!(",\"batch\":{n}"),
-        None => String::new(),
-    };
     json.push_str(&format!(
-        "}}{shards_field}{batch_field},\"total_wall_s\":{region_wall:.4},\"aggregate_events_per_sec\":{aggregate:.0}}}"
+        "}}{shards_field},\"total_wall_s\":{region_wall:.4},\"aggregate_events_per_sec\":{aggregate:.0}}}"
     ));
     println!("{json}");
 }

@@ -13,8 +13,8 @@ use std::thread;
 use std::time::Instant;
 
 use cachemgr::{
-    replay, replay_batched, write_payload_into, BatchCtx, ByteFacade, CacheSystem, FlashTierWb,
-    FlashTierWt, NativeCache, NativeConsistency, NativeMode, PageBuf, ShardSet,
+    replay, ByteFacade, CacheSystem, FlashTierWb, FlashTierWt, NativeCache, NativeConsistency,
+    NativeMode, ShardSet,
 };
 use disksim::{Disk, DiskConfig, DiskDataMode};
 use flashsim::{DataMode, FaultCounters, FaultPlan, FlashConfig};
@@ -227,7 +227,7 @@ impl ReplaySetup {
     /// Native write-back: FlashCache-style manager over the hybrid FTL,
     /// persisting metadata on every dirty-state change.
     pub fn native_wb(&self) -> NativeCache<HybridFtl> {
-        let ssd = HybridFtl::new(SsdConfig::paper_default(self.flash()), DataMode::Discard);
+        let ssd = HybridFtl::new(SsdConfig::paper_default(self.flash()), self.data_mode());
         let mut system = NativeCache::new(
             ssd,
             self.disk(),
@@ -358,14 +358,10 @@ fn timed<S: CacheSystem>(
     kind: ReplaySystem,
     mut system: S,
     t: &Trace,
-    batch: Option<usize>,
     probe: impl Fn(&S) -> Option<FaultReport>,
 ) -> SystemResult {
     let start = Instant::now();
-    let stats = match batch {
-        Some(b) => replay_batched(&mut system, &t.events, b).expect("replay"),
-        None => replay(&mut system, &t.events).expect("replay"),
-    };
+    let stats = replay(&mut system, &t.events).expect("replay");
     let wall = start.elapsed().as_secs_f64();
     SystemResult {
         name: kind.name(),
@@ -378,88 +374,21 @@ fn timed<S: CacheSystem>(
     }
 }
 
-/// The byte-level facade path: every event becomes a one-block byte span,
-/// exercising the span-assembly read path on top of the write-through
-/// manager.
-fn timed_facade(setup: &ReplaySetup, t: &Trace, batch: Option<usize>) -> SystemResult {
-    let inner = setup.flashtier_wt();
-    let block = inner.block_size();
-    let mut facade = ByteFacade::new(inner);
-    let start = Instant::now();
-    let sim_time_us = match batch {
-        Some(b) => {
-            // Every facade event is a one-block, block-aligned span, so a
-            // batch forwards straight to the inner system's batched path
-            // (see `ByteFacade::run_batch`) with identical costs.
-            let b = b.max(1);
-            let mut ctx = BatchCtx::new(block);
-            let mut start_ev = 0usize;
-            while start_ev < t.events.len() {
-                let end = usize::min(start_ev + b, t.events.len());
-                ctx.load(&t.events[start_ev..end], start_ev as u64);
-                facade.run_batch(&mut ctx).expect("facade batch");
-                start_ev = end;
-            }
-            ctx.accum().sim_time().as_micros()
-        }
-        None => {
-            let mut read_buf = PageBuf::with_capacity(block);
-            let mut payload_buf = PageBuf::with_capacity(block);
-            let mut sim_time_us = 0u64;
-            for (i, e) in t.events.iter().enumerate() {
-                let offset = e.lba * block as u64;
-                let cost = if e.is_write() {
-                    write_payload_into(e.lba, i as u64, block, &mut payload_buf);
-                    facade
-                        .write_bytes(offset, &payload_buf)
-                        .expect("facade write")
-                } else {
-                    facade
-                        .read_bytes_into(offset, block, &mut read_buf)
-                        .expect("facade read")
-                };
-                sim_time_us += cost.as_micros();
-            }
-            sim_time_us
-        }
-    };
-    let wall = start.elapsed().as_secs_f64();
-    let faults = setup.fault_plan().map(|_| {
-        let inner = facade.inner();
-        FaultReport::new(
-            inner.ssc().fault_counters(),
-            inner.ssc().counters().blocks_retired,
-            inner.counters(),
-        )
-    });
-    SystemResult {
-        name: ReplaySystem::FacadeWt.name(),
-        events: t.events.len() as u64,
-        wall_s: wall,
-        events_per_sec: t.events.len() as f64 / wall,
-        sim_time_us,
-        faults,
-        shard_events: None,
-    }
-}
-
 /// Builds and replays one system against a pre-generated trace.
 pub fn run_system(kind: ReplaySystem, setup: &ReplaySetup, t: &Trace) -> SystemResult {
-    run_system_batched(kind, setup, t, None)
-}
-
-/// Builds and replays one system against a pre-generated trace, scalar
-/// (`batch == None`) or through the batched pipeline (`batch == Some(n)`).
-/// Statistics are bit-identical either way; only host throughput differs.
-pub fn run_system_batched(
-    kind: ReplaySystem,
-    setup: &ReplaySetup,
-    t: &Trace,
-    batch: Option<usize>,
-) -> SystemResult {
     let faulted = setup.fault_plan().is_some();
+    let wt_faults = move |s: &FlashTierWt| {
+        faulted.then(|| {
+            FaultReport::new(
+                s.ssc().fault_counters(),
+                s.ssc().counters().blocks_retired,
+                s.counters(),
+            )
+        })
+    };
     match kind {
-        ReplaySystem::FlashtierWt => timed(kind, setup.flashtier_wt(), t, batch, move |s| {
+        ReplaySystem::FlashtierWt => timed(kind, setup.flashtier_wt(), t, wt_faults),
+        ReplaySystem::FlashtierWb => timed(kind, setup.flashtier_wb(), t, move |s| {
             faulted.then(|| {
                 FaultReport::new(
                     s.ssc().fault_counters(),
@@ -468,16 +397,7 @@ pub fn run_system_batched(
                 )
             })
         }),
-        ReplaySystem::FlashtierWb => timed(kind, setup.flashtier_wb(), t, batch, move |s| {
-            faulted.then(|| {
-                FaultReport::new(
-                    s.ssc().fault_counters(),
-                    s.ssc().counters().blocks_retired,
-                    s.counters(),
-                )
-            })
-        }),
-        ReplaySystem::NativeWb => timed(kind, setup.native_wb(), t, batch, move |s| {
+        ReplaySystem::NativeWb => timed(kind, setup.native_wb(), t, move |s| {
             faulted.then(|| {
                 use ftl::BlockDev;
                 FaultReport::new(
@@ -487,9 +407,14 @@ pub fn run_system_batched(
                 )
             })
         }),
-        ReplaySystem::FacadeWt => timed_facade(setup, t, batch),
+        // Every event becomes a one-block byte span, exercising the
+        // span-assembly read path on top of the write-through manager.
+        ReplaySystem::FacadeWt => timed(kind, ByteFacade::new(setup.flashtier_wt()), t, |f| {
+            wt_faults(f.inner())
+        }),
     }
 }
+
 /// Splits a trace into per-shard subsequences with [`ShardRouter`],
 /// preserving the original order *within* each shard. Because the router is
 /// a pure function of the LBA, every operation on a given logical block
@@ -536,14 +461,12 @@ struct ShardOutcome {
 /// nothing and the per-shard outcomes are exactly those of `n` independent
 /// sequential replays — the merge is byte-for-byte reproducible regardless
 /// of host scheduling.
-#[allow(clippy::too_many_arguments)]
 fn timed_sharded<S, B, P>(
     kind: ReplaySystem,
     t: &Trace,
     shards: usize,
     ppb: u32,
     faulted: bool,
-    batch: Option<usize>,
     build: B,
     probe: P,
 ) -> ShardedRunDetail
@@ -564,11 +487,7 @@ where
             .map(|(i, events)| {
                 scope.spawn(move || {
                     let mut system = build(i);
-                    let stats = match batch {
-                        Some(b) => cachemgr::replay_batched(&mut system, events, b),
-                        None => cachemgr::replay(&mut system, events),
-                    }
-                    .expect("sharded replay");
+                    let stats = replay(&mut system, events).expect("sharded replay");
                     let (counters, injected) = probe(&system);
                     ShardOutcome {
                         ops: stats.ops,
@@ -631,26 +550,13 @@ pub fn run_sharded_detail(
     t: &Trace,
     shards: usize,
 ) -> ShardedRunDetail {
-    run_sharded_detail_batched(kind, setup, t, shards, None)
-}
-
-/// [`run_sharded_detail`] with an optional batched pipeline (`batch ==
-/// Some(n)` replays every shard's subsequence through
-/// [`cachemgr::replay_batched`]). Statistics are bit-identical either way.
-pub fn run_sharded_detail_batched(
-    kind: ReplaySystem,
-    setup: &ReplaySetup,
-    t: &Trace,
-    shards: usize,
-    batch: Option<usize>,
-) -> ShardedRunDetail {
     assert!(shards >= 1, "need at least one shard");
     let config = match kind {
         ReplaySystem::FlashtierWt => setup.wt_config(),
         ReplaySystem::FlashtierWb => setup.wb_config(),
         ReplaySystem::NativeWb | ReplaySystem::FacadeWt => {
             return ShardedRunDetail {
-                result: run_system_batched(kind, setup, t, batch),
+                result: run_system(kind, setup, t),
                 shard_counters: Vec::new(),
                 shard_sim_time_us: Vec::new(),
             };
@@ -667,7 +573,6 @@ pub fn run_sharded_detail_batched(
             shards,
             ppb,
             plan.is_some(),
-            batch,
             |i| FlashTierWt::new(build_ssc(i), setup.disk()),
             |s: &FlashTierWt| (s.ssc().counters(), s.ssc().fault_counters()),
         ),
@@ -677,7 +582,6 @@ pub fn run_sharded_detail_batched(
             shards,
             ppb,
             plan.is_some(),
-            batch,
             |i| FlashTierWb::new(build_ssc(i), setup.disk()),
             |s: &FlashTierWb| (s.ssc().counters(), s.ssc().fault_counters()),
         ),
@@ -696,15 +600,4 @@ pub fn run_system_sharded(
     shards: usize,
 ) -> SystemResult {
     run_sharded_detail(kind, setup, t, shards).result
-}
-
-/// [`run_system_sharded`] with an optional batched pipeline.
-pub fn run_system_sharded_batched(
-    kind: ReplaySystem,
-    setup: &ReplaySetup,
-    t: &Trace,
-    shards: usize,
-    batch: Option<usize>,
-) -> SystemResult {
-    run_sharded_detail_batched(kind, setup, t, shards, batch).result
 }

@@ -39,6 +39,15 @@ fn replay_rejects_unknown_flag() {
 }
 
 #[test]
+fn replay_rejects_the_removed_batch_flag() {
+    // There is one replay path; `--batch` must not be silently ignored.
+    assert_usage_error(
+        &run(REPLAY, &["--batch", "1024", "--events", "10"]),
+        "unknown argument",
+    );
+}
+
+#[test]
 fn replay_rejects_unparsable_value() {
     // The old parser silently fell back to the default event count here.
     assert_usage_error(

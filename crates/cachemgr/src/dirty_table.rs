@@ -62,11 +62,22 @@ impl DirtyTable {
         self.index.contains_key(&lba)
     }
 
+    /// Refreshes the recency of `lba` if it is tracked, with a single index
+    /// probe. Returns whether it was.
+    pub fn touch_if_present(&mut self, lba: u64) -> bool {
+        match self.index.get(&lba) {
+            Some(&slot) => {
+                self.lru.touch(slot);
+                true
+            }
+            None => false,
+        }
+    }
+
     /// Records `lba` as dirty (or refreshes its recency). Returns `false`
     /// when the table is full and the block was not already present.
     pub fn touch(&mut self, lba: u64) -> bool {
-        if let Some(&slot) = self.index.get(&lba) {
-            self.lru.touch(slot);
+        if self.touch_if_present(lba) {
             return true;
         }
         match self.free.pop() {
@@ -180,6 +191,17 @@ mod tests {
         assert_eq!(t.lru_block(), Some(2));
         t.remove(2);
         assert_eq!(t.lru_block(), Some(3));
+    }
+
+    #[test]
+    fn touch_if_present_refreshes_without_inserting() {
+        let mut t = DirtyTable::new(4);
+        t.touch(1);
+        t.touch(2);
+        assert!(!t.touch_if_present(9));
+        assert_eq!(t.len(), 2, "absent blocks are not recorded");
+        assert!(t.touch_if_present(1));
+        assert_eq!(t.lru_block(), Some(2), "same LRU effect as touch");
     }
 
     #[test]

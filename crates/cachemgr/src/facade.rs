@@ -9,7 +9,9 @@
 //! (§7).
 
 use simkit::{Duration, PageBuf};
+use sparsemap::MapMemory;
 
+use crate::metrics::MgrCounters;
 use crate::system::CacheSystem;
 use crate::Result;
 
@@ -48,21 +50,6 @@ impl<S: CacheSystem> ByteFacade<S> {
     /// Block size of the data path.
     pub fn block_size(&self) -> usize {
         self.inner.block_size()
-    }
-
-    /// Replays one decoded batch of whole-block events through the inner
-    /// system. The replay harness drives the façade with one-block,
-    /// block-aligned spans: reading such a span is exactly one inner
-    /// `read_into` plus a copy the driver discards, and writing one is
-    /// exactly one inner `write` — so forwarding the batch to the inner
-    /// system's [`CacheSystem::run_batch`] is cost- and state-identical to
-    /// the scalar span loop.
-    ///
-    /// # Errors
-    ///
-    /// Device failures from the underlying system.
-    pub fn run_batch(&mut self, ops: &mut crate::system::BatchCtx) -> Result<()> {
-        self.inner.run_batch(ops)
     }
 
     /// Reads `len` bytes starting at byte `offset` into the caller's buffer
@@ -136,6 +123,46 @@ impl<S: CacheSystem> ByteFacade<S> {
             remaining = &remaining[take..];
         }
         Ok(cost)
+    }
+}
+
+/// The façade as a system of whole blocks: each operation is a one-block,
+/// block-aligned span, so the replay harness can drive the span-assembly
+/// path like any other system. Reads always assemble the span (no discard
+/// fast path — that is the façade's work); writes of a whole block go
+/// straight to the inner system, so its payload elision carries over.
+impl<S: CacheSystem> CacheSystem for ByteFacade<S> {
+    fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
+        let bs = self.inner.block_size();
+        self.read_bytes_into(lba * bs as u64, bs, buf)
+    }
+
+    fn write(&mut self, lba: u64, data: &[u8]) -> Result<Duration> {
+        self.write_bytes(lba * self.inner.block_size() as u64, data)
+    }
+
+    fn payload_discarded(&self) -> bool {
+        self.inner.payload_discarded()
+    }
+
+    fn counters(&self) -> MgrCounters {
+        self.inner.counters()
+    }
+
+    fn host_memory(&self) -> MapMemory {
+        self.inner.host_memory()
+    }
+
+    fn device_memory(&self) -> MapMemory {
+        self.inner.device_memory()
+    }
+
+    fn block_size(&self) -> usize {
+        self.inner.block_size()
+    }
+
+    fn name(&self) -> &'static str {
+        "byte-facade"
     }
 }
 

@@ -15,7 +15,7 @@ use sparsemap::MapMemory;
 
 use crate::dirty_table::DirtyTable;
 use crate::metrics::MgrCounters;
-use crate::system::CacheSystem;
+use crate::system::{fetch_from_disk, CacheSystem};
 use crate::Result;
 
 /// Longest contiguous dirty run merged into one disk write.
@@ -62,10 +62,9 @@ pub struct FlashTierWb<D: SscDevice = Ssc> {
     gather_buf: PageBuf,
     /// Reusable single-block buffer for the cleaner's SSC reads.
     block_buf: PageBuf,
-    /// Both tiers run in discard mode: destage and batched-miss transfers
-    /// may skip payload materialization (the bytes are provably never
-    /// retained or read).
-    sink_fills: bool,
+    /// Both tiers run in discard mode: payload bytes are provably never
+    /// retained or read back, so destage transfers skip materializing them.
+    payload_discarded: bool,
 }
 
 impl<D: SscDevice> FlashTierWb<D> {
@@ -92,7 +91,8 @@ impl<D: SscDevice> FlashTierWb<D> {
         );
         let capacity = ssc.data_capacity_pages() as usize;
         let dirty_limit = ((capacity as f64 * fraction) as usize).max(1);
-        let sink_fills = ssc.payload_discarded() && disk.mode() == disksim::DiskDataMode::Discard;
+        let payload_discarded =
+            ssc.payload_discarded() && disk.mode() == disksim::DiskDataMode::Discard;
         FlashTierWb {
             ssc,
             disk,
@@ -103,7 +103,7 @@ impl<D: SscDevice> FlashTierWb<D> {
             counters: MgrCounters::default(),
             gather_buf: PageBuf::new(),
             block_buf: PageBuf::new(),
-            sink_fills,
+            payload_discarded,
         }
     }
 
@@ -145,12 +145,11 @@ impl<D: SscDevice> FlashTierWb<D> {
     }
 
     /// One destage read: fetches `lba` from the SSC into slot `i` of the
-    /// gather buffer. When both tiers discard payloads the read goes through
-    /// the sink (identical lookup, counters, fault draw and timing; no byte
-    /// fill) and the gather slot is left stale — the discard-mode disk the
-    /// run is written to never looks at it.
+    /// gather buffer. When both tiers discard payloads it is a discard read
+    /// and the gather slot is left stale — the discard-mode disk the run is
+    /// written to never looks at it.
     fn destage_read(&mut self, lba: u64, i: usize, bs: usize) -> SscResult<Duration> {
-        if self.sink_fills {
+        if self.payload_discarded {
             self.ssc.read_sink(lba)
         } else {
             let cost = self.ssc.read_into(lba, &mut self.block_buf)?;
@@ -268,128 +267,67 @@ impl<D: SscDevice> FlashTierWb<D> {
         Ok(t)
     }
 
-    /// The non-hit arms of the read path, entered after the SSC probe for
-    /// `lba` returned `err` (the probe's side effects — device counters,
-    /// fault draw — have already happened). Shared by the scalar read and
-    /// the batched run so the two cannot drift.
-    fn read_after_ssc_error(
-        &mut self,
-        lba: u64,
-        err: SscError,
-        buf: &mut PageBuf,
-        sink: bool,
-    ) -> Result<Duration> {
-        match err {
-            SscError::Flash(e) if e.is_media_fault() => {
-                // Unrecoverable cache read: drop the faulted copy and serve
-                // the last destaged (disk) version. When the lost copy was
-                // dirty this trades staleness for availability — counted
-                // separately so callers can see it.
-                let mut cost = self.ssc.evict(lba)?;
-                if self.dirty.contains(lba) {
-                    self.dirty.remove(lba);
-                    self.counters.lost_dirty_reads += 1;
-                }
-                self.counters.read_fault_fallbacks += 1;
-                self.counters.read_misses += 1;
-                cost += if sink {
-                    self.disk.read_sink(lba)?
-                } else {
-                    self.disk.read_into(lba, buf)?
-                };
+    /// The read path. `sink` marks a discard read: the caller will not
+    /// inspect `buf`, so a hit materializes nothing and a miss skips the
+    /// byte fill when both tiers discard payloads.
+    fn read_with(&mut self, lba: u64, buf: &mut PageBuf, sink: bool) -> Result<Duration> {
+        self.counters.reads += 1;
+        let elide = sink && self.payload_discarded;
+        let dest = if sink { None } else { Some(&mut *buf) };
+        match self.ssc.read_to(lba, dest) {
+            Ok(cost) => {
+                self.counters.read_hits += 1;
+                self.dirty.touch_if_present(lba);
                 Ok(cost)
             }
-            SscError::NotPresent(_) => {
+            Err(SscError::NotPresent(_)) => {
                 self.counters.read_misses += 1;
-                let disk_cost = if sink {
-                    let cost = self.disk.read_sink(lba)?;
-                    let _ = buf.prepare(self.disk.block_size());
-                    cost
-                } else {
-                    self.disk.read_into(lba, buf)?
-                };
+                let disk_cost = fetch_from_disk(&mut self.disk, lba, buf, elide)?;
                 let fill_cost = match self.ssc.write_clean(lba, buf) {
                     Ok(c) => c,
                     Err(SscError::OutOfSpace) => {
                         // Scattered dirty pages can pin every erase block;
                         // clean some and retry, or serve without caching.
                         let cleaned = self.clean_down_to(self.dirty_low)?;
-                        cleaned
-                            + self
-                                .ssc
-                                .write_clean(lba, buf)
-                                .unwrap_or(simkit::Duration::ZERO)
+                        match self.ssc.write_clean(lba, buf) {
+                            Ok(c) => cleaned + c,
+                            Err(SscError::OutOfSpace) => cleaned,
+                            Err(e) => return Err(e.into()),
+                        }
                     }
                     Err(e) => return Err(e.into()),
                 };
                 Ok(disk_cost + fill_cost)
             }
-            e => Err(e.into()),
+            Err(SscError::Flash(e)) if e.is_media_fault() => {
+                // Unrecoverable cache read: drop the faulted copy and serve
+                // the last destaged (disk) version. When the lost copy was
+                // dirty this trades staleness for availability — counted
+                // separately so callers can see it.
+                let evict_cost = self.ssc.evict(lba)?;
+                if self.dirty.remove(lba) {
+                    self.counters.lost_dirty_reads += 1;
+                }
+                self.counters.read_fault_fallbacks += 1;
+                self.counters.read_misses += 1;
+                Ok(evict_cost + fetch_from_disk(&mut self.disk, lba, buf, elide)?)
+            }
+            Err(e) => Err(e.into()),
         }
     }
 }
 
 impl<D: SscDevice> CacheSystem for FlashTierWb<D> {
     fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
-        self.counters.reads += 1;
-        match self.ssc.read_into(lba, buf) {
-            Ok(cost) => {
-                self.counters.read_hits += 1;
-                if self.dirty.contains(lba) {
-                    self.dirty.touch(lba);
-                }
-                Ok(cost)
-            }
-            Err(e) => self.read_after_ssc_error(lba, e, buf, false),
-        }
+        self.read_with(lba, buf, false)
     }
 
-    fn run_batch(&mut self, ops: &mut crate::system::BatchCtx) -> Result<()> {
-        for r in 0..ops.run_count() {
-            let (range, is_write) = ops.run(r);
-            if is_write {
-                for i in range {
-                    let lba = ops.lba(i);
-                    let payload = if self.sink_fills {
-                        ops.sink_payload()
-                    } else {
-                        ops.fill_payload(i)
-                    };
-                    let cost = self.write(lba, payload)?;
-                    ops.observe(cost);
-                }
-            } else {
-                // Hit fast path: probe the SSC for the whole run with sink
-                // reads (the replay driver never inspects hit data), then
-                // replay the per-hit dirty-LRU touches in event order, and
-                // fall back to the scalar miss/fault arms at the first
-                // non-hit.
-                let mut i = range.start;
-                while i < range.end {
-                    let (lbas, costs) = ops.read_run_scratch(i..range.end);
-                    let (served, stop) = self.ssc.read_run_sink(lbas, costs);
-                    self.counters.reads += served as u64;
-                    self.counters.read_hits += served as u64;
-                    for k in i..i + served {
-                        let lba = ops.lba(k);
-                        if self.dirty.contains(lba) {
-                            self.dirty.touch(lba);
-                        }
-                    }
-                    ops.observe_run(served);
-                    i += served;
-                    if let Some(err) = stop {
-                        let lba = ops.lba(i);
-                        let sink = self.sink_fills;
-                        self.counters.reads += 1;
-                        let cost = self.read_after_ssc_error(lba, err, ops.read_buf(), sink)?;
-                        ops.observe(cost);
-                        i += 1;
-                    }
-                }
-            }
-        }
-        Ok(())
+    fn read_sink(&mut self, lba: u64, scratch: &mut PageBuf) -> Result<Duration> {
+        self.read_with(lba, scratch, true)
+    }
+
+    fn payload_discarded(&self) -> bool {
+        self.payload_discarded
     }
 
     fn write(&mut self, lba: u64, data: &[u8]) -> Result<Duration> {
@@ -558,6 +496,57 @@ mod tests {
             s.host_memory().modeled_bytes,
             crate::dirty_table::ENTRY_BYTES
         );
+    }
+
+    /// A system whose SSC is so full of dirty data that the next insert
+    /// reports `OutOfSpace` (the manager's threshold cleaner is bypassed by
+    /// writing to the device directly and mirroring the dirty table).
+    fn system_full_of_dirty_data() -> FlashTierWb {
+        let ssc = Ssc::new(SscConfig::small_test());
+        let disk = Disk::new(DiskConfig::small_test(), DiskDataMode::Store);
+        // Threshold 1.0 sizes the dirty table for more than the device holds.
+        let mut s = FlashTierWb::with_dirty_fraction(ssc, disk, 1.0);
+        for lba in 0..s.ssc.data_capacity_pages() * 2 {
+            match s.ssc.write_dirty(lba, &block(1)) {
+                Ok(_) => assert!(s.dirty.touch(lba)),
+                Err(SscError::OutOfSpace) => return s,
+                Err(e) => panic!("unexpected error {e}"),
+            }
+        }
+        panic!("an all-dirty cache cannot grow forever");
+    }
+
+    #[test]
+    fn miss_fill_retry_propagates_power_loss() {
+        const MISS: u64 = 1 << 20;
+        // Unarmed, the miss cleans to make room and the retried fill lands.
+        let mut s = system_full_of_dirty_data();
+        s.read(MISS).unwrap();
+        assert!(s.counters().writebacks > 0, "first fill found space");
+        assert_eq!(s.ssc.counters().writes_clean, 1, "retried fill landed");
+
+        // Arm the group-commit crash site at every hit the read makes, one
+        // fresh system per position. The last position is the retried
+        // fill's own commit; wherever the power fails, the read must say so
+        // — the server's quarantine logic keys on that error.
+        let mut fired = 0;
+        for after in 0.. {
+            let mut s = system_full_of_dirty_data();
+            s.ssc
+                .arm_crash(flashtier_core::CrashSite::GroupCommit, after);
+            let outcome = s.read(MISS);
+            if s.ssc.crash_armed() {
+                outcome.expect("no power loss, no error");
+                break;
+            }
+            fired += 1;
+            assert_eq!(
+                outcome.map(|_| ()),
+                Err(crate::CmError::Ssc(SscError::PowerLoss)),
+                "power loss at commit {after} was swallowed"
+            );
+        }
+        assert!(fired >= 2, "cleaning and the retry both commit");
     }
 
     #[test]

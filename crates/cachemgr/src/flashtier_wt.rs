@@ -15,7 +15,7 @@ use sparsemap::MapMemory;
 
 use crate::bloom::BloomFilter;
 use crate::metrics::MgrCounters;
-use crate::system::CacheSystem;
+use crate::system::{fetch_from_disk, CacheSystem};
 use crate::Result;
 
 /// Write-through FlashTier system: SSC + disk, zero *required* host
@@ -31,9 +31,9 @@ pub struct FlashTierWt<D: SscDevice = Ssc> {
     disk: Disk,
     bloom: Option<BloomFilter>,
     counters: MgrCounters,
-    /// Both tiers run in discard mode: batched fills may skip payload
-    /// materialization (the bytes are provably never retained or read).
-    sink_fills: bool,
+    /// Both tiers run in discard mode: payload bytes are provably never
+    /// retained or read back.
+    payload_discarded: bool,
 }
 
 impl<D: SscDevice> FlashTierWt<D> {
@@ -49,13 +49,14 @@ impl<D: SscDevice> FlashTierWt<D> {
             disk.block_size(),
             "cache/disk block size mismatch"
         );
-        let sink_fills = ssc.payload_discarded() && disk.mode() == disksim::DiskDataMode::Discard;
+        let payload_discarded =
+            ssc.payload_discarded() && disk.mode() == disksim::DiskDataMode::Discard;
         FlashTierWt {
             ssc,
             disk,
             bloom: None,
             counters: MgrCounters::default(),
-            sink_fills,
+            payload_discarded,
         }
     }
 
@@ -144,19 +145,10 @@ impl<D: SscDevice> FlashTierWt<D> {
 
 impl<D: SscDevice> FlashTierWt<D> {
     /// Disk fetch + cache fill shared by the miss and Bloom-skip paths; the
-    /// fetched block ends up in `buf`. When `sink` is set (batched replay
-    /// against discard-mode tiers, where the caller drops the payload) the
-    /// disk charge and the cache fill happen without materializing bytes:
-    /// `buf` is sized but its contents left stale, which the gated
-    /// discard-mode devices ignore by construction.
-    fn fetch_and_fill(&mut self, lba: u64, buf: &mut PageBuf, sink: bool) -> Result<Duration> {
-        let disk_cost = if sink {
-            let cost = self.disk.read_sink(lba)?;
-            let _ = buf.prepare(self.disk.block_size());
-            cost
-        } else {
-            self.disk.read_into(lba, buf)?
-        };
+    /// fetched block ends up in `buf` unless `elide` is set (see
+    /// [`fetch_from_disk`]).
+    fn fetch_and_fill(&mut self, lba: u64, buf: &mut PageBuf, elide: bool) -> Result<Duration> {
+        let disk_cost = fetch_from_disk(&mut self.disk, lba, buf, elide)?;
         // Populate the cache with the fetched block; a cache that cannot
         // make space right now simply skips the fill.
         let fill_cost = match self.ssc.write_clean(lba, buf) {
@@ -168,105 +160,55 @@ impl<D: SscDevice> FlashTierWt<D> {
         Ok(disk_cost + fill_cost)
     }
 
-    /// The non-hit arms of the read path, entered after the SSC probe for
-    /// `lba` returned `err` (the probe's side effects — device counters,
-    /// fault draw — have already happened). Shared by the scalar read and
-    /// the batched run so the two cannot drift.
-    fn read_after_ssc_error(
-        &mut self,
-        lba: u64,
-        err: SscError,
-        buf: &mut PageBuf,
-        sink: bool,
-    ) -> Result<Duration> {
-        match err {
-            SscError::NotPresent(_) => {
+    /// The read path. `sink` marks a discard read: the caller will not
+    /// inspect `buf`, so a hit materializes nothing and a miss skips the
+    /// byte fill when both tiers discard payloads.
+    fn read_with(&mut self, lba: u64, buf: &mut PageBuf, sink: bool) -> Result<Duration> {
+        self.counters.reads += 1;
+        let elide = sink && self.payload_discarded;
+        if let Some(filter) = &self.bloom {
+            if !filter.may_contain(lba) {
+                // Definitively never cached: skip the device round-trip.
+                self.counters.bloom_skips += 1;
                 self.counters.read_misses += 1;
-                self.fetch_and_fill(lba, buf, sink)
+                return self.fetch_and_fill(lba, buf, elide);
             }
-            SscError::Flash(e) if e.is_media_fault() => {
+        }
+        let dest = if sink { None } else { Some(&mut *buf) };
+        match self.ssc.read_to(lba, dest) {
+            Ok(cost) => {
+                self.counters.read_hits += 1;
+                Ok(cost)
+            }
+            Err(SscError::NotPresent(_)) => {
+                self.counters.read_misses += 1;
+                self.fetch_and_fill(lba, buf, elide)
+            }
+            Err(SscError::Flash(e)) if e.is_media_fault() => {
                 // Unrecoverable cache read. All write-through data is clean,
                 // so the disk is authoritative: drop the faulted mapping and
                 // serve the read as a miss. Never stale data, never a panic.
                 let evict_cost = self.ssc.evict(lba)?;
                 self.counters.read_fault_fallbacks += 1;
                 self.counters.read_misses += 1;
-                Ok(evict_cost + self.fetch_and_fill(lba, buf, sink)?)
+                Ok(evict_cost + self.fetch_and_fill(lba, buf, elide)?)
             }
-            e => Err(e.into()),
+            Err(e) => Err(e.into()),
         }
     }
 }
 
 impl<D: SscDevice> CacheSystem for FlashTierWt<D> {
     fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
-        self.counters.reads += 1;
-        if let Some(filter) = &self.bloom {
-            if !filter.may_contain(lba) {
-                // Definitively never cached: skip the device round-trip.
-                self.counters.bloom_skips += 1;
-                self.counters.read_misses += 1;
-                return self.fetch_and_fill(lba, buf, false);
-            }
-        }
-        match self.ssc.read_into(lba, buf) {
-            Ok(cost) => {
-                self.counters.read_hits += 1;
-                Ok(cost)
-            }
-            Err(e) => self.read_after_ssc_error(lba, e, buf, false),
-        }
+        self.read_with(lba, buf, false)
     }
 
-    fn run_batch(&mut self, ops: &mut crate::system::BatchCtx) -> Result<()> {
-        for r in 0..ops.run_count() {
-            let (range, is_write) = ops.run(r);
-            if is_write {
-                for i in range {
-                    let lba = ops.lba(i);
-                    self.counters.writes += 1;
-                    let payload = if self.sink_fills {
-                        ops.sink_payload()
-                    } else {
-                        ops.fill_payload(i)
-                    };
-                    let disk_cost = self.disk.write(lba, payload)?;
-                    let ssc_cost = self.ssc.write_clean(lba, payload)?;
-                    self.bloom_note_insert(lba);
-                    ops.observe(disk_cost.max(ssc_cost));
-                }
-            } else if self.bloom.is_some() {
-                // The Bloom short-circuit branches on per-event filter
-                // state; keep the scalar read for correctness.
-                for i in range {
-                    let lba = ops.lba(i);
-                    let cost = self.read_into(lba, ops.read_buf())?;
-                    ops.observe(cost);
-                }
-            } else {
-                // Hit fast path: probe the SSC for the whole run with sink
-                // reads (the replay driver never inspects hit data), falling
-                // back to the scalar miss/fault arms at the first non-hit.
-                let mut i = range.start;
-                while i < range.end {
-                    let (lbas, costs) = ops.read_run_scratch(i..range.end);
-                    let (served, stop) = self.ssc.read_run_sink(lbas, costs);
-                    self.counters.reads += served as u64;
-                    self.counters.read_hits += served as u64;
-                    ops.observe_run(served);
-                    i += served;
-                    if let Some(err) = stop {
-                        let lba = ops.lba(i);
-                        let sink = self.sink_fills;
-                        self.counters.reads += 1;
-                        let cost = self.read_after_ssc_error(lba, err, ops.read_buf(), sink)?;
-                        ops.observe(cost);
-                        i += 1;
-                    }
-                }
-            }
-        }
-        Ok(())
+    fn read_sink(&mut self, lba: u64, scratch: &mut PageBuf) -> Result<Duration> {
+        self.read_with(lba, scratch, true)
+    }
+
+    fn payload_discarded(&self) -> bool {
+        self.payload_discarded
     }
 
     fn write(&mut self, lba: u64, data: &[u8]) -> Result<Duration> {

@@ -20,7 +20,7 @@ use sparsemap::{MapMemory, SparseHashMap};
 
 use crate::lru::LruList;
 use crate::metrics::MgrCounters;
-use crate::system::CacheSystem;
+use crate::system::{fetch_from_disk, CacheSystem};
 use crate::Result;
 
 /// Caching policy of the Native manager.
@@ -82,10 +82,9 @@ pub struct NativeCache<D: BlockDev> {
     counters: MgrCounters,
     /// Reusable buffer for victim write-backs and cleaner reads.
     victim_buf: PageBuf,
-    /// Both tiers run in discard mode: destage and batched-miss transfers
-    /// may skip payload materialization (the bytes are provably never
-    /// retained or read).
-    sink_fills: bool,
+    /// Both tiers run in discard mode: payload bytes are provably never
+    /// retained or read back, so destage transfers skip materializing them.
+    payload_discarded: bool,
     /// Encoded metadata pages, kept in lockstep with `meta` (empty unless
     /// the configuration persists metadata). Each slot's 22-byte entry is
     /// re-encoded when that slot changes, so persisting a page is a single
@@ -106,7 +105,8 @@ impl<D: BlockDev> NativeCache<D> {
         // Solve slots + ceil(slots/entries_per_page) <= total.
         let slots = (total * md_entries_per_page / (md_entries_per_page + 1)).max(1);
         let dirty_limit = ((slots as f64 * 0.20) as usize).max(1);
-        let sink_fills = ssd.payload_discarded() && disk.mode() == disksim::DiskDataMode::Discard;
+        let payload_discarded =
+            ssd.payload_discarded() && disk.mode() == disksim::DiskDataMode::Discard;
         let mut cache = NativeCache {
             ssd,
             disk,
@@ -123,7 +123,7 @@ impl<D: BlockDev> NativeCache<D> {
             md_entries_per_page,
             counters: MgrCounters::default(),
             victim_buf: PageBuf::new(),
-            sink_fills,
+            payload_discarded,
             md_cache: Vec::new(),
         };
         cache.rebuild_md_cache();
@@ -335,37 +335,57 @@ impl<D: BlockDev> NativeCache<D> {
     }
 
     /// The read-fault fallback: invalidate the faulted slot and serve a
-    /// disk miss (see the scalar read path for the rationale). Shared by
-    /// the scalar read and the batched run so the two cannot drift.
-    fn read_fault_fallback(&mut self, slot: u32, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
+    /// disk miss — never stale or wrong data. A dirty block's newest
+    /// version is lost to the media; the last destaged disk version is
+    /// served instead (availability over staleness).
+    fn read_fault_fallback(
+        &mut self,
+        slot: u32,
+        lba: u64,
+        buf: &mut PageBuf,
+        elide: bool,
+    ) -> Result<Duration> {
         let (pcost, was_dirty) = self.drop_faulted_slot(slot)?;
         if was_dirty {
             self.counters.lost_dirty_reads += 1;
         }
         self.counters.read_fault_fallbacks += 1;
+        Ok(pcost + self.read_miss(lba, buf, elide)?)
+    }
+
+    /// The read-miss path: disk fetch (see [`fetch_from_disk`] for `elide`)
+    /// plus a clean install.
+    fn read_miss(&mut self, lba: u64, buf: &mut PageBuf, elide: bool) -> Result<Duration> {
         self.counters.read_misses += 1;
-        let mut cost = pcost + self.disk.read_into(lba, buf)?;
+        let mut cost = fetch_from_disk(&mut self.disk, lba, buf, elide)?;
         self.install(lba, buf, false, &mut cost)?;
         Ok(cost)
     }
 
-    /// The read-miss path: disk fetch plus a clean install. Shared by the
-    /// scalar read and the batched run. When `sink` is set (batched replay
-    /// against discard-mode tiers, where the caller drops the payload) the
-    /// disk charge happens without materializing bytes: `buf` is sized but
-    /// left stale, which the gated discard-mode SSD install ignores by
-    /// construction.
-    fn read_miss_into(&mut self, lba: u64, buf: &mut PageBuf, sink: bool) -> Result<Duration> {
-        self.counters.read_misses += 1;
-        let mut cost = if sink {
-            let cost = self.disk.read_sink(lba)?;
-            let _ = buf.prepare(self.disk.block_size());
-            cost
-        } else {
-            self.disk.read_into(lba, buf)?
+    /// The read path. `sink` marks a discard read: the caller will not
+    /// inspect `buf`, so a hit materializes nothing and a miss skips the
+    /// byte fill when both tiers discard payloads.
+    fn read_with(&mut self, lba: u64, buf: &mut PageBuf, sink: bool) -> Result<Duration> {
+        self.counters.reads += 1;
+        let elide = sink && self.payload_discarded;
+        let Some(&slot) = self.table.get(lba) else {
+            return self.read_miss(lba, buf, elide);
         };
-        self.install(lba, buf, false, &mut cost)?;
-        Ok(cost)
+        let dest = if sink { None } else { Some(&mut *buf) };
+        match self.ssd.read_to(slot as u64, dest) {
+            Ok(cost) => {
+                self.counters.read_hits += 1;
+                self.lru.touch(slot);
+                if self.meta[slot as usize].is_some_and(|m| m.dirty) {
+                    self.dirty_lru.touch(slot);
+                }
+                Ok(cost)
+            }
+            Err(ftl::FtlError::Flash(e)) if e.is_media_fault() => {
+                self.read_fault_fallback(slot, lba, buf, elide)
+            }
+            Err(e) => Err(e.into()),
+        }
     }
 
     /// Reads a dirty slot for destage into `victim_buf`, with one bounded
@@ -373,13 +393,13 @@ impl<D: BlockDev> NativeCache<D> {
     /// block; `Ok(None)` means the block is unrecoverable and must be
     /// dropped rather than destaged.
     fn read_dirty_for_destage(&mut self, slot: u32) -> Result<Option<Duration>> {
-        if self.sink_fills {
+        if self.payload_discarded {
             // Size the buffer for the disk write's length check; the
             // discard-mode disk never reads the (stale) bytes.
             let _ = self.victim_buf.prepare(self.disk.block_size());
         }
         for attempt in 0..2 {
-            let read = if self.sink_fills {
+            let read = if self.payload_discarded {
                 self.ssd.read_sink(slot as u64)
             } else {
                 self.ssd.read_into(slot as u64, &mut self.victim_buf)
@@ -526,76 +546,15 @@ impl<D: BlockDev> NativeCache<D> {
 
 impl<D: BlockDev> CacheSystem for NativeCache<D> {
     fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
-        self.counters.reads += 1;
-        if let Some(&slot) = self.table.get(lba) {
-            match self.ssd.read_into(slot as u64, buf) {
-                Ok(cost) => {
-                    self.counters.read_hits += 1;
-                    self.lru.touch(slot);
-                    if self.meta[slot as usize].is_some_and(|m| m.dirty) {
-                        self.dirty_lru.touch(slot);
-                    }
-                    return Ok(cost);
-                }
-                Err(ftl::FtlError::Flash(e)) if e.is_media_fault() => {
-                    // Unrecoverable cache read: invalidate the mapping and
-                    // fall through to a disk-served miss — never stale or
-                    // wrong data. A dirty block's newest version is lost to
-                    // the media; the last destaged disk version is served
-                    // instead (availability over staleness).
-                    return self.read_fault_fallback(slot, lba, buf);
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-        self.read_miss_into(lba, buf, false)
+        self.read_with(lba, buf, false)
     }
 
-    fn run_batch(&mut self, ops: &mut crate::system::BatchCtx) -> Result<()> {
-        for r in 0..ops.run_count() {
-            let (range, is_write) = ops.run(r);
-            if is_write {
-                for i in range {
-                    let lba = ops.lba(i);
-                    let payload = if self.sink_fills {
-                        ops.sink_payload()
-                    } else {
-                        ops.fill_payload(i)
-                    };
-                    let cost = self.write(lba, payload)?;
-                    ops.observe(cost);
-                }
-            } else {
-                // Hits probe the table and sink-read the SSD slot (the
-                // replay driver never inspects hit data); miss and fault
-                // events take the shared scalar arms.
-                for i in range {
-                    let lba = ops.lba(i);
-                    self.counters.reads += 1;
-                    let cost = if let Some(&slot) = self.table.get(lba) {
-                        match self.ssd.read_sink(slot as u64) {
-                            Ok(cost) => {
-                                self.counters.read_hits += 1;
-                                self.lru.touch(slot);
-                                if self.meta[slot as usize].is_some_and(|m| m.dirty) {
-                                    self.dirty_lru.touch(slot);
-                                }
-                                cost
-                            }
-                            Err(ftl::FtlError::Flash(e)) if e.is_media_fault() => {
-                                self.read_fault_fallback(slot, lba, ops.read_buf())?
-                            }
-                            Err(e) => return Err(e.into()),
-                        }
-                    } else {
-                        let sink = self.sink_fills;
-                        self.read_miss_into(lba, ops.read_buf(), sink)?
-                    };
-                    ops.observe(cost);
-                }
-            }
-        }
-        Ok(())
+    fn read_sink(&mut self, lba: u64, scratch: &mut PageBuf) -> Result<Duration> {
+        self.read_with(lba, scratch, true)
+    }
+
+    fn payload_discarded(&self) -> bool {
+        self.payload_discarded
     }
 
     fn write(&mut self, lba: u64, data: &[u8]) -> Result<Duration> {

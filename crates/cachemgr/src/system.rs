@@ -1,5 +1,6 @@
 //! The cache-system trait and the trace replay driver.
 
+use disksim::Disk;
 use simkit::{Duration, Histogram, PageBuf, Summary};
 use sparsemap::MapMemory;
 use trace::TraceEvent;
@@ -39,36 +40,29 @@ pub trait CacheSystem {
     /// Device failures only.
     fn write(&mut self, lba: u64, data: &[u8]) -> Result<Duration>;
 
-    /// Handles one decoded batch of trace events (see [`BatchCtx`]),
-    /// billing each event's cost into the batch accumulator via
-    /// [`BatchCtx::observe`] in event order.
-    ///
-    /// The contract is *event-accurate equivalence*: driving a trace
-    /// through `run_batch` at any batch size must leave the system state,
-    /// counters, simulated time and response distribution bit-identical to
-    /// the scalar loop — batching may only restructure host work (probe
-    /// the cache map for a whole run, skip payload fills the driver never
-    /// reads), never simulated behavior. The default implementation *is*
-    /// the scalar loop; managers override it with per-run fast paths.
+    /// A *discard read*: one application read whose caller will not inspect
+    /// the data. The lookup, counters, fault draw, state changes and
+    /// simulated cost are exactly those of [`CacheSystem::read_into`]; a
+    /// system may skip materializing the payload — on a hit always, on a
+    /// miss only when [`CacheSystem::payload_discarded`] holds, so
+    /// store-mode tiers still receive real bytes. `scratch` is working
+    /// space for fills; its contents afterwards are unspecified. The
+    /// default is a filling read.
     ///
     /// # Errors
     ///
-    /// Device failures only, exactly where the scalar loop would fail.
-    fn run_batch(&mut self, ops: &mut BatchCtx) -> Result<()> {
-        for r in 0..ops.run_count() {
-            let (range, is_write) = ops.run(r);
-            for i in range {
-                let lba = ops.lba(i);
-                let cost = if is_write {
-                    let payload = ops.fill_payload(i);
-                    self.write(lba, payload)?
-                } else {
-                    self.read_into(lba, ops.read_buf())?
-                };
-                ops.observe(cost);
-            }
-        }
-        Ok(())
+    /// Same conditions as [`CacheSystem::read_into`].
+    fn read_sink(&mut self, lba: u64, scratch: &mut PageBuf) -> Result<Duration> {
+        self.read_into(lba, scratch)
+    }
+
+    /// `true` when every tier provably ignores payload bytes (discard-mode
+    /// emulation on both the cache device and the disk): a caller that
+    /// never reads data back may then pass [`CacheSystem::write`] a
+    /// correctly sized buffer with stale contents. The conservative default
+    /// keeps store-mode semantics.
+    fn payload_discarded(&self) -> bool {
+        false
     }
 
     /// Manager counters.
@@ -87,197 +81,22 @@ pub trait CacheSystem {
     fn name(&self) -> &'static str;
 }
 
-/// Per-event response accounting shared by the scalar and batched replay
-/// drivers: one [`ResponseAccum::observe`] call per event converts the cost
-/// to microseconds exactly once and feeds the clock, the Welford summary
-/// and the log-bucketed histogram identically on both paths.
-#[derive(Debug, Clone, Default)]
-pub struct ResponseAccum {
-    sim_time: Duration,
-    response_us: Summary,
-    response_hist: Histogram,
-}
-
-impl ResponseAccum {
-    /// Bills one event's simulated cost.
-    #[inline]
-    pub fn observe(&mut self, cost: Duration) {
-        let us = cost.as_micros();
-        self.sim_time += cost;
-        self.response_us.add(us as f64);
-        self.response_hist.record(us);
-    }
-
-    /// Total simulated time observed so far.
-    pub fn sim_time(&self) -> Duration {
-        self.sim_time
-    }
-
-    /// Consumes the accumulator into `(sim_time, summary, histogram)`.
-    pub fn into_parts(self) -> (Duration, Summary, Histogram) {
-        (self.sim_time, self.response_us, self.response_hist)
-    }
-}
-
-/// One decoded batch of trace events plus the scratch the batched data
-/// path needs: LBAs and read/write run boundaries decoded up front (so
-/// managers branch once per *run*, not once per event), the reusable
-/// read/payload buffers, a per-run cost scratch for batched device calls,
-/// and the response accumulator every event bills into.
-///
-/// The context is loaded once per batch ([`BatchCtx::load`]) and carries
-/// its accumulator across batches, so the driver's final statistics cover
-/// the whole trace regardless of where batch boundaries fell.
-#[derive(Debug, Clone)]
-pub struct BatchCtx {
-    lbas: Vec<u64>,
-    /// `(start, end, is_write)` half-open runs over `lbas`, in order.
-    runs: Vec<(usize, usize, bool)>,
-    /// Global index of this batch's first event (write payloads are a
-    /// function of the *trace* position, not the batch position).
-    base_index: u64,
-    block_size: usize,
-    accum: ResponseAccum,
-    read_buf: PageBuf,
-    payload_buf: PageBuf,
-    costs: Vec<Duration>,
-}
-
-impl BatchCtx {
-    /// Creates an empty context for a system with the given block size.
-    pub fn new(block_size: usize) -> Self {
-        BatchCtx {
-            lbas: Vec::new(),
-            runs: Vec::new(),
-            base_index: 0,
-            block_size,
-            accum: ResponseAccum::default(),
-            read_buf: PageBuf::with_capacity(block_size),
-            payload_buf: PageBuf::with_capacity(block_size),
-            costs: Vec::new(),
-        }
-    }
-
-    /// Decodes one slice of trace events: copies the LBAs and classifies
-    /// consecutive same-kind events into runs. `base_index` is the global
-    /// trace index of `events[0]`.
-    pub fn load(&mut self, events: &[TraceEvent], base_index: u64) {
-        self.lbas.clear();
-        self.runs.clear();
-        self.base_index = base_index;
-        let mut start = 0usize;
-        let mut current: Option<bool> = None;
-        for (i, event) in events.iter().enumerate() {
-            self.lbas.push(event.lba);
-            let w = event.is_write();
-            match current {
-                Some(c) if c == w => {}
-                Some(c) => {
-                    self.runs.push((start, i, c));
-                    start = i;
-                    current = Some(w);
-                }
-                None => current = Some(w),
-            }
-        }
-        if let Some(c) = current {
-            self.runs.push((start, events.len(), c));
-        }
-    }
-
-    /// Events in the current batch.
-    pub fn len(&self) -> usize {
-        self.lbas.len()
-    }
-
-    /// Returns `true` when the current batch holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.lbas.is_empty()
-    }
-
-    /// The LBA of event `i` (batch-relative).
-    #[inline]
-    pub fn lba(&self, i: usize) -> u64 {
-        self.lbas[i]
-    }
-
-    /// Number of same-kind runs in the current batch.
-    pub fn run_count(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Run `r` as a half-open batch-relative range plus its kind
-    /// (`true` = writes).
-    pub fn run(&self, r: usize) -> (std::ops::Range<usize>, bool) {
-        let (start, end, is_write) = self.runs[r];
-        (start..end, is_write)
-    }
-
-    /// Block size of the system under replay.
-    pub fn block_size(&self) -> usize {
-        self.block_size
-    }
-
-    /// Fills the payload buffer for write event `i` (deterministic content
-    /// derived from the LBA and the *global* trace index) and returns it.
-    #[inline]
-    pub fn fill_payload(&mut self, i: usize) -> &[u8] {
-        write_payload_into(
-            self.lbas[i],
-            self.base_index + i as u64,
-            self.block_size,
-            &mut self.payload_buf,
-        );
-        &self.payload_buf
-    }
-
-    /// A correctly-sized payload slice whose contents are left stale — for
-    /// writes against tiers that provably discard payload bytes
-    /// ([`flashtier_core::SscDevice::payload_discarded`] on the cache side
-    /// and discard mode on the disk side). The devices' length checks still
-    /// run; only the per-event byte fill is skipped. Callers must gate on
-    /// both tiers discarding, else use [`BatchCtx::fill_payload`].
-    #[inline]
-    pub fn sink_payload(&mut self) -> &[u8] {
-        let _ = self.payload_buf.prepare(self.block_size);
-        &self.payload_buf
-    }
-
-    /// The shared read scratch buffer (miss and fault paths fetch real
-    /// data through it).
-    pub fn read_buf(&mut self) -> &mut PageBuf {
-        &mut self.read_buf
-    }
-
-    /// Bills one event's cost, in event order.
-    #[inline]
-    pub fn observe(&mut self, cost: Duration) {
-        self.accum.observe(cost);
-    }
-
-    /// Borrows the LBA slice for a batched device call together with the
-    /// (cleared) per-run cost scratch the call pushes into.
-    pub fn read_run_scratch(
-        &mut self,
-        range: std::ops::Range<usize>,
-    ) -> (&[u64], &mut Vec<Duration>) {
-        self.costs.clear();
-        (&self.lbas[range], &mut self.costs)
-    }
-
-    /// Bills the first `served` costs gathered by the latest batched
-    /// device call, in event order.
-    pub fn observe_run(&mut self, served: usize) {
-        debug_assert!(served <= self.costs.len());
-        for k in 0..served {
-            let cost = self.costs[k];
-            self.accum.observe(cost);
-        }
-    }
-
-    /// The accumulated response statistics.
-    pub fn accum(&self) -> &ResponseAccum {
-        &self.accum
+/// The disk half of a miss: fetches `lba` into `buf` for the cache fill.
+/// With `elide` — a discard read against tiers that both discard payloads —
+/// the disk is charged without materializing bytes and `buf` is only sized,
+/// its contents left stale, which the discard-mode cache device ignores by
+/// construction.
+pub(crate) fn fetch_from_disk(
+    disk: &mut Disk,
+    lba: u64,
+    buf: &mut PageBuf,
+    elide: bool,
+) -> Result<Duration> {
+    if elide {
+        buf.prepare(disk.block_size());
+        Ok(disk.read_sink(lba)?)
+    } else {
+        Ok(disk.read_into(lba, buf)?)
     }
 }
 
@@ -335,9 +154,12 @@ pub fn write_payload(lba: u64, op_index: u64, block_size: usize) -> Vec<u8> {
 /// Replays `events` against `system`, accumulating simulated time and
 /// response statistics.
 ///
-/// The loop owns two scratch buffers — one for read data, one for write
-/// payloads — reused across every event, so steady-state replay performs no
-/// per-event heap allocation.
+/// The driver never looks at data, so reads are discard reads
+/// ([`CacheSystem::read_sink`]) and write payloads are only filled when a
+/// tier retains them ([`CacheSystem::payload_discarded`]); neither changes
+/// any simulated observable. The loop owns two buffers — read scratch and
+/// write payload — reused across every event, so steady-state replay
+/// performs no per-event heap allocation.
 ///
 /// # Errors
 ///
@@ -348,57 +170,28 @@ pub fn replay<S: CacheSystem + ?Sized>(
 ) -> Result<ReplayStats> {
     let before = system.counters();
     let block_size = system.block_size();
-    let mut accum = ResponseAccum::default();
-    let mut read_buf = PageBuf::with_capacity(block_size);
+    let fill_payloads = !system.payload_discarded();
+    let mut sim_time = Duration::ZERO;
+    let mut response_us = Summary::new();
+    let mut response_hist = Histogram::new();
+    let mut scratch = PageBuf::with_capacity(block_size);
     let mut payload_buf = PageBuf::with_capacity(block_size);
+    // Sized once so the devices' length checks pass when fills are skipped.
+    payload_buf.prepare(block_size);
     for (i, event) in events.iter().enumerate() {
         let cost = if event.is_write() {
-            write_payload_into(event.lba, i as u64, block_size, &mut payload_buf);
+            if fill_payloads {
+                write_payload_into(event.lba, i as u64, block_size, &mut payload_buf);
+            }
             system.write(event.lba, &payload_buf)?
         } else {
-            system.read_into(event.lba, &mut read_buf)?
+            system.read_sink(event.lba, &mut scratch)?
         };
-        accum.observe(cost);
+        let us = cost.as_micros();
+        sim_time += cost;
+        response_us.add(us as f64);
+        response_hist.record(us);
     }
-    let (sim_time, response_us, response_hist) = accum.into_parts();
-    Ok(ReplayStats {
-        ops: events.len() as u64,
-        sim_time,
-        response_us,
-        response_hist,
-        counters: system.counters().since(&before),
-    })
-}
-
-/// Replays `events` against `system` in batches of up to `batch` events:
-/// each batch is decoded once into a [`BatchCtx`] (LBAs plus read/write run
-/// boundaries) and handed to [`CacheSystem::run_batch`].
-///
-/// Statistics are bit-identical to [`replay`] at every batch size — the
-/// batch structure only changes how the *host* executes the events, never
-/// what they cost or what state they leave behind. `batch == 0` is treated
-/// as 1.
-///
-/// # Errors
-///
-/// The first device failure aborts the replay, exactly where the scalar
-/// loop would fail.
-pub fn replay_batched<S: CacheSystem + ?Sized>(
-    system: &mut S,
-    events: &[TraceEvent],
-    batch: usize,
-) -> Result<ReplayStats> {
-    let batch = batch.max(1);
-    let before = system.counters();
-    let mut ctx = BatchCtx::new(system.block_size());
-    let mut start = 0usize;
-    while start < events.len() {
-        let end = usize::min(start + batch, events.len());
-        ctx.load(&events[start..end], start as u64);
-        system.run_batch(&mut ctx)?;
-        start = end;
-    }
-    let (sim_time, response_us, response_hist) = ctx.accum.into_parts();
     Ok(ReplayStats {
         ops: events.len() as u64,
         sim_time,
@@ -439,13 +232,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn sink_payload_is_correctly_sized() {
-        let mut ctx = BatchCtx::new(512);
-        assert_eq!(ctx.sink_payload().len(), 512);
-        assert_eq!(ctx.sink_payload().len(), 512);
     }
 
     #[test]

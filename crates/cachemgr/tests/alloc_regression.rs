@@ -88,16 +88,29 @@ fn cache_hit_reads_do_not_allocate_after_warmup() {
     assert_eq!(hits.read_hits, OPS, "loop was not pure cache hits");
 
     // The full replay driver over the same hit set: its cost is a small
-    // per-session constant (two scratch buffers, result struct), not
-    // per-event.
-    let events: Vec<TraceEvent> = (0..OPS).map(|i| TraceEvent::read(i % LBAS)).collect();
-    let before = allocations();
-    let stats = replay(&mut system, &events).unwrap();
-    let during = allocations() - before;
-    assert_eq!(stats.ops, OPS);
+    // per-session constant (two scratch buffers), so a session four times
+    // as long allocates exactly as often — zero allocations per event.
+    let mut session = |ops: u64| {
+        let events: Vec<TraceEvent> = (0..ops).map(|i| TraceEvent::read(i % LBAS)).collect();
+        let hits_before = system.counters();
+        let before = allocations();
+        let stats = replay(&mut system, &events).unwrap();
+        let during = allocations() - before;
+        assert_eq!(stats.ops, ops);
+        let hits = system.counters().since(&hits_before);
+        assert_eq!(hits.read_hits, ops, "replay was not pure cache hits");
+        during
+    };
+    let short = session(OPS);
+    let long = session(4 * OPS);
     assert!(
-        during <= 8,
-        "replay session allocated {during} times for {OPS} events; \
+        short <= 8,
+        "replay session allocated {short} times for {OPS} events; \
          expected a per-session constant"
+    );
+    assert_eq!(
+        long, short,
+        "replay allocates per event: {short} allocations for {OPS} events, \
+         {long} for four times as many"
     );
 }

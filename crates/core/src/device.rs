@@ -619,17 +619,19 @@ impl Ssc {
         Ok(cost)
     }
 
-    /// `read`: fill `buf` with the cached data for `lba` (resized to one
-    /// page). This is the allocation-free primitive that [`Ssc::read`]
-    /// wraps.
+    /// `read`, parameterised over where the payload goes: `Some(buf)` fills
+    /// `buf` (resized to one page); `None` is a *discard read* for callers
+    /// that will not inspect the data. The map lookup, counters, fault
+    /// draw and timing do not depend on `dest`.
     ///
     /// # Errors
     ///
     /// [`SscError::NotPresent`] on a miss (the normal cache-miss signal).
-    pub fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
+    #[inline]
+    pub fn read_to(&mut self, lba: u64, dest: Option<&mut PageBuf>) -> Result<Duration> {
         self.counters.host_reads += 1;
         match self.maps.lookup(lba) {
-            Some(resolved) => Ok(self.dev.read_page_into(resolved.ppn(), buf)?),
+            Some(resolved) => Ok(self.dev.read_page_to(resolved.ppn(), dest)?),
             None => {
                 self.counters.read_misses += 1;
                 Err(SscError::NotPresent(lba))
@@ -637,44 +639,14 @@ impl Ssc {
         }
     }
 
-    /// `read` without materializing the payload: identical to
-    /// [`Ssc::read_into`] — same map lookup, counters, fault draw and
-    /// timing — for callers that discard the data (the batched replay
-    /// path's hit fast path).
+    /// `read` into the caller's buffer: the allocation-free form of
+    /// [`Ssc::read`].
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Ssc::read_into`].
-    pub fn read_sink(&mut self, lba: u64) -> Result<Duration> {
-        self.counters.host_reads += 1;
-        match self.maps.lookup(lba) {
-            Some(resolved) => Ok(self.dev.read_page_sink(resolved.ppn())?),
-            None => {
-                self.counters.read_misses += 1;
-                Err(SscError::NotPresent(lba))
-            }
-        }
-    }
-
-    /// Sink-reads a run of LBAs, pushing each hit's cost onto `costs`,
-    /// stopping at the first non-`Ok` event. Returns how many leading
-    /// events were fully served plus the error that stopped the run (if
-    /// any). Exactly equivalent to calling [`Ssc::read_sink`] per LBA: the
-    /// stopping event's side effects (counters, fault draw) are the same
-    /// ones its scalar read would have had, so the caller resumes scalar
-    /// error handling at that event.
-    pub fn read_run_sink(
-        &mut self,
-        lbas: &[u64],
-        costs: &mut Vec<Duration>,
-    ) -> (usize, Option<SscError>) {
-        for (i, &lba) in lbas.iter().enumerate() {
-            match self.read_sink(lba) {
-                Ok(cost) => costs.push(cost),
-                Err(e) => return (i, Some(e)),
-            }
-        }
-        (lbas.len(), None)
+    /// Same conditions as [`Ssc::read_to`].
+    pub fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
+        self.read_to(lba, Some(buf))
     }
 
     /// `read`: return the cached data for `lba`. Convenience wrapper over

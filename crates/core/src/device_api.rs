@@ -38,24 +38,32 @@ pub trait SscDevice {
     /// Device-memory footprint of the mapping structures.
     fn map_memory(&self) -> MapMemory;
 
-    /// `read`: fill `buf` with the cached data for `lba`.
+    /// `read`, parameterised over where the payload goes: `Some(buf)` fills
+    /// `buf` with the cached data for `lba`; `None` is a *discard read* for
+    /// callers that will not inspect the data. The lookup, counters, fault
+    /// draw and timing do not depend on `dest`.
     ///
     /// # Errors
     ///
     /// [`crate::SscError::NotPresent`] on a miss, or a flash fault.
-    fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration>;
+    fn read_to(&mut self, lba: u64, dest: Option<&mut PageBuf>) -> Result<Duration>;
 
-    /// `read` without materializing the payload — same lookup, counters,
-    /// fault draw and timing as [`SscDevice::read_into`], for callers that
-    /// discard the data (the batched replay hit path). The default falls
-    /// back to a buffered read; devices override it to skip the fill.
+    /// `read` into the caller's buffer.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`SscDevice::read_into`].
+    /// Same conditions as [`SscDevice::read_to`].
+    fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
+        self.read_to(lba, Some(buf))
+    }
+
+    /// A discard read: [`SscDevice::read_to`] with no destination.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`SscDevice::read_to`].
     fn read_sink(&mut self, lba: u64) -> Result<Duration> {
-        let mut buf = PageBuf::new();
-        self.read_into(lba, &mut buf)
+        self.read_to(lba, None)
     }
 
     /// `true` when the device provably ignores payload bytes (discard-mode
@@ -65,27 +73,6 @@ pub trait SscDevice {
     /// conservative default keeps store-mode semantics.
     fn payload_discarded(&self) -> bool {
         false
-    }
-
-    /// Sink-reads a run of LBAs, pushing each served event's cost onto
-    /// `costs` and stopping at the first non-`Ok` event. Returns how many
-    /// leading events were fully served plus the error that stopped the
-    /// run. Must be exactly equivalent to calling [`SscDevice::read_sink`]
-    /// per LBA: the stopping event carries the same side effects its
-    /// scalar read would have had, so the caller resumes scalar error
-    /// handling at that event.
-    fn read_run_sink(
-        &mut self,
-        lbas: &[u64],
-        costs: &mut Vec<Duration>,
-    ) -> (usize, Option<crate::SscError>) {
-        for (i, &lba) in lbas.iter().enumerate() {
-            match self.read_sink(lba) {
-                Ok(cost) => costs.push(cost),
-                Err(e) => return (i, Some(e)),
-            }
-        }
-        (lbas.len(), None)
     }
 
     /// `write-clean`: insert or update `lba` with clean data.
@@ -177,20 +164,8 @@ impl SscDevice for Ssc {
         self.data_mode() == flashsim::DataMode::Discard
     }
 
-    fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
-        Ssc::read_into(self, lba, buf)
-    }
-
-    fn read_sink(&mut self, lba: u64) -> Result<Duration> {
-        Ssc::read_sink(self, lba)
-    }
-
-    fn read_run_sink(
-        &mut self,
-        lbas: &[u64],
-        costs: &mut Vec<Duration>,
-    ) -> (usize, Option<crate::SscError>) {
-        Ssc::read_run_sink(self, lbas, costs)
+    fn read_to(&mut self, lba: u64, dest: Option<&mut PageBuf>) -> Result<Duration> {
+        Ssc::read_to(self, lba, dest)
     }
 
     fn write_clean(&mut self, lba: u64, data: &[u8]) -> Result<Duration> {
@@ -223,5 +198,58 @@ impl SscDevice for Ssc {
 
     fn recover(&mut self) -> Result<Duration> {
         Ssc::recover(self)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ShardedSsc, SscConfig};
+
+    /// A discard read is a filling read minus the bytes: same cost or
+    /// error (hits, misses, injected faults), same counters, same fault
+    /// stream, op for op.
+    fn assert_sink_matches_into<D: SscDevice>(mut filled: D, mut sunk: D) {
+        let plan = flashsim::FaultPlan {
+            seed: 0x51_4B,
+            read_transient_ppm: 150_000,
+            read_permanent_ppm: 50_000,
+            read_corrupt_ppm: 50_000,
+            ..flashsim::FaultPlan::default()
+        };
+        let page = vec![7u8; filled.page_size()];
+        for d in [&mut filled, &mut sunk] {
+            d.set_fault_plan(plan);
+            for lba in 0..48u64 {
+                if lba % 3 == 0 {
+                    d.write_dirty(lba, &page).unwrap();
+                } else {
+                    d.write_clean(lba, &page).unwrap();
+                }
+            }
+        }
+        let mut buf = PageBuf::new();
+        // LBAs 48..64 were never written: misses on both sides.
+        for i in 0..400u64 {
+            let lba = (i * 7) % 64;
+            assert_eq!(
+                filled.read_into(lba, &mut buf),
+                sunk.read_sink(lba),
+                "read {i} lba {lba}"
+            );
+        }
+        assert_eq!(filled.counters(), sunk.counters());
+        assert_eq!(filled.fault_counters(), sunk.fault_counters());
+        assert!(filled.fault_counters().total() > 0, "plan never fired");
+        assert!(filled.counters().read_misses > 0);
+    }
+
+    #[test]
+    fn read_sink_matches_read_into_exactly() {
+        for mode in [flashsim::DataMode::Store, flashsim::DataMode::Discard] {
+            let config = SscConfig::small_test().with_data_mode(mode);
+            assert_sink_matches_into(Ssc::new(config), Ssc::new(config));
+            assert_sink_matches_into(ShardedSsc::new(config, 2), ShardedSsc::new(config, 2));
+        }
     }
 }

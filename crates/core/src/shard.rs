@@ -252,26 +252,14 @@ impl ShardedSsc {
         self.charge(s, r)
     }
 
-    /// `read` into a caller buffer, routed to the owning shard.
+    /// `read` routed to the owning shard; `dest` as in [`Ssc::read_to`].
     ///
     /// # Errors
     ///
-    /// See [`Ssc::read_into`].
-    pub fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
+    /// See [`Ssc::read_to`].
+    pub fn read_to(&mut self, lba: u64, dest: Option<&mut PageBuf>) -> Result<Duration> {
         let s = self.route(lba);
-        let r = self.shards[s].read_into(lba, buf);
-        self.charge(s, r)
-    }
-
-    /// Payload-free `read` routed to the owning shard (see
-    /// [`Ssc::read_sink`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Ssc::read_into`].
-    pub fn read_sink(&mut self, lba: u64) -> Result<Duration> {
-        let s = self.route(lba);
-        let r = self.shards[s].read_sink(lba);
+        let r = self.shards[s].read_to(lba, dest);
         self.charge(s, r)
     }
 
@@ -279,10 +267,10 @@ impl ShardedSsc {
     ///
     /// # Errors
     ///
-    /// See [`Ssc::read_into`].
+    /// See [`Ssc::read_to`].
     pub fn read(&mut self, lba: u64) -> Result<(Vec<u8>, Duration)> {
         let mut buf = PageBuf::new();
-        let d = self.read_into(lba, &mut buf)?;
+        let d = self.read_to(lba, Some(&mut buf))?;
         Ok((buf.into_vec(), d))
     }
 
@@ -460,12 +448,8 @@ impl SscDevice for ShardedSsc {
         self.shards.iter().all(|s| s.payload_discarded())
     }
 
-    fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
-        ShardedSsc::read_into(self, lba, buf)
-    }
-
-    fn read_sink(&mut self, lba: u64) -> Result<Duration> {
-        ShardedSsc::read_sink(self, lba)
+    fn read_to(&mut self, lba: u64, dest: Option<&mut PageBuf>) -> Result<Duration> {
+        ShardedSsc::read_to(self, lba, dest)
     }
 
     fn write_clean(&mut self, lba: u64, data: &[u8]) -> Result<Duration> {

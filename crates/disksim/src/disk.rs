@@ -129,46 +129,53 @@ impl Disk {
         simkit::fill_pseudo(lba.rotate_left(32) ^ version, out);
     }
 
-    /// Reads one block into the caller's buffer (resized to one block).
-    /// Unwritten blocks read as zeros. This is the allocation-free primitive
-    /// that [`Disk::read`] wraps.
+    /// Reads one block, parameterised over where the payload goes:
+    /// `Some(buf)` fills `buf` (resized to one block; unwritten blocks read
+    /// as zeros); `None` is a *discard read* for callers that will not
+    /// inspect the data. The bounds check, head movement, counters and
+    /// timing do not depend on `dest` — the disk models no data-dependent
+    /// behavior.
     ///
     /// # Errors
     ///
     /// [`DiskError::LbaOutOfRange`] for bad addresses.
-    pub fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
+    pub fn read_to(&mut self, lba: u64, dest: Option<&mut PageBuf>) -> Result<Duration> {
         self.check(lba)?;
         let cost = self.access_cost(lba);
         self.counters.reads += 1;
-        let out = buf.prepare(self.config.block_size);
-        match self.mode {
-            DiskDataMode::Store => match self.data.get(&lba) {
-                Some(d) => out.copy_from_slice(d),
-                None => out.fill(0),
-            },
-            DiskDataMode::Discard => match self.versions.get(&lba) {
-                Some(&v) => Self::fake_data_into(lba, v, out),
-                None => out.fill(0),
-            },
+        if let Some(buf) = dest {
+            let out = buf.prepare(self.config.block_size);
+            match self.mode {
+                DiskDataMode::Store => match self.data.get(&lba) {
+                    Some(d) => out.copy_from_slice(d),
+                    None => out.fill(0),
+                },
+                DiskDataMode::Discard => match self.versions.get(&lba) {
+                    Some(&v) => Self::fake_data_into(lba, v, out),
+                    None => out.fill(0),
+                },
+            }
         }
         Ok(cost)
     }
 
-    /// Reads one block without materializing the payload — same bounds
-    /// check, head movement, counters and timing as [`Disk::read_into`],
-    /// minus the byte fill. For callers that provably discard the data
-    /// (the batched replay's discard-mode miss and destage paths): the
-    /// disk models no data-dependent behavior, so the two are equivalent
-    /// by construction.
+    /// Reads one block into the caller's buffer: the allocation-free form
+    /// of [`Disk::read`].
     ///
     /// # Errors
     ///
-    /// [`DiskError::LbaOutOfRange`] for bad addresses.
+    /// Same conditions as [`Disk::read_to`].
+    pub fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
+        self.read_to(lba, Some(buf))
+    }
+
+    /// A discard read: [`Disk::read_to`] with no destination.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Disk::read_to`].
     pub fn read_sink(&mut self, lba: u64) -> Result<Duration> {
-        self.check(lba)?;
-        let cost = self.access_cost(lba);
-        self.counters.reads += 1;
-        Ok(cost)
+        self.read_to(lba, None)
     }
 
     /// Reads one block into a fresh `Vec`. Convenience wrapper over

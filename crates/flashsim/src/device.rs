@@ -164,9 +164,13 @@ impl FlashDevice {
         }
     }
 
-    /// Reads a programmed page into `buf` (resized to one page), returning
-    /// the simulated cost. This is the zero-allocation core that
-    /// [`FlashDevice::read_page`] wraps.
+    /// A *host* read of a programmed page, parameterised over where the
+    /// payload goes: `Some(buf)` fills `buf` (resized to one page); `None`
+    /// is a *discard read* for callers that will not inspect the data.
+    /// Validation, the fault draw (including transient retries), counters
+    /// and timing do not depend on `dest`, so the two are interchangeable
+    /// event for event — unlike [`FlashDevice::read_page_charge`], which
+    /// models a device-internal read and draws no fault.
     ///
     /// # Errors
     ///
@@ -178,7 +182,8 @@ impl FlashDevice {
     /// [`FlashError::ReadFailed`]/[`FlashError::ReadCorrupt`] faults charge
     /// nothing; a transient fault succeeds at double read time (the internal
     /// retry).
-    pub fn read_page_into(&mut self, ppn: Ppn, buf: &mut PageBuf) -> Result<Duration> {
+    #[inline]
+    pub fn read_page_to(&mut self, ppn: Ppn, dest: Option<&mut PageBuf>) -> Result<Duration> {
         self.check_ppn(ppn)?;
         let g = self.config.geometry;
         let pbn = g.block_of(ppn);
@@ -195,11 +200,23 @@ impl FlashDevice {
                 ReadFault::Corrupt => return Err(FlashError::ReadCorrupt(ppn)),
             }
         }
-        let page = &self.block(pbn).pages[idx];
-        let out = buf.prepare(g.page_size());
-        Self::payload_into(self.mode, ppn, page.data.as_deref(), &page.oob, out);
+        if let Some(buf) = dest {
+            let page = &self.block(pbn).pages[idx];
+            let out = buf.prepare(g.page_size());
+            Self::payload_into(self.mode, ppn, page.data.as_deref(), &page.oob, out);
+        }
         self.counters.page_reads += 1;
         Ok(self.config.timing.read_cost() * (1 + retries))
+    }
+
+    /// Reads a programmed page into `buf` (resized to one page): the
+    /// zero-allocation form of [`FlashDevice::read_page`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`FlashDevice::read_page_to`].
+    pub fn read_page_into(&mut self, ppn: Ppn, buf: &mut PageBuf) -> Result<Duration> {
+        self.read_page_to(ppn, Some(buf))
     }
 
     /// Reads a programmed page, returning its payload and the simulated cost.
@@ -271,39 +288,6 @@ impl FlashDevice {
         let slowest_plane = self.plane_scratch.iter().copied().max().unwrap_or(0);
         let cost = t.control + t.page_read * slowest_plane + t.bus_control * ppns.len() as u64;
         Ok(cost)
-    }
-
-    /// A *host* read whose payload the caller will not inspect: identical to
-    /// [`FlashDevice::read_page_into`] — same validation, same fault draw
-    /// (including transient retries), same counters and timing — except the
-    /// payload is never materialized. The batched replay path uses this for
-    /// cache hits, where the replay driver discards the data; unlike
-    /// [`FlashDevice::read_page_charge`] it advances the fault-injector
-    /// stream exactly as a real host read would, so a sink read and a
-    /// buffered read are interchangeable event-for-event.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FlashDevice::read_page_into`].
-    pub fn read_page_sink(&mut self, ppn: Ppn) -> Result<Duration> {
-        self.check_ppn(ppn)?;
-        let g = self.config.geometry;
-        let pbn = g.block_of(ppn);
-        let idx = g.page_in_block(ppn) as usize;
-        if self.block(pbn).pages[idx].state == PageState::Free {
-            return Err(FlashError::ReadFree(ppn));
-        }
-        let mut retries = 0u64;
-        if let Some(inj) = &mut self.faults {
-            match inj.on_read(ppn) {
-                ReadFault::None => {}
-                ReadFault::Transient => retries = 1,
-                ReadFault::Failed => return Err(FlashError::ReadFailed(ppn)),
-                ReadFault::Corrupt => return Err(FlashError::ReadCorrupt(ppn)),
-            }
-        }
-        self.counters.page_reads += 1;
-        Ok(self.config.timing.read_cost() * (1 + retries))
     }
 
     /// Charges the cost and counters of reading one programmed page without
@@ -1159,6 +1143,47 @@ mod fault_tests {
             crate::fault::FaultCounters::default()
         );
         assert!(faulty.faults_enabled() && !plain.faults_enabled());
+    }
+
+    #[test]
+    fn discard_read_matches_read_page_into_exactly() {
+        // A plan that mixes transient, permanent and corrupt outcomes: the
+        // discard read must draw the same fault stream as the filling read.
+        let plan = FaultPlan {
+            seed: 9,
+            read_transient_ppm: 200_000,
+            read_permanent_ppm: 100_000,
+            read_corrupt_ppm: 100_000,
+            ..FaultPlan::default()
+        };
+        let mut filled = dev_with(plan);
+        let mut sunk = dev_with(plan);
+        let g = *filled.geometry();
+        let data = vec![5u8; g.page_size()];
+        for d in [&mut filled, &mut sunk] {
+            for i in 0..8u64 {
+                d.program_next(g.pbn(0, 0), &data, OobData::for_lba(i, false, 1))
+                    .unwrap();
+            }
+        }
+        let first = g.first_page(g.pbn(0, 0)).raw();
+        let mut buf = PageBuf::new();
+        // Programmed pages (some faulting), a free page and a bad address.
+        for round in 0..40u64 {
+            let ppn = Ppn(first + round % 10);
+            assert_eq!(
+                filled.read_page_into(ppn, &mut buf),
+                sunk.read_page_to(ppn, None),
+                "round {round} ppn {ppn:?}"
+            );
+        }
+        assert_eq!(
+            filled.read_page_into(Ppn(u64::MAX), &mut buf),
+            sunk.read_page_to(Ppn(u64::MAX), None)
+        );
+        assert_eq!(filled.counters(), sunk.counters());
+        assert_eq!(filled.fault_counters(), sunk.fault_counters());
+        assert!(filled.fault_counters().total() > 0, "plan never fired");
     }
 
     #[test]

@@ -370,38 +370,23 @@ impl BlockDev for HybridFtl {
         self.exposed_pages
     }
 
-    fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
+    fn read_to(&mut self, lba: u64, dest: Option<&mut PageBuf>) -> Result<Duration> {
         self.check_lba(lba)?;
         self.counters.host_reads += 1;
         if let Some(&ppn) = self.log_map.get(lba) {
-            return Ok(self.dev.read_page_into(ppn, buf)?);
+            return Ok(self.dev.read_page_to(ppn, dest)?);
         }
         let lbn = (lba / self.ppb() as u64) as usize;
         if let Some(pbn) = self.data_map[lbn] {
             let offset = lba % self.ppb() as u64;
             let ppn = Ppn(self.dev.geometry().first_page(pbn).raw() + offset);
             if self.dev.page_state(ppn)? == PageState::Valid {
-                return Ok(self.dev.read_page_into(ppn, buf)?);
+                return Ok(self.dev.read_page_to(ppn, dest)?);
             }
         }
         // Never written (or trimmed): disks return zeros.
-        buf.fill_with(self.dev.geometry().page_size(), 0);
-        Ok(self.dev.timing().metadata_cost())
-    }
-
-    fn read_sink(&mut self, lba: u64) -> Result<Duration> {
-        self.check_lba(lba)?;
-        self.counters.host_reads += 1;
-        if let Some(&ppn) = self.log_map.get(lba) {
-            return Ok(self.dev.read_page_sink(ppn)?);
-        }
-        let lbn = (lba / self.ppb() as u64) as usize;
-        if let Some(pbn) = self.data_map[lbn] {
-            let offset = lba % self.ppb() as u64;
-            let ppn = Ppn(self.dev.geometry().first_page(pbn).raw() + offset);
-            if self.dev.page_state(ppn)? == PageState::Valid {
-                return Ok(self.dev.read_page_sink(ppn)?);
-            }
+        if let Some(buf) = dest {
+            buf.fill_with(self.dev.geometry().page_size(), 0);
         }
         Ok(self.dev.timing().metadata_cost())
     }

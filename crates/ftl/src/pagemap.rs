@@ -210,24 +210,17 @@ impl BlockDev for PageFtl {
         self.exposed_pages
     }
 
-    fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
+    fn read_to(&mut self, lba: u64, dest: Option<&mut PageBuf>) -> Result<Duration> {
         self.check_lba(lba)?;
         self.counters.host_reads += 1;
         match self.map.get(&lba) {
-            Some(&ppn) => Ok(self.dev.read_page_into(ppn, buf)?),
+            Some(&ppn) => Ok(self.dev.read_page_to(ppn, dest)?),
             None => {
-                buf.fill_with(self.dev.geometry().page_size(), 0);
+                if let Some(buf) = dest {
+                    buf.fill_with(self.dev.geometry().page_size(), 0);
+                }
                 Ok(self.dev.timing().metadata_cost())
             }
-        }
-    }
-
-    fn read_sink(&mut self, lba: u64) -> Result<Duration> {
-        self.check_lba(lba)?;
-        self.counters.host_reads += 1;
-        match self.map.get(&lba) {
-            Some(&ppn) => Ok(self.dev.read_page_sink(ppn)?),
-            None => Ok(self.dev.timing().metadata_cost()),
         }
     }
 

@@ -51,10 +51,17 @@ pub trait BlockDev {
     /// Exposed capacity in 4 KB logical pages.
     fn capacity_pages(&self) -> u64;
 
-    /// Reads one logical page into the caller's buffer (resized to one
-    /// page). This is the allocation-free primitive; [`BlockDev::read`] is a
-    /// convenience wrapper over it.
-    fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration>;
+    /// Reads one logical page, parameterised over where the payload goes:
+    /// `Some(buf)` fills `buf` (resized to one page); `None` is a *discard
+    /// read* for callers that will not inspect the data. The mapping
+    /// lookup, counters, fault draw and timing do not depend on `dest`.
+    fn read_to(&mut self, lba: u64, dest: Option<&mut PageBuf>) -> Result<Duration>;
+
+    /// Reads one logical page into the caller's buffer: the
+    /// allocation-free form of [`BlockDev::read`].
+    fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
+        self.read_to(lba, Some(buf))
+    }
 
     /// Reads one logical page into a fresh `Vec`.
     fn read(&mut self, lba: u64) -> Result<(Vec<u8>, Duration)> {
@@ -63,14 +70,9 @@ pub trait BlockDev {
         Ok((buf.into_vec(), cost))
     }
 
-    /// Reads one logical page without materializing the payload — same
-    /// mapping lookup, counters, fault draw and timing as
-    /// [`BlockDev::read_into`], for callers that discard the data (the
-    /// batched replay hit path). The default falls back to a buffered
-    /// read; FTLs override it to skip the fill.
+    /// A discard read: [`BlockDev::read_to`] with no destination.
     fn read_sink(&mut self, lba: u64) -> Result<Duration> {
-        let mut buf = PageBuf::new();
-        self.read_into(lba, &mut buf)
+        self.read_to(lba, None)
     }
 
     /// `true` when the device provably ignores payload bytes (discard-mode

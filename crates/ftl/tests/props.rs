@@ -137,6 +137,64 @@ fn pagemap_store_and_discard_time_identically() {
     }
 }
 
+/// A discard read is a filling read minus the bytes: same cost or error,
+/// same counters, same fault stream, op for op.
+fn assert_sink_matches_into<D: BlockDev>(mut filled: D, mut sunk: D, ops: &[Op], page_size: usize) {
+    let plan = flashsim::FaultPlan {
+        seed: 0x51_4B,
+        read_transient_ppm: 100_000,
+        read_permanent_ppm: 20_000,
+        read_corrupt_ppm: 20_000,
+        ..flashsim::FaultPlan::default()
+    };
+    filled.set_fault_plan(plan);
+    sunk.set_fault_plan(plan);
+    let mut buf = simkit::PageBuf::new();
+    for (i, op) in ops.iter().enumerate() {
+        match *op {
+            Op::Write(lba, fill) => {
+                let data = vec![fill; page_size];
+                assert_eq!(filled.write(lba, &data), sunk.write(lba, &data), "op {i}");
+            }
+            Op::Trim(lba) => assert_eq!(filled.trim(lba), sunk.trim(lba), "op {i}"),
+            Op::Read(lba) => assert_eq!(
+                filled.read_into(lba, &mut buf),
+                sunk.read_sink(lba),
+                "read diverged at op {i}"
+            ),
+        }
+    }
+    assert_eq!(
+        filled.read_into(u64::MAX, &mut buf),
+        sunk.read_sink(u64::MAX)
+    );
+    assert_eq!(filled.ftl_counters(), sunk.ftl_counters());
+    assert_eq!(filled.flash_counters(), sunk.flash_counters());
+    assert_eq!(filled.fault_counters(), sunk.fault_counters());
+}
+
+#[test]
+fn read_sink_matches_read_into_exactly() {
+    for case in 0..32u64 {
+        let mut rng = SimRng::seed_from(0xF71_5000 ^ case);
+        let ops = random_ops(&mut rng, 60);
+        for mode in [flashsim::DataMode::Store, flashsim::DataMode::Discard] {
+            assert_sink_matches_into(
+                HybridFtl::new(SsdConfig::small_test(), mode),
+                HybridFtl::new(SsdConfig::small_test(), mode),
+                &ops,
+                512,
+            );
+            assert_sink_matches_into(
+                PageFtl::new(SsdConfig::small_test(), mode),
+                PageFtl::new(SsdConfig::small_test(), mode),
+                &ops,
+                512,
+            );
+        }
+    }
+}
+
 #[test]
 fn hybrid_write_amp_bounded() {
     for case in 0..64u64 {
