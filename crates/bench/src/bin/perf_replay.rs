@@ -16,7 +16,7 @@
 //! * `--seed S` — workload PRNG seed (default the committed gate seed;
 //!   changing it changes `sim_time_us`)
 //! * `--systems a,b,...` — comma-separated subset of
-//!   `flashtier_wt,flashtier_wb,native_wb,facade_wt` (default all four)
+//!   `flashtier_wt,flashtier_wb,native_wb` (default all three)
 //! * `--faults PPM` — enable deterministic media-fault injection at a base
 //!   rate of PPM parts-per-million; each system's JSON gains a `faults`
 //!   object (injected/degradation counters). With the flag absent the
@@ -25,10 +25,10 @@
 //!   shards replaying in parallel; the JSON gains a top-level `shards` key
 //!   and per-system `shard_events` arrays. `sim_time_us` becomes the
 //!   max-merged per-shard time (still seed-deterministic at every N); the
-//!   native baseline and the facade ignore the flag, so a `--systems` list
-//!   with no FlashTier system combined with `--shards` is a usage error
-//!   (exit 2). With the flag absent the output is byte-identical to a
-//!   shard-free build.
+//!   native baseline ignores the flag, so a `--systems` list with no
+//!   FlashTier system combined with `--shards` is a usage error (exit 2).
+//!   With the flag absent the output is byte-identical to a shard-free
+//!   build.
 //! * `--profile PATH` — write a folded-stacks profile (one
 //!   `frame;frame;... count` line per phase, counts in microseconds of
 //!   wall time) to PATH after the run. The folds cover workload
@@ -90,7 +90,7 @@ fn main() {
             .map(|s| {
                 ReplaySystem::parse(s.trim()).unwrap_or_else(|| {
                     usage_error(&format!(
-                        "unknown system {s:?}; valid: flashtier_wt,flashtier_wb,native_wb,facade_wt"
+                        "unknown system {s:?}; valid: flashtier_wt,flashtier_wb,native_wb"
                     ));
                 })
             })
@@ -103,7 +103,7 @@ fn main() {
         usage_error(
             "--shards requires at least one shardable system \
              (flashtier_wt, flashtier_wb) in --systems; the native baseline \
-             and the facade have no partitioned build",
+             has no partitioned build",
         );
     }
 
@@ -124,7 +124,7 @@ fn main() {
     }
 
     // The systems replay on a worker pool sized to the host: one worker
-    // per core up to one per system. Oversubscribing a small host (four
+    // per core up to one per system. Oversubscribing a small host (three
     // replay threads time-slicing one core) adds context-switch and
     // cache-thrash overhead without any parallelism in return, so the
     // pool runs the systems sequentially there; on a wide host every

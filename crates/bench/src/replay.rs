@@ -2,7 +2,7 @@
 //!
 //! Both the `perf_replay` gate binary and the `replay_throughput`
 //! micro-benchmark replay the same deterministic Zipf workload through the
-//! four cache systems in `Discard` mode; this module owns the workload
+//! three cache systems in `Discard` mode; this module owns the workload
 //! parameters and the system constructors so the two targets cannot drift
 //! apart. The measurement is *host* CPU cost of the simulator (the quantity
 //! the control-path indexes and the allocation-free data path optimize),
@@ -13,8 +13,8 @@ use std::thread;
 use std::time::Instant;
 
 use cachemgr::{
-    replay, ByteFacade, CacheSystem, FlashTierWb, FlashTierWt, NativeCache, NativeConsistency,
-    NativeMode, ShardSet,
+    replay, CacheSystem, FlashTierWb, FlashTierWt, NativeCache, NativeConsistency, NativeMode,
+    ShardSet,
 };
 use disksim::{Disk, DiskConfig, DiskDataMode};
 use flashsim::{DataMode, FaultCounters, FaultPlan, FlashConfig};
@@ -250,17 +250,14 @@ pub enum ReplaySystem {
     FlashtierWb,
     /// Native write-back over the hybrid FTL.
     NativeWb,
-    /// Byte-span facade over the write-through manager.
-    FacadeWt,
 }
 
 impl ReplaySystem {
-    /// All four systems, in the canonical reporting order.
-    pub const ALL: [ReplaySystem; 4] = [
+    /// All three systems, in the canonical reporting order.
+    pub const ALL: [ReplaySystem; 3] = [
         ReplaySystem::FlashtierWt,
         ReplaySystem::FlashtierWb,
         ReplaySystem::NativeWb,
-        ReplaySystem::FacadeWt,
     ];
 
     /// The JSON/report key for this system.
@@ -269,7 +266,6 @@ impl ReplaySystem {
             ReplaySystem::FlashtierWt => "flashtier_wt",
             ReplaySystem::FlashtierWb => "flashtier_wb",
             ReplaySystem::NativeWb => "native_wb",
-            ReplaySystem::FacadeWt => "facade_wt",
         }
     }
 
@@ -279,45 +275,31 @@ impl ReplaySystem {
     }
 }
 
-/// Fault-path outcome of one faulted replay: what the media injected and
-/// how the stack degraded. Only populated when the fault plan is active,
-/// so faults-off reports are byte-identical to the pre-fault format.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultReport {
-    /// Faults the media layer injected or absorbed (all classes).
-    pub injected: u64,
-    /// Unrecoverable read failures + detected corruptions surfaced.
-    pub read_faults: u64,
-    /// Program failures surfaced to the FTL/SSC.
-    pub program_faults: u64,
-    /// Erase failures surfaced to the FTL/SSC.
-    pub erase_faults: u64,
-    /// Blocks the FTL/SSC retired (grown bad or worn out).
-    pub blocks_retired: u64,
-    /// Cache reads converted into disk-served misses.
-    pub read_fault_fallbacks: u64,
-    /// Unreadable dirty blocks dropped by the destage path.
-    pub destage_fault_invalidations: u64,
-    /// Fallbacks that lost a dirty (not-yet-destaged) copy.
-    pub lost_dirty_reads: u64,
+simkit::counter_set! {
+    /// Fault-path outcome of one faulted replay: what the media injected and
+    /// how the stack degraded. Only populated when the fault plan is active,
+    /// so faults-off reports are byte-identical to the pre-fault format.
+    pub struct FaultReport {
+        /// Faults the media layer injected or absorbed (all classes).
+        pub injected: u64,
+        /// Unrecoverable read failures + detected corruptions surfaced.
+        pub read_faults: u64,
+        /// Program failures surfaced to the FTL/SSC.
+        pub program_faults: u64,
+        /// Erase failures surfaced to the FTL/SSC.
+        pub erase_faults: u64,
+        /// Blocks the FTL/SSC retired (grown bad or worn out).
+        pub blocks_retired: u64,
+        /// Cache reads converted into disk-served misses.
+        pub read_fault_fallbacks: u64,
+        /// Unreadable dirty blocks dropped by the destage path.
+        pub destage_fault_invalidations: u64,
+        /// Fallbacks that lost a dirty (not-yet-destaged) copy.
+        pub lost_dirty_reads: u64,
+    }
 }
 
 impl FaultReport {
-    /// Field-wise sum of two reports (aggregating per-shard outcomes).
-    pub fn merged(&self, o: &FaultReport) -> FaultReport {
-        FaultReport {
-            injected: self.injected + o.injected,
-            read_faults: self.read_faults + o.read_faults,
-            program_faults: self.program_faults + o.program_faults,
-            erase_faults: self.erase_faults + o.erase_faults,
-            blocks_retired: self.blocks_retired + o.blocks_retired,
-            read_fault_fallbacks: self.read_fault_fallbacks + o.read_fault_fallbacks,
-            destage_fault_invalidations: self.destage_fault_invalidations
-                + o.destage_fault_invalidations,
-            lost_dirty_reads: self.lost_dirty_reads + o.lost_dirty_reads,
-        }
-    }
-
     pub(crate) fn new(injected: FaultCounters, retired: u64, mgr: cachemgr::MgrCounters) -> Self {
         FaultReport {
             injected: injected.total(),
@@ -377,17 +359,16 @@ fn timed<S: CacheSystem>(
 /// Builds and replays one system against a pre-generated trace.
 pub fn run_system(kind: ReplaySystem, setup: &ReplaySetup, t: &Trace) -> SystemResult {
     let faulted = setup.fault_plan().is_some();
-    let wt_faults = move |s: &FlashTierWt| {
-        faulted.then(|| {
-            FaultReport::new(
-                s.ssc().fault_counters(),
-                s.ssc().counters().blocks_retired,
-                s.counters(),
-            )
-        })
-    };
     match kind {
-        ReplaySystem::FlashtierWt => timed(kind, setup.flashtier_wt(), t, wt_faults),
+        ReplaySystem::FlashtierWt => timed(kind, setup.flashtier_wt(), t, move |s| {
+            faulted.then(|| {
+                FaultReport::new(
+                    s.ssc().fault_counters(),
+                    s.ssc().counters().blocks_retired,
+                    s.counters(),
+                )
+            })
+        }),
         ReplaySystem::FlashtierWb => timed(kind, setup.flashtier_wb(), t, move |s| {
             faulted.then(|| {
                 FaultReport::new(
@@ -406,11 +387,6 @@ pub fn run_system(kind: ReplaySystem, setup: &ReplaySetup, t: &Trace) -> SystemR
                     s.counters(),
                 )
             })
-        }),
-        // Every event becomes a one-block byte span, exercising the
-        // span-assembly read path on top of the write-through manager.
-        ReplaySystem::FacadeWt => timed(kind, ByteFacade::new(setup.flashtier_wt()), t, |f| {
-            wt_faults(f.inner())
         }),
     }
 }
@@ -541,9 +517,8 @@ fn build_shard_ssc(per_shard: SscConfig, plan: Option<FaultPlan>, i: usize) -> S
 
 /// Builds and replays one system partitioned over `shards` shards,
 /// returning the per-shard breakdown. Only the two FlashTier systems
-/// shard (the native baseline and the facade have no partitioned build);
-/// asking for them falls back to the unsharded run with an empty
-/// breakdown.
+/// shard (the native baseline has no partitioned build); asking for it
+/// falls back to the unsharded run with an empty breakdown.
 pub fn run_sharded_detail(
     kind: ReplaySystem,
     setup: &ReplaySetup,
@@ -554,7 +529,7 @@ pub fn run_sharded_detail(
     let config = match kind {
         ReplaySystem::FlashtierWt => setup.wt_config(),
         ReplaySystem::FlashtierWb => setup.wb_config(),
-        ReplaySystem::NativeWb | ReplaySystem::FacadeWt => {
+        ReplaySystem::NativeWb => {
             return ShardedRunDetail {
                 result: run_system(kind, setup, t),
                 shard_counters: Vec::new(),
@@ -585,7 +560,7 @@ pub fn run_sharded_detail(
             |i| FlashTierWb::new(build_ssc(i), setup.disk()),
             |s: &FlashTierWb| (s.ssc().counters(), s.ssc().fault_counters()),
         ),
-        ReplaySystem::NativeWb | ReplaySystem::FacadeWt => unreachable!(),
+        ReplaySystem::NativeWb => unreachable!(),
     }
 }
 

@@ -71,19 +71,12 @@ fn replay_rejects_zero_shards() {
 
 #[test]
 fn replay_rejects_shards_with_no_shardable_system() {
-    // The native baseline and the facade have no partitioned build; the
-    // old parser silently fell back to unsharded runs.
+    // The native baseline has no partitioned build; the old parser
+    // silently fell back to unsharded runs.
     assert_usage_error(
         &run(
             REPLAY,
-            &[
-                "--shards",
-                "4",
-                "--systems",
-                "native_wb,facade_wt",
-                "--events",
-                "10",
-            ],
+            &["--shards", "4", "--systems", "native_wb", "--events", "10"],
         ),
         "--shards requires at least one shardable system",
     );

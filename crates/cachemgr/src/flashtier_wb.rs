@@ -9,7 +9,7 @@
 //! merged together for writing to disk."
 
 use disksim::Disk;
-use flashtier_core::{Result as SscResult, Ssc, SscDevice, SscError};
+use flashtier_core::{Result as SscResult, Ssc, SscError};
 use simkit::{Duration, PageBuf};
 use sparsemap::MapMemory;
 
@@ -44,12 +44,9 @@ pub enum DestagePolicy {
 }
 
 /// Write-back FlashTier system: SSC + disk + dirty-block table.
-///
-/// Generic over the cache device: the default is the monolithic [`Ssc`];
-/// a [`flashtier_core::ShardedSsc`] drops in for the partitioned build.
 #[derive(Debug)]
-pub struct FlashTierWb<D: SscDevice = Ssc> {
-    ssc: D,
+pub struct FlashTierWb {
+    ssc: Ssc,
     disk: Disk,
     dirty: DirtyTable,
     /// Clean when tracked dirty blocks exceed this count.
@@ -67,9 +64,9 @@ pub struct FlashTierWb<D: SscDevice = Ssc> {
     payload_discarded: bool,
 }
 
-impl<D: SscDevice> FlashTierWb<D> {
+impl FlashTierWb {
     /// Assembles the system with the paper's default 20% dirty threshold.
-    pub fn new(ssc: D, disk: Disk) -> Self {
+    pub fn new(ssc: Ssc, disk: Disk) -> Self {
         Self::with_dirty_fraction(ssc, disk, 0.20)
     }
 
@@ -79,7 +76,7 @@ impl<D: SscDevice> FlashTierWb<D> {
     /// # Panics
     ///
     /// Panics on a block-size mismatch or a fraction outside `(0, 1]`.
-    pub fn with_dirty_fraction(ssc: D, disk: Disk, fraction: f64) -> Self {
+    pub fn with_dirty_fraction(ssc: Ssc, disk: Disk, fraction: f64) -> Self {
         assert_eq!(
             ssc.page_size(),
             disk.block_size(),
@@ -91,8 +88,8 @@ impl<D: SscDevice> FlashTierWb<D> {
         );
         let capacity = ssc.data_capacity_pages() as usize;
         let dirty_limit = ((capacity as f64 * fraction) as usize).max(1);
-        let payload_discarded =
-            ssc.payload_discarded() && disk.mode() == disksim::DiskDataMode::Discard;
+        let payload_discarded = ssc.data_mode() == flashsim::DataMode::Discard
+            && disk.mode() == disksim::DiskDataMode::Discard;
         FlashTierWb {
             ssc,
             disk,
@@ -115,12 +112,12 @@ impl<D: SscDevice> FlashTierWb<D> {
     }
 
     /// The cache device.
-    pub fn ssc(&self) -> &D {
+    pub fn ssc(&self) -> &Ssc {
         &self.ssc
     }
 
     /// Mutable access to the cache device (crash injection in tests).
-    pub fn ssc_mut(&mut self) -> &mut D {
+    pub fn ssc_mut(&mut self) -> &mut Ssc {
         &mut self.ssc
     }
 
@@ -150,7 +147,7 @@ impl<D: SscDevice> FlashTierWb<D> {
     /// written to never looks at it.
     fn destage_read(&mut self, lba: u64, i: usize, bs: usize) -> SscResult<Duration> {
         if self.payload_discarded {
-            self.ssc.read_sink(lba)
+            self.ssc.read_to(lba, None)
         } else {
             let cost = self.ssc.read_into(lba, &mut self.block_buf)?;
             self.gather_buf[i * bs..(i + 1) * bs].copy_from_slice(&self.block_buf);
@@ -245,7 +242,7 @@ impl<D: SscDevice> FlashTierWb<D> {
     ///
     /// Flash faults during the synchronous commit.
     pub fn barrier_flush(&mut self) -> Result<Duration> {
-        Ok(self.ssc.barrier_flush()?)
+        Ok(self.ssc.commit_log()?)
     }
 
     /// Simulates a crash followed by recovery: the SSC recovers its maps
@@ -317,7 +314,7 @@ impl<D: SscDevice> FlashTierWb<D> {
     }
 }
 
-impl<D: SscDevice> CacheSystem for FlashTierWb<D> {
+impl CacheSystem for FlashTierWb {
     fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
         self.read_with(lba, buf, false)
     }

@@ -9,7 +9,7 @@
 //! about cached blocks, and consults the cache on every request."
 
 use disksim::Disk;
-use flashtier_core::{Ssc, SscDevice, SscError};
+use flashtier_core::{Ssc, SscError};
 use simkit::{Duration, PageBuf};
 use sparsemap::MapMemory;
 
@@ -22,12 +22,9 @@ use crate::Result;
 /// metadata. An optional Bloom filter (§4.2.1) can short-circuit reads of
 /// never-cached blocks; this is only safe in write-through mode, where all
 /// cached data is clean and the disk is always authoritative.
-///
-/// Generic over the cache device: the default is the monolithic [`Ssc`];
-/// a [`flashtier_core::ShardedSsc`] drops in for the partitioned build.
 #[derive(Debug)]
-pub struct FlashTierWt<D: SscDevice = Ssc> {
-    ssc: D,
+pub struct FlashTierWt {
+    ssc: Ssc,
     disk: Disk,
     bloom: Option<BloomFilter>,
     counters: MgrCounters,
@@ -36,21 +33,21 @@ pub struct FlashTierWt<D: SscDevice = Ssc> {
     payload_discarded: bool,
 }
 
-impl<D: SscDevice> FlashTierWt<D> {
+impl FlashTierWt {
     /// Assembles the system. The SSC page size must match the disk block
     /// size.
     ///
     /// # Panics
     ///
     /// Panics on a block-size mismatch.
-    pub fn new(ssc: D, disk: Disk) -> Self {
+    pub fn new(ssc: Ssc, disk: Disk) -> Self {
         assert_eq!(
             ssc.page_size(),
             disk.block_size(),
             "cache/disk block size mismatch"
         );
-        let payload_discarded =
-            ssc.payload_discarded() && disk.mode() == disksim::DiskDataMode::Discard;
+        let payload_discarded = ssc.data_mode() == flashsim::DataMode::Discard
+            && disk.mode() == disksim::DiskDataMode::Discard;
         FlashTierWt {
             ssc,
             disk,
@@ -86,12 +83,12 @@ impl<D: SscDevice> FlashTierWt<D> {
     }
 
     /// The cache device.
-    pub fn ssc(&self) -> &D {
+    pub fn ssc(&self) -> &Ssc {
         &self.ssc
     }
 
     /// Mutable access to the cache device (crash injection in tests).
-    pub fn ssc_mut(&mut self) -> &mut D {
+    pub fn ssc_mut(&mut self) -> &mut Ssc {
         &mut self.ssc
     }
 
@@ -113,7 +110,7 @@ impl<D: SscDevice> FlashTierWt<D> {
     ///
     /// Flash faults during the synchronous commit.
     pub fn barrier_flush(&mut self) -> Result<Duration> {
-        Ok(self.ssc.barrier_flush()?)
+        Ok(self.ssc.commit_log()?)
     }
 
     /// Simulates a crash followed by recovery. A write-through manager "may
@@ -141,9 +138,7 @@ impl<D: SscDevice> FlashTierWt<D> {
         }
         Ok(())
     }
-}
 
-impl<D: SscDevice> FlashTierWt<D> {
     /// Disk fetch + cache fill shared by the miss and Bloom-skip paths; the
     /// fetched block ends up in `buf` unless `elide` is set (see
     /// [`fetch_from_disk`]).
@@ -198,7 +193,7 @@ impl<D: SscDevice> FlashTierWt<D> {
     }
 }
 
-impl<D: SscDevice> CacheSystem for FlashTierWt<D> {
+impl CacheSystem for FlashTierWt {
     fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
         self.read_with(lba, buf, false)
     }

@@ -1,35 +1,36 @@
 //! Manager-level counters.
 
-/// Counters every cache manager maintains.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MgrCounters {
-    /// Application reads handled.
-    pub reads: u64,
-    /// Application writes handled.
-    pub writes: u64,
-    /// Reads served from the cache tier.
-    pub read_hits: u64,
-    /// Reads that had to go to disk.
-    pub read_misses: u64,
-    /// Dirty blocks written back to disk by the cleaner.
-    pub writebacks: u64,
-    /// `clean` notifications sent to the SSC (FlashTier write-back only).
-    pub cleans_issued: u64,
-    /// Cache-tier evictions driven by the manager (Native only).
-    pub evictions: u64,
-    /// Metadata pages persisted to the SSD (Native write-back only).
-    pub metadata_writes: u64,
-    /// Device lookups skipped by the Bloom filter (write-through only).
-    pub bloom_skips: u64,
-    /// Unrecoverable cache-read media faults converted into disk-served
-    /// misses (the faulted mapping is invalidated; never stale data).
-    pub read_fault_fallbacks: u64,
-    /// Cache entries invalidated after destage/writeback repeatedly failed
-    /// on a media fault (bounded retry, then drop).
-    pub destage_fault_invalidations: u64,
-    /// Reads of *dirty* cache data lost to a media fault, served from the
-    /// last destaged (disk) version instead — availability over staleness.
-    pub lost_dirty_reads: u64,
+simkit::counter_set! {
+    /// Counters every cache manager maintains.
+    pub struct MgrCounters {
+        /// Application reads handled.
+        pub reads: u64,
+        /// Application writes handled.
+        pub writes: u64,
+        /// Reads served from the cache tier.
+        pub read_hits: u64,
+        /// Reads that had to go to disk.
+        pub read_misses: u64,
+        /// Dirty blocks written back to disk by the cleaner.
+        pub writebacks: u64,
+        /// `clean` notifications sent to the SSC (FlashTier write-back only).
+        pub cleans_issued: u64,
+        /// Cache-tier evictions driven by the manager (Native only).
+        pub evictions: u64,
+        /// Metadata pages persisted to the SSD (Native write-back only).
+        pub metadata_writes: u64,
+        /// Device lookups skipped by the Bloom filter (write-through only).
+        pub bloom_skips: u64,
+        /// Unrecoverable cache-read media faults converted into disk-served
+        /// misses (the faulted mapping is invalidated; never stale data).
+        pub read_fault_fallbacks: u64,
+        /// Cache entries invalidated after destage/writeback repeatedly failed
+        /// on a media fault (bounded retry, then drop).
+        pub destage_fault_invalidations: u64,
+        /// Reads of *dirty* cache data lost to a media fault, served from the
+        /// last destaged (disk) version instead — availability over staleness.
+        pub lost_dirty_reads: u64,
+    }
 }
 
 impl MgrCounters {
@@ -48,46 +49,6 @@ impl MgrCounters {
             0.0
         } else {
             self.read_hits as f64 / self.reads as f64
-        }
-    }
-
-    /// Field-wise sum of two counter sets — used to aggregate per-shard
-    /// manager stacks into one device-wide view.
-    pub fn merged(&self, o: &MgrCounters) -> MgrCounters {
-        MgrCounters {
-            reads: self.reads + o.reads,
-            writes: self.writes + o.writes,
-            read_hits: self.read_hits + o.read_hits,
-            read_misses: self.read_misses + o.read_misses,
-            writebacks: self.writebacks + o.writebacks,
-            cleans_issued: self.cleans_issued + o.cleans_issued,
-            evictions: self.evictions + o.evictions,
-            metadata_writes: self.metadata_writes + o.metadata_writes,
-            bloom_skips: self.bloom_skips + o.bloom_skips,
-            read_fault_fallbacks: self.read_fault_fallbacks + o.read_fault_fallbacks,
-            destage_fault_invalidations: self.destage_fault_invalidations
-                + o.destage_fault_invalidations,
-            lost_dirty_reads: self.lost_dirty_reads + o.lost_dirty_reads,
-        }
-    }
-
-    /// Difference of two snapshots (`self` later than `earlier`) — used to
-    /// exclude cache warm-up from measurements.
-    pub fn since(&self, earlier: &MgrCounters) -> MgrCounters {
-        MgrCounters {
-            reads: self.reads - earlier.reads,
-            writes: self.writes - earlier.writes,
-            read_hits: self.read_hits - earlier.read_hits,
-            read_misses: self.read_misses - earlier.read_misses,
-            writebacks: self.writebacks - earlier.writebacks,
-            cleans_issued: self.cleans_issued - earlier.cleans_issued,
-            evictions: self.evictions - earlier.evictions,
-            metadata_writes: self.metadata_writes - earlier.metadata_writes,
-            bloom_skips: self.bloom_skips - earlier.bloom_skips,
-            read_fault_fallbacks: self.read_fault_fallbacks - earlier.read_fault_fallbacks,
-            destage_fault_invalidations: self.destage_fault_invalidations
-                - earlier.destage_fault_invalidations,
-            lost_dirty_reads: self.lost_dirty_reads - earlier.lost_dirty_reads,
         }
     }
 }

@@ -15,72 +15,50 @@ use crate::map::{BlockEntry, PagePtr, SscMaps};
 use crate::wal::{LogRecord, Wal};
 use crate::Result;
 
-/// Cumulative SSC statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SscCounters {
-    /// `read` operations served.
-    pub host_reads: u64,
-    /// `read` operations that returned not-present.
-    pub read_misses: u64,
-    /// `write-clean` operations.
-    pub writes_clean: u64,
-    /// `write-dirty` operations.
-    pub writes_dirty: u64,
-    /// `evict` operations.
-    pub evict_ops: u64,
-    /// `clean` operations.
-    pub clean_ops: u64,
-    /// `exists` operations.
-    pub exists_ops: u64,
-    /// Erase blocks reclaimed by silent eviction.
-    pub silent_evictions: u64,
-    /// Valid (clean) pages dropped by silent eviction.
-    pub silently_evicted_pages: u64,
-    /// Log recycling rounds forced because no clean victim existed.
-    pub eviction_fallbacks: u64,
-    /// Switch merges.
-    pub switch_merges: u64,
-    /// Full merges.
-    pub full_merges: u64,
-    /// Pages copied by merges (the copying silent eviction avoids).
-    pub gc_copies: u64,
-    /// Checkpoints triggered.
-    pub checkpoints: u64,
-    /// Blocks permanently retired after a worn-out or failed erase (never
-    /// returned to the free pool; capacity shrinks, the device keeps going).
-    pub blocks_retired: u64,
-    /// Host writes re-issued to a fresh page after an injected program
-    /// failure consumed the original target.
-    pub program_reissues: u64,
+simkit::counter_set! {
+    /// Cumulative SSC statistics.
+    pub struct SscCounters {
+        /// `read` operations served.
+        pub host_reads: u64,
+        /// `read` operations that returned not-present.
+        pub read_misses: u64,
+        /// `write-clean` operations.
+        pub writes_clean: u64,
+        /// `write-dirty` operations.
+        pub writes_dirty: u64,
+        /// `evict` operations.
+        pub evict_ops: u64,
+        /// `clean` operations.
+        pub clean_ops: u64,
+        /// `exists` operations.
+        pub exists_ops: u64,
+        /// Erase blocks reclaimed by silent eviction.
+        pub silent_evictions: u64,
+        /// Valid (clean) pages dropped by silent eviction.
+        pub silently_evicted_pages: u64,
+        /// Log recycling rounds forced because no clean victim existed.
+        pub eviction_fallbacks: u64,
+        /// Switch merges.
+        pub switch_merges: u64,
+        /// Full merges.
+        pub full_merges: u64,
+        /// Pages copied by merges (the copying silent eviction avoids).
+        pub gc_copies: u64,
+        /// Checkpoints triggered.
+        pub checkpoints: u64,
+        /// Blocks permanently retired after a worn-out or failed erase (never
+        /// returned to the free pool; capacity shrinks, the device keeps going).
+        pub blocks_retired: u64,
+        /// Host writes re-issued to a fresh page after an injected program
+        /// failure consumed the original target.
+        pub program_reissues: u64,
+    }
 }
 
 impl SscCounters {
     /// Total host writes (clean + dirty).
     pub fn host_writes(&self) -> u64 {
         self.writes_clean + self.writes_dirty
-    }
-
-    /// Field-wise sum of two counter snapshots — used to aggregate
-    /// per-shard counters into one device-wide view.
-    pub fn merged(&self, other: &SscCounters) -> SscCounters {
-        SscCounters {
-            host_reads: self.host_reads + other.host_reads,
-            read_misses: self.read_misses + other.read_misses,
-            writes_clean: self.writes_clean + other.writes_clean,
-            writes_dirty: self.writes_dirty + other.writes_dirty,
-            evict_ops: self.evict_ops + other.evict_ops,
-            clean_ops: self.clean_ops + other.clean_ops,
-            exists_ops: self.exists_ops + other.exists_ops,
-            silent_evictions: self.silent_evictions + other.silent_evictions,
-            silently_evicted_pages: self.silently_evicted_pages + other.silently_evicted_pages,
-            eviction_fallbacks: self.eviction_fallbacks + other.eviction_fallbacks,
-            switch_merges: self.switch_merges + other.switch_merges,
-            full_merges: self.full_merges + other.full_merges,
-            gc_copies: self.gc_copies + other.gc_copies,
-            checkpoints: self.checkpoints + other.checkpoints,
-            blocks_retired: self.blocks_retired + other.blocks_retired,
-            program_reissues: self.program_reissues + other.program_reissues,
-        }
     }
 
     /// Hit rate of reads (1 - miss rate).
@@ -1786,6 +1764,49 @@ mod tests {
             merged.full_merges,
             base.full_merges
         );
+    }
+
+    /// A discard read is a filling read minus the bytes: same cost or
+    /// error (hits, misses, injected faults), same counters, same fault
+    /// stream, op for op, in both data modes.
+    #[test]
+    fn read_sink_matches_read_into_exactly() {
+        let plan = flashsim::FaultPlan {
+            seed: 0x51_4B,
+            read_transient_ppm: 150_000,
+            read_permanent_ppm: 50_000,
+            read_corrupt_ppm: 50_000,
+            ..flashsim::FaultPlan::default()
+        };
+        for mode in [flashsim::DataMode::Store, flashsim::DataMode::Discard] {
+            let config = SscConfig::small_test().with_data_mode(mode);
+            let (mut filled, mut sunk) = (Ssc::new(config), Ssc::new(config));
+            let page = page(&filled, 7);
+            for d in [&mut filled, &mut sunk] {
+                d.set_fault_plan(plan);
+                for lba in 0..48u64 {
+                    if lba % 3 == 0 {
+                        d.write_dirty(lba, &page).unwrap();
+                    } else {
+                        d.write_clean(lba, &page).unwrap();
+                    }
+                }
+            }
+            let mut buf = PageBuf::new();
+            // LBAs 48..64 were never written: misses on both sides.
+            for i in 0..400u64 {
+                let lba = (i * 7) % 64;
+                assert_eq!(
+                    filled.read_into(lba, &mut buf),
+                    sunk.read_to(lba, None),
+                    "{mode:?} read {i} lba {lba}"
+                );
+            }
+            assert_eq!(filled.counters(), sunk.counters());
+            assert_eq!(filled.fault_counters(), sunk.fault_counters());
+            assert!(filled.fault_counters().total() > 0, "plan never fired");
+            assert!(filled.counters().read_misses > 0);
+        }
     }
 }
 

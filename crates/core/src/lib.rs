@@ -46,7 +46,6 @@ pub mod checkpoint;
 pub mod codec;
 pub mod config;
 pub mod device;
-pub mod device_api;
 pub mod error;
 mod evict_index;
 pub mod map;
@@ -56,10 +55,9 @@ pub mod wal;
 
 pub use config::{ConsistencyMode, EvictionPolicy, SscConfig, VictimSelection};
 pub use device::{CachedBlockMeta, CrashSite, Ssc, SscCounters};
-pub use device_api::SscDevice;
 pub use error::SscError;
 pub use map::{BlockEntry, PagePtr, SscMaps};
-pub use shard::{decorrelate_fault_seed, shard_config, ShardRouter, ShardedSsc};
+pub use shard::{decorrelate_fault_seed, shard_config, ShardRouter};
 pub use wal::{LogRecord, MapLevel};
 
 /// Result alias for SSC operations.

@@ -4,31 +4,19 @@
 //! write amplification) and the performance accounting behind Figures 3
 //! and 6.
 
-/// Cumulative operation counts for a flash device.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlashCounters {
-    /// Pages read (data reads).
-    pub page_reads: u64,
-    /// Pages programmed.
-    pub page_writes: u64,
-    /// OOB-only reads (recovery scans).
-    pub oob_reads: u64,
-    /// Blocks erased.
-    pub erases: u64,
-    /// Pages invalidated by the layer above.
-    pub invalidations: u64,
-}
-
-impl FlashCounters {
-    /// Difference of two snapshots (`self` later than `earlier`).
-    pub fn since(&self, earlier: &FlashCounters) -> FlashCounters {
-        FlashCounters {
-            page_reads: self.page_reads - earlier.page_reads,
-            page_writes: self.page_writes - earlier.page_writes,
-            oob_reads: self.oob_reads - earlier.oob_reads,
-            erases: self.erases - earlier.erases,
-            invalidations: self.invalidations - earlier.invalidations,
-        }
+simkit::counter_set! {
+    /// Cumulative operation counts for a flash device.
+    pub struct FlashCounters {
+        /// Pages read (data reads).
+        pub page_reads: u64,
+        /// Pages programmed.
+        pub page_writes: u64,
+        /// OOB-only reads (recovery scans).
+        pub oob_reads: u64,
+        /// Blocks erased.
+        pub erases: u64,
+        /// Pages invalidated by the layer above.
+        pub invalidations: u64,
     }
 }
 

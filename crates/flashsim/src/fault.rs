@@ -70,40 +70,28 @@ impl FaultPlan {
     }
 }
 
-/// Cumulative injected-fault statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultCounters {
-    /// Transient read failures absorbed by the internal retry.
-    pub read_transients: u64,
-    /// Unrecoverable read failures surfaced to the caller (fresh permanent
-    /// faults and re-reads of grown bad pages).
-    pub read_failures: u64,
-    /// Detected payload corruptions surfaced to the caller.
-    pub read_corruptions: u64,
-    /// Detected OOB corruptions surfaced to the caller.
-    pub oob_corruptions: u64,
-    /// Program failures surfaced to the caller.
-    pub program_failures: u64,
-    /// Erase failures surfaced to the caller.
-    pub erase_failures: u64,
-    /// Blocks grown bad by erase failures.
-    pub grown_bad_blocks: u64,
+simkit::counter_set! {
+    /// Cumulative injected-fault statistics.
+    pub struct FaultCounters {
+        /// Transient read failures absorbed by the internal retry.
+        pub read_transients: u64,
+        /// Unrecoverable read failures surfaced to the caller (fresh permanent
+        /// faults and re-reads of grown bad pages).
+        pub read_failures: u64,
+        /// Detected payload corruptions surfaced to the caller.
+        pub read_corruptions: u64,
+        /// Detected OOB corruptions surfaced to the caller.
+        pub oob_corruptions: u64,
+        /// Program failures surfaced to the caller.
+        pub program_failures: u64,
+        /// Erase failures surfaced to the caller.
+        pub erase_failures: u64,
+        /// Blocks grown bad by erase failures.
+        pub grown_bad_blocks: u64,
+    }
 }
 
 impl FaultCounters {
-    /// Difference of two snapshots (`self` later than `earlier`).
-    pub fn since(&self, earlier: &FaultCounters) -> FaultCounters {
-        FaultCounters {
-            read_transients: self.read_transients - earlier.read_transients,
-            read_failures: self.read_failures - earlier.read_failures,
-            read_corruptions: self.read_corruptions - earlier.read_corruptions,
-            oob_corruptions: self.oob_corruptions - earlier.oob_corruptions,
-            program_failures: self.program_failures - earlier.program_failures,
-            erase_failures: self.erase_failures - earlier.erase_failures,
-            grown_bad_blocks: self.grown_bad_blocks - earlier.grown_bad_blocks,
-        }
-    }
-
     /// Total faults surfaced or absorbed.
     pub fn total(&self) -> u64 {
         self.read_transients

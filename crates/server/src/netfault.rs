@@ -80,33 +80,24 @@ impl NetFaultPlan {
     }
 }
 
-/// Cumulative injected-fault counts for one transport.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetFaultCounters {
-    /// Connection resets injected.
-    pub resets: u64,
-    /// Partial writes (torn frames) injected.
-    pub partial_writes: u64,
-    /// Stalls injected.
-    pub stalls: u64,
-    /// Short delays injected.
-    pub delays: u64,
+simkit::counter_set! {
+    /// Cumulative injected-fault counts for one transport.
+    pub struct NetFaultCounters {
+        /// Connection resets injected.
+        pub resets: u64,
+        /// Partial writes (torn frames) injected.
+        pub partial_writes: u64,
+        /// Stalls injected.
+        pub stalls: u64,
+        /// Short delays injected.
+        pub delays: u64,
+    }
 }
 
 impl NetFaultCounters {
     /// Total faults injected, every class.
     pub fn total(&self) -> u64 {
         self.resets + self.partial_writes + self.stalls + self.delays
-    }
-
-    /// Field-wise sum (aggregating per-transport counters).
-    pub fn merged(&self, o: &NetFaultCounters) -> NetFaultCounters {
-        NetFaultCounters {
-            resets: self.resets + o.resets,
-            partial_writes: self.partial_writes + o.partial_writes,
-            stalls: self.stalls + o.stalls,
-            delays: self.delays + o.delays,
-        }
     }
 }
 

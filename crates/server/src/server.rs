@@ -73,7 +73,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration as StdDuration, Instant};
 
 use cachemgr::{CacheSystem, FlashTierWb, FlashTierWt, PageBuf, ShardSet};
-use flashtier_core::{ShardRouter, SscDevice};
+use flashtier_core::ShardRouter;
 use simkit::Duration;
 
 use crate::netfault::{FaultyTransport, NetFaultPlan};
@@ -92,7 +92,7 @@ const DEDUP_WINDOW: usize = 4096;
 /// run a durability barrier (the shutdown drain) and move across threads.
 pub trait ServeSystem: CacheSystem + Send {
     /// Synchronously commits all buffered log records (see
-    /// `SscDevice::barrier_flush`).
+    /// `Ssc::commit_log`).
     ///
     /// # Errors
     ///
@@ -100,13 +100,13 @@ pub trait ServeSystem: CacheSystem + Send {
     fn barrier_flush(&mut self) -> cachemgr::Result<Duration>;
 }
 
-impl<D: SscDevice + Send> ServeSystem for FlashTierWt<D> {
+impl ServeSystem for FlashTierWt {
     fn barrier_flush(&mut self) -> cachemgr::Result<Duration> {
         FlashTierWt::barrier_flush(self)
     }
 }
 
-impl<D: SscDevice + Send> ServeSystem for FlashTierWb<D> {
+impl ServeSystem for FlashTierWb {
     fn barrier_flush(&mut self) -> cachemgr::Result<Duration> {
         FlashTierWb::barrier_flush(self)
     }

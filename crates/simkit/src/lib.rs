@@ -16,8 +16,11 @@
 //!   the evaluation harness.
 //! * [`iobuf`] — the reusable [`PageBuf`] that every device `*_into` read
 //!   fills, keeping steady-state replay loops allocation-free.
+//! * [`counter_set!`] — the declaration every layer's counter struct uses,
+//!   so `merged`/`since` are generated rather than written per struct.
 
 pub mod clock;
+mod counters;
 pub mod crc;
 pub mod iobuf;
 pub mod rng;

@@ -52,6 +52,20 @@ fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone())
 }
 
+/// The parsed value of `flag`, or `None` when the flag is absent. A value
+/// that does not parse (or a trailing flag with no value) is an error
+/// naming the flag, never a silent fall-back to the default.
+fn parsed_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    match arg_value(args, flag) {
+        Some(s) => match s.parse() {
+            Ok(v) => Ok(Some(v)),
+            Err(_) => Err(format!("invalid value '{s}' for {flag}")),
+        },
+        None if args.last().is_some_and(|a| a == flag) => Err(format!("{flag} needs a value")),
+        None => Ok(None),
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -78,9 +92,10 @@ fn gen_trace(args: &[String]) -> ExitCode {
         "proj" => WorkloadSpec::proj(),
         other => return fail(&format!("unknown workload '{other}'")),
     };
-    let scale: f64 = arg_value(args, "--scale")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(500.0);
+    let scale: f64 = match parsed_value(args, "--scale") {
+        Ok(v) => v.unwrap_or(500.0),
+        Err(e) => return fail(&e),
+    };
     let Some(out) = arg_value(args, "--out") else {
         return fail("gen-trace needs --out <file>");
     };
@@ -108,9 +123,10 @@ fn import_msr(args: &[String]) -> ExitCode {
     let Some(out) = arg_value(args, "--out") else {
         return fail("import-msr needs --out <file>");
     };
-    let max_events: usize = arg_value(args, "--max-events")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(usize::MAX);
+    let max_events: usize = match parsed_value(args, "--max-events") {
+        Ok(v) => v.unwrap_or(usize::MAX),
+        Err(e) => return fail(&e),
+    };
     let file = match File::open(path) {
         Ok(f) => f,
         Err(e) => return fail(&format!("cannot open {path}: {e}")),
@@ -180,19 +196,20 @@ fn replay_cmd(args: &[String]) -> ExitCode {
     };
     let tstats = TraceStats::compute(&trace);
     let default_cache_blocks = (tstats.unique_blocks / 4).max(1024);
-    let cache_blocks = arg_value(args, "--cache-mb")
-        .and_then(|s| s.parse::<u64>().ok())
-        .map(|mb| mb * 256) // 4 KB blocks per MB
-        .unwrap_or(default_cache_blocks);
+    let cache_blocks = match parsed_value::<u64>(args, "--cache-mb") {
+        Ok(mb) => mb.map_or(default_cache_blocks, |mb| mb * 256), // 4 KB blocks per MB
+        Err(e) => return fail(&e),
+    };
     let consistency = match arg_value(args, "--consistency").as_deref() {
         None | Some("full") => ConsistencyMode::CleanAndDirty,
         Some("dirty") => ConsistencyMode::DirtyOnly,
         Some("none") => ConsistencyMode::None,
         Some(other) => return fail(&format!("unknown consistency '{other}'")),
     };
-    let warmup: f64 = arg_value(args, "--warmup")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.15);
+    let warmup: f64 = match parsed_value(args, "--warmup") {
+        Ok(v) => v.unwrap_or(0.15),
+        Err(e) => return fail(&e),
+    };
     let ssc_r = args.iter().any(|a| a == "--ssc-r");
 
     let raw_flash =

@@ -1,0 +1,105 @@
+//! The `flashtier` command line, driven as a subprocess: bad flag values
+//! and missing inputs must fail loudly (non-zero exit, message naming the
+//! culprit) instead of silently running with a default, and the documented
+//! `gen-trace → stats → replay` session must work end to end.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn flashtier(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_flashtier"))
+        .args(args)
+        .output()
+        .expect("spawn flashtier")
+}
+
+/// A scratch path private to one test (tests run in parallel).
+fn scratch(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("cli-{name}.jsonl"))
+}
+
+fn gen_mail(path: &Path) {
+    let path = path.to_str().unwrap();
+    let out = flashtier(&["gen-trace", "mail", "--scale", "500", "--out", path]);
+    assert!(out.status.success(), "{}", stderr(&out));
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+fn assert_fails_naming(out: &Output, needle: &str) {
+    assert!(!out.status.success(), "must exit non-zero");
+    let err = stderr(out);
+    assert!(
+        err.contains(needle),
+        "stderr must name {needle:?}, got: {err}"
+    );
+}
+
+#[test]
+fn gen_trace_rejects_unparsable_scale() {
+    let path = scratch("bad-scale");
+    let _ = std::fs::remove_file(&path);
+    let out = flashtier(&[
+        "gen-trace",
+        "mail",
+        "--scale",
+        "abc",
+        "--out",
+        path.to_str().unwrap(),
+    ]);
+    assert_fails_naming(&out, "--scale");
+    assert!(!path.exists(), "no trace may be written at a default scale");
+}
+
+#[test]
+fn replay_rejects_unparsable_cache_mb_and_warmup() {
+    let path = scratch("bad-cache-mb");
+    gen_mail(&path);
+    let trace = path.to_str().unwrap();
+    for (flag, value) in [("--cache-mb", "lots"), ("--warmup", "half")] {
+        let out = flashtier(&["replay", trace, "--system", "flashtier-wt", flag, value]);
+        assert_fails_naming(&out, flag);
+    }
+    // A trailing flag with no value is the same mistake.
+    let out = flashtier(&["replay", trace, "--system", "flashtier-wt", "--cache-mb"]);
+    assert_fails_naming(&out, "--cache-mb");
+}
+
+#[test]
+fn replay_of_a_missing_trace_fails() {
+    let path = scratch("does-not-exist");
+    let _ = std::fs::remove_file(&path);
+    let out = flashtier(&["replay", path.to_str().unwrap(), "--system", "flashtier-wb"]);
+    assert_fails_naming(&out, "cannot open");
+}
+
+#[test]
+fn gen_trace_stats_replay_round_trip() {
+    let path = scratch("round-trip");
+    gen_mail(&path);
+    let trace = path.to_str().unwrap();
+
+    let out = flashtier(&["stats", trace]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let stats = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(stats.contains("unique blocks:"), "{stats}");
+    assert!(stats.contains("write fraction:"), "{stats}");
+
+    for system in ["flashtier-wt", "flashtier-wb", "native-wb"] {
+        let out = flashtier(&["replay", trace, "--system", system, "--cache-mb", "16"]);
+        assert!(out.status.success(), "{system}: {}", stderr(&out));
+        let report = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(
+            report.contains(&format!("system:          {system}")),
+            "{report}"
+        );
+        let ops: u64 = report
+            .lines()
+            .find_map(|l| l.strip_prefix("ops replayed:"))
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or_else(|| panic!("{system}: no ops line in {report}"));
+        assert!(ops > 0, "{system}: replayed nothing");
+    }
+}

@@ -17,12 +17,15 @@
 //! durable metadata must survive exactly.
 
 use flashtier::cachemgr::{
-    CacheSystem, CmError, FlashTierWb, FlashTierWt, NativeCache, NativeConsistency, NativeMode,
+    CacheSystem, CmError, FlashTierWb, FlashTierWt, MgrCounters, NativeCache, NativeConsistency,
+    NativeMode, PageBuf, ShardSet,
 };
 use flashtier::disksim::{Disk, DiskConfig, DiskDataMode};
 use flashtier::flashsim::DataMode;
 use flashtier::ftl::{HybridFtl, SsdConfig};
-use flashtier::ssc::{CrashSite, ShardedSsc, Ssc, SscConfig, SscDevice, SscError};
+use flashtier::simkit::Duration;
+use flashtier::sparsemap::MapMemory;
+use flashtier::ssc::{shard_config, CrashSite, ShardRouter, Ssc, SscConfig, SscError};
 use std::collections::HashMap;
 
 const BLOCK: usize = 512;
@@ -80,13 +83,13 @@ trait CrashRecover: CacheSystem {
     fn power_cycle(&mut self) -> Result<(), CmError>;
 }
 
-impl<D: SscDevice> CrashRecover for FlashTierWt<D> {
+impl CrashRecover for FlashTierWt {
     fn power_cycle(&mut self) -> Result<(), CmError> {
         self.crash_and_recover().map(|_| ())
     }
 }
 
-impl<D: SscDevice> CrashRecover for FlashTierWb<D> {
+impl CrashRecover for FlashTierWb {
     fn power_cycle(&mut self) -> Result<(), CmError> {
         self.crash_and_recover().map(|_| ())
     }
@@ -333,11 +336,68 @@ fn native_wb_survives_crashes_at_operation_boundaries() {
     }
 }
 
-/// Two hash-partitioned shards behind the write-through manager. The crash
-/// is armed inside a *single* shard's machinery (the shard alternates with
-/// the armed trigger count); after the whole-device power failure every
-/// shard must roll forward and the full-span shadow sweep must hold — a
-/// crash in one shard can never cost another shard's acknowledged writes.
+/// Two complete manager stacks behind one [`CacheSystem`] face, routed by
+/// the same [`ShardRouter`] the server and `perf_replay --shards` use.
+struct TwoShards<S>(ShardSet<S>);
+
+impl<S: CacheSystem> TwoShards<S> {
+    fn new(build: impl Fn(Ssc, Disk) -> S) -> Self {
+        let per_shard = shard_config(&config(), 2);
+        let ppb = per_shard.flash.geometry.pages_per_block();
+        let shards = (0..2).map(|_| build(Ssc::new(per_shard), disk()));
+        TwoShards(ShardSet::from_parts(
+            shards.collect(),
+            ShardRouter::new(2, ppb),
+        ))
+    }
+
+    fn sum(&self, memory: impl Fn(&S) -> MapMemory) -> MapMemory {
+        let mut out = MapMemory::default();
+        for m in self.0.shards().iter().map(memory) {
+            out.entries += m.entries;
+            out.modeled_bytes += m.modeled_bytes;
+            out.heap_bytes += m.heap_bytes;
+        }
+        out
+    }
+}
+
+impl<S: CacheSystem> CacheSystem for TwoShards<S> {
+    fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration, CmError> {
+        self.0.route_mut(lba).read_into(lba, buf)
+    }
+    fn write(&mut self, lba: u64, data: &[u8]) -> Result<Duration, CmError> {
+        self.0.route_mut(lba).write(lba, data)
+    }
+    fn counters(&self) -> MgrCounters {
+        self.0.counters()
+    }
+    fn host_memory(&self) -> MapMemory {
+        self.sum(S::host_memory)
+    }
+    fn device_memory(&self) -> MapMemory {
+        self.sum(S::device_memory)
+    }
+    fn block_size(&self) -> usize {
+        self.0.shard(0).block_size()
+    }
+    fn name(&self) -> &'static str {
+        self.0.shard(0).name()
+    }
+}
+
+/// A power failure takes down every stack, armed or not.
+impl<S: CrashRecover> CrashRecover for TwoShards<S> {
+    fn power_cycle(&mut self) -> Result<(), CmError> {
+        (0..2).try_for_each(|i| self.0.shard_mut(i).power_cycle())
+    }
+}
+
+/// Two hash-partitioned write-through stacks. The crash is armed inside a
+/// *single* shard's SSC (the shard alternates with the armed trigger
+/// count); after the power failure every stack must roll forward and the
+/// full-span shadow sweep must hold — a crash in one shard can never cost
+/// another shard's acknowledged writes.
 #[test]
 fn sharded_flashtier_wt_survives_single_shard_crashes() {
     let sites = [
@@ -347,20 +407,22 @@ fn sharded_flashtier_wt_survives_single_shard_crashes() {
         CrashSite::Merge,
     ];
     fuzz_ssc_system(
-        || FlashTierWt::new(ShardedSsc::new(config(), 2), disk()),
-        |s: &mut FlashTierWt<ShardedSsc>, site, after| {
-            let shard = (after as usize) % s.ssc().num_shards();
-            s.ssc_mut().arm_crash_shard(shard, site, after);
+        || TwoShards::new(FlashTierWt::new),
+        |s: &mut TwoShards<FlashTierWt>, site, after| {
+            let ssc = s.0.shard_mut(after as usize % 2).ssc_mut();
+            ssc.arm_crash(site, after);
         },
-        |s: &mut FlashTierWt<ShardedSsc>| s.ssc_mut().disarm_crash(),
+        |s: &mut TwoShards<FlashTierWt>| {
+            (0..2).for_each(|i| s.0.shard_mut(i).ssc_mut().disarm_crash())
+        },
         &sites,
         15 * fuzz_scale(),
     );
 }
 
-/// Same single-shard crash campaigns for the write-back manager, whose
-/// dirty-table rebuild additionally exercises the sharded `exists`
-/// scatter-gather after every recovery.
+/// Same single-shard crash campaigns for the write-back manager, where
+/// each stack additionally rebuilds its own dirty table with `exists`
+/// after every recovery.
 #[test]
 fn sharded_flashtier_wb_survives_single_shard_crashes() {
     let sites = [
@@ -371,12 +433,14 @@ fn sharded_flashtier_wb_survives_single_shard_crashes() {
         CrashSite::Clean,
     ];
     fuzz_ssc_system(
-        || FlashTierWb::new(ShardedSsc::new(config(), 2), disk()),
-        |s: &mut FlashTierWb<ShardedSsc>, site, after| {
-            let shard = (after as usize) % s.ssc().num_shards();
-            s.ssc_mut().arm_crash_shard(shard, site, after);
+        || TwoShards::new(FlashTierWb::new),
+        |s: &mut TwoShards<FlashTierWb>, site, after| {
+            let ssc = s.0.shard_mut(after as usize % 2).ssc_mut();
+            ssc.arm_crash(site, after);
         },
-        |s: &mut FlashTierWb<ShardedSsc>| s.ssc_mut().disarm_crash(),
+        |s: &mut TwoShards<FlashTierWb>| {
+            (0..2).for_each(|i| s.0.shard_mut(i).ssc_mut().disarm_crash())
+        },
         &sites,
         12 * fuzz_scale(),
     );
