@@ -112,13 +112,15 @@ impl DirtyTable {
     /// Starting from the LRU block, expands to the contiguous dirty run
     /// containing it (§4.4: "the cache manager prioritizes cleaning of
     /// contiguous dirty blocks, which can be merged together for writing to
-    /// disk"). Returns the run in ascending LBA order; empty when the table
-    /// is empty.
-    pub fn lru_run(&self, max_len: usize) -> Vec<u64> {
+    /// disk"). Replaces the contents of `run` (a buffer the caller reuses
+    /// from one destage to the next) with the run in ascending LBA order;
+    /// empty when the table is empty.
+    pub fn lru_run(&self, max_len: usize, run: &mut Vec<u64>) {
+        run.clear();
         let Some(seed) = self.lru_block() else {
-            return Vec::new();
+            return;
         };
-        let mut run = vec![seed];
+        run.push(seed);
         // Extend downward, then upward, while neighbours are dirty too.
         let mut lo = seed;
         while run.len() < max_len && lo > 0 && self.contains(lo - 1) {
@@ -131,7 +133,6 @@ impl DirtyTable {
             run.push(hi);
         }
         run.sort_unstable();
-        run
     }
 
     /// Iterates all tracked dirty blocks (unspecified order).
@@ -213,17 +214,21 @@ mod tests {
         }
         // LRU block is 12; its run is 10..=13.
         assert_eq!(t.lru_block(), Some(12));
-        assert_eq!(t.lru_run(8), vec![10, 11, 12, 13]);
+        let mut run = vec![99; 3];
+        t.lru_run(8, &mut run);
+        assert_eq!(run, vec![10, 11, 12, 13], "stale contents replaced");
         // Bounded by max_len.
-        let short = t.lru_run(2);
-        assert_eq!(short.len(), 2);
-        assert!(short.contains(&12));
+        t.lru_run(2, &mut run);
+        assert_eq!(run.len(), 2);
+        assert!(run.contains(&12));
     }
 
     #[test]
     fn lru_run_empty_table() {
         let t = DirtyTable::new(4);
-        assert!(t.lru_run(8).is_empty());
+        let mut run = vec![7];
+        t.lru_run(8, &mut run);
+        assert!(run.is_empty());
         assert_eq!(t.lru_block(), None);
         assert!(t.is_empty());
     }

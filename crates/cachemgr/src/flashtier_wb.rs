@@ -59,6 +59,8 @@ pub struct FlashTierWb {
     gather_buf: PageBuf,
     /// Reusable single-block buffer for the cleaner's SSC reads.
     block_buf: PageBuf,
+    /// Reusable LBA list of the run the cleaner is destaging.
+    run_buf: Vec<u64>,
     /// Both tiers run in discard mode: payload bytes are provably never
     /// retained or read back, so destage transfers skip materializing them.
     payload_discarded: bool,
@@ -100,6 +102,7 @@ impl FlashTierWb {
             counters: MgrCounters::default(),
             gather_buf: PageBuf::new(),
             block_buf: PageBuf::new(),
+            run_buf: Vec::new(),
             payload_discarded,
         }
     }
@@ -160,8 +163,11 @@ impl FlashTierWb {
     fn clean_down_to(&mut self, target: usize) -> Result<Duration> {
         let mut cost = Duration::ZERO;
         let bs = self.ssc.page_size();
+        // Taken out of `self` for the loop; an early `?` return just costs
+        // a future re-growth.
+        let mut run = std::mem::take(&mut self.run_buf);
         while self.dirty.len() > target {
-            let run = self.dirty.lru_run(CLEAN_RUN_MAX);
+            self.dirty.lru_run(CLEAN_RUN_MAX, &mut run);
             if run.is_empty() {
                 break;
             }
@@ -230,6 +236,7 @@ impl FlashTierWb {
                 self.counters.writebacks += 1;
             }
         }
+        self.run_buf = run;
         Ok(cost)
     }
 

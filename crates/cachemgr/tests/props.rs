@@ -112,7 +112,8 @@ fn dirty_table_lru_run_is_contiguous_and_contains_lru() {
         for &lba in &lbas {
             table.touch(lba);
         }
-        let run = table.lru_run(max_len);
+        let mut run = Vec::new();
+        table.lru_run(max_len, &mut run);
         assert!(!run.is_empty());
         assert!(run.len() <= max_len);
         assert!(run.contains(&table.lru_block().unwrap()));

@@ -7,9 +7,13 @@
 //! dedicated regions spread across different planes of the SSC that bypass
 //! address translation."
 //!
-//! The store keeps the two alternating checkpoint slots; writing serializes
-//! the forward maps and charges sequential flash-write time, loading charges
-//! sequential read time. Both sizes feed the Figure 5 recovery model.
+//! The store keeps the two alternating checkpoint slots; writing snapshots
+//! the forward maps and charges sequential flash-write time for their
+//! serialized size, loading charges sequential read time. Both sizes feed
+//! the Figure 5 recovery model. The wire bytes themselves are materialised
+//! on demand: every restore (so every recovery) encodes the snapshot and
+//! decodes it back through the CRC check, and `corrupt` scribbles on the
+//! encoded form; a checkpoint superseded unread is never encoded.
 
 use flashsim::FlashTiming;
 use simkit::Duration;
@@ -23,9 +27,9 @@ pub const BLOCK_ENTRY_BYTES: u64 = 2 * crate::wal::RECORD_BYTES;
 
 /// One durable snapshot of the forward maps.
 ///
-/// The snapshot is held as the encoded bytes a real device would write —
-/// a CRC-framed stream of insert records (see [`crate::codec`]) — so
-/// restoring a checkpoint decodes and validates the wire format, and a
+/// The snapshot stands for the encoded bytes a real device would write —
+/// a CRC-framed stream of insert records (see [`crate::codec`]) — and
+/// restoring it encodes, decodes and validates that wire format, so a
 /// corrupted slot is *detected* rather than trusted (which is what the
 /// two-slot scheme exists for).
 #[derive(Debug, Clone)]
@@ -43,41 +47,53 @@ pub struct Checkpoint {
 /// Checkpoint body representation. Every wire frame has a fixed size, so
 /// the encoded length — the only thing the per-write checkpoint policy and
 /// the cost model consume — is known from the entry counts alone. Capture
-/// therefore snapshots the maps and defers serialization until a consumer
-/// actually needs wire bytes (recovery, corruption tests); the hot write
-/// path never pays for encoding checkpoints that are superseded unread.
+/// therefore copies the entries out and defers serialization until a
+/// consumer actually needs wire bytes (every [`Checkpoint::restore`], i.e.
+/// every recovery, and [`Checkpoint::corrupt`]); the hot write path never
+/// pays for encoding checkpoints that are superseded unread.
 #[derive(Debug, Clone)]
 enum Snapshot {
     /// Materialized wire bytes (after corruption or torn-tail surgery).
     Encoded(Vec<u8>),
-    /// The captured maps; [`Checkpoint::encode`] produces the exact bytes
-    /// eager capture would have written.
-    Deferred(SscMaps),
+    /// The captured entries, each level in its map's iteration order;
+    /// [`Checkpoint::encode`] produces the exact bytes eager capture would
+    /// have written.
+    Deferred {
+        pages: Vec<(u64, PagePtr)>,
+        blocks: Vec<(u64, BlockEntry)>,
+    },
 }
 
 impl Checkpoint {
-    /// Serializes the forward maps into a snapshot covering `lsn`. The
-    /// serialization itself is deferred: capture takes a structural
-    /// snapshot of the maps, whose encoded size is exact (fixed-size
-    /// frames) and whose bytes are produced on demand.
-    pub fn capture(maps: &SscMaps, lsn: u64) -> Self {
+    /// Snapshots the forward maps at `lsn` into two flat vectors; their
+    /// encoded size is exact (fixed-size frames) and their bytes are
+    /// produced on demand. `recycled` — the checkpoint whose slot this one
+    /// overwrites — donates its vectors, so steady-state capture does not
+    /// allocate.
+    pub fn capture(maps: &SscMaps, lsn: u64, recycled: Option<Checkpoint>) -> Self {
+        let (mut pages, mut blocks) = match recycled.map(|c| c.snapshot) {
+            Some(Snapshot::Deferred { pages, blocks }) => (pages, blocks),
+            _ => (Vec::new(), Vec::new()),
+        };
+        pages.clear();
+        pages.extend(maps.pages().iter().map(|(lba, ptr)| (lba, *ptr)));
+        blocks.clear();
+        blocks.extend(maps.blocks.iter().map(|(lbn, entry)| (lbn, *entry)));
         Checkpoint {
             lsn,
-            entry_counts: (maps.pages.len(), maps.blocks.len()),
-            snapshot: Snapshot::Deferred(maps.clone()),
+            entry_counts: (pages.len(), blocks.len()),
+            snapshot: Snapshot::Deferred { pages, blocks },
         }
     }
 
-    /// Encodes `maps` into the checkpoint wire format covering `lsn` —
-    /// page entries first, then block entries, matching map iteration
-    /// order.
-    fn encode(maps: &SscMaps, lsn: u64) -> Vec<u8> {
+    /// Encodes captured entries into the checkpoint wire format covering
+    /// `lsn` — page entries first, then block entries.
+    fn encode(pages: &[(u64, PagePtr)], blocks: &[(u64, BlockEntry)], lsn: u64) -> Vec<u8> {
         use crate::wal::LogRecord;
         let mut bytes = Vec::with_capacity(
-            maps.pages.len() * PAGE_ENTRY_BYTES as usize
-                + maps.blocks.len() * BLOCK_ENTRY_BYTES as usize,
+            pages.len() * PAGE_ENTRY_BYTES as usize + blocks.len() * BLOCK_ENTRY_BYTES as usize,
         );
-        for (lba, ptr) in maps.pages.iter() {
+        for &(lba, ptr) in pages {
             let record = LogRecord::InsertPage {
                 lba,
                 ppn: ptr.ppn().raw(),
@@ -85,7 +101,7 @@ impl Checkpoint {
             };
             crate::codec::encode_record_into(lsn, &record, &mut bytes);
         }
-        for (lbn, entry) in maps.blocks.iter() {
+        for &(lbn, entry) in blocks {
             let record = LogRecord::InsertBlock {
                 lbn,
                 pbn: entry.pbn,
@@ -102,7 +118,7 @@ impl Checkpoint {
     pub fn bytes(&self) -> u64 {
         match &self.snapshot {
             Snapshot::Encoded(bytes) => bytes.len() as u64,
-            Snapshot::Deferred(_) => {
+            Snapshot::Deferred { .. } => {
                 self.entry_counts.0 as u64 * PAGE_ENTRY_BYTES
                     + self.entry_counts.1 as u64 * BLOCK_ENTRY_BYTES
             }
@@ -111,12 +127,12 @@ impl Checkpoint {
 
     /// Materializes the wire bytes (encoding a deferred snapshot).
     fn materialize(&mut self) -> &mut Vec<u8> {
-        if let Snapshot::Deferred(maps) = &self.snapshot {
-            self.snapshot = Snapshot::Encoded(Self::encode(maps, self.lsn));
+        if let Snapshot::Deferred { pages, blocks } = &self.snapshot {
+            self.snapshot = Snapshot::Encoded(Self::encode(pages, blocks, self.lsn));
         }
         match &mut self.snapshot {
             Snapshot::Encoded(bytes) => bytes,
-            Snapshot::Deferred(_) => unreachable!("just materialized"),
+            Snapshot::Deferred { .. } => unreachable!("just materialized"),
         }
     }
 
@@ -131,8 +147,8 @@ impl Checkpoint {
         let encoded;
         let bytes = match &self.snapshot {
             Snapshot::Encoded(bytes) => bytes.as_slice(),
-            Snapshot::Deferred(maps) => {
-                encoded = Self::encode(maps, self.lsn);
+            Snapshot::Deferred { pages, blocks } => {
+                encoded = Self::encode(pages, blocks, self.lsn);
                 encoded.as_slice()
             }
         };
@@ -206,7 +222,7 @@ impl CheckpointStore {
     /// Serializes `maps` as a new checkpoint covering `lsn`, overwriting the
     /// older slot, and returns the simulated write cost.
     pub fn write(&mut self, maps: &SscMaps, lsn: u64) -> Duration {
-        let ckpt = Checkpoint::capture(maps, lsn);
+        let ckpt = Checkpoint::capture(maps, lsn, self.slots[self.next_slot].take());
         let pages = ckpt.bytes().div_ceil(self.page_size as u64).max(1);
         self.counters.written += 1;
         self.counters.pages_written += pages;
@@ -303,7 +319,7 @@ mod tests {
         let ckpt = store.latest().unwrap();
         assert_eq!(ckpt.lsn, 42);
         let restored = ckpt.restore(64).expect("intact snapshot decodes");
-        assert_eq!(restored.pages.len(), maps.pages.len());
+        assert_eq!(restored.pages().len(), maps.pages().len());
         assert_eq!(restored.blocks.len(), maps.blocks.len());
         for i in 0..100u64 {
             assert_eq!(

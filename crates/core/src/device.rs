@@ -329,11 +329,10 @@ impl Ssc {
         let modeled = memory::sparse_modeled_bytes(self.maps.blocks.len(), 8 + 16)
             + memory::sparse_modeled_bytes(reserved_page_entries as usize, 8 + 8)
             + self.config.total_blocks() * 8;
-        let heap = self.maps.blocks.memory().heap_bytes + self.maps.pages.memory().heap_bytes;
         MapMemory {
-            entries: self.maps.blocks.len() + self.maps.pages.len(),
+            entries: self.maps.blocks.len() + self.maps.pages().len(),
             modeled_bytes: modeled,
-            heap_bytes: heap,
+            heap_bytes: self.maps.heap_bytes(),
         }
     }
 
@@ -711,7 +710,7 @@ impl Ssc {
                 write_seq,
             });
         };
-        for (lba, ptr) in self.maps.pages.iter() {
+        for (lba, ptr) in self.maps.pages().iter() {
             push(lba, ptr.ppn(), ptr.dirty(), &self.dev);
         }
         for (lbn, entry) in self.maps.blocks.iter() {
@@ -808,31 +807,27 @@ impl Ssc {
             .log_blocks
             .pop_front()
             .expect("recycle with no log blocks");
-        if let Some(lbn) = self.switch_candidate(victim)? {
-            self.switch_merge(victim, lbn)
-        } else {
-            self.full_merge(victim)
+        let valid = self.dev.valid_pages_of(victim)?;
+        match self.switch_candidate(&valid) {
+            Some(lbn) => self.switch_merge(victim, lbn),
+            None => self.full_merge(victim, &valid),
         }
     }
 
-    /// A log block qualifies for a switch merge when it holds exactly one
-    /// LBN, fully valid, in logical order.
-    fn switch_candidate(&self, victim: Pbn) -> Result<Option<u64>> {
-        let ppb = self.ppb();
-        let valid = self.dev.valid_pages_of(victim)?;
-        if valid.len() != ppb as usize {
-            return Ok(None);
+    /// A log block (given as its valid pages in programming order)
+    /// qualifies for a switch merge when it holds exactly one LBN, fully
+    /// valid, in logical order.
+    fn switch_candidate(&self, valid: &[(Ppn, OobData)]) -> Option<u64> {
+        let ppb = self.ppb() as u64;
+        if valid.len() as u64 != ppb {
+            return None;
         }
-        let first_lba = match valid[0].1.lba {
-            Some(lba) if lba % ppb as u64 == 0 => lba,
-            _ => return Ok(None),
-        };
-        for (i, (_, oob)) in valid.iter().enumerate() {
-            if oob.lba != Some(first_lba + i as u64) {
-                return Ok(None);
-            }
-        }
-        Ok(Some(first_lba / ppb as u64))
+        let first_lba = valid[0].1.lba.filter(|lba| lba % ppb == 0)?;
+        valid
+            .iter()
+            .zip(first_lba..)
+            .all(|((_, oob), lba)| oob.lba == Some(lba))
+            .then_some(first_lba / ppb)
     }
 
     /// Switch merge: the victim log block becomes the LBN's data block with
@@ -887,7 +882,7 @@ impl Ssc {
     /// copied, and the (few) dirty pages are compacted forward into the
     /// active log block. Thin logical blocks therefore never consume a
     /// whole erase block.
-    fn full_merge(&mut self, victim: Pbn) -> Result<Duration> {
+    fn full_merge(&mut self, victim: Pbn, valid: &[(Ppn, OobData)]) -> Result<Duration> {
         let mut cost = Duration::ZERO;
         let ppb = self.ppb() as u64;
         // Sorted LBAs of the victim's valid pages. Grouping the sorted list
@@ -895,12 +890,7 @@ impl Ssc {
         // per-merge `BTreeSet` produced, minus its node allocations), and
         // within a group the candidates come out in ascending page offset —
         // the same visit order as a `0..ppb` scan.
-        let mut lbas: Vec<u64> = self
-            .dev
-            .valid_pages_of(victim)?
-            .into_iter()
-            .filter_map(|(_, oob)| oob.lba)
-            .collect();
+        let mut lbas: Vec<u64> = valid.iter().filter_map(|(_, oob)| oob.lba).collect();
         lbas.sort_unstable();
         lbas.dedup();
         let mut next = 0;
@@ -910,19 +900,9 @@ impl Ssc {
             while next < lbas.len() && lbas[next] / ppb == lbn {
                 next += 1;
             }
-            // Live pages of this LBN across the log and its data block. The
-            // count is only compared against the merge threshold, so stop
-            // probing as soon as the comparison is decided.
-            let old_entry = self.maps.blocks.get(lbn).copied();
-            let mut live = old_entry.map(|e| e.valid_count()).unwrap_or(0);
-            for offset in 0..ppb {
-                if live >= self.config.min_merge_pages {
-                    break;
-                }
-                if self.maps.pages.contains_key(lbn * ppb + offset) {
-                    live += 1;
-                }
-            }
+            // Live pages of this LBN across its data block and the log.
+            let in_block = self.maps.blocks.get(lbn).map_or(0, |e| e.valid_count());
+            let live = in_block + self.maps.log_offsets(lbn).count_ones();
             if live >= self.config.min_merge_pages {
                 cost += self.merge_lbn(lbn)?;
                 continue;
@@ -933,7 +913,7 @@ impl Ssc {
             // mapped LBA, and a mapped PPN is always a valid page), so the
             // group replaces the old probe over every offset of the LBN.
             for &lba in &lbas[group_start..next] {
-                let Some(ptr) = self.maps.pages.get(lba).copied() else {
+                let Some(ptr) = self.maps.pages().get(lba).copied() else {
                     continue;
                 };
                 // Live pages in younger log blocks stay where they are.
@@ -1019,14 +999,17 @@ impl Ssc {
         // costs a future re-growth).
         let mut sources = std::mem::take(&mut self.sources_scratch);
         sources.clear();
+        let logged = self.maps.log_offsets(lbn);
         for offset in 0..ppb as u32 {
-            let lba = lbn * ppb + offset as u64;
-            let src = match self.maps.pages.get(lba) {
-                Some(ptr) => Some((ptr.ppn(), ptr.dirty(), true)),
-                None => old.and_then(|e| {
+            let src = if logged & (1 << offset) != 0 {
+                let lba = lbn * ppb + offset as u64;
+                let ptr = self.maps.pages().get(lba).expect("occupancy bit set");
+                Some((ptr.ppn(), ptr.dirty(), true))
+            } else {
+                old.and_then(|e| {
                     e.is_valid(offset)
                         .then(|| (Ppn(e.pbn * ppb + offset as u64), e.is_dirty(offset), false))
-                }),
+                })
             };
             sources.push(src);
         }
@@ -1372,7 +1355,7 @@ impl Ssc {
 
     /// Test/debug helper: page-level entry count.
     pub fn debug_page_entries(&self) -> usize {
-        self.maps.pages.len()
+        self.maps.pages().len()
     }
 }
 
@@ -1986,6 +1969,28 @@ mod index_oracle_tests {
             .collect();
         expect.sort_unstable();
         assert_eq!(s.clean_index.snapshot(), expect, "index contents diverged");
+        // Log occupancy: every LBN with a page-mapped offset carries exactly
+        // the bitmap a probe of each offset yields, and nothing else (in
+        // particular no zero bitmap) is retained.
+        let pages = s.maps.pages();
+        let ppb = s.ppb() as u64;
+        let mut lbns: Vec<u64> = pages.keys().map(|lba| lba / ppb).collect();
+        lbns.sort_unstable();
+        lbns.dedup();
+        let scanned: Vec<(u64, u64)> = lbns
+            .into_iter()
+            .map(|lbn| {
+                let bits = (0..ppb)
+                    .filter(|offset| pages.contains_key(lbn * ppb + offset))
+                    .fold(0, |bits, offset| bits | 1 << offset);
+                (lbn, bits)
+            })
+            .collect();
+        assert_eq!(
+            s.maps.log_occupancy_snapshot(),
+            scanned,
+            "log occupancy diverged from a page-map scan"
+        );
     }
 
     fn step(rng: &mut u64) -> u64 {
@@ -1996,8 +2001,8 @@ mod index_oracle_tests {
     }
 
     /// Drives an arbitrary operation trace (all six interface ops plus
-    /// background GC, wear leveling and crash/recovery) and checks the
-    /// index/scan agreement after every single operation.
+    /// background GC, wear leveling and clean or torn crash/recovery) and
+    /// checks the index/scan agreement after every single operation.
     fn run_trace(policy: VictimSelection, seed: u64, ops: u64) {
         let mut config = SscConfig::small_test();
         config.victim_selection = policy;
@@ -2037,6 +2042,10 @@ mod index_oracle_tests {
                     s.wear_level(step(&mut rng) % 4 + 1).unwrap();
                 }
                 _ => {
+                    // Half the power failures also tear the final log flush.
+                    if step(&mut rng).is_multiple_of(2) {
+                        s.wal_crash_torn((step(&mut rng) % 200) as usize);
+                    }
                     s.crash();
                     s.recover().unwrap();
                 }

@@ -143,10 +143,16 @@ impl Resolved {
 /// The combined hybrid forward map.
 #[derive(Debug, Clone)]
 pub struct SscMaps {
-    /// LBA → log page.
-    pub pages: SparseHashMap<PagePtr>,
+    /// LBA → log page. Private so that only [`SscMaps::insert_page`] and
+    /// [`SscMaps::remove_page`] change its key set; read via
+    /// [`SscMaps::pages`].
+    pages: SparseHashMap<PagePtr>,
     /// LBN → data block.
     pub blocks: SparseHashMap<BlockEntry>,
+    /// LBN → bitmap of its page-mapped offsets: an index derived from
+    /// `pages` (DESIGN.md §7) so a merge asks one question per logical
+    /// block, not one per offset. A zero bitmap is never stored.
+    log_occupancy: SparseHashMap<u64>,
     ppb: u32,
 }
 
@@ -180,8 +186,37 @@ impl SscMaps {
         SscMaps {
             pages: SparseHashMap::with_capacity(page_hint.min(MAX_HINT)),
             blocks: SparseHashMap::with_capacity(block_hint.min(MAX_HINT)),
+            log_occupancy: SparseHashMap::new(),
             ppb,
         }
+    }
+
+    /// The page-level map, read-only.
+    pub fn pages(&self) -> &SparseHashMap<PagePtr> {
+        &self.pages
+    }
+
+    /// Bitmap of the offsets of `lbn` that are page-mapped (bit `i` set iff
+    /// `pages` holds `lbn * ppb + i`).
+    pub fn log_offsets(&self, lbn: u64) -> u64 {
+        self.log_occupancy.get(lbn).copied().unwrap_or(0)
+    }
+
+    /// Full index contents sorted by LBN: `(lbn, bitmap)`. Oracle-test
+    /// hook for comparing against a per-offset scan of `pages`.
+    #[cfg(test)]
+    pub(crate) fn log_occupancy_snapshot(&self) -> Vec<(u64, u64)> {
+        let mut out: Vec<_> = self.log_occupancy.iter().map(|(k, v)| (k, *v)).collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// Real heap bytes of both maps and the log-occupancy index (which,
+    /// not being modelled device memory, appears in no Table 4 figure).
+    pub fn heap_bytes(&self) -> u64 {
+        self.pages.memory().heap_bytes
+            + self.blocks.memory().heap_bytes
+            + self.log_occupancy.memory().heap_bytes
     }
 
     /// Pages per erase block.
@@ -221,12 +256,32 @@ impl SscMaps {
 
     /// Inserts a page-level mapping, returning the previous pointer.
     pub fn insert_page(&mut self, lba: u64, ptr: PagePtr) -> Option<PagePtr> {
-        self.pages.insert(lba, ptr)
+        let old = self.pages.insert(lba, ptr);
+        if old.is_none() {
+            let (lbn, offset) = self.split(lba);
+            match self.log_occupancy.get_mut(lbn) {
+                Some(bits) => *bits |= 1 << offset,
+                None => {
+                    self.log_occupancy.insert(lbn, 1 << offset);
+                }
+            }
+        }
+        old
     }
 
     /// Removes a page-level mapping.
     pub fn remove_page(&mut self, lba: u64) -> Option<PagePtr> {
-        self.pages.remove(lba)
+        let old = self.pages.remove(lba)?;
+        let (lbn, offset) = self.split(lba);
+        let bits = self
+            .log_occupancy
+            .get_mut(lbn)
+            .expect("a mapped page has its occupancy bit");
+        *bits &= !(1u64 << offset);
+        if *bits == 0 {
+            self.log_occupancy.remove(lbn);
+        }
+        Some(old)
     }
 
     /// Inserts a block-level mapping, returning the previous entry.
@@ -357,6 +412,26 @@ mod tests {
         let r = m.lookup(4).unwrap();
         assert_eq!(r.ppn(), Ppn(5 * 8 + 4));
         assert!(!r.dirty());
+    }
+
+    #[test]
+    fn log_offsets_follow_page_inserts_and_removes() {
+        let mut m = SscMaps::new(8);
+        assert_eq!(m.log_offsets(1), 0);
+        m.insert_page(9, PagePtr::new(Ppn(1), false));
+        m.insert_page(15, PagePtr::new(Ppn(2), true));
+        // Re-pointing a mapped page leaves its bit alone.
+        assert!(m.insert_page(9, PagePtr::new(Ppn(3), true)).is_some());
+        assert_eq!(m.log_offsets(1), 0b1000_0010);
+        assert_eq!(m.log_offsets(0), 0, "neighbouring LBN untouched");
+        assert!(m.remove_page(10).is_none(), "absent page: nothing changes");
+        m.remove_page(9);
+        assert_eq!(m.log_offsets(1), 0b1000_0000);
+        m.remove_page(15);
+        assert_eq!(m.log_occupancy_snapshot(), vec![], "zero bitmap dropped");
+        // The index is host bookkeeping: it shows up in heap bytes only.
+        let pages_and_blocks = m.pages().memory().heap_bytes + m.blocks.memory().heap_bytes;
+        assert!(m.heap_bytes() > pages_and_blocks);
     }
 
     #[test]

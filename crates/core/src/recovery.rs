@@ -159,7 +159,7 @@ impl Ssc {
         let mut referenced: HashSet<Ppn> = HashSet::new();
         // Blocks serving as data blocks.
         let mut data_blocks: HashSet<Pbn> = HashSet::new();
-        for (_, ptr) in self.maps.pages.iter() {
+        for (_, ptr) in self.maps.pages().iter() {
             referenced.insert(ptr.ppn());
         }
         for (_, entry) in self.maps.blocks.iter() {
