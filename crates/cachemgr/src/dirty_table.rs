@@ -13,6 +13,7 @@
 
 use std::collections::HashMap;
 
+use simkit::hash::BlockHash;
 use sparsemap::MapMemory;
 
 use crate::lru::LruList;
@@ -24,7 +25,7 @@ pub const ENTRY_BYTES: u64 = 14;
 #[derive(Debug, Clone)]
 pub struct DirtyTable {
     /// LBA -> slot index.
-    index: HashMap<u64, u32>,
+    index: HashMap<u64, u32, BlockHash>,
     /// Slot -> LBA (NIL slots hold `None`).
     slots: Vec<Option<u64>>,
     free: Vec<u32>,
@@ -35,7 +36,7 @@ impl DirtyTable {
     /// Creates a table with room for `capacity` dirty blocks.
     pub fn new(capacity: usize) -> Self {
         DirtyTable {
-            index: HashMap::new(),
+            index: HashMap::default(),
             slots: vec![None; capacity],
             free: (0..capacity as u32).rev().collect(),
             lru: LruList::new(capacity),
@@ -135,7 +136,8 @@ impl DirtyTable {
         run.sort_unstable();
     }
 
-    /// Iterates all tracked dirty blocks (unspecified order).
+    /// Iterates all tracked dirty blocks, in an unspecified order that is the
+    /// same on every run (the index hashes with [`BlockHash`]).
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
         self.index.keys().copied()
     }

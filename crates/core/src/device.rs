@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use flashsim::{FlashCounters, FlashDevice, OobData, PageState, Pbn, Ppn, WearStats};
+use flashsim::{set_bits, FlashCounters, FlashDevice, OobData, Pbn, Ppn, WearStats};
 use ftl::FreeBlockPool;
 use simkit::{Duration, PageBuf};
 use sparsemap::{memory, MapMemory};
@@ -136,10 +136,11 @@ pub struct Ssc {
     /// Scripted power failure: fire at the `.1`-th future hit of site `.0`.
     pub(crate) armed_crash: Option<(CrashSite, u64)>,
     pub(crate) counters: SscCounters,
-    /// Scratch buffers reused across merges and compactions so sustained GC
-    /// does not allocate: per-offset sources and the batch PPN list.
-    sources_scratch: Vec<Option<(Ppn, bool, bool)>>,
-    ppn_scratch: Vec<Ppn>,
+    /// Scratch buffers reused across merges so sustained GC does not
+    /// allocate: the per-offset copy sources of one LBN and the sorted LBAs
+    /// of one victim log block.
+    sources_scratch: Vec<Option<Ppn>>,
+    lba_scratch: Vec<u64>,
     /// Memoized checkpoint trigger: `(base_lsn, appended_bytes threshold)`.
     /// Both inputs of the log-size policy — the base checkpoint's LSN
     /// offset and its size-derived threshold — are fixed between
@@ -178,7 +179,7 @@ impl Ssc {
             armed_crash: None,
             counters: SscCounters::default(),
             sources_scratch: Vec::new(),
-            ppn_scratch: Vec::new(),
+            lba_scratch: Vec::new(),
             ckpt_trigger: None,
             clean_index: CleanBlockIndex::new(planes),
         }
@@ -515,6 +516,17 @@ impl Ssc {
         Ok(cost)
     }
 
+    /// Invalidates every valid page of `pbn` (a block whose mapping was just
+    /// dropped or replaced) and returns how many there were.
+    fn invalidate_valid_pages(&mut self, pbn: Pbn) -> Result<u64> {
+        let first = self.dev.geometry().first_page(pbn).raw();
+        let valid = self.dev.valid_mask(pbn)?;
+        for page in set_bits(valid) {
+            self.dev.invalidate_page(Ppn(first + u64::from(page)))?;
+        }
+        Ok(u64::from(valid.count_ones()))
+    }
+
     /// Invalidates the current copy of `lba` (both levels), appending the
     /// matching log records. Returns `true` if a copy existed.
     fn invalidate_lba(&mut self, lba: u64) -> Result<bool> {
@@ -807,27 +819,31 @@ impl Ssc {
             .log_blocks
             .pop_front()
             .expect("recycle with no log blocks");
-        let valid = self.dev.valid_pages_of(victim)?;
-        match self.switch_candidate(&valid) {
+        match self.switch_candidate(victim)? {
             Some(lbn) => self.switch_merge(victim, lbn),
-            None => self.full_merge(victim, &valid),
+            None => self.full_merge(victim),
         }
     }
 
-    /// A log block (given as its valid pages in programming order)
-    /// qualifies for a switch merge when it holds exactly one LBN, fully
-    /// valid, in logical order.
-    fn switch_candidate(&self, valid: &[(Ppn, OobData)]) -> Option<u64> {
+    /// A log block qualifies for a switch merge when it holds exactly one
+    /// LBN, fully valid, in logical order.
+    fn switch_candidate(&self, victim: Pbn) -> Result<Option<u64>> {
         let ppb = self.ppb() as u64;
-        if valid.len() as u64 != ppb {
-            return None;
+        if u64::from(self.dev.block_state(victim)?.valid_pages) != ppb {
+            return Ok(None);
         }
-        let first_lba = valid[0].1.lba.filter(|lba| lba % ppb == 0)?;
-        valid
-            .iter()
-            .zip(first_lba..)
+        let mut valid = self.dev.valid_pages_iter(victim)?;
+        let Some(first_lba) = valid
+            .next()
+            .and_then(|(_, oob)| oob.lba)
+            .filter(|lba| lba % ppb == 0)
+        else {
+            return Ok(None);
+        };
+        Ok(valid
+            .zip(first_lba + 1..)
             .all(|((_, oob), lba)| oob.lba == Some(lba))
-            .then_some(first_lba / ppb)
+            .then_some(first_lba / ppb))
     }
 
     /// Switch merge: the victim log block becomes the LBN's data block with
@@ -864,12 +880,7 @@ impl Ssc {
         // Make the re-mapping durable before destroying the old copies.
         cost += self.commit_sync()?;
         if let Some(old_entry) = old {
-            for offset in 0..self.ppb() {
-                let ppn = Ppn(old_entry.pbn * ppb + offset as u64);
-                if self.dev.page_state(ppn)? != PageState::Free {
-                    self.dev.invalidate_page(ppn)?;
-                }
-            }
+            self.invalidate_valid_pages(Pbn(old_entry.pbn))?;
             cost += self.retire_block(Pbn(old_entry.pbn))?;
         }
         self.counters.switch_merges += 1;
@@ -882,15 +893,22 @@ impl Ssc {
     /// copied, and the (few) dirty pages are compacted forward into the
     /// active log block. Thin logical blocks therefore never consume a
     /// whole erase block.
-    fn full_merge(&mut self, victim: Pbn, valid: &[(Ppn, OobData)]) -> Result<Duration> {
+    fn full_merge(&mut self, victim: Pbn) -> Result<Duration> {
         let mut cost = Duration::ZERO;
         let ppb = self.ppb() as u64;
-        // Sorted LBAs of the victim's valid pages. Grouping the sorted list
-        // by LBN visits logical blocks in ascending order (what the old
-        // per-merge `BTreeSet` produced, minus its node allocations), and
-        // within a group the candidates come out in ascending page offset —
-        // the same visit order as a `0..ppb` scan.
-        let mut lbas: Vec<u64> = valid.iter().filter_map(|(_, oob)| oob.lba).collect();
+        // Sorted LBAs of the victim's valid pages, in the reusable scratch
+        // vector (taken out of `self` for the merge; an early `?` return
+        // just costs a future re-growth). Grouping the sorted list by LBN
+        // visits logical blocks in ascending order, and within a group the
+        // candidates come out in ascending page offset — the same visit
+        // order as a `0..ppb` scan.
+        let mut lbas = std::mem::take(&mut self.lba_scratch);
+        lbas.clear();
+        lbas.extend(
+            self.dev
+                .valid_pages_iter(victim)?
+                .filter_map(|(_, oob)| oob.lba),
+        );
         lbas.sort_unstable();
         lbas.dedup();
         let mut next = 0;
@@ -930,6 +948,7 @@ impl Ssc {
                 }
             }
         }
+        self.lba_scratch = lbas;
         // Durable un-mappings before the erase destroys the old copies.
         cost += self.commit_sync()?;
         debug_assert_eq!(self.dev.block_state(victim)?.valid_pages, 0);
@@ -993,105 +1012,75 @@ impl Ssc {
         // this LBN's.
         let fresh = self.alloc_for_merge(&mut cost)?;
         let old = self.maps.blocks.get(lbn).copied();
-        // Newest source of each offset: log page first, then old data block.
-        // The scratch vectors are taken out of `self` for the duration of
-        // the merge (they start and end empty, so an early `?` return just
-        // costs a future re-growth).
-        let mut sources = std::mem::take(&mut self.sources_scratch);
-        sources.clear();
+        // Newest copy of each offset: log page first, then old data block.
         let logged = self.maps.log_offsets(lbn);
-        for offset in 0..ppb as u32 {
-            let src = if logged & (1 << offset) != 0 {
-                let lba = lbn * ppb + offset as u64;
-                let ptr = self.maps.pages().get(lba).expect("occupancy bit set");
-                Some((ptr.ppn(), ptr.dirty(), true))
-            } else {
-                old.and_then(|e| {
-                    e.is_valid(offset)
-                        .then(|| (Ppn(e.pbn * ppb + offset as u64), e.is_dirty(offset), false))
-                })
-            };
-            sources.push(src);
+        let in_data = old.map_or(0, |e| e.valid);
+        debug_assert_eq!(logged & in_data, 0, "two valid copies of one LBA");
+        let live = logged | in_data;
+        if live == 0 {
+            // Nothing live for this LBN; return the unused block.
+            let erases = self.dev.block_state(fresh)?.erase_count;
+            let geometry = *self.dev.geometry();
+            self.pool.release(fresh, erases, &geometry);
+            if self.maps.remove_block(lbn).is_some() {
+                self.index_sync_lbn(lbn);
+                self.log_append(LogRecord::RemoveBlock { lbn });
+                cost += self.commit_sync()?;
+                if let Some(e) = old {
+                    cost += self.retire_block(Pbn(e.pbn))?;
+                }
+            }
+            return Ok(cost);
         }
-        let last = match sources.iter().rposition(|s| s.is_some()) {
-            Some(i) => i,
-            None => {
-                sources.clear();
-                self.sources_scratch = sources;
-                // Nothing live for this LBN; return the unused block.
-                let erases = self.dev.block_state(fresh)?.erase_count;
-                let geometry = *self.dev.geometry();
-                self.pool.release(fresh, erases, &geometry);
-                if self.maps.remove_block(lbn).is_some() {
-                    self.index_sync_lbn(lbn);
-                    self.log_append(LogRecord::RemoveBlock { lbn });
-                    cost += self.commit_sync()?;
-                    if let Some(e) = old {
-                        cost += self.retire_block(Pbn(e.pbn))?;
-                    }
+        // Rebuild offsets `0..=last live`. A log source's page-level entry
+        // is dropped as it is resolved (the copy supersedes it). The scratch
+        // vector is taken out of `self` for the duration of the merge (it
+        // starts and ends empty, so an early `?` return just costs a future
+        // re-growth).
+        let mut sources = std::mem::take(&mut self.sources_scratch);
+        let mut dirty = old.map_or(0, |e| e.dirty);
+        for offset in 0..u64::BITS - live.leading_zeros() {
+            sources.push(if logged & (1 << offset) != 0 {
+                let lba = lbn * ppb + u64::from(offset);
+                let ptr = self.maps.remove_page(lba).expect("occupancy bit set");
+                self.log_append(LogRecord::RemovePage { lba });
+                if ptr.dirty() {
+                    dirty |= 1 << offset;
                 }
-                return Ok(cost);
-            }
-        };
-        // Charge the batch read of every source page at once: cell reads on
-        // different planes overlap (§5's multi-plane device). The payloads
-        // are then copied device-internally and never cross to the host.
-        let mut source_ppns = std::mem::take(&mut self.ppn_scratch);
-        source_ppns.clear();
-        source_ppns.extend(
-            sources
-                .iter()
-                .take(last + 1)
-                .filter_map(|s| s.map(|(ppn, _, _)| ppn)),
-        );
-        cost += self.dev.read_pages_charge(&source_ppns)?;
-        let mut valid = 0u64;
-        let mut dirty = 0u64;
-        for (offset, src) in sources.iter().enumerate().take(last + 1) {
-            let lba = lbn * ppb + offset as u64;
-            let src_dirty = src.map(|(_, d, _)| d).unwrap_or(false);
-            let seq = self.next_seq();
-            let oob = OobData::for_lba(lba, src_dirty, seq);
-            match src {
-                Some((old_ppn, d, from_log)) => {
-                    let (_, wcost) = self.dev.copy_page_from(fresh, *old_ppn, oob)?;
-                    cost += wcost;
-                    self.counters.gc_copies += 1;
-                    valid |= 1 << offset;
-                    if *d {
-                        dirty |= 1 << offset;
-                    }
-                    self.dev.invalidate_page(*old_ppn)?;
-                    if *from_log {
-                        self.maps.remove_page(lba);
-                        self.log_append(LogRecord::RemovePage { lba });
-                    }
-                }
-                None => {
-                    // Zero-filled hole: physically present but never mapped.
-                    // Device-internal fill, exempt from injected host faults.
-                    let (new_ppn, wcost) = self.dev.program_next_fill(fresh, oob)?;
-                    cost += wcost;
-                    self.counters.gc_copies += 1;
-                    self.dev.invalidate_page(new_ppn)?;
-                }
-            }
+                Some(ptr.ppn())
+            } else {
+                old.filter(|e| e.is_valid(offset))
+                    .map(|e| Ppn(e.pbn * ppb + u64::from(offset)))
+            });
+        }
+        // One device-internal rebuild: a multi-plane batch read of the
+        // sources (§5's multi-plane device) and one program per offset; the
+        // payloads never cross to the host.
+        let seq0 = self.seq;
+        cost += self.dev.copy_pages_from(fresh, &sources, |i| {
+            let dirty = dirty & (1 << i) != 0;
+            OobData::for_lba(lbn * ppb + i as u64, dirty, seq0 + 1 + i as u64)
+        })?;
+        self.seq += sources.len() as u64;
+        self.counters.gc_copies += sources.len() as u64;
+        // Zero-filled holes are physically present but never mapped.
+        let first = self.dev.geometry().first_page(fresh).raw();
+        for hole in set_bits(!live & (u64::MAX >> live.leading_zeros())) {
+            self.dev.invalidate_page(Ppn(first + u64::from(hole)))?;
         }
         sources.clear();
-        source_ppns.clear();
         self.sources_scratch = sources;
-        self.ppn_scratch = source_ppns;
         // Power fails mid-merge: pages were copied and their sources
         // invalidated in device RAM, but the new block mapping is not yet
         // durable. Recovery must roll back to the durable mappings.
         self.crash_point(CrashSite::Merge)?;
         self.maps
-            .insert_block(lbn, BlockEntry::new(fresh.raw(), valid, dirty));
+            .insert_block(lbn, BlockEntry::new(fresh.raw(), live, dirty));
         self.index_sync_lbn(lbn);
         self.log_append(LogRecord::InsertBlock {
             lbn,
             pbn: fresh.raw(),
-            valid,
+            valid: live,
             dirty,
         });
         // Durable before the old block is erased.
@@ -1143,17 +1132,9 @@ impl Ssc {
             self.log_append(LogRecord::RemoveBlock { lbn });
             cost += self.commit_sync()?;
             let pbn = Pbn(entry.pbn);
-            let mut evicted_pages = 0;
-            for offset in 0..self.ppb() {
-                let ppn = Ppn(entry.pbn * self.ppb() as u64 + offset as u64);
-                if self.dev.page_state(ppn)? == PageState::Valid {
-                    self.dev.invalidate_page(ppn)?;
-                    evicted_pages += 1;
-                }
-            }
+            self.counters.silently_evicted_pages += self.invalidate_valid_pages(pbn)?;
             cost += self.retire_block(pbn)?;
             self.counters.silent_evictions += 1;
-            self.counters.silently_evicted_pages += evicted_pages;
         }
         Ok(cost)
     }
@@ -1208,8 +1189,8 @@ impl Ssc {
     fn victim_score(&self, entry: &BlockEntry) -> (u64, u64) {
         let newest_seq = || -> u64 {
             self.dev
-                .valid_pages_of(Pbn(entry.pbn))
-                .map(|pages| pages.iter().map(|(_, oob)| oob.seq).max().unwrap_or(0))
+                .valid_pages_iter(Pbn(entry.pbn))
+                .map(|pages| pages.map(|(_, oob)| oob.seq).max().unwrap_or(0))
                 .unwrap_or(0)
         };
         match self.config.victim_selection {
@@ -1296,13 +1277,7 @@ impl Ssc {
         self.index_sync_lbn(lbn);
         self.log_append(LogRecord::RemoveBlock { lbn });
         cost += self.commit_sync()?;
-        for offset in 0..self.ppb() {
-            let ppn = Ppn(entry.pbn * self.ppb() as u64 + offset as u64);
-            if self.dev.page_state(ppn)? == PageState::Valid {
-                self.dev.invalidate_page(ppn)?;
-                self.counters.silently_evicted_pages += 1;
-            }
-        }
+        self.counters.silently_evicted_pages += self.invalidate_valid_pages(Pbn(entry.pbn))?;
         cost += self.retire_block(Pbn(entry.pbn))?;
         self.counters.silent_evictions += 1;
         Ok(cost)

@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use simkit::hash::BlockHash;
 use simkit::{Duration, PageBuf};
 
 use crate::model::DiskConfig;
@@ -61,9 +62,9 @@ pub struct Disk {
     mode: DiskDataMode,
     /// Position after the last transfer: the block that would stream next.
     head: Option<u64>,
-    data: HashMap<u64, Box<[u8]>>,
+    data: HashMap<u64, Box<[u8]>, BlockHash>,
     /// Write version per block, for deterministic discard-mode reads.
-    versions: HashMap<u64, u64>,
+    versions: HashMap<u64, u64, BlockHash>,
     counters: DiskCounters,
 }
 
@@ -74,8 +75,8 @@ impl Disk {
             config,
             mode,
             head: None,
-            data: HashMap::new(),
-            versions: HashMap::new(),
+            data: HashMap::default(),
+            versions: HashMap::default(),
             counters: DiskCounters::default(),
         }
     }

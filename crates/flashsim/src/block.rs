@@ -1,7 +1,6 @@
 //! Per-erase-block simulator state.
 
-use crate::oob::OobData;
-use crate::page::{Page, PageState};
+use crate::page::PageState;
 
 /// Aggregate state of an erase block, as visible to FTL/SSC policy code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,83 +33,92 @@ impl BlockState {
     }
 }
 
-/// A simulated erase block: a vector of pages plus write-pointer and wear
-/// accounting.
-#[derive(Debug, Clone)]
+/// Iterates the set bits of a per-block bitmap (such as
+/// [`crate::FlashDevice::valid_mask`]) as page indices, ascending — i.e. in
+/// programming order.
+pub fn set_bits(mut mask: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros();
+            mask &= mask - 1;
+            bit
+        })
+    })
+}
+
+/// A simulated erase block: a write pointer, a validity bitmap and wear
+/// accounting. Programming is strictly sequential, so the three page states
+/// need no per-page storage: page `i` is `Free` iff `i >= write_ptr`,
+/// `Valid` iff bit `i` of `valid` is set, and `Invalid` otherwise.
+/// [`crate::Geometry::new`] rejects blocks wider than
+/// [`crate::Geometry::MAX_PAGES_PER_BLOCK`], so the bitmap always fits.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Block {
-    pub(crate) pages: Vec<Page>,
     pub(crate) write_ptr: u32,
-    pub(crate) valid_pages: u32,
-    pub(crate) invalid_pages: u32,
+    pub(crate) valid: u64,
     pub(crate) erase_count: u64,
 }
 
 impl Block {
-    pub(crate) fn new(pages_per_block: u32) -> Self {
-        Block {
-            pages: vec![Page::default(); pages_per_block as usize],
-            write_ptr: 0,
-            valid_pages: 0,
-            invalid_pages: 0,
-            erase_count: 0,
-        }
-    }
-
     /// Snapshot of the aggregate state.
     pub fn state(&self) -> BlockState {
+        let valid_pages = self.valid.count_ones();
         BlockState {
-            valid_pages: self.valid_pages,
-            invalid_pages: self.invalid_pages,
+            valid_pages,
+            invalid_pages: self.write_ptr - valid_pages,
             write_ptr: self.write_ptr,
             erase_count: self.erase_count,
         }
     }
 
-    pub(crate) fn erase(&mut self) {
-        for p in &mut self.pages {
-            p.erase();
+    #[inline]
+    pub(crate) fn is_free(&self, page: u32) -> bool {
+        page >= self.write_ptr
+    }
+
+    pub(crate) fn page_state(&self, page: u32) -> PageState {
+        if self.is_free(page) {
+            PageState::Free
+        } else if self.valid & (1 << page) != 0 {
+            PageState::Valid
+        } else {
+            PageState::Invalid
         }
+    }
+
+    pub(crate) fn erase(&mut self) {
         self.write_ptr = 0;
-        self.valid_pages = 0;
-        self.invalid_pages = 0;
+        self.valid = 0;
         self.erase_count += 1;
     }
 
-    pub(crate) fn program(&mut self, page: u32, data: Option<Box<[u8]>>, oob: OobData) {
-        let slot = &mut self.pages[page as usize];
-        debug_assert_eq!(slot.state, PageState::Free);
-        slot.state = PageState::Valid;
-        slot.oob = oob;
-        slot.data = data;
-        self.write_ptr = page + 1;
-        self.valid_pages += 1;
+    /// Programs the next `count` pages, all `Valid`.
+    pub(crate) fn program(&mut self, count: u32) {
+        debug_assert!(count >= 1 && self.write_ptr + count <= u64::BITS);
+        self.valid |= (u64::MAX >> (u64::BITS - count)) << self.write_ptr;
+        self.write_ptr += count;
+    }
+
+    /// Consumes the next page without making it valid (a failed program).
+    pub(crate) fn consume(&mut self) {
+        self.write_ptr += 1;
     }
 
     pub(crate) fn revalidate(&mut self, page: u32) -> bool {
-        let slot = &mut self.pages[page as usize];
-        if slot.state == PageState::Invalid {
-            slot.state = PageState::Valid;
-            self.valid_pages += 1;
-            self.invalid_pages -= 1;
-            true
-        } else {
-            false
-        }
+        debug_assert!(!self.is_free(page));
+        let was_invalid = self.valid & (1 << page) == 0;
+        self.valid |= 1 << page;
+        was_invalid
     }
 
     pub(crate) fn invalidate(&mut self, page: u32) -> bool {
-        let slot = &mut self.pages[page as usize];
-        if slot.state == PageState::Valid {
-            slot.state = PageState::Invalid;
-            // The cells keep their content until the block is erased; a
-            // crash-recovered mapping may legitimately read a superseded
-            // (but never torn) version.
-            self.valid_pages -= 1;
-            self.invalid_pages += 1;
-            true
-        } else {
-            false
-        }
+        debug_assert!(!self.is_free(page));
+        // The cells keep their content until the block is erased; a
+        // crash-recovered mapping may legitimately read a superseded
+        // (but never torn) version.
+        let was_valid = self.valid & (1 << page) != 0;
+        self.valid &= !(1 << page);
+        was_valid
     }
 }
 
@@ -120,35 +128,63 @@ mod tests {
 
     #[test]
     fn new_block_is_empty() {
-        let b = Block::new(8);
+        let b = Block::default();
         let s = b.state();
         assert!(s.is_empty());
         assert!(!s.is_full(8));
         assert_eq!(s.free_pages(8), 8);
         assert_eq!(s.erase_count, 0);
+        assert_eq!(b.page_state(0), PageState::Free);
     }
 
     #[test]
     fn program_and_invalidate_track_counts() {
-        let mut b = Block::new(4);
-        b.program(0, None, OobData::for_lba(1, false, 1));
-        b.program(1, None, OobData::for_lba(2, false, 2));
+        let mut b = Block::default();
+        b.program(1);
+        b.program(1);
         assert_eq!(b.state().valid_pages, 2);
         assert_eq!(b.state().write_ptr, 2);
         assert!(b.invalidate(0));
         assert_eq!(b.state().valid_pages, 1);
         assert_eq!(b.state().invalid_pages, 1);
+        assert_eq!(b.page_state(0), PageState::Invalid);
+        assert_eq!(b.page_state(1), PageState::Valid);
+        assert_eq!(b.page_state(2), PageState::Free);
         // Double-invalidate is a no-op.
         assert!(!b.invalidate(0));
         assert_eq!(b.state().invalid_pages, 1);
+        assert!(b.revalidate(0));
+        assert!(!b.revalidate(0));
+        assert_eq!(b.state().invalid_pages, 0);
+    }
+
+    #[test]
+    fn consumed_pages_are_invalid_and_runs_fill_the_widest_block() {
+        let mut b = Block::default();
+        b.consume();
+        assert_eq!(b.page_state(0), PageState::Invalid);
+        b.program(63);
+        let s = b.state();
+        assert!(s.is_full(64));
+        assert_eq!((s.valid_pages, s.invalid_pages), (63, 1));
+        assert_eq!(b.valid, u64::MAX << 1);
+    }
+
+    #[test]
+    fn set_bits_ascend() {
+        assert_eq!(set_bits(0).count(), 0);
+        assert_eq!(set_bits(0b1010_0001).collect::<Vec<_>>(), [0, 5, 7]);
+        assert_eq!(
+            set_bits(u64::MAX).collect::<Vec<_>>(),
+            (0..64).collect::<Vec<_>>()
+        );
+        assert_eq!(set_bits(1 << 63).collect::<Vec<_>>(), [63]);
     }
 
     #[test]
     fn erase_resets_and_counts_wear() {
-        let mut b = Block::new(4);
-        for i in 0..4 {
-            b.program(i, None, OobData::for_lba(i as u64, false, i as u64));
-        }
+        let mut b = Block::default();
+        b.program(4);
         assert!(b.state().is_full(4));
         b.erase();
         let s = b.state();

@@ -17,11 +17,16 @@ pub struct Geometry {
 }
 
 impl Geometry {
+    /// Widest erase block the stack supports: page validity is one `u64`
+    /// bitmap per block in the flash device, the hybrid FTL and the SSC.
+    pub const MAX_PAGES_PER_BLOCK: u32 = u64::BITS;
+
     /// Creates a geometry.
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero.
+    /// Panics if any dimension is zero, or if `pages_per_block` exceeds
+    /// [`Geometry::MAX_PAGES_PER_BLOCK`].
     pub fn new(
         planes: u32,
         blocks_per_plane: u32,
@@ -37,6 +42,11 @@ impl Geometry {
         assert!(
             pages_per_block > 0,
             "geometry needs at least one page per block"
+        );
+        assert!(
+            pages_per_block <= Self::MAX_PAGES_PER_BLOCK,
+            "{pages_per_block} pages per block exceed the {}-bit per-block validity bitmap",
+            Self::MAX_PAGES_PER_BLOCK
         );
         assert!(page_size > 0, "geometry needs a non-zero page size");
         Geometry {
@@ -300,5 +310,17 @@ mod tests {
     #[should_panic(expected = "at least one plane")]
     fn zero_planes_rejected() {
         Geometry::new(0, 1, 1, 512, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "65 pages per block exceed the 64-bit per-block validity bitmap")]
+    fn blocks_wider_than_the_validity_bitmap_rejected() {
+        Geometry::new(1, 1, 65, 512, 0);
+    }
+
+    #[test]
+    fn widest_block_is_accepted() {
+        let g = Geometry::new(1, 1, Geometry::MAX_PAGES_PER_BLOCK, 512, 0);
+        assert_eq!(g.pages_per_block(), 64);
     }
 }

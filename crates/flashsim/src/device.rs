@@ -1,7 +1,7 @@
 //! The simulated flash device.
 
 use crate::addr::{Pbn, Ppn};
-use crate::block::{Block, BlockState};
+use crate::block::{set_bits, Block, BlockState};
 use crate::config::{FlashConfig, Geometry};
 use crate::counters::{FlashCounters, WearStats, WearTracker};
 use crate::error::FlashError;
@@ -35,11 +35,17 @@ pub struct FlashDevice {
     config: FlashConfig,
     mode: DataMode,
     blocks: Vec<Block>,
+    /// OOB area of every page, indexed by PPN. Entries at or above a
+    /// block's write pointer are stale and unobservable: every accessor
+    /// checks the page is programmed first.
+    oob: Vec<OobData>,
+    /// Page payloads, indexed by PPN; empty in [`DataMode::Discard`].
+    payloads: Vec<Option<Box<[u8]>>>,
     counters: FlashCounters,
     /// Erase-count histogram kept in lockstep with the blocks so
     /// [`FlashDevice::wear`] is O(1) instead of a full-device scan.
     wear: WearTracker,
-    /// Per-plane read tally reused by [`FlashDevice::read_pages_into`] so
+    /// Per-plane read tally reused by [`FlashDevice::copy_pages_from`] so
     /// batch reads stay allocation-free.
     plane_scratch: Vec<u64>,
     /// Deterministic media-fault injection; `None` (the default) disables
@@ -51,11 +57,16 @@ impl FlashDevice {
     /// Creates a device with every block erased.
     pub fn new(config: FlashConfig, mode: DataMode) -> Self {
         let total_blocks = config.geometry.total_blocks() as usize;
-        let ppb = config.geometry.pages_per_block();
+        let total_pages = config.geometry.total_pages() as usize;
         FlashDevice {
             config,
             mode,
-            blocks: (0..total_blocks).map(|_| Block::new(ppb)).collect(),
+            blocks: vec![Block::default(); total_blocks],
+            oob: vec![OobData::default(); total_pages],
+            payloads: match mode {
+                DataMode::Store => vec![None; total_pages],
+                DataMode::Discard => Vec::new(),
+            },
             counters: FlashCounters::default(),
             wear: WearTracker::new(total_blocks as u64),
             plane_scratch: vec![0; config.geometry.planes() as usize],
@@ -121,14 +132,6 @@ impl FlashDevice {
         self.wear.stats()
     }
 
-    fn check_ppn(&self, ppn: Ppn) -> Result<()> {
-        if self.config.geometry.ppn_in_range(ppn) {
-            Ok(())
-        } else {
-            Err(FlashError::PpnOutOfRange(ppn))
-        }
-    }
-
     fn check_pbn(&self, pbn: Pbn) -> Result<()> {
         if self.config.geometry.pbn_in_range(pbn) {
             Ok(())
@@ -145,6 +148,39 @@ impl FlashDevice {
         &mut self.blocks[pbn.raw() as usize]
     }
 
+    /// Range-checks `ppn` and splits it into its block and in-block index.
+    #[inline]
+    fn locate(&self, ppn: Ppn) -> Result<(Pbn, u32)> {
+        let g = &self.config.geometry;
+        if !g.ppn_in_range(ppn) {
+            return Err(FlashError::PpnOutOfRange(ppn));
+        }
+        Ok((g.block_of(ppn), g.page_in_block(ppn)))
+    }
+
+    /// [`FlashDevice::locate`] for a page that must have been programmed
+    /// since its block's last erase.
+    #[inline]
+    fn locate_programmed(&self, ppn: Ppn) -> Result<(Pbn, u32)> {
+        let (pbn, idx) = self.locate(ppn)?;
+        if self.block(pbn).is_free(idx) {
+            return Err(FlashError::ReadFree(ppn));
+        }
+        Ok((pbn, idx))
+    }
+
+    /// The first of the next `count` programmable pages of `pbn`.
+    fn next_free(&self, pbn: Pbn, count: usize) -> Result<Ppn> {
+        self.check_pbn(pbn)?;
+        let g = &self.config.geometry;
+        let first = g.first_page(pbn);
+        let wp = self.block(pbn).write_ptr;
+        if wp as usize + count > g.pages_per_block() as usize {
+            return Err(FlashError::ProgramNotFree(first));
+        }
+        Ok(Ppn(first.raw() + u64::from(wp)))
+    }
+
     /// Deterministic synthetic payload for discard-mode reads, written into
     /// `out` (pseudo-random stream seeded from the page's identity).
     fn fake_data_into(ppn: Ppn, oob: &OobData, out: &mut [u8]) {
@@ -153,14 +189,16 @@ impl FlashDevice {
     }
 
     /// The single source of truth for what a programmed page reads back as:
-    /// stored payload when one exists, the deterministic synthetic stream in
-    /// discard mode, zeros otherwise (unreachable in store mode, where
-    /// payloads persist until erase; kept for robustness).
-    fn payload_into(mode: DataMode, ppn: Ppn, data: Option<&[u8]>, oob: &OobData, out: &mut [u8]) {
-        match (data, mode) {
-            (Some(d), _) => out.copy_from_slice(d),
-            (None, DataMode::Discard) => Self::fake_data_into(ppn, oob, out),
-            (None, DataMode::Store) => out.fill(0),
+    /// the deterministic synthetic stream in discard mode, the stored
+    /// payload in store mode, zeros for a page a failed program consumed.
+    fn payload_into(&self, ppn: Ppn, out: &mut [u8]) {
+        let at = ppn.raw() as usize;
+        match self.mode {
+            DataMode::Discard => Self::fake_data_into(ppn, &self.oob[at], out),
+            DataMode::Store => match &self.payloads[at] {
+                Some(data) => out.copy_from_slice(data),
+                None => out.fill(0),
+            },
         }
     }
 
@@ -184,13 +222,7 @@ impl FlashDevice {
     /// retry).
     #[inline]
     pub fn read_page_to(&mut self, ppn: Ppn, dest: Option<&mut PageBuf>) -> Result<Duration> {
-        self.check_ppn(ppn)?;
-        let g = self.config.geometry;
-        let pbn = g.block_of(ppn);
-        let idx = g.page_in_block(ppn) as usize;
-        if self.block(pbn).pages[idx].state == PageState::Free {
-            return Err(FlashError::ReadFree(ppn));
-        }
+        self.locate_programmed(ppn)?;
         let mut retries = 0u64;
         if let Some(inj) = &mut self.faults {
             match inj.on_read(ppn) {
@@ -201,9 +233,8 @@ impl FlashDevice {
             }
         }
         if let Some(buf) = dest {
-            let page = &self.block(pbn).pages[idx];
-            let out = buf.prepare(g.page_size());
-            Self::payload_into(self.mode, ppn, page.data.as_deref(), &page.oob, out);
+            let out = buf.prepare(self.config.geometry.page_size());
+            self.payload_into(ppn, out);
         }
         self.counters.page_reads += 1;
         Ok(self.config.timing.read_cost() * (1 + retries))
@@ -231,65 +262,6 @@ impl FlashDevice {
         Ok((buf.into_vec(), cost))
     }
 
-    /// Reads a batch of programmed pages into `buf` as one concatenated
-    /// span (`ppns.len() * page_size` bytes, in argument order), exploiting
-    /// plane parallelism: cell reads on different planes overlap, while the
-    /// shared bus serializes transfers. Cost = control delay + max-per-plane
-    /// sum of cell reads + one bus transfer per page. This is how merges and
-    /// garbage collection read their source pages on a real multi-plane
-    /// device.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first unreadable page (same conditions as
-    /// [`FlashDevice::read_page_into`]); no cost is charged in that case.
-    pub fn read_pages_into(&mut self, ppns: &[Ppn], buf: &mut PageBuf) -> Result<Duration> {
-        if ppns.is_empty() {
-            buf.prepare(0);
-            return Ok(Duration::ZERO);
-        }
-        let g = *self.geometry();
-        // Validate everything first so errors charge nothing.
-        for &ppn in ppns {
-            self.check_ppn(ppn)?;
-            let page = &self.block(g.block_of(ppn)).pages[g.page_in_block(ppn) as usize];
-            if page.state == PageState::Free {
-                return Err(FlashError::ReadFree(ppn));
-            }
-        }
-        // Batch reads surface already-grown bad pages but draw no fresh
-        // faults (see `crate::fault` for the scope rationale).
-        if let Some(inj) = &mut self.faults {
-            for &ppn in ppns {
-                if inj.batch_read_fails(ppn) {
-                    return Err(FlashError::ReadFailed(ppn));
-                }
-            }
-        }
-        let page_size = g.page_size();
-        let out = buf.prepare(ppns.len() * page_size);
-        let mode = self.mode;
-        let FlashDevice {
-            ref blocks,
-            ref mut counters,
-            ref mut plane_scratch,
-            ..
-        } = *self;
-        plane_scratch.fill(0);
-        for (slot, &ppn) in out.chunks_mut(page_size).zip(ppns) {
-            let pbn = g.block_of(ppn);
-            plane_scratch[g.plane_of(pbn) as usize] += 1;
-            let idx = g.page_in_block(ppn) as usize;
-            let page = &blocks[pbn.raw() as usize].pages[idx];
-            Self::payload_into(mode, ppn, page.data.as_deref(), &page.oob, slot);
-            counters.page_reads += 1;
-        }
-        let t = self.config.timing;
-        let slowest_plane = self.plane_scratch.iter().copied().max().unwrap_or(0);
-        let cost = t.control + t.page_read * slowest_plane + t.bus_control * ppns.len() as u64;
-        Ok(cost)
-    }
-
     /// Charges the cost and counters of reading one programmed page without
     /// materializing its payload — the read half of a device-internal copy
     /// ([`FlashDevice::copy_page_from`]), where the data never crosses to
@@ -300,67 +272,9 @@ impl FlashDevice {
     ///
     /// Same conditions as [`FlashDevice::read_page_into`].
     pub fn read_page_charge(&mut self, ppn: Ppn) -> Result<Duration> {
-        self.check_ppn(ppn)?;
-        let g = self.config.geometry;
-        let page = &self.block(g.block_of(ppn)).pages[g.page_in_block(ppn) as usize];
-        if page.state == PageState::Free {
-            return Err(FlashError::ReadFree(ppn));
-        }
+        self.locate_programmed(ppn)?;
         self.counters.page_reads += 1;
         Ok(self.config.timing.read_cost())
-    }
-
-    /// Charges the cost and counters of reading `ppns` as one multi-plane
-    /// batch without materializing any payload — the read half of a merge
-    /// or garbage collection whose pages are re-programmed with
-    /// [`FlashDevice::copy_page_from`]. Validation, counters and timing are
-    /// identical to [`FlashDevice::read_pages_into`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FlashDevice::read_pages_into`]; no cost is
-    /// charged on error.
-    pub fn read_pages_charge(&mut self, ppns: &[Ppn]) -> Result<Duration> {
-        if ppns.is_empty() {
-            return Ok(Duration::ZERO);
-        }
-        let g = *self.geometry();
-        for &ppn in ppns {
-            self.check_ppn(ppn)?;
-            let page = &self.block(g.block_of(ppn)).pages[g.page_in_block(ppn) as usize];
-            if page.state == PageState::Free {
-                return Err(FlashError::ReadFree(ppn));
-            }
-        }
-        self.plane_scratch.fill(0);
-        for &ppn in ppns {
-            self.plane_scratch[g.plane_of(g.block_of(ppn)) as usize] += 1;
-            self.counters.page_reads += 1;
-        }
-        let t = self.config.timing;
-        let slowest_plane = self.plane_scratch.iter().copied().max().unwrap_or(0);
-        Ok(t.control + t.page_read * slowest_plane + t.bus_control * ppns.len() as u64)
-    }
-
-    /// Reads a batch of programmed pages, returning one `Vec` per page.
-    /// Convenience wrapper over [`FlashDevice::read_pages_into`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FlashDevice::read_pages_into`].
-    pub fn read_pages(&mut self, ppns: &[Ppn]) -> Result<(Vec<Vec<u8>>, Duration)> {
-        let mut buf = PageBuf::new();
-        let cost = self.read_pages_into(ppns, &mut buf)?;
-        let page_size = self.config.geometry.page_size();
-        let out = if ppns.is_empty() {
-            Vec::new()
-        } else {
-            buf.as_slice()
-                .chunks(page_size)
-                .map(<[u8]>::to_vec)
-                .collect()
-        };
-        Ok((out, cost))
     }
 
     /// Reads only the OOB metadata of a programmed page, charging the
@@ -390,13 +304,8 @@ impl FlashDevice {
     ///
     /// Same addressing/state errors as [`FlashDevice::read_page`].
     pub fn peek_oob(&self, ppn: Ppn) -> Result<OobData> {
-        self.check_ppn(ppn)?;
-        let g = self.config.geometry;
-        let page = &self.block(g.block_of(ppn)).pages[g.page_in_block(ppn) as usize];
-        if page.state == PageState::Free {
-            return Err(FlashError::ReadFree(ppn));
-        }
-        Ok(page.oob)
+        self.locate_programmed(ppn)?;
+        Ok(self.oob[ppn.raw() as usize])
     }
 
     /// Programs a page with data and OOB metadata, returning the simulated
@@ -409,45 +318,39 @@ impl FlashDevice {
     ///   still free (NAND requires sequential in-block programming).
     /// * [`FlashError::BadPageSize`] if `data` is not exactly one page.
     pub fn program_page(&mut self, ppn: Ppn, data: &[u8], oob: OobData) -> Result<Duration> {
-        self.check_ppn(ppn)?;
-        let g = self.config.geometry;
-        if data.len() != g.page_size() {
+        let (pbn, idx) = self.locate(ppn)?;
+        let page_size = self.config.geometry.page_size();
+        if data.len() != page_size {
             return Err(FlashError::BadPageSize {
                 got: data.len(),
-                expected: g.page_size(),
+                expected: page_size,
             });
         }
-        let pbn = g.block_of(ppn);
-        let idx = g.page_in_block(ppn);
-        let mode = self.mode;
-        {
-            let block = self.block(pbn);
-            if block.pages[idx as usize].state != PageState::Free {
-                return Err(FlashError::ProgramNotFree(ppn));
-            }
-            if idx != block.write_ptr {
-                return Err(FlashError::ProgramOutOfOrder {
-                    ppn,
-                    expected: block.write_ptr,
-                });
-            }
+        let block = self.block(pbn);
+        if !block.is_free(idx) {
+            return Err(FlashError::ProgramNotFree(ppn));
         }
+        if idx != block.write_ptr {
+            return Err(FlashError::ProgramOutOfOrder {
+                ppn,
+                expected: block.write_ptr,
+            });
+        }
+        let at = ppn.raw() as usize;
+        self.oob[at] = oob;
         if let Some(inj) = &mut self.faults {
             if inj.on_program() {
                 // The failed page is consumed: programmed with indeterminate
                 // content and immediately invalid. The caller re-issues the
                 // write to the next free page.
-                let block = self.block_mut(pbn);
-                block.program(idx, None, oob);
-                block.invalidate(idx);
+                self.block_mut(pbn).consume();
                 return Err(FlashError::ProgramFailed(ppn));
             }
         }
-        let payload = match mode {
-            DataMode::Store => Some(data.to_vec().into_boxed_slice()),
-            DataMode::Discard => None,
-        };
-        self.block_mut(pbn).program(idx, payload, oob);
+        if self.mode == DataMode::Store {
+            self.payloads[at] = Some(data.into());
+        }
+        self.block_mut(pbn).program(1);
         self.counters.page_writes += 1;
         Ok(self.config.timing.write_cost())
     }
@@ -461,79 +364,102 @@ impl FlashDevice {
     /// [`FlashError::ProgramNotFree`] if the block is full, plus the errors of
     /// [`FlashDevice::program_page`].
     pub fn program_next(&mut self, pbn: Pbn, data: &[u8], oob: OobData) -> Result<(Ppn, Duration)> {
-        self.check_pbn(pbn)?;
-        let g = self.config.geometry;
-        let wp = self.block(pbn).write_ptr;
-        if wp >= g.pages_per_block() {
-            return Err(FlashError::ProgramNotFree(g.first_page(pbn)));
-        }
-        let ppn = Ppn(g.first_page(pbn).raw() + wp as u64);
+        let ppn = self.next_free(pbn, 1)?;
         let cost = self.program_page(ppn, data, oob)?;
         Ok((ppn, cost))
     }
 
     /// Programs the next free page of `pbn` with the payload of `src` — a
-    /// device-internal copy, the program half of a merge or garbage
-    /// collection. The data never crosses to the host: store mode clones the
-    /// retained payload, discard mode moves nothing at all. Timing and
-    /// counters are identical to [`FlashDevice::program_next`]; the read
-    /// side is charged separately via [`FlashDevice::read_page_charge`] or
-    /// [`FlashDevice::read_pages_charge`].
+    /// device-internal copy, the program half of a single-page relocation.
+    /// The data never crosses to the host: store mode clones the retained
+    /// payload, discard mode moves nothing at all. Timing and counters are
+    /// identical to [`FlashDevice::program_next`]; the read side is charged
+    /// separately via [`FlashDevice::read_page_charge`]. Whole-block rebuilds
+    /// use [`FlashDevice::copy_pages_from`] instead.
     ///
     /// # Errors
     ///
     /// [`FlashError::ReadFree`] if `src` has not been programmed, plus the
     /// errors of [`FlashDevice::program_next`].
     pub fn copy_page_from(&mut self, pbn: Pbn, src: Ppn, oob: OobData) -> Result<(Ppn, Duration)> {
-        self.check_ppn(src)?;
-        self.check_pbn(pbn)?;
-        let g = self.config.geometry;
-        let src_page = &self.block(g.block_of(src)).pages[g.page_in_block(src) as usize];
-        if src_page.state == PageState::Free {
-            return Err(FlashError::ReadFree(src));
+        self.locate_programmed(src)?;
+        let ppn = self.next_free(pbn, 1)?;
+        let at = ppn.raw() as usize;
+        if self.mode == DataMode::Store {
+            self.payloads[at] = self.payloads[src.raw() as usize].clone();
         }
-        let payload = src_page.data.clone();
-        let wp = self.block(pbn).write_ptr;
-        if wp >= g.pages_per_block() {
-            return Err(FlashError::ProgramNotFree(g.first_page(pbn)));
-        }
-        let ppn = Ppn(g.first_page(pbn).raw() + wp as u64);
-        let block = self.block_mut(pbn);
-        if block.pages[wp as usize].state != PageState::Free {
-            return Err(FlashError::ProgramNotFree(ppn));
-        }
-        block.program(wp, payload, oob);
+        self.oob[at] = oob;
+        self.block_mut(pbn).program(1);
         self.counters.page_writes += 1;
         Ok((ppn, self.config.timing.write_cost()))
     }
 
-    /// Programs the next free page of `pbn` with zeros — the device-internal
-    /// hole-fill merges use for offsets that were never written. Timing and
-    /// counters match [`FlashDevice::program_next`]; like
-    /// [`FlashDevice::copy_page_from`], this relocation-path primitive draws
-    /// no injected faults.
+    /// Rebuilds a run of a block device-internally — the one merge-copy
+    /// primitive of both the hybrid FTL and the SSC. Programs the next
+    /// `sources.len()` pages of `dst` in order, page `i` with the payload of
+    /// `sources[i]` (zeros for `None`, an offset that was never written) and
+    /// the OOB `oob(i)`, then invalidates every source. All new pages are
+    /// `Valid`; a caller that does not map its holes invalidates them.
+    ///
+    /// Charges what the per-page sequence it replaces charged: one
+    /// multi-plane batch read of the `Some` sources (control delay, the
+    /// busiest plane's serialized cell reads, one bus transfer per page —
+    /// cell reads on different planes overlap) plus one page program per
+    /// slot. Like every relocation primitive it draws no injected faults
+    /// (see [`crate::fault`]).
     ///
     /// # Errors
     ///
-    /// [`FlashError::ProgramNotFree`] if the block is full;
-    /// [`FlashError::PbnOutOfRange`] for bad addresses.
-    pub fn program_next_fill(&mut self, pbn: Pbn, oob: OobData) -> Result<(Ppn, Duration)> {
-        self.check_pbn(pbn)?;
-        let g = self.config.geometry;
-        let wp = self.block(pbn).write_ptr;
-        if wp >= g.pages_per_block() {
-            return Err(FlashError::ProgramNotFree(g.first_page(pbn)));
+    /// [`FlashError::ProgramNotFree`] if `dst` lacks room for the run,
+    /// [`FlashError::ReadFree`] for an unprogrammed source, and the range
+    /// errors. Everything is validated first: an error charges nothing and
+    /// mutates nothing.
+    pub fn copy_pages_from(
+        &mut self,
+        dst: Pbn,
+        sources: &[Option<Ppn>],
+        mut oob: impl FnMut(usize) -> OobData,
+    ) -> Result<Duration> {
+        let first = self.next_free(dst, sources.len())?.raw() as usize;
+        if sources.is_empty() {
+            return Ok(Duration::ZERO);
         }
-        let ppn = Ppn(g.first_page(pbn).raw() + wp as u64);
-        let payload = match self.mode {
-            DataMode::Store => Some(vec![0u8; g.page_size()].into_boxed_slice()),
-            DataMode::Discard => None,
-        };
-        let block = self.block_mut(pbn);
-        debug_assert_eq!(block.pages[wp as usize].state, PageState::Free);
-        block.program(wp, payload, oob);
-        self.counters.page_writes += 1;
-        Ok((ppn, self.config.timing.write_cost()))
+        let g = self.config.geometry;
+        self.plane_scratch.fill(0);
+        let mut reads = 0u64;
+        for &src in sources.iter().flatten() {
+            let (pbn, _) = self.locate_programmed(src)?;
+            self.plane_scratch[g.plane_of(pbn) as usize] += 1;
+            reads += 1;
+        }
+        let store = self.mode == DataMode::Store;
+        for (i, &src) in sources.iter().enumerate() {
+            let at = first + i;
+            self.oob[at] = oob(i);
+            match src {
+                Some(src) => {
+                    if store {
+                        self.payloads[at] = self.payloads[src.raw() as usize].clone();
+                    }
+                    let (pbn, idx) = (g.block_of(src), g.page_in_block(src));
+                    if self.block_mut(pbn).invalidate(idx) {
+                        self.counters.invalidations += 1;
+                    }
+                }
+                None if store => self.payloads[at] = Some(vec![0; g.page_size()].into()),
+                None => {}
+            }
+        }
+        self.block_mut(dst).program(sources.len() as u32);
+        self.counters.page_reads += reads;
+        self.counters.page_writes += sources.len() as u64;
+        let t = self.config.timing;
+        let mut cost = t.write_cost() * sources.len() as u64;
+        if reads > 0 {
+            let busiest_plane = self.plane_scratch.iter().copied().max().unwrap_or(0);
+            cost += t.control + t.page_read * busiest_plane + t.bus_control * reads;
+        }
+        Ok(cost)
     }
 
     /// Erases a block, freeing all its pages, and returns the cost.
@@ -554,13 +480,22 @@ impl FlashDevice {
                 return Err(FlashError::EraseFailed(pbn));
             }
         }
-        let old = self.block(pbn).erase_count;
+        let g = self.config.geometry;
+        let first = g.first_page(pbn).raw();
+        let Block {
+            write_ptr,
+            erase_count,
+            ..
+        } = *self.block(pbn);
+        if self.mode == DataMode::Store {
+            let first = first as usize;
+            self.payloads[first..first + write_ptr as usize].fill(None);
+        }
         self.block_mut(pbn).erase();
-        self.wear.record_erase(old);
+        self.wear.record_erase(erase_count);
         self.counters.erases += 1;
         if let Some(inj) = &mut self.faults {
-            let g = self.config.geometry;
-            inj.erased(g.first_page(pbn).raw(), g.pages_per_block());
+            inj.erased(first, g.pages_per_block());
         }
         Ok(self.config.timing.erase_cost())
     }
@@ -574,15 +509,8 @@ impl FlashDevice {
     /// [`FlashError::ReadFree`] if the page was never programmed;
     /// [`FlashError::PpnOutOfRange`] for bad addresses.
     pub fn invalidate_page(&mut self, ppn: Ppn) -> Result<()> {
-        self.check_ppn(ppn)?;
-        let g = self.config.geometry;
-        let pbn = g.block_of(ppn);
-        let idx = g.page_in_block(ppn);
-        let block = self.block_mut(pbn);
-        if block.pages[idx as usize].state == PageState::Free {
-            return Err(FlashError::ReadFree(ppn));
-        }
-        if block.invalidate(idx) {
+        let (pbn, idx) = self.locate_programmed(ppn)?;
+        if self.block_mut(pbn).invalidate(idx) {
             self.counters.invalidations += 1;
         }
         Ok(())
@@ -597,15 +525,8 @@ impl FlashDevice {
     /// [`FlashError::ReadFree`] if the page was never programmed;
     /// [`FlashError::PpnOutOfRange`] for bad addresses.
     pub fn revalidate_page(&mut self, ppn: Ppn) -> Result<()> {
-        self.check_ppn(ppn)?;
-        let g = self.config.geometry;
-        let pbn = g.block_of(ppn);
-        let idx = g.page_in_block(ppn);
-        let block = self.block_mut(pbn);
-        if block.pages[idx as usize].state == PageState::Free {
-            return Err(FlashError::ReadFree(ppn));
-        }
-        block.revalidate(idx);
+        let (pbn, idx) = self.locate_programmed(ppn)?;
+        self.block_mut(pbn).revalidate(idx);
         Ok(())
     }
 
@@ -625,13 +546,23 @@ impl FlashDevice {
     ///
     /// [`FlashError::PpnOutOfRange`] for bad addresses.
     pub fn page_state(&self, ppn: Ppn) -> Result<PageState> {
-        self.check_ppn(ppn)?;
-        let g = self.config.geometry;
-        Ok(self.block(g.block_of(ppn)).pages[g.page_in_block(ppn) as usize].state)
+        let (pbn, idx) = self.locate(ppn)?;
+        Ok(self.block(pbn).page_state(idx))
+    }
+
+    /// Validity bitmap of `pbn`: bit `i` is set iff page `i` is `Valid`.
+    /// A free policy peek, like [`FlashDevice::block_state`].
+    ///
+    /// # Errors
+    ///
+    /// [`FlashError::PbnOutOfRange`] for bad addresses.
+    pub fn valid_mask(&self, pbn: Pbn) -> Result<u64> {
+        self.check_pbn(pbn)?;
+        Ok(self.block(pbn).valid)
     }
 
     /// Returns `(ppn, oob)` for every valid page of `pbn`, in programming
-    /// order. A free policy peek used by garbage collection and eviction.
+    /// order. A free policy peek used by recovery and tests.
     ///
     /// # Errors
     ///
@@ -648,15 +579,11 @@ impl FlashDevice {
     ///
     /// [`FlashError::PbnOutOfRange`] for bad addresses.
     pub fn valid_pages_iter(&self, pbn: Pbn) -> Result<impl Iterator<Item = (Ppn, OobData)> + '_> {
-        self.check_pbn(pbn)?;
         let first = self.config.geometry.first_page(pbn).raw();
-        Ok(self
-            .block(pbn)
-            .pages
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.state == PageState::Valid)
-            .map(move |(i, p)| (Ppn(first + i as u64), p.oob)))
+        Ok(set_bits(self.valid_mask(pbn)?).map(move |page| {
+            let ppn = first + u64::from(page);
+            (Ppn(ppn), self.oob[ppn as usize])
+        }))
     }
 
     /// Iterates the erase counts of every block (for wear-leveling policy).
@@ -934,21 +861,26 @@ mod tests {
 mod batch_tests {
     use super::*;
 
+    /// A store-mode device with four pages programmed on plane 0 and four
+    /// on plane 1 (page `i` filled with `i` resp. `100 + i`), the plane-0
+    /// pages, and an alternating cross-plane selection.
     pub(super) fn dev_with_pages() -> (FlashDevice, Vec<Ppn>, Vec<Ppn>) {
         let mut d = FlashDevice::new(FlashConfig::small_test(), DataMode::Store);
         let g = *d.geometry();
-        let data = vec![1u8; g.page_size()];
-        // Four pages on plane 0, four on plane 1.
         let mut same_plane = Vec::new();
         let mut cross_plane = Vec::new();
-        for i in 0..4u32 {
+        for i in 0..4u8 {
             let (p0, _) = d
-                .program_next(g.pbn(0, 0), &data, OobData::for_lba(i as u64, false, 1))
+                .program_next(
+                    g.pbn(0, 0),
+                    &vec![i; g.page_size()],
+                    OobData::for_lba(i as u64, false, 1),
+                )
                 .unwrap();
             let (p1, _) = d
                 .program_next(
                     g.pbn(1, 0),
-                    &data,
+                    &vec![100 + i; g.page_size()],
                     OobData::for_lba(100 + i as u64, false, 1),
                 )
                 .unwrap();
@@ -958,44 +890,90 @@ mod batch_tests {
         (d, same_plane, cross_plane)
     }
 
+    fn copy(d: &mut FlashDevice, dst: Pbn, sources: &[Option<Ppn>]) -> Result<Duration> {
+        d.copy_pages_from(dst, sources, |i| {
+            OobData::for_lba(i as u64, false, 50 + i as u64)
+        })
+    }
+
     #[test]
     fn cross_plane_batches_are_cheaper() {
         let (mut d, same, cross) = dev_with_pages();
-        let (_, same_cost) = d.read_pages(&same).unwrap();
-        let (_, cross_cost) = d.read_pages(&cross).unwrap();
+        let g = *d.geometry();
+        let some = |ppns: &[Ppn]| ppns.iter().copied().map(Some).collect::<Vec<_>>();
+        let same_cost = copy(&mut d, g.pbn(0, 1), &some(&same)).unwrap();
+        let cross_cost = copy(&mut d, g.pbn(0, 2), &some(&cross)).unwrap();
         // Same plane: 4 serialized cell reads. Cross plane: 2 per plane
-        // overlap.
+        // overlap. Both then program four pages.
         assert!(cross_cost < same_cost, "{cross_cost} !< {same_cost}");
-        assert_eq!(same_cost.as_micros(), 10 + 4 * 65 + 4 * 2);
-        assert_eq!(cross_cost.as_micros(), 10 + 2 * 65 + 4 * 2);
+        assert_eq!(same_cost.as_micros(), 10 + 4 * 65 + 4 * 2 + 4 * 97);
+        assert_eq!(cross_cost.as_micros(), 10 + 2 * 65 + 4 * 2 + 4 * 97);
+        // A run of holes reads nothing, so it pays no batch set-up either.
+        let holes = copy(&mut d, g.pbn(0, 3), &[None, None]).unwrap();
+        assert_eq!(holes.as_micros(), 2 * 97);
     }
 
     #[test]
     fn batch_returns_data_in_order() {
-        let (mut d, same, _) = dev_with_pages();
-        let (data, _) = d.read_pages(&same).unwrap();
-        assert_eq!(data.len(), 4);
-        assert!(data.iter().all(|p| p.iter().all(|&b| b == 1)));
-        // Counters counted each page.
-        assert_eq!(d.counters().page_reads, 4);
+        let (mut d, _, cross) = dev_with_pages();
+        let g = *d.geometry();
+        let dst = g.pbn(1, 3);
+        let sources = [Some(cross[3]), None, Some(cross[0]), Some(cross[1])];
+        copy(&mut d, dst, &sources).unwrap();
+        let first = g.first_page(dst).raw();
+        for (i, fill) in [103u8, 0, 0, 101].into_iter().enumerate() {
+            let ppn = Ppn(first + i as u64);
+            assert_eq!(d.read_page(ppn).unwrap().0, vec![fill; g.page_size()]);
+            assert_eq!(d.peek_oob(ppn).unwrap().seq, 50 + i as u64);
+            assert_eq!(d.page_state(ppn).unwrap(), PageState::Valid);
+        }
+        // Counters counted each page; every source is now superseded.
+        let c = d.counters();
+        assert_eq!((c.page_reads, c.page_writes), (4 + 3, 8 + 4));
+        assert_eq!(c.invalidations, 3);
+        for src in sources.into_iter().flatten() {
+            assert_eq!(d.page_state(src).unwrap(), PageState::Invalid);
+        }
+        assert_eq!(d.valid_mask(dst).unwrap(), 0b1111);
     }
 
     #[test]
     fn batch_errors_charge_nothing() {
-        let (mut d, mut same, _) = dev_with_pages();
-        let reads_before = d.counters().page_reads;
-        same.push(Ppn(d.geometry().total_pages() - 1)); // free page
-        let err = d.read_pages(&same).unwrap_err();
-        assert!(matches!(err, FlashError::ReadFree(_)));
+        let (mut d, same, _) = dev_with_pages();
+        let g = *d.geometry();
+        let dst = g.pbn(1, 1);
+        let before = d.clone();
+        let free = Ppn(g.total_pages() - 1);
+        let mut sources: Vec<_> = same.iter().copied().map(Some).collect();
+        sources.push(Some(free));
+        assert_eq!(copy(&mut d, dst, &sources), Err(FlashError::ReadFree(free)));
+        let out_of_range = Ppn(g.total_pages());
         assert_eq!(
-            d.counters().page_reads,
-            reads_before,
-            "failed batch reads nothing"
+            copy(&mut d, dst, &[Some(same[0]), Some(out_of_range)]),
+            Err(FlashError::PpnOutOfRange(out_of_range))
         );
+        // A run longer than the room left in the destination.
+        assert_eq!(
+            copy(&mut d, g.pbn(0, 0), &[None; 5]),
+            Err(FlashError::ProgramNotFree(g.first_page(g.pbn(0, 0))))
+        );
+        let bad_block = Pbn(g.total_blocks());
+        assert_eq!(
+            copy(&mut d, bad_block, &[None]),
+            Err(FlashError::PbnOutOfRange(bad_block))
+        );
+        assert_eq!(
+            d.counters(),
+            before.counters(),
+            "failed batches charge nothing"
+        );
+        for pbn in (0..g.total_blocks()).map(Pbn) {
+            assert_eq!(d.block_state(pbn), before.block_state(pbn));
+            assert_eq!(d.valid_mask(pbn), before.valid_mask(pbn));
+        }
         // Empty batch is free.
-        let (empty, cost) = d.read_pages(&[]).unwrap();
-        assert!(empty.is_empty());
-        assert!(cost.is_zero());
+        assert!(copy(&mut d, dst, &[]).unwrap().is_zero());
+        assert!(d.block_state(dst).unwrap().is_empty());
     }
 }
 
@@ -1005,31 +983,20 @@ mod relocation_tests {
 
     #[test]
     fn charge_matches_materializing_reads() {
-        // The *_charge variants must bill exactly what the *_into variants
-        // bill — same Duration, same counter increments — for any mix of
-        // planes, or GC relocation would drift from the modeled timing.
-        let (mut d, same, cross) = super::batch_tests::dev_with_pages();
+        // The charge-only read must bill exactly what the materializing read
+        // bills — same Duration, same counter increment — or GC relocation
+        // would drift from the modeled timing.
+        let (mut d, same, _) = super::batch_tests::dev_with_pages();
         let mut buf = PageBuf::new();
-        for ppns in [&same, &cross] {
-            let into_cost = d.read_pages_into(ppns, &mut buf).unwrap();
-            let reads_mid = d.counters().page_reads;
-            let charge_cost = d.read_pages_charge(ppns).unwrap();
-            assert_eq!(charge_cost, into_cost);
-            assert_eq!(d.counters().page_reads, reads_mid + ppns.len() as u64);
-        }
         let single = same[2];
         let into_cost = d.read_page_into(single, &mut buf).unwrap();
+        let reads_mid = d.counters().page_reads;
         assert_eq!(d.read_page_charge(single).unwrap(), into_cost);
-        // Errors charge nothing, like the materializing variants.
+        assert_eq!(d.counters().page_reads, reads_mid + 1);
+        // Errors charge nothing, like the materializing variant.
         let free = Ppn(d.geometry().total_pages() - 1);
-        let reads = d.counters().page_reads;
         assert_eq!(d.read_page_charge(free), Err(FlashError::ReadFree(free)));
-        assert_eq!(
-            d.read_pages_charge(&[single, free]),
-            Err(FlashError::ReadFree(free))
-        );
-        assert_eq!(d.counters().page_reads, reads);
-        assert!(d.read_pages_charge(&[]).unwrap().is_zero());
+        assert_eq!(d.counters().page_reads, reads_mid + 1);
     }
 
     #[test]
@@ -1226,12 +1193,10 @@ mod fault_tests {
             reads_before,
             "failures charge nothing"
         );
-        // Batch reads surface the grown bad page too.
-        assert_eq!(
-            d.read_pages(&[ppn]).unwrap_err(),
-            FlashError::ReadFailed(ppn)
-        );
-        assert!(d.fault_counters().read_failures >= 3);
+        assert_eq!(d.fault_counters().read_failures, 2);
+        // Device-internal relocation is exempt: it neither draws nor
+        // surfaces read faults.
+        d.read_page_charge(ppn).unwrap();
         // Erase heals the page (plan still faults the next read, but the
         // grown-bad entry itself is gone).
         d.erase_block(pbn).unwrap();

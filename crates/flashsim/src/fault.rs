@@ -14,14 +14,14 @@
 //! no branches through this module beyond a single `Option` check, draws no
 //! hashes and charges no extra time — the fault layer is zero-cost when off.
 //!
-//! Scope: faults apply to *host-visible* operations (single-page reads, OOB
-//! reads, host programs, erases). Device-internal relocation traffic
-//! (`read_page_charge`/`read_pages_charge`/`copy_page_from`) is exempt,
-//! modelling firmware-level read-retry and redundancy below the interface
-//! we simulate; batch host reads surface already-grown bad pages but draw no
-//! fresh faults. Corruption is modelled at the *detection* level: the
-//! device's ECC/CRC catches the flipped bits and reports an uncorrectable
-//! read rather than silently returning garbage.
+//! Scope: faults apply to *host-visible* operations (page reads, OOB reads,
+//! host programs, erases). Device-internal relocation traffic
+//! (`read_page_charge`/`copy_page_from` for single pages, `copy_pages_from`
+//! for whole-block rebuilds) is exempt — it neither draws fresh faults nor
+//! surfaces grown bad pages — modelling firmware-level read-retry and
+//! redundancy below the interface we simulate. Corruption is modelled at
+//! the *detection* level: the device's ECC/CRC catches the flipped bits and
+//! reports an uncorrectable read rather than silently returning garbage.
 
 use crate::addr::{Pbn, Ppn};
 use std::collections::BTreeSet;
@@ -193,17 +193,6 @@ impl FaultInjector {
         }
     }
 
-    /// Whether a batch host read of `ppn` hits an already-grown bad page
-    /// (batch reads draw no fresh faults).
-    pub fn batch_read_fails(&mut self, ppn: Ppn) -> bool {
-        if self.bad_pages.contains(&ppn.raw()) {
-            self.counters.read_failures += 1;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Decides whether a metered OOB read reports detected corruption.
     pub fn on_oob(&mut self) -> bool {
         let p = self.plan.oob_corrupt_ppm;
@@ -310,13 +299,15 @@ mod tests {
         };
         let mut inj = FaultInjector::new(plan);
         assert_eq!(inj.on_read(Ppn(9)), ReadFault::Failed);
+        // The second failure is the grown bad page itself: no fresh draw.
         assert_eq!(inj.on_read(Ppn(9)), ReadFault::Failed);
-        assert!(inj.batch_read_fails(Ppn(9)));
-        assert_eq!(inj.counters().read_failures, 3);
-        // An erase covering the page heals it; with rates now effectively
-        // consulted again, the next read re-faults (rate is 100%).
+        assert_eq!(inj.ops, 1);
+        assert_eq!(inj.counters().read_failures, 2);
+        // An erase covering the page heals it: the next read consults the
+        // rates again (and, at 100%, re-faults).
         inj.erased(0, 16);
-        assert!(!inj.batch_read_fails(Ppn(9)));
+        assert_eq!(inj.on_read(Ppn(9)), ReadFault::Failed);
+        assert_eq!(inj.ops, 2);
     }
 
     #[test]

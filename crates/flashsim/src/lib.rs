@@ -22,6 +22,26 @@
 //! computed from the [`timing`] model with the Intel-300-series parameters of
 //! the paper's Table 2 as defaults.
 //!
+//! # State and primitives
+//!
+//! Because programming is sequential, a block's page states need no
+//! per-page storage: a [`Block`] is a write pointer, a `u64` validity bitmap
+//! and an erase count (page `i` is `Free` iff `i >= write_ptr`, `Valid` iff
+//! bit `i` is set, `Invalid` otherwise). OOB metadata and — in
+//! [`DataMode::Store`] only — payloads live in flat arrays indexed by
+//! [`Ppn`]. Policy code reads validity a block at a time
+//! ([`FlashDevice::valid_mask`], [`FlashDevice::valid_pages_iter`],
+//! [`FlashDevice::block_state`]).
+//!
+//! Host traffic goes through [`FlashDevice::read_page_to`] (and its
+//! `read_page_into`/`read_page` wrappers), [`FlashDevice::program_next`] /
+//! [`FlashDevice::program_page`] and [`FlashDevice::erase_block`].
+//! Device-internal relocation never moves a payload to the host:
+//! [`FlashDevice::read_page_charge`] + [`FlashDevice::copy_page_from`]
+//! relocate one page, and [`FlashDevice::copy_pages_from`] rebuilds a run of
+//! a block from up to a block's worth of sources in one call — the single
+//! merge-copy primitive of the hybrid FTL and the SSC.
+//!
 //! # Data modes
 //!
 //! Like the paper's SSC emulator (which discards data like the David
@@ -55,7 +75,7 @@ pub mod page;
 pub mod timing;
 
 pub use addr::{Pbn, Ppn};
-pub use block::{Block, BlockState};
+pub use block::{set_bits, Block, BlockState};
 pub use config::{FlashConfig, Geometry};
 pub use counters::{FlashCounters, WearStats, WearTracker};
 pub use device::{DataMode, FlashDevice};

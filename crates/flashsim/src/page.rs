@@ -1,6 +1,4 @@
-//! Per-page simulator state.
-
-use crate::oob::OobData;
+//! Per-page lifecycle state.
 
 /// Lifecycle state of a flash page.
 ///
@@ -18,45 +16,12 @@ pub enum PageState {
     Invalid,
 }
 
-/// A single simulated flash page: state, OOB metadata and (optionally) data.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Page {
-    pub state: PageState,
-    pub oob: OobData,
-    /// Page payload; `None` in discard mode or when free.
-    pub data: Option<Box<[u8]>>,
-}
-
-impl Page {
-    /// Resets the page to the erased state.
-    pub fn erase(&mut self) {
-        self.state = PageState::Free;
-        self.oob = OobData::default();
-        self.data = None;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn default_page_is_free() {
-        let p = Page::default();
-        assert_eq!(p.state, PageState::Free);
-        assert!(p.data.is_none());
-    }
-
-    #[test]
-    fn erase_clears_everything() {
-        let mut p = Page {
-            state: PageState::Valid,
-            oob: OobData::for_lba(1, true, 2),
-            data: Some(vec![1, 2, 3].into_boxed_slice()),
-        };
-        p.erase();
-        assert_eq!(p.state, PageState::Free);
-        assert_eq!(p.oob, OobData::default());
-        assert!(p.data.is_none());
+        assert_eq!(PageState::default(), PageState::Free);
     }
 }

@@ -6,119 +6,552 @@
 //! needs no external property-testing framework and every failure is
 //! reproducible from the case number.
 
-use flashsim::{DataMode, FlashConfig, FlashDevice, FlashError, OobData, PageState, Pbn, Ppn};
-use simkit::SimRng;
+use flashsim::{
+    BlockState, DataMode, FaultCounters, FaultInjector, FaultPlan, FlashConfig, FlashCounters,
+    FlashDevice, FlashError, FlashTiming, Geometry, OobData, PageState, Pbn, Ppn, ReadFault,
+};
+use simkit::{Duration, SimRng};
 
-#[derive(Debug, Clone)]
-enum Op {
-    ProgramNext(u8, u64), // block index, lba tag
-    Erase(u8),
-    Invalidate(u8, u8), // block, page
-    Read(u8, u8),
+type Result<T> = std::result::Result<T, FlashError>;
+
+/// One page of the reference model: the per-page record the device kept
+/// before validity became a bitmap per block.
+#[derive(Clone, Default)]
+struct RefPage {
+    state: PageState,
+    oob: OobData,
+    data: Option<Vec<u8>>,
 }
 
-fn random_ops(rng: &mut SimRng) -> Vec<Op> {
-    let n = 1 + rng.gen_range(399) as usize;
-    (0..n)
-        .map(|_| match rng.gen_range(4) {
-            0 => Op::ProgramNext(rng.gen_range(16) as u8, rng.next_u64()),
-            1 => Op::Erase(rng.gen_range(16) as u8),
-            2 => Op::Invalidate(rng.gen_range(16) as u8, rng.gen_range(8) as u8),
-            _ => Op::Read(rng.gen_range(16) as u8, rng.gen_range(8) as u8),
-        })
-        .collect()
+#[derive(Clone)]
+struct RefBlock {
+    pages: Vec<RefPage>,
+    write_ptr: u32,
+    erase_count: u64,
 }
 
-/// Reference model: per-page (state, fill byte).
-#[derive(Clone, Copy, PartialEq, Debug)]
-enum ModelPage {
-    Free,
-    Valid(u8),
-    Invalid,
+/// Reference model of the whole device: page objects, counts by scanning,
+/// the same fault injector driven in lockstep.
+struct RefDevice {
+    g: Geometry,
+    t: FlashTiming,
+    mode: DataMode,
+    blocks: Vec<RefBlock>,
+    counters: FlashCounters,
+    faults: Option<FaultInjector>,
+}
+
+impl RefDevice {
+    fn new(config: FlashConfig, mode: DataMode, plan: Option<FaultPlan>) -> Self {
+        let g = config.geometry;
+        let block = RefBlock {
+            pages: vec![RefPage::default(); g.pages_per_block() as usize],
+            write_ptr: 0,
+            erase_count: 0,
+        };
+        RefDevice {
+            g,
+            t: config.timing,
+            mode,
+            blocks: vec![block; g.total_blocks() as usize],
+            counters: FlashCounters::default(),
+            faults: plan.map(FaultInjector::new),
+        }
+    }
+
+    fn page(&self, ppn: Ppn) -> Result<&RefPage> {
+        if !self.g.ppn_in_range(ppn) {
+            return Err(FlashError::PpnOutOfRange(ppn));
+        }
+        let block = &self.blocks[self.g.block_of(ppn).raw() as usize];
+        Ok(&block.pages[self.g.page_in_block(ppn) as usize])
+    }
+
+    fn page_mut(&mut self, ppn: Ppn) -> &mut RefPage {
+        let block = &mut self.blocks[self.g.block_of(ppn).raw() as usize];
+        &mut block.pages[self.g.page_in_block(ppn) as usize]
+    }
+
+    fn programmed(&self, ppn: Ppn) -> Result<&RefPage> {
+        let page = self.page(ppn)?;
+        if page.state == PageState::Free {
+            return Err(FlashError::ReadFree(ppn));
+        }
+        Ok(page)
+    }
+
+    fn next_free(&self, pbn: Pbn, count: usize) -> Result<Ppn> {
+        if !self.g.pbn_in_range(pbn) {
+            return Err(FlashError::PbnOutOfRange(pbn));
+        }
+        let first = self.g.first_page(pbn);
+        let wp = self.blocks[pbn.raw() as usize].write_ptr;
+        if wp as usize + count > self.g.pages_per_block() as usize {
+            return Err(FlashError::ProgramNotFree(first));
+        }
+        Ok(Ppn(first.raw() + wp as u64))
+    }
+
+    fn payload(&self, ppn: Ppn) -> Vec<u8> {
+        let page = self.page(ppn).unwrap();
+        let mut out = vec![0u8; self.g.page_size()];
+        match (&page.data, self.mode) {
+            (Some(d), _) => out.copy_from_slice(d),
+            (None, DataMode::Discard) => {
+                let oob = page.oob;
+                let seed = ppn.raw() ^ oob.seq.rotate_left(17) ^ oob.lba.unwrap_or(u64::MAX);
+                simkit::fill_pseudo(seed, &mut out);
+            }
+            (None, DataMode::Store) => {}
+        }
+        out
+    }
+
+    fn read(&mut self, ppn: Ppn) -> Result<(Vec<u8>, Duration)> {
+        self.programmed(ppn)?;
+        let mut retries = 0;
+        if let Some(inj) = &mut self.faults {
+            match inj.on_read(ppn) {
+                ReadFault::None => {}
+                ReadFault::Transient => retries = 1,
+                ReadFault::Failed => return Err(FlashError::ReadFailed(ppn)),
+                ReadFault::Corrupt => return Err(FlashError::ReadCorrupt(ppn)),
+            }
+        }
+        self.counters.page_reads += 1;
+        Ok((self.payload(ppn), self.t.read_cost() * (1 + retries)))
+    }
+
+    fn read_charge(&mut self, ppn: Ppn) -> Result<Duration> {
+        self.programmed(ppn)?;
+        self.counters.page_reads += 1;
+        Ok(self.t.read_cost())
+    }
+
+    fn read_oob(&mut self, ppn: Ppn) -> Result<(OobData, Duration)> {
+        let oob = self.programmed(ppn)?.oob;
+        if self.faults.as_mut().is_some_and(FaultInjector::on_oob) {
+            return Err(FlashError::ReadCorrupt(ppn));
+        }
+        self.counters.oob_reads += 1;
+        Ok((oob, self.t.oob_read_cost()))
+    }
+
+    /// Marks the block's next page programmed with `data`.
+    fn fill(&mut self, ppn: Ppn, data: Option<Vec<u8>>, oob: OobData) {
+        let store = self.mode == DataMode::Store;
+        *self.page_mut(ppn) = RefPage {
+            state: PageState::Valid,
+            oob,
+            data: data.filter(|_| store),
+        };
+        self.blocks[self.g.block_of(ppn).raw() as usize].write_ptr += 1;
+    }
+
+    fn program(&mut self, ppn: Ppn, data: &[u8], oob: OobData) -> Result<Duration> {
+        let state = self.page(ppn)?.state;
+        if data.len() != self.g.page_size() {
+            return Err(FlashError::BadPageSize {
+                got: data.len(),
+                expected: self.g.page_size(),
+            });
+        }
+        if state != PageState::Free {
+            return Err(FlashError::ProgramNotFree(ppn));
+        }
+        let expected = self.blocks[self.g.block_of(ppn).raw() as usize].write_ptr;
+        if self.g.page_in_block(ppn) != expected {
+            return Err(FlashError::ProgramOutOfOrder { ppn, expected });
+        }
+        if self.faults.as_mut().is_some_and(FaultInjector::on_program) {
+            self.fill(ppn, None, oob);
+            self.page_mut(ppn).state = PageState::Invalid;
+            return Err(FlashError::ProgramFailed(ppn));
+        }
+        self.fill(ppn, Some(data.to_vec()), oob);
+        self.counters.page_writes += 1;
+        Ok(self.t.write_cost())
+    }
+
+    fn program_next(&mut self, pbn: Pbn, data: &[u8], oob: OobData) -> Result<(Ppn, Duration)> {
+        let ppn = self.next_free(pbn, 1)?;
+        Ok((ppn, self.program(ppn, data, oob)?))
+    }
+
+    fn copy_page(&mut self, pbn: Pbn, src: Ppn, oob: OobData) -> Result<(Ppn, Duration)> {
+        let data = self.programmed(src)?.data.clone();
+        let ppn = self.next_free(pbn, 1)?;
+        self.fill(ppn, data, oob);
+        self.counters.page_writes += 1;
+        Ok((ppn, self.t.write_cost()))
+    }
+
+    /// The per-page sequence `copy_pages_from` replaced: one multi-plane
+    /// batch read of the sources, then program + invalidate page by page.
+    fn copy_pages(
+        &mut self,
+        dst: Pbn,
+        sources: &[Option<Ppn>],
+        oob: impl Fn(usize) -> OobData,
+    ) -> Result<Duration> {
+        self.next_free(dst, sources.len())?;
+        let mut per_plane = vec![0u64; self.g.planes() as usize];
+        for &src in sources.iter().flatten() {
+            self.programmed(src)?;
+            per_plane[self.g.plane_of(self.g.block_of(src)) as usize] += 1;
+        }
+        let reads: u64 = per_plane.iter().sum();
+        let mut cost = Duration::ZERO;
+        if reads > 0 {
+            let busiest = per_plane.iter().copied().max().unwrap();
+            cost += self.t.control + self.t.page_read * busiest + self.t.bus_control * reads;
+            self.counters.page_reads += reads;
+        }
+        for (i, &src) in sources.iter().enumerate() {
+            match src {
+                Some(src) => {
+                    cost += self.copy_page(dst, src, oob(i))?.1;
+                    self.invalidate(src)?;
+                }
+                None => {
+                    let ppn = self.next_free(dst, 1)?;
+                    self.fill(ppn, Some(vec![0; self.g.page_size()]), oob(i));
+                    self.counters.page_writes += 1;
+                    cost += self.t.write_cost();
+                }
+            }
+        }
+        Ok(cost)
+    }
+
+    fn invalidate(&mut self, ppn: Ppn) -> Result<()> {
+        if self.programmed(ppn)?.state == PageState::Valid {
+            self.page_mut(ppn).state = PageState::Invalid;
+            self.counters.invalidations += 1;
+        }
+        Ok(())
+    }
+
+    fn revalidate(&mut self, ppn: Ppn) -> Result<()> {
+        self.programmed(ppn)?;
+        self.page_mut(ppn).state = PageState::Valid;
+        Ok(())
+    }
+
+    fn erase(&mut self, pbn: Pbn) -> Result<Duration> {
+        if !self.g.pbn_in_range(pbn) {
+            return Err(FlashError::PbnOutOfRange(pbn));
+        }
+        if self.faults.as_mut().is_some_and(|inj| inj.on_erase(pbn)) {
+            return Err(FlashError::EraseFailed(pbn));
+        }
+        let block = &mut self.blocks[pbn.raw() as usize];
+        block.pages.fill(RefPage::default());
+        block.write_ptr = 0;
+        block.erase_count += 1;
+        self.counters.erases += 1;
+        if let Some(inj) = &mut self.faults {
+            inj.erased(self.g.first_page(pbn).raw(), self.g.pages_per_block());
+        }
+        Ok(self.t.erase_cost())
+    }
+
+    fn snapshot(&self) -> Snapshot {
+        let mut snap = Snapshot {
+            counters: self.counters,
+            faults: self
+                .faults
+                .as_ref()
+                .map(FaultInjector::counters)
+                .unwrap_or_default(),
+            ..Snapshot::default()
+        };
+        for (b, block) in self.blocks.iter().enumerate() {
+            let first = self.g.first_page(Pbn(b as u64)).raw();
+            let count = |s| block.pages.iter().filter(|p| p.state == s).count() as u32;
+            let mut mask = 0u64;
+            let mut valid = Vec::new();
+            for (i, page) in block.pages.iter().enumerate() {
+                if page.state == PageState::Valid {
+                    mask |= 1 << i;
+                    valid.push((Ppn(first + i as u64), page.oob));
+                }
+                let oob = (page.state != PageState::Free).then_some(page.oob);
+                snap.pages.push((page.state, oob));
+            }
+            let state = BlockState {
+                valid_pages: count(PageState::Valid),
+                invalid_pages: count(PageState::Invalid),
+                write_ptr: block.write_ptr,
+                erase_count: block.erase_count,
+            };
+            snap.blocks.push((state, mask, valid));
+        }
+        snap
+    }
+}
+
+/// Per block: aggregate state, validity bitmap, `valid_pages_iter`.
+type BlockSnapshot = (BlockState, u64, Vec<(Ppn, OobData)>);
+
+/// Everything the device lets a caller observe without charging for it.
+#[derive(Debug, Default, PartialEq)]
+struct Snapshot {
+    counters: FlashCounters,
+    faults: FaultCounters,
+    blocks: Vec<BlockSnapshot>,
+    /// Per page: state and OOB (`None` while free).
+    pages: Vec<(PageState, Option<OobData>)>,
+}
+
+fn snapshot(dev: &FlashDevice) -> Snapshot {
+    let g = *dev.geometry();
+    let mut snap = Snapshot {
+        counters: dev.counters(),
+        faults: dev.fault_counters(),
+        ..Snapshot::default()
+    };
+    for pbn in (0..g.total_blocks()).map(Pbn) {
+        let valid: Vec<_> = dev.valid_pages_iter(pbn).unwrap().collect();
+        assert_eq!(dev.valid_pages_of(pbn).unwrap(), valid);
+        snap.blocks.push((
+            dev.block_state(pbn).unwrap(),
+            dev.valid_mask(pbn).unwrap(),
+            valid,
+        ));
+        for ppn in g.pages_of(pbn) {
+            let state = dev.page_state(ppn).unwrap();
+            let oob = match dev.peek_oob(ppn) {
+                Ok(oob) => Some(oob),
+                Err(e) => {
+                    assert_eq!((e, state), (FlashError::ReadFree(ppn), PageState::Free));
+                    None
+                }
+            };
+            snap.pages.push((state, oob));
+        }
+    }
+    snap
+}
+
+/// A page address: usually a programmed page, sometimes any page, rarely
+/// one past the device.
+fn pick_ppn(rng: &mut SimRng, model: &RefDevice) -> Ppn {
+    let total = model.g.total_pages();
+    if rng.gen_bool(0.7) {
+        for _ in 0..8 {
+            let ppn = Ppn(rng.gen_range(total));
+            if model.programmed(ppn).is_ok() {
+                return ppn;
+            }
+        }
+    }
+    Ppn(rng.gen_range(total + 2))
+}
+
+fn pick_pbn(rng: &mut SimRng, model: &RefDevice) -> Pbn {
+    Pbn(rng.gen_range(model.g.total_blocks() * 16 + 1) / 16)
 }
 
 #[test]
 fn device_matches_reference_model() {
-    for case in 0..128u64 {
+    let config = FlashConfig::small_test(); // 16 blocks x 8 pages x 512 B
+    let g = config.geometry;
+    let (mut faulted_programs, mut rebuilt_pages) = (0, 0);
+    for case in 0..96u64 {
         let mut rng = SimRng::seed_from(0xF1A5_0000 ^ case);
-        let ops = random_ops(&mut rng);
-        let config = FlashConfig::small_test(); // 16 blocks x 8 pages x 512 B
-        let mut dev = FlashDevice::new(config, DataMode::Store);
-        let g = *dev.geometry();
-        let mut model = vec![[ModelPage::Free; 8]; 16];
-        let mut write_ptr = [0usize; 16];
-        let mut seq = 0u64;
-
-        for op in ops {
-            match op {
-                Op::ProgramNext(b, lba) => {
-                    let pbn = Pbn(b as u64);
-                    seq += 1;
-                    let fill = (lba % 251) as u8;
-                    let data = vec![fill; g.page_size()];
-                    let result = dev.program_next(pbn, &data, OobData::for_lba(lba, false, seq));
-                    if write_ptr[b as usize] < 8 {
-                        let (ppn, _) = result.expect("program into free slot");
-                        assert_eq!(g.page_in_block(ppn) as usize, write_ptr[b as usize]);
-                        model[b as usize][write_ptr[b as usize]] = ModelPage::Valid(fill);
-                        write_ptr[b as usize] += 1;
-                    } else {
-                        assert!(matches!(result, Err(FlashError::ProgramNotFree(_))));
-                    }
+        let mode = [DataMode::Store, DataMode::Discard][(case % 2) as usize];
+        let plan = (case % 4 >= 2).then(|| FaultPlan::uniform(case, 60_000));
+        let mut dev = FlashDevice::new(config, mode);
+        if let Some(plan) = plan {
+            dev.set_fault_plan(plan);
+        }
+        let mut model = RefDevice::new(config, mode, plan);
+        let next_oob = |rng: &mut SimRng| {
+            OobData::for_lba(rng.gen_range(1 << 20), rng.gen_bool(0.3), rng.next_u64())
+        };
+        for step in 0..1 + rng.gen_range(400) {
+            let at = format!("case {case} step {step}");
+            match rng.gen_range(12) {
+                0 | 1 => {
+                    let pbn = pick_pbn(&mut rng, &model);
+                    let data = vec![rng.gen_range(251) as u8; g.page_size()];
+                    let oob = next_oob(&mut rng);
+                    let got = dev.program_next(pbn, &data, oob);
+                    assert_eq!(got, model.program_next(pbn, &data, oob), "{at}");
+                    faulted_programs += matches!(got, Err(FlashError::ProgramFailed(_))) as u32;
                 }
-                Op::Erase(b) => {
-                    dev.erase_block(Pbn(b as u64)).expect("erase in range");
-                    model[b as usize] = [ModelPage::Free; 8];
-                    write_ptr[b as usize] = 0;
+                2 => {
+                    // Arbitrary target: mostly out of order or not free.
+                    let ppn = Ppn(rng.gen_range(g.total_pages() + 2));
+                    let len = if rng.gen_bool(0.9) { g.page_size() } else { 3 };
+                    let data = vec![rng.gen_range(251) as u8; len];
+                    let oob = next_oob(&mut rng);
+                    assert_eq!(
+                        dev.program_page(ppn, &data, oob),
+                        model.program(ppn, &data, oob),
+                        "{at}"
+                    );
                 }
-                Op::Invalidate(b, p) => {
-                    let ppn = Ppn(b as u64 * 8 + p as u64);
-                    let result = dev.invalidate_page(ppn);
-                    match model[b as usize][p as usize] {
-                        ModelPage::Free => {
-                            assert!(matches!(result, Err(FlashError::ReadFree(_))));
-                        }
-                        ModelPage::Valid(_) | ModelPage::Invalid => {
-                            result.expect("invalidate programmed page");
-                            model[b as usize][p as usize] = ModelPage::Invalid;
-                        }
-                    }
+                3 => {
+                    let (pbn, src) = (pick_pbn(&mut rng, &model), pick_ppn(&mut rng, &model));
+                    let oob = next_oob(&mut rng);
+                    assert_eq!(
+                        dev.copy_page_from(pbn, src, oob),
+                        model.copy_page(pbn, src, oob),
+                        "{at}"
+                    );
                 }
-                Op::Read(b, p) => {
-                    let ppn = Ppn(b as u64 * 8 + p as u64);
-                    let result = dev.read_page(ppn);
-                    match model[b as usize][p as usize] {
-                        ModelPage::Free => {
-                            assert!(matches!(result, Err(FlashError::ReadFree(_))));
-                        }
-                        ModelPage::Valid(fill) => {
-                            let (data, _) = result.expect("read valid page");
-                            assert_eq!(data, vec![fill; g.page_size()]);
-                        }
-                        ModelPage::Invalid => {
-                            // Invalid pages are readable (GC relies on it);
-                            // store mode drops their payload.
-                            assert!(result.is_ok());
-                        }
-                    }
+                4 | 5 => {
+                    let dst = pick_pbn(&mut rng, &model);
+                    let sources: Vec<_> = (0..rng.gen_range(g.pages_per_block() as u64 + 1))
+                        .map(|_| rng.gen_bool(0.75).then(|| pick_ppn(&mut rng, &model)))
+                        .collect();
+                    let seq0 = rng.next_u64() >> 1;
+                    let oob =
+                        |i: usize| OobData::for_lba(7 * i as u64, i % 3 == 1, seq0 + i as u64);
+                    let got = dev.copy_pages_from(dst, &sources, oob);
+                    assert_eq!(
+                        got,
+                        model.copy_pages(dst, &sources, oob),
+                        "{at} {dst:?} <- {sources:?}"
+                    );
+                    rebuilt_pages += got.map_or(0, |_| sources.len());
+                }
+                6 | 7 => {
+                    let ppn = pick_ppn(&mut rng, &model);
+                    assert_eq!(dev.invalidate_page(ppn), model.invalidate(ppn), "{at}");
+                }
+                8 => {
+                    let ppn = pick_ppn(&mut rng, &model);
+                    assert_eq!(dev.revalidate_page(ppn), model.revalidate(ppn), "{at}");
+                }
+                9 => {
+                    let pbn = pick_pbn(&mut rng, &model);
+                    assert_eq!(dev.erase_block(pbn), model.erase(pbn), "{at}");
+                }
+                10 => {
+                    let ppn = pick_ppn(&mut rng, &model);
+                    assert_eq!(dev.read_page(ppn), model.read(ppn), "{at}");
+                    assert_eq!(dev.read_page_charge(ppn), model.read_charge(ppn), "{at}");
+                }
+                _ => {
+                    let ppn = pick_ppn(&mut rng, &model);
+                    assert_eq!(dev.read_oob(ppn), model.read_oob(ppn), "{at}");
                 }
             }
-            // Aggregate state agreement on a sample block.
-            let sample = Pbn(0);
-            let state = dev.block_state(sample).unwrap();
-            let expect_valid = model[0]
-                .iter()
-                .filter(|p| matches!(p, ModelPage::Valid(_)))
-                .count() as u32;
-            let expect_invalid = model[0]
-                .iter()
-                .filter(|p| matches!(p, ModelPage::Invalid))
-                .count() as u32;
-            assert_eq!(state.valid_pages, expect_valid);
-            assert_eq!(state.invalid_pages, expect_invalid);
-            assert_eq!(state.write_ptr as usize, write_ptr[0]);
+            assert_eq!(snapshot(&dev), model.snapshot(), "{at}");
+        }
+        // Read-back of every page, fault draws in lockstep.
+        for ppn in (0..g.total_pages()).map(Ppn) {
+            assert_eq!(dev.read_page(ppn), model.read(ppn), "case {case} {ppn:?}");
         }
     }
+    assert!(faulted_programs > 0, "fault plans never consumed a page");
+    assert!(rebuilt_pages > 1000, "only {rebuilt_pages} pages rebuilt");
+}
+
+/// `copy_pages_from` against the per-page calls it replaced, issued to a
+/// clone of the same device: a batch read charged by the multi-plane
+/// formula, then `copy_page_from`/`program_next` + `invalidate_page` for
+/// each slot.
+fn composed_copy(
+    dev: &mut FlashDevice,
+    dst: Pbn,
+    sources: &[Option<Ppn>],
+    oob: impl Fn(usize) -> OobData,
+) -> Result<Duration> {
+    let (g, t) = (*dev.geometry(), *dev.timing());
+    let mut per_plane = vec![0u64; g.planes() as usize];
+    for &src in sources.iter().flatten() {
+        dev.read_page_charge(src)?;
+        per_plane[g.plane_of(g.block_of(src)) as usize] += 1;
+    }
+    let reads: u64 = per_plane.iter().sum();
+    let mut cost = match per_plane.iter().copied().max() {
+        Some(busiest) if reads > 0 => t.control + t.page_read * busiest + t.bus_control * reads,
+        _ => Duration::ZERO,
+    };
+    let zeros = vec![0u8; g.page_size()];
+    for (i, &src) in sources.iter().enumerate() {
+        cost += match src {
+            Some(src) => {
+                let (_, wcost) = dev.copy_page_from(dst, src, oob(i))?;
+                dev.invalidate_page(src)?;
+                wcost
+            }
+            None => dev.program_next(dst, &zeros, oob(i))?.1,
+        };
+    }
+    Ok(cost)
+}
+
+#[test]
+fn copy_pages_from_matches_the_per_page_composition() {
+    let config = FlashConfig::small_test();
+    let g = config.geometry;
+    let (mut runs, mut errors) = (0, 0);
+    for case in 0..200u64 {
+        let mut rng = SimRng::seed_from(0xF1A5_3000 ^ case);
+        let mode = [DataMode::Store, DataMode::Discard][(case % 2) as usize];
+        let mut dev = FlashDevice::new(config, mode);
+        // Partly fill every block but the last two, over both planes, and
+        // supersede some of the pages.
+        let mut programmed = Vec::new();
+        for pbn in (0..g.total_blocks() - 2).map(Pbn) {
+            for _ in 0..rng.gen_range(g.pages_per_block() as u64 + 1) {
+                let data = vec![rng.gen_range(251) as u8; g.page_size()];
+                let oob = OobData::for_lba(rng.gen_range(999), rng.gen_bool(0.5), case);
+                programmed.push(dev.program_next(pbn, &data, oob).unwrap().0);
+            }
+        }
+        for &ppn in &programmed {
+            if rng.gen_bool(0.3) {
+                dev.invalidate_page(ppn).unwrap();
+            }
+        }
+        // The destination: any block, so runs land in empty and non-empty
+        // ones and sometimes overflow; sources: programmed pages (repeats
+        // and pages of the destination included), holes, rarely a free page.
+        let dst = Pbn(rng.gen_range(g.total_blocks()));
+        let room = dev
+            .block_state(dst)
+            .unwrap()
+            .free_pages(g.pages_per_block());
+        let len = rng.gen_range(u64::from(room) + 1) + u64::from(rng.gen_bool(0.05));
+        let sources: Vec<_> = (0..len)
+            .map(|_| match rng.gen_range(20) {
+                0 => Some(Ppn(g.total_pages() - 1)),
+                1..=4 => None,
+                _ if programmed.is_empty() => None,
+                _ => Some(programmed[rng.gen_range(programmed.len() as u64) as usize]),
+            })
+            .collect();
+        let oob = |i: usize| OobData::for_lba(100 + i as u64, i % 2 == 1, 1000 + i as u64);
+
+        let before = snapshot(&dev);
+        let mut composed = dev.clone();
+        let got = dev.copy_pages_from(dst, &sources, oob);
+        let at = format!("case {case}: {dst:?} <- {sources:?}");
+        match composed_copy(&mut composed, dst, &sources, oob) {
+            Ok(cost) => {
+                runs += 1;
+                assert_eq!(got, Ok(cost), "{at}");
+                assert_eq!(snapshot(&dev), snapshot(&composed), "{at}");
+                for ppn in (0..g.total_pages()).map(Ppn) {
+                    assert_eq!(dev.read_page(ppn), composed.read_page(ppn), "{at} {ppn:?}");
+                }
+            }
+            Err(e) => {
+                // The composition fails part-way; the primitive must refuse
+                // up front with the same error and leave no trace.
+                errors += 1;
+                assert_eq!(got, Err(e), "{at}");
+                assert_eq!(snapshot(&dev), before, "{at}");
+            }
+        }
+    }
+    assert!(runs > 100 && errors > 5, "{runs} runs, {errors} errors");
 }
 
 #[test]

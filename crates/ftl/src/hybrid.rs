@@ -21,8 +21,8 @@
 use std::collections::VecDeque;
 
 use flashsim::{
-    DataMode, FaultCounters, FaultPlan, FlashCounters, FlashDevice, FlashError, OobData, PageState,
-    Pbn, Ppn, WearStats,
+    DataMode, FaultCounters, FaultPlan, FlashCounters, FlashDevice, FlashError, OobData, Pbn, Ppn,
+    WearStats,
 };
 use simkit::{Duration, PageBuf};
 use sparsemap::{memory, MapMemory, SparseHashMap};
@@ -57,6 +57,12 @@ pub struct HybridFtl {
     /// consulted on every host read, write and merge source lookup, so it
     /// must not pay a keyed-hash (SipHash) per probe.
     log_map: SparseHashMap<Ppn>,
+    /// Per-LBN bitmap of the offsets `log_map` currently holds (bit `i` of
+    /// entry `lbn` set iff `log_map` contains `lbn * ppb + i`), so reads and
+    /// merges probe the directory only where it has an entry. A derived
+    /// index (DESIGN.md §7): updated wherever `log_map` is, oracle-tested
+    /// against it, and host memory only — not part of the Table 4 model.
+    log_bits: Vec<u64>,
     /// Log blocks in allocation order; the front is the next merge victim.
     log_blocks: VecDeque<Pbn>,
     pool: FreeBlockPool,
@@ -64,10 +70,9 @@ pub struct HybridFtl {
     seq: u64,
     exposed_pages: u64,
     /// Scratch buffers reused across merges so steady-state GC is
-    /// allocation-free: per-offset sources, the batch PPN list, and one
-    /// pre-zeroed page for never-written offsets.
-    sources_scratch: Vec<Option<(Ppn, bool)>>,
-    ppn_scratch: Vec<Ppn>,
+    /// allocation-free: the per-offset copy sources of one LBN and the
+    /// distinct LBNs of one victim.
+    sources_scratch: Vec<Option<Ppn>>,
     lbn_scratch: Vec<u64>,
 }
 
@@ -82,13 +87,13 @@ impl HybridFtl {
             dev,
             data_map: vec![None; exposed_lbns as usize],
             log_map: SparseHashMap::new(),
+            log_bits: vec![0; exposed_lbns as usize],
             log_blocks: VecDeque::new(),
             pool,
             counters: FtlCounters::default(),
             seq: 0,
             exposed_pages: exposed_lbns * config.flash.geometry.pages_per_block() as u64,
             sources_scratch: Vec::new(),
-            ppn_scratch: Vec::new(),
             lbn_scratch: Vec::new(),
         }
     }
@@ -171,19 +176,30 @@ impl HybridFtl {
 
     /// Invalidate the current physical copy of `lba` wherever it lives.
     fn invalidate_lba(&mut self, lba: u64) -> Result<()> {
-        if let Some(ppn) = self.log_map.remove(lba) {
+        let (lbn, offset) = self.split(lba);
+        if self.log_bits[lbn] & (1 << offset) != 0 {
+            self.log_bits[lbn] &= !(1 << offset);
+            let ppn = self.log_map.remove(lba).expect("log bit set");
             self.dev.invalidate_page(ppn)?;
-            return Ok(());
-        }
-        let lbn = lba / self.ppb() as u64;
-        if let Some(pbn) = self.data_map[lbn as usize] {
-            let offset = (lba % self.ppb() as u64) as u32;
-            let ppn = Ppn(self.dev.geometry().first_page(pbn).raw() + offset as u64);
-            if self.dev.page_state(ppn)? == PageState::Valid {
-                self.dev.invalidate_page(ppn)?;
-            }
+        } else if let Some(ppn) = self.data_page(lbn, offset)? {
+            self.dev.invalidate_page(ppn)?;
         }
         Ok(())
+    }
+
+    /// Splits `lba` into its logical block and the page offset within it.
+    fn split(&self, lba: u64) -> (usize, u64) {
+        let ppb = self.ppb() as u64;
+        ((lba / ppb) as usize, lba % ppb)
+    }
+
+    /// The valid data-block page backing offset `offset` of `lbn`, if any.
+    fn data_page(&self, lbn: usize, offset: u64) -> Result<Option<Ppn>> {
+        let Some(pbn) = self.data_map[lbn] else {
+            return Ok(None);
+        };
+        let valid = self.dev.valid_mask(pbn)? & (1 << offset) != 0;
+        Ok(valid.then(|| Ppn(self.dev.geometry().first_page(pbn).raw() + offset)))
     }
 
     /// Ensures a log block with at least one free page exists and returns it,
@@ -243,8 +259,8 @@ impl HybridFtl {
         let mut cost = Duration::ZERO;
         // Drop the page-level mappings; the block-level map takes over.
         let ppb = self.ppb() as u64;
-        for lba in lbn * ppb..(lbn + 1) * ppb {
-            self.log_map.remove(lba);
+        for offset in flashsim::set_bits(std::mem::take(&mut self.log_bits[lbn as usize])) {
+            self.log_map.remove(lbn * ppb + u64::from(offset));
         }
         if let Some(old) = self.data_map[lbn as usize].take() {
             cost += self.retire_block(old)?;
@@ -284,78 +300,53 @@ impl HybridFtl {
 
     /// Copies the newest version of every page of `lbn` into a fresh data
     /// block; the old data block (if any) is erased. Works entirely out of
-    /// the reusable scratch buffers, so sustained GC does not allocate.
+    /// the reusable scratch buffer, so sustained GC does not allocate.
     fn merge_lbn(&mut self, lbn: u64) -> Result<Duration> {
         let mut cost = Duration::ZERO;
         let ppb = self.ppb() as u64;
-        let geometry = *self.dev.geometry();
         let old = self.data_map[lbn as usize];
-        // Identify the newest source of each page. The scratch vectors are
-        // taken out of `self` for the duration of the merge (they start and
-        // end empty, so an early `?` return just costs a future re-growth).
-        let mut sources = std::mem::take(&mut self.sources_scratch);
-        sources.clear();
-        for offset in 0..ppb {
-            let lba = lbn * ppb + offset;
-            // Remember whether the source is a log page: only those have a
-            // directory entry to drop after the copy, so data-block sources
-            // skip the guaranteed-miss `log_map` probe below.
-            let src = match self.log_map.get(lba).copied() {
-                Some(ppn) => Some((ppn, true)),
-                None => old.and_then(|pbn| {
-                    let ppn = Ppn(geometry.first_page(pbn).raw() + offset);
-                    (self.dev.page_state(ppn) == Ok(PageState::Valid)).then_some((ppn, false))
-                }),
-            };
-            sources.push(src);
-        }
-        let last = match sources.iter().rposition(|s| s.is_some()) {
-            Some(i) => i,
-            // Nothing live for this LBN (raced with trim); just drop the map.
-            None => {
-                sources.clear();
-                self.sources_scratch = sources;
-                if let Some(oldb) = self.data_map[lbn as usize].take() {
-                    cost += self.retire_block(oldb)?;
-                }
-                return Ok(cost);
-            }
+        // The newest copy of each offset is a log page where the directory
+        // has one, else the old data block's page if still valid.
+        let logged = self.log_bits[lbn as usize];
+        let in_data = match old {
+            Some(pbn) => self.dev.valid_mask(pbn)?,
+            None => 0,
         };
-        let fresh = self.pool.alloc().ok_or(FtlError::OutOfSpace)?;
-        // Charge the batch read of the sources (plane-parallel cell reads);
-        // the payloads are then copied device-internally page by page and
-        // never cross to the host.
-        let mut source_ppns = std::mem::take(&mut self.ppn_scratch);
-        source_ppns.clear();
-        source_ppns.extend(
-            sources
-                .iter()
-                .take(last + 1)
-                .filter_map(|s| s.map(|(ppn, _)| ppn)),
-        );
-        cost += self.dev.read_pages_charge(&source_ppns)?;
-        for (offset, src) in sources.iter().enumerate().take(last + 1) {
-            let lba = lbn * ppb + offset as u64;
-            let seq = self.next_seq();
-            let oob = OobData::for_lba(lba, false, seq);
-            let wcost = match src {
-                Some((ppn, _)) => self.dev.copy_page_from(fresh, *ppn, oob)?.1,
-                None => self.dev.program_next_fill(fresh, oob)?.1,
-            };
-            cost += wcost;
-            self.counters.gc_copies += 1;
-            // The source copy is now superseded.
-            if let Some((ppn, from_log)) = src {
-                self.dev.invalidate_page(*ppn)?;
-                if *from_log {
-                    self.log_map.remove(lba);
-                }
+        debug_assert_eq!(logged & in_data, 0, "two valid copies of one LBA");
+        let live = logged | in_data;
+        if live == 0 {
+            // Nothing live for this LBN (raced with trim); just drop the map.
+            if let Some(oldb) = self.data_map[lbn as usize].take() {
+                cost += self.retire_block(oldb)?;
             }
+            return Ok(cost);
         }
+        let fresh = self.pool.alloc().ok_or(FtlError::OutOfSpace)?;
+        // Rebuild offsets `0..=last live`; never-written ones are zero-filled.
+        // The scratch vector is taken out of `self` for the duration of the
+        // merge (it starts and ends empty, so an early `?` return just costs
+        // a future re-growth).
+        let mut sources = std::mem::take(&mut self.sources_scratch);
+        let old_first = old.map(|pbn| self.dev.geometry().first_page(pbn).raw());
+        for offset in 0..u64::from(u64::BITS - live.leading_zeros()) {
+            sources.push(if logged & (1 << offset) != 0 {
+                // The copy supersedes the log page: drop its directory entry.
+                self.log_map.remove(lbn * ppb + offset)
+            } else if in_data & (1 << offset) != 0 {
+                old_first.map(|first| Ppn(first + offset))
+            } else {
+                None
+            });
+        }
+        self.log_bits[lbn as usize] = 0;
+        let seq0 = self.seq;
+        cost += self.dev.copy_pages_from(fresh, &sources, |i| {
+            OobData::for_lba(lbn * ppb + i as u64, false, seq0 + 1 + i as u64)
+        })?;
+        self.seq += sources.len() as u64;
+        self.counters.gc_copies += sources.len() as u64;
         sources.clear();
-        source_ppns.clear();
         self.sources_scratch = sources;
-        self.ppn_scratch = source_ppns;
         if let Some(oldb) = old {
             debug_assert_eq!(self.dev.block_state(oldb)?.valid_pages, 0);
             cost += self.retire_block(oldb)?;
@@ -373,16 +364,14 @@ impl BlockDev for HybridFtl {
     fn read_to(&mut self, lba: u64, dest: Option<&mut PageBuf>) -> Result<Duration> {
         self.check_lba(lba)?;
         self.counters.host_reads += 1;
-        if let Some(&ppn) = self.log_map.get(lba) {
+        let (lbn, offset) = self.split(lba);
+        let ppn = if self.log_bits[lbn] & (1 << offset) != 0 {
+            self.log_map.get(lba).copied()
+        } else {
+            self.data_page(lbn, offset)?
+        };
+        if let Some(ppn) = ppn {
             return Ok(self.dev.read_page_to(ppn, dest)?);
-        }
-        let lbn = (lba / self.ppb() as u64) as usize;
-        if let Some(pbn) = self.data_map[lbn] {
-            let offset = lba % self.ppb() as u64;
-            let ppn = Ppn(self.dev.geometry().first_page(pbn).raw() + offset);
-            if self.dev.page_state(ppn)? == PageState::Valid {
-                return Ok(self.dev.read_page_to(ppn, dest)?);
-            }
         }
         // Never written (or trimmed): disks return zeros.
         if let Some(buf) = dest {
@@ -425,6 +414,8 @@ impl BlockDev for HybridFtl {
             }
         };
         self.log_map.insert(lba, ppn);
+        let (lbn, offset) = self.split(lba);
+        self.log_bits[lbn] |= 1 << offset;
         self.counters.host_writes += 1;
         Ok(cost)
     }
@@ -466,6 +457,7 @@ impl BlockDev for HybridFtl {
             + log_pages * 16
             + self.config.total_blocks() * 8;
         let heap = self.data_map.capacity() as u64 * std::mem::size_of::<Option<Pbn>>() as u64
+            + self.log_bits.capacity() as u64 * std::mem::size_of::<u64>() as u64
             + self.log_map.memory().heap_bytes;
         MapMemory {
             entries: self.data_map.iter().filter(|e| e.is_some()).count() + self.log_map.len(),
@@ -684,6 +676,80 @@ mod tests {
             let (got, _) = ssd.read(lba).unwrap();
             assert_eq!(got[0], 1, "lba {lba}");
         }
+    }
+}
+
+#[cfg(test)]
+mod log_bits_oracle_tests {
+    use super::*;
+    use simkit::SimRng;
+
+    /// The bitmap is a derived index: for every LBN it must equal a probe
+    /// of `log_map` at each offset, and never overlap the data block's
+    /// valid pages (one valid copy per LBA).
+    fn assert_log_bits_agree(ssd: &HybridFtl, at: &str) {
+        let ppb = ssd.ppb() as u64;
+        let mut entries = 0;
+        for (lbn, &bits) in ssd.log_bits.iter().enumerate() {
+            let probed = (0..ppb)
+                .filter(|offset| ssd.log_map.get(lbn as u64 * ppb + offset).is_some())
+                .fold(0u64, |mask, offset| mask | 1 << offset);
+            assert_eq!(bits, probed, "{at}: lbn {lbn}");
+            if let Some(pbn) = ssd.data_map[lbn] {
+                let in_data = ssd.dev.valid_mask(pbn).unwrap();
+                assert_eq!(bits & in_data, 0, "{at}: lbn {lbn} has two valid copies");
+            }
+            entries += bits.count_ones() as usize;
+        }
+        assert_eq!(
+            entries,
+            ssd.log_map.len(),
+            "{at}: entries outside the exposed LBNs"
+        );
+    }
+
+    #[test]
+    fn log_bitmap_mirrors_the_log_directory_under_churn() {
+        let reissue_plan = FaultPlan {
+            seed: 17,
+            program_fail_ppm: 120_000,
+            ..FaultPlan::default()
+        };
+        let mut runs = Vec::new();
+        for (seed, plan) in [(1, None), (2, Some(reissue_plan)), (3, None)] {
+            let mut ssd = HybridFtl::new(SsdConfig::small_test(), DataMode::Discard);
+            if let Some(plan) = plan {
+                ssd.set_fault_plan(plan);
+            }
+            let mut rng = SimRng::seed_from(0xB175 ^ seed);
+            let ppb = ssd.ppb() as u64;
+            let span = ssd.capacity_pages();
+            let page = vec![0u8; ssd.dev.geometry().page_size()];
+            for step in 0..1500 {
+                let at = format!("seed {seed} step {step}");
+                match rng.gen_range(16) {
+                    0..=8 => drop(ssd.write(rng.gen_range(span), &page).unwrap()),
+                    9..=11 => drop(ssd.trim(rng.gen_range(span)).unwrap()),
+                    12 => {
+                        // A whole logical block start to end: with a little
+                        // luck it fills one log block and switch-merges.
+                        let lbn = rng.gen_range(span / ppb);
+                        for lba in lbn * ppb..(lbn + 1) * ppb {
+                            ssd.write(lba, &page).unwrap();
+                            assert_log_bits_agree(&ssd, &at);
+                        }
+                    }
+                    13 => drop(ssd.background_merge().unwrap()),
+                    _ => drop(ssd.read_to(rng.gen_range(span), None).unwrap()),
+                }
+                assert_log_bits_agree(&ssd, &at);
+            }
+            runs.push(ssd.ftl_counters());
+        }
+        // The schedule reached every site that edits the directory.
+        assert!(runs.iter().all(|c| c.switch_merges > 0), "{runs:?}");
+        assert!(runs.iter().all(|c| c.full_merges > 0), "{runs:?}");
+        assert!(runs[1].program_reissues > 0, "{runs:?}");
     }
 }
 

@@ -184,7 +184,10 @@ impl PageFtl {
             }
         }
         let (_, victim) = victim.ok_or(FtlError::OutOfSpace)?;
-        for (ppn, oob) in self.dev.valid_pages_of(victim)? {
+        let first = geometry.first_page(victim).raw();
+        for page in flashsim::set_bits(self.dev.valid_mask(victim)?) {
+            let ppn = Ppn(first + u64::from(page));
+            let oob = self.dev.peek_oob(ppn)?;
             // Charge the read, then relocate the payload device-internally:
             // same timing and counters as read + program, no host copy.
             cost += self.dev.read_page_charge(ppn)?;

@@ -14,6 +14,8 @@
 //!   reproducibility of the published numbers.
 //! * [`stats`] — streaming summaries, histograms, percentiles and CDFs used by
 //!   the evaluation harness.
+//! * [`hash`] — [`hash::BlockHash`], the cheap deterministic `BuildHasher`
+//!   for host-side tables keyed by a block address.
 //! * [`iobuf`] — the reusable [`PageBuf`] that every device `*_into` read
 //!   fills, keeping steady-state replay loops allocation-free.
 //! * [`counter_set!`] — the declaration every layer's counter struct uses,
@@ -22,6 +24,7 @@
 pub mod clock;
 mod counters;
 pub mod crc;
+pub mod hash;
 pub mod iobuf;
 pub mod rng;
 pub mod stats;

@@ -8,8 +8,9 @@
 
 /// Advances a SplitMix64 state and returns the next output.
 ///
-/// Used to expand a single `u64` seed into the 256-bit xoshiro state.
-fn splitmix64(state: &mut u64) -> u64 {
+/// Used to expand a single `u64` seed into the 256-bit xoshiro state, and
+/// as the mixing step of [`crate::hash::BlockHasher`].
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
