@@ -347,7 +347,13 @@ impl Ssc {
     /// `lbn` (insert/remove/mask/clean); a no-op when nothing is indexed and
     /// nothing should be.
     fn index_sync_lbn(&mut self, lbn: u64) {
-        match self.maps.blocks.get(lbn).copied() {
+        self.index_sync_entry(lbn, self.maps.blocks.get(lbn).copied());
+    }
+
+    /// [`Ssc::index_sync_lbn`] for a caller that already holds `lbn`'s
+    /// current block-level entry (`None`: not mapped) and need not probe.
+    fn index_sync_entry(&mut self, lbn: u64, entry: Option<BlockEntry>) {
+        match entry {
             Some(entry) if entry.is_clean() => {
                 let score = self.victim_score(&entry);
                 let pbn = Pbn(entry.pbn);
@@ -540,10 +546,10 @@ impl Ssc {
             if entry.is_valid(offset) {
                 let ppn = Ppn(entry.pbn * self.ppb() as u64 + offset as u64);
                 self.dev.invalidate_page(ppn)?;
-                self.maps.mask_block_page(lba);
-                self.index_sync_lbn(lbn);
+                let survivor = self.maps.mask_block_page(lba);
+                self.index_sync_entry(lbn, survivor);
                 self.log_append(LogRecord::MaskBlockPage { lba });
-                if self.maps.blocks.get(lbn).is_none() {
+                if survivor.is_none() {
                     // Last live page gone: the physical block is reclaimable
                     // once the mask record is durable.
                     self.pending_retire.push(Pbn(entry.pbn));

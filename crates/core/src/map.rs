@@ -13,7 +13,7 @@
 //!   bitmap recording which pages within the erase block contain dirty
 //!   data" (§4.1).
 
-use flashsim::Ppn;
+use flashsim::{set_bits, Ppn};
 use sparsemap::SparseHashMap;
 
 /// A page-map value: physical page number with the dirty flag packed into
@@ -259,12 +259,7 @@ impl SscMaps {
         let old = self.pages.insert(lba, ptr);
         if old.is_none() {
             let (lbn, offset) = self.split(lba);
-            match self.log_occupancy.get_mut(lbn) {
-                Some(bits) => *bits |= 1 << offset,
-                None => {
-                    self.log_occupancy.insert(lbn, 1 << offset);
-                }
-            }
+            *self.log_occupancy.get_or_insert_with(lbn, || 0) |= 1 << offset;
         }
         old
     }
@@ -295,18 +290,17 @@ impl SscMaps {
     }
 
     /// Masks one page of a block-level entry (page invalidated by overwrite
-    /// or eviction); drops the entry when its last page goes.
-    pub fn mask_block_page(&mut self, lba: u64) {
+    /// or eviction); drops the entry when its last page goes. Returns the
+    /// entry as it now stands: `None` when it was dropped (or never there).
+    pub fn mask_block_page(&mut self, lba: u64) -> Option<BlockEntry> {
         let (lbn, offset) = self.split(lba);
-        let empty = if let Some(entry) = self.blocks.get_mut(lbn) {
-            entry.mask_page(offset);
-            entry.valid == 0
-        } else {
-            false
-        };
-        if empty {
+        let entry = self.blocks.get_mut(lbn)?;
+        entry.mask_page(offset);
+        if entry.valid == 0 {
             self.blocks.remove(lbn);
+            return None;
         }
+        Some(*entry)
     }
 
     /// Clears the dirty flag of `lba` at whichever level holds it.
@@ -335,12 +329,10 @@ impl SscMaps {
             .map(|(lba, _)| lba)
             .collect();
         for (lbn, entry) in self.blocks.iter() {
-            for offset in 0..self.ppb {
-                if entry.is_dirty(offset) {
-                    let lba = lbn * self.ppb as u64 + offset as u64;
-                    if lba >= start && lba < end {
-                        out.push(lba);
-                    }
+            for offset in set_bits(entry.dirty) {
+                let lba = lbn * self.ppb as u64 + offset as u64;
+                if lba >= start && lba < end {
+                    out.push(lba);
                 }
             }
         }
@@ -447,15 +439,15 @@ mod tests {
     fn mask_block_page_drops_empty_entries() {
         let mut m = SscMaps::new(8);
         m.insert_block(0, BlockEntry::new(1, 0b0011, 0b0001));
-        m.mask_block_page(0);
-        assert!(m.blocks.get(0).is_some());
-        m.mask_block_page(1);
+        assert_eq!(m.mask_block_page(0), Some(BlockEntry::new(1, 0b0010, 0)));
+        assert_eq!(m.blocks.get(0), Some(&BlockEntry::new(1, 0b0010, 0)));
+        assert_eq!(m.mask_block_page(1), None);
         assert!(
             m.blocks.get(0).is_none(),
             "entry dropped when last page masked"
         );
         // Masking in absent entries is a no-op.
-        m.mask_block_page(17);
+        assert_eq!(m.mask_block_page(17), None);
     }
 
     #[test]

@@ -112,14 +112,18 @@ pub struct WalCounters {
 ///
 /// Records stay structural on both sides of a flush (see the module docs):
 /// the bytes a device would write are a pure function of the durable
-/// records, so [`Wal::flush`] only advances the byte accounting, and
-/// [`Wal::records_since`] and [`Wal::crash_torn`] encode, cut and *decode*
-/// the wire form — a torn tail is still found by CRC, not assumed away.
+/// records, so [`Wal::flush`] only moves the durable watermark and the byte
+/// accounting, and [`Wal::records_since`] and [`Wal::crash_torn`] encode,
+/// cut and *decode* the wire form — a torn tail is still found by CRC, not
+/// assumed away.
 #[derive(Debug, Clone)]
 pub struct Wal {
-    buffer: Vec<(u64, LogRecord)>,
-    /// Durable records, oldest first, LSNs ascending.
-    durable: VecDeque<(u64, LogRecord)>,
+    /// Every record not yet truncated, oldest first, LSNs ascending: the
+    /// first `durable_len` are on flash, the rest are the volatile buffer.
+    records: VecDeque<(u64, LogRecord)>,
+    durable_len: usize,
+    /// Wire bytes of the buffered records — what the next flush writes.
+    buffered_bytes: u64,
     /// Wire bytes ever flushed and not torn away — the log's write pointer.
     appended_bytes: u64,
     /// Bytes written by the most recent flush — the only bytes a torn
@@ -141,8 +145,9 @@ impl Wal {
     /// size.
     pub fn new(timing: FlashTiming, page_size: usize) -> Self {
         Wal {
-            buffer: Vec::new(),
-            durable: VecDeque::new(),
+            records: VecDeque::new(),
+            durable_len: 0,
+            buffered_bytes: 0,
             appended_bytes: 0,
             last_flush_bytes: 0,
             next_lsn: 1,
@@ -156,30 +161,32 @@ impl Wal {
     pub fn append(&mut self, record: LogRecord) -> u64 {
         let lsn = self.next_lsn;
         self.next_lsn += 1;
-        self.buffer.push((lsn, record));
+        self.buffered_bytes += wire_bytes(&record);
+        self.records.push_back((lsn, record));
         lsn
     }
 
     /// Records currently buffered (volatile).
     pub fn buffered(&self) -> usize {
-        self.buffer.len()
+        self.records.len() - self.durable_len
     }
 
     /// The most recently durable LSN (0 if none).
     pub fn durable_lsn(&self) -> u64 {
-        self.durable.back().map_or(0, |(lsn, _)| *lsn)
+        let mut durable = self.records.range(..self.durable_len);
+        durable.next_back().map_or(0, |(lsn, _)| *lsn)
     }
 
     /// Flushes every buffered record to flash as one atomic append,
     /// returning the simulated cost. A no-op costing nothing when the
     /// buffer is empty.
     pub fn flush(&mut self) -> Duration {
-        if self.buffer.is_empty() {
+        let records = self.buffered() as u64;
+        if records == 0 {
             return Duration::ZERO;
         }
-        let records = self.buffer.len() as u64;
-        let bytes: u64 = self.buffer.iter().map(|(_, r)| wire_bytes(r)).sum();
-        self.durable.extend(self.buffer.drain(..));
+        let bytes = std::mem::take(&mut self.buffered_bytes);
+        self.durable_len = self.records.len();
         self.appended_bytes += bytes;
         self.last_flush_bytes = bytes;
         let pages = bytes.div_ceil(self.page_size as u64);
@@ -191,8 +198,15 @@ impl Wal {
 
     /// Durable records with LSN strictly greater than `lsn`, oldest first.
     fn suffix(&self, lsn: u64) -> impl Iterator<Item = &(u64, LogRecord)> {
-        let start = self.durable.partition_point(|(l, _)| *l <= lsn);
-        self.durable.range(start..)
+        self.records
+            .range(self.durable_through(lsn)..self.durable_len)
+    }
+
+    /// How many durable records have an LSN at or before `lsn`.
+    fn durable_through(&self, lsn: u64) -> usize {
+        self.records
+            .partition_point(|(l, _)| *l <= lsn)
+            .min(self.durable_len)
     }
 
     /// The wire bytes of `records`, exactly as a flush lays them down.
@@ -230,15 +244,17 @@ impl Wal {
     /// Drops durable records at or before `lsn` (the checkpoint has
     /// superseded them).
     pub fn truncate_through(&mut self, lsn: u64) {
-        let superseded = self.durable.partition_point(|(l, _)| *l <= lsn);
-        self.durable.drain(..superseded);
+        let superseded = self.durable_through(lsn);
+        self.records.drain(..superseded);
+        self.durable_len -= superseded;
     }
 
     /// Simulates a power failure: every buffered (unflushed) record is lost.
     /// Returns how many were dropped.
     pub fn crash(&mut self) -> usize {
-        let lost = self.buffer.len();
-        self.buffer.clear();
+        let lost = self.buffered();
+        self.records.truncate(self.durable_len);
+        self.buffered_bytes = 0;
         lost
     }
 
@@ -251,12 +267,13 @@ impl Wal {
     pub fn crash_torn(&mut self, lose_tail_bytes: usize) -> usize {
         let lose = (lose_tail_bytes as u64).min(self.last_flush_bytes);
         self.last_flush_bytes = 0;
+        // With the buffer gone, `records` is exactly the durable log.
         let lost = self.crash();
         // The records the tear reaches: the shortest tail of the durable
         // log spanning at least `lose` bytes (all of it, if it is shorter).
         let mut reached = 0;
         let mut span = 0;
-        for (_, record) in self.durable.iter().rev() {
+        for (_, record) in self.records.iter().rev() {
             if span >= lose {
                 break;
             }
@@ -266,18 +283,19 @@ impl Wal {
         // Put those records on the wire, cut the tail off, and keep what
         // still decodes: a record survives only if every byte of every
         // frame of it lies below the cut.
-        let first = self.durable.len() - reached;
-        let mut bytes = Self::encode(self.durable.range(first..));
+        let first = self.records.len() - reached;
+        let mut bytes = Self::encode(self.records.range(first..));
         bytes.truncate(span.saturating_sub(lose) as usize);
         let (intact, _end) = crate::codec::decode_records(&bytes);
         debug_assert!(intact
             .iter()
-            .eq(self.durable.range(first..).take(intact.len())));
+            .eq(self.records.range(first..).take(intact.len())));
         // Rewind the write pointer past the torn partial frame, as recovery
         // does on a real log: subsequent appends start at a record boundary.
-        for (_, record) in self.durable.drain(first + intact.len()..) {
+        for (_, record) in self.records.drain(first + intact.len()..) {
             self.appended_bytes -= wire_bytes(&record);
         }
+        self.durable_len = self.records.len();
         lost
     }
 
@@ -553,7 +571,7 @@ mod tests {
         assert_eq!(w.appended_bytes(), eager.appended_bytes());
         assert_eq!(w.buffered(), eager.buffer.len());
         assert_eq!(w.counters(), eager.counters);
-        assert_eq!(Wal::encode(w.durable.iter()), eager.durable);
+        assert_eq!(Wal::encode(w.suffix(0)), eager.durable);
         let newest = w.next_lsn;
         for lsn in [0, w.durable_lsn(), newest, rng.gen_range(newest)] {
             assert_eq!(w.records_since(lsn), eager.records_since(lsn), "{lsn}");

@@ -9,38 +9,29 @@
 
 /// Buckets per group. The paper sets `M = 32`, "which reduces the overhead
 /// of bitmap to just 3.5 bits per key".
-pub const GROUP_SIZE: usize = 32;
+pub(crate) const GROUP_SIZE: usize = 32;
 
 /// One sparse group of [`GROUP_SIZE`] buckets.
 ///
-/// Occupied buckets store `(key, value)` pairs packed densely in `slots`;
-/// `occupancy` has bit `i` set iff bucket `i` is occupied. `deleted` marks
-/// tombstoned buckets — removal frees the slot (the paper: "an invalid or
-/// unallocated bucket results in reclaiming memory and the occupancy bitmap
-/// is updated accordingly") but the probe sequence must remember that the
-/// bucket was once used, so probing does not terminate early. Tombstones are
-/// discarded wholesale when the parent table rehashes.
+/// Occupied buckets store `(key, value)` pairs packed densely in `slots`, in
+/// bucket order; `occupancy` has bit `i` set iff bucket `i` is occupied, so
+/// `occupancy.count_ones() == slots.len()`. Removal frees the slot and clears
+/// the bit (the paper: "an invalid or unallocated bucket results in
+/// reclaiming memory and the occupancy bitmap is updated accordingly"); the
+/// group keeps no memory of a bucket having been used.
 #[derive(Debug, Clone)]
-pub struct Group<V> {
+pub(crate) struct Group<V> {
     occupancy: u32,
-    deleted: u32,
     slots: Vec<(u64, V)>,
-}
-
-impl<V> Default for Group<V> {
-    fn default() -> Self {
-        Group {
-            occupancy: 0,
-            deleted: 0,
-            slots: Vec::new(),
-        }
-    }
 }
 
 impl<V> Group<V> {
     /// Creates an empty group.
-    pub fn new() -> Self {
-        Self::default()
+    pub(crate) fn new() -> Self {
+        Group {
+            occupancy: 0,
+            slots: Vec::new(),
+        }
     }
 
     /// Packed slot index for bucket `i`: the number of occupied buckets
@@ -51,95 +42,61 @@ impl<V> Group<V> {
         (self.occupancy & ((1u32 << i) - 1)).count_ones() as usize
     }
 
-    /// Returns `true` if bucket `i` holds an entry.
+    /// The run of occupied buckets that starts at bucket `i`, read off the
+    /// bitmap: the packed slot of bucket `i` and the entries of buckets
+    /// `i..i + len`, which sit contiguously from there. `None` — decided
+    /// without touching `slots` — when bucket `i` is empty.
     #[inline]
-    pub fn is_occupied(&self, i: usize) -> bool {
-        self.occupancy & (1 << i) != 0
+    pub(crate) fn run(&self, i: usize) -> Option<(usize, &[(u64, V)])> {
+        let from_i = self.occupancy >> i;
+        if from_i & 1 == 0 {
+            return None;
+        }
+        // The shift fed zeros in at the top: the run ends with the group.
+        let len = (!from_i).trailing_zeros() as usize;
+        let first = self.rank(i);
+        Some((first, &self.slots[first..first + len]))
     }
 
-    /// Returns `true` if bucket `i` is a tombstone.
+    /// The packed entries, in bucket order.
     #[inline]
-    pub fn is_deleted(&self, i: usize) -> bool {
-        self.deleted & (1 << i) != 0
+    pub(crate) fn entries(&self) -> &[(u64, V)] {
+        &self.slots
     }
 
-    /// Returns the `(key, value)` in bucket `i`, if occupied.
+    /// The packed entries, mutably: for updating a value or exchanging two
+    /// entries. Which buckets are occupied does not change.
     #[inline]
-    pub fn get(&self, i: usize) -> Option<(&u64, &V)> {
-        if self.is_occupied(i) {
-            let (k, v) = &self.slots[self.rank(i)];
-            Some((k, v))
-        } else {
-            None
-        }
+    pub(crate) fn entries_mut(&mut self) -> &mut [(u64, V)] {
+        &mut self.slots
     }
 
-    /// Mutable access to the value in bucket `i`, if occupied.
-    #[inline]
-    pub fn get_mut(&mut self, i: usize) -> Option<(&u64, &mut V)> {
-        if self.is_occupied(i) {
-            let r = self.rank(i);
-            let (k, v) = &mut self.slots[r];
-            Some((&*k, v))
-        } else {
-            None
-        }
+    /// Stores `(key, value)` into the empty bucket `i`, returning its packed
+    /// slot.
+    pub(crate) fn insert(&mut self, i: usize, key: u64, value: V) -> usize {
+        debug_assert!(self.run(i).is_none());
+        let slot = self.rank(i);
+        self.occupancy |= 1 << i;
+        self.slots.insert(slot, (key, value));
+        slot
     }
 
-    /// Stores `(key, value)` into bucket `i`.
-    ///
-    /// Returns the previous value if the bucket was occupied. Clears any
-    /// tombstone on the bucket.
-    pub fn set(&mut self, i: usize, key: u64, value: V) -> Option<V> {
-        let r = self.rank(i);
-        self.deleted &= !(1 << i);
-        if self.is_occupied(i) {
-            let old = std::mem::replace(&mut self.slots[r], (key, value));
-            Some(old.1)
-        } else {
-            self.occupancy |= 1 << i;
-            self.slots.insert(r, (key, value));
-            None
-        }
-    }
-
-    /// Removes the entry in bucket `i`, leaving a tombstone.
-    ///
-    /// Returns the removed value; `None` if the bucket was not occupied.
-    pub fn remove(&mut self, i: usize) -> Option<V> {
-        if self.is_occupied(i) {
-            let r = self.rank(i);
-            self.occupancy &= !(1 << i);
-            self.deleted |= 1 << i;
-            Some(self.slots.remove(r).1)
-        } else {
-            None
-        }
+    /// Takes the entry out of the occupied bucket `i`, freeing its slot and
+    /// clearing its bit.
+    pub(crate) fn take(&mut self, i: usize) -> (u64, V) {
+        debug_assert!(self.run(i).is_some());
+        self.occupancy &= !(1 << i);
+        self.slots.remove(self.rank(i))
     }
 
     /// Number of occupied buckets.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.occupancy.count_ones() as usize
     }
 
-    /// Returns `true` if no bucket is occupied.
-    pub fn is_empty(&self) -> bool {
-        self.occupancy == 0
-    }
-
-    /// Iterates occupied `(key, value)` pairs in bucket order.
-    pub fn iter(&self) -> impl Iterator<Item = (&u64, &V)> {
-        self.slots.iter().map(|(k, v)| (k, v))
-    }
-
     /// Heap bytes held by this group's packed slot array.
-    pub fn slot_heap_bytes(&self) -> usize {
+    pub(crate) fn slot_heap_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<(u64, V)>()
-    }
-
-    /// Shrinks the slot allocation to fit (used after bulk deletions).
-    pub fn shrink_to_fit(&mut self) {
-        self.slots.shrink_to_fit();
     }
 
     /// Consumes the group, returning its packed `(key, value)` pairs.
@@ -152,82 +109,133 @@ impl<V> Group<V> {
 mod tests {
     use super::*;
 
+    /// The `(key, value)` in bucket `i`, if occupied.
+    fn get(g: &Group<u32>, i: usize) -> Option<(u64, u32)> {
+        g.run(i).map(|(_, run)| run[0])
+    }
+
+    fn occupied_buckets(g: &Group<u32>) -> Vec<usize> {
+        (0..GROUP_SIZE).filter(|&i| g.run(i).is_some()).collect()
+    }
+
     #[test]
     fn empty_group() {
         let g: Group<u32> = Group::new();
-        assert!(g.is_empty());
         assert_eq!(g.len(), 0);
-        assert_eq!(g.get(0), None);
-        assert!(!g.is_occupied(31));
-        assert!(!g.is_deleted(0));
+        assert!(g.entries().is_empty());
+        assert_eq!(get(&g, 0), None);
+        assert_eq!(get(&g, 31), None);
+        assert_eq!(occupied_buckets(&g), vec![]);
     }
 
     #[test]
     fn set_get_roundtrip_in_any_order() {
         let mut g: Group<u32> = Group::new();
         // Insert out of bucket order to exercise rank-based placement.
-        g.set(17, 170, 1700);
-        g.set(3, 30, 300);
-        g.set(31, 310, 3100);
-        g.set(0, 0, 1);
+        g.insert(17, 170, 1700);
+        g.insert(3, 30, 300);
+        g.insert(31, 310, 3100);
+        g.insert(0, 0, 1);
         assert_eq!(g.len(), 4);
-        assert_eq!(g.get(3), Some((&30, &300)));
-        assert_eq!(g.get(17), Some((&170, &1700)));
-        assert_eq!(g.get(31), Some((&310, &3100)));
-        assert_eq!(g.get(0), Some((&0, &1)));
-        assert_eq!(g.get(5), None);
-        // Iteration is in bucket order.
-        let keys: Vec<u64> = g.iter().map(|(k, _)| *k).collect();
+        assert_eq!(get(&g, 3), Some((30, 300)));
+        assert_eq!(get(&g, 17), Some((170, 1700)));
+        assert_eq!(get(&g, 31), Some((310, 3100)));
+        assert_eq!(get(&g, 0), Some((0, 1)));
+        assert_eq!(get(&g, 5), None);
+        // The packed array is in bucket order.
+        let keys: Vec<u64> = g.entries().iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, vec![0, 30, 170, 310]);
+        assert_eq!(occupied_buckets(&g), vec![0, 3, 17, 31]);
     }
 
     #[test]
     fn set_replaces_existing() {
         let mut g: Group<u32> = Group::new();
-        assert_eq!(g.set(4, 40, 400), None);
-        assert_eq!(g.set(4, 40, 401), Some(400));
-        assert_eq!(g.len(), 1);
-        assert_eq!(g.get(4), Some((&40, &401)));
+        g.insert(9, 90, 900);
+        let slot = g.insert(4, 40, 400);
+        assert_eq!(slot, 0, "bucket 4 packs before bucket 9");
+        let old = std::mem::replace(&mut g.entries_mut()[slot].1, 401);
+        assert_eq!(old, 400);
+        assert_eq!(g.len(), 2);
+        assert_eq!(get(&g, 4), Some((40, 401)));
+        assert_eq!(get(&g, 9), Some((90, 900)));
     }
 
     #[test]
-    fn remove_leaves_tombstone_and_frees_slot() {
+    fn take_frees_slot_and_clears_bit() {
         let mut g: Group<u32> = Group::new();
-        g.set(1, 10, 100);
-        g.set(2, 20, 200);
-        assert_eq!(g.remove(1), Some(100));
-        assert!(!g.is_occupied(1));
-        assert!(g.is_deleted(1));
+        g.insert(1, 10, 100);
+        g.insert(2, 20, 200);
+        assert_eq!(g.take(1), (10, 100));
+        assert_eq!(occupied_buckets(&g), vec![2]);
         assert_eq!(g.len(), 1);
-        assert_eq!(g.get(2), Some((&20, &200)));
-        // Removing again yields nothing.
-        assert_eq!(g.remove(1), None);
-        // Re-setting clears the tombstone.
-        g.set(1, 11, 111);
-        assert!(g.is_occupied(1));
-        assert!(!g.is_deleted(1));
+        assert_eq!(g.entries(), [(20, 200)], "slot freed, not left vacant");
+        assert_eq!(get(&g, 2), Some((20, 200)));
+        // The bucket is plain empty again: it ends a run and takes an entry.
+        assert_eq!(get(&g, 1), None);
+        g.insert(1, 11, 111);
+        assert_eq!(get(&g, 1), Some((11, 111)));
+        assert_eq!(g.run(1).unwrap().1.len(), 2);
     }
 
     #[test]
     fn get_mut_mutates_value() {
         let mut g: Group<u32> = Group::new();
-        g.set(9, 90, 900);
-        if let Some((_, v)) = g.get_mut(9) {
-            *v = 901;
+        let slot = g.insert(9, 90, 900);
+        g.entries_mut()[slot].1 = 901;
+        assert_eq!(get(&g, 9), Some((90, 901)));
+    }
+
+    #[test]
+    fn run_is_read_off_the_bitmap() {
+        let mut g: Group<u32> = Group::new();
+        for i in [2, 3, 4, 6, 30, 31] {
+            g.insert(i, i as u64, 0);
         }
-        assert_eq!(g.get(9), Some((&90, &901)));
-        assert_eq!(g.get_mut(8), None);
+        let run_keys = |i| -> Option<(usize, Vec<u64>)> {
+            g.run(i)
+                .map(|(first, run)| (first, run.iter().map(|(k, _)| *k).collect()))
+        };
+        assert_eq!(run_keys(1), None);
+        assert_eq!(run_keys(2), Some((0, vec![2, 3, 4])));
+        assert_eq!(run_keys(4), Some((2, vec![4])));
+        assert_eq!(run_keys(5), None);
+        assert_eq!(run_keys(6), Some((3, vec![6])));
+        // A run ends with the group even when its last bucket is occupied.
+        assert_eq!(run_keys(30), Some((4, vec![30, 31])));
+        assert_eq!(run_keys(31), Some((5, vec![31])));
+    }
+
+    #[test]
+    fn entries_change_places_under_an_unchanged_bitmap() {
+        let mut g: Group<u32> = Group::new();
+        let mut other: Group<u32> = Group::new();
+        for i in [4, 5, 6] {
+            g.insert(i, i as u64, i as u32 * 10);
+        }
+        other.insert(0, 99, 990);
+        g.entries_mut().swap(0, 2);
+        assert_eq!(get(&g, 4), Some((6, 60)));
+        assert_eq!(get(&g, 5), Some((5, 50)));
+        assert_eq!(get(&g, 6), Some((4, 40)));
+        std::mem::swap(&mut g.entries_mut()[1], &mut other.entries_mut()[0]);
+        assert_eq!(get(&g, 5), Some((99, 990)));
+        assert_eq!(get(&other, 0), Some((5, 50)));
+        assert_eq!(occupied_buckets(&g), vec![4, 5, 6]);
     }
 
     #[test]
     fn full_group_all_buckets() {
         let mut g: Group<usize> = Group::new();
         for i in 0..GROUP_SIZE {
-            g.set(i, i as u64 * 7, i * 11);
+            g.insert(i, i as u64 * 7, i * 11);
         }
         assert_eq!(g.len(), GROUP_SIZE);
         for i in 0..GROUP_SIZE {
-            assert_eq!(g.get(i), Some((&(i as u64 * 7), &(i * 11))));
+            let (first, run) = g.run(i).unwrap();
+            assert_eq!(first, i);
+            assert_eq!(run.len(), GROUP_SIZE - i);
+            assert_eq!(run[0], (i as u64 * 7, i * 11));
         }
     }
 
@@ -235,7 +243,7 @@ mod tests {
     fn slot_heap_bytes_grows_with_entries() {
         let mut g: Group<u64> = Group::new();
         assert_eq!(g.slot_heap_bytes(), 0);
-        g.set(0, 1, 2);
+        g.insert(0, 1, 2);
         assert!(g.slot_heap_bytes() >= std::mem::size_of::<(u64, u64)>());
     }
 }

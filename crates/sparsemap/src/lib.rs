@@ -18,6 +18,11 @@
 //!   space, which is what makes it the right shape for a cache that stores a
 //!   few gigabytes out of a terabyte-sized disk address space.
 //!
+//! That layout and the memory model of [`memory`] are the paper's. Collision
+//! handling and deletion it does not specify; ours read the occupancy bitmap
+//! as the probe sequence — linear probing over runs of occupied buckets,
+//! backward-shift deletion, no deletion markers (see [`SparseHashMap`]).
+//!
 //! [`SparseHashMap`] is the sparse structure; [`DenseMap`] is the
 //! linear-table baseline an SSD uses for its own (dense) address space. Both
 //! report memory through the same [`MapMemory`] model so the Table 4
@@ -36,7 +41,7 @@
 //! ```
 
 pub mod dense;
-pub mod group;
+mod group;
 pub mod map;
 pub mod memory;
 

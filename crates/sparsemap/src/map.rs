@@ -6,27 +6,38 @@ use crate::memory::{sparse_modeled_bytes, MapMemory};
 /// Minimum table size in buckets (two groups).
 const MIN_BUCKETS: usize = 2 * GROUP_SIZE;
 
-/// Rehash when `(occupied + tombstones) / buckets` exceeds this.
+/// A new key grows the table when it would push `len / buckets` past this.
 const MAX_LOAD: f64 = 0.75;
 
-/// Shrink when `occupied / buckets` falls below this (and the table is larger
-/// than minimum).
+/// Shrink when `len / buckets` falls below this (down to the minimum table).
 const MIN_LOAD: f64 = 0.10;
 
 /// A hash map from 64-bit keys to values, stored sparsely.
 ///
-/// This is the reproduction of the Google sparse hash map the SSC uses for
-/// its logical-to-physical mapping (§4.1): `t` buckets in groups of 32, each
-/// group a packed array plus occupancy bitmap, quadratic probing across
-/// buckets, fully associative (complete keys stored). Memory grows with
+/// The layout and the memory model are the paper's (§4.1, the Google sparse
+/// hash map the SSC uses for its logical-to-physical mapping): `t` buckets
+/// in groups of 32, each group a packed array plus a 32-bit occupancy
+/// bitmap, fully associative (complete keys stored). Memory grows with
 /// occupied entries, not table span, and the structure reports both the
 /// paper's modeled footprint and its real heap footprint via
 /// [`SparseHashMap::memory`].
 ///
+/// Probing and deletion are ours; the paper specifies neither. Collisions
+/// resolve by **linear probing read off the bitmap**: the candidates for a
+/// key are the run of occupied buckets starting at its home bucket, whose
+/// length is a count of trailing ones in the group's bitmap and whose
+/// entries are neighbours in the packed array — one bitmap load and a short
+/// contiguous scan, entering the next group only when the run reaches the
+/// end of this one; an empty home bucket is a miss decided from the bitmap
+/// alone. Removal is **backward-shift deletion**: the entries after the
+/// freed bucket in its run move back over it unless that would carry them
+/// in front of their own home, so a run never has a gap and a table whose
+/// live size is constant is never rebuilt, however long keys come and go.
+///
 /// The paper bounds runtime by the constant `M` and observes "typically
 /// there are no more than 4-5 probes per lookup";
-/// [`SparseHashMap::probe_stats`] exposes the measured average so the §6.3
-/// microbenchmarks can verify it.
+/// [`SparseHashMap::probe_stats`] measures the table's figure on demand so
+/// the §6.3 microbenchmarks can verify it.
 ///
 /// # Examples
 ///
@@ -45,9 +56,6 @@ pub struct SparseHashMap<V> {
     groups: Vec<Group<V>>,
     buckets: usize,
     occupied: usize,
-    tombstones: usize,
-    probes: u64,
-    lookups: u64,
 }
 
 impl<V> Default for SparseHashMap<V> {
@@ -64,10 +72,13 @@ impl<V> SparseHashMap<V> {
 
     /// Creates an empty map sized for roughly `n` entries without rehashing.
     pub fn with_capacity(n: usize) -> Self {
-        let buckets = ((n as f64 / MAX_LOAD) as usize + 1)
-            .next_power_of_two()
-            .max(MIN_BUCKETS);
-        Self::with_buckets(buckets)
+        Self::with_buckets(Self::buckets_for(n))
+    }
+
+    /// The smallest table that holds `n` entries within [`MAX_LOAD`].
+    fn buckets_for(n: usize) -> usize {
+        let needed = (n as f64 / MAX_LOAD) as usize + 1;
+        needed.next_power_of_two().max(MIN_BUCKETS)
     }
 
     fn with_buckets(buckets: usize) -> Self {
@@ -77,9 +88,6 @@ impl<V> SparseHashMap<V> {
             groups: (0..buckets / GROUP_SIZE).map(|_| Group::new()).collect(),
             buckets,
             occupied: 0,
-            tombstones: 0,
-            probes: 0,
-            lookups: 0,
         }
     }
 
@@ -98,120 +106,143 @@ impl<V> SparseHashMap<V> {
         self.buckets
     }
 
+    /// The bucket `key`'s probe starts at.
     #[inline]
-    fn hash(key: u64) -> u64 {
+    fn home(&self, key: u64) -> usize {
         // Fibonacci multiplicative hashing; good bucket dispersion for both
         // sequential and strided LBA patterns.
-        key.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_right(17)
+        let hash = key.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_right(17);
+        hash as usize & (self.buckets - 1)
     }
 
+    /// The one probe. `Ok((bucket, group, slot))` locates `key`: the bucket
+    /// it occupies, and the group and packed slot holding its entry.
+    /// `Err(bucket)` is the first empty bucket of its probe sequence, where
+    /// it would be stored. Terminates because the load factor keeps at
+    /// least a quarter of the buckets empty.
     #[inline]
-    fn bucket_of(&self, key: u64, probe: usize) -> usize {
-        // Triangular-number quadratic probing visits every bucket of a
-        // power-of-two table exactly once.
-        (Self::hash(key) as usize + probe * (probe + 1) / 2) & (self.buckets - 1)
-    }
-
-    #[inline]
-    fn split(bucket: usize) -> (usize, usize) {
-        (bucket / GROUP_SIZE, bucket % GROUP_SIZE)
-    }
-
-    /// Probe for `key`. Returns `Ok(bucket)` if found, `Err(insert_bucket)`
-    /// with the first reusable bucket otherwise.
-    fn probe(&mut self, key: u64) -> Result<usize, usize> {
-        let mut first_reusable = None;
-        self.lookups += 1;
-        for p in 0..self.buckets {
-            self.probes += 1;
-            let bucket = self.bucket_of(key, p);
-            let (gi, bi) = Self::split(bucket);
-            let group = &self.groups[gi];
-            if let Some((k, _)) = group.get(bi) {
-                if *k == key {
-                    return Ok(bucket);
-                }
-            } else if group.is_deleted(bi) {
-                first_reusable.get_or_insert(bucket);
-            } else {
-                // Truly empty bucket terminates the probe sequence.
-                return Err(first_reusable.unwrap_or(bucket));
+    fn find(&self, key: u64) -> Result<(usize, usize, usize), usize> {
+        let mut bucket = self.home(key);
+        loop {
+            let gi = bucket / GROUP_SIZE;
+            let Some((first, run)) = self.groups[gi].run(bucket % GROUP_SIZE) else {
+                return Err(bucket);
+            };
+            // The scan starts with the home slot, where most hits are.
+            if let Some(at) = run.iter().position(|(k, _)| *k == key) {
+                return Ok((bucket + at, gi, first + at));
             }
+            let end = bucket + run.len();
+            if !end.is_multiple_of(GROUP_SIZE) {
+                return Err(end);
+            }
+            // The run reached the end of its group and may go on in the
+            // next (in the first, from the last).
+            bucket = end & (self.buckets - 1);
         }
-        Err(first_reusable.expect("table has no empty or deleted bucket — load factor violated"))
+    }
+
+    /// Stores the absent `key` at `bucket`, the `Err` of its `find`, and
+    /// returns the group and packed slot it landed in. The only place a table
+    /// grows: when this new key would push live load past `MAX_LOAD`.
+    fn insert_absent(&mut self, mut bucket: usize, key: u64, value: V) -> (usize, usize) {
+        if (self.occupied + 1) as f64 > self.buckets as f64 * MAX_LOAD {
+            self.resize(self.buckets * 2);
+            bucket = self.find(key).expect_err("the key was absent");
+        }
+        self.occupied += 1;
+        let gi = bucket / GROUP_SIZE;
+        (gi, self.groups[gi].insert(bucket % GROUP_SIZE, key, value))
     }
 
     /// Inserts or updates `key`, returning the previous value if any.
     pub fn insert(&mut self, key: u64, value: V) -> Option<V> {
-        if (self.occupied + self.tombstones + 1) as f64 > self.buckets as f64 * MAX_LOAD {
-            self.rehash(self.grow_target());
-        }
-        match self.probe(key) {
-            Ok(bucket) => {
-                let (gi, bi) = Self::split(bucket);
-                self.groups[gi].set(bi, key, value)
-            }
+        match self.find(key) {
+            Ok((_, gi, slot)) => Some(std::mem::replace(
+                &mut self.groups[gi].entries_mut()[slot].1,
+                value,
+            )),
             Err(bucket) => {
-                let (gi, bi) = Self::split(bucket);
-                if self.groups[gi].is_deleted(bi) {
-                    self.tombstones -= 1;
-                }
-                let old = self.groups[gi].set(bi, key, value);
-                debug_assert!(old.is_none());
-                self.occupied += 1;
+                self.insert_absent(bucket, key, value);
                 None
             }
         }
     }
 
+    /// Returns a mutable reference to the value for `key`, first inserting
+    /// `default()` if the key is absent — one probe either way.
+    pub fn get_or_insert_with(&mut self, key: u64, default: impl FnOnce() -> V) -> &mut V {
+        let (gi, slot) = match self.find(key) {
+            Ok((_, gi, slot)) => (gi, slot),
+            Err(bucket) => self.insert_absent(bucket, key, default()),
+        };
+        &mut self.groups[gi].entries_mut()[slot].1
+    }
+
     /// Returns a reference to the value for `key`.
     pub fn get(&self, key: u64) -> Option<&V> {
-        // Immutable probing duplicated to avoid stat mutation; stats are
-        // only gathered on the mutable paths used by the microbenchmarks.
-        for p in 0..self.buckets {
-            let bucket = self.bucket_of(key, p);
-            let (gi, bi) = Self::split(bucket);
-            let group = &self.groups[gi];
-            if let Some((k, v)) = group.get(bi) {
-                if *k == key {
-                    return Some(v);
-                }
-            } else if !group.is_deleted(bi) {
-                return None;
-            }
-        }
-        None
+        let (_, gi, slot) = self.find(key).ok()?;
+        Some(&self.groups[gi].entries()[slot].1)
     }
 
     /// Returns a mutable reference to the value for `key`.
     pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
-        match self.probe(key) {
-            Ok(bucket) => {
-                let (gi, bi) = Self::split(bucket);
-                self.groups[gi].get_mut(bi).map(|(_, v)| v)
-            }
-            Err(_) => None,
-        }
+        let (_, gi, slot) = self.find(key).ok()?;
+        Some(&mut self.groups[gi].entries_mut()[slot].1)
     }
 
     /// Returns `true` if `key` is present.
     pub fn contains_key(&self, key: u64) -> bool {
-        self.get(key).is_some()
+        self.find(key).is_ok()
     }
 
-    /// Removes `key`, returning its value. Frees the packed slot immediately
-    /// and leaves a tombstone in the probe structure.
+    /// Removes `key`, returning its value. Frees a packed slot and leaves no
+    /// gap in the probe run, so nothing of the entry remains.
     pub fn remove(&mut self, key: u64) -> Option<V> {
-        let bucket = self.probe(key).ok()?;
-        let (gi, bi) = Self::split(bucket);
-        let value = self.groups[gi].remove(bi);
-        debug_assert!(value.is_some());
-        self.occupied -= 1;
-        self.tombstones += 1;
-        if self.buckets > MIN_BUCKETS && (self.occupied as f64) < self.buckets as f64 * MIN_LOAD {
-            self.rehash(self.shrink_target());
+        let (mut hole, mut hole_group, mut hole_slot) = self.find(key).ok()?;
+        // Backward-shift deletion. The entry's bucket is a hole in its run:
+        // walk the rest of the run and exchange the hole with every entry
+        // that stays reachable in it (its home is not cyclically inside
+        // `(hole, j]`), which carries the hole, and the removed entry with
+        // it, to `j`. Bitmaps and all other slots stay put meanwhile; the
+        // slot is freed where the hole settles.
+        let mask = self.buckets - 1;
+        let mut j = (hole + 1) & mask;
+        loop {
+            let group = j / GROUP_SIZE;
+            let Some((first, run)) = self.groups[group].run(j % GROUP_SIZE) else {
+                break;
+            };
+            for slot in first..first + run.len() {
+                // Cyclic distances back from `j`: the entry probed at least
+                // as far back as the hole iff its home is at or before it.
+                let from_home = j.wrapping_sub(self.home(self.groups[group].entries()[slot].0));
+                if from_home & mask >= j.wrapping_sub(hole) & mask {
+                    self.swap_entries((hole_group, hole_slot), (group, slot));
+                    (hole, hole_group, hole_slot) = (j, group, slot);
+                }
+                j += 1;
+            }
+            if !j.is_multiple_of(GROUP_SIZE) {
+                break;
+            }
+            // The run reached the end of its group and may go on in the next.
+            j &= mask;
         }
-        value
+        let (_, value) = self.groups[hole_group].take(hole % GROUP_SIZE);
+        self.occupied -= 1;
+        if self.buckets > MIN_BUCKETS && (self.occupied as f64) < self.buckets as f64 * MIN_LOAD {
+            self.resize(Self::buckets_for(self.occupied).min(self.buckets));
+        }
+        Some(value)
+    }
+
+    /// Exchanges two stored entries, each named by `(group, slot)`.
+    fn swap_entries(&mut self, a: (usize, usize), b: (usize, usize)) {
+        match self.groups.get_disjoint_mut([a.0, b.0]) {
+            Ok([ga, gb]) => std::mem::swap(&mut ga.entries_mut()[a.1], &mut gb.entries_mut()[b.1]),
+            Err(_) => self.groups[a.0].entries_mut().swap(a.1, b.1), // one group
+        }
     }
 
     /// Removes every entry, keeping the minimum table.
@@ -219,54 +250,21 @@ impl<V> SparseHashMap<V> {
         *self = Self::with_buckets(MIN_BUCKETS);
     }
 
-    fn grow_target(&self) -> usize {
-        // If most load is tombstones, rehashing in place is enough.
-        if self.tombstones > self.occupied {
-            self.buckets
-        } else {
-            self.buckets * 2
+    /// Rebuilds the table with `buckets` buckets.
+    fn resize(&mut self, buckets: usize) {
+        let old = std::mem::replace(self, Self::with_buckets(buckets));
+        self.occupied = old.occupied;
+        for (key, value) in old.groups.into_iter().flat_map(Group::into_slots) {
+            let bucket = self.find(key).expect_err("stored keys are distinct");
+            self.groups[bucket / GROUP_SIZE].insert(bucket % GROUP_SIZE, key, value);
         }
-    }
-
-    fn shrink_target(&self) -> usize {
-        let needed = ((self.occupied as f64 / MAX_LOAD) as usize + 1)
-            .next_power_of_two()
-            .max(MIN_BUCKETS);
-        needed.min(self.buckets)
-    }
-
-    fn rehash(&mut self, new_buckets: usize) {
-        let old = std::mem::replace(self, Self::with_buckets(new_buckets));
-        let (probes, lookups) = (old.probes, old.lookups);
-        for group in old.groups {
-            for (k, v) in group.into_slots() {
-                self.insert_fresh(k, v);
-            }
-        }
-        // Preserve cumulative probe statistics across rehashes.
-        self.probes += probes;
-        self.lookups += lookups;
-    }
-
-    /// Insert during rehash: key is known absent and no tombstones exist.
-    fn insert_fresh(&mut self, key: u64, value: V) {
-        for p in 0..self.buckets {
-            let bucket = self.bucket_of(key, p);
-            let (gi, bi) = Self::split(bucket);
-            if !self.groups[gi].is_occupied(bi) {
-                self.groups[gi].set(bi, key, value);
-                self.occupied += 1;
-                return;
-            }
-        }
-        unreachable!("rehash target cannot be full");
     }
 
     /// Iterates `(key, &value)` in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
         self.groups
             .iter()
-            .flat_map(|g| g.iter().map(|(k, v)| (*k, v)))
+            .flat_map(|g| g.entries().iter().map(|(k, v)| (*k, v)))
     }
 
     /// Iterates all keys in unspecified order.
@@ -274,13 +272,34 @@ impl<V> SparseHashMap<V> {
         self.iter().map(|(k, _)| k)
     }
 
-    /// Average probes per mutable lookup since creation.
+    /// Mean probe length of the stored keys: the buckets a lookup of each
+    /// visits (its displacement from home, plus one), found by looking every
+    /// one of them up. 0 when empty.
     pub fn probe_stats(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.probes as f64 / self.lookups as f64
+        let visited = |key| {
+            let (bucket, ..) = self.find(key).expect("a stored key is found");
+            (bucket.wrapping_sub(self.home(key)) & (self.buckets - 1)) + 1
+        };
+        self.keys().map(visited).sum::<usize>() as f64 / self.occupied.max(1) as f64
+    }
+
+    /// Panics unless the table is well formed: every group's bitmap counts
+    /// its packed entries, `len()` is their sum, live load is within
+    /// `MAX_LOAD`, and a lookup of every stored key ends at that very entry
+    /// — it is reachable from its home through occupied buckets only, and
+    /// stored once. The oracle the property tests call after every step.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        assert_eq!(self.groups.len() * GROUP_SIZE, self.buckets);
+        assert!(self.occupied as f64 <= self.buckets as f64 * MAX_LOAD);
+        for (gi, g) in self.groups.iter().enumerate() {
+            assert_eq!(g.len(), g.entries().len(), "group {gi}: bitmap vs slots");
+            for (slot, (key, _)) in g.entries().iter().enumerate() {
+                let found = self.find(*key).map(|(_, gi, slot)| (gi, slot));
+                assert_eq!(found, Ok((gi, slot)), "lookup of stored key {key:#x}");
+            }
         }
+        assert_eq!(self.occupied, self.groups.iter().map(Group::len).sum());
     }
 
     /// Memory report: the paper's modeled footprint and the real heap bytes.
@@ -355,25 +374,88 @@ mod tests {
     }
 
     #[test]
-    fn tombstones_do_not_break_probe_chains() {
-        // Force collisions by filling then deleting interleaved keys; probe
-        // chains must skip tombstones and still find later entries.
+    fn survivors_found_after_interleaved_removal_and_reinsertion() {
+        // Remove every other key of a filled table: each removal closes its
+        // gap, and every surviving key must still be reachable from home.
         let mut m = SparseHashMap::new();
         for i in 0..1_000u64 {
             m.insert(i, i);
         }
         for i in (0..1_000u64).step_by(2) {
-            m.remove(i);
+            assert_eq!(m.remove(i), Some(i));
+            m.check_invariants();
         }
-        for i in (1..1_000u64).step_by(2) {
-            assert_eq!(m.get(i), Some(&i));
+        for i in 0..1_000u64 {
+            assert_eq!(m.get(i), (i % 2 == 1).then_some(&i));
         }
-        // Reinsert the removed keys; tombstone slots are reused.
+        // Reinsert the removed keys; the table holds exactly what it did.
+        let buckets = m.buckets();
         for i in (0..1_000u64).step_by(2) {
             assert_eq!(m.insert(i, i + 1), None);
         }
+        m.check_invariants();
         assert_eq!(m.len(), 1_000);
+        assert_eq!(m.buckets(), buckets, "reinsertion fits the table it left");
         assert_eq!(m.get(0), Some(&1));
+        assert_eq!(m.get(999), Some(&999));
+    }
+
+    #[test]
+    fn overwriting_present_keys_never_grows_the_table() {
+        // As full as a table gets: one more *new* key would grow it.
+        let mut m = SparseHashMap::new();
+        let full = (MIN_BUCKETS as f64 * MAX_LOAD) as u64;
+        for i in 0..full {
+            m.insert(i, i);
+        }
+        assert_eq!(m.buckets(), MIN_BUCKETS);
+        for i in 0..full {
+            assert_eq!(m.insert(i, i + 1), Some(i));
+            *m.get_or_insert_with(i, || unreachable!("key {i} is present")) += 1;
+            assert_eq!(m.buckets(), MIN_BUCKETS, "value update resized the table");
+        }
+        assert_eq!(m.get(7), Some(&9));
+        // The growth check belongs to the absent-key arm.
+        m.insert(full, 0);
+        assert_eq!(m.buckets(), 2 * MIN_BUCKETS);
+        m.check_invariants();
+    }
+
+    #[test]
+    fn churn_at_constant_size_never_resizes() {
+        // The `pages` traffic: every host write removes one key and inserts
+        // a different one. Live size is constant, so the table is too.
+        let live = 3_000u64;
+        let mut m = SparseHashMap::with_capacity(live as usize);
+        for i in 0..live {
+            m.insert(i * 8_191, i);
+        }
+        let buckets = m.buckets();
+        for i in 0..100_000u64 {
+            assert_eq!(m.remove(i * 8_191), Some(i));
+            assert_eq!(m.insert((i + live) * 8_191, i + live), None);
+            assert_eq!(m.buckets(), buckets, "resized after {i} pairs");
+        }
+        m.check_invariants();
+        assert_eq!(m.len(), live as usize);
+        assert!(m.probe_stats() < 5.0, "avg probes {}", m.probe_stats());
+    }
+
+    #[test]
+    fn get_or_insert_with_probes_once_either_way() {
+        let mut m: SparseHashMap<u64> = SparseHashMap::new();
+        *m.get_or_insert_with(9, || 1) |= 0b100;
+        assert_eq!(m.get(9), Some(&0b101));
+        *m.get_or_insert_with(9, || unreachable!("present")) |= 0b010;
+        assert_eq!(m.get(9), Some(&0b111));
+        assert_eq!(m.len(), 1);
+        // Absent keys count toward growth like any insert.
+        for i in 0..1_000u64 {
+            *m.get_or_insert_with(i << 20, || i) += 1;
+        }
+        m.check_invariants();
+        assert_eq!(m.len(), 1_001);
+        assert_eq!(m.get(5 << 20), Some(&6));
     }
 
     #[test]
@@ -424,8 +506,10 @@ mod tests {
             m.insert(key, i);
         }
         // The paper observes "no more than 4-5 probes per lookup" at its
-        // operating point.
-        assert!(m.probe_stats() < 5.0, "avg probes {}", m.probe_stats());
+        // operating point. Every stored key costs at least its home bucket.
+        let probes = m.probe_stats();
+        assert!((1.0..5.0).contains(&probes), "avg probes {probes}");
+        assert_eq!(SparseHashMap::<u64>::new().probe_stats(), 0.0);
     }
 
     #[test]
@@ -455,7 +539,7 @@ mod tests {
 
     #[test]
     fn dense_collision_heavy_keys() {
-        // Keys that collide in low bits stress quadratic probing.
+        // Keys that collide in low bits stress the probe sequence.
         let mut m = SparseHashMap::new();
         for i in 0..512u64 {
             m.insert(i << 32, i);

@@ -58,22 +58,197 @@ fn sparse_map_matches_hashmap() {
                 }
             }
             assert_eq!(sut.len(), reference.len());
+            sut.check_invariants();
         }
-        // Full-content check at the end.
-        let mut got: Vec<(u64, u64)> = sut.iter().map(|(k, v)| (k, *v)).collect();
-        got.sort_unstable();
-        let mut want: Vec<(u64, u64)> = reference.into_iter().collect();
-        want.sort_unstable();
-        assert_eq!(got, want);
+        assert_same_contents(&sut, &reference);
     }
+}
+
+/// Full-content comparison, both directions: same pairs, and every one of
+/// them found by a lookup.
+fn assert_same_contents(sut: &SparseHashMap<u64>, reference: &HashMap<u64, u64>) {
+    let mut got: Vec<(u64, u64)> = sut.iter().map(|(k, v)| (k, *v)).collect();
+    got.sort_unstable();
+    let mut want: Vec<(u64, u64)> = reference.iter().map(|(k, v)| (*k, *v)).collect();
+    want.sort_unstable();
+    assert_eq!(got, want);
+    for (k, v) in reference {
+        assert_eq!(sut.get(*k), Some(v), "key {k:#x} stored but not found");
+    }
+}
+
+/// The map's hash is a bijection on `u64` (an odd multiply, then a rotate),
+/// so it can be run backwards: the `n`th key whose home bucket is `home` in
+/// every table of up to 2^32 buckets. What random keys almost never build —
+/// many keys sharing one home — is then built on purpose.
+fn key_with_home(home: usize, n: u64) -> u64 {
+    const MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+    // Newton's iteration for the inverse modulo 2^64; each round doubles the
+    // number of correct low bits.
+    let mut inverse = MULTIPLIER;
+    for _ in 0..6 {
+        inverse = inverse.wrapping_mul(2u64.wrapping_sub(MULTIPLIER.wrapping_mul(inverse)));
+    }
+    assert_eq!(MULTIPLIER.wrapping_mul(inverse), 1);
+    let hash = home as u64 | (n + 1) << 32;
+    hash.rotate_left(17).wrapping_mul(inverse)
+}
+
+#[test]
+fn inverted_keys_really_share_a_home() {
+    // Guards every cluster test below against a change of hash function:
+    // `n` keys with one home in an otherwise empty table are displaced
+    // 0, 1, .., n-1 buckets, so the mean probe length is (n + 1) / 2.
+    for home in [0, 5, 31, 63] {
+        let mut m: SparseHashMap<u64> = SparseHashMap::new();
+        for n in 0..9 {
+            m.insert(key_with_home(home, n), n);
+        }
+        m.check_invariants();
+        assert_eq!(m.probe_stats(), 5.0, "home {home}");
+    }
+}
+
+/// A cluster of 15 keys on 5 neighbouring homes starting at `base` (of a
+/// 64-bucket table, wrapping past bucket 63), three keys a home.
+fn cluster(base: usize) -> Vec<u64> {
+    (0..15)
+        .map(|i| key_with_home((base + i / 3) % 64, i as u64 % 3))
+        .collect()
+}
+
+#[test]
+fn clusters_survive_removal_at_head_middle_and_tail() {
+    // One home's worth of pile-up inside a group, a run that straddles the
+    // group boundary at bucket 32, and one that wraps from bucket 63 to 0.
+    for base in [5, 27, 58, 61] {
+        let keys = cluster(base);
+        // Insertion orders decide who is displaced past whom: home order,
+        // reverse (late homes settle first, early homes probe past them),
+        // and shuffles. Removal orders: head first, tail first, middle
+        // out, and shuffles.
+        let mut rng = SimRng::seed_from(0x5AA5_4000 ^ base as u64);
+        let mut orders: Vec<Vec<u64>> = vec![keys.clone(), keys.iter().rev().copied().collect()];
+        let mut middle_out = keys.clone();
+        middle_out.rotate_left(keys.len() / 2);
+        orders.push(middle_out);
+        for _ in 0..5 {
+            let mut shuffled = keys.clone();
+            rng.shuffle(&mut shuffled);
+            orders.push(shuffled);
+        }
+        for insert_order in &orders {
+            for remove_order in &orders {
+                let mut sut: SparseHashMap<u64> = SparseHashMap::new();
+                let mut reference: HashMap<u64, u64> = HashMap::new();
+                for &k in insert_order {
+                    assert_eq!(sut.insert(k, !k), reference.insert(k, !k));
+                    sut.check_invariants();
+                }
+                assert_eq!(sut.buckets(), 64, "the cluster was laid out for 64");
+                for (step, &k) in remove_order.iter().enumerate() {
+                    assert_eq!(sut.remove(k), reference.remove(&k));
+                    sut.check_invariants();
+                    assert_same_contents(&sut, &reference);
+                    // Every third step puts a removed key back, so shifted
+                    // entries are probed past and displaced again.
+                    if step % 3 == 2 {
+                        let back = remove_order[step - 1];
+                        assert_eq!(sut.insert(back, step as u64), None);
+                        reference.insert(back, step as u64);
+                        sut.check_invariants();
+                    }
+                }
+                assert_same_contents(&sut, &reference);
+            }
+        }
+    }
+}
+
+#[test]
+fn clusters_keep_their_keys_across_growth_and_shrink() {
+    // 60 keys on three homes around the wrap point: growing moves the run
+    // (bucket 63 of 64 is bucket 63 of 128, mid-table), shrinking moves it
+    // back, and both rebuild through the same probe.
+    let keys: Vec<u64> = (0..60)
+        .map(|i| key_with_home([62, 63, 0][i % 3], i as u64 / 3))
+        .collect();
+    let mut sut: SparseHashMap<u64> = SparseHashMap::new();
+    let mut reference: HashMap<u64, u64> = HashMap::new();
+    for &k in &keys {
+        assert_eq!(sut.insert(k, k ^ 1), reference.insert(k, k ^ 1));
+        sut.check_invariants();
+    }
+    assert_eq!(sut.buckets(), 128);
+    assert_same_contents(&sut, &reference);
+    for &k in &keys[..55] {
+        assert_eq!(sut.remove(k), reference.remove(&k));
+        sut.check_invariants();
+    }
+    assert_eq!(sut.buckets(), 64);
+    assert_same_contents(&sut, &reference);
+}
+
+#[test]
+fn fifo_churn_across_grow_and_shrink_cycles() {
+    // The page map's traffic — remove the oldest key, insert a fresh one —
+    // while the live size swings between 12 and 700 entries: the table goes
+    // 64 -> 1024 buckets and back, three times over, 10 k operations in all.
+    let mut rng = SimRng::seed_from(0x5AA5_5000);
+    let mut sut: SparseHashMap<u64> = SparseHashMap::new();
+    let mut reference: HashMap<u64, u64> = HashMap::new();
+    let mut fifo = std::collections::VecDeque::new();
+    let fresh = |rng: &mut SimRng| {
+        // Half the keys dense and sequential like LBAs, half anywhere.
+        if rng.gen_bool(0.5) {
+            rng.gen_range(1 << 20)
+        } else {
+            rng.next_u64()
+        }
+    };
+    let mut ops = 0u64;
+    let mut sizes = Vec::new();
+    for target in [700usize, 12, 700, 12, 700, 12] {
+        // Drift toward the target two steps forward, one back, then churn
+        // in place at constant live size.
+        let mut churn = 400;
+        while churn > 0 {
+            let grow = match fifo.len().cmp(&target) {
+                std::cmp::Ordering::Less => ops % 3 != 2,
+                std::cmp::Ordering::Greater => ops % 3 == 2,
+                std::cmp::Ordering::Equal => {
+                    churn -= 1;
+                    churn % 2 == 0
+                }
+            };
+            if grow || fifo.is_empty() {
+                let k = fresh(&mut rng);
+                let old = reference.insert(k, ops);
+                if old.is_none() {
+                    fifo.push_back(k);
+                }
+                assert_eq!(sut.insert(k, ops), old);
+            } else {
+                let k = fifo.pop_front().unwrap();
+                assert_eq!(sut.remove(k), reference.remove(&k));
+            }
+            ops += 1;
+            assert_eq!(sut.len(), reference.len());
+            sut.check_invariants();
+        }
+        assert_same_contents(&sut, &reference);
+        sizes.push(sut.buckets());
+    }
+    assert!(ops >= 10_000, "only {ops} operations");
+    assert_eq!(sizes, [1024, 64, 1024, 64, 1024, 64]);
 }
 
 #[test]
 fn sparse_map_survives_heavy_churn() {
     for case in 0..32u64 {
         let seed = SimRng::seed_from(0x5AA5_1000 ^ case).next_u64();
-        // Insert/remove the same small key set thousands of times; tombstone
-        // handling and in-place rehash must keep the table healthy.
+        // Insert/remove the same small key set thousands of times; churn
+        // alone must never grow the table.
         let mut m: SparseHashMap<u64> = SparseHashMap::new();
         let mut x = seed | 1;
         for round in 0..2_000u64 {
@@ -87,7 +262,8 @@ fn sparse_map_survives_heavy_churn() {
                 m.insert(k, round);
             }
             assert!(m.len() <= 32);
-            assert!(m.buckets() <= 1024, "table blew up to {}", m.buckets());
+            assert_eq!(m.buckets(), 64, "32 live keys fit the minimum table");
+            m.check_invariants();
         }
     }
 }
