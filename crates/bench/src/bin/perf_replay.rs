@@ -29,12 +29,9 @@
 //!   FlashTier system combined with `--shards` is a usage error (exit 2).
 //!   With the flag absent the output is byte-identical to a shard-free
 //!   build.
-//! * `--profile PATH` — write a folded-stacks profile (one
-//!   `frame;frame;... count` line per phase, counts in microseconds of
-//!   wall time) to PATH after the run. The folds cover workload
-//!   generation and each system's replay region and can be rendered with
-//!   any flamegraph tool (`flamegraph.pl`, `inferno-flamegraph`); see
-//!   `scripts/profile.sh`.
+//!
+//! Per-layer attribution of a replay is the ledger's job:
+//! `bash benchmark/run.sh --workload <w> --trace 1`.
 //!
 //! All flags are validated strictly: unknown flags, unparsable values and
 //! invalid combinations exit 2 with a message instead of silently
@@ -47,14 +44,7 @@ use flashtier_bench::replay::{
     run_system, run_system_sharded, ReplaySetup, ReplaySystem, SystemResult,
 };
 
-const FLAGS: &[&str] = &[
-    "--events",
-    "--seed",
-    "--systems",
-    "--faults",
-    "--shards",
-    "--profile",
-];
+const FLAGS: &[&str] = &["--events", "--seed", "--systems", "--faults", "--shards"];
 
 /// Events replayed on a throwaway system before the measured region.
 const WARMUP_EVENTS: u64 = 50_000;
@@ -83,7 +73,6 @@ fn main() {
     if shards == Some(0) {
         usage_error("--shards must be at least 1");
     }
-    let profile_path: Option<String> = args.get("--profile").map(str::to_string);
     let systems: Vec<ReplaySystem> = match args.get("--systems") {
         Some(list) => list
             .split(',')
@@ -107,9 +96,7 @@ fn main() {
         );
     }
 
-    let gen_start = Instant::now();
     let t = setup.workload();
-    let gen_wall = gen_start.elapsed();
 
     // Untimed warmup: replay a short prefix on a throwaway system before
     // the measured region. The first replay of the process otherwise pays
@@ -166,10 +153,6 @@ fn main() {
         .collect();
     let region_wall = region_start.elapsed().as_secs_f64();
 
-    if let Some(path) = &profile_path {
-        write_profile(path, gen_wall, &results);
-    }
-
     let total_events: u64 = results.iter().map(|r| r.events).sum();
     let aggregate = total_events as f64 / region_wall;
 
@@ -193,20 +176,7 @@ fn main() {
             json.push_str(&format!(",\"shard_events\":[{}]", list.join(",")));
         }
         if let Some(f) = &r.faults {
-            json.push_str(&format!(
-                ",\"faults\":{{\"injected\":{},\"read_faults\":{},\
-                 \"program_faults\":{},\"erase_faults\":{},\
-                 \"blocks_retired\":{},\"read_fault_fallbacks\":{},\
-                 \"destage_fault_invalidations\":{},\"lost_dirty_reads\":{}}}",
-                f.injected,
-                f.read_faults,
-                f.program_faults,
-                f.erase_faults,
-                f.blocks_retired,
-                f.read_fault_fallbacks,
-                f.destage_fault_invalidations,
-                f.lost_dirty_reads
-            ));
+            json.push_str(&f.json_member());
         }
         json.push('}');
     }
@@ -218,28 +188,4 @@ fn main() {
         "}}{shards_field},\"total_wall_s\":{region_wall:.4},\"aggregate_events_per_sec\":{aggregate:.0}}}"
     ));
     println!("{json}");
-}
-
-/// Writes a folded-stacks wall-time profile of the run: one
-/// `frame;frame;... micros` line per measured phase, in the format
-/// flamegraph renderers consume. The phases are self-instrumented (the
-/// repo builds offline, with no `perf` dependency): trace generation and
-/// each system's whole replay region.
-fn write_profile(path: &str, gen_wall: std::time::Duration, results: &[SystemResult]) {
-    let mut folds = String::new();
-    folds.push_str(&format!(
-        "perf_replay;workload_gen {}\n",
-        gen_wall.as_micros()
-    ));
-    for r in results {
-        folds.push_str(&format!(
-            "perf_replay;replay;{} {}\n",
-            r.name,
-            (r.wall_s * 1e6) as u64
-        ));
-    }
-    if let Err(e) = std::fs::write(path, folds) {
-        eprintln!("error: cannot write profile to {path:?}: {e}");
-        std::process::exit(1);
-    }
 }

@@ -159,20 +159,7 @@ fn main() {
         out.server.sim_time_us,
     );
     if let Some(f) = &out.faults {
-        json.push_str(&format!(
-            ",\"faults\":{{\"injected\":{},\"read_faults\":{},\
-             \"program_faults\":{},\"erase_faults\":{},\
-             \"blocks_retired\":{},\"read_fault_fallbacks\":{},\
-             \"destage_fault_invalidations\":{},\"lost_dirty_reads\":{}}}",
-            f.injected,
-            f.read_faults,
-            f.program_faults,
-            f.erase_faults,
-            f.blocks_retired,
-            f.read_fault_fallbacks,
-            f.destage_fault_invalidations,
-            f.lost_dirty_reads
-        ));
+        json.push_str(&f.json_member());
     }
     if let Some(n) = &out.net {
         json.push_str(&format!(

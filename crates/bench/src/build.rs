@@ -27,37 +27,84 @@ pub fn disk(range_blocks: u64) -> Disk {
     Disk::new(config, DiskDataMode::Discard)
 }
 
+/// Raw bytes whose usable data capacity is `cache_blocks` after hiding
+/// `hidden_fraction` of them.
+fn raw_bytes(cache_blocks: u64, hidden_fraction: f64) -> u64 {
+    ((cache_blocks * BLOCK_BYTES) as f64 / (1.0 - hidden_fraction)) as u64
+}
+
 /// Raw flash sized so that usable data capacity is `cache_blocks` after
-/// reserving `hidden_fraction` of it.
+/// reserving `hidden_fraction` of it, padded by the four-block GC reserve.
 fn flash_for(cache_blocks: u64, hidden_fraction: f64) -> FlashConfig {
-    let raw_bytes = (cache_blocks * BLOCK_BYTES) as f64 / (1.0 - hidden_fraction);
-    FlashConfig::with_capacity_bytes(raw_bytes as u64 + 4 * 256 * 1024)
+    FlashConfig::with_capacity_bytes(raw_bytes(cache_blocks, hidden_fraction) + 4 * 256 * 1024)
+}
+
+/// SSC (SE-Util, 7% log) or SSC-R (SE-Merge, log up to 20%) configuration
+/// over `flash`, in the `Discard` data mode every experiment replays in.
+fn ssc_config(flash: FlashConfig, ssc_r: bool, consistency: ConsistencyMode) -> SscConfig {
+    let base = if ssc_r {
+        SscConfig::ssc_r(flash)
+    } else {
+        SscConfig::ssc(flash)
+    };
+    base.with_consistency(consistency)
+        .with_data_mode(DataMode::Discard)
+}
+
+/// The Native SSD's configuration for a given cache size: 7%
+/// over-provisioning + 7% log + GC reserve.
+pub fn ssd_config(cache_blocks: u64) -> SsdConfig {
+    SsdConfig::paper_default(flash_for(cache_blocks, 0.16))
 }
 
 /// The Native SSD for a given cache size.
 pub fn ssd_device(cache_blocks: u64) -> HybridFtl {
-    // 7% over-provisioning + 7% log + GC reserve.
-    let config = SsdConfig::paper_default(flash_for(cache_blocks, 0.16));
-    HybridFtl::new(config, DataMode::Discard)
+    HybridFtl::new(ssd_config(cache_blocks), DataMode::Discard)
 }
 
-/// The SSC (SE-Util, 7% log) on the *same raw flash* as the SSD: the SSC
-/// "does not require over provisioning" (§3.3), so the SSD's hidden 7%
-/// becomes usable cache space.
-pub fn ssc_device(cache_blocks: u64, consistency: ConsistencyMode) -> Ssc {
-    let config = SscConfig::ssc(flash_for(cache_blocks, 0.16))
-        .with_consistency(consistency)
-        .with_data_mode(DataMode::Discard);
-    Ssc::new(config)
+/// The SSC (SE-Util, 7% log) or SSC-R (SE-Merge, log fraction up to 20%) on
+/// the *same raw flash* as the SSD: the SSC "does not require over
+/// provisioning" (§3.3), so the SSD's hidden 7% becomes usable cache space;
+/// the SSC-R's larger log budget trades data capacity for cheaper merges.
+pub fn ssc_device(cache_blocks: u64, ssc_r: bool, consistency: ConsistencyMode) -> Ssc {
+    Ssc::new(ssc_config(
+        flash_for(cache_blocks, 0.16),
+        ssc_r,
+        consistency,
+    ))
 }
 
-/// The SSC-R (SE-Merge, log fraction up to 20%) on the same raw flash; the
-/// larger log budget trades data capacity for cheaper merges.
-pub fn ssc_r_device(cache_blocks: u64, consistency: ConsistencyMode) -> Ssc {
-    let config = SscConfig::ssc_r(flash_for(cache_blocks, 0.16))
-        .with_consistency(consistency)
-        .with_data_mode(DataMode::Discard);
-    Ssc::new(config)
+/// SSC configuration on ablation-sized flash: the same 16% hidden fraction
+/// as the paper devices without `flash_for`'s GC-reserve pad, which is the
+/// sizing every single-workload SSC ablation has reported against. The
+/// caller overrides the one knob it sweeps.
+pub fn ablation_ssc_config(
+    cache_blocks: u64,
+    ssc_r: bool,
+    consistency: ConsistencyMode,
+) -> SscConfig {
+    let flash = FlashConfig::with_capacity_bytes(raw_bytes(cache_blocks, 0.16));
+    ssc_config(flash, ssc_r, consistency)
+}
+
+/// The Native SSD's configuration for the FTL ablation, which runs the
+/// page-mapped FTL on it too: [`ssd_config`], floored at the smallest
+/// device `PageFtl` can make progress on. `PageFtl` hides `op_blocks +
+/// gc_reserve_blocks` erase blocks and will not start a host write until
+/// more than `gc_reserve_blocks` of them are pooled, while its host and GC
+/// streams each hold a partly written block open. With one over-provisioned
+/// block (any device under `1 / over_provision` = 15 blocks) the hidden
+/// space is exactly that pooled minimum and collection can never get ahead;
+/// two is the least that leaves a block of slack. The floor is inactive up
+/// to `--scale 20` or so, where this *is* Figure 6's SSD.
+pub fn ftl_ablation_ssd_config(cache_blocks: u64) -> SsdConfig {
+    let mut config = ssd_config(cache_blocks);
+    let pooled_minimum = config.gc_reserve_blocks as u64 + 1;
+    while config.op_blocks() + (config.gc_reserve_blocks as u64) <= pooled_minimum {
+        let bytes = config.flash.geometry.capacity_bytes() + 1;
+        config.flash = FlashConfig::with_capacity_bytes(bytes);
+    }
+    config
 }
 
 /// FlashTier write-through system.
@@ -67,12 +114,10 @@ pub fn flashtier_wt(
     ssc_r: bool,
     consistency: ConsistencyMode,
 ) -> FlashTierWt {
-    let ssc = if ssc_r {
-        ssc_r_device(cache_blocks, consistency)
-    } else {
-        ssc_device(cache_blocks, consistency)
-    };
-    FlashTierWt::new(ssc, disk(range_blocks))
+    FlashTierWt::new(
+        ssc_device(cache_blocks, ssc_r, consistency),
+        disk(range_blocks),
+    )
 }
 
 /// FlashTier write-back system.
@@ -82,12 +127,10 @@ pub fn flashtier_wb(
     ssc_r: bool,
     consistency: ConsistencyMode,
 ) -> FlashTierWb {
-    let ssc = if ssc_r {
-        ssc_r_device(cache_blocks, consistency)
-    } else {
-        ssc_device(cache_blocks, consistency)
-    };
-    FlashTierWb::new(ssc, disk(range_blocks))
+    FlashTierWb::new(
+        ssc_device(cache_blocks, ssc_r, consistency),
+        disk(range_blocks),
+    )
 }
 
 /// Native system over the hybrid-FTL SSD.
@@ -119,9 +162,9 @@ mod tests {
             "ssd {} < {cache}",
             ssd.capacity_pages()
         );
-        let ssc = ssc_device(cache, ConsistencyMode::None);
+        let ssc = ssc_device(cache, false, ConsistencyMode::None);
         assert!(ssc.data_capacity_pages() >= cache);
-        let sscr = ssc_r_device(cache, ConsistencyMode::None);
+        let sscr = ssc_device(cache, true, ConsistencyMode::None);
         assert!(sscr.data_capacity_pages() >= cache);
     }
 

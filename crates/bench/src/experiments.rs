@@ -15,7 +15,7 @@ use crate::scaled::{paper_workloads, ScaledWorkload};
 pub const WARMUP_FRACTION: f64 = 0.15;
 
 /// Warm a system with the trace prefix, then measure the suffix.
-fn warm_and_measure<S: CacheSystem>(system: &mut S, workload: &ScaledWorkload) -> ReplayStats {
+pub fn warm_and_measure<S: CacheSystem>(system: &mut S, workload: &ScaledWorkload) -> ReplayStats {
     let warm = workload.trace.prefix(WARMUP_FRACTION);
     replay(system, warm).expect("warmup replay failed");
     let measured = workload.trace.suffix(WARMUP_FRACTION);
@@ -548,7 +548,7 @@ mod tests {
     use super::*;
 
     // Experiment smoke tests run at an extreme shrink so CI stays fast; the
-    // real runs happen through the bin targets.
+    // real runs happen through the `experiments` binary.
     const TINY: f64 = 40.0;
 
     #[test]

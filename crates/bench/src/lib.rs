@@ -2,12 +2,12 @@
 //! evaluation (§6).
 //!
 //! Each experiment lives in [`experiments`] as a function returning
-//! structured rows; the `bin/` runners print them in the paper's layout.
-//! Workloads are the synthetic Table 3 equivalents from the `trace` crate,
-//! shrunk by a per-workload default scale factor
-//! ([`scaled::default_scale`]) so the full suite finishes in seconds —
-//! pass `--scale <f>` to any runner to multiply that factor (values below
-//! `1.0` grow the experiment toward paper scale).
+//! structured rows; the `experiments` binary prints them in the paper's
+//! layout (`experiments <name>|all [--scale f]`). Workloads are the
+//! synthetic Table 3 equivalents from the `trace` crate, shrunk by a
+//! per-workload default scale factor ([`scaled::default_scale`]) so the
+//! full suite finishes in seconds — `--scale <f>` multiplies that factor
+//! (values below `1.0` grow the experiment toward paper scale).
 //!
 //! Absolute IOPS numbers differ from the paper (different hardware era,
 //! synthetic traces); the *comparisons* — who wins, by what factor, and how
@@ -17,18 +17,7 @@
 pub mod build;
 pub mod cli;
 pub mod experiments;
-pub mod microbench;
-pub mod prelude;
 pub mod replay;
 pub mod scaled;
 pub mod serve;
 pub mod tablefmt;
-
-/// Parses `--scale <f>` from argv (default 1.0 = the built-in defaults).
-pub fn scale_arg() -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.windows(2)
-        .find(|w| w[0] == "--scale")
-        .and_then(|w| w[1].parse().ok())
-        .unwrap_or(1.0)
-}

@@ -1,10 +1,10 @@
 //! Shared setup for the replay-throughput measurements.
 //!
-//! Both the `perf_replay` gate binary and the `replay_throughput`
-//! micro-benchmark replay the same deterministic Zipf workload through the
-//! three cache systems in `Discard` mode; this module owns the workload
-//! parameters and the system constructors so the two targets cannot drift
-//! apart. The measurement is *host* CPU cost of the simulator (the quantity
+//! The `perf_replay` gate binary, the `perf_serve` load generator and the
+//! equivalence tests replay the same deterministic Zipf workload through
+//! the three cache systems in `Discard` mode; this module owns the workload
+//! parameters and the system constructors so they cannot drift apart. The
+//! measurement is *host* CPU cost of the simulator (the quantity
 //! the control-path indexes and the allocation-free data path optimize),
 //! not simulated device time — but each run also reports total simulated
 //! time, which must be byte-for-byte reproducible for a given seed.
@@ -62,8 +62,8 @@ impl ReplaySetup {
         }
     }
 
-    /// The `replay_throughput` micro-benchmark configuration: smaller span
-    /// and cache so a sample finishes quickly.
+    /// The test-sized configuration: smaller span and cache so a replay
+    /// finishes quickly.
     pub fn micro(events: u64) -> Self {
         ReplaySetup {
             name: "zipf-bench",
@@ -300,7 +300,7 @@ simkit::counter_set! {
 }
 
 impl FaultReport {
-    pub(crate) fn new(injected: FaultCounters, retired: u64, mgr: cachemgr::MgrCounters) -> Self {
+    fn new(injected: FaultCounters, retired: u64, mgr: cachemgr::MgrCounters) -> Self {
         FaultReport {
             injected: injected.total(),
             read_faults: injected.read_failures + injected.read_corruptions,
@@ -311,6 +311,49 @@ impl FaultReport {
             destage_fault_invalidations: mgr.destage_fault_invalidations,
             lost_dirty_reads: mgr.lost_dirty_reads,
         }
+    }
+
+    fn of_ssc(ssc: &Ssc, mgr: cachemgr::MgrCounters) -> Self {
+        Self::new(ssc.fault_counters(), ssc.counters().blocks_retired, mgr)
+    }
+
+    /// The report for a FlashTier write-through stack.
+    pub(crate) fn of_wt(s: &FlashTierWt) -> Self {
+        Self::of_ssc(s.ssc(), s.counters())
+    }
+
+    /// The report for a FlashTier write-back stack.
+    pub(crate) fn of_wb(s: &FlashTierWb) -> Self {
+        Self::of_ssc(s.ssc(), s.counters())
+    }
+
+    /// The report for the Native stack.
+    pub(crate) fn of_native(s: &NativeCache<HybridFtl>) -> Self {
+        use ftl::BlockDev;
+        Self::new(
+            s.fault_counters(),
+            s.ssd().ftl_counters().blocks_retired,
+            s.counters(),
+        )
+    }
+
+    /// The `,"faults":{…}` member both gate binaries append to a faulted
+    /// system's JSON object.
+    pub fn json_member(&self) -> String {
+        format!(
+            ",\"faults\":{{\"injected\":{},\"read_faults\":{},\
+             \"program_faults\":{},\"erase_faults\":{},\
+             \"blocks_retired\":{},\"read_fault_fallbacks\":{},\
+             \"destage_fault_invalidations\":{},\"lost_dirty_reads\":{}}}",
+            self.injected,
+            self.read_faults,
+            self.program_faults,
+            self.erase_faults,
+            self.blocks_retired,
+            self.read_fault_fallbacks,
+            self.destage_fault_invalidations,
+            self.lost_dirty_reads
+        )
     }
 }
 
@@ -340,7 +383,8 @@ fn timed<S: CacheSystem>(
     kind: ReplaySystem,
     mut system: S,
     t: &Trace,
-    probe: impl Fn(&S) -> Option<FaultReport>,
+    faulted: bool,
+    probe: fn(&S) -> FaultReport,
 ) -> SystemResult {
     let start = Instant::now();
     let stats = replay(&mut system, &t.events).expect("replay");
@@ -351,7 +395,7 @@ fn timed<S: CacheSystem>(
         wall_s: wall,
         events_per_sec: stats.ops as f64 / wall,
         sim_time_us: stats.sim_time.as_micros(),
-        faults: probe(&system),
+        faults: faulted.then(|| probe(&system)),
         shard_events: None,
     }
 }
@@ -360,34 +404,15 @@ fn timed<S: CacheSystem>(
 pub fn run_system(kind: ReplaySystem, setup: &ReplaySetup, t: &Trace) -> SystemResult {
     let faulted = setup.fault_plan().is_some();
     match kind {
-        ReplaySystem::FlashtierWt => timed(kind, setup.flashtier_wt(), t, move |s| {
-            faulted.then(|| {
-                FaultReport::new(
-                    s.ssc().fault_counters(),
-                    s.ssc().counters().blocks_retired,
-                    s.counters(),
-                )
-            })
-        }),
-        ReplaySystem::FlashtierWb => timed(kind, setup.flashtier_wb(), t, move |s| {
-            faulted.then(|| {
-                FaultReport::new(
-                    s.ssc().fault_counters(),
-                    s.ssc().counters().blocks_retired,
-                    s.counters(),
-                )
-            })
-        }),
-        ReplaySystem::NativeWb => timed(kind, setup.native_wb(), t, move |s| {
-            faulted.then(|| {
-                use ftl::BlockDev;
-                FaultReport::new(
-                    s.fault_counters(),
-                    s.ssd().ftl_counters().blocks_retired,
-                    s.counters(),
-                )
-            })
-        }),
+        ReplaySystem::FlashtierWt => {
+            timed(kind, setup.flashtier_wt(), t, faulted, FaultReport::of_wt)
+        }
+        ReplaySystem::FlashtierWb => {
+            timed(kind, setup.flashtier_wb(), t, faulted, FaultReport::of_wb)
+        }
+        ReplaySystem::NativeWb => {
+            timed(kind, setup.native_wb(), t, faulted, FaultReport::of_native)
+        }
     }
 }
 
@@ -449,7 +474,7 @@ fn timed_sharded<S, B, P>(
 where
     S: CacheSystem,
     B: Fn(usize) -> S + Sync,
-    P: Fn(&S) -> (SscCounters, FaultCounters) + Sync,
+    P: Fn(&S) -> (SscCounters, FaultReport) + Sync,
 {
     let router = ShardRouter::new(shards, ppb);
     let parts = partition_events(&t.events, router);
@@ -464,14 +489,12 @@ where
                 scope.spawn(move || {
                     let mut system = build(i);
                     let stats = replay(&mut system, events).expect("sharded replay");
-                    let (counters, injected) = probe(&system);
+                    let (counters, report) = probe(&system);
                     ShardOutcome {
                         ops: stats.ops,
                         sim_time_us: stats.sim_time.as_micros(),
                         counters,
-                        faults: faulted.then(|| {
-                            FaultReport::new(injected, counters.blocks_retired, stats.counters)
-                        }),
+                        faults: faulted.then_some(report),
                     }
                 })
             })
@@ -549,7 +572,7 @@ pub fn run_sharded_detail(
             ppb,
             plan.is_some(),
             |i| FlashTierWt::new(build_ssc(i), setup.disk()),
-            |s: &FlashTierWt| (s.ssc().counters(), s.ssc().fault_counters()),
+            |s: &FlashTierWt| (s.ssc().counters(), FaultReport::of_wt(s)),
         ),
         ReplaySystem::FlashtierWb => timed_sharded(
             kind,
@@ -558,7 +581,7 @@ pub fn run_sharded_detail(
             ppb,
             plan.is_some(),
             |i| FlashTierWb::new(build_ssc(i), setup.disk()),
-            |s: &FlashTierWb| (s.ssc().counters(), s.ssc().fault_counters()),
+            |s: &FlashTierWb| (s.ssc().counters(), FaultReport::of_wb(s)),
         ),
         ReplaySystem::NativeWb => unreachable!(),
     }

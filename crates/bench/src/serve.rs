@@ -249,13 +249,7 @@ pub fn run_serve(spec: &ServeSpec) -> ServeOutcome {
             &replay,
             &trace.events,
             config,
-            |s| {
-                FaultReport::new(
-                    s.ssc().fault_counters(),
-                    s.ssc().counters().blocks_retired,
-                    s.counters(),
-                )
-            },
+            FaultReport::of_wt,
             |s| {
                 s.crash_and_recover().expect("post-run recovery");
             },
@@ -266,13 +260,7 @@ pub fn run_serve(spec: &ServeSpec) -> ServeOutcome {
             &replay,
             &trace.events,
             config,
-            |s| {
-                FaultReport::new(
-                    s.ssc().fault_counters(),
-                    s.ssc().counters().blocks_retired,
-                    s.counters(),
-                )
-            },
+            FaultReport::of_wb,
             |s| {
                 s.crash_and_recover().expect("post-run recovery");
             },

@@ -42,7 +42,7 @@ pub use metrics::MgrCounters;
 pub use native::{NativeCache, NativeConsistency, NativeMode};
 pub use sharded::ShardSet;
 pub use simkit::PageBuf;
-pub use system::{replay, write_payload, write_payload_into, CacheSystem, ReplayStats};
+pub use system::{replay, write_payload_into, CacheSystem, ReplayStats};
 
 /// Result alias for cache-manager operations.
 pub type Result<T> = std::result::Result<T, CmError>;

@@ -136,19 +136,12 @@ impl ReplayStats {
 /// Deterministic page content for a write event, filled into the caller's
 /// buffer: derived from the LBA and a per-replay sequence number, so
 /// Store-mode verification is possible and Discard-mode runs are
-/// reproducible. [`write_payload`] is a convenience wrapper over this.
+/// reproducible.
 pub fn write_payload_into(lba: u64, op_index: u64, block_size: usize, buf: &mut PageBuf) {
     let fill = (lba ^ op_index)
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .to_le_bytes()[0];
     buf.fill_with(block_size, fill);
-}
-
-/// Deterministic page content for a write event as a fresh `Vec`.
-pub fn write_payload(lba: u64, op_index: u64, block_size: usize) -> Vec<u8> {
-    let mut buf = PageBuf::new();
-    write_payload_into(lba, op_index, block_size, &mut buf);
-    buf.into_vec()
 }
 
 /// Replays `events` against `system`, accumulating simulated time and
@@ -236,13 +229,14 @@ mod tests {
 
     #[test]
     fn payloads_are_deterministic_and_sized() {
-        let a = write_payload(7, 3, 512);
-        let b = write_payload(7, 3, 512);
-        assert_eq!(a, b);
+        let (mut a, mut b, mut c) = (PageBuf::new(), PageBuf::new(), PageBuf::new());
+        write_payload_into(7, 3, 512, &mut a);
+        write_payload_into(7, 3, 512, &mut b);
+        assert_eq!(*a, *b);
         assert_eq!(a.len(), 512);
-        let c = write_payload(7, 4, 512);
+        write_payload_into(7, 4, 512, &mut c);
         // Different op index usually changes the fill byte.
-        assert!(a != c || a[0] == c[0]);
+        assert!(*a != *c || a[0] == c[0]);
     }
 
     #[test]
