@@ -165,7 +165,6 @@ pub fn replay<S: CacheSystem + ?Sized>(
     let block_size = system.block_size();
     let fill_payloads = !system.payload_discarded();
     let mut sim_time = Duration::ZERO;
-    let mut response_us = Summary::new();
     let mut response_hist = Histogram::new();
     let mut scratch = PageBuf::with_capacity(block_size);
     let mut payload_buf = PageBuf::with_capacity(block_size);
@@ -182,13 +181,13 @@ pub fn replay<S: CacheSystem + ?Sized>(
         };
         let us = cost.as_micros();
         sim_time += cost;
-        response_us.add(us as f64);
         response_hist.record(us);
     }
     Ok(ReplayStats {
         ops: events.len() as u64,
         sim_time,
-        response_us,
+        // The histogram's own summary saw every sample once, as `f64`.
+        response_us: response_hist.summary().clone(),
         response_hist,
         counters: system.counters().since(&before),
     })

@@ -5,27 +5,43 @@
 //! per-op heap allocations. A counting `#[global_allocator]` wrapper makes
 //! that a hard assertion instead of a profiling claim.
 //!
-//! Everything runs inside one `#[test]` so no concurrent test pollutes the
-//! global counter.
+//! Only the measuring thread's allocations count, and only while it has
+//! armed the counter: the libtest harness thread allocates on its own
+//! schedule and must not trip the assertion.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use cachemgr::{replay, CacheSystem, FlashTierWt, PageBuf};
+use cachemgr::{
+    replay, CacheSystem, FlashTierWt, NativeCache, NativeConsistency, NativeMode, PageBuf,
+};
 use disksim::{Disk, DiskConfig, DiskDataMode};
 use flashsim::{DataMode, FlashConfig};
 use flashtier_core::{ConsistencyMode, Ssc, SscConfig};
+use ftl::{BlockDev, HybridFtl, SsdConfig};
 use trace::TraceEvent;
 
-/// Counts every allocation and reallocation (frees are irrelevant: a loop
-/// that allocates-and-frees per op is exactly the regression to catch).
+/// Counts the allocations and reallocations of a thread that has armed it
+/// (frees are irrelevant: a loop that allocates-and-frees per op is exactly
+/// the regression to catch).
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// `Some(n)`: this thread is measuring and has allocated `n` times
+    /// since arming. `const`-initialised and without a destructor, so
+    /// reading it inside the allocator never allocates or registers
+    /// anything.
+    static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn count_one() {
+    // `try_with`: a thread being torn down may still free and allocate.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get().map(|n| n + 1)));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -34,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -42,23 +58,32 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+/// Runs `measured` with this thread's counter armed; returns how often it
+/// allocated, and its result.
+fn allocations_of<R>(measured: impl FnOnce() -> R) -> (u64, R) {
+    ALLOCATIONS.set(Some(0));
+    let result = measured();
+    (ALLOCATIONS.take().expect("armed above"), result)
 }
 
-#[test]
-fn cache_hit_reads_do_not_allocate_after_warmup() {
-    let config = SscConfig::ssc(FlashConfig::small_test())
-        .with_data_mode(DataMode::Discard)
-        .with_consistency(ConsistencyMode::CleanAndDirty);
-    let disk = Disk::new(
+fn disk() -> Disk {
+    Disk::new(
         DiskConfig {
             capacity_blocks: 4096,
             ..DiskConfig::small_test()
         },
         DiskDataMode::Discard,
-    );
-    let mut system = FlashTierWt::new(Ssc::new(config), disk);
+    )
+}
+
+#[test]
+fn cache_hit_reads_do_not_allocate_after_warmup() {
+    let (seen, ()) = allocations_of(|| drop(std::hint::black_box(Vec::<u8>::with_capacity(64))));
+    assert_eq!(seen, 1, "the counter misses this thread's allocations");
+    let config = SscConfig::ssc(FlashConfig::small_test())
+        .with_data_mode(DataMode::Discard)
+        .with_consistency(ConsistencyMode::CleanAndDirty);
+    let mut system = FlashTierWt::new(Ssc::new(config), disk());
 
     // Warm-up: first pass faults each block into the cache, second pass
     // exercises the hit path once so every lazily-grown structure (scratch
@@ -75,11 +100,11 @@ fn cache_hit_reads_do_not_allocate_after_warmup() {
 
     // Measured loop: pure cache hits, zero allocations allowed.
     const OPS: u64 = 10_000;
-    let before = allocations();
-    for i in 0..OPS {
-        system.read_into(i % LBAS, &mut buf).unwrap();
-    }
-    let during = allocations() - before;
+    let (during, ()) = allocations_of(|| {
+        for i in 0..OPS {
+            system.read_into(i % LBAS, &mut buf).unwrap();
+        }
+    });
     assert_eq!(
         during, 0,
         "cache-hit read loop allocated {during} times over {OPS} ops"
@@ -87,15 +112,38 @@ fn cache_hit_reads_do_not_allocate_after_warmup() {
     let hits = system.counters().since(&hits_before);
     assert_eq!(hits.read_hits, OPS, "loop was not pure cache hits");
 
+    // The same over the two map levels apart: blocks a merge has turned
+    // into data-block pages, and blocks written and not yet merged, which
+    // resolve through their logical block's log row.
+    for level in ["block", "page"] {
+        let at_level: Vec<u64> = (0..LBAS)
+            .filter(|&lba| {
+                system
+                    .ssc()
+                    .debug_lookup(lba)
+                    .is_some_and(|found| found.2 == level)
+            })
+            .collect();
+        assert!(!at_level.is_empty(), "warm-up left nothing {level}-mapped");
+        let (during, ()) = allocations_of(|| {
+            for i in 0..OPS as usize {
+                let lba = at_level[i % at_level.len()];
+                system.read_into(lba, &mut buf).unwrap();
+            }
+        });
+        assert_eq!(during, 0, "{level}-level hit loop allocated {during} times");
+    }
+    let hits = system.counters().since(&hits_before);
+    assert_eq!(hits.read_hits, 3 * OPS, "level loops were not pure hits");
+
     // The full replay driver over the same hit set: its cost is a small
     // per-session constant (two scratch buffers), so a session four times
     // as long allocates exactly as often — zero allocations per event.
     let mut session = |ops: u64| {
         let events: Vec<TraceEvent> = (0..ops).map(|i| TraceEvent::read(i % LBAS)).collect();
         let hits_before = system.counters();
-        let before = allocations();
-        let stats = replay(&mut system, &events).unwrap();
-        let during = allocations() - before;
+        let (during, stats) = allocations_of(|| replay(&mut system, &events));
+        let stats = stats.unwrap();
         assert_eq!(stats.ops, ops);
         let hits = system.counters().since(&hits_before);
         assert_eq!(hits.read_hits, ops, "replay was not pure cache hits");
@@ -113,4 +161,37 @@ fn cache_hit_reads_do_not_allocate_after_warmup() {
         "replay allocates per event: {short} allocations for {OPS} events, \
          {long} for four times as many"
     );
+}
+
+/// The native stack's hit path through the hybrid FTL's log directory:
+/// blocks written to the SSD and not yet merged are read through their
+/// logical block's log row, which must not allocate either.
+#[test]
+fn native_log_resident_hits_do_not_allocate() {
+    let ssd = HybridFtl::new(SsdConfig::small_test(), DataMode::Discard);
+    let mut system = NativeCache::new(ssd, disk(), NativeMode::WriteBack, NativeConsistency::None);
+    // Fewer fills than one log block holds: nothing can have been merged,
+    // so every cached block is log-resident.
+    const LBAS: u64 = 4;
+    let mut buf = PageBuf::with_capacity(system.block_size());
+    for _round in 0..2 {
+        for lba in 0..LBAS {
+            system.read_into(lba, &mut buf).unwrap();
+        }
+    }
+    let ftl = system.ssd().ftl_counters();
+    assert_eq!(ftl.host_writes, LBAS);
+    assert_eq!((ftl.switch_merges, ftl.full_merges), (0, 0));
+    assert_eq!(system.ssd().log_blocks_in_use(), 1);
+    let hits_before = system.counters();
+
+    const OPS: u64 = 10_000;
+    let (during, ()) = allocations_of(|| {
+        for i in 0..OPS {
+            system.read_into(i % LBAS, &mut buf).unwrap();
+        }
+    });
+    assert_eq!(during, 0, "log-resident hit loop allocated {during} times");
+    let hits = system.counters().since(&hits_before);
+    assert_eq!(hits.read_hits, OPS, "loop was not pure cache hits");
 }

@@ -55,7 +55,7 @@ pub struct Checkpoint {
 enum Snapshot {
     /// Materialized wire bytes (after corruption or torn-tail surgery).
     Encoded(Vec<u8>),
-    /// The captured entries, each level in its map's iteration order;
+    /// The captured entries, each level in the map's iteration order;
     /// [`Checkpoint::encode`] produces the exact bytes eager capture would
     /// have written.
     Deferred {
@@ -65,20 +65,26 @@ enum Snapshot {
 }
 
 impl Checkpoint {
-    /// Snapshots the forward maps at `lsn` into two flat vectors; their
-    /// encoded size is exact (fixed-size frames) and their bytes are
-    /// produced on demand. `recycled` — the checkpoint whose slot this one
-    /// overwrites — donates its vectors, so steady-state capture does not
-    /// allocate.
+    /// Snapshots the forward maps at `lsn` into two flat vectors, filled in
+    /// one walk of the map; their encoded size is exact (fixed-size frames)
+    /// and their bytes are produced on demand. `recycled` — the checkpoint
+    /// whose slot this one overwrites — donates its vectors, so steady-state
+    /// capture does not allocate.
     pub fn capture(maps: &SscMaps, lsn: u64, recycled: Option<Checkpoint>) -> Self {
         let (mut pages, mut blocks) = match recycled.map(|c| c.snapshot) {
             Some(Snapshot::Deferred { pages, blocks }) => (pages, blocks),
             _ => (Vec::new(), Vec::new()),
         };
         pages.clear();
-        pages.extend(maps.pages().iter().map(|(lba, ptr)| (lba, *ptr)));
+        pages.reserve(maps.page_count());
         blocks.clear();
-        blocks.extend(maps.blocks.iter().map(|(lbn, entry)| (lbn, *entry)));
+        blocks.reserve(maps.block_count());
+        let ppb = u64::from(maps.ppb());
+        for (lbn, entry) in maps.lbns() {
+            let logged = entry.log.iter();
+            pages.extend(logged.map(|(offset, ptr)| (lbn * ppb + u64::from(offset), *ptr)));
+            blocks.extend(entry.block.map(|block| (lbn, block)));
+        }
         Checkpoint {
             lsn,
             entry_counts: (pages.len(), blocks.len()),
@@ -319,8 +325,8 @@ mod tests {
         let ckpt = store.latest().unwrap();
         assert_eq!(ckpt.lsn, 42);
         let restored = ckpt.restore(64).expect("intact snapshot decodes");
-        assert_eq!(restored.pages().len(), maps.pages().len());
-        assert_eq!(restored.blocks.len(), maps.blocks.len());
+        assert_eq!(restored.page_count(), maps.page_count());
+        assert_eq!(restored.block_count(), maps.block_count());
         for i in 0..100u64 {
             assert_eq!(
                 restored.lookup(i * 7).map(|r| r.ppn()),

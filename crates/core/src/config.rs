@@ -164,10 +164,10 @@ impl SscConfig {
     }
 
     /// Capacity hints `(page_entries, block_entries)` for pre-sizing the
-    /// forward maps: the page map fills up to the log-block budget (one
-    /// entry per log page), the block map up to one entry per erase block.
-    /// Sizing the maps for these bounds at construction avoids rehash churn
-    /// during warm-up.
+    /// forward map: the page level fills up to the log-block budget (one
+    /// entry per log page), the block level up to one entry per erase
+    /// block. Sizing the map for these bounds at construction avoids rehash
+    /// churn during warm-up.
     pub fn map_capacity_hints(&self) -> (usize, usize) {
         let ppb = self.flash.geometry.pages_per_block() as u64;
         let pages = self.log_block_limit() * ppb;

@@ -11,7 +11,7 @@ use crate::checkpoint::CheckpointStore;
 use crate::config::{ConsistencyMode, EvictionPolicy, SscConfig};
 use crate::error::SscError;
 use crate::evict_index::CleanBlockIndex;
-use crate::map::{BlockEntry, PagePtr, SscMaps};
+use crate::map::{BlockEntry, PagePtr, Removed, SscMaps};
 use crate::wal::{LogRecord, Wal};
 use crate::Result;
 
@@ -149,8 +149,9 @@ pub struct Ssc {
     /// (a new checkpoint, recovery).
     pub(crate) ckpt_trigger: Option<(u64, u64)>,
     /// Ordered mirror of the clean block-level entries, kept in lockstep
-    /// with `maps.blocks` so victim selection and wear leveling are ordered
-    /// lookups instead of full-map scans. See [`crate::evict_index`].
+    /// with the data blocks of `maps` so victim selection and wear leveling
+    /// are ordered lookups instead of full-map scans. See
+    /// [`crate::evict_index`].
     clean_index: CleanBlockIndex,
 }
 
@@ -327,11 +328,11 @@ impl Ssc {
         // Fully-associative sparse entries encode the complete 8-byte block
         // address alongside the value (16 B for block entries with their
         // dirty bitmap, 8 B for page entries).
-        let modeled = memory::sparse_modeled_bytes(self.maps.blocks.len(), 8 + 16)
+        let modeled = memory::sparse_modeled_bytes(self.maps.block_count(), 8 + 16)
             + memory::sparse_modeled_bytes(reserved_page_entries as usize, 8 + 8)
             + self.config.total_blocks() * 8;
         MapMemory {
-            entries: self.maps.blocks.len() + self.maps.pages().len(),
+            entries: self.maps.block_count() + self.maps.page_count(),
             modeled_bytes: modeled,
             heap_bytes: self.maps.heap_bytes(),
         }
@@ -342,16 +343,11 @@ impl Ssc {
         self.seq
     }
 
-    /// Re-derives `lbn`'s eviction-index key from the maps and device state.
-    /// Call after any mutation that can change the block-level entry for
-    /// `lbn` (insert/remove/mask/clean); a no-op when nothing is indexed and
-    /// nothing should be.
-    fn index_sync_lbn(&mut self, lbn: u64) {
-        self.index_sync_entry(lbn, self.maps.blocks.get(lbn).copied());
-    }
-
-    /// [`Ssc::index_sync_lbn`] for a caller that already holds `lbn`'s
-    /// current block-level entry (`None`: not mapped) and need not probe.
+    /// Re-derives `lbn`'s eviction-index key from its current block-level
+    /// entry (`None`: not mapped) and device state. Call after any mutation
+    /// that can change that entry (insert/remove/mask/clean) — each reports
+    /// or is handed the entry, so none probes for it; a no-op when nothing
+    /// is indexed and nothing should be.
     fn index_sync_entry(&mut self, lbn: u64, entry: Option<BlockEntry>) {
         match entry {
             Some(entry) if entry.is_clean() => {
@@ -374,15 +370,14 @@ impl Ssc {
     /// mutated through the tracked paths.
     pub(crate) fn rebuild_clean_index(&mut self) {
         self.clean_index.clear();
-        let clean: Vec<u64> = self
+        let clean: Vec<(u64, BlockEntry)> = self
             .maps
-            .blocks
-            .iter()
+            .blocks()
             .filter(|(_, e)| e.is_clean())
-            .map(|(lbn, _)| lbn)
+            .map(|(lbn, e)| (lbn, *e))
             .collect();
-        for lbn in clean {
-            self.index_sync_lbn(lbn);
+        for (lbn, entry) in clean {
+            self.index_sync_entry(lbn, Some(entry));
         }
     }
 
@@ -534,30 +529,28 @@ impl Ssc {
     }
 
     /// Invalidates the current copy of `lba` (both levels), appending the
-    /// matching log records. Returns `true` if a copy existed.
-    fn invalidate_lba(&mut self, lba: u64) -> Result<bool> {
-        if let Some(ptr) = self.maps.remove_page(lba) {
-            self.dev.invalidate_page(ptr.ppn())?;
-            self.log_append(LogRecord::RemovePage { lba });
-            return Ok(true);
-        }
-        let (lbn, offset) = self.maps.split(lba);
-        if let Some(entry) = self.maps.blocks.get(lbn).copied() {
-            if entry.is_valid(offset) {
-                let ppn = Ppn(entry.pbn * self.ppb() as u64 + offset as u64);
+    /// matching log records.
+    fn invalidate_lba(&mut self, lba: u64) -> Result<()> {
+        match self.maps.remove_lba(lba) {
+            Some(Removed::Page(ptr)) => {
+                self.dev.invalidate_page(ptr.ppn())?;
+                self.log_append(LogRecord::RemovePage { lba });
+            }
+            Some(Removed::BlockPage { pbn, survivor }) => {
+                let (lbn, offset) = self.maps.split(lba);
+                let ppn = Ppn(pbn * self.ppb() as u64 + offset as u64);
                 self.dev.invalidate_page(ppn)?;
-                let survivor = self.maps.mask_block_page(lba);
                 self.index_sync_entry(lbn, survivor);
                 self.log_append(LogRecord::MaskBlockPage { lba });
                 if survivor.is_none() {
                     // Last live page gone: the physical block is reclaimable
                     // once the mask record is durable.
-                    self.pending_retire.push(Pbn(entry.pbn));
+                    self.pending_retire.push(Pbn(pbn));
                 }
-                return Ok(true);
             }
+            None => {}
         }
-        Ok(false)
+        Ok(())
     }
 
     /// Erases blocks emptied by earlier invalidations. Callers invoke this
@@ -688,9 +681,12 @@ impl Ssc {
         // Power fails between a manager's destage write and this
         // acknowledgement: the block stays dirty, destage is not recorded.
         self.crash_point(CrashSite::Clean)?;
-        if self.maps.set_clean(lba) {
-            let (lbn, _) = self.maps.split(lba);
-            self.index_sync_lbn(lbn);
+        if let Some(level) = self.maps.set_clean(lba) {
+            // A log page's flag is not the eviction index's business.
+            if let Some(block) = level {
+                let (lbn, _) = self.maps.split(lba);
+                self.index_sync_entry(lbn, Some(block));
+            }
             self.log_append(LogRecord::SetClean { lba });
             cost += self.maybe_group_commit()?;
         }
@@ -728,16 +724,17 @@ impl Ssc {
                 write_seq,
             });
         };
-        for (lba, ptr) in self.maps.pages().iter() {
-            push(lba, ptr.ppn(), ptr.dirty(), &self.dev);
-        }
-        for (lbn, entry) in self.maps.blocks.iter() {
-            for offset in 0..self.ppb() {
-                if entry.is_valid(offset) {
-                    let lba = lbn * ppb + offset as u64;
-                    let ppn = Ppn(entry.pbn * ppb + offset as u64);
-                    push(lba, ppn, entry.is_dirty(offset), &self.dev);
-                }
+        for (lbn, entry) in self.maps.lbns() {
+            for (offset, ptr) in entry.log.iter() {
+                push(lbn * ppb + offset as u64, ptr.ppn(), ptr.dirty(), &self.dev);
+            }
+            let Some(block) = entry.block else {
+                continue;
+            };
+            for offset in set_bits(block.valid) {
+                let lba = lbn * ppb + offset as u64;
+                let ppn = Ppn(block.pbn * ppb + offset as u64);
+                push(lba, ppn, block.is_dirty(offset), &self.dev);
             }
         }
         out.sort_unstable_by_key(|m| m.lba);
@@ -859,24 +856,21 @@ impl Ssc {
         let mut cost = Duration::ZERO;
         let ppb = self.ppb() as u64;
         let mut dirty = 0u64;
-        for offset in 0..ppb {
-            let lba = lbn * ppb + offset;
-            if let Some(ptr) = self.maps.remove_page(lba) {
-                if ptr.dirty() {
-                    dirty |= 1 << offset;
-                }
-                self.log_append(LogRecord::RemovePage { lba });
+        for (offset, ptr) in self.maps.take_log(lbn) {
+            if ptr.dirty() {
+                dirty |= 1 << offset;
             }
+            let lba = lbn * ppb + u64::from(offset);
+            self.log_append(LogRecord::RemovePage { lba });
         }
         let valid = if ppb == 64 {
             u64::MAX
         } else {
             (1u64 << ppb) - 1
         };
-        let old = self
-            .maps
-            .insert_block(lbn, BlockEntry::new(victim.raw(), valid, dirty));
-        self.index_sync_lbn(lbn);
+        let entry = BlockEntry::new(victim.raw(), valid, dirty);
+        let old = self.maps.insert_block(lbn, entry);
+        self.index_sync_entry(lbn, Some(entry));
         self.log_append(LogRecord::InsertBlock {
             lbn,
             pbn: victim.raw(),
@@ -925,8 +919,7 @@ impl Ssc {
                 next += 1;
             }
             // Live pages of this LBN across its data block and the log.
-            let in_block = self.maps.blocks.get(lbn).map_or(0, |e| e.valid_count());
-            let live = in_block + self.maps.log_offsets(lbn).count_ones();
+            let live = self.maps.lbn(lbn).map_or(0, |e| e.live_pages());
             if live >= self.config.min_merge_pages {
                 cost += self.merge_lbn(lbn)?;
                 continue;
@@ -937,7 +930,7 @@ impl Ssc {
             // mapped LBA, and a mapped PPN is always a valid page), so the
             // group replaces the old probe over every offset of the LBN.
             for &lba in &lbas[group_start..next] {
-                let Some(ptr) = self.maps.pages().get(lba).copied() else {
+                let Some(ptr) = self.maps.page(lba) else {
                     continue;
                 };
                 // Live pages in younger log blocks stay where they are.
@@ -1017,9 +1010,11 @@ impl Ssc {
         // silent eviction, which can remove (clean) data blocks — including
         // this LBN's.
         let fresh = self.alloc_for_merge(&mut cost)?;
-        let old = self.maps.blocks.get(lbn).copied();
         // Newest copy of each offset: log page first, then old data block.
-        let logged = self.maps.log_offsets(lbn);
+        let (old, logged) = match self.maps.lbn(lbn) {
+            Some(entry) => (entry.block, entry.log.bits()),
+            None => (None, 0),
+        };
         let in_data = old.map_or(0, |e| e.valid);
         debug_assert_eq!(logged & in_data, 0, "two valid copies of one LBA");
         let live = logged | in_data;
@@ -1029,7 +1024,7 @@ impl Ssc {
             let geometry = *self.dev.geometry();
             self.pool.release(fresh, erases, &geometry);
             if self.maps.remove_block(lbn).is_some() {
-                self.index_sync_lbn(lbn);
+                self.index_sync_entry(lbn, None);
                 self.log_append(LogRecord::RemoveBlock { lbn });
                 cost += self.commit_sync()?;
                 if let Some(e) = old {
@@ -1038,26 +1033,25 @@ impl Ssc {
             }
             return Ok(cost);
         }
-        // Rebuild offsets `0..=last live`. A log source's page-level entry
-        // is dropped as it is resolved (the copy supersedes it). The scratch
-        // vector is taken out of `self` for the duration of the merge (it
-        // starts and ends empty, so an early `?` return just costs a future
-        // re-growth).
+        // Rebuild offsets `0..=last live`: the old data block's pages, over
+        // which go the log's — the whole row is taken, the copy supersedes
+        // it. The scratch vector is taken out of `self` for the duration of
+        // the merge (it starts and ends empty, so an early `?` return just
+        // costs a future re-growth).
         let mut sources = std::mem::take(&mut self.sources_scratch);
         let mut dirty = old.map_or(0, |e| e.dirty);
-        for offset in 0..u64::BITS - live.leading_zeros() {
-            sources.push(if logged & (1 << offset) != 0 {
-                let lba = lbn * ppb + u64::from(offset);
-                let ptr = self.maps.remove_page(lba).expect("occupancy bit set");
-                self.log_append(LogRecord::RemovePage { lba });
-                if ptr.dirty() {
-                    dirty |= 1 << offset;
-                }
-                Some(ptr.ppn())
-            } else {
-                old.filter(|e| e.is_valid(offset))
-                    .map(|e| Ppn(e.pbn * ppb + u64::from(offset)))
+        sources.extend((0..u64::BITS - live.leading_zeros()).map(|offset| {
+            old.filter(|e| e.is_valid(offset))
+                .map(|e| Ppn(e.pbn * ppb + u64::from(offset)))
+        }));
+        for (offset, ptr) in self.maps.take_log(lbn) {
+            self.log_append(LogRecord::RemovePage {
+                lba: lbn * ppb + u64::from(offset),
             });
+            if ptr.dirty() {
+                dirty |= 1 << offset;
+            }
+            sources[offset as usize] = Some(ptr.ppn());
         }
         // One device-internal rebuild: a multi-plane batch read of the
         // sources (§5's multi-plane device) and one program per offset; the
@@ -1080,9 +1074,9 @@ impl Ssc {
         // invalidated in device RAM, but the new block mapping is not yet
         // durable. Recovery must roll back to the durable mappings.
         self.crash_point(CrashSite::Merge)?;
-        self.maps
-            .insert_block(lbn, BlockEntry::new(fresh.raw(), live, dirty));
-        self.index_sync_lbn(lbn);
+        let entry = BlockEntry::new(fresh.raw(), live, dirty);
+        self.maps.insert_block(lbn, entry);
+        self.index_sync_entry(lbn, Some(entry));
         self.log_append(LogRecord::InsertBlock {
             lbn,
             pbn: fresh.raw(),
@@ -1134,7 +1128,7 @@ impl Ssc {
         for (lbn, entry) in self.select_eviction_victims() {
             // Log the un-mapping and make it durable before erasing.
             self.maps.remove_block(lbn);
-            self.index_sync_lbn(lbn);
+            self.index_sync_entry(lbn, None);
             self.log_append(LogRecord::RemoveBlock { lbn });
             cost += self.commit_sync()?;
             let pbn = Pbn(entry.pbn);
@@ -1156,7 +1150,7 @@ impl Ssc {
             .select_victims(preferred_plane, self.config.evict_batch)
             .into_iter()
             .map(|lbn| {
-                let entry = *self.maps.blocks.get(lbn).expect("indexed lbn is mapped");
+                let entry = self.maps.block(lbn).expect("indexed lbn is mapped");
                 (lbn, entry)
             })
             .collect()
@@ -1171,8 +1165,7 @@ impl Ssc {
         let preferred_plane = self.pool.emptiest_plane();
         let mut candidates: Vec<(u64, u64, bool, u64, BlockEntry)> = self
             .maps
-            .blocks
-            .iter()
+            .blocks()
             .filter(|(_, e)| e.is_clean())
             .map(|(lbn, e)| {
                 let plane = geometry.plane_of(Pbn(e.pbn));
@@ -1273,14 +1266,14 @@ impl Ssc {
         let Some((erases, lbn)) = self.clean_index.least_worn() else {
             return Ok(Duration::ZERO);
         };
-        let entry = *self.maps.blocks.get(lbn).expect("indexed lbn is mapped");
+        let entry = self.maps.block(lbn).expect("indexed lbn is mapped");
         if erases >= wear.min_erases + max_difference / 2 {
             // The cold block is not what is holding the minimum down.
             return Ok(Duration::ZERO);
         }
         let mut cost = Duration::ZERO;
         self.maps.remove_block(lbn);
-        self.index_sync_lbn(lbn);
+        self.index_sync_entry(lbn, None);
         self.log_append(LogRecord::RemoveBlock { lbn });
         cost += self.commit_sync()?;
         self.counters.silently_evicted_pages += self.invalidate_valid_pages(Pbn(entry.pbn))?;
@@ -1294,8 +1287,7 @@ impl Ssc {
     #[doc(hidden)]
     pub fn wear_victim_scan(&self) -> Option<(u64, u64)> {
         self.maps
-            .blocks
-            .iter()
+            .blocks()
             .filter(|(_, e)| e.is_clean())
             .map(|(lbn, e)| {
                 let erases = self
@@ -1328,15 +1320,14 @@ impl Ssc {
     /// Test/debug helper: block-level entries.
     pub fn debug_block_entries(&self) -> Vec<(u64, u64, u32, bool)> {
         self.maps
-            .blocks
-            .iter()
+            .blocks()
             .map(|(lbn, e)| (lbn, e.pbn, e.valid_count(), e.is_clean()))
             .collect()
     }
 
     /// Test/debug helper: page-level entry count.
     pub fn debug_page_entries(&self) -> usize {
-        self.maps.pages().len()
+        self.maps.page_count()
     }
 }
 
@@ -1344,8 +1335,7 @@ impl Ssc {
     /// Test/debug helper: classify every erase block.
     pub fn debug_block_census(&self) -> Vec<String> {
         let geometry = self.dev.geometry();
-        let data: std::collections::HashSet<u64> =
-            self.maps.blocks.iter().map(|(_, e)| e.pbn).collect();
+        let data: std::collections::HashSet<u64> = self.maps.blocks().map(|(_, e)| e.pbn).collect();
         let logs: std::collections::HashSet<u64> =
             self.log_blocks.iter().map(|p| p.raw()).collect();
         let mut out = Vec::new();
@@ -1913,6 +1903,8 @@ mod wear_level_tests {
 
 #[cfg(test)]
 mod index_oracle_tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::config::VictimSelection;
 
@@ -1934,8 +1926,7 @@ mod index_oracle_tests {
         assert_eq!(s.pool.emptiest_plane(), s.pool.emptiest_plane_scan());
         let mut expect: Vec<(u64, (u64, u64), u64, u32)> = s
             .maps
-            .blocks
-            .iter()
+            .blocks()
             .filter(|(_, e)| e.is_clean())
             .map(|(lbn, e)| {
                 let pbn = Pbn(e.pbn);
@@ -1950,28 +1941,64 @@ mod index_oracle_tests {
             .collect();
         expect.sort_unstable();
         assert_eq!(s.clean_index.snapshot(), expect, "index contents diverged");
-        // Log occupancy: every LBN with a page-mapped offset carries exactly
-        // the bitmap a probe of each offset yields, and nothing else (in
-        // particular no zero bitmap) is retained.
-        let pages = s.maps.pages();
+    }
+
+    /// The forward map against the flash it describes. Every valid flash
+    /// page is some LBA's one live copy and the map files it under exactly
+    /// that LBA (rows by OOB address, data blocks by position); a row never
+    /// shadows a valid data-block page; the entry counters equal a recount;
+    /// nothing empty is retained; and `lookup` of every address in `span`
+    /// returns what the walk found, with the dirty flag `dirty` predicts.
+    fn assert_maps_agree(s: &Ssc, span: u64, dirty: &HashMap<u64, bool>) {
         let ppb = s.ppb() as u64;
-        let mut lbns: Vec<u64> = pages.keys().map(|lba| lba / ppb).collect();
-        lbns.sort_unstable();
-        lbns.dedup();
-        let scanned: Vec<(u64, u64)> = lbns
-            .into_iter()
-            .map(|lbn| {
-                let bits = (0..ppb)
-                    .filter(|offset| pages.contains_key(lbn * ppb + offset))
-                    .fold(0, |bits, offset| bits | 1 << offset);
-                (lbn, bits)
-            })
-            .collect();
-        assert_eq!(
-            s.maps.log_occupancy_snapshot(),
-            scanned,
-            "log occupancy diverged from a page-map scan"
-        );
+        let geometry = s.dev.geometry();
+        let mut on_flash: HashMap<u64, Ppn> = HashMap::new();
+        for pbn in (0..geometry.total_blocks()).map(Pbn) {
+            for (ppn, oob) in s.dev.valid_pages_iter(pbn).unwrap() {
+                let lba = oob.lba.expect("a valid page carries its LBA");
+                assert_eq!(on_flash.insert(lba, ppn), None, "two valid copies of {lba}");
+            }
+        }
+        let mut mapped: HashMap<u64, (Ppn, bool)> = HashMap::new();
+        let (mut pages, mut blocks) = (0, 0);
+        for (lbn, entry) in s.maps.lbns() {
+            let row = &entry.log;
+            assert!(
+                entry.block.is_some() || !row.is_empty(),
+                "empty entry kept for lbn {lbn}"
+            );
+            if row.is_empty() {
+                assert_eq!(row.heap_bytes(), 0, "lbn {lbn}: empty row holds heap");
+            }
+            pages += row.len();
+            for (offset, ptr) in row.iter() {
+                mapped.insert(lbn * ppb + u64::from(offset), (ptr.ppn(), ptr.dirty()));
+            }
+            let Some(block) = entry.block else {
+                continue;
+            };
+            blocks += 1;
+            assert_ne!(block.valid, 0, "lbn {lbn}: data block with no live page");
+            assert_eq!(row.bits() & block.valid, 0, "lbn {lbn}: two live copies");
+            assert_eq!(s.dev.valid_mask(Pbn(block.pbn)).unwrap(), block.valid);
+            for offset in set_bits(block.valid) {
+                let at = u64::from(offset);
+                let found = (Ppn(block.pbn * ppb + at), block.is_dirty(offset));
+                mapped.insert(lbn * ppb + at, found);
+            }
+        }
+        assert_eq!((s.maps.page_count(), s.maps.block_count()), (pages, blocks));
+        let pointers: HashMap<u64, Ppn> =
+            mapped.iter().map(|(&lba, &(ppn, _))| (lba, ppn)).collect();
+        assert_eq!(pointers, on_flash, "map and valid flash pages diverged");
+        assert!(mapped.keys().all(|&lba| lba < span));
+        for lba in 0..span {
+            let found = s.maps.lookup(lba).map(|r| (r.ppn(), r.dirty()));
+            assert_eq!(found, mapped.get(&lba).copied(), "lookup of {lba}");
+            if let Some((_, is_dirty)) = found {
+                assert_eq!(is_dirty, dirty[&lba], "dirty flag of {lba}");
+            }
+        }
     }
 
     fn step(rng: &mut u64) -> u64 {
@@ -1983,7 +2010,8 @@ mod index_oracle_tests {
 
     /// Drives an arbitrary operation trace (all six interface ops plus
     /// background GC, wear leveling and clean or torn crash/recovery) and
-    /// checks the index/scan agreement after every single operation.
+    /// checks the index/scan and map/flash agreement after every single
+    /// operation.
     fn run_trace(policy: VictimSelection, seed: u64, ops: u64) {
         let mut config = SscConfig::small_test();
         config.victim_selection = policy;
@@ -1991,25 +2019,54 @@ mod index_oracle_tests {
         let span = s.data_capacity_pages() * 2;
         let psize = s.page_size();
         let mut rng = seed;
+        // The dirty flag each address must carry for as long as it stays
+        // cached: set by the write that cached it, cleared by `clean`.
+        // Merges and compaction keep it; silent eviction only uncaches.
+        let mut dirty: HashMap<u64, bool> = HashMap::new();
         for i in 0..ops {
             let op = step(&mut rng) % 100;
             let lba = step(&mut rng) % span;
             let fill = vec![(i % 251) as u8; psize];
             match op {
-                0..=44 => {
-                    let _ = s.write_clean(lba, &fill);
-                }
-                45..=69 => {
-                    let _ = s.write_dirty(lba, &fill);
+                0..=69 => {
+                    let as_dirty = op >= 45;
+                    let written = if as_dirty {
+                        s.write_dirty(lba, &fill)
+                    } else {
+                        s.write_clean(lba, &fill)
+                    };
+                    // An all-dirty cache refuses the write at some point of
+                    // it; whatever is cached then is the older copy.
+                    if written.is_ok() {
+                        dirty.insert(lba, as_dirty);
+                    }
                 }
                 70..=79 => {
                     s.clean(lba).unwrap();
+                    dirty.insert(lba, false);
                 }
                 80..=86 => {
                     s.evict(lba).unwrap();
                 }
-                87..=92 => {
+                87..=90 => {
                     let _ = s.read(lba);
+                }
+                91..=92 => {
+                    // A whole logical block start to end, after filling up
+                    // the active log block: unless recycling compacts dirty
+                    // pages into the fresh one first, the logical block has
+                    // it to itself and it switch-merges.
+                    let ppb = s.ppb() as u64;
+                    let first = lba / ppb * ppb;
+                    let room = s.log_blocks.back().map_or(0, |&active| {
+                        ppb - u64::from(s.dev.block_state(active).unwrap().write_ptr)
+                    });
+                    for lba in std::iter::repeat_n(first, room as usize).chain(first..first + ppb) {
+                        if s.write_clean(lba, &fill).is_ok() {
+                            dirty.insert(lba, false);
+                        }
+                        assert_maps_agree(&s, span, &dirty);
+                    }
                 }
                 93..=95 => {
                     // A mostly-dirty small cache can legitimately run out of
@@ -2029,14 +2086,21 @@ mod index_oracle_tests {
                     }
                     s.crash();
                     s.recover().unwrap();
+                    // Buffered cleans (and a torn tail's records) are lost:
+                    // take the recovered flags as the new baseline.
+                    dirty = (0..span)
+                        .filter_map(|lba| Some((lba, s.maps.lookup(lba)?.dirty())))
+                        .collect();
                 }
             }
             assert_index_agrees(&s);
+            assert_maps_agree(&s, span, &dirty);
         }
         assert!(
             s.counters().silent_evictions > 0,
             "trace too tame to exercise eviction"
         );
+        assert!(s.counters().switch_merges > 0 && s.counters().full_merges > 0);
     }
 
     #[test]

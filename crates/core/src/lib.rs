@@ -5,10 +5,11 @@
 //! implements the device end to end:
 //!
 //! * **Unified sparse address space** (§4.1) — the cache manager writes disk
-//!   LBAs directly; the SSC maps them to flash with sparse hash maps
-//!   ([`sparsemap`]), hybrid between 256 KB block-granularity entries (with
-//!   per-block dirty-page bitmaps) and 4 KB page-granularity entries for log
-//!   blocks.
+//!   LBAs directly; the SSC maps them to flash with a sparse hash map
+//!   ([`sparsemap`]) keyed by logical block, hybrid between 256 KB
+//!   block-granularity entries (with per-block dirty-page bitmaps) and 4 KB
+//!   page-granularity entries for log blocks, held as one sparse row per
+//!   logical block.
 //! * **Consistent cache interface** (§4.2) — six operations:
 //!   [`Ssc::write_dirty`], [`Ssc::write_clean`], [`Ssc::read`],
 //!   [`Ssc::evict`], [`Ssc::clean`], [`Ssc::exists`], honouring the paper's

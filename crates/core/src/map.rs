@@ -3,18 +3,27 @@
 //! "The SSC keeps the entire mapping in its memory. However, the SSC maps a
 //! fixed portion of the flash blocks at a 4 KB page granularity and the rest
 //! at the granularity of a 256 KB erase block, similar to hybrid FTL mapping
-//! mechanisms" (§4.1). Both levels are sparse hash maps keyed by the *disk*
-//! address space (the unified address space):
+//! mechanisms" (§4.1). Both levels live in one sparse hash map keyed by
+//! logical block number in the *disk* address space (the unified address
+//! space), one [`LbnEntry`] per logical block that has anything cached:
 //!
-//! * the **page map** holds log-block contents: LBA → physical page, with
-//!   the dirty flag packed into the pointer;
-//! * the **block map** holds data blocks: LBN → [`BlockEntry`], carrying the
-//!   physical block plus a validity bitmap and "an eight-byte dirty-block
-//!   bitmap recording which pages within the erase block contain dirty
-//!   data" (§4.1).
+//! * its **data block**, if any: a [`BlockEntry`] carrying the physical
+//!   block plus a validity bitmap and "an eight-byte dirty-block bitmap
+//!   recording which pages within the erase block contain dirty data"
+//!   (§4.1);
+//! * its **log row**: the log-block pages that hold newer (or the only)
+//!   copies of its offsets — a [`SparseRow`] of physical pages with the
+//!   dirty flag packed into the pointer, slot `i` for offset `i`.
+//!
+//! The sparse hash by LBN and the bitmap-plus-packed-array group are the
+//! paper's; it keys page-granularity entries by block address in the same
+//! kind of table, and `Ssc::map_memory` still *charges* the log directory
+//! at that rate. Filing them as one row inside the logical block's entry is
+//! ours: every operation resolves its LBN with one probe, and a merge takes
+//! a block's log pages as one array.
 
 use flashsim::{set_bits, Ppn};
-use sparsemap::SparseHashMap;
+use sparsemap::{SparseHashMap, SparseRow};
 
 /// A page-map value: physical page number with the dirty flag packed into
 /// the top bit.
@@ -140,19 +149,61 @@ impl Resolved {
     }
 }
 
+/// Everything the SSC maps for one logical block: its data block, if it
+/// has one, and the log pages that supersede or extend it.
+#[derive(Debug, Clone, Default)]
+pub struct LbnEntry {
+    /// The data block.
+    pub block: Option<BlockEntry>,
+    /// The log directory: slot `i` holds the log page of offset `i`.
+    /// Disjoint from the data block's valid bits — an LBA has one live copy.
+    pub log: SparseRow<PagePtr>,
+}
+
+impl LbnEntry {
+    /// Live pages across the data block and the log.
+    pub fn live_pages(&self) -> u32 {
+        self.block.map_or(0, |b| b.valid_count()) + self.log.len() as u32
+    }
+
+    fn is_empty(&self) -> bool {
+        self.block.is_none() && self.log.is_empty()
+    }
+
+    /// Masks `offset` out of the data block, dropping the block with its
+    /// last live page. Returns the block's `pbn` if there was a block.
+    fn mask(&mut self, offset: u32) -> Option<u64> {
+        let mut block = self.block?;
+        block.mask_page(offset);
+        self.block = (block.valid != 0).then_some(block);
+        Some(block.pbn)
+    }
+}
+
+/// What [`SscMaps::remove_lba`] took out of the maps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Removed {
+    /// A log page.
+    Page(PagePtr),
+    /// One page of the data block `pbn`; `survivor` is the block's entry as
+    /// it now stands, `None` when that was its last live page.
+    BlockPage {
+        /// Physical block that held the page.
+        pbn: u64,
+        /// The entry after masking, if any page is left.
+        survivor: Option<BlockEntry>,
+    },
+}
+
 /// The combined hybrid forward map.
 #[derive(Debug, Clone)]
 pub struct SscMaps {
-    /// LBA → log page. Private so that only [`SscMaps::insert_page`] and
-    /// [`SscMaps::remove_page`] change its key set; read via
-    /// [`SscMaps::pages`].
-    pages: SparseHashMap<PagePtr>,
-    /// LBN → data block.
-    pub blocks: SparseHashMap<BlockEntry>,
-    /// LBN → bitmap of its page-mapped offsets: an index derived from
-    /// `pages` (DESIGN.md §7) so a merge asks one question per logical
-    /// block, not one per offset. A zero bitmap is never stored.
-    log_occupancy: SparseHashMap<u64>,
+    /// LBN → data block and log row. An entry with neither is never stored.
+    lbns: SparseHashMap<LbnEntry>,
+    /// Page-level entries across all rows.
+    pages: usize,
+    /// Entries that have a data block.
+    blocks: usize,
     ppb: u32,
 }
 
@@ -168,10 +219,11 @@ impl SscMaps {
     }
 
     /// Creates empty maps pre-sized for `page_hint` page-level and
-    /// `block_hint` block-level entries, avoiding rehash churn while the
-    /// cache warms up. Hints are advisory: the maps still grow on demand,
-    /// and oversized hints are clamped so a huge configured device cannot
-    /// balloon an idle map.
+    /// `block_hint` block-level entries (in the worst case every log page
+    /// belongs to a logical block of its own), avoiding rehash churn while
+    /// the cache warms up. Hints are advisory: the map still grows on
+    /// demand, and oversized hints are clamped so a huge configured device
+    /// cannot balloon an idle map.
     ///
     /// # Panics
     ///
@@ -184,39 +236,55 @@ impl SscMaps {
         );
         const MAX_HINT: usize = 1 << 22;
         SscMaps {
-            pages: SparseHashMap::with_capacity(page_hint.min(MAX_HINT)),
-            blocks: SparseHashMap::with_capacity(block_hint.min(MAX_HINT)),
-            log_occupancy: SparseHashMap::new(),
+            lbns: SparseHashMap::with_capacity(page_hint.saturating_add(block_hint).min(MAX_HINT)),
+            pages: 0,
+            blocks: 0,
             ppb,
         }
     }
 
-    /// The page-level map, read-only.
-    pub fn pages(&self) -> &SparseHashMap<PagePtr> {
-        &self.pages
+    /// Everything mapped for `lbn` — the one probe behind every operation.
+    pub fn lbn(&self, lbn: u64) -> Option<&LbnEntry> {
+        self.lbns.get(lbn)
     }
 
-    /// Bitmap of the offsets of `lbn` that are page-mapped (bit `i` set iff
-    /// `pages` holds `lbn * ppb + i`).
-    pub fn log_offsets(&self, lbn: u64) -> u64 {
-        self.log_occupancy.get(lbn).copied().unwrap_or(0)
+    /// Every mapped logical block, in unspecified order.
+    pub fn lbns(&self) -> impl Iterator<Item = (u64, &LbnEntry)> {
+        self.lbns.iter()
     }
 
-    /// Full index contents sorted by LBN: `(lbn, bitmap)`. Oracle-test
-    /// hook for comparing against a per-offset scan of `pages`.
-    #[cfg(test)]
-    pub(crate) fn log_occupancy_snapshot(&self) -> Vec<(u64, u64)> {
-        let mut out: Vec<_> = self.log_occupancy.iter().map(|(k, v)| (k, *v)).collect();
-        out.sort_unstable();
-        out
+    /// The data block of `lbn`.
+    pub fn block(&self, lbn: u64) -> Option<BlockEntry> {
+        self.lbns.get(lbn)?.block
     }
 
-    /// Real heap bytes of both maps and the log-occupancy index (which,
-    /// not being modelled device memory, appears in no Table 4 figure).
+    /// Every data block, in unspecified order.
+    pub fn blocks(&self) -> impl Iterator<Item = (u64, &BlockEntry)> {
+        self.lbns
+            .iter()
+            .filter_map(|(lbn, e)| Some((lbn, e.block.as_ref()?)))
+    }
+
+    /// Number of data blocks.
+    pub fn block_count(&self) -> usize {
+        self.blocks
+    }
+
+    /// Number of page-level (log) entries.
+    pub fn page_count(&self) -> usize {
+        self.pages
+    }
+
+    /// The log page of `lba`, if it has one.
+    pub fn page(&self, lba: u64) -> Option<PagePtr> {
+        let (lbn, offset) = self.split(lba);
+        self.lbns.get(lbn)?.log.get(offset).copied()
+    }
+
+    /// Real heap bytes of the map and its rows.
     pub fn heap_bytes(&self) -> u64 {
-        self.pages.memory().heap_bytes
-            + self.blocks.memory().heap_bytes
-            + self.log_occupancy.memory().heap_bytes
+        let rows: usize = self.lbns.iter().map(|(_, e)| e.log.heap_bytes()).sum();
+        self.lbns.memory().heap_bytes + rows as u64
     }
 
     /// Pages per erase block.
@@ -230,23 +298,21 @@ impl SscMaps {
     }
 
     /// Resolves `lba` to its newest physical location, page level first.
+    #[inline]
     pub fn lookup(&self, lba: u64) -> Option<Resolved> {
-        if let Some(ptr) = self.pages.get(lba) {
+        let (lbn, offset) = self.split(lba);
+        let entry = self.lbns.get(lbn)?;
+        if let Some(ptr) = entry.log.get(offset) {
             return Some(Resolved::PageLevel {
                 ppn: ptr.ppn(),
                 dirty: ptr.dirty(),
             });
         }
-        let (lbn, offset) = self.split(lba);
-        let entry = self.blocks.get(lbn)?;
-        if entry.is_valid(offset) {
-            Some(Resolved::BlockLevel {
-                ppn: Ppn(entry.pbn * self.ppb as u64 + offset as u64),
-                dirty: entry.is_dirty(offset),
-            })
-        } else {
-            None
-        }
+        let block = entry.block.filter(|b| b.is_valid(offset))?;
+        Some(Resolved::BlockLevel {
+            ppn: Ppn(block.pbn * self.ppb as u64 + offset as u64),
+            dirty: block.is_dirty(offset),
+        })
     }
 
     /// Returns `true` if `lba` is present and dirty.
@@ -256,37 +322,55 @@ impl SscMaps {
 
     /// Inserts a page-level mapping, returning the previous pointer.
     pub fn insert_page(&mut self, lba: u64, ptr: PagePtr) -> Option<PagePtr> {
-        let old = self.pages.insert(lba, ptr);
-        if old.is_none() {
-            let (lbn, offset) = self.split(lba);
-            *self.log_occupancy.get_or_insert_with(lbn, || 0) |= 1 << offset;
-        }
+        let (lbn, offset) = self.split(lba);
+        let entry = self.lbns.get_or_insert_with(lbn, LbnEntry::default);
+        let old = entry.log.insert(offset, ptr);
+        self.pages += usize::from(old.is_none());
         old
+    }
+
+    /// Applies `edit` to `lbn`'s entry, if it has one, and drops the entry
+    /// should the edit leave it with neither a data block nor a log page.
+    fn edit<R>(&mut self, lbn: u64, edit: impl FnOnce(&mut LbnEntry) -> R) -> Option<R> {
+        let entry = self.lbns.get_mut(lbn)?;
+        let result = edit(entry);
+        if entry.is_empty() {
+            self.lbns.remove(lbn);
+        }
+        Some(result)
     }
 
     /// Removes a page-level mapping.
     pub fn remove_page(&mut self, lba: u64) -> Option<PagePtr> {
-        let old = self.pages.remove(lba)?;
         let (lbn, offset) = self.split(lba);
-        let bits = self
-            .log_occupancy
-            .get_mut(lbn)
-            .expect("a mapped page has its occupancy bit");
-        *bits &= !(1u64 << offset);
-        if *bits == 0 {
-            self.log_occupancy.remove(lbn);
-        }
+        let old = self.edit(lbn, |e| e.log.remove(offset))??;
+        self.pages -= 1;
         Some(old)
     }
 
+    /// Removes every page-level mapping of `lbn` — all gone when this
+    /// returns — yielding `(offset, ptr)` in ascending offset order.
+    pub fn take_log(&mut self, lbn: u64) -> impl Iterator<Item = (u32, PagePtr)> + use<> {
+        let mut row = self
+            .edit(lbn, |e| std::mem::take(&mut e.log))
+            .unwrap_or_default();
+        self.pages -= row.len();
+        row.take()
+    }
+
     /// Inserts a block-level mapping, returning the previous entry.
-    pub fn insert_block(&mut self, lbn: u64, entry: BlockEntry) -> Option<BlockEntry> {
-        self.blocks.insert(lbn, entry)
+    pub fn insert_block(&mut self, lbn: u64, block: BlockEntry) -> Option<BlockEntry> {
+        let entry = self.lbns.get_or_insert_with(lbn, LbnEntry::default);
+        let old = entry.block.replace(block);
+        self.blocks += usize::from(old.is_none());
+        old
     }
 
     /// Removes a block-level mapping.
     pub fn remove_block(&mut self, lbn: u64) -> Option<BlockEntry> {
-        self.blocks.remove(lbn)
+        let old = self.edit(lbn, |e| e.block.take())??;
+        self.blocks -= 1;
+        Some(old)
     }
 
     /// Masks one page of a block-level entry (page invalidated by overwrite
@@ -294,47 +378,62 @@ impl SscMaps {
     /// entry as it now stands: `None` when it was dropped (or never there).
     pub fn mask_block_page(&mut self, lba: u64) -> Option<BlockEntry> {
         let (lbn, offset) = self.split(lba);
-        let entry = self.blocks.get_mut(lbn)?;
-        entry.mask_page(offset);
-        if entry.valid == 0 {
-            self.blocks.remove(lbn);
-            return None;
-        }
-        Some(*entry)
+        let survivor = self.edit(lbn, |e| e.mask(offset).map(|_| e.block))??;
+        self.blocks -= usize::from(survivor.is_none());
+        survivor
     }
 
-    /// Clears the dirty flag of `lba` at whichever level holds it.
-    /// Returns `true` if the block was present.
-    pub fn set_clean(&mut self, lba: u64) -> bool {
-        if let Some(ptr) = self.pages.get_mut(lba) {
-            *ptr = ptr.cleaned();
-            return true;
-        }
+    /// Removes the live copy of `lba` at whichever level holds it, with one
+    /// probe, and reports what went.
+    pub fn remove_lba(&mut self, lba: u64) -> Option<Removed> {
         let (lbn, offset) = self.split(lba);
-        if let Some(entry) = self.blocks.get_mut(lbn) {
-            if entry.is_valid(offset) {
-                entry.clean_page(offset);
-                return true;
+        let removed = self.edit(lbn, |e| {
+            if let Some(ptr) = e.log.remove(offset) {
+                return Some(Removed::Page(ptr));
             }
+            e.block.filter(|b| b.is_valid(offset))?;
+            let pbn = e.mask(offset)?;
+            Some(Removed::BlockPage {
+                pbn,
+                survivor: e.block,
+            })
+        })??;
+        match removed {
+            Removed::Page(_) => self.pages -= 1,
+            Removed::BlockPage { survivor, .. } => self.blocks -= usize::from(survivor.is_none()),
         }
-        false
+        Some(removed)
+    }
+
+    /// Clears the dirty flag of `lba` at whichever level holds it. Returns
+    /// `None` if `lba` is not cached, else which level held it: `Some(None)`
+    /// for a log page, `Some(Some(entry))` for a data-block page — `entry`
+    /// being the block's entry as it now stands.
+    pub fn set_clean(&mut self, lba: u64) -> Option<Option<BlockEntry>> {
+        let (lbn, offset) = self.split(lba);
+        let entry = self.lbns.get_mut(lbn)?;
+        if let Some(ptr) = entry.log.get_mut(offset) {
+            *ptr = ptr.cleaned();
+            return Some(None);
+        }
+        let block = entry.block.as_mut().filter(|b| b.is_valid(offset))?;
+        block.clean_page(offset);
+        Some(Some(*block))
     }
 
     /// All dirty LBAs within `[start, end)` — the data behind `exists`.
     pub fn dirty_in_range(&self, start: u64, end: u64) -> Vec<u64> {
-        let mut out: Vec<u64> = self
-            .pages
-            .iter()
-            .filter(|(lba, ptr)| *lba >= start && *lba < end && ptr.dirty())
-            .map(|(lba, _)| lba)
-            .collect();
-        for (lbn, entry) in self.blocks.iter() {
-            for offset in set_bits(entry.dirty) {
-                let lba = lbn * self.ppb as u64 + offset as u64;
-                if lba >= start && lba < end {
-                    out.push(lba);
-                }
-            }
+        let mut out = Vec::new();
+        for (lbn, entry) in self.lbns.iter() {
+            let first = lbn * self.ppb as u64;
+            let logged = entry.log.iter().filter(|(_, ptr)| ptr.dirty());
+            let in_block = set_bits(entry.block.map_or(0, |b| b.dirty));
+            logged
+                .map(|(offset, _)| offset)
+                .chain(in_block)
+                .map(|offset| first + u64::from(offset))
+                .filter(|lba| (start..end).contains(lba))
+                .for_each(|lba| out.push(lba));
         }
         out.sort_unstable();
         out.dedup();
@@ -343,12 +442,10 @@ impl SscMaps {
 
     /// Number of cached blocks (live pages) across both levels.
     pub fn cached_pages(&self) -> u64 {
-        self.pages.len() as u64
-            + self
-                .blocks
-                .iter()
-                .map(|(_, e)| e.valid_count() as u64)
-                .sum::<u64>()
+        self.lbns
+            .iter()
+            .map(|(_, e)| u64::from(e.live_pages()))
+            .sum()
     }
 }
 
@@ -406,24 +503,78 @@ mod tests {
         assert!(!r.dirty());
     }
 
+    /// The log bitmap of `lbn` (zero when it has no entry).
+    fn log_offsets(m: &SscMaps, lbn: u64) -> u64 {
+        m.lbn(lbn).map_or(0, |e| e.log.bits())
+    }
+
     #[test]
     fn log_offsets_follow_page_inserts_and_removes() {
         let mut m = SscMaps::new(8);
-        assert_eq!(m.log_offsets(1), 0);
+        assert_eq!(log_offsets(&m, 1), 0);
         m.insert_page(9, PagePtr::new(Ppn(1), false));
         m.insert_page(15, PagePtr::new(Ppn(2), true));
-        // Re-pointing a mapped page leaves its bit alone.
+        // Re-pointing a mapped page leaves its bit and the count alone.
         assert!(m.insert_page(9, PagePtr::new(Ppn(3), true)).is_some());
-        assert_eq!(m.log_offsets(1), 0b1000_0010);
-        assert_eq!(m.log_offsets(0), 0, "neighbouring LBN untouched");
+        assert_eq!(log_offsets(&m, 1), 0b1000_0010);
+        assert_eq!(m.page_count(), 2);
+        assert_eq!(log_offsets(&m, 0), 0, "neighbouring LBN untouched");
         assert!(m.remove_page(10).is_none(), "absent page: nothing changes");
-        m.remove_page(9);
-        assert_eq!(m.log_offsets(1), 0b1000_0000);
+        assert_eq!(m.remove_page(9), Some(PagePtr::new(Ppn(3), true)));
+        assert_eq!(log_offsets(&m, 1), 0b1000_0000);
+        let rows_held = m.heap_bytes();
         m.remove_page(15);
-        assert_eq!(m.log_occupancy_snapshot(), vec![], "zero bitmap dropped");
-        // The index is host bookkeeping: it shows up in heap bytes only.
-        let pages_and_blocks = m.pages().memory().heap_bytes + m.blocks.memory().heap_bytes;
-        assert!(m.heap_bytes() > pages_and_blocks);
+        assert!(m.lbn(1).is_none(), "an entry left with nothing is dropped");
+        assert_eq!(m.page_count(), 0);
+        assert!(m.heap_bytes() < rows_held, "heap bytes count the rows");
+    }
+
+    #[test]
+    fn take_log_empties_the_row_in_offset_order() {
+        let mut m = SscMaps::new(8);
+        m.insert_block(2, BlockEntry::new(7, 0b0001, 0));
+        for (offset, ppn) in [(5, 50), (1, 10), (3, 30)] {
+            m.insert_page(16 + offset, PagePtr::new(Ppn(ppn), false));
+        }
+        m.insert_page(8, PagePtr::new(Ppn(1), false));
+        let taken: Vec<(u32, u64)> = m.take_log(2).map(|(o, p)| (o, p.ppn().raw())).collect();
+        assert_eq!(taken, [(1, 10), (3, 30), (5, 50)]);
+        assert_eq!(m.page_count(), 1, "the other LBN keeps its page");
+        // The data block keeps the entry alive; a log-only entry goes.
+        assert!(m.lbn(2).is_some_and(|e| e.log.is_empty()));
+        assert_eq!(m.take_log(1).count(), 1);
+        assert!(m.lbn(1).is_none());
+        assert_eq!(m.take_log(9).count(), 0, "absent LBN: nothing to take");
+        assert_eq!((m.page_count(), m.block_count()), (0, 1));
+    }
+
+    #[test]
+    fn remove_lba_reports_what_it_removed() {
+        let mut m = SscMaps::new(8);
+        m.insert_block(0, BlockEntry::new(4, 0b0110, 0b0100));
+        m.insert_page(0, PagePtr::new(Ppn(99), true));
+        assert_eq!(m.remove_lba(3), None, "offset not valid in the block");
+        assert_eq!(m.remove_lba(80), None, "unmapped LBN");
+        assert_eq!(
+            m.remove_lba(0),
+            Some(Removed::Page(PagePtr::new(Ppn(99), true)))
+        );
+        assert_eq!(
+            m.remove_lba(2),
+            Some(Removed::BlockPage {
+                pbn: 4,
+                survivor: Some(BlockEntry::new(4, 0b0010, 0)),
+            })
+        );
+        assert_eq!(
+            m.remove_lba(1),
+            Some(Removed::BlockPage {
+                pbn: 4,
+                survivor: None,
+            })
+        );
+        assert!(m.lbn(0).is_none());
+        assert_eq!((m.page_count(), m.block_count()), (0, 0));
     }
 
     #[test]
@@ -440,14 +591,18 @@ mod tests {
         let mut m = SscMaps::new(8);
         m.insert_block(0, BlockEntry::new(1, 0b0011, 0b0001));
         assert_eq!(m.mask_block_page(0), Some(BlockEntry::new(1, 0b0010, 0)));
-        assert_eq!(m.blocks.get(0), Some(&BlockEntry::new(1, 0b0010, 0)));
+        assert_eq!(m.block(0), Some(BlockEntry::new(1, 0b0010, 0)));
         assert_eq!(m.mask_block_page(1), None);
-        assert!(
-            m.blocks.get(0).is_none(),
-            "entry dropped when last page masked"
-        );
+        assert!(m.lbn(0).is_none(), "entry dropped when last page masked");
+        assert_eq!(m.block_count(), 0);
         // Masking in absent entries is a no-op.
         assert_eq!(m.mask_block_page(17), None);
+        // A log page keeps the logical block's entry, not its data block.
+        m.insert_block(3, BlockEntry::new(2, 0b0001, 0));
+        m.insert_page(25, PagePtr::new(Ppn(9), false));
+        assert_eq!(m.mask_block_page(24), None);
+        assert_eq!((m.block(3), m.block_count()), (None, 0));
+        assert!(m.page(25).is_some());
     }
 
     #[test]
@@ -457,11 +612,12 @@ mod tests {
         m.insert_block(1, BlockEntry::new(2, 0b0100, 0b0100)); // lba 10 dirty
         assert!(m.is_dirty(1));
         assert!(m.is_dirty(10));
-        assert!(m.set_clean(1));
-        assert!(m.set_clean(10));
+        assert_eq!(m.set_clean(1), Some(None), "a log page");
+        assert_eq!(m.set_clean(10), Some(Some(BlockEntry::new(2, 0b0100, 0))));
         assert!(!m.is_dirty(1));
         assert!(!m.is_dirty(10));
-        assert!(!m.set_clean(99), "absent block reports not-present");
+        assert_eq!(m.set_clean(99), None, "absent block reports not-present");
+        assert_eq!(m.set_clean(11), None, "so does an invalid offset");
     }
 
     #[test]

@@ -159,14 +159,15 @@ impl Ssc {
         let mut referenced: HashSet<Ppn> = HashSet::new();
         // Blocks serving as data blocks.
         let mut data_blocks: HashSet<Pbn> = HashSet::new();
-        for (_, ptr) in self.maps.pages().iter() {
-            referenced.insert(ptr.ppn());
-        }
-        for (_, entry) in self.maps.blocks.iter() {
-            data_blocks.insert(Pbn(entry.pbn));
+        for (_, entry) in self.maps.lbns() {
+            referenced.extend(entry.log.iter().map(|(_, ptr)| ptr.ppn()));
+            let Some(block) = entry.block else {
+                continue;
+            };
+            data_blocks.insert(Pbn(block.pbn));
             for offset in 0..ppb as u32 {
-                if entry.is_valid(offset) {
-                    referenced.insert(Ppn(entry.pbn * ppb + offset as u64));
+                if block.is_valid(offset) {
+                    referenced.insert(Ppn(block.pbn * ppb + offset as u64));
                 }
             }
         }
@@ -232,7 +233,7 @@ impl Ssc {
         self.pool = pool;
         // Data-block pages not referenced by the recovered entry are stale.
         let entries: Vec<(u64, crate::map::BlockEntry)> =
-            self.maps.blocks.iter().map(|(lbn, e)| (lbn, *e)).collect();
+            self.maps.blocks().map(|(lbn, e)| (lbn, *e)).collect();
         for (_, entry) in entries {
             for offset in 0..ppb as u32 {
                 let ppn = Ppn(entry.pbn * ppb + offset as u64);

@@ -14,6 +14,11 @@
 //!   (from any log block or the old data block), then the old data block and
 //!   the victim are erased.
 //!
+//! The log directory is one [`SparseRow`] per LBN, slot `i` naming the log
+//! page that holds offset `i`: a host operation indexes its LBN's row and a
+//! merge takes the row whole. Table 4 still charges the directory as the
+//! LBA-keyed table of a real FAST device (16 B per log page).
+//!
 //! All merge work is charged to the write that triggered it, so sustained
 //! random writes see the full garbage-collection cost — the behaviour
 //! FlashTier's silent eviction removes (§4.3, Figure 6).
@@ -25,7 +30,7 @@ use flashsim::{
     WearStats,
 };
 use simkit::{Duration, PageBuf};
-use sparsemap::{memory, MapMemory, SparseHashMap};
+use sparsemap::{memory, MapMemory, SparseRow};
 
 use crate::config::SsdConfig;
 use crate::error::FtlError;
@@ -52,17 +57,12 @@ pub struct HybridFtl {
     dev: FlashDevice,
     /// Block-level map: LBN -> data block.
     data_map: Vec<Option<Pbn>>,
-    /// Page-level map for log-block contents: LBA -> physical page. An
-    /// open-addressed map with cheap integer hashing — the log directory is
-    /// consulted on every host read, write and merge source lookup, so it
-    /// must not pay a keyed-hash (SipHash) per probe.
-    log_map: SparseHashMap<Ppn>,
-    /// Per-LBN bitmap of the offsets `log_map` currently holds (bit `i` of
-    /// entry `lbn` set iff `log_map` contains `lbn * ppb + i`), so reads and
-    /// merges probe the directory only where it has an entry. A derived
-    /// index (DESIGN.md §7): updated wherever `log_map` is, oracle-tested
-    /// against it, and host memory only — not part of the Table 4 model.
-    log_bits: Vec<u64>,
+    /// Page-level map for log-block contents, one row per LBN: slot `i`
+    /// holds the log page of `lbn * ppb + i`. A merged LBN's row is empty
+    /// and holds no heap.
+    log_rows: Vec<SparseRow<Ppn>>,
+    /// Entries across all rows.
+    log_pages: usize,
     /// Log blocks in allocation order; the front is the next merge victim.
     log_blocks: VecDeque<Pbn>,
     pool: FreeBlockPool,
@@ -86,8 +86,8 @@ impl HybridFtl {
             config,
             dev,
             data_map: vec![None; exposed_lbns as usize],
-            log_map: SparseHashMap::new(),
-            log_bits: vec![0; exposed_lbns as usize],
+            log_rows: vec![SparseRow::new(); exposed_lbns as usize],
+            log_pages: 0,
             log_blocks: VecDeque::new(),
             pool,
             counters: FtlCounters::default(),
@@ -177,9 +177,8 @@ impl HybridFtl {
     /// Invalidate the current physical copy of `lba` wherever it lives.
     fn invalidate_lba(&mut self, lba: u64) -> Result<()> {
         let (lbn, offset) = self.split(lba);
-        if self.log_bits[lbn] & (1 << offset) != 0 {
-            self.log_bits[lbn] &= !(1 << offset);
-            let ppn = self.log_map.remove(lba).expect("log bit set");
+        if let Some(ppn) = self.log_rows[lbn].remove(offset) {
+            self.log_pages -= 1;
             self.dev.invalidate_page(ppn)?;
         } else if let Some(ppn) = self.data_page(lbn, offset)? {
             self.dev.invalidate_page(ppn)?;
@@ -188,18 +187,27 @@ impl HybridFtl {
     }
 
     /// Splits `lba` into its logical block and the page offset within it.
-    fn split(&self, lba: u64) -> (usize, u64) {
+    fn split(&self, lba: u64) -> (usize, u32) {
         let ppb = self.ppb() as u64;
-        ((lba / ppb) as usize, lba % ppb)
+        ((lba / ppb) as usize, (lba % ppb) as u32)
+    }
+
+    /// The live copy of offset `offset` of `lbn`: its log page where the
+    /// directory has one, else its data-block page if still valid.
+    fn live_page(&self, lbn: usize, offset: u32) -> Result<Option<Ppn>> {
+        match self.log_rows[lbn].get(offset) {
+            Some(&ppn) => Ok(Some(ppn)),
+            None => self.data_page(lbn, offset),
+        }
     }
 
     /// The valid data-block page backing offset `offset` of `lbn`, if any.
-    fn data_page(&self, lbn: usize, offset: u64) -> Result<Option<Ppn>> {
+    fn data_page(&self, lbn: usize, offset: u32) -> Result<Option<Ppn>> {
         let Some(pbn) = self.data_map[lbn] else {
             return Ok(None);
         };
         let valid = self.dev.valid_mask(pbn)? & (1 << offset) != 0;
-        Ok(valid.then(|| Ppn(self.dev.geometry().first_page(pbn).raw() + offset)))
+        Ok(valid.then(|| Ppn(self.dev.geometry().first_page(pbn).raw() + u64::from(offset))))
     }
 
     /// Ensures a log block with at least one free page exists and returns it,
@@ -258,10 +266,7 @@ impl HybridFtl {
     fn switch_merge(&mut self, victim: Pbn, lbn: u64) -> Result<Duration> {
         let mut cost = Duration::ZERO;
         // Drop the page-level mappings; the block-level map takes over.
-        let ppb = self.ppb() as u64;
-        for offset in flashsim::set_bits(std::mem::take(&mut self.log_bits[lbn as usize])) {
-            self.log_map.remove(lbn * ppb + u64::from(offset));
-        }
+        self.log_pages -= self.log_rows[lbn as usize].take().count();
         if let Some(old) = self.data_map[lbn as usize].take() {
             cost += self.retire_block(old)?;
         }
@@ -307,7 +312,7 @@ impl HybridFtl {
         let old = self.data_map[lbn as usize];
         // The newest copy of each offset is a log page where the directory
         // has one, else the old data block's page if still valid.
-        let logged = self.log_bits[lbn as usize];
+        let logged = self.log_rows[lbn as usize].bits();
         let in_data = match old {
             Some(pbn) => self.dev.valid_mask(pbn)?,
             None => 0,
@@ -328,17 +333,19 @@ impl HybridFtl {
         // a future re-growth).
         let mut sources = std::mem::take(&mut self.sources_scratch);
         let old_first = old.map(|pbn| self.dev.geometry().first_page(pbn).raw());
+        // The copy supersedes the log pages: the row is taken whole and
+        // drained in step with the offsets.
+        let mut log = self.log_rows[lbn as usize].take();
         for offset in 0..u64::from(u64::BITS - live.leading_zeros()) {
             sources.push(if logged & (1 << offset) != 0 {
-                // The copy supersedes the log page: drop its directory entry.
-                self.log_map.remove(lbn * ppb + offset)
+                log.next().map(|(_, ppn)| ppn)
             } else if in_data & (1 << offset) != 0 {
                 old_first.map(|first| Ppn(first + offset))
             } else {
                 None
             });
         }
-        self.log_bits[lbn as usize] = 0;
+        self.log_pages -= logged.count_ones() as usize;
         let seq0 = self.seq;
         cost += self.dev.copy_pages_from(fresh, &sources, |i| {
             OobData::for_lba(lbn * ppb + i as u64, false, seq0 + 1 + i as u64)
@@ -365,12 +372,7 @@ impl BlockDev for HybridFtl {
         self.check_lba(lba)?;
         self.counters.host_reads += 1;
         let (lbn, offset) = self.split(lba);
-        let ppn = if self.log_bits[lbn] & (1 << offset) != 0 {
-            self.log_map.get(lba).copied()
-        } else {
-            self.data_page(lbn, offset)?
-        };
-        if let Some(ppn) = ppn {
+        if let Some(ppn) = self.live_page(lbn, offset)? {
             return Ok(self.dev.read_page_to(ppn, dest)?);
         }
         // Never written (or trimmed): disks return zeros.
@@ -413,9 +415,8 @@ impl BlockDev for HybridFtl {
                 Err(e) => return Err(e.into()),
             }
         };
-        self.log_map.insert(lba, ppn);
         let (lbn, offset) = self.split(lba);
-        self.log_bits[lbn] |= 1 << offset;
+        self.log_pages += usize::from(self.log_rows[lbn].insert(offset, ppn).is_none());
         self.counters.host_writes += 1;
         Ok(cost)
     }
@@ -456,13 +457,14 @@ impl BlockDev for HybridFtl {
         let modeled = memory::dense_modeled_bytes(self.data_map.len(), 8)
             + log_pages * 16
             + self.config.total_blocks() * 8;
-        let heap = self.data_map.capacity() as u64 * std::mem::size_of::<Option<Pbn>>() as u64
-            + self.log_bits.capacity() as u64 * std::mem::size_of::<u64>() as u64
-            + self.log_map.memory().heap_bytes;
+        let rows: usize = self.log_rows.iter().map(SparseRow::heap_bytes).sum();
+        let heap = self.data_map.capacity() * std::mem::size_of::<Option<Pbn>>()
+            + self.log_rows.capacity() * std::mem::size_of::<SparseRow<Ppn>>()
+            + rows;
         MapMemory {
-            entries: self.data_map.iter().filter(|e| e.is_some()).count() + self.log_map.len(),
+            entries: self.data_map.iter().filter(|e| e.is_some()).count() + self.log_pages,
             modeled_bytes: modeled,
-            heap_bytes: heap,
+            heap_bytes: heap as u64,
         }
     }
 
@@ -681,31 +683,52 @@ mod tests {
 
 #[cfg(test)]
 mod log_bits_oracle_tests {
+    use std::collections::{HashMap, HashSet};
+
     use super::*;
     use simkit::SimRng;
 
-    /// The bitmap is a derived index: for every LBN it must equal a probe
-    /// of `log_map` at each offset, and never overlap the data block's
-    /// valid pages (one valid copy per LBA).
-    fn assert_log_bits_agree(ssd: &HybridFtl, at: &str) {
+    /// The log directory against the flash it describes: every valid flash
+    /// page is some LBA's one live copy and `live_page` resolves that LBA to
+    /// it (rows by OOB address, data blocks by position); a row never
+    /// shadows a valid data-block page; the entry counter equals a recount;
+    /// an empty row holds no heap; every log page is one the test wrote and
+    /// has not trimmed since, and every such LBA still resolves.
+    fn assert_rows_agree(ssd: &HybridFtl, written: &HashSet<u64>, at: &str) {
         let ppb = ssd.ppb() as u64;
+        let geometry = ssd.dev.geometry();
+        let mut on_flash: HashMap<u64, Ppn> = HashMap::new();
+        for pbn in (0..geometry.total_blocks()).map(Pbn) {
+            for (ppn, oob) in ssd.dev.valid_pages_iter(pbn).unwrap() {
+                let lba = oob.lba.expect("a valid page carries its LBA");
+                assert_eq!(on_flash.insert(lba, ppn), None, "{at}: two copies of {lba}");
+            }
+        }
         let mut entries = 0;
-        for (lbn, &bits) in ssd.log_bits.iter().enumerate() {
-            let probed = (0..ppb)
-                .filter(|offset| ssd.log_map.get(lbn as u64 * ppb + offset).is_some())
-                .fold(0u64, |mask, offset| mask | 1 << offset);
-            assert_eq!(bits, probed, "{at}: lbn {lbn}");
+        for (lbn, row) in ssd.log_rows.iter().enumerate() {
+            if row.is_empty() {
+                assert_eq!(row.heap_bytes(), 0, "{at}: lbn {lbn}: empty row holds heap");
+            }
             if let Some(pbn) = ssd.data_map[lbn] {
                 let in_data = ssd.dev.valid_mask(pbn).unwrap();
-                assert_eq!(bits & in_data, 0, "{at}: lbn {lbn} has two valid copies");
+                assert_eq!(row.bits() & in_data, 0, "{at}: lbn {lbn}: two live copies");
             }
-            entries += bits.count_ones() as usize;
+            entries += row.len();
+            for (offset, _) in row.iter() {
+                let lba = lbn as u64 * ppb + u64::from(offset);
+                assert!(written.contains(&lba), "{at}: log page for unwritten {lba}");
+            }
         }
-        assert_eq!(
-            entries,
-            ssd.log_map.len(),
-            "{at}: entries outside the exposed LBNs"
-        );
+        assert_eq!(entries, ssd.log_pages, "{at}: log page counter");
+        for lba in 0..ssd.capacity_pages() {
+            let (lbn, offset) = ssd.split(lba);
+            let found = ssd.live_page(lbn, offset).unwrap();
+            assert_eq!(found, on_flash.get(&lba).copied(), "{at}: lba {lba}");
+            assert!(
+                found.is_some() || !written.contains(&lba),
+                "{at}: {lba} lost"
+            );
+        }
     }
 
     #[test]
@@ -725,24 +748,35 @@ mod log_bits_oracle_tests {
             let ppb = ssd.ppb() as u64;
             let span = ssd.capacity_pages();
             let page = vec![0u8; ssd.dev.geometry().page_size()];
+            // LBAs written and not trimmed since.
+            let mut written: HashSet<u64> = HashSet::new();
             for step in 0..1500 {
                 let at = format!("seed {seed} step {step}");
                 match rng.gen_range(16) {
-                    0..=8 => drop(ssd.write(rng.gen_range(span), &page).unwrap()),
-                    9..=11 => drop(ssd.trim(rng.gen_range(span)).unwrap()),
+                    0..=8 => {
+                        let lba = rng.gen_range(span);
+                        ssd.write(lba, &page).unwrap();
+                        written.insert(lba);
+                    }
+                    9..=11 => {
+                        let lba = rng.gen_range(span);
+                        ssd.trim(lba).unwrap();
+                        written.remove(&lba);
+                    }
                     12 => {
                         // A whole logical block start to end: with a little
                         // luck it fills one log block and switch-merges.
                         let lbn = rng.gen_range(span / ppb);
                         for lba in lbn * ppb..(lbn + 1) * ppb {
                             ssd.write(lba, &page).unwrap();
-                            assert_log_bits_agree(&ssd, &at);
+                            written.insert(lba);
+                            assert_rows_agree(&ssd, &written, &at);
                         }
                     }
                     13 => drop(ssd.background_merge().unwrap()),
                     _ => drop(ssd.read_to(rng.gen_range(span), None).unwrap()),
                 }
-                assert_log_bits_agree(&ssd, &at);
+                assert_rows_agree(&ssd, &written, &at);
             }
             runs.push(ssd.ftl_counters());
         }

@@ -165,6 +165,12 @@ impl Histogram {
         self.summary.add(value as f64);
     }
 
+    /// Running summary (count, mean, variance, extrema) of the recorded
+    /// samples: what a [`Summary`] fed the same values as `f64` would hold.
+    pub fn summary(&self) -> &Summary {
+        &self.summary
+    }
+
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.summary.count()
@@ -339,10 +345,16 @@ mod tests {
     #[test]
     fn histogram_buckets_and_quantiles() {
         let mut h = Histogram::new();
+        let mut fed_as_f64 = Summary::new();
         for v in 0..1000u64 {
             h.record(v);
+            fed_as_f64.add(v as f64);
         }
         assert_eq!(h.count(), 1000);
+        // The embedded summary is bit for bit the one a caller would keep.
+        let own = h.summary();
+        assert_eq!(own.sum().to_bits(), fed_as_f64.sum().to_bits());
+        assert_eq!(own.variance().to_bits(), fed_as_f64.variance().to_bits());
         let p50 = h.quantile(0.5).unwrap();
         // Median 500 lives in bucket [256,512) whose upper bound is 511.
         assert_eq!(p50, 511);

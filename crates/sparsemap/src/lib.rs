@@ -28,6 +28,13 @@
 //! report memory through the same [`MapMemory`] model so the Table 4
 //! comparison is apples-to-apples.
 //!
+//! [`SparseRow`] is the paper's group on its own — a bitmap plus a packed
+//! array, 64 slots wide — addressed by position instead of by hash. Holding
+//! the log-block directory as one row per logical block, slot = page offset,
+//! is ours: the paper keys its page-granularity entries by block address in
+//! the hash table, and the devices are still *charged* for them that way
+//! (8 B address + 8 B value + 3.5 bits per log page, [`memory`]).
+//!
 //! # Examples
 //!
 //! ```
@@ -44,7 +51,9 @@ pub mod dense;
 mod group;
 pub mod map;
 pub mod memory;
+pub mod row;
 
 pub use dense::DenseMap;
 pub use map::SparseHashMap;
 pub use memory::MapMemory;
+pub use row::SparseRow;

@@ -6,7 +6,7 @@
 //! the same operation sequences and failures reproduce by case number.
 
 use simkit::SimRng;
-use sparsemap::{DenseMap, SparseHashMap};
+use sparsemap::{DenseMap, SparseHashMap, SparseRow};
 use std::collections::HashMap;
 
 /// An operation in a random map workload.
@@ -311,4 +311,97 @@ fn dense_map_matches_hashmap() {
             assert_eq!(sut.len(), reference.len());
         }
     }
+}
+
+/// Everything observable about `row` against a plain 64-slot array: bitmap,
+/// length, every slot through `get` and `get_mut`, `iter()` contents and
+/// ascending order, and no heap held while empty.
+fn assert_row_matches(row: &mut SparseRow<u64>, model: &[Option<u64>; 64], at: &str) {
+    let want: Vec<(u32, u64)> = (0..64)
+        .filter_map(|i| Some((i, model[i as usize]?)))
+        .collect();
+    let got: Vec<(u32, u64)> = row.iter().map(|(i, v)| (i, *v)).collect();
+    assert_eq!(got, want, "{at}: iter()");
+    let bits = want.iter().fold(0u64, |bits, (i, _)| bits | 1 << i);
+    assert_eq!(row.bits(), bits, "{at}: bits()");
+    assert_eq!(row.len(), want.len(), "{at}: len()");
+    assert_eq!(row.is_empty(), want.is_empty(), "{at}: is_empty()");
+    for i in 0..64 {
+        assert_eq!(row.get(i).copied(), model[i as usize], "{at}: get({i})");
+        assert_eq!(
+            row.get_mut(i).copied(),
+            model[i as usize],
+            "{at}: get_mut({i})"
+        );
+    }
+    if want.is_empty() {
+        assert_eq!(row.heap_bytes(), 0, "{at}: an empty row holds heap");
+    } else {
+        assert!(row.heap_bytes() >= 8 * want.len(), "{at}: heap_bytes()");
+    }
+}
+
+#[test]
+fn sparse_row_matches_a_64_slot_array() {
+    // The slots where an off-by-one in the rank mask or the shift shows.
+    const EDGES: [u32; 4] = [0, 31, 32, 63];
+    for case in 0..128u64 {
+        let mut rng = SimRng::seed_from(0x0520_0000 ^ case);
+        let mut row: SparseRow<u64> = SparseRow::new();
+        let mut model = [None; 64];
+        // Some cases live in a few slots (so removes and overwrites hit),
+        // some over the whole row.
+        let span = [4, 16, 64][case as usize % 3];
+        for step in 0..200 {
+            let at = format!("case {case} step {step}");
+            let slot = if rng.gen_bool(0.2) {
+                EDGES[rng.gen_range(4) as usize]
+            } else {
+                rng.gen_range(span) as u32
+            };
+            match rng.gen_range(8) {
+                // Insert or overwrite.
+                0..=3 => {
+                    let value = rng.next_u64();
+                    let old = row.insert(slot, value);
+                    assert_eq!(old, model[slot as usize].replace(value), "{at}");
+                }
+                // Remove, present or absent.
+                4..=6 => assert_eq!(row.remove(slot), model[slot as usize].take(), "{at}"),
+                // Take the whole row.
+                _ => {
+                    let want: Vec<(u32, u64)> = (0..64)
+                        .filter_map(|i| Some((i, model[i as usize].take()?)))
+                        .collect();
+                    assert_eq!(row.take().collect::<Vec<_>>(), want, "{at}");
+                }
+            }
+            assert_row_matches(&mut row, &model, &at);
+        }
+    }
+}
+
+#[test]
+fn sparse_row_holds_all_64_slots() {
+    let mut row: SparseRow<u64> = SparseRow::new();
+    let mut model = [None; 64];
+    // Filled from both ends toward the middle, so inserts land in front of,
+    // behind and between the values already packed.
+    for n in 0..32u32 {
+        for slot in [63 - n, n] {
+            assert_eq!(row.insert(slot, u64::from(slot) * 3), None);
+            model[slot as usize] = Some(u64::from(slot) * 3);
+            assert_row_matches(&mut row, &model, &format!("filling {slot}"));
+        }
+    }
+    assert_eq!(row.bits(), u64::MAX);
+    assert_eq!(row.len(), 64);
+    assert_eq!(row.insert(63, 1), Some(189), "a full row still overwrites");
+    assert_eq!(row.remove(63), Some(1));
+    model[63] = None;
+    assert_row_matches(&mut row, &model, "63 removed");
+    let taken: Vec<(u32, u64)> = row.take().collect();
+    assert_eq!(taken.len(), 63);
+    assert!(taken.iter().all(|&(i, v)| v == u64::from(i) * 3));
+    assert_row_matches(&mut row, &[None; 64], "taken");
 }
