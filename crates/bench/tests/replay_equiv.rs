@@ -273,6 +273,29 @@ fn store_mode_replay_matches_reference_and_keeps_real_bytes() {
 }
 
 #[test]
+fn discard_and_store_modes_agree_on_every_simulated_number() {
+    // Whatever host work a stack skips because nothing can read its bytes
+    // back (payload fills, destage transfers, native's encoded metadata
+    // pages) must leave timing, counters and fault draws where they were.
+    fn run<S: Stack>(build: impl Fn(&ReplaySetup) -> S, s: &ReplaySetup, label: &str) -> S {
+        let (mut discard, mut store) = (build(s), build(&s.clone().with_stored_data()));
+        assert!(discard.payload_discarded() && !store.payload_discarded());
+        let got = replay(&mut discard, &s.workload().events).expect("discard replay");
+        let want = replay(&mut store, &s.workload().events).expect("store replay");
+        assert_stats_identical(&want, &got, label);
+        assert_eq!(store.below(), discard.below(), "{label}: below manager");
+        discard
+    }
+    for ppm in [0, 500] {
+        let s = setup().with_faults(ppm);
+        run(ReplaySetup::flashtier_wt, &s, &format!("wt faults={ppm}"));
+        run(ReplaySetup::flashtier_wb, &s, &format!("wb faults={ppm}"));
+        let native = run(ReplaySetup::native_wb, &s, &format!("native faults={ppm}"));
+        assert!(native.counters().metadata_writes > 0, "faults={ppm}");
+    }
+}
+
+#[test]
 fn faulted_replay_draws_the_same_fault_stream() {
     // A discard read must advance the fault injector exactly as a filling
     // read does, or every later fault lands on a different event.

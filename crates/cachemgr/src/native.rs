@@ -85,11 +85,14 @@ pub struct NativeCache<D: BlockDev> {
     /// Both tiers run in discard mode: payload bytes are provably never
     /// retained or read back, so destage transfers skip materializing them.
     payload_discarded: bool,
-    /// Encoded metadata pages, kept in lockstep with `meta` (empty unless
-    /// the configuration persists metadata). Each slot's 22-byte entry is
-    /// re-encoded when that slot changes, so persisting a page is a single
-    /// device write instead of a full page re-encode (zero-fill plus one
-    /// CRC per entry) on every dirty-state change.
+    /// Encoded metadata pages, kept in lockstep with `meta`. Each slot's
+    /// 22-byte entry is re-encoded when that slot changes, so persisting a
+    /// page is a single device write instead of a full page re-encode
+    /// (zero-fill plus one CRC per entry) on every dirty-state change.
+    /// Empty unless the configuration persists metadata to an SSD that
+    /// keeps it: under `payload_discarded` the FTL drops the bytes and
+    /// recovery reads back synthetic pages whatever was written, so the
+    /// writes are issued (and counted, and charged) with a scratch page.
     md_cache: Vec<Box<[u8]>>,
 }
 
@@ -188,10 +191,11 @@ impl<D: BlockDev> NativeCache<D> {
     }
 
     /// Re-encodes every metadata page from `meta` into the cache (or clears
-    /// it in configurations that never persist). The resulting bytes are
-    /// exactly what [`NativeCache::encode_md_page`] would produce.
+    /// it in configurations whose encoded metadata nothing can read back).
+    /// The resulting bytes are exactly what [`NativeCache::encode_md_page`]
+    /// would produce.
     fn rebuild_md_cache(&mut self) {
-        if !self.persists_metadata() {
+        if !self.persists_metadata() || self.payload_discarded {
             self.md_cache.clear();
             return;
         }
@@ -232,10 +236,12 @@ impl<D: BlockDev> NativeCache<D> {
         }
         let page_index = slot as u64 / self.md_entries_per_page;
         self.counters.metadata_writes += 1;
-        Ok(self.ssd.write(
-            self.md_base + page_index,
-            &self.md_cache[page_index as usize],
-        )?)
+        let page: &[u8] = match self.md_cache.get(page_index as usize) {
+            Some(encoded) => encoded,
+            // Discard mode: the SSD wants a page-sized buffer, not its bytes.
+            None => self.victim_buf.prepare(self.disk.block_size()),
+        };
+        Ok(self.ssd.write(self.md_base + page_index, page)?)
     }
 
     /// Simulates a crash followed by recovery of the manager's state from

@@ -136,10 +136,9 @@ pub struct Ssc {
     /// Scripted power failure: fire at the `.1`-th future hit of site `.0`.
     pub(crate) armed_crash: Option<(CrashSite, u64)>,
     pub(crate) counters: SscCounters,
-    /// Scratch buffers reused across merges so sustained GC does not
-    /// allocate: the per-offset copy sources of one LBN and the sorted LBAs
-    /// of one victim log block.
-    sources_scratch: Vec<Option<Ppn>>,
+    /// Scratch buffers reused across merges: the log pages of one LBN by
+    /// offset and the sorted LBAs of one victim log block.
+    overlay_scratch: Vec<(u32, Ppn)>,
     lba_scratch: Vec<u64>,
     /// Memoized checkpoint trigger: `(base_lsn, appended_bytes threshold)`.
     /// Both inputs of the log-size policy — the base checkpoint's LSN
@@ -179,7 +178,7 @@ impl Ssc {
             erases_at_last_flush: 0,
             armed_crash: None,
             counters: SscCounters::default(),
-            sources_scratch: Vec::new(),
+            overlay_scratch: Vec::new(),
             lba_scratch: Vec::new(),
             ckpt_trigger: None,
             clean_index: CleanBlockIndex::new(planes),
@@ -1038,12 +1037,8 @@ impl Ssc {
         // it. The scratch vector is taken out of `self` for the duration of
         // the merge (it starts and ends empty, so an early `?` return just
         // costs a future re-growth).
-        let mut sources = std::mem::take(&mut self.sources_scratch);
+        let mut overlay = std::mem::take(&mut self.overlay_scratch);
         let mut dirty = old.map_or(0, |e| e.dirty);
-        sources.extend((0..u64::BITS - live.leading_zeros()).map(|offset| {
-            old.filter(|e| e.is_valid(offset))
-                .map(|e| Ppn(e.pbn * ppb + u64::from(offset)))
-        }));
         for (offset, ptr) in self.maps.take_log(lbn) {
             self.log_append(LogRecord::RemovePage {
                 lba: lbn * ppb + u64::from(offset),
@@ -1051,25 +1046,27 @@ impl Ssc {
             if ptr.dirty() {
                 dirty |= 1 << offset;
             }
-            sources[offset as usize] = Some(ptr.ppn());
+            overlay.push((offset, ptr.ppn()));
         }
         // One device-internal rebuild: a multi-plane batch read of the
         // sources (§5's multi-plane device) and one program per offset; the
         // payloads never cross to the host.
+        let len = (u64::BITS - live.leading_zeros()) as usize;
         let seq0 = self.seq;
-        cost += self.dev.copy_pages_from(fresh, &sources, |i| {
+        let base = old.map(|e| (Pbn(e.pbn), e.valid));
+        cost += self.dev.rebuild_block(fresh, len, base, &overlay, |i| {
             let dirty = dirty & (1 << i) != 0;
             OobData::for_lba(lbn * ppb + i as u64, dirty, seq0 + 1 + i as u64)
         })?;
-        self.seq += sources.len() as u64;
-        self.counters.gc_copies += sources.len() as u64;
+        self.seq += len as u64;
+        self.counters.gc_copies += len as u64;
         // Zero-filled holes are physically present but never mapped.
         let first = self.dev.geometry().first_page(fresh).raw();
         for hole in set_bits(!live & (u64::MAX >> live.leading_zeros())) {
             self.dev.invalidate_page(Ppn(first + u64::from(hole)))?;
         }
-        sources.clear();
-        self.sources_scratch = sources;
+        overlay.clear();
+        self.overlay_scratch = overlay;
         // Power fails mid-merge: pages were copied and their sources
         // invalidated in device RAM, but the new block mapping is not yet
         // durable. Recovery must roll back to the durable mappings.
@@ -1909,8 +1906,8 @@ mod index_oracle_tests {
     use crate::config::VictimSelection;
 
     /// Asserts every index agrees with its brute-force scan reference:
-    /// eviction selection, wear victim, free-pool plane choice, and the full
-    /// index contents (membership, scores, erase counts, planes).
+    /// eviction selection, wear victim, and the full index contents
+    /// (membership, scores, erase counts, planes).
     fn assert_index_agrees(s: &Ssc) {
         assert_eq!(
             s.select_eviction_victims(),
@@ -1922,8 +1919,6 @@ mod index_oracle_tests {
             s.wear_victim_scan(),
             "wear victim diverged from scan"
         );
-        assert_eq!(s.pool.fullest_plane(), s.pool.fullest_plane_scan());
-        assert_eq!(s.pool.emptiest_plane(), s.pool.emptiest_plane_scan());
         let mut expect: Vec<(u64, (u64, u64), u64, u32)> = s
             .maps
             .blocks()

@@ -120,6 +120,21 @@ impl Block {
         self.valid &= !(1 << page);
         was_valid
     }
+
+    /// Invalidates every page of `mask` at once, returning how many were
+    /// `Valid`: [`Block::invalidate`] over the mask's set bits.
+    pub(crate) fn invalidate_mask(&mut self, mask: u64) -> u32 {
+        debug_assert_eq!(mask & !low_bits(self.write_ptr), 0);
+        let were_valid = (self.valid & mask).count_ones();
+        self.valid &= !mask;
+        were_valid
+    }
+}
+
+/// A mask of the `count` lowest bits (`count` may be 64).
+#[inline]
+pub(crate) fn low_bits(count: u32) -> u64 {
+    u64::MAX.checked_shr(u64::BITS - count).unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -168,6 +183,21 @@ mod tests {
         assert!(s.is_full(64));
         assert_eq!((s.valid_pages, s.invalid_pages), (63, 1));
         assert_eq!(b.valid, u64::MAX << 1);
+    }
+
+    #[test]
+    fn mask_invalidation_counts_only_valid_pages() {
+        let mut b = Block::default();
+        b.program(64);
+        assert!(b.invalidate(3));
+        assert_eq!(b.invalidate_mask(0b1111 | 1 << 63), 4);
+        assert_eq!(b.valid, u64::MAX >> 1 & !0b1111);
+        assert_eq!(b.invalidate_mask(0b1111), 0);
+        assert_eq!(b.invalidate_mask(0), 0);
+        assert_eq!(
+            [0, 1, 63, 64].map(low_bits),
+            [0, 1, u64::MAX >> 1, u64::MAX]
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The simulated flash device.
 
 use crate::addr::{Pbn, Ppn};
-use crate::block::{set_bits, Block, BlockState};
+use crate::block::{low_bits, set_bits, Block, BlockState};
 use crate::config::{FlashConfig, Geometry};
 use crate::counters::{FlashCounters, WearStats, WearTracker};
 use crate::error::FlashError;
@@ -45,7 +45,7 @@ pub struct FlashDevice {
     /// Erase-count histogram kept in lockstep with the blocks so
     /// [`FlashDevice::wear`] is O(1) instead of a full-device scan.
     wear: WearTracker,
-    /// Per-plane read tally reused by [`FlashDevice::copy_pages_from`] so
+    /// Per-plane read tally reused by [`FlashDevice::rebuild_block`] so
     /// batch reads stay allocation-free.
     plane_scratch: Vec<u64>,
     /// Deterministic media-fault injection; `None` (the default) disables
@@ -375,7 +375,7 @@ impl FlashDevice {
     /// payload, discard mode moves nothing at all. Timing and counters are
     /// identical to [`FlashDevice::program_next`]; the read side is charged
     /// separately via [`FlashDevice::read_page_charge`]. Whole-block rebuilds
-    /// use [`FlashDevice::copy_pages_from`] instead.
+    /// use [`FlashDevice::rebuild_block`] instead.
     ///
     /// # Errors
     ///
@@ -395,66 +395,117 @@ impl FlashDevice {
     }
 
     /// Rebuilds a run of a block device-internally — the one merge-copy
-    /// primitive of both the hybrid FTL and the SSC. Programs the next
-    /// `sources.len()` pages of `dst` in order, page `i` with the payload of
-    /// `sources[i]` (zeros for `None`, an offset that was never written) and
-    /// the OOB `oob(i)`, then invalidates every source. All new pages are
+    /// primitive of both the hybrid FTL and the SSC, shaped like what a merge
+    /// has in hand: an old data block with its validity mask, and the
+    /// logical block's log pages. Programs the next `len` pages of `dst` in
+    /// order. Page `i` takes the payload of `overlay`'s page for offset `i`
+    /// if it has one, else of page `i` of `base.0` if bit `i` of `base.1` is
+    /// set, else zeros (an offset that was never written); its OOB is
+    /// `oob(i)`. Every source page is then invalidated. All new pages are
     /// `Valid`; a caller that does not map its holes invalidates them.
     ///
+    /// The base block costs the host a few word operations whatever its
+    /// population; only overlay pages are handled one by one.
+    ///
     /// Charges what the per-page sequence it replaces charged: one
-    /// multi-plane batch read of the `Some` sources (control delay, the
-    /// busiest plane's serialized cell reads, one bus transfer per page —
-    /// cell reads on different planes overlap) plus one page program per
-    /// slot. Like every relocation primitive it draws no injected faults
-    /// (see [`crate::fault`]).
+    /// multi-plane batch read of the sources (control delay, the busiest
+    /// plane's serialized cell reads, one bus transfer per page — cell reads
+    /// on different planes overlap) plus one page program per slot. Like
+    /// every relocation primitive it draws no injected faults (see
+    /// [`crate::fault`]).
     ///
     /// # Errors
     ///
     /// [`FlashError::ProgramNotFree`] if `dst` lacks room for the run,
     /// [`FlashError::ReadFree`] for an unprogrammed source, and the range
-    /// errors. Everything is validated first: an error charges nothing and
-    /// mutates nothing.
-    pub fn copy_pages_from(
+    /// errors; of several bad sources the lowest slot's is reported.
+    /// Everything is validated first: an error charges nothing and mutates
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// If `overlay` is not strictly ascending by offset or names an offset
+    /// at or above `len`.
+    pub fn rebuild_block(
         &mut self,
         dst: Pbn,
-        sources: &[Option<Ppn>],
+        len: usize,
+        base: Option<(Pbn, u64)>,
+        overlay: &[(u32, Ppn)],
         mut oob: impl FnMut(usize) -> OobData,
     ) -> Result<Duration> {
-        let first = self.next_free(dst, sources.len())?.raw() as usize;
-        if sources.is_empty() {
-            return Ok(Duration::ZERO);
-        }
+        let first = self.next_free(dst, len)?.raw() as usize;
         let g = self.config.geometry;
         self.plane_scratch.fill(0);
-        let mut reads = 0u64;
-        for &src in sources.iter().flatten() {
-            let (pbn, _) = self.locate_programmed(src)?;
-            self.plane_scratch[g.plane_of(pbn) as usize] += 1;
-            reads += 1;
-        }
-        let store = self.mode == DataMode::Store;
-        for (i, &src) in sources.iter().enumerate() {
-            let at = first + i;
-            self.oob[at] = oob(i);
-            match src {
-                Some(src) => {
-                    if store {
-                        self.payloads[at] = self.payloads[src.raw() as usize].clone();
-                    }
-                    let (pbn, idx) = (g.block_of(src), g.page_in_block(src));
-                    if self.block_mut(pbn).invalidate(idx) {
-                        self.counters.invalidations += 1;
-                    }
-                }
-                None if store => self.payloads[at] = Some(vec![0; g.page_size()].into()),
-                None => {}
+        // The first bad source by slot, should there be one.
+        let mut bad: Option<(u32, FlashError)> = None;
+        let mut overlaid = 0u64;
+        for &(offset, src) in overlay {
+            assert!(
+                (offset as usize) < len && overlaid >> offset == 0,
+                "overlay offset {offset} out of order or beyond {len}"
+            );
+            overlaid |= 1 << offset;
+            match self.locate_programmed(src) {
+                Ok((pbn, _)) => self.plane_scratch[g.plane_of(pbn) as usize] += 1,
+                Err(e) => bad = bad.or(Some((offset, e))),
             }
         }
-        self.block_mut(dst).program(sources.len() as u32);
+        // The base supplies the slots its mask names and the overlay leaves.
+        let base = base
+            .map(|(pbn, mask)| (pbn, mask & low_bits(len as u32) & !overlaid))
+            .filter(|&(_, mask)| mask != 0);
+        if let Some((pbn, mask)) = base {
+            let base_bad = match self.check_pbn(pbn) {
+                Err(e) => Some((mask.trailing_zeros(), e)),
+                Ok(()) => {
+                    self.plane_scratch[g.plane_of(pbn) as usize] += u64::from(mask.count_ones());
+                    let free = mask & !low_bits(self.block(pbn).write_ptr);
+                    let page = free.trailing_zeros();
+                    let ppn = Ppn(g.first_page(pbn).raw() + u64::from(page));
+                    (free != 0).then_some((page, FlashError::ReadFree(ppn)))
+                }
+            };
+            bad = bad
+                .into_iter()
+                .chain(base_bad)
+                .min_by_key(|&(slot, _)| slot);
+        }
+        if let Some((_, e)) = bad {
+            return Err(e);
+        }
+        // No base block is an empty mask over any block.
+        let (base, base_mask) = base.unwrap_or((dst, 0));
+        for (i, slot) in self.oob[first..first + len].iter_mut().enumerate() {
+            *slot = oob(i);
+        }
+        if self.mode == DataMode::Store {
+            let base_first = g.first_page(base).raw() as usize;
+            for i in (0..len).filter(|&i| overlaid & (1 << i) == 0) {
+                self.payloads[first + i] = if base_mask & (1 << i) != 0 {
+                    self.payloads[base_first + i].clone()
+                } else {
+                    Some(vec![0; g.page_size()].into())
+                };
+            }
+            for &(offset, src) in overlay {
+                self.payloads[first + offset as usize] = self.payloads[src.raw() as usize].clone();
+            }
+        }
+        let mut invalidated = u64::from(self.block_mut(base).invalidate_mask(base_mask));
+        for &(_, src) in overlay {
+            let (pbn, idx) = (g.block_of(src), g.page_in_block(src));
+            invalidated += u64::from(self.block_mut(pbn).invalidate(idx));
+        }
+        if len > 0 {
+            self.block_mut(dst).program(len as u32);
+        }
+        let reads = u64::from(base_mask.count_ones()) + overlay.len() as u64;
+        self.counters.invalidations += invalidated;
         self.counters.page_reads += reads;
-        self.counters.page_writes += sources.len() as u64;
+        self.counters.page_writes += len as u64;
         let t = self.config.timing;
-        let mut cost = t.write_cost() * sources.len() as u64;
+        let mut cost = t.write_cost() * len as u64;
         if reads > 0 {
             let busiest_plane = self.plane_scratch.iter().copied().max().unwrap_or(0);
             cost += t.control + t.page_read * busiest_plane + t.bus_control * reads;
@@ -890,10 +941,68 @@ mod batch_tests {
         (d, same_plane, cross_plane)
     }
 
+    fn test_oob(i: usize) -> OobData {
+        OobData::for_lba(i as u64, false, 50 + i as u64)
+    }
+
+    /// A rebuild with no base block: every source is an overlay page.
     fn copy(d: &mut FlashDevice, dst: Pbn, sources: &[Option<Ppn>]) -> Result<Duration> {
-        d.copy_pages_from(dst, sources, |i| {
-            OobData::for_lba(i as u64, false, 50 + i as u64)
-        })
+        let overlay: Vec<_> = (0u32..)
+            .zip(sources)
+            .filter_map(|(i, s)| Some((i, (*s)?)))
+            .collect();
+        d.rebuild_block(dst, sources.len(), None, &overlay, test_oob)
+    }
+
+    #[test]
+    fn base_pages_go_by_mask_and_overlay_pages_win() {
+        let (mut d, same, cross) = dev_with_pages();
+        let g = *d.geometry();
+        let (base, dst) = (g.pbn(0, 0), g.pbn(1, 2));
+        // Base page 1 is already superseded: still copied, not counted again.
+        d.invalidate_page(same[1]).unwrap();
+        let before = d.clone();
+        // A mask bit at the base block's write pointer names a free page.
+        assert_eq!(
+            d.rebuild_block(dst, 5, Some((base, 0b1_0111)), &[], test_oob),
+            Err(FlashError::ReadFree(Ppn(same[0].raw() + 4)))
+        );
+        // Of two bad sources the lower slot's error is reported.
+        let free = Ppn(g.total_pages() - 1);
+        assert_eq!(
+            d.rebuild_block(dst, 5, Some((base, 0b1_0000)), &[(3, free)], test_oob),
+            Err(FlashError::ReadFree(free))
+        );
+        assert_eq!(d.counters(), before.counters());
+        assert_eq!(d.valid_mask(base), before.valid_mask(base));
+        assert!(d.block_state(dst).unwrap().is_empty());
+        // Offsets 0 and 1 from the base, 2 from the overlay (over the base's
+        // own page 2, which stays valid), 3 and 4 never written. Mask bits
+        // at or above `len` name no slot.
+        let cost = d
+            .rebuild_block(
+                dst,
+                5,
+                Some((base, 0b1110_0111)),
+                &[(2, cross[1])],
+                test_oob,
+            )
+            .unwrap();
+        // Two cell reads on plane 0 overlap one on plane 1.
+        assert_eq!(cost.as_micros(), 10 + 2 * 65 + 3 * 2 + 5 * 97);
+        let first = g.first_page(dst).raw();
+        for (i, fill) in [0u8, 1, 101, 0, 0].into_iter().enumerate() {
+            let ppn = Ppn(first + i as u64);
+            assert_eq!(d.read_page(ppn).unwrap().0, vec![fill; g.page_size()]);
+            assert_eq!(d.peek_oob(ppn).unwrap(), test_oob(i));
+        }
+        assert_eq!(d.valid_mask(dst).unwrap(), 0b1_1111);
+        assert_eq!(d.valid_mask(base).unwrap(), 0b1100);
+        assert_eq!(d.page_state(cross[1]).unwrap(), PageState::Invalid);
+        let (c, c0) = (d.counters(), before.counters());
+        assert_eq!(c.page_reads - c0.page_reads, 3 + 5);
+        assert_eq!(c.page_writes - c0.page_writes, 5);
+        assert_eq!(c.invalidations - c0.invalidations, 2);
     }
 
     #[test]

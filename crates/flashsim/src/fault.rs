@@ -16,7 +16,7 @@
 //!
 //! Scope: faults apply to *host-visible* operations (page reads, OOB reads,
 //! host programs, erases). Device-internal relocation traffic
-//! (`read_page_charge`/`copy_page_from` for single pages, `copy_pages_from`
+//! (`read_page_charge`/`copy_page_from` for single pages, `rebuild_block`
 //! for whole-block rebuilds) is exempt — it neither draws fresh faults nor
 //! surfaces grown bad pages — modelling firmware-level read-retry and
 //! redundancy below the interface we simulate. Corruption is modelled at

@@ -38,9 +38,10 @@
 //! [`FlashDevice::program_page`] and [`FlashDevice::erase_block`].
 //! Device-internal relocation never moves a payload to the host:
 //! [`FlashDevice::read_page_charge`] + [`FlashDevice::copy_page_from`]
-//! relocate one page, and [`FlashDevice::copy_pages_from`] rebuilds a run of
-//! a block from up to a block's worth of sources in one call — the single
-//! merge-copy primitive of the hybrid FTL and the SSC.
+//! relocate one page, and [`FlashDevice::rebuild_block`] rebuilds a run of
+//! a block from an old data block (named by its validity mask, handled a
+//! word at a time) overlaid with individual log pages in one call — the
+//! single merge-copy primitive of the hybrid FTL and the SSC.
 //!
 //! # Data modes
 //!

@@ -186,7 +186,7 @@ impl RefDevice {
         Ok((ppn, self.t.write_cost()))
     }
 
-    /// The per-page sequence `copy_pages_from` replaced: one multi-plane
+    /// The per-page sequence `rebuild_block` stands for: one multi-plane
     /// batch read of the sources, then program + invalidate page by page.
     fn copy_pages(
         &mut self,
@@ -353,6 +353,89 @@ fn pick_pbn(rng: &mut SimRng, model: &RefDevice) -> Pbn {
     Pbn(rng.gen_range(model.g.total_blocks() * 16 + 1) / 16)
 }
 
+fn low_bits(count: u32) -> u64 {
+    u64::MAX.checked_shr(64 - count).unwrap_or(0)
+}
+
+/// One `rebuild_block` call.
+#[derive(Debug)]
+struct Rebuild {
+    dst: Pbn,
+    len: usize,
+    base: Option<(Pbn, u64)>,
+    overlay: Vec<(u32, Ppn)>,
+}
+
+impl Rebuild {
+    /// A run of `len` pages for `dst`. Three times in four there is a base
+    /// block (sometimes `dst` itself), its mask mostly within the pages
+    /// `programmed_in` says it has, sometimes one bit beyond them; one
+    /// offset in five gets an overlay page from `pick_page`, now and then
+    /// the page the previous overlay entry used.
+    fn generate(
+        rng: &mut SimRng,
+        g: &Geometry,
+        dst: Pbn,
+        len: usize,
+        programmed_in: impl Fn(Pbn) -> u32,
+        mut pick_page: impl FnMut(&mut SimRng) -> Ppn,
+    ) -> Self {
+        let ppb = g.pages_per_block();
+        let base = rng.gen_bool(0.75).then(|| {
+            let pbn = if rng.gen_bool(0.15) && g.pbn_in_range(dst) {
+                dst
+            } else {
+                Pbn(rng.gen_range(g.total_blocks()))
+            };
+            let wp = programmed_in(pbn);
+            let mut mask = low_bits(wp);
+            if rng.gen_bool(0.8) {
+                mask &= rng.next_u64();
+            }
+            if wp < ppb && rng.gen_bool(0.1) {
+                mask |= 1 << (wp + rng.gen_range(u64::from(ppb - wp)) as u32);
+            }
+            (pbn, mask)
+        });
+        let mut overlay: Vec<(u32, Ppn)> = Vec::new();
+        for offset in 0..len as u32 {
+            if rng.gen_bool(0.2) {
+                let page = match overlay.last() {
+                    Some(&(_, last)) if rng.gen_bool(0.1) => last,
+                    _ => pick_page(rng),
+                };
+                overlay.push((offset, page));
+            }
+        }
+        Rebuild {
+            dst,
+            len,
+            base,
+            overlay,
+        }
+    }
+
+    /// The per-offset source list the references take: the overlay's page,
+    /// else the base block's where its mask says so, else a hole.
+    fn sources(&self, g: &Geometry) -> Vec<Option<Ppn>> {
+        let mut sources: Vec<_> = (0..self.len)
+            .map(|i| {
+                let bit = 1u64.checked_shl(i as u32).unwrap_or(0);
+                let (pbn, _) = self.base.filter(|&(_, mask)| mask & bit != 0)?;
+                Some(Ppn(g.first_page(pbn).raw() + i as u64))
+            })
+            .collect();
+        for &(offset, ppn) in &self.overlay {
+            sources[offset as usize] = Some(ppn);
+        }
+        sources
+    }
+
+    fn run(&self, dev: &mut FlashDevice, oob: impl Fn(usize) -> OobData) -> Result<Duration> {
+        dev.rebuild_block(self.dst, self.len, self.base, &self.overlay, oob)
+    }
+}
+
 #[test]
 fn device_matches_reference_model() {
     let config = FlashConfig::small_test(); // 16 blocks x 8 pages x 512 B
@@ -404,19 +487,25 @@ fn device_matches_reference_model() {
                 }
                 4 | 5 => {
                     let dst = pick_pbn(&mut rng, &model);
-                    let sources: Vec<_> = (0..rng.gen_range(g.pages_per_block() as u64 + 1))
-                        .map(|_| rng.gen_bool(0.75).then(|| pick_ppn(&mut rng, &model)))
-                        .collect();
+                    let len = rng.gen_range(g.pages_per_block() as u64 + 1) as usize;
+                    let call = Rebuild::generate(
+                        &mut rng,
+                        &g,
+                        dst,
+                        len,
+                        |pbn| model.blocks[pbn.raw() as usize].write_ptr,
+                        |rng| pick_ppn(rng, &model),
+                    );
                     let seq0 = rng.next_u64() >> 1;
                     let oob =
                         |i: usize| OobData::for_lba(7 * i as u64, i % 3 == 1, seq0 + i as u64);
-                    let got = dev.copy_pages_from(dst, &sources, oob);
+                    let got = call.run(&mut dev, oob);
                     assert_eq!(
                         got,
-                        model.copy_pages(dst, &sources, oob),
-                        "{at} {dst:?} <- {sources:?}"
+                        model.copy_pages(dst, &call.sources(&g), oob),
+                        "{at} {call:?}"
                     );
-                    rebuilt_pages += got.map_or(0, |_| sources.len());
+                    rebuilt_pages += got.map_or(0, |_| len);
                 }
                 6 | 7 => {
                     let ppn = pick_ppn(&mut rng, &model);
@@ -451,10 +540,9 @@ fn device_matches_reference_model() {
     assert!(rebuilt_pages > 1000, "only {rebuilt_pages} pages rebuilt");
 }
 
-/// `copy_pages_from` against the per-page calls it replaced, issued to a
-/// clone of the same device: a batch read charged by the multi-plane
-/// formula, then `copy_page_from`/`program_next` + `invalidate_page` for
-/// each slot.
+/// `rebuild_block` as the per-page calls it stands for, issued to a clone
+/// of the same device: a batch read charged by the multi-plane formula,
+/// then `copy_page_from`/`program_next` + `invalidate_page` for each slot.
 fn composed_copy(
     dev: &mut FlashDevice,
     dst: Pbn,
@@ -462,6 +550,12 @@ fn composed_copy(
     oob: impl Fn(usize) -> OobData,
 ) -> Result<Duration> {
     let (g, t) = (*dev.geometry(), *dev.timing());
+    // Error precedence only: a run that does not fit is refused before any
+    // source is looked at (the per-page programs would find out last).
+    let room = dev.block_state(dst)?.free_pages(g.pages_per_block());
+    if sources.len() > room as usize {
+        return Err(FlashError::ProgramNotFree(g.first_page(dst)));
+    }
     let mut per_plane = vec![0u64; g.planes() as usize];
     for &src in sources.iter().flatten() {
         dev.read_page_charge(src)?;
@@ -487,19 +581,27 @@ fn composed_copy(
 }
 
 #[test]
-fn copy_pages_from_matches_the_per_page_composition() {
-    let config = FlashConfig::small_test();
-    let g = config.geometry;
+fn rebuild_block_matches_the_per_page_composition() {
+    // The tiny geometry and one with full-width (64-page) blocks.
+    let wide = FlashConfig {
+        geometry: Geometry::new(3, 4, 64, 64, 16),
+        ..FlashConfig::small_test()
+    };
     let (mut runs, mut errors) = (0, 0);
-    for case in 0..200u64 {
+    // How often the generator reached each shape the primitive must handle.
+    let mut reached = std::collections::BTreeMap::new();
+    for case in 0..240u64 {
         let mut rng = SimRng::seed_from(0xF1A5_3000 ^ case);
         let mode = [DataMode::Store, DataMode::Discard][(case % 2) as usize];
+        let config = [FlashConfig::small_test(), wide][(case / 2 % 2) as usize];
+        let g = config.geometry;
+        let ppb = g.pages_per_block();
         let mut dev = FlashDevice::new(config, mode);
-        // Partly fill every block but the last two, over both planes, and
+        // Partly fill every block but the last two, over every plane, and
         // supersede some of the pages.
         let mut programmed = Vec::new();
         for pbn in (0..g.total_blocks() - 2).map(Pbn) {
-            for _ in 0..rng.gen_range(g.pages_per_block() as u64 + 1) {
+            for _ in 0..rng.gen_range(u64::from(ppb) + 1) {
                 let data = vec![rng.gen_range(251) as u8; g.page_size()];
                 let oob = OobData::for_lba(rng.gen_range(999), rng.gen_bool(0.5), case);
                 programmed.push(dev.program_next(pbn, &data, oob).unwrap().0);
@@ -511,28 +613,37 @@ fn copy_pages_from_matches_the_per_page_composition() {
             }
         }
         // The destination: any block, so runs land in empty and non-empty
-        // ones and sometimes overflow; sources: programmed pages (repeats
-        // and pages of the destination included), holes, rarely a free page.
+        // ones; the run: usually any length that fits, sometimes exactly
+        // one page, the whole room, or one page too many. Overlay pages:
+        // programmed ones (pages of the destination and of the base block
+        // included), rarely a free page.
         let dst = Pbn(rng.gen_range(g.total_blocks()));
-        let room = dev
-            .block_state(dst)
-            .unwrap()
-            .free_pages(g.pages_per_block());
-        let len = rng.gen_range(u64::from(room) + 1) + u64::from(rng.gen_bool(0.05));
-        let sources: Vec<_> = (0..len)
-            .map(|_| match rng.gen_range(20) {
-                0 => Some(Ppn(g.total_pages() - 1)),
-                1..=4 => None,
-                _ if programmed.is_empty() => None,
-                _ => Some(programmed[rng.gen_range(programmed.len() as u64) as usize]),
-            })
-            .collect();
+        let programmed_in = |pbn: Pbn| dev.block_state(pbn).unwrap().write_ptr;
+        let room = u64::from(ppb - programmed_in(dst));
+        let len = match rng.gen_range(20) {
+            0 => room + 1,
+            1..=3 => room,
+            4..=5 => room.min(1),
+            _ => rng.gen_range(room + 1),
+        } as usize;
+        let call = Rebuild::generate(&mut rng, &g, dst, len, programmed_in, |rng| {
+            if programmed.is_empty() || rng.gen_bool(0.03) {
+                Ppn(g.total_pages() - 1)
+            } else {
+                programmed[rng.gen_range(programmed.len() as u64) as usize]
+            }
+        });
+        let sources = call.sources(&g);
         let oob = |i: usize| OobData::for_lba(100 + i as u64, i % 2 == 1, 1000 + i as u64);
 
         let before = snapshot(&dev);
         let mut composed = dev.clone();
-        let got = dev.copy_pages_from(dst, &sources, oob);
-        let at = format!("case {case}: {dst:?} <- {sources:?}");
+        let got = call.run(&mut dev, oob);
+        let at = format!("case {case}: {call:?}");
+        let overlay_pages: Vec<_> = call.overlay.iter().map(|&(_, ppn)| ppn).collect();
+        let mut reach = |what: &'static str, hit: bool| {
+            *reached.entry(what).or_insert(0) += u32::from(hit);
+        };
         match composed_copy(&mut composed, dst, &sources, oob) {
             Ok(cost) => {
                 runs += 1;
@@ -541,6 +652,21 @@ fn copy_pages_from_matches_the_per_page_composition() {
                 for ppn in (0..g.total_pages()).map(Ppn) {
                     assert_eq!(dev.read_page(ppn), composed.read_page(ppn), "{at} {ppn:?}");
                 }
+                let based = call
+                    .base
+                    .is_some_and(|(_, mask)| mask & low_bits(len as u32) != 0);
+                reach("base is dst", based && call.base.unwrap().0 == dst);
+                reach(
+                    "overlay page repeated",
+                    overlay_pages.windows(2).any(|w| w[0] == w[1]),
+                );
+                reach("len 1", len == 1);
+                reach("len 64", len == 64);
+                reach(
+                    "overlay only",
+                    call.base.is_none() && !call.overlay.is_empty(),
+                );
+                reach("holes only", call.base.is_none() && call.overlay.is_empty());
             }
             Err(e) => {
                 // The composition fails part-way; the primitive must refuse
@@ -548,10 +674,23 @@ fn copy_pages_from_matches_the_per_page_composition() {
                 errors += 1;
                 assert_eq!(got, Err(e), "{at}");
                 assert_eq!(snapshot(&dev), before, "{at}");
+                reach("run overflows dst", len as u64 > room);
+                reach(
+                    "free overlay page",
+                    len as u64 <= room && overlay_pages.contains(&Ppn(g.total_pages() - 1)),
+                );
+                reach(
+                    "base bit beyond its programmed pages",
+                    matches!(e, FlashError::ReadFree(ppn)
+                        if call.base.is_some_and(|(pbn, _)| g.block_of(ppn) == pbn)
+                            && !overlay_pages.contains(&ppn)),
+                );
             }
         }
     }
     assert!(runs > 100 && errors > 5, "{runs} runs, {errors} errors");
+    assert_eq!(reached.len(), 9);
+    assert!(reached.values().all(|&n| n > 0), "{reached:?}");
 }
 
 #[test]

@@ -69,10 +69,9 @@ pub struct HybridFtl {
     counters: FtlCounters,
     seq: u64,
     exposed_pages: u64,
-    /// Scratch buffers reused across merges so steady-state GC is
-    /// allocation-free: the per-offset copy sources of one LBN and the
-    /// distinct LBNs of one victim.
-    sources_scratch: Vec<Option<Ppn>>,
+    /// Scratch buffers reused across merges: the taken log row of one LBN
+    /// and the distinct LBNs of one victim.
+    overlay_scratch: Vec<(u32, Ppn)>,
     lbn_scratch: Vec<u64>,
 }
 
@@ -93,7 +92,7 @@ impl HybridFtl {
             counters: FtlCounters::default(),
             seq: 0,
             exposed_pages: exposed_lbns * config.flash.geometry.pages_per_block() as u64,
-            sources_scratch: Vec::new(),
+            overlay_scratch: Vec::new(),
             lbn_scratch: Vec::new(),
         }
     }
@@ -304,8 +303,10 @@ impl HybridFtl {
     }
 
     /// Copies the newest version of every page of `lbn` into a fresh data
-    /// block; the old data block (if any) is erased. Works entirely out of
-    /// the reusable scratch buffer, so sustained GC does not allocate.
+    /// block; the old data block (if any) is erased. The merge's own lists
+    /// live in reusable scratch buffers; what sustained GC does allocate is
+    /// the log row, whose array a merge frees and the LBN's next log write
+    /// starts again.
     fn merge_lbn(&mut self, lbn: u64) -> Result<Duration> {
         let mut cost = Duration::ZERO;
         let ppb = self.ppb() as u64;
@@ -327,33 +328,24 @@ impl HybridFtl {
             return Ok(cost);
         }
         let fresh = self.pool.alloc().ok_or(FtlError::OutOfSpace)?;
-        // Rebuild offsets `0..=last live`; never-written ones are zero-filled.
-        // The scratch vector is taken out of `self` for the duration of the
-        // merge (it starts and ends empty, so an early `?` return just costs
-        // a future re-growth).
-        let mut sources = std::mem::take(&mut self.sources_scratch);
-        let old_first = old.map(|pbn| self.dev.geometry().first_page(pbn).raw());
-        // The copy supersedes the log pages: the row is taken whole and
-        // drained in step with the offsets.
-        let mut log = self.log_rows[lbn as usize].take();
-        for offset in 0..u64::from(u64::BITS - live.leading_zeros()) {
-            sources.push(if logged & (1 << offset) != 0 {
-                log.next().map(|(_, ppn)| ppn)
-            } else if in_data & (1 << offset) != 0 {
-                old_first.map(|first| Ppn(first + offset))
-            } else {
-                None
-            });
-        }
-        self.log_pages -= logged.count_ones() as usize;
+        // Rebuild offsets `0..=last live` from the old data block overlaid
+        // with the log row, which the copy supersedes and so is taken whole;
+        // never-written offsets are zero-filled. The scratch vector is taken
+        // out of `self` for the duration of the merge (it starts and ends
+        // empty, so an early `?` return just costs a future re-growth).
+        let mut overlay = std::mem::take(&mut self.overlay_scratch);
+        overlay.extend(self.log_rows[lbn as usize].take());
+        self.log_pages -= overlay.len();
+        let len = (u64::BITS - live.leading_zeros()) as usize;
         let seq0 = self.seq;
-        cost += self.dev.copy_pages_from(fresh, &sources, |i| {
+        let base = old.map(|pbn| (pbn, in_data));
+        cost += self.dev.rebuild_block(fresh, len, base, &overlay, |i| {
             OobData::for_lba(lbn * ppb + i as u64, false, seq0 + 1 + i as u64)
         })?;
-        self.seq += sources.len() as u64;
-        self.counters.gc_copies += sources.len() as u64;
-        sources.clear();
-        self.sources_scratch = sources;
+        self.seq += len as u64;
+        self.counters.gc_copies += len as u64;
+        overlay.clear();
+        self.overlay_scratch = overlay;
         if let Some(oldb) = old {
             debug_assert_eq!(self.dev.block_state(oldb)?.valid_pages, 0);
             cost += self.retire_block(oldb)?;
@@ -390,7 +382,13 @@ impl BlockDev for HybridFtl {
         self.check_lba(lba)?;
         let mut cost = Duration::ZERO;
         let mut active = self.log_block_with_space(&mut cost)?;
-        self.invalidate_lba(lba)?;
+        let (lbn, offset) = self.split(lba);
+        // Supersede the current copy. A log page keeps its row slot, which
+        // the final insert overwrites in place; until then the slot is stale.
+        if let Some(ppn) = self.live_page(lbn, offset)? {
+            self.dev.invalidate_page(ppn)?;
+        }
+        let mut stale_slot = self.log_rows[lbn].bits() & (1 << offset) != 0;
         // An injected program failure consumes the target page; re-issue the
         // write to the next free page (allocating/merging as needed) until
         // it lands.
@@ -404,7 +402,16 @@ impl BlockDev for HybridFtl {
                     cost += wcost;
                     break ppn;
                 }
-                Err(FlashError::ProgramFailed(_)) => {
+                Err(e) => {
+                    // The row must not name the dead page past this attempt:
+                    // a merge below would copy it as live.
+                    if std::mem::take(&mut stale_slot) {
+                        self.log_rows[lbn].remove(offset);
+                        self.log_pages -= 1;
+                    }
+                    let FlashError::ProgramFailed(_) = e else {
+                        return Err(e.into());
+                    };
                     self.counters.program_reissues += 1;
                     active = self.log_block_with_space(&mut cost)?;
                     // That call may have merged this LBA's block, leaving a
@@ -412,10 +419,8 @@ impl BlockDev for HybridFtl {
                     // of one valid physical copy per LBA survives the retry.
                     self.invalidate_lba(lba)?;
                 }
-                Err(e) => return Err(e.into()),
             }
         };
-        let (lbn, offset) = self.split(lba);
         self.log_pages += usize::from(self.log_rows[lbn].insert(offset, ppn).is_none());
         self.counters.host_writes += 1;
         Ok(cost)
@@ -658,6 +663,53 @@ mod tests {
         // Dense model: nonzero even when empty.
         assert!(mem.modeled_bytes > 0);
         assert_eq!(mem.entries, 0);
+    }
+
+    #[test]
+    fn reissued_log_rewrite_merges_without_the_superseded_page() {
+        // A plan whose first program fails and whose second lands.
+        let plan = (0..)
+            .map(|seed| FaultPlan {
+                seed,
+                program_fail_ppm: 500_000,
+                ..FaultPlan::default()
+            })
+            .find(|&plan| {
+                let mut draws = flashsim::FaultInjector::new(plan);
+                draws.on_program() && !draws.on_program()
+            })
+            .unwrap();
+        let mut ssd = small();
+        let ppb = ssd.ppb() as u64;
+        assert_eq!((ppb, ssd.config.log_block_limit()), (8, 3));
+        // LBAs 0 and 1 of LBN 0 open the oldest log block; LBNs 1..=3 fill
+        // the log up to its last page.
+        for lba in (0..2).chain(ppb..4 * ppb - 3) {
+            ssd.write(lba, &page(&ssd, lba as u8)).unwrap();
+        }
+        assert_eq!((ssd.log_blocks_in_use(), ssd.log_pages), (3, 23));
+        // The rewrite of LBA 0 fails into that last page, so its re-issue
+        // needs a log block and the merge that makes room rebuilds LBN 0
+        // (for LBA 1) and LBN 1 — with LBA 0's superseded log page dead.
+        ssd.set_fault_plan(plan);
+        let reads_before = ssd.flash_counters().page_reads;
+        ssd.write(0, &page(&ssd, 0xEE)).unwrap();
+        let c = ssd.ftl_counters();
+        assert_eq!((c.program_reissues, c.full_merges), (1, 1));
+        // Copied: LBA 1 and the eight live pages of LBN 1, nothing else.
+        assert_eq!(ssd.flash_counters().page_reads - reads_before, 9);
+        assert_eq!(c.gc_copies, 2 + 8);
+        let copies = (0..ssd.dev.geometry().total_blocks())
+            .flat_map(|pbn| ssd.dev.valid_pages_of(Pbn(pbn)).unwrap())
+            .filter(|(_, oob)| oob.lba == Some(0))
+            .count();
+        assert_eq!(copies, 1, "one valid physical copy of the rewritten LBA");
+        let recount: usize = ssd.log_rows.iter().map(SparseRow::len).sum();
+        assert_eq!(ssd.log_pages, recount);
+        assert_eq!(ssd.read(0).unwrap().0, page(&ssd, 0xEE));
+        for lba in (1..2).chain(ppb..4 * ppb - 3) {
+            assert_eq!(ssd.read(lba).unwrap().0, page(&ssd, lba as u8), "lba {lba}");
+        }
     }
 
     #[test]

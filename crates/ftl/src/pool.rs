@@ -10,9 +10,15 @@
 //!   from the plane with the most free blocks ("we also implement
 //!   inter-plane copy of valid pages for garbage collection ... to balance
 //!   the number of free blocks across all planes", §5).
+//!
+//! The structure is as flat as the policy: one binary min-heap of
+//! `(erase_count, pbn)` per plane, the fullest or emptiest plane found by
+//! scanning the planes' lengths (the paper's device has ten), and one bit
+//! per block recording pool membership, which a heap cannot answer.
 
 use flashsim::{Geometry, Pbn};
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A pool of erased, allocatable blocks.
 ///
@@ -20,13 +26,12 @@ use std::collections::BTreeSet;
 /// the pool after erasing them with the then-current count.
 #[derive(Debug, Clone)]
 pub struct FreeBlockPool {
-    /// Per-plane ordered sets of (erase_count, pbn).
-    planes: Vec<BTreeSet<(u64, Pbn)>>,
-    /// Plane-occupancy index: one `(free_blocks, plane)` entry per plane,
-    /// kept in lockstep with `planes` so [`FreeBlockPool::fullest_plane`] /
-    /// [`FreeBlockPool::emptiest_plane`] are ordered lookups instead of
-    /// per-call scans over every plane.
-    occupancy: BTreeSet<(usize, u32)>,
+    /// Per plane, a min-heap of `(erase_count, pbn)`.
+    planes: Vec<BinaryHeap<Reverse<(u64, Pbn)>>>,
+    /// Bit `pbn` set iff the block is pooled: set on release, cleared on
+    /// alloc, grown on demand. Guards against a double release, which would
+    /// hand one erase block to two owners.
+    pooled: Vec<u64>,
     total: usize,
 }
 
@@ -34,17 +39,10 @@ impl FreeBlockPool {
     /// Creates an empty pool for a device with `planes` planes.
     pub fn new(planes: u32) -> Self {
         FreeBlockPool {
-            planes: vec![BTreeSet::new(); planes as usize],
-            occupancy: (0..planes).map(|p| (0, p)).collect(),
+            planes: vec![BinaryHeap::new(); planes as usize],
+            pooled: Vec::new(),
             total: 0,
         }
-    }
-
-    /// Moves one plane's occupancy entry after its free count changed.
-    fn reindex(&mut self, plane: u32, old_len: usize, new_len: usize) {
-        let removed = self.occupancy.remove(&(old_len, plane));
-        debug_assert!(removed, "occupancy index out of sync for plane {plane}");
-        self.occupancy.insert((new_len, plane));
     }
 
     /// Creates a pool pre-filled with every block of the geometry (a freshly
@@ -74,18 +72,22 @@ impl FreeBlockPool {
         self.planes[plane as usize].len()
     }
 
-    /// Returns a freshly erased block to the pool.
+    /// Returns a freshly erased block to the pool. Releasing a block that
+    /// is already pooled is ignored.
     ///
     /// # Panics
     ///
     /// Panics (debug) if the block is already pooled.
     pub fn release(&mut self, pbn: Pbn, erase_count: u64, geometry: &Geometry) {
-        let plane = geometry.plane_of(pbn);
-        let old_len = self.planes[plane as usize].len();
-        let inserted = self.planes[plane as usize].insert((erase_count, pbn));
-        debug_assert!(inserted, "block {pbn:?} double-released");
-        if inserted {
-            self.reindex(plane, old_len, old_len + 1);
+        let (word, bit) = ((pbn.raw() / 64) as usize, 1u64 << (pbn.raw() % 64));
+        if word >= self.pooled.len() {
+            self.pooled.resize(word + 1, 0);
+        }
+        let fresh = self.pooled[word] & bit == 0;
+        debug_assert!(fresh, "block {pbn:?} double-released");
+        if fresh {
+            self.pooled[word] |= bit;
+            self.planes[geometry.plane_of(pbn) as usize].push(Reverse((erase_count, pbn)));
             self.total += 1;
         }
     }
@@ -100,13 +102,11 @@ impl FreeBlockPool {
         self.alloc_in_plane(self.fullest_plane())
     }
 
-    /// Allocates the least-worn free block of a specific plane.
+    /// Allocates the least-worn free block of a specific plane (the lowest
+    /// block number among equally worn ones).
     pub fn alloc_in_plane(&mut self, plane: u32) -> Option<Pbn> {
-        let set = &mut self.planes[plane as usize];
-        let &(erases, pbn) = set.iter().next()?;
-        set.remove(&(erases, pbn));
-        let new_len = set.len();
-        self.reindex(plane, new_len + 1, new_len);
+        let Reverse((_, pbn)) = self.planes[plane as usize].pop()?;
+        self.pooled[(pbn.raw() / 64) as usize] &= !(1 << (pbn.raw() % 64));
         self.total -= 1;
         Some(pbn)
     }
@@ -114,46 +114,21 @@ impl FreeBlockPool {
     /// The plane currently holding the most free blocks (lowest plane number
     /// on ties).
     pub fn fullest_plane(&self) -> u32 {
-        let Some(&(max_len, _)) = self.occupancy.last() else {
-            return 0;
-        };
-        // Entries sort by (len, plane): the first entry at max_len is the
-        // lowest-numbered plane with that many free blocks.
-        self.occupancy
-            .range((max_len, 0)..)
-            .next()
-            .map(|&(_, plane)| plane)
-            .unwrap_or(0)
+        let lens = self.planes.iter().map(BinaryHeap::len);
+        (0u32..)
+            .zip(lens)
+            .max_by_key(|&(plane, len)| (len, Reverse(plane)))
+            .map_or(0, |(plane, _)| plane)
     }
 
     /// The plane currently holding the fewest free blocks (lowest plane
     /// number on ties).
     pub fn emptiest_plane(&self) -> u32 {
-        self.occupancy.first().map(|&(_, plane)| plane).unwrap_or(0)
-    }
-
-    /// Brute-force reference for [`FreeBlockPool::fullest_plane`], scanning
-    /// every plane. Retained for the index/scan oracle tests.
-    #[doc(hidden)]
-    pub fn fullest_plane_scan(&self) -> u32 {
-        self.planes
-            .iter()
-            .enumerate()
-            .max_by_key(|(i, set)| (set.len(), usize::MAX - i))
-            .map(|(i, _)| i as u32)
-            .unwrap_or(0)
-    }
-
-    /// Brute-force reference for [`FreeBlockPool::emptiest_plane`], scanning
-    /// every plane. Retained for the index/scan oracle tests.
-    #[doc(hidden)]
-    pub fn emptiest_plane_scan(&self) -> u32 {
-        self.planes
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, set)| (set.len(), *i))
-            .map(|(i, _)| i as u32)
-            .unwrap_or(0)
+        let lens = self.planes.iter().map(BinaryHeap::len);
+        (0u32..)
+            .zip(lens)
+            .min_by_key(|&(plane, len)| (len, plane))
+            .map_or(0, |(plane, _)| plane)
     }
 }
 
@@ -216,15 +191,20 @@ mod tests {
     #[test]
     fn occupancy_index_matches_scan_after_arbitrary_op_sequences() {
         // Oracle: after every operation of a random release/alloc trace the
-        // incremental plane-occupancy index must agree with the brute-force
-        // scan, and alloc() must pick exactly the block the scan-guided
-        // policy would.
+        // pool must agree with a flat mirror of its content about every
+        // plane's population, and alloc() must pick exactly the block the
+        // policy names: least (erase_count, pbn) of the fullest plane.
         let g = Geometry::new(5, 8, 8, 64, 16);
         let mut pool = FreeBlockPool::new(g.planes());
         let mut free: Vec<(Pbn, u64)> = Vec::new(); // mirror of pool content
         let mut held: Vec<(Pbn, u64)> = (0..g.planes())
             .flat_map(|p| (0..g.blocks_per_plane()).map(move |b| (g.pbn(p, b), 0u64)))
             .collect();
+        let in_plane = |free: &[(Pbn, u64)], plane: u32| {
+            free.iter()
+                .filter(|&&(b, _)| g.plane_of(b) == plane)
+                .count()
+        };
         let mut rng = 0xF00D_B10Cu64;
         let step = |s: &mut u64| {
             *s = s
@@ -246,16 +226,16 @@ mod tests {
                     let plane = (step(&mut rng) % u64::from(g.planes())) as u32;
                     pool.alloc_in_plane(plane)
                 } else {
-                    // The scan-guided policy picks the least-worn block of
-                    // the scan's fullest plane; alloc() must match it.
-                    let want_plane = pool.fullest_plane_scan();
+                    let want_plane = (0..g.planes())
+                        .max_by_key(|&p| (in_plane(&free, p), std::cmp::Reverse(p)))
+                        .unwrap();
                     let want = free
                         .iter()
                         .filter(|&&(b, _)| g.plane_of(b) == want_plane)
                         .map(|&(b, e)| (e, b))
                         .min();
                     let got = pool.alloc();
-                    assert_eq!(got, want.map(|(_, b)| b), "alloc diverged from scan policy");
+                    assert_eq!(got, want.map(|(_, b)| b), "alloc diverged from the policy");
                     got
                 };
                 if let Some(pbn) = pick {
@@ -263,16 +243,52 @@ mod tests {
                     held.push(free.swap_remove(idx));
                 }
             }
-            assert_eq!(pool.fullest_plane(), pool.fullest_plane_scan());
-            assert_eq!(pool.emptiest_plane(), pool.emptiest_plane_scan());
             assert_eq!(pool.len(), free.len());
             for p in 0..g.planes() {
-                assert_eq!(
-                    pool.len_in_plane(p),
-                    free.iter().filter(|&&(b, _)| g.plane_of(b) == p).count()
-                );
+                assert_eq!(pool.len_in_plane(p), in_plane(&free, p));
+            }
+            let emptiest = (0..g.planes()).min_by_key(|&p| (in_plane(&free, p), p));
+            assert_eq!(Some(pool.emptiest_plane()), emptiest);
+        }
+    }
+
+    #[test]
+    fn full_pool_drains_each_plane_in_wear_then_block_order() {
+        let g = Geometry::new(5, 2000, 8, 64, 16);
+        let mut pool = FreeBlockPool::full(&g);
+        assert_eq!(pool.len(), 10_000);
+        // Wear the ends and the middle of every plane.
+        let worn = [(0, 2), (700, 1), (1999, 2)];
+        for plane in 0..g.planes() {
+            let held: Vec<_> = std::iter::from_fn(|| pool.alloc_in_plane(plane)).collect();
+            for (block, pbn) in (0u32..).zip(held) {
+                let erases = worn.iter().find(|w| w.0 == block).map_or(0, |w| w.1);
+                pool.release(pbn, erases, &g);
             }
         }
+        for plane in 0..g.planes() {
+            let drained: Vec<_> = std::iter::from_fn(|| pool.alloc_in_plane(plane)).collect();
+            let fresh = (0..2000).filter(|b| worn.iter().all(|w| w.0 != *b));
+            let want: Vec<_> = fresh
+                .chain([700, 0, 1999])
+                .map(|b| g.pbn(plane, b))
+                .collect();
+            assert_eq!(drained, want, "plane {plane}");
+        }
+        assert!(pool.is_empty());
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "double-released"))]
+    fn double_release_is_refused() {
+        let g = geom();
+        let mut pool = FreeBlockPool::new(g.planes());
+        pool.release(g.pbn(1, 3), 4, &g);
+        pool.release(g.pbn(1, 3), 5, &g);
+        // Release builds ignore the second call: one block, handed out once.
+        assert_eq!((pool.len(), pool.len_in_plane(1)), (1, 1));
+        assert_eq!(pool.alloc(), Some(g.pbn(1, 3)));
+        assert_eq!(pool.alloc(), None);
     }
 
     #[test]

@@ -48,6 +48,13 @@ fn fail(msg: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// A flag value that parses but is out of range: exit status 2, nothing on
+/// standard output.
+fn fail_range(msg: &str) -> ExitCode {
+    eprintln!("error: {msg}");
+    ExitCode::from(2)
+}
+
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone())
 }
@@ -197,7 +204,19 @@ fn replay_cmd(args: &[String]) -> ExitCode {
     let tstats = TraceStats::compute(&trace);
     let default_cache_blocks = (tstats.unique_blocks / 4).max(1024);
     let cache_blocks = match parsed_value::<u64>(args, "--cache-mb") {
-        Ok(mb) => mb.map_or(default_cache_blocks, |mb| mb * 256), // 4 KB blocks per MB
+        Ok(None) => default_cache_blocks,
+        // 4 KB blocks per MB; a cache larger than everything the trace can
+        // touch is a typo, not an experiment.
+        Ok(Some(mb)) => match mb.checked_mul(256) {
+            Some(blocks) if mb >= 1 && blocks <= trace.range_blocks => blocks,
+            _ => {
+                return fail_range(&format!(
+                    "--cache-mb must be between 1 and {} (the trace spans {} blocks), got {mb}",
+                    trace.range_blocks / 256,
+                    trace.range_blocks
+                ))
+            }
+        },
         Err(e) => return fail(&e),
     };
     let consistency = match arg_value(args, "--consistency").as_deref() {
@@ -210,6 +229,11 @@ fn replay_cmd(args: &[String]) -> ExitCode {
         Ok(v) => v.unwrap_or(0.15),
         Err(e) => return fail(&e),
     };
+    if !(0.0..1.0).contains(&warmup) {
+        return fail_range(&format!(
+            "--warmup must be a fraction in [0, 1), got {warmup}"
+        ));
+    }
     let ssc_r = args.iter().any(|a| a == "--ssc-r");
 
     let raw_flash =

@@ -68,6 +68,50 @@ fn replay_rejects_unparsable_cache_mb_and_warmup() {
 }
 
 #[test]
+fn replay_rejects_out_of_range_cache_mb_and_warmup() {
+    let path = scratch("range-cache-mb");
+    gen_mail(&path);
+    let trace = path.to_str().unwrap();
+    for (flag, value) in [
+        ("--warmup", "2"),
+        ("--warmup", "1"),
+        ("--warmup", "-1"),
+        ("--warmup", "nan"),
+        ("--warmup", "inf"),
+        ("--cache-mb", "0"),
+        // More blocks than the trace spans, then more than a u64 holds.
+        ("--cache-mb", "99999999999999"),
+        ("--cache-mb", "72057594037927936"),
+    ] {
+        let out = flashtier(&["replay", trace, "--system", "native-wb", flag, value]);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{flag} {value}: {}",
+            stderr(&out)
+        );
+        assert!(
+            stderr(&out).contains(flag),
+            "{flag} {value}: {}",
+            stderr(&out)
+        );
+        assert!(out.stdout.is_empty(), "{flag} {value} printed a report");
+    }
+    // The edges that are in range still run.
+    let out = flashtier(&[
+        "replay",
+        trace,
+        "--system",
+        "flashtier-wt",
+        "--warmup",
+        "0",
+        "--cache-mb",
+        "1",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+}
+
+#[test]
 fn replay_of_a_missing_trace_fails() {
     let path = scratch("does-not-exist");
     let _ = std::fs::remove_file(&path);

@@ -1,10 +1,6 @@
 //! The paper's three headline claims, verified end to end at the default
-//! experiment scale. These replay full workloads, so they take a couple of
-//! minutes — run explicitly with:
-//!
-//! ```text
-//! cargo test --release --test paper_claims -- --ignored
-//! ```
+//! experiment scale. These replay full workloads: about a quarter of a
+//! minute for the four tests in a debug build, inside the tier-1 run.
 //!
 //! (The fast per-figure smoke checks live in `tests/experiments_smoke.rs`.)
 
@@ -13,7 +9,6 @@ use flashtier_bench::experiments::{fig3_performance, fig5_recovery, gc_experimen
 /// "FlashTier reduces total memory usage by more than 60% compared to
 /// existing systems using an SSD cache."
 #[test]
-#[ignore = "full-scale replay; run with --ignored"]
 fn claim_memory_reduction_over_60_percent() {
     let rows = table4_memory(1.0);
     for r in &rows {
@@ -41,7 +36,6 @@ fn claim_memory_reduction_over_60_percent() {
 /// (Figure 3: SSC-R write-back vs native write-back on write-intensive
 /// workloads) and performs comparably on read-intensive ones.
 #[test]
-#[ignore = "full-scale replay; run with --ignored"]
 fn claim_performance_improvement() {
     let rows = fig3_performance(1.0);
     // Write-heavy: homes and mail must show a substantial SSC-R WB win.
@@ -72,7 +66,6 @@ fn claim_performance_improvement() {
 /// "and requires up to 57% fewer erase cycles than an SSD cache" (Table 5,
 /// write-intensive workloads).
 #[test]
-#[ignore = "full-scale replay; run with --ignored"]
 fn claim_erase_reduction() {
     let rows = gc_experiment(1.0);
     let homes = &rows[0];
@@ -91,7 +84,6 @@ fn claim_erase_reduction() {
 /// faster than existing systems" — checked through the full-scale model
 /// (the same arithmetic the paper's own estimate rests on).
 #[test]
-#[ignore = "full-scale replay; run with --ignored"]
 fn claim_fast_recovery() {
     let rows = fig5_recovery(1.0);
     let proj = rows.iter().find(|r| r.workload == "proj").unwrap();
