@@ -175,7 +175,7 @@ pub fn ablate_commit(scale: f64) {
             format!("{:.0}", stats.iops()),
             wal.flushes.to_string(),
             wal.pages_written.to_string(),
-            format!("{:.1}", stats.response_us.mean()),
+            format!("{:.1}", stats.response_hist.mean()),
         ]);
     }
     print_table(

@@ -373,7 +373,7 @@ pub fn fig4_consistency(multiplier: f64) -> Vec<ConsistencyRow> {
             let ft_cd = run_ft(ConsistencyMode::CleanAndDirty);
             let pct = |x: &ReplayStats, base: &ReplayStats| 100.0 * x.iops() / base.iops();
             let resp = |x: &ReplayStats, base: &ReplayStats| {
-                x.response_us.mean() / base.response_us.mean() - 1.0
+                x.response_hist.mean() / base.response_hist.mean() - 1.0
             };
             ConsistencyRow {
                 workload: w.spec.name.clone(),

@@ -22,7 +22,7 @@ use flashsim::{FaultCounters, FlashCounters};
 use flashtier_bench::replay::{partition_events, ReplaySetup};
 use flashtier_core::{Ssc, SscCounters};
 use ftl::{BlockDev, FtlCounters, HybridFtl};
-use simkit::{Duration, Histogram, Summary};
+use simkit::{Duration, Histogram};
 use trace::{generate, Trace, TraceEvent, WorkloadSpec};
 
 const EVENTS: u64 = 20_000;
@@ -126,7 +126,6 @@ fn reference_replay<S: CacheSystem>(system: &mut S, events: &[TraceEvent]) -> Re
     let before = system.counters();
     let block_size = system.block_size();
     let mut sim_time = Duration::ZERO;
-    let mut response_us = Summary::new();
     let mut response_hist = Histogram::new();
     let mut read_buf = PageBuf::new();
     let mut payload = PageBuf::new();
@@ -140,13 +139,11 @@ fn reference_replay<S: CacheSystem>(system: &mut S, events: &[TraceEvent]) -> Re
                 .expect("reference read")
         };
         sim_time += cost;
-        response_us.add(cost.as_micros() as f64);
         response_hist.record(cost.as_micros());
     }
     ReplayStats {
         ops: events.len() as u64,
         sim_time,
-        response_us,
         response_hist,
         counters: system.counters().since(&before),
     }
@@ -162,25 +159,11 @@ fn assert_stats_identical(want: &ReplayStats, got: &ReplayStats, label: &str) {
         got.response_hist.buckets(),
         "{label}: histogram buckets"
     );
+    let exact = |h: &Histogram| (h.count(), h.sum(), h.max());
     assert_eq!(
-        want.response_us.count(),
-        got.response_us.count(),
-        "{label}: summary count"
-    );
-    assert_eq!(
-        want.response_us.sum().to_bits(),
-        got.response_us.sum().to_bits(),
-        "{label}: summary sum bits"
-    );
-    assert_eq!(
-        want.response_us.mean().to_bits(),
-        got.response_us.mean().to_bits(),
-        "{label}: summary mean bits"
-    );
-    assert_eq!(
-        want.response_us.variance().to_bits(),
-        got.response_us.variance().to_bits(),
-        "{label}: summary variance bits"
+        exact(&want.response_hist),
+        exact(&got.response_hist),
+        "{label}: histogram count/sum/max"
     );
 }
 

@@ -1,7 +1,7 @@
 //! The cache-system trait and the trace replay driver.
 
 use disksim::Disk;
-use simkit::{Duration, Histogram, PageBuf, Summary};
+use simkit::{Duration, Histogram, PageBuf};
 use sparsemap::MapMemory;
 use trace::TraceEvent;
 
@@ -107,10 +107,8 @@ pub struct ReplayStats {
     pub ops: u64,
     /// Total simulated time.
     pub sim_time: Duration,
-    /// Per-request response times in microseconds.
-    pub response_us: Summary,
-    /// Log-bucketed response-time distribution (microseconds) for
-    /// percentile reporting.
+    /// Per-request response times in microseconds: exact count, sum and
+    /// maximum plus the log-bucketed distribution for percentiles.
     pub response_hist: Histogram,
     /// Manager counters accumulated over the replay window.
     pub counters: MgrCounters,
@@ -186,8 +184,6 @@ pub fn replay<S: CacheSystem + ?Sized>(
     Ok(ReplayStats {
         ops: events.len() as u64,
         sim_time,
-        // The histogram's own summary saw every sample once, as `f64`.
-        response_us: response_hist.summary().clone(),
         response_hist,
         counters: system.counters().since(&before),
     })
@@ -243,7 +239,6 @@ mod tests {
         let stats = ReplayStats {
             ops: 1000,
             sim_time: Duration::from_secs(2),
-            response_us: Summary::new(),
             response_hist: Histogram::new(),
             counters: MgrCounters::default(),
         };
@@ -251,7 +246,6 @@ mod tests {
         let empty = ReplayStats {
             ops: 0,
             sim_time: Duration::ZERO,
-            response_us: Summary::new(),
             response_hist: Histogram::new(),
             counters: MgrCounters::default(),
         };

@@ -147,11 +147,14 @@ pub struct Ssc {
     /// monotonic byte-counter comparison. Invalidated by base-LSN change
     /// (a new checkpoint, recovery).
     pub(crate) ckpt_trigger: Option<(u64, u64)>,
-    /// Ordered mirror of the clean block-level entries, kept in lockstep
-    /// with the data blocks of `maps` so victim selection and wear leveling
-    /// are ordered lookups instead of full-map scans. See
+    /// Ordered mirror of the clean block-level entries, so victim selection
+    /// is an ordered lookup instead of a full-map scan. Current only for
+    /// LBNs not in `index_stale`: read it through [`Ssc::flush_index`]. See
     /// [`crate::evict_index`].
     clean_index: CleanBlockIndex,
+    /// LBNs whose block-level entry changed since `clean_index` last saw
+    /// them (duplicates allowed); never longer than the device has blocks.
+    index_stale: Vec<u64>,
 }
 
 impl Ssc {
@@ -182,6 +185,7 @@ impl Ssc {
             lba_scratch: Vec::new(),
             ckpt_trigger: None,
             clean_index: CleanBlockIndex::new(planes),
+            index_stale: Vec::new(),
         }
     }
 
@@ -342,42 +346,48 @@ impl Ssc {
         self.seq
     }
 
-    /// Re-derives `lbn`'s eviction-index key from its current block-level
-    /// entry (`None`: not mapped) and device state. Call after any mutation
-    /// that can change that entry (insert/remove/mask/clean) — each reports
-    /// or is handed the entry, so none probes for it; a no-op when nothing
-    /// is indexed and nothing should be.
-    fn index_sync_entry(&mut self, lbn: u64, entry: Option<BlockEntry>) {
-        match entry {
-            Some(entry) if entry.is_clean() => {
-                let score = self.victim_score(&entry);
-                let pbn = Pbn(entry.pbn);
-                let erases = self
-                    .dev
-                    .block_state(pbn)
-                    .map(|s| s.erase_count)
-                    .unwrap_or(u64::MAX);
-                let plane = self.dev.geometry().plane_of(pbn);
-                self.clean_index.upsert(lbn, score, erases, plane);
-            }
-            _ => self.clean_index.remove(lbn),
+    /// Marks `lbn`'s eviction-index key stale. Call after any mutation that
+    /// can change its block-level entry (insert/remove/mask/clean); the key
+    /// is re-derived by the next [`Ssc::flush_index`]. The list is flushed
+    /// once it is as long as the device has blocks — the most keys the index
+    /// itself can hold — so it is bounded however rarely eviction runs.
+    fn index_mark(&mut self, lbn: u64) {
+        self.index_stale.push(lbn);
+        if self.index_stale.len() as u64 >= self.config.total_blocks() {
+            self.flush_index();
         }
+    }
+
+    /// Brings the eviction index up to date — re-derives the key of every
+    /// marked LBN from its block-level entry and the device state as they
+    /// stand — and returns it. The only way `clean_index` is read.
+    fn flush_index(&mut self) -> &CleanBlockIndex {
+        self.index_stale.sort_unstable();
+        self.index_stale.dedup();
+        for i in 0..self.index_stale.len() {
+            let lbn = self.index_stale[i];
+            match self.maps.block(lbn) {
+                Some(entry) if entry.is_clean() => {
+                    let score = self.victim_score(&entry);
+                    let plane = self.dev.geometry().plane_of(Pbn(entry.pbn));
+                    self.clean_index.upsert(lbn, score, plane);
+                }
+                _ => self.clean_index.remove(lbn),
+            }
+        }
+        self.index_stale.clear();
+        &self.clean_index
     }
 
     /// Rebuilds the eviction index from scratch — needed when the maps are
     /// replaced wholesale (crash wipe, roll-forward recovery) rather than
     /// mutated through the tracked paths.
     pub(crate) fn rebuild_clean_index(&mut self) {
-        self.clean_index.clear();
-        let clean: Vec<(u64, BlockEntry)> = self
-            .maps
-            .blocks()
-            .filter(|(_, e)| e.is_clean())
-            .map(|(lbn, e)| (lbn, *e))
-            .collect();
-        for (lbn, entry) in clean {
-            self.index_sync_entry(lbn, Some(entry));
-        }
+        self.clean_index = CleanBlockIndex::new(self.dev.geometry().planes());
+        self.index_stale.clear();
+        self.index_stale
+            .extend(self.maps.blocks().map(|(lbn, _)| lbn));
+        self.flush_index();
     }
 
     fn ppb(&self) -> u32 {
@@ -539,7 +549,7 @@ impl Ssc {
                 let (lbn, offset) = self.maps.split(lba);
                 let ppn = Ppn(pbn * self.ppb() as u64 + offset as u64);
                 self.dev.invalidate_page(ppn)?;
-                self.index_sync_entry(lbn, survivor);
+                self.index_mark(lbn);
                 self.log_append(LogRecord::MaskBlockPage { lba });
                 if survivor.is_none() {
                     // Last live page gone: the physical block is reclaimable
@@ -682,9 +692,9 @@ impl Ssc {
         self.crash_point(CrashSite::Clean)?;
         if let Some(level) = self.maps.set_clean(lba) {
             // A log page's flag is not the eviction index's business.
-            if let Some(block) = level {
+            if level.is_some() {
                 let (lbn, _) = self.maps.split(lba);
-                self.index_sync_entry(lbn, Some(block));
+                self.index_mark(lbn);
             }
             self.log_append(LogRecord::SetClean { lba });
             cost += self.maybe_group_commit()?;
@@ -869,7 +879,7 @@ impl Ssc {
         };
         let entry = BlockEntry::new(victim.raw(), valid, dirty);
         let old = self.maps.insert_block(lbn, entry);
-        self.index_sync_entry(lbn, Some(entry));
+        self.index_mark(lbn);
         self.log_append(LogRecord::InsertBlock {
             lbn,
             pbn: victim.raw(),
@@ -1023,7 +1033,7 @@ impl Ssc {
             let geometry = *self.dev.geometry();
             self.pool.release(fresh, erases, &geometry);
             if self.maps.remove_block(lbn).is_some() {
-                self.index_sync_entry(lbn, None);
+                self.index_mark(lbn);
                 self.log_append(LogRecord::RemoveBlock { lbn });
                 cost += self.commit_sync()?;
                 if let Some(e) = old {
@@ -1073,7 +1083,7 @@ impl Ssc {
         self.crash_point(CrashSite::Merge)?;
         let entry = BlockEntry::new(fresh.raw(), live, dirty);
         self.maps.insert_block(lbn, entry);
-        self.index_sync_entry(lbn, Some(entry));
+        self.index_mark(lbn);
         self.log_append(LogRecord::InsertBlock {
             lbn,
             pbn: fresh.raw(),
@@ -1101,7 +1111,7 @@ impl Ssc {
                 return Err(SscError::OutOfSpace);
             }
             let evicted = self.evict_clean_batch()?;
-            if evicted.is_zero() && self.clean_index.is_empty() {
+            if evicted.is_zero() && self.flush_index().is_empty() {
                 // "If there are not enough candidate blocks to provide free
                 // space, it reverts to regular garbage collection."
                 self.counters.eviction_fallbacks += 1;
@@ -1125,7 +1135,7 @@ impl Ssc {
         for (lbn, entry) in self.select_eviction_victims() {
             // Log the un-mapping and make it durable before erasing.
             self.maps.remove_block(lbn);
-            self.index_sync_entry(lbn, None);
+            self.index_mark(lbn);
             self.log_append(LogRecord::RemoveBlock { lbn });
             cost += self.commit_sync()?;
             let pbn = Pbn(entry.pbn);
@@ -1139,12 +1149,13 @@ impl Ssc {
     /// Picks up to `evict_batch` clean data blocks by the configured
     /// victim selector, preferring the plane with the fewest free blocks
     /// ("selects a flash plane to clean and then selects the top-k victim
-    /// blocks"). Served by the incremental index; must agree with
-    /// [`Ssc::select_eviction_victims_scan`] (oracle-tested).
-    fn select_eviction_victims(&self) -> Vec<(u64, BlockEntry)> {
+    /// blocks"). Served by the index, brought up to date first; must agree
+    /// with [`Ssc::select_eviction_victims_scan`] (oracle-tested).
+    fn select_eviction_victims(&mut self) -> Vec<(u64, BlockEntry)> {
         let preferred_plane = self.pool.emptiest_plane();
-        self.clean_index
-            .select_victims(preferred_plane, self.config.evict_batch)
+        let batch = self.config.evict_batch;
+        self.flush_index()
+            .select_victims(preferred_plane, batch)
             .into_iter()
             .map(|lbn| {
                 let entry = self.maps.block(lbn).expect("indexed lbn is mapped");
@@ -1257,20 +1268,17 @@ impl Ssc {
         if wear.wear_difference() <= max_difference {
             return Ok(Duration::ZERO);
         }
-        // The clean data block with the lowest erase count, from the
-        // incremental index (a mapped block's erase count cannot change
-        // while mapped, so the indexed count is current).
-        let Some((erases, lbn)) = self.clean_index.least_worn() else {
+        let Some((erases, lbn)) = self.wear_victim_scan() else {
             return Ok(Duration::ZERO);
         };
-        let entry = self.maps.block(lbn).expect("indexed lbn is mapped");
+        let entry = self.maps.block(lbn).expect("victim lbn is mapped");
         if erases >= wear.min_erases + max_difference / 2 {
             // The cold block is not what is holding the minimum down.
             return Ok(Duration::ZERO);
         }
         let mut cost = Duration::ZERO;
         self.maps.remove_block(lbn);
-        self.index_sync_entry(lbn, None);
+        self.index_mark(lbn);
         self.log_append(LogRecord::RemoveBlock { lbn });
         cost += self.commit_sync()?;
         self.counters.silently_evicted_pages += self.invalidate_valid_pages(Pbn(entry.pbn))?;
@@ -1279,10 +1287,11 @@ impl Ssc {
         Ok(cost)
     }
 
-    /// Brute-force reference for the wear-level victim, scanning every
-    /// block-level entry. Retained solely for the index/scan oracle tests.
-    #[doc(hidden)]
-    pub fn wear_victim_scan(&self) -> Option<(u64, u64)> {
+    /// The wear-level victim: the clean data block with the lowest
+    /// `(erase_count, lbn)`, found by scanning every block-level entry.
+    /// Wear leveling runs from idle periods, if at all, so nothing is kept
+    /// ordered for it.
+    fn wear_victim_scan(&self) -> Option<(u64, u64)> {
         self.maps
             .blocks()
             .filter(|(_, e)| e.is_clean())
@@ -1905,37 +1914,32 @@ mod index_oracle_tests {
     use super::*;
     use crate::config::VictimSelection;
 
-    /// Asserts every index agrees with its brute-force scan reference:
-    /// eviction selection, wear victim, and the full index contents
-    /// (membership, scores, erase counts, planes).
-    fn assert_index_agrees(s: &Ssc) {
+    /// Asserts the flushed index agrees with its brute-force scan reference:
+    /// eviction selection and the full index contents (membership, scores,
+    /// planes, one ordered key per row). Reaches the index the way the
+    /// product does — through `flush_index()`.
+    fn assert_index_agrees(s: &mut Ssc) {
         assert_eq!(
             s.select_eviction_victims(),
             s.select_eviction_victims_scan(),
             "eviction victims diverged from scan"
         );
-        assert_eq!(
-            s.clean_index.least_worn(),
-            s.wear_victim_scan(),
-            "wear victim diverged from scan"
-        );
-        let mut expect: Vec<(u64, (u64, u64), u64, u32)> = s
+        let mut expect: Vec<(u64, (u64, u64), u32)> = s
             .maps
             .blocks()
             .filter(|(_, e)| e.is_clean())
             .map(|(lbn, e)| {
-                let pbn = Pbn(e.pbn);
-                let erases = s.dev.block_state(pbn).unwrap().erase_count;
                 (
                     lbn,
                     s.victim_score(e),
-                    erases,
-                    s.dev.geometry().plane_of(pbn),
+                    s.dev.geometry().plane_of(Pbn(e.pbn)),
                 )
             })
             .collect();
         expect.sort_unstable();
-        assert_eq!(s.clean_index.snapshot(), expect, "index contents diverged");
+        let index = s.flush_index();
+        assert_eq!(index.snapshot(), expect, "index contents diverged");
+        assert_eq!(index.ordered_keys(), expect.len(), "stray ordered key");
     }
 
     /// The forward map against the flash it describes. Every valid flash
@@ -1996,6 +2000,18 @@ mod index_oracle_tests {
         }
     }
 
+    /// The addresses to write so logical block `lbn` gets a log block to
+    /// itself: its first page as often as the active log block has room,
+    /// then the block start to end.
+    fn whole_block_lbas(s: &Ssc, lbn: u64) -> impl Iterator<Item = u64> {
+        let ppb = s.ppb() as u64;
+        let first = lbn * ppb;
+        let room = s.log_blocks.back().map_or(0, |&active| {
+            ppb - u64::from(s.dev.block_state(active).unwrap().write_ptr)
+        });
+        std::iter::repeat_n(first, room as usize).chain(first..first + ppb)
+    }
+
     fn step(rng: &mut u64) -> u64 {
         *rng = rng
             .wrapping_mul(6364136223846793005)
@@ -2005,9 +2021,11 @@ mod index_oracle_tests {
 
     /// Drives an arbitrary operation trace (all six interface ops plus
     /// background GC, wear leveling and clean or torn crash/recovery) and
-    /// checks the index/scan and map/flash agreement after every single
-    /// operation.
-    fn run_trace(policy: VictimSelection, seed: u64, ops: u64) {
+    /// checks the map/flash agreement after every single operation and the
+    /// index/scan agreement after every `check_every`-th: the check flushes
+    /// the index, so 1 pins each mutation's mark on its own and a longer
+    /// stride lets marks pile up between flushes as they do in the product.
+    fn run_trace(policy: VictimSelection, seed: u64, ops: u64, check_every: u64) {
         let mut config = SscConfig::small_test();
         config.victim_selection = policy;
         let mut s = Ssc::new(config);
@@ -2051,12 +2069,7 @@ mod index_oracle_tests {
                     // the active log block: unless recycling compacts dirty
                     // pages into the fresh one first, the logical block has
                     // it to itself and it switch-merges.
-                    let ppb = s.ppb() as u64;
-                    let first = lba / ppb * ppb;
-                    let room = s.log_blocks.back().map_or(0, |&active| {
-                        ppb - u64::from(s.dev.block_state(active).unwrap().write_ptr)
-                    });
-                    for lba in std::iter::repeat_n(first, room as usize).chain(first..first + ppb) {
+                    for lba in whole_block_lbas(&s, lba / s.ppb() as u64) {
                         if s.write_clean(lba, &fill).is_ok() {
                             dirty.insert(lba, false);
                         }
@@ -2088,9 +2101,12 @@ mod index_oracle_tests {
                         .collect();
                 }
             }
-            assert_index_agrees(&s);
+            if (i + 1) % check_every == 0 {
+                assert_index_agrees(&mut s);
+            }
             assert_maps_agree(&s, span, &dirty);
         }
+        assert_index_agrees(&mut s);
         assert!(
             s.counters().silent_evictions > 0,
             "trace too tame to exercise eviction"
@@ -2100,17 +2116,91 @@ mod index_oracle_tests {
 
     #[test]
     fn index_matches_scan_under_utilization_policy() {
-        run_trace(VictimSelection::Utilization, 0xBEEF_0001, 700);
+        run_trace(VictimSelection::Utilization, 0xBEEF_0001, 700, 1);
+        run_trace(VictimSelection::Utilization, 0xBEEF_0001, 700, 23);
     }
 
     #[test]
     fn index_matches_scan_under_lrw_policy() {
-        run_trace(VictimSelection::LeastRecentlyWritten, 0xBEEF_0002, 700);
+        run_trace(VictimSelection::LeastRecentlyWritten, 0xBEEF_0002, 700, 1);
+        run_trace(VictimSelection::LeastRecentlyWritten, 0xBEEF_0002, 700, 23);
     }
 
     #[test]
     fn index_matches_scan_under_utilization_then_recency_policy() {
-        run_trace(VictimSelection::UtilizationThenRecency, 0xBEEF_0003, 700);
+        run_trace(VictimSelection::UtilizationThenRecency, 0xBEEF_0003, 700, 1);
+        run_trace(
+            VictimSelection::UtilizationThenRecency,
+            0xBEEF_0003,
+            700,
+            23,
+        );
+    }
+
+    /// `small_test` with 64 erase blocks: room for a 16-block hot set and
+    /// the log with the free pool never near the eviction threshold.
+    fn roomy() -> Ssc {
+        let mut config = SscConfig::small_test().with_data_mode(flashsim::DataMode::Discard);
+        config.flash.geometry = flashsim::Geometry::new(2, 32, 8, 512, 16);
+        Ssc::new(config)
+    }
+
+    /// Writes logical block `lbn` as clean data so that it switch-merges
+    /// once the log recycles that far (see [`whole_block_lbas`]).
+    fn write_whole_block(s: &mut Ssc, lbn: u64) {
+        let fill = vec![0u8; s.page_size()];
+        for lba in whole_block_lbas(s, lbn) {
+            s.write_clean(lba, &fill).unwrap();
+        }
+    }
+
+    #[test]
+    fn stale_list_stays_bounded_without_eviction() {
+        let mut s = roomy();
+        let bound = s.config.total_blocks() as usize;
+        let hot = 16 * s.ppb() as u64;
+        let fill = vec![0u8; s.page_size()];
+        let mut rng = 0xBEEF_0004;
+        let mut peak = 0;
+        for _ in 0..100_000 {
+            s.write_clean(step(&mut rng) % hot, &fill).unwrap();
+            peak = peak.max(s.index_stale.len());
+            assert!(s.index_stale.len() < bound, "stale list reached its bound");
+        }
+        // Nothing consulted the index, so only the bound can have flushed it.
+        assert_eq!(s.counters().silent_evictions, 0);
+        assert_eq!(peak, bound - 1, "the bound never came into play");
+        assert_index_agrees(&mut s);
+    }
+
+    #[test]
+    fn remove_and_reinsert_between_flushes_leaves_one_key() {
+        let mut s = roomy();
+        let ppb = s.ppb() as u64;
+        let mut filler = 100;
+        let mut map_block_0 = |s: &mut Ssc| {
+            write_whole_block(s, 0);
+            while s.maps.block(0).is_none() {
+                write_whole_block(s, filler);
+                filler += 1;
+            }
+        };
+        map_block_0(&mut s);
+        assert_index_agrees(&mut s);
+        // Unmap the block page by page, then map it again, with no flush in
+        // between: the removal and the insertion both wait in the list.
+        for lba in 0..ppb {
+            s.evict(lba).unwrap();
+        }
+        assert!(s.maps.block(0).is_none());
+        map_block_0(&mut s);
+        let pending = s.index_stale.iter().filter(|&&lbn| lbn == 0).count();
+        assert_eq!(pending as u64, ppb + 1, "a flush ran in between");
+        let index = s.flush_index();
+        let rows = index.snapshot();
+        assert_eq!(rows.iter().filter(|row| row.0 == 0).count(), 1);
+        assert_eq!(index.ordered_keys(), rows.len(), "stray ordered key");
+        assert_index_agrees(&mut s);
     }
 
     #[test]
@@ -2123,7 +2213,7 @@ mod index_oracle_tests {
         let target = s.free_blocks() + 4;
         s.background_collect(target).unwrap();
         assert!(s.free_blocks() >= target, "headroom target not reached");
-        assert_index_agrees(&s);
+        assert_index_agrees(&mut s);
     }
 
     #[test]
@@ -2148,7 +2238,7 @@ mod index_oracle_tests {
                 "dirty lba {lba} was silently evicted"
             );
         }
-        assert_index_agrees(&s);
+        assert_index_agrees(&mut s);
     }
 
     #[test]
@@ -2167,14 +2257,14 @@ mod index_oracle_tests {
             s.write_clean(10_000 + (i % 8), &hot).unwrap();
             if i % 50 == 0 {
                 s.wear_level(2).unwrap();
-                assert_index_agrees(&s);
+                assert_index_agrees(&mut s);
             }
         }
         // With leveling active the spread stays bounded; without it the
         // same workload runs away (hot blocks only ever churn).
         let spread = s.wear().wear_difference();
         assert!(spread <= 8, "wear spread failed to converge: {spread}");
-        assert_index_agrees(&s);
+        assert_index_agrees(&mut s);
     }
 }
 

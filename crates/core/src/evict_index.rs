@@ -1,28 +1,25 @@
-//! Incrementally maintained eviction-candidate index.
+//! Eviction-candidate index, synchronised when it is consulted.
 //!
-//! Silent eviction and wear leveling both need "the best clean data block
-//! right now". The scan implementation rebuilt and sorted a vector of every
-//! block-level entry per query; this index mirrors the clean subset of
-//! `SscMaps::blocks` in ordered structures that are updated on the state
-//! transitions that can change it (insert/remove/mask/clean of a block
-//! entry, and wholesale map replacement on crash/recovery), so each query is
-//! an ordered lookup.
+//! Silent eviction needs "the best clean data block right now". The scan
+//! implementation rebuilt and sorted a vector of every block-level entry per
+//! query; this index mirrors the clean subset of `SscMaps::blocks` in
+//! per-plane ordered sets so a query is an ordered lookup. The SSC does not
+//! re-key it on every state transition: a mutation that can change a block's
+//! key (insert/remove/mask/clean of a block entry) only *marks* the LBN, and
+//! `Ssc::flush_index` re-derives the keys of the marked LBNs before the
+//! index is read — selections are rare (§4.3: victims are picked when free
+//! space runs out) and overwrites are not, so a hot LBN re-keyed a hundred
+//! times between two evictions costs one tree update.
 //!
-//! Two orderings are kept:
+//! **Victim order** — per-plane sets of `(score.0, score.1, lbn)`. The scan
+//! sorts globally by `(score, off_plane, lbn)` where `off_plane` depends on
+//! the preferred plane *of that query*; since `off_plane` is constant within
+//! a plane, a k-way merge across the per-plane sets with the query's
+//! preferred plane reproduces the scan's exact order.
 //!
-//! * **victim order** — per-plane sets of `(score.0, score.1, lbn)`. The
-//!   scan sorts globally by `(score, off_plane, lbn)` where `off_plane`
-//!   depends on the preferred plane *of that query*; since `off_plane` is
-//!   constant within a plane, a k-way merge across the per-plane sets with
-//!   the query's preferred plane reproduces the scan's exact order.
-//! * **wear order** — one set of `(erase_count, lbn)`. A mapped block's
-//!   erase count cannot change while it is mapped (erases happen only after
-//!   a block leaves the maps), so the count captured at index time stays
-//!   correct.
-//!
-//! Invariant (enforced by the oracle tests in `device.rs`): after every
-//! public SSC operation the index selects exactly what the retained scan
-//! implementation selects, for every victim-selection policy.
+//! Invariant (enforced by the oracle tests in `device.rs`): after a flush
+//! the index selects exactly what the retained scan implementation selects,
+//! for every victim-selection policy.
 
 use std::collections::BTreeSet;
 
@@ -30,10 +27,9 @@ use sparsemap::SparseHashMap;
 
 /// The per-block facts the index stores, remembered so an entry can be
 /// removed from the ordered sets without recomputing its score.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct StoredKey {
     score: (u64, u64),
-    erases: u64,
     plane: u32,
 }
 
@@ -42,8 +38,6 @@ struct StoredKey {
 pub(crate) struct CleanBlockIndex {
     /// Per-plane victim candidates ordered by `(score.0, score.1, lbn)`.
     by_score: Vec<BTreeSet<(u64, u64, u64)>>,
-    /// All candidates ordered by `(erase_count, lbn)`.
-    by_wear: BTreeSet<(u64, u64)>,
     /// `lbn` → the key currently stored in the ordered sets.
     keys: SparseHashMap<StoredKey>,
 }
@@ -52,24 +46,27 @@ impl CleanBlockIndex {
     pub(crate) fn new(planes: u32) -> Self {
         CleanBlockIndex {
             by_score: vec![BTreeSet::new(); planes as usize],
-            by_wear: BTreeSet::new(),
             keys: SparseHashMap::new(),
         }
     }
 
-    /// Inserts or refreshes one clean block's key.
-    pub(crate) fn upsert(&mut self, lbn: u64, score: (u64, u64), erases: u64, plane: u32) {
-        self.remove(lbn);
+    /// Inserts or refreshes one clean block's key; the ordered sets are
+    /// touched only when `(score, plane)` changed.
+    pub(crate) fn upsert(&mut self, lbn: u64, score: (u64, u64), plane: u32) {
+        let key = StoredKey { score, plane };
+        match self.keys.get_mut(lbn) {
+            Some(old) if *old == key => return,
+            Some(old) => {
+                let removed =
+                    self.by_score[old.plane as usize].remove(&(old.score.0, old.score.1, lbn));
+                debug_assert!(removed, "score set out of sync for lbn {lbn}");
+                *old = key;
+            }
+            None => {
+                self.keys.insert(lbn, key);
+            }
+        }
         self.by_score[plane as usize].insert((score.0, score.1, lbn));
-        self.by_wear.insert((erases, lbn));
-        self.keys.insert(
-            lbn,
-            StoredKey {
-                score,
-                erases,
-                plane,
-            },
-        );
     }
 
     /// Drops one block from the index (no-op if absent).
@@ -77,17 +74,7 @@ impl CleanBlockIndex {
         if let Some(k) = self.keys.remove(lbn) {
             let removed = self.by_score[k.plane as usize].remove(&(k.score.0, k.score.1, lbn));
             debug_assert!(removed, "score set out of sync for lbn {lbn}");
-            let removed = self.by_wear.remove(&(k.erases, lbn));
-            debug_assert!(removed, "wear set out of sync for lbn {lbn}");
         }
-    }
-
-    pub(crate) fn clear(&mut self) {
-        for set in &mut self.by_score {
-            set.clear();
-        }
-        self.by_wear.clear();
-        self.keys.clear();
     }
 
     /// `true` when no clean candidate exists.
@@ -95,23 +82,24 @@ impl CleanBlockIndex {
         self.keys.is_empty()
     }
 
-    /// The candidate with the lowest `(erase_count, lbn)` — the wear-level
-    /// victim.
-    pub(crate) fn least_worn(&self) -> Option<(u64, u64)> {
-        self.by_wear.first().copied()
-    }
-
-    /// Full index contents sorted by lbn: `(lbn, score, erases, plane)`.
-    /// Oracle-test hook for comparing against a brute-force recomputation.
+    /// Full index contents sorted by lbn: `(lbn, score, plane)`. Oracle-test
+    /// hook for comparing against a brute-force recomputation.
     #[cfg(test)]
-    pub(crate) fn snapshot(&self) -> Vec<(u64, (u64, u64), u64, u32)> {
+    pub(crate) fn snapshot(&self) -> Vec<(u64, (u64, u64), u32)> {
         let mut out: Vec<_> = self
             .keys
             .iter()
-            .map(|(lbn, k)| (lbn, k.score, k.erases, k.plane))
+            .map(|(lbn, k)| (lbn, k.score, k.plane))
             .collect();
         out.sort_unstable();
         out
+    }
+
+    /// Keys held in the ordered sets; equals the row count of
+    /// [`CleanBlockIndex::snapshot`] when the two structures agree.
+    #[cfg(test)]
+    pub(crate) fn ordered_keys(&self) -> usize {
+        self.by_score.iter().map(BTreeSet::len).sum()
     }
 
     /// The first `batch` candidates in the scan's victim order for a query
@@ -137,5 +125,34 @@ impl CleanBlockIndex {
             out.push(key.3);
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn upsert_rekeys_in_place() {
+        let mut index = CleanBlockIndex::new(2);
+        index.upsert(7, (3, 0), 0);
+        index.upsert(5, (3, 0), 0);
+        // Same key again: nothing moves.
+        index.upsert(7, (3, 0), 0);
+        assert_eq!(index.select_victims(0, 2), [5, 7]);
+        // Same score on the other plane: the key moves with the block.
+        index.upsert(7, (3, 0), 1);
+        assert_eq!(index.select_victims(1, 2), [7, 5]);
+        // A new score on the same plane reorders it.
+        index.upsert(5, (2, 9), 0);
+        assert_eq!(index.select_victims(1, 2), [5, 7]);
+        assert_eq!(index.snapshot(), [(5, (2, 9), 0), (7, (3, 0), 1)]);
+        assert_eq!(index.ordered_keys(), 2);
+        index.remove(7);
+        index.remove(7);
+        assert_eq!(index.snapshot(), [(5, (2, 9), 0)]);
+        assert_eq!(index.ordered_keys(), 1);
+        index.remove(5);
+        assert!(index.is_empty());
     }
 }

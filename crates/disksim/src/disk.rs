@@ -1,4 +1,12 @@
 //! The simulated disk device.
+//!
+//! Discard mode keeps no payloads, only a write version per block so reads
+//! return deterministic synthetic bytes. The versions live in *extent
+//! pages*: one boxed `[u32; 64]` per 64-block extent that was ever written,
+//! keyed by `lba >> 6`, version 0 meaning "never written". Destage runs and
+//! sequential fills stay inside an extent, so a run costs one table probe
+//! per extent instead of one per block, and a written block costs about
+//! 4 bytes of table instead of a hash entry.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -55,6 +63,9 @@ pub struct DiskCounters {
     pub sequential_hits: u64,
 }
 
+/// Blocks per extent page of the discard-mode version table.
+const EXTENT_BLOCKS: u64 = 64;
+
 /// A simulated disk with positional timing.
 #[derive(Debug, Clone)]
 pub struct Disk {
@@ -63,8 +74,9 @@ pub struct Disk {
     /// Position after the last transfer: the block that would stream next.
     head: Option<u64>,
     data: HashMap<u64, Box<[u8]>, BlockHash>,
-    /// Write version per block, for deterministic discard-mode reads.
-    versions: HashMap<u64, u64, BlockHash>,
+    /// Write version per block, for deterministic discard-mode reads: one
+    /// page per touched extent (see module docs), 0 = never written.
+    versions: HashMap<u64, Box<[u32; EXTENT_BLOCKS as usize]>, BlockHash>,
     counters: DiskCounters,
 }
 
@@ -151,10 +163,13 @@ impl Disk {
                     Some(d) => out.copy_from_slice(d),
                     None => out.fill(0),
                 },
-                DiskDataMode::Discard => match self.versions.get(&lba) {
-                    Some(&v) => Self::fake_data_into(lba, v, out),
-                    None => out.fill(0),
-                },
+                DiskDataMode::Discard => {
+                    let page = self.versions.get(&(lba / EXTENT_BLOCKS));
+                    match page.map_or(0, |page| page[(lba % EXTENT_BLOCKS) as usize]) {
+                        0 => out.fill(0),
+                        v => Self::fake_data_into(lba, u64::from(v), out),
+                    }
+                }
             }
         }
         Ok(cost)
@@ -191,48 +206,63 @@ impl Disk {
         Ok((buf.into_vec(), cost))
     }
 
+    /// The timing half of a one-block write: bounds and size checks, head
+    /// movement, counters.
+    fn admit_write(&mut self, lba: u64, len: usize) -> Result<Duration> {
+        self.check(lba)?;
+        if len != self.config.block_size {
+            return Err(DiskError::BadBlockSize { got: len });
+        }
+        self.counters.writes += 1;
+        Ok(self.access_cost(lba))
+    }
+
+    /// The content half of writing the first `blocks` blocks of `data` at
+    /// `lba` onward: payloads in store mode, one version bump per block in
+    /// discard mode — there with one table probe per extent the run touches.
+    fn retain(&mut self, lba: u64, blocks: u64, data: &[u8]) {
+        let end = lba + blocks;
+        match self.mode {
+            DiskDataMode::Store => {
+                for (lba, block) in (lba..end).zip(data.chunks(self.config.block_size)) {
+                    self.data.insert(lba, block.into());
+                }
+            }
+            DiskDataMode::Discard => {
+                let mut next = lba;
+                while next < end {
+                    let extent = next / EXTENT_BLOCKS;
+                    let stop = end.min((extent + 1) * EXTENT_BLOCKS);
+                    let page = self
+                        .versions
+                        .entry(extent)
+                        .or_insert_with(|| Box::new([0; EXTENT_BLOCKS as usize]));
+                    for v in &mut page[(next % EXTENT_BLOCKS) as usize..][..(stop - next) as usize]
+                    {
+                        // Never back to 0: that would read as unwritten.
+                        *v = v.wrapping_add(1).max(1);
+                    }
+                    next = stop;
+                }
+            }
+        }
+    }
+
     /// Writes one block.
     ///
     /// # Errors
     ///
     /// [`DiskError::LbaOutOfRange`] / [`DiskError::BadBlockSize`].
     pub fn write(&mut self, lba: u64, data: &[u8]) -> Result<Duration> {
-        self.check(lba)?;
-        if data.len() != self.config.block_size {
-            return Err(DiskError::BadBlockSize { got: data.len() });
-        }
-        let cost = self.access_cost(lba);
-        self.counters.writes += 1;
-        match self.mode {
-            DiskDataMode::Store => {
-                self.data.insert(lba, data.to_vec().into_boxed_slice());
-            }
-            DiskDataMode::Discard => {
-                *self.versions.entry(lba).or_insert(0) += 1;
-            }
-        }
+        let cost = self.admit_write(lba, data.len())?;
+        self.retain(lba, 1, data);
         Ok(cost)
     }
 
-    /// Writes `blocks` contiguously starting at `lba` as one positioned run —
-    /// the operation the write-back cleaner's contiguity policy exploits.
-    ///
-    /// # Errors
-    ///
-    /// Errors of [`Disk::write`]; on error nothing past the failing block is
-    /// written.
-    pub fn write_run(&mut self, lba: u64, blocks: &[&[u8]]) -> Result<Duration> {
-        let mut total = Duration::ZERO;
-        for (i, block) in blocks.iter().enumerate() {
-            total += self.write(lba + i as u64, block)?;
-        }
-        Ok(total)
-    }
-
     /// Writes a run of consecutive blocks held in one concatenated buffer
-    /// (`data.len()` must be a whole number of blocks). Equivalent to
-    /// [`Disk::write_run`] over `data.chunks(block_size)` without building a
-    /// slice-of-slices.
+    /// (`data.len()` must be a whole number of blocks) starting at `lba`, as
+    /// one positioned run — the operation the write-back cleaner's
+    /// contiguity policy exploits.
     ///
     /// # Errors
     ///
@@ -240,11 +270,16 @@ impl Disk {
     /// [`DiskError::BadBlockSize`] and nothing past the failing block is
     /// written.
     pub fn write_run_concat(&mut self, lba: u64, data: &[u8]) -> Result<Duration> {
-        let mut total = Duration::ZERO;
-        for (i, block) in data.chunks(self.config.block_size).enumerate() {
-            total += self.write(lba + i as u64, block)?;
-        }
-        Ok(total)
+        let mut admitted = 0;
+        let total = data
+            .chunks(self.config.block_size)
+            .try_fold(Duration::ZERO, |total, block| {
+                let cost = self.admit_write(lba + admitted, block.len())?;
+                admitted += 1;
+                Ok(total + cost)
+            });
+        self.retain(lba, admitted, data);
+        total
     }
 }
 
@@ -296,8 +331,7 @@ mod tests {
         let mut d = disk();
         d.write(1000, &block(0)).unwrap(); // move the head away
         let blocks = [block(1), block(2), block(3), block(4)];
-        let refs: Vec<&[u8]> = blocks.iter().map(|b| b.as_slice()).collect();
-        let cost = d.write_run(200, &refs).unwrap();
+        let cost = d.write_run_concat(200, &blocks.concat()).unwrap();
         assert_eq!(cost, d.config.run_cost(4));
         for (i, b) in blocks.iter().enumerate() {
             assert_eq!(&d.read(200 + i as u64).unwrap().0, b);
@@ -329,6 +363,65 @@ mod tests {
         // A third write changes the content.
         a.write(5, &block(0)).unwrap();
         assert_ne!(a.read(5).unwrap().0, b.read(5).unwrap().0);
+    }
+
+    #[test]
+    fn unwritten_block_in_a_written_extent_reads_zero() {
+        let mut d = Disk::new(DiskConfig::paper_default(), DiskDataMode::Discard);
+        d.write(64, &block(0)).unwrap();
+        assert!(d.read(65).unwrap().0.iter().all(|&z| z == 0));
+        assert!(d.read(63).unwrap().0.iter().all(|&z| z == 0));
+        assert!(d.read(64).unwrap().0.iter().any(|&z| z != 0));
+    }
+
+    #[test]
+    fn extent_pages_match_a_per_block_version_model() {
+        // Single writes and concatenated runs against one version counter
+        // per LBA, on a volume whose last block (130) sits two blocks into
+        // its third extent, with the addresses drawn around the extent
+        // boundaries (63|64, 127|128) and the end of the volume.
+        const CAPACITY: u64 = 131;
+        let config = DiskConfig {
+            capacity_blocks: CAPACITY,
+            ..DiskConfig::paper_default()
+        };
+        let mut rng = simkit::SimRng::seed_from(0xD15C_2000);
+        let mut disk = Disk::new(config, DiskDataMode::Discard);
+        let mut model: HashMap<u64, u64> = HashMap::new();
+        let hot = [0, 1, 62, 63, 64, 65, 126, 127, 128, 129, 130];
+        let mut expect = vec![0u8; 4096];
+        for _ in 0..4000 {
+            let lba = if rng.gen_bool(0.8) {
+                hot[rng.gen_range(hot.len() as u64) as usize]
+            } else {
+                rng.gen_range(CAPACITY)
+            };
+            match rng.gen_range(3) {
+                0 => {
+                    disk.write(lba, &block(0)).unwrap();
+                    *model.entry(lba).or_insert(0) += 1;
+                }
+                1 => {
+                    // Runs that reach past the volume fail at the first
+                    // block out of range, with everything before it written.
+                    let len = 1 + rng.gen_range(70);
+                    let run = disk.write_run_concat(lba, &vec![0u8; 4096 * len as usize]);
+                    assert_eq!(run.is_err(), lba + len > CAPACITY);
+                    for lba in lba..(lba + len).min(CAPACITY) {
+                        *model.entry(lba).or_insert(0) += 1;
+                    }
+                }
+                _ => {
+                    match model.get(&lba) {
+                        Some(&v) => Disk::fake_data_into(lba, v, &mut expect),
+                        None => expect.fill(0),
+                    }
+                    assert_eq!(disk.read(lba).unwrap().0, expect, "lba {lba}");
+                }
+            }
+        }
+        let written = model.values().sum::<u64>();
+        assert_eq!(disk.counters().writes, written);
     }
 
     #[test]

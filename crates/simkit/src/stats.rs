@@ -129,11 +129,16 @@ impl Summary {
 ///
 /// Bucket `i` covers `[2^i, 2^(i+1))` (bucket 0 also catches 0), giving
 /// ~2x relative resolution over an unbounded range with 64 fixed buckets —
-/// sufficient for microsecond-scale latency distributions.
+/// sufficient for microsecond-scale latency distributions. Beside the
+/// buckets it keeps the exact count, sum and maximum as integers: recording
+/// is on the per-event path of every replay, where a [`Summary`]'s running
+/// mean would cost a dependent `f64` division per sample.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     buckets: [u64; 64],
-    summary: Summary,
+    count: u64,
+    sum: u64,
+    max: u64,
 }
 
 impl Default for Histogram {
@@ -147,7 +152,9 @@ impl Histogram {
     pub fn new() -> Self {
         Histogram {
             buckets: [0; 64],
-            summary: Summary::new(),
+            count: 0,
+            sum: 0,
+            max: 0,
         }
     }
 
@@ -162,28 +169,29 @@ impl Histogram {
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
         self.buckets[Self::bucket_index(value)] += 1;
-        self.summary.add(value as f64);
-    }
-
-    /// Running summary (count, mean, variance, extrema) of the recorded
-    /// samples: what a [`Summary`] fed the same values as `f64` would hold.
-    pub fn summary(&self) -> &Summary {
-        &self.summary
+        self.count += 1;
+        self.sum += value;
+        self.max = self.max.max(value);
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.summary.count()
+        self.count
     }
 
-    /// Mean of recorded samples.
+    /// Exact sum of recorded samples.
+    pub fn sum(&self) -> u64 {
+        self.sum
+    }
+
+    /// Mean of recorded samples (0 when empty).
     pub fn mean(&self) -> f64 {
-        self.summary.mean()
+        self.sum as f64 / self.count.max(1) as f64
     }
 
     /// Exact maximum of recorded samples (`None` when empty).
     pub fn max(&self) -> Option<u64> {
-        self.summary.max().map(|m| m as u64)
+        (self.count > 0).then_some(self.max)
     }
 
     /// Approximate `q`-quantile (`0.0 ..= 1.0`), reported as the upper bound
@@ -219,7 +227,9 @@ impl Histogram {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;
         }
-        self.summary.merge(&other.summary);
+        self.count += other.count;
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
     }
 }
 
@@ -345,16 +355,13 @@ mod tests {
     #[test]
     fn histogram_buckets_and_quantiles() {
         let mut h = Histogram::new();
-        let mut fed_as_f64 = Summary::new();
         for v in 0..1000u64 {
             h.record(v);
-            fed_as_f64.add(v as f64);
         }
         assert_eq!(h.count(), 1000);
-        // The embedded summary is bit for bit the one a caller would keep.
-        let own = h.summary();
-        assert_eq!(own.sum().to_bits(), fed_as_f64.sum().to_bits());
-        assert_eq!(own.variance().to_bits(), fed_as_f64.variance().to_bits());
+        assert_eq!(h.sum(), 999 * 1000 / 2);
+        assert_eq!(h.mean(), 499.5);
+        assert_eq!(Histogram::new().mean(), 0.0);
         let p50 = h.quantile(0.5).unwrap();
         // Median 500 lives in bucket [256,512) whose upper bound is 511.
         assert_eq!(p50, 511);
@@ -386,6 +393,7 @@ mod tests {
         b.record(30);
         a.merge(&b);
         assert_eq!(a.count(), 3);
+        assert_eq!((a.sum(), a.max()), (60, Some(30)));
     }
 
     #[test]

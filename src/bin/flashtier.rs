@@ -289,10 +289,10 @@ fn replay_cmd(args: &[String]) -> ExitCode {
     println!("ops replayed:    {}", result.ops);
     println!("simulated time:  {}", result.sim_time);
     println!("throughput:      {:.0} IOPS", result.iops());
-    println!("mean response:   {:.1} us", result.response_us.mean());
+    println!("mean response:   {:.1} us", result.response_hist.mean());
     println!(
-        "p99-ish max:     {:.0} us",
-        result.response_us.max().unwrap_or(0.0)
+        "p99-ish max:     {} us",
+        result.response_hist.max().unwrap_or(0)
     );
     println!(
         "read miss rate:  {:.1}%",
