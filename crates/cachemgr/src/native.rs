@@ -13,10 +13,13 @@
 //! metadata to a reserved SSD region on every dirty-state change — the
 //! consistency cost FlashTier's logging replaces (Figure 4).
 
+use std::collections::HashMap;
+
 use disksim::Disk;
 use ftl::BlockDev;
+use simkit::hash::BlockHash;
 use simkit::{Duration, PageBuf};
-use sparsemap::{MapMemory, SparseHashMap};
+use sparsemap::MapMemory;
 
 use crate::lru::LruList;
 use crate::metrics::MgrCounters;
@@ -61,9 +64,10 @@ pub struct NativeCache<D: BlockDev> {
     disk: Disk,
     mode: NativeMode,
     consistency: NativeConsistency,
-    /// Disk LBA -> cache slot. Integer-hashed open addressing: this table
-    /// is probed on every host read and write.
-    table: SparseHashMap<u32>,
+    /// Disk LBA -> cache slot, probed on every host read and write. A host
+    /// table the paper charges at a flat 22 B per slot, so a plain hash
+    /// table; sized for twice the slots, it never resizes (see `new`).
+    table: HashMap<u64, u32, BlockHash>,
     /// Per-slot metadata; `None` = free.
     meta: Vec<Option<SlotMeta>>,
     free: Vec<u32>,
@@ -115,7 +119,10 @@ impl<D: BlockDev> NativeCache<D> {
             disk,
             mode,
             consistency,
-            table: SparseHashMap::new(),
+            // At most one key per slot, so a full cache fills at most half
+            // the table: std then clears deletion markers by rehashing in
+            // place instead of growing.
+            table: HashMap::with_capacity_and_hasher(2 * slots as usize, BlockHash::default()),
             meta: vec![None; slots as usize],
             free: (0..slots as u32).rev().collect(),
             lru: LruList::new(slots as usize),
@@ -273,7 +280,6 @@ impl<D: BlockDev> NativeCache<D> {
         // Read back every metadata page and rebuild the tables.
         let md_pages = (slots as u64).div_ceil(self.md_entries_per_page);
         let mut cost = Duration::ZERO;
-        let mut recovered: Vec<(u32, SlotMeta)> = Vec::new();
         for page_index in 0..md_pages {
             let (payload, rcost) = self.ssd.read(self.md_base + page_index)?;
             cost += rcost;
@@ -288,33 +294,27 @@ impl<D: BlockDev> NativeCache<D> {
                 if crc != simkit::crc32(&entry[0..18]) {
                     continue; // never-written or torn page region
                 }
-                if entry[8] & 1 != 0 {
-                    let lba = u64::from_le_bytes(entry[0..8].try_into().expect("8 bytes"));
-                    recovered.push((
-                        slot as u32,
-                        SlotMeta {
-                            lba,
-                            dirty: entry[8] & 2 != 0,
-                        },
-                    ));
+                if entry[8] & 1 == 0 {
+                    continue;
+                }
+                let meta = SlotMeta {
+                    lba: u64::from_le_bytes(entry[0..8].try_into().expect("8 bytes")),
+                    dirty: entry[8] & 2 != 0,
+                };
+                let slot = slot as u32;
+                self.meta[slot as usize] = Some(meta);
+                self.table.insert(meta.lba, slot);
+                self.lru.push_front(slot);
+                if meta.dirty {
+                    self.dirty_lru.push_front(slot);
+                    self.dirty_count += 1;
                 }
             }
         }
-        let recovered_slots: std::collections::HashSet<u32> =
-            recovered.iter().map(|&(s, _)| s).collect();
         self.free = (0..slots as u32)
             .rev()
-            .filter(|s| !recovered_slots.contains(s))
+            .filter(|&s| self.meta[s as usize].is_none())
             .collect();
-        for (slot, meta) in recovered {
-            self.meta[slot as usize] = Some(meta);
-            self.table.insert(meta.lba, slot);
-            self.lru.push_front(slot);
-            if meta.dirty {
-                self.dirty_lru.push_front(slot);
-                self.dirty_count += 1;
-            }
-        }
         // `meta` was replaced wholesale; re-derive the encoded pages.
         self.rebuild_md_cache();
         Ok(cost)
@@ -327,7 +327,7 @@ impl<D: BlockDev> NativeCache<D> {
     /// dropped block was dirty.
     fn drop_faulted_slot(&mut self, slot: u32) -> Result<(Duration, bool)> {
         let meta = self.meta[slot as usize].expect("faulted slot in use");
-        self.table.remove(meta.lba);
+        self.table.remove(&meta.lba);
         self.meta[slot as usize] = None;
         self.lru.remove(slot);
         if meta.dirty {
@@ -374,7 +374,7 @@ impl<D: BlockDev> NativeCache<D> {
     fn read_with(&mut self, lba: u64, buf: &mut PageBuf, sink: bool) -> Result<Duration> {
         self.counters.reads += 1;
         let elide = sink && self.payload_discarded;
-        let Some(&slot) = self.table.get(lba) else {
+        let Some(&slot) = self.table.get(&lba) else {
             return self.read_miss(lba, buf, elide);
         };
         let dest = if sink { None } else { Some(&mut *buf) };
@@ -466,7 +466,7 @@ impl<D: BlockDev> NativeCache<D> {
             self.dirty_lru.remove(victim);
             self.dirty_count -= 1;
         }
-        self.table.remove(meta.lba);
+        self.table.remove(&meta.lba);
         self.meta[victim as usize] = None;
         self.sync_md_entry(victim);
         // Invalidation is a metadata update (§2): persist it so recovery
@@ -478,7 +478,7 @@ impl<D: BlockDev> NativeCache<D> {
 
     /// Installs `data` for `lba` in the cache with the given dirty state.
     fn install(&mut self, lba: u64, data: &[u8], dirty: bool, cost: &mut Duration) -> Result<u32> {
-        if let Some(&slot) = self.table.get(lba) {
+        if let Some(&slot) = self.table.get(&lba) {
             *cost += self.ssd.write(slot as u64, data)?;
             self.lru.touch(slot);
             if self.meta[slot as usize].is_some_and(|m| m.dirty) {
@@ -596,7 +596,7 @@ impl<D: BlockDev> CacheSystem for NativeCache<D> {
             modeled_bytes: self.meta.len() as u64 * NATIVE_ENTRY_BYTES,
             heap_bytes: self.meta.capacity() as u64
                 * std::mem::size_of::<Option<SlotMeta>>() as u64
-                + self.table.memory().heap_bytes,
+                + (self.table.capacity() * 2 * std::mem::size_of::<(u64, u32)>()) as u64,
         }
     }
 
@@ -713,6 +713,29 @@ mod tests {
             durable_time > volatile_time,
             "{durable_time} vs {volatile_time}"
         );
+    }
+
+    #[test]
+    fn churn_at_constant_live_size_never_resizes_the_table() {
+        // The miss path at steady state: once the cache is full every fill
+        // evicts, so the table loses one key and gains another per event
+        // while its live size stays at the slot count.
+        let mut s = system(NativeMode::WriteThrough);
+        let capacity = s.table.capacity();
+        let span = 3 * s.slots() as u64;
+        let mut rng = simkit::SimRng::seed_from(0x7AB1E);
+        for step in 0..100_000u64 {
+            let lba = rng.gen_range(span);
+            if step % 8 == 0 {
+                s.write(lba, &block(step as u8)).unwrap();
+            } else {
+                s.read(lba).unwrap();
+            }
+            let occupied = s.meta.iter().flatten().count();
+            assert_eq!(s.table.len(), occupied, "step {step}: table vs meta");
+            assert!(s.table.capacity() <= capacity, "step {step}: table grew");
+        }
+        assert!(s.counters().evictions > 50_000, "{:?}", s.counters());
     }
 
     #[test]

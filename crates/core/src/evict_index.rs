@@ -21,9 +21,9 @@
 //! the index selects exactly what the retained scan implementation selects,
 //! for every victim-selection policy.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
-use sparsemap::SparseHashMap;
+use simkit::hash::BlockHash;
 
 /// The per-block facts the index stores, remembered so an entry can be
 /// removed from the ordered sets without recomputing its score.
@@ -39,14 +39,14 @@ pub(crate) struct CleanBlockIndex {
     /// Per-plane victim candidates ordered by `(score.0, score.1, lbn)`.
     by_score: Vec<BTreeSet<(u64, u64, u64)>>,
     /// `lbn` → the key currently stored in the ordered sets.
-    keys: SparseHashMap<StoredKey>,
+    keys: HashMap<u64, StoredKey, BlockHash>,
 }
 
 impl CleanBlockIndex {
     pub(crate) fn new(planes: u32) -> Self {
         CleanBlockIndex {
             by_score: vec![BTreeSet::new(); planes as usize],
-            keys: SparseHashMap::new(),
+            keys: HashMap::default(),
         }
     }
 
@@ -54,7 +54,7 @@ impl CleanBlockIndex {
     /// touched only when `(score, plane)` changed.
     pub(crate) fn upsert(&mut self, lbn: u64, score: (u64, u64), plane: u32) {
         let key = StoredKey { score, plane };
-        match self.keys.get_mut(lbn) {
+        match self.keys.get_mut(&lbn) {
             Some(old) if *old == key => return,
             Some(old) => {
                 let removed =
@@ -71,7 +71,7 @@ impl CleanBlockIndex {
 
     /// Drops one block from the index (no-op if absent).
     pub(crate) fn remove(&mut self, lbn: u64) {
-        if let Some(k) = self.keys.remove(lbn) {
+        if let Some(k) = self.keys.remove(&lbn) {
             let removed = self.by_score[k.plane as usize].remove(&(k.score.0, k.score.1, lbn));
             debug_assert!(removed, "score set out of sync for lbn {lbn}");
         }
@@ -89,7 +89,7 @@ impl CleanBlockIndex {
         let mut out: Vec<_> = self
             .keys
             .iter()
-            .map(|(lbn, k)| (lbn, k.score, k.plane))
+            .map(|(&lbn, k)| (lbn, k.score, k.plane))
             .collect();
         out.sort_unstable();
         out

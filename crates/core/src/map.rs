@@ -19,8 +19,9 @@
 //! paper's; it keys page-granularity entries by block address in the same
 //! kind of table, and `Ssc::map_memory` still *charges* the log directory
 //! at that rate. Filing them as one row inside the logical block's entry is
-//! ours: every operation resolves its LBN with one probe, and a merge takes
-//! a block's log pages as one array.
+//! ours: a lookup resolves its LBN with one search of the map (an operation
+//! makes several on one LBN; the map answers a repeat from its last hit),
+//! and a merge takes a block's log pages as one array.
 
 use flashsim::{set_bits, Ppn};
 use sparsemap::{SparseHashMap, SparseRow};
@@ -243,7 +244,7 @@ impl SscMaps {
         }
     }
 
-    /// Everything mapped for `lbn` — the one probe behind every operation.
+    /// Everything mapped for `lbn`, in one search.
     pub fn lbn(&self, lbn: u64) -> Option<&LbnEntry> {
         self.lbns.get(lbn)
     }

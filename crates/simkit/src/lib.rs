@@ -12,8 +12,8 @@
 //! * [`rng`] — small deterministic PRNGs (SplitMix64 and xoshiro256++) so that
 //!   workload generation does not depend on external crate versions for
 //!   reproducibility of the published numbers.
-//! * [`stats`] — streaming summaries, histograms, percentiles and CDFs used by
-//!   the evaluation harness.
+//! * [`stats`] — histograms, percentiles and CDFs used by the evaluation
+//!   harness.
 //! * [`hash`] — [`hash::BlockHash`], the cheap deterministic `BuildHasher`
 //!   for host-side tables keyed by a block address.
 //! * [`iobuf`] — the reusable [`PageBuf`] that every device `*_into` read
@@ -33,4 +33,4 @@ pub use clock::{Duration, SimClock, SimTime};
 pub use crc::{crc32, crc32_bytewise};
 pub use iobuf::PageBuf;
 pub use rng::{fill_pseudo, SimRng};
-pub use stats::{Cdf, Histogram, Summary};
+pub use stats::{Cdf, Histogram};

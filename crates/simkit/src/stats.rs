@@ -1,129 +1,11 @@
 //! Statistics helpers for the evaluation harness.
 //!
-//! Three small tools cover everything the paper's tables and figures need:
+//! Two small tools cover everything the paper's tables and figures need:
 //!
-//! * [`Summary`] — streaming count/mean/min/max (Welford variance), used for
-//!   response-time reporting (§6.4).
-//! * [`Histogram`] — log-scaled bucket counts with percentile queries, used
-//!   for latency distributions.
+//! * [`Histogram`] — log-scaled bucket counts with percentile queries and
+//!   exact count/sum/mean/max, used for response-time reporting (§6.4).
 //! * [`Cdf`] — an exact empirical CDF over collected samples, used for the
 //!   region-density distribution of Figure 1.
-
-/// Streaming summary statistics over `f64` samples.
-///
-/// Uses Welford's online algorithm so variance is numerically stable over
-/// long runs.
-///
-/// # Examples
-///
-/// ```
-/// use simkit::Summary;
-///
-/// let mut s = Summary::new();
-/// for x in [1.0, 2.0, 3.0] {
-///     s.add(x);
-/// }
-/// assert_eq!(s.count(), 3);
-/// assert!((s.mean() - 2.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Summary {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-    sum: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-        }
-    }
-
-    /// Adds one sample.
-    pub fn add(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of samples (0 when empty).
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean of samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another summary into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// A histogram with logarithmically spaced buckets for non-negative samples.
 ///
@@ -131,8 +13,8 @@ impl Summary {
 /// ~2x relative resolution over an unbounded range with 64 fixed buckets —
 /// sufficient for microsecond-scale latency distributions. Beside the
 /// buckets it keeps the exact count, sum and maximum as integers: recording
-/// is on the per-event path of every replay, where a [`Summary`]'s running
-/// mean would cost a dependent `f64` division per sample.
+/// is on the per-event path of every replay, where a running `f64` mean
+/// would cost a dependent division per sample.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     buckets: [u64; 64],
@@ -292,65 +174,6 @@ impl Cdf {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summary_basic_moments() {
-        let mut s = Summary::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.add(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-9);
-        assert!((s.stddev() - 2.0).abs() < 1e-9);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-        assert!((s.sum() - 40.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_empty_is_safe() {
-        let s = Summary::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn summary_merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i * i % 37) as f64).collect();
-        let mut whole = Summary::new();
-        for &x in &xs {
-            whole.add(x);
-        }
-        let mut left = Summary::new();
-        let mut right = Summary::new();
-        for &x in &xs[..40] {
-            left.add(x);
-        }
-        for &x in &xs[40..] {
-            right.add(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn summary_merge_with_empty() {
-        let mut a = Summary::new();
-        a.add(5.0);
-        let empty = Summary::new();
-        a.merge(&empty);
-        assert_eq!(a.count(), 1);
-        let mut b = Summary::new();
-        b.merge(&a);
-        assert_eq!(b.count(), 1);
-        assert_eq!(b.mean(), 5.0);
-    }
 
     #[test]
     fn histogram_buckets_and_quantiles() {

@@ -1,5 +1,7 @@
 //! The sparse hash map.
 
+use std::cell::Cell;
+
 use crate::group::{Group, GROUP_SIZE};
 use crate::memory::{sparse_modeled_bytes, MapMemory};
 
@@ -29,10 +31,12 @@ const MIN_LOAD: f64 = 0.10;
 /// entries are neighbours in the packed array — one bitmap load and a short
 /// contiguous scan, entering the next group only when the run reaches the
 /// end of this one; an empty home bucket is a miss decided from the bitmap
-/// alone. Removal is **backward-shift deletion**: the entries after the
-/// freed bucket in its run move back over it unless that would carry them
-/// in front of their own home, so a run never has a gap and a table whose
-/// live size is constant is never rebuilt, however long keys come and go.
+/// alone. Before probing, a lookup tries where the last hit landed, because
+/// one operation looks its key up several times. Removal is
+/// **backward-shift deletion**: the entries after the freed bucket in its
+/// run move back over it unless that would carry them in front of their
+/// own home, so a run never has a gap and a table whose live size is
+/// constant is never rebuilt, however long keys come and go.
 ///
 /// The paper bounds runtime by the constant `M` and observes "typically
 /// there are no more than 4-5 probes per lookup";
@@ -56,6 +60,10 @@ pub struct SparseHashMap<V> {
     groups: Vec<Group<V>>,
     buckets: usize,
     occupied: usize,
+    /// `(key, bucket, slot)` of the last successful
+    /// [`SparseHashMap::find`]. Nothing that moves entries maintains it:
+    /// `find` checks it first. A `Cell`, so the map is `Send` but not `Sync`.
+    last: Cell<(u64, usize, usize)>,
 }
 
 impl<V> Default for SparseHashMap<V> {
@@ -88,6 +96,7 @@ impl<V> SparseHashMap<V> {
             groups: (0..buckets / GROUP_SIZE).map(|_| Group::new()).collect(),
             buckets,
             occupied: 0,
+            last: Cell::new((0, 0, 0)),
         }
     }
 
@@ -115,13 +124,40 @@ impl<V> SparseHashMap<V> {
         hash as usize & (self.buckets - 1)
     }
 
-    /// The one probe. `Ok((bucket, group, slot))` locates `key`: the bucket
-    /// it occupies, and the group and packed slot holding its entry.
+    /// The one lookup. `Ok((bucket, group, slot))` locates `key`: the
+    /// bucket it occupies, and the group and packed slot holding its entry.
     /// `Err(bucket)` is the first empty bucket of its probe sequence, where
-    /// it would be stored. Terminates because the load factor keeps at
-    /// least a quarter of the buckets empty.
+    /// it would be stored.
+    ///
+    /// The last hit is tried before the probe, when it was `key`'s. It
+    /// stands only if its packed slot still holds `key` and its bucket is
+    /// still occupied with exactly that slot: a key is stored once, and an
+    /// occupied bucket's slot is its rank, so a memo that passes names the
+    /// key's one location, and a stale one — whatever moved, grew or shrank
+    /// the table since — falls through.
     #[inline]
     fn find(&self, key: u64) -> Result<(usize, usize, usize), usize> {
+        let (last_key, bucket, slot) = self.last.get();
+        let gi = bucket / GROUP_SIZE;
+        if key == last_key
+            && self
+                .groups
+                .get(gi)
+                .is_some_and(|g| g.holds(bucket % GROUP_SIZE, slot, key))
+        {
+            return Ok((bucket, gi, slot));
+        }
+        let found = self.probe(key);
+        if let Ok((bucket, _, slot)) = found {
+            self.last.set((key, bucket, slot));
+        }
+        found
+    }
+
+    /// The probe behind [`SparseHashMap::find`], same answer. Terminates
+    /// because the load factor keeps at least a quarter of the buckets empty.
+    #[inline]
+    fn probe(&self, key: u64) -> Result<(usize, usize, usize), usize> {
         let mut bucket = self.home(key);
         loop {
             let gi = bucket / GROUP_SIZE;
@@ -148,7 +184,7 @@ impl<V> SparseHashMap<V> {
     fn insert_absent(&mut self, mut bucket: usize, key: u64, value: V) -> (usize, usize) {
         if (self.occupied + 1) as f64 > self.buckets as f64 * MAX_LOAD {
             self.resize(self.buckets * 2);
-            bucket = self.find(key).expect_err("the key was absent");
+            bucket = self.probe(key).expect_err("the key was absent");
         }
         self.occupied += 1;
         let gi = bucket / GROUP_SIZE;
@@ -255,7 +291,7 @@ impl<V> SparseHashMap<V> {
         let old = std::mem::replace(self, Self::with_buckets(buckets));
         self.occupied = old.occupied;
         for (key, value) in old.groups.into_iter().flat_map(Group::into_slots) {
-            let bucket = self.find(key).expect_err("stored keys are distinct");
+            let bucket = self.probe(key).expect_err("stored keys are distinct");
             self.groups[bucket / GROUP_SIZE].insert(bucket % GROUP_SIZE, key, value);
         }
     }
@@ -287,15 +323,18 @@ impl<V> SparseHashMap<V> {
     /// its packed entries, `len()` is their sum, live load is within
     /// `MAX_LOAD`, and a lookup of every stored key ends at that very entry
     /// — it is reachable from its home through occupied buckets only, and
-    /// stored once. The oracle the property tests call after every step.
+    /// stored once — and a lookup of the memo's key lands where the probe
+    /// does. The oracle the property tests call after every step.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
+        let (key, ..) = self.last.get();
+        assert_eq!(self.find(key), self.probe(key), "memo for key {key:#x}");
         assert_eq!(self.groups.len() * GROUP_SIZE, self.buckets);
         assert!(self.occupied as f64 <= self.buckets as f64 * MAX_LOAD);
         for (gi, g) in self.groups.iter().enumerate() {
             assert_eq!(g.len(), g.entries().len(), "group {gi}: bitmap vs slots");
             for (slot, (key, _)) in g.entries().iter().enumerate() {
-                let found = self.find(*key).map(|(_, gi, slot)| (gi, slot));
+                let found = self.probe(*key).map(|(_, gi, slot)| (gi, slot));
                 assert_eq!(found, Ok((gi, slot)), "lookup of stored key {key:#x}");
             }
         }
@@ -439,6 +478,29 @@ mod tests {
         m.check_invariants();
         assert_eq!(m.len(), live as usize);
         assert!(m.probe_stats() < 5.0, "avg probes {}", m.probe_stats());
+    }
+
+    #[test]
+    fn any_memo_is_checked_before_it_is_trusted() {
+        // Nothing that moves entries maintains the memo, so a lookup must be
+        // right whatever it holds: plant every (key, bucket, slot) a group
+        // could name, and out-of-range ones, and compare with the probe.
+        let mut m = SparseHashMap::new();
+        for i in 0..40u64 {
+            m.insert(i * 7, i);
+        }
+        for i in 0..10u64 {
+            m.remove(i * 21);
+        }
+        let keys: Vec<u64> = m.keys().chain([1 << 40]).collect();
+        for &key in &keys {
+            for bucket in 0..m.buckets() + GROUP_SIZE {
+                for slot in 0..=GROUP_SIZE {
+                    m.last.set((key, bucket, slot));
+                    assert_eq!(m.find(key), m.probe(key), "memo ({key}, {bucket}, {slot})");
+                }
+            }
+        }
     }
 
     #[test]

@@ -244,6 +244,94 @@ fn fifo_churn_across_grow_and_shrink_cycles() {
 }
 
 #[test]
+fn memo_follows_hot_keys_through_shifts_swaps_and_resizes() {
+    // A lookup first tries where the last hit landed. Hammer a few hot keys
+    // with repeated lookups, and between them insert and remove keys homed
+    // in the same and the adjacent group: those shift the hot keys' packed
+    // slots, carry them across buckets by backward-shift swaps, and move
+    // them between groups at the 31 -> 32 boundary. Filler keys grow the
+    // table and let it shrink again, rebuilding it under the memo.
+    let hot: Vec<u64> = [(29, 0), (30, 0), (31, 0), (33, 0)]
+        .map(|(home, n)| key_with_home(home, n))
+        .to_vec();
+    let neighbours: Vec<u64> = (0..24)
+        .map(|i| key_with_home(26 + i % 12, 1 + i as u64 / 12))
+        .collect();
+    let mut rng = SimRng::seed_from(0x5AA5_6000);
+    let mut sut: SparseHashMap<u64> = SparseHashMap::new();
+    let mut reference: HashMap<u64, u64> = HashMap::new();
+    let mut fillers: Vec<u64> = Vec::new();
+    let (mut grew, mut shrank) = (0, 0);
+    for step in 0..6_000u64 {
+        let at = format!("step {step}");
+        let buckets = sut.buckets();
+        match rng.gen_range(10) {
+            // A hot key, looked up one to three times running.
+            0..=5 => {
+                let k = hot[rng.gen_range(hot.len() as u64) as usize];
+                for _ in 0..1 + rng.gen_range(3) {
+                    match rng.gen_range(5) {
+                        0 => assert_eq!(sut.get(k), reference.get(&k), "{at}"),
+                        1 => {
+                            let want = reference.get_mut(&k).map(|v| {
+                                *v += 1;
+                                *v
+                            });
+                            let got = sut.get_mut(k).map(|v| {
+                                *v += 1;
+                                *v
+                            });
+                            assert_eq!(got, want, "{at}");
+                        }
+                        2 => {
+                            let want = *reference.entry(k).or_insert(step);
+                            assert_eq!(*sut.get_or_insert_with(k, || step), want, "{at}");
+                        }
+                        3 => assert_eq!(sut.remove(k), reference.remove(&k), "{at}"),
+                        _ => assert_eq!(sut.insert(k, !step), reference.insert(k, !step), "{at}"),
+                    }
+                    sut.check_invariants();
+                }
+            }
+            // A neighbour comes or goes.
+            6..=7 => {
+                let k = neighbours[rng.gen_range(neighbours.len() as u64) as usize];
+                if rng.gen_bool(0.5) {
+                    assert_eq!(sut.insert(k, step), reference.insert(k, step), "{at}");
+                } else {
+                    assert_eq!(sut.remove(k), reference.remove(&k), "{at}");
+                }
+            }
+            // Fillers pile up for a thousand steps, then drain twice as fast.
+            _ if step / 1_000 % 2 == 0 => {
+                for _ in 0..3 {
+                    let k = rng.next_u64();
+                    fillers.push(k);
+                    assert_eq!(sut.insert(k, k), reference.insert(k, k), "{at}");
+                }
+            }
+            _ => {
+                for k in fillers.split_off(fillers.len().saturating_sub(6)) {
+                    assert_eq!(sut.remove(k), reference.remove(&k), "{at}");
+                }
+            }
+        }
+        grew += usize::from(sut.buckets() > buckets);
+        shrank += usize::from(sut.buckets() < buckets);
+        assert_eq!(sut.len(), reference.len(), "{at}");
+        sut.check_invariants();
+        // The figure reads where each key's probe ends; the memo must not
+        // change it, whether it is stale or was just set by a hit.
+        let cold = sut.probe_stats();
+        let k = hot[step as usize % hot.len()];
+        assert_eq!(sut.get(k), reference.get(&k), "{at}");
+        assert_eq!(sut.probe_stats(), cold, "{at}: probe_stats cold vs warm");
+    }
+    assert_same_contents(&sut, &reference);
+    assert!(grew >= 6 && shrank >= 6, "grew {grew}, shrank {shrank}");
+}
+
+#[test]
 fn sparse_map_survives_heavy_churn() {
     for case in 0..32u64 {
         let seed = SimRng::seed_from(0x5AA5_1000 ^ case).next_u64();
