@@ -49,35 +49,24 @@ pub struct DensityRow {
 /// experiment only generates traces (no replay), so it runs its workloads
 /// ~20x larger than the replay experiments with the operation count capped.
 pub fn fig1_density(multiplier: f64) -> Vec<DensityRow> {
-    let mut workloads: Vec<ScaledWorkload> = trace::WorkloadSpec::paper_four()
+    // One trace at a time: each is generated, summarised and dropped before
+    // the next (every trace seeds its own RNG, so the order is immaterial).
+    trace::WorkloadSpec::paper_four()
         .into_iter()
         .map(|full| {
             let factor = (crate::scaled::default_scale(&full.name) * multiplier * 0.05).max(1.0);
             let mut spec = full.scaled(factor);
             spec.total_ops = spec.total_ops.min(8_000_000);
-            let trace = trace::generate(&spec);
-            let cache_blocks = spec.cache_blocks(0.25);
-            ScaledWorkload {
-                spec,
-                trace,
-                cache_blocks,
-                full_spec: full,
-            }
-        })
-        .collect();
-    workloads
-        .drain(..)
-        .map(|w| {
-            let stats = TraceStats::compute(&w.trace);
+            let stats = TraceStats::compute(&trace::generate(&spec));
             let cdf = stats.region_density_cdf(0.25);
             // Region size scales with the workload so the <1% and >10%
             // thresholds stay meaningful at reduced scale.
-            let scale = w.full_spec.range_blocks as f64 / w.spec.range_blocks as f64;
+            let scale = full.range_blocks as f64 / spec.range_blocks as f64;
             let region_blocks = (100_000.0 / scale).max(1.0);
             let all: Vec<(f64, f64)> = cdf.points().collect();
             let step = (all.len() / 64).max(1);
             DensityRow {
-                workload: w.spec.name.clone(),
+                workload: spec.name,
                 regions: cdf.len(),
                 under_1pct: cdf.fraction_le(region_blocks * 0.01),
                 over_10pct: 1.0 - cdf.fraction_le(region_blocks * 0.10),

@@ -84,11 +84,7 @@ fn partitioning_preserves_per_lba_order() {
                 .copied()
                 .filter(|e| router.shard_of(e.lba) == i)
                 .collect();
-            assert_eq!(part.len(), expect.len(), "shard {i} event count");
-            for (a, b) in part.iter().zip(expect.iter()) {
-                assert_eq!(a.lba, b.lba, "shard {i} order broken");
-                assert_eq!(a.kind, b.kind, "shard {i} order broken");
-            }
+            assert_eq!(part, &expect, "shard {i} order broken");
         }
     }
 }

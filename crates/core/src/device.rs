@@ -582,8 +582,9 @@ impl Ssc {
     ///
     /// # Errors
     ///
-    /// [`SscError::BadPageSize`], [`SscError::OutOfSpace`] (cache full of
-    /// dirty data), or a flash fault.
+    /// [`SscError::BadPageSize`], [`SscError::LbaOutOfRange`] (`lba` is
+    /// `u64::MAX`), [`SscError::OutOfSpace`] (cache full of dirty data), or a
+    /// flash fault.
     pub fn write_dirty(&mut self, lba: u64, data: &[u8]) -> Result<Duration> {
         let mut cost = self.insert(lba, data, true)?;
         cost += self.commit_sync()?;
@@ -726,7 +727,7 @@ impl Ssc {
             if lba < start || lba >= end {
                 return;
             }
-            let write_seq = dev.peek_oob(ppn).map(|oob| oob.seq).unwrap_or(0);
+            let write_seq = dev.peek_oob(ppn).map(|oob| oob.seq()).unwrap_or(0);
             out.push(CachedBlockMeta {
                 lba,
                 dirty,
@@ -764,6 +765,10 @@ impl Ssc {
     /// Common insert path for both write flavours (excluding commit policy).
     fn insert(&mut self, lba: u64, data: &[u8], dirty: bool) -> Result<Duration> {
         self.check_size(data)?;
+        // The OOB area reserves this address for internal pages.
+        if lba == u64::MAX {
+            return Err(SscError::LbaOutOfRange(lba));
+        }
         let mut cost = Duration::ZERO;
         let mut active = self.log_block_with_space(&mut cost)?;
         self.invalidate_lba(lba)?;
@@ -847,14 +852,14 @@ impl Ssc {
         let mut valid = self.dev.valid_pages_iter(victim)?;
         let Some(first_lba) = valid
             .next()
-            .and_then(|(_, oob)| oob.lba)
+            .and_then(|(_, oob)| oob.lba())
             .filter(|lba| lba % ppb == 0)
         else {
             return Ok(None);
         };
         Ok(valid
             .zip(first_lba + 1..)
-            .all(|((_, oob), lba)| oob.lba == Some(lba))
+            .all(|((_, oob), lba)| oob.lba() == Some(lba))
             .then_some(first_lba / ppb))
     }
 
@@ -916,7 +921,7 @@ impl Ssc {
         lbas.extend(
             self.dev
                 .valid_pages_iter(victim)?
-                .filter_map(|(_, oob)| oob.lba),
+                .filter_map(|(_, oob)| oob.lba()),
         );
         lbas.sort_unstable();
         lbas.dedup();
@@ -1197,7 +1202,7 @@ impl Ssc {
         let newest_seq = || -> u64 {
             self.dev
                 .valid_pages_iter(Pbn(entry.pbn))
-                .map(|pages| pages.map(|(_, oob)| oob.seq).max().unwrap_or(0))
+                .map(|pages| pages.map(|(_, oob)| oob.seq()).max().unwrap_or(0))
                 .unwrap_or(0)
         };
         match self.config.victim_selection {
@@ -1478,6 +1483,27 @@ mod tests {
         let far = 1 << 40;
         s.write_clean(far, &page(&s, 9)).unwrap();
         assert_eq!(s.read(far).unwrap().0, page(&s, 9));
+        let top = u64::MAX - 1;
+        s.write_dirty(top, &page(&s, 8)).unwrap();
+        assert_eq!(s.read(top).unwrap().0, page(&s, 8));
+    }
+
+    #[test]
+    fn the_internal_page_marker_is_not_an_address() {
+        let mut s = ssc();
+        let before = s.flash_counters().page_writes;
+        for dirty in [false, true] {
+            let p = page(&s, 1);
+            let r = if dirty {
+                s.write_dirty(u64::MAX, &p)
+            } else {
+                s.write_clean(u64::MAX, &p)
+            };
+            assert_eq!(r, Err(SscError::LbaOutOfRange(u64::MAX)));
+        }
+        assert_eq!(s.flash_counters().page_writes, before);
+        s.write_dirty(0, &page(&s, 2)).unwrap();
+        assert_eq!(s.read(0).unwrap().0, page(&s, 2));
     }
 
     #[test]
@@ -1954,7 +1980,7 @@ mod index_oracle_tests {
         let mut on_flash: HashMap<u64, Ppn> = HashMap::new();
         for pbn in (0..geometry.total_blocks()).map(Pbn) {
             for (ppn, oob) in s.dev.valid_pages_iter(pbn).unwrap() {
-                let lba = oob.lba.expect("a valid page carries its LBA");
+                let lba = oob.lba().expect("a valid page carries its LBA");
                 assert_eq!(on_flash.insert(lba, ppn), None, "two valid copies of {lba}");
             }
         }

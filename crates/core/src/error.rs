@@ -21,6 +21,9 @@ pub enum SscError {
         /// Device page size.
         expected: usize,
     },
+    /// The address is outside the SSC's logical space, `0..u64::MAX`: the
+    /// top value marks device-internal pages in the OOB area.
+    LbaOutOfRange(u64),
     /// No space could be made even after eviction and garbage collection —
     /// the cache is entirely dirty and the manager must `clean` blocks.
     OutOfSpace,
@@ -43,6 +46,7 @@ impl fmt::Display for SscError {
                     "bad page size: got {got} bytes, device page is {expected}"
                 )
             }
+            SscError::LbaOutOfRange(lba) => write!(f, "logical address {lba} out of range"),
             SscError::OutOfSpace => {
                 write!(
                     f,
@@ -79,6 +83,9 @@ mod tests {
     fn display_and_source() {
         assert!(SscError::NotPresent(9).to_string().contains("not present"));
         assert!(SscError::OutOfSpace.to_string().contains("dirty"));
+        assert!(SscError::LbaOutOfRange(7)
+            .to_string()
+            .contains("7 out of range"));
         assert!(SscError::BadPageSize {
             got: 1,
             expected: 4096

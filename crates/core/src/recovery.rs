@@ -194,7 +194,7 @@ impl Ssc {
                 let mut newest_seq = None;
                 for (ppn, oob) in self.dev.valid_pages_of(pbn)? {
                     if referenced.contains(&ppn) {
-                        newest_seq = Some(newest_seq.unwrap_or(0).max(oob.seq));
+                        newest_seq = Some(newest_seq.unwrap_or(0).max(oob.seq()));
                     } else {
                         // Orphaned by lost (buffered) records: behaves as if
                         // silently evicted.

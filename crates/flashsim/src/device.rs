@@ -184,7 +184,7 @@ impl FlashDevice {
     /// Deterministic synthetic payload for discard-mode reads, written into
     /// `out` (pseudo-random stream seeded from the page's identity).
     fn fake_data_into(ppn: Ppn, oob: &OobData, out: &mut [u8]) {
-        let seed = ppn.raw() ^ oob.seq.rotate_left(17) ^ oob.lba.unwrap_or(u64::MAX);
+        let seed = ppn.raw() ^ oob.seq().rotate_left(17) ^ oob.lba().unwrap_or(u64::MAX);
         simkit::fill_pseudo(seed, out);
     }
 
@@ -815,8 +815,8 @@ mod tests {
         let valid = d.valid_pages_of(pbn).unwrap();
         assert_eq!(valid.len(), 1);
         assert_eq!(valid[0].0, p1);
-        assert_eq!(valid[0].1.lba, Some(11));
-        assert!(valid[0].1.dirty);
+        assert_eq!(valid[0].1.lba(), Some(11));
+        assert!(valid[0].1.dirty());
     }
 
     #[test]
@@ -846,7 +846,7 @@ mod tests {
         d.program_page(ppn, &data, OobData::for_lba(3, true, 9))
             .unwrap();
         let (oob, cost) = d.read_oob(ppn).unwrap();
-        assert_eq!(oob.lba, Some(3));
+        assert_eq!(oob.lba(), Some(3));
         assert_eq!(cost.as_micros(), 75);
         assert_eq!(d.counters().oob_reads, 1);
         // peek_oob is free and uncounted.
@@ -1033,7 +1033,7 @@ mod batch_tests {
         for (i, fill) in [103u8, 0, 0, 101].into_iter().enumerate() {
             let ppn = Ppn(first + i as u64);
             assert_eq!(d.read_page(ppn).unwrap().0, vec![fill; g.page_size()]);
-            assert_eq!(d.peek_oob(ppn).unwrap().seq, 50 + i as u64);
+            assert_eq!(d.peek_oob(ppn).unwrap().seq(), 50 + i as u64);
             assert_eq!(d.page_state(ppn).unwrap(), PageState::Valid);
         }
         // Counters counted each page; every source is now superseded.
@@ -1343,7 +1343,7 @@ mod fault_tests {
             .unwrap();
         assert_eq!(d.read_oob(ppn).unwrap_err(), FlashError::ReadCorrupt(ppn));
         // peek_oob models controller RAM, immune to media faults.
-        assert_eq!(d.peek_oob(ppn).unwrap().lba, Some(3));
+        assert_eq!(d.peek_oob(ppn).unwrap().lba(), Some(3));
         assert_eq!(d.fault_counters().oob_corruptions, 1);
     }
 

@@ -250,11 +250,11 @@ impl HybridFtl {
         let mut first_lba = 0;
         for (i, (_, oob)) in self.dev.valid_pages_iter(victim)?.enumerate() {
             if i == 0 {
-                match oob.lba {
+                match oob.lba() {
                     Some(lba) if lba % ppb as u64 == 0 => first_lba = lba,
                     _ => return Ok(None),
                 }
-            } else if oob.lba != Some(first_lba + i as u64) {
+            } else if oob.lba() != Some(first_lba + i as u64) {
                 return Ok(None);
             }
         }
@@ -286,7 +286,7 @@ impl HybridFtl {
         lbns.extend(
             self.dev
                 .valid_pages_iter(victim)?
-                .filter_map(|(_, oob)| oob.lba)
+                .filter_map(|(_, oob)| oob.lba())
                 .map(|lba| lba / ppb),
         );
         lbns.sort_unstable();
@@ -701,7 +701,7 @@ mod tests {
         assert_eq!(c.gc_copies, 2 + 8);
         let copies = (0..ssd.dev.geometry().total_blocks())
             .flat_map(|pbn| ssd.dev.valid_pages_of(Pbn(pbn)).unwrap())
-            .filter(|(_, oob)| oob.lba == Some(0))
+            .filter(|(_, oob)| oob.lba() == Some(0))
             .count();
         assert_eq!(copies, 1, "one valid physical copy of the rewritten LBA");
         let recount: usize = ssd.log_rows.iter().map(SparseRow::len).sum();
@@ -752,7 +752,7 @@ mod log_bits_oracle_tests {
         let mut on_flash: HashMap<u64, Ppn> = HashMap::new();
         for pbn in (0..geometry.total_blocks()).map(Pbn) {
             for (ppn, oob) in ssd.dev.valid_pages_iter(pbn).unwrap() {
-                let lba = oob.lba.expect("a valid page carries its LBA");
+                let lba = oob.lba().expect("a valid page carries its LBA");
                 assert_eq!(on_flash.insert(lba, ppn), None, "{at}: two copies of {lba}");
             }
         }

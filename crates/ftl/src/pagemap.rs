@@ -192,11 +192,11 @@ impl PageFtl {
             // same timing and counters as read + program, no host copy.
             cost += self.dev.read_page_charge(ppn)?;
             let dest = self.stream_block(true, &mut cost)?;
-            let lba = oob.lba.expect("user pages carry an LBA");
+            let lba = oob.lba().expect("user pages carry an LBA");
             let seq = self.next_seq();
             let (new_ppn, wcost) =
                 self.dev
-                    .copy_page_from(dest, ppn, OobData::for_lba(lba, oob.dirty, seq))?;
+                    .copy_page_from(dest, ppn, OobData::for_lba(lba, oob.dirty(), seq))?;
             cost += wcost;
             self.dev.invalidate_page(ppn)?;
             self.map.insert(lba, new_ppn);

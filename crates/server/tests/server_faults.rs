@@ -12,6 +12,8 @@
 //!   device fault (`PowerLoss` inside group commit) quarantines the
 //!   owning shard: its requests answer `SHARD_FAILED`, every other shard
 //!   keeps serving, and shutdown still drains the healthy shards.
+//! * **A bad address is not a fault** — a PUT the SSC cannot store
+//!   answers `ERR` and quarantines nothing.
 //!
 //! Scaled by `FLASHTIER_FUZZ_SCALE` (nightly deep CI sets 3) like the
 //! crash-point fuzzer.
@@ -24,6 +26,7 @@ use disksim::{Disk, DiskConfig, DiskDataMode};
 use flashtier_core::{shard_config, CrashSite, ShardRouter, Ssc, SscConfig};
 use flashtier_server::{
     BlockClient, NetFaultPlan, RetryConfig, RetryingClient, ServeSystem, Server, ServerConfig,
+    STATUS_ERR,
 };
 
 const BLOCK: usize = 512;
@@ -258,6 +261,38 @@ fn torture_loses_no_acked_writes_wb() {
     run_torture(wb_set(4), 0xF417_0002, |s| {
         s.crash_and_recover().expect("recover wb shard");
     });
+}
+
+#[test]
+fn put_at_the_top_lba_is_refused_without_quarantine() {
+    let set = wb_set(2);
+    let router = set.router();
+    let owner = router.shard_of(u64::MAX);
+    let server = Server::start(set, "127.0.0.1:0", ServerConfig::default()).expect("bind server");
+    let mut client = BlockClient::connect(server.addr()).expect("connect");
+
+    // The SSC reserves u64::MAX for internal pages' OOB: the PUT fails as
+    // a plain error, like any other bad address.
+    let resp = client
+        .put(u64::MAX, &payload(u64::MAX, 1))
+        .expect("top put");
+    assert_eq!(resp.status, STATUS_ERR);
+
+    // The owning shard keeps serving.
+    let lba = (0..1000u64)
+        .find(|&l| router.shard_of(l) == owner)
+        .expect("an lba on the owning shard");
+    let data = payload(lba, 2);
+    assert!(client.put(lba, &data).expect("owner put").ok());
+    let resp = client.get(lba).expect("owner get");
+    assert!(resp.ok());
+    assert_eq!(resp.payload, data);
+
+    drop(client);
+    let report = server.shutdown();
+    assert!(report.panics.is_empty(), "{:?}", report.panics);
+    assert_eq!(report.stats.shards_quarantined, 0);
+    assert!(report.shard_health.iter().all(|h| h.is_healthy()));
 }
 
 #[test]

@@ -62,9 +62,7 @@ pub fn from_msr_csv<R: BufRead>(
             break;
         }
         match parse_msr_line(&line) {
-            Some((is_write, offset, size)) => {
-                let first = offset / BLOCK_BYTES;
-                let last = (offset + size.max(1) - 1) / BLOCK_BYTES;
+            Some((is_write, first, last)) => {
                 for lba in first..=last {
                     if events.len() >= max_events {
                         break;
@@ -86,10 +84,12 @@ pub fn from_msr_csv<R: BufRead>(
             "no parsable MSR records in input",
         ));
     }
+    // `max_lba <= u64::MAX / BLOCK_BYTES`, so the bound cannot overflow.
     Ok((Trace::new(name, max_lba + 1, events), skipped))
 }
 
-/// Parses one MSR CSV line into `(is_write, byte offset, byte size)`.
+/// Parses one MSR CSV line into `(is_write, first block, last block)`. A
+/// record whose last byte lies beyond `u64::MAX` is malformed.
 fn parse_msr_line(line: &str) -> Option<(bool, u64, u64)> {
     let mut fields = line.split(',');
     let _timestamp = fields.next()?;
@@ -103,7 +103,8 @@ fn parse_msr_line(line: &str) -> Option<(bool, u64, u64)> {
     };
     let offset: u64 = fields.next()?.trim().parse().ok()?;
     let size: u64 = fields.next()?.trim().parse().ok()?;
-    Some((is_write, offset, size))
+    let end = offset.checked_add(size.max(1) - 1)?;
+    Some((is_write, offset / BLOCK_BYTES, end / BLOCK_BYTES))
 }
 
 #[cfg(test)]
@@ -133,8 +134,7 @@ garbage line that should be skipped
             .collect();
         assert_eq!(writes, vec![1, 2]);
         // The 512-byte read maps to block 3.
-        assert_eq!(trace.events.last().unwrap().lba, 3);
-        assert!(!trace.events.last().unwrap().is_write());
+        assert_eq!(*trace.events.last().unwrap(), TraceEvent::read(3));
     }
 
     #[test]
@@ -181,7 +181,26 @@ garbage line that should be skipped
     fn zero_size_requests_touch_one_block() {
         let line = "1,h,0,Read,8192,0,1";
         let (trace, _) = from_msr_csv(line.as_bytes(), "t", usize::MAX).unwrap();
-        assert_eq!(trace.len(), 1);
-        assert_eq!(trace.events[0].lba, 2);
+        assert_eq!(trace.events, vec![TraceEvent::read(2)]);
+    }
+
+    #[test]
+    fn offset_at_u64_max_is_skipped() {
+        let csv = "1,h,0,Read,18446744073709551615,4096,1\n2,h,0,Read,0,4096,1\n";
+        let (trace, skipped) = from_msr_csv(csv.as_bytes(), "t", usize::MAX).unwrap();
+        assert_eq!(skipped, 1);
+        assert_eq!(trace.events, vec![TraceEvent::read(0)]);
+    }
+
+    #[test]
+    fn request_past_the_last_addressable_block_is_skipped() {
+        // The last 4 KB block of the byte space: its final byte is u64::MAX.
+        let start = u64::MAX - (BLOCK_BYTES - 1);
+        let last_block = u64::MAX / BLOCK_BYTES;
+        let csv = format!("1,h,0,Write,{start},4096,1\n2,h,0,Write,{start},8192,1\n");
+        let (trace, skipped) = from_msr_csv(csv.as_bytes(), "t", usize::MAX).unwrap();
+        assert_eq!(skipped, 1);
+        assert_eq!(trace.events, vec![TraceEvent::write(last_block)]);
+        assert_eq!(trace.range_blocks, last_block + 1);
     }
 }

@@ -35,7 +35,8 @@ use simkit::SimRng;
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
     n: u64,
-    theta: f64,
+    /// `1 + 0.5^theta`: a scaled draw in `[1, rank1_below)` is rank 1.
+    rank1_below: f64,
     alpha: f64,
     zetan: f64,
     eta: f64,
@@ -59,7 +60,7 @@ impl ZipfSampler {
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
         ZipfSampler {
             n,
-            theta,
+            rank1_below: 1.0 + 0.5f64.powf(theta),
             alpha,
             zetan,
             eta,
@@ -82,7 +83,7 @@ impl ZipfSampler {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.rank1_below {
             return 1;
         }
         let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;

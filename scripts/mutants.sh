@@ -4,13 +4,15 @@
 # tests of the package its `package:` header names are run, and the patch
 # is reversed again (also on interrupt). The script fails when a mutant
 # survives (its package's tests still pass) and when a patch no longer
-# applies — a mutant that has drifted from the code checks nothing.
+# applies — a mutant that has drifted from the code checks nothing. The
+# `killed-by:` header names the test(s) expected to catch it.
 #
 #   ./scripts/mutants.sh                 # all mutants
 #   ./scripts/mutants.sh <name>...       # scripts/mutants/<name>.patch only
 #
-# Std tools only: git, cargo, sed. Slow (one debug test run per mutant), so
-# it lives in the nightly lane (.github/workflows/deep.yml), not tier-1.
+# Std tools only: git, cargo, sed. One incremental debug test run per
+# mutant; CI's fast lane runs it right after the debug test suite, whose
+# build it reuses.
 
 set -eu
 
