@@ -13,8 +13,6 @@
 //! Everything is driven by the spec's seed, so a given [`WorkloadSpec`]
 //! always produces the identical trace.
 
-use std::collections::HashSet;
-
 use simkit::SimRng;
 
 use crate::event::{Trace, TraceEvent};
@@ -38,28 +36,49 @@ pub const REGION_BLOCKS: u64 = 100_000;
 /// ```
 pub fn generate(spec: &WorkloadSpec) -> Trace {
     let mut rng = SimRng::seed_from(spec.seed);
-    let population = layout_population(spec, &mut rng);
-    let runs = run_boundaries(&population);
-    access_stream(spec, &population, &runs, &mut rng)
+    let runs = layout_runs(spec, &mut rng);
+    access_stream(spec, &runs, &mut rng)
 }
 
-/// Splits the population (stored run-contiguously) into `(start, len)` runs
-/// of adjacent addresses — the "files" popularity is assigned to.
-fn run_boundaries(population: &[u64]) -> Vec<(usize, usize)> {
-    let mut runs = Vec::new();
-    let mut start = 0;
-    for i in 1..=population.len() {
-        let broken = i == population.len() || population[i] != population[i - 1] + 1;
-        if broken {
-            runs.push((start, i - start));
-            start = i;
+/// The laid-out population as maximal runs of adjacent addresses,
+/// `(first_lba, len)`, in the order the blocks were picked — the "files"
+/// popularity is assigned to.
+#[derive(Debug, Default)]
+struct Runs {
+    runs: Vec<(u64, u64)>,
+    blocks: u64,
+}
+
+impl Runs {
+    /// Appends one block, extending the last run when it is adjacent.
+    fn push(&mut self, lba: u64) {
+        match self.runs.last_mut() {
+            Some((first, len)) if *first + *len == lba => *len += 1,
+            _ => self.runs.push((lba, 1)),
         }
+        self.blocks += 1;
     }
-    runs
+}
+
+/// A fixed-size set over `0..len`, one bit per member.
+struct BitSet(Vec<u64>);
+
+impl BitSet {
+    fn new(len: u64) -> Self {
+        BitSet(vec![0; len.div_ceil(64) as usize])
+    }
+
+    /// Adds `i`; returns whether it was absent.
+    fn insert(&mut self, i: u64) -> bool {
+        let (word, bit) = (&mut self.0[(i / 64) as usize], 1 << (i % 64));
+        let absent = *word & bit == 0;
+        *word |= bit;
+        absent
+    }
 }
 
 /// Phase 1: choose which blocks of the volume exist in the trace.
-fn layout_population(spec: &WorkloadSpec, rng: &mut SimRng) -> Vec<u64> {
+fn layout_runs(spec: &WorkloadSpec, rng: &mut SimRng) -> Runs {
     let unique = spec.unique_blocks.min(spec.range_blocks);
     let region_count = spec.range_blocks.div_ceil(REGION_BLOCKS).max(1);
 
@@ -73,33 +92,40 @@ fn layout_population(spec: &WorkloadSpec, rng: &mut SimRng) -> Vec<u64> {
         .collect();
     let total_weight: f64 = weights.iter().sum();
 
-    let mut population = Vec::with_capacity(unique as usize);
-    let mut remaining = unique;
+    let mut runs = Runs::default();
     for (i, &region) in order.iter().enumerate() {
+        let remaining = unique - runs.blocks;
         if remaining == 0 {
             break;
         }
-        let region_start = region * REGION_BLOCKS;
-        let region_len = REGION_BLOCKS.min(spec.range_blocks - region_start);
-        let mut quota = ((unique as f64 * weights[i] / total_weight).ceil() as u64).min(region_len);
+        let start = region * REGION_BLOCKS;
+        let len = REGION_BLOCKS.min(spec.range_blocks - start);
+        let mut quota = ((unique as f64 * weights[i] / total_weight).ceil() as u64).min(len);
         // The last regions absorb any shortfall from capping dense regions.
         if i == order.len() - 1 {
-            quota = quota.max(remaining.min(region_len));
+            quota = quota.max(remaining.min(len));
         }
         let quota = quota.min(remaining);
-        let picked = pick_region_blocks(region_start, region_len, quota, spec.seq_run_len, rng);
-        remaining -= picked.len() as u64;
-        population.extend(picked);
+        pick_region_blocks(start, len, quota, spec.seq_run_len, &mut runs, rng);
     }
-    // If capping left a shortfall, fill uniformly at random.
-    let mut seen: HashSet<u64> = population.iter().copied().collect();
-    while (population.len() as u64) < unique && (seen.len() as u64) < spec.range_blocks {
-        let lba = rng.gen_range(spec.range_blocks);
-        if seen.insert(lba) {
-            population.push(lba);
+    // If capping left a shortfall, fill uniformly at random. Regions are
+    // disjoint and each dedups its own picks, so `runs.blocks` is also the
+    // number of blocks in `seen`.
+    if runs.blocks < unique {
+        let mut seen = BitSet::new(spec.range_blocks);
+        for &(first, len) in &runs.runs {
+            for lba in first..first + len {
+                seen.insert(lba);
+            }
+        }
+        while runs.blocks < unique {
+            let lba = rng.gen_range(spec.range_blocks);
+            if seen.insert(lba) {
+                runs.push(lba);
+            }
         }
     }
-    population
+    runs
 }
 
 /// Alignment of large layout extents: one 64-page (256 KB) erase block.
@@ -108,20 +134,21 @@ fn layout_population(spec: &WorkloadSpec, rng: &mut SimRng) -> Vec<u64> {
 /// real traces.
 const EXTENT_BLOCKS: u64 = 64;
 
-/// Picks `quota` distinct blocks inside one region: mostly large aligned
-/// extents (files), plus a tail of short scattered runs (metadata, small
-/// files).
+/// Picks `quota` distinct blocks inside one region into `runs`: mostly
+/// large aligned extents (files), plus a tail of short scattered runs
+/// (metadata, small files).
 fn pick_region_blocks(
     start: u64,
     len: u64,
     quota: u64,
     mean_run: u64,
+    runs: &mut Runs,
     rng: &mut SimRng,
-) -> Vec<u64> {
-    let mut picked = Vec::with_capacity(quota as usize);
-    let mut seen: HashSet<u64> = HashSet::with_capacity(quota as usize);
+) {
+    let mut seen = BitSet::new(len);
+    let mut picked = 0u64;
     let mut attempts = 0u64;
-    while (picked.len() as u64) < quota && attempts < quota * 8 + 64 {
+    while picked < quota && attempts < quota * 8 + 64 {
         attempts += 1;
         let (run_start, run_len) = if rng.gen_bool(0.85) {
             // A large extent: one or more whole aligned chunks.
@@ -137,14 +164,14 @@ fn pick_region_blocks(
             // A short scattered run.
             (start + rng.gen_range(len), geometric(mean_run, rng))
         };
-        let run_len = run_len.min(quota - picked.len() as u64);
+        let run_len = run_len.min(quota - picked);
         for lba in run_start..(run_start + run_len).min(start + len) {
-            if seen.insert(lba) {
-                picked.push(lba);
+            if seen.insert(lba - start) {
+                runs.push(lba);
+                picked += 1;
             }
         }
     }
-    picked
 }
 
 /// Geometric-ish run length with the given mean (at least 1).
@@ -167,13 +194,9 @@ fn geometric(mean: u64, rng: &mut SimRng) -> u64 {
 /// burst) inside it. Hot data therefore clusters at extent granularity —
 /// the property of real file-server traces that makes erase-block-level
 /// mapping effective — while cold runs supply the long sparse tail.
-fn access_stream(
-    spec: &WorkloadSpec,
-    population: &[u64],
-    runs: &[(usize, usize)],
-    rng: &mut SimRng,
-) -> Trace {
-    assert!(!population.is_empty(), "workload population is empty");
+fn access_stream(spec: &WorkloadSpec, runs: &Runs, rng: &mut SimRng) -> Trace {
+    assert!(runs.blocks > 0, "workload population is empty");
+    let runs = &runs.runs;
     let n_runs = runs.len() as u64;
     // Partition runs into write-hot (logs, mail appends, backups) and
     // read-hot (the working set) populations: real server traces separate
@@ -236,20 +259,19 @@ fn access_stream(
         };
         let (first, burst) = if rng.gen_bool(seq_prob) {
             let len = if is_write {
-                geometric(spec.seq_run_len, rng).min(run_len as u64)
+                geometric(spec.seq_run_len, rng).min(run_len)
             } else {
-                run_len as u64 // full-file scan
+                run_len // full-file scan
             };
             (run_start, len)
         } else {
             // Single access somewhere in the run.
-            (run_start + rng.gen_range(run_len as u64) as usize, 1)
+            (run_start + rng.gen_range(run_len), 1)
         };
-        for i in 0..burst as usize {
-            if events.len() as u64 >= spec.total_ops || first + i >= run_start + run_len {
+        for lba in first..first + burst {
+            if events.len() as u64 >= spec.total_ops || lba >= run_start + run_len {
                 break;
             }
-            let lba = population[first + i];
             if is_write {
                 write_events += 1;
             }
@@ -357,5 +379,167 @@ mod tests {
         let spec = WorkloadSpec::proj().scaled(1e9);
         let t = generate(&spec);
         assert!(!t.is_empty());
+    }
+
+    /// FNV-1a over every event's address (little-endian) and kind byte.
+    fn fnv1a(trace: &Trace) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for e in trace.iter() {
+            for byte in { e.lba }
+                .to_le_bytes()
+                .into_iter()
+                .chain([e.is_write() as u8])
+            {
+                hash = (hash ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// Stream 0 of a performance-ledger workload: a 4 GiB volume, a
+    /// sixteenth of the workload's blocks and events, the default seed.
+    fn ledger_stream(name: &str, unique: u64, ops: u64, mix: (f64, f64, f64, u64)) -> WorkloadSpec {
+        let (write_fraction, zipf_theta, seq_run_prob, seq_run_len) = mix;
+        WorkloadSpec {
+            name: name.into(),
+            range_blocks: 1 << 20,
+            unique_blocks: unique / 16,
+            total_ops: ops / 16,
+            write_fraction,
+            zipf_theta,
+            seq_run_prob,
+            seq_run_len,
+            seed: 0xBEAC_0001 ^ 0x9E37_79B9_7F4A_7C15,
+        }
+    }
+
+    /// Three regions of 100,000 blocks asked for 290,000: the densest
+    /// region's quota caps at its 100,000 blocks, so the regions can hold
+    /// at most 100,000 + ceil(290,000 x 2^-1.1 / sum) + 100,000 blocks and
+    /// the shortfall fill supplies the rest.
+    fn dense_spec() -> WorkloadSpec {
+        WorkloadSpec {
+            name: "dense".into(),
+            range_blocks: 300_000,
+            unique_blocks: 290_000,
+            total_ops: 20_000,
+            write_fraction: 0.3,
+            zipf_theta: 0.9,
+            seq_run_prob: 0.3,
+            seq_run_len: 16,
+            seed: 0xD3E5,
+        }
+    }
+
+    /// `generate()` output is pinned byte for byte, not just
+    /// deterministic: a change to the generator's internals must not move
+    /// a single event of any of these traces.
+    #[test]
+    fn output_is_pinned() {
+        let cases = [
+            (
+                ledger_stream("hot-read", 8 << 10, 1_100_000, (0.005, 0.99, 0.2, 16)),
+                0xc1e7_dc4b_ea00_aba4,
+            ),
+            (
+                ledger_stream("cold-read", 256 << 10, 900_000, (0.05, 0.6, 0.2, 16)),
+                0x7015_a904_01f0_012e,
+            ),
+            (
+                ledger_stream("write-heavy", 64 << 10, 600_000, (0.9, 0.99, 0.35, 32)),
+                0xd949_0460_61f2_97ff,
+            ),
+            (
+                ledger_stream("mixed", 64 << 10, 740_000, (0.3, 0.99, 0.2, 16)),
+                0x6faa_a24a_eb93_5fa6,
+            ),
+            (WorkloadSpec::homes().scaled(500.0), 0x51c6_6475_a490_0bdf),
+            (WorkloadSpec::mail().scaled(500.0), 0x10b8_5c59_6f3e_4907),
+            (WorkloadSpec::usr().scaled(500.0), 0x4951_9fd6_8e9e_64dc),
+            (WorkloadSpec::proj().scaled(500.0), 0xdb8a_36e1_2012_a6c5),
+            (dense_spec(), 0xd095_a4fb_e0e7_497d),
+        ];
+        for (spec, want) in cases {
+            let got = fnv1a(&generate(&spec));
+            assert_eq!(got, want, "{}: {got:#018x}", spec.name);
+        }
+    }
+
+    #[test]
+    fn dense_layout_runs_the_shortfall_fill() {
+        let spec = dense_spec();
+        let total_weight: f64 = (1..=3).map(|i| 1.0 / (i as f64).powf(1.1)).sum();
+        let second = (spec.unique_blocks as f64 / 2f64.powf(1.1) / total_weight).ceil() as u64;
+        let regions_hold_at_most = REGION_BLOCKS + second + REGION_BLOCKS;
+        assert!(
+            regions_hold_at_most < spec.unique_blocks,
+            "{regions_hold_at_most}"
+        );
+        let runs = layout_runs(&spec, &mut SimRng::seed_from(spec.seed));
+        assert_eq!(runs.blocks, spec.unique_blocks);
+    }
+
+    /// Over random small specs the layout is disjoint, maximal runs
+    /// holding `min(unique, range)` blocks; a spec asking for the whole
+    /// range gets every block exactly once.
+    #[test]
+    fn layout_runs_are_disjoint_maximal_and_complete() {
+        let mut rng = SimRng::seed_from(0x1A70);
+        for case in 0..60 {
+            let range = 1 + rng.gen_range(250_000);
+            let unique = match case % 3 {
+                0 => range,
+                _ => 1 + rng.gen_range(range + range / 4),
+            };
+            let spec = WorkloadSpec {
+                range_blocks: range,
+                unique_blocks: unique,
+                seq_run_len: rng.gen_range(40),
+                seed: case,
+                ..small_spec()
+            };
+            let runs = layout_runs(&spec, &mut SimRng::seed_from(spec.seed));
+            let mut laid_out = vec![false; range as usize];
+            for (i, &(first, len)) in runs.runs.iter().enumerate() {
+                assert!(len > 0 && first + len <= range, "case {case}: run {i}");
+                if let Some(&(prev, prev_len)) = i.checked_sub(1).map(|p| &runs.runs[p]) {
+                    assert_ne!(
+                        prev + prev_len,
+                        first,
+                        "case {case}: run {i} is not maximal"
+                    );
+                }
+                for lba in first..first + len {
+                    assert!(!laid_out[lba as usize], "case {case}: {lba} laid out twice");
+                    laid_out[lba as usize] = true;
+                }
+            }
+            let blocks: u64 = runs.runs.iter().map(|&(_, len)| len).sum();
+            assert_eq!(
+                (blocks, runs.blocks),
+                (unique.min(range), blocks),
+                "case {case}"
+            );
+            if unique == range {
+                assert!(
+                    laid_out.iter().all(|&b| b),
+                    "case {case}: a block is missing"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bit_set_insert_reports_whether_the_member_was_new() {
+        let len = 130;
+        let mut set = BitSet::new(len);
+        for i in [0, 63, 64, len - 1] {
+            assert!(set.insert(i), "{i}: first insert");
+            assert!(!set.insert(i), "{i}: second insert");
+        }
+        // Neighbours of the members (and the other words) are untouched.
+        for i in [1, 62, 65, 127, len - 2] {
+            assert!(set.insert(i), "{i}");
+        }
     }
 }

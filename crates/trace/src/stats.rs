@@ -5,8 +5,10 @@
 //! set, and §2's writes-per-block comparison between the hot set and the
 //! whole trace.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
+use simkit::hash::BlockHash;
 use simkit::Cdf;
 
 use crate::event::Trace;
@@ -23,14 +25,15 @@ pub struct TraceStats {
     pub unique_blocks: u64,
     /// Address range of the trace in blocks.
     pub range_blocks: u64,
-    /// Per-block (reads, writes), keyed by LBA.
-    counts: HashMap<u64, (u64, u64)>,
+    /// Per-block (reads, writes), keyed by LBA. The keys come from a trace
+    /// the user chose, not from a peer, so they need no SipHash.
+    counts: HashMap<u64, (u64, u64), BlockHash>,
 }
 
 impl TraceStats {
     /// Computes statistics in one pass over the trace.
     pub fn compute(trace: &Trace) -> Self {
-        let mut counts: HashMap<u64, (u64, u64)> = HashMap::new();
+        let mut counts: HashMap<u64, (u64, u64), BlockHash> = HashMap::default();
         let mut write_ops = 0;
         for e in trace.iter() {
             let slot = counts.entry(e.lba).or_insert((0, 0));
@@ -67,19 +70,20 @@ impl TraceStats {
     /// the hot set). This is the paper's hot set: caches are sized "to
     /// accommodate the 25% most popular blocks".
     pub fn top_blocks(&self, fraction: f64) -> Vec<u64> {
-        let mut by_count: Vec<(u64, u64)> = self
+        // `scramble` is a bijection, so the key is a total order.
+        let mut by_count: Vec<(Reverse<u64>, u64, u64)> = self
             .counts
             .iter()
-            .map(|(&lba, &(r, w))| (lba, r + w))
+            .map(|(&lba, &(r, w))| (Reverse(r + w), crate::zipf::scramble(lba), lba))
             .collect();
-        by_count.sort_by(|a, b| {
-            b.1.cmp(&a.1)
-                .then_with(|| crate::zipf::scramble(a.0).cmp(&crate::zipf::scramble(b.0)))
-        });
         let keep = ((by_count.len() as f64 * fraction.clamp(0.0, 1.0)).round() as usize)
             .min(by_count.len());
-        by_count.truncate(keep);
-        by_count.into_iter().map(|(lba, _)| lba).collect()
+        if keep < by_count.len() {
+            by_count.select_nth_unstable(keep);
+            by_count.truncate(keep);
+        }
+        by_count.sort_unstable();
+        by_count.into_iter().map(|(_, _, lba)| lba).collect()
     }
 
     /// Share of all accesses that land on the `fraction` hottest blocks.
@@ -105,7 +109,7 @@ impl TraceStats {
     /// the figure).
     pub fn region_density_cdf(&self, hot_fraction: f64) -> Cdf {
         let hot = self.top_blocks(hot_fraction);
-        let mut per_region: HashMap<u64, u64> = HashMap::new();
+        let mut per_region: HashMap<u64, u64, BlockHash> = HashMap::default();
         for lba in hot {
             *per_region.entry(lba / REGION_BLOCKS).or_insert(0) += 1;
         }
@@ -174,6 +178,23 @@ mod tests {
         assert_eq!(s.top_blocks(1.0), vec![0, 1, 500_000]);
         assert_eq!(s.top_blocks(0.34), vec![0]);
         assert!(s.top_blocks(0.0).is_empty());
+    }
+
+    /// The selection equals the head of a full sort by (count desc,
+    /// scrambled LBA), with many tied counts, at every cut.
+    #[test]
+    fn top_blocks_is_the_head_of_the_full_order() {
+        let mut rng = simkit::SimRng::seed_from(0x70B);
+        let events: Vec<TraceEvent> = (0..5_000)
+            .map(|_| TraceEvent::read(rng.gen_range(1_500)))
+            .collect();
+        let s = TraceStats::compute(&Trace::new("ties", 1_500, events));
+        let mut full: Vec<u64> = s.counts.keys().copied().collect();
+        full.sort_by_key(|&lba| (Reverse(s.accesses_to(lba)), crate::zipf::scramble(lba)));
+        for fraction in [0.0, 0.001, 0.1, 0.25, 0.5, 0.999, 1.0] {
+            let keep = (full.len() as f64 * fraction).round() as usize;
+            assert_eq!(s.top_blocks(fraction), full[..keep], "fraction {fraction}");
+        }
     }
 
     #[test]

@@ -54,6 +54,28 @@ fn gen_trace_rejects_unparsable_scale() {
 }
 
 #[test]
+fn gen_trace_rejects_out_of_range_scale() {
+    let path = scratch("range-scale");
+    let _ = std::fs::remove_file(&path);
+    for value in ["0", "-1", "NaN", "inf", "-inf"] {
+        let out = flashtier(&[
+            "gen-trace",
+            "homes",
+            "--scale",
+            value,
+            "--out",
+            path.to_str().unwrap(),
+        ]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "--scale {value}: {err}");
+        assert!(err.contains("--scale"), "--scale {value}: {err}");
+        assert!(!err.contains("panicked"), "--scale {value}: {err}");
+        assert!(out.stdout.is_empty(), "--scale {value} printed to stdout");
+        assert!(!path.exists(), "--scale {value} wrote a trace");
+    }
+}
+
+#[test]
 fn replay_rejects_unparsable_cache_mb_and_warmup() {
     let path = scratch("bad-cache-mb");
     gen_mail(&path);
