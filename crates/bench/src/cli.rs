@@ -1,5 +1,5 @@
-//! Strict flag parsing shared by the three binaries (`experiments`,
-//! `perf_replay`, `perf_serve`).
+//! Strict flag parsing shared by the two binaries (`experiments`,
+//! `perf_replay`).
 //!
 //! The earlier ad-hoc parser silently ignored unknown flags and silently
 //! fell back to defaults on unparsable values — a CI gate that typos

@@ -19,5 +19,4 @@ pub mod cli;
 pub mod experiments;
 pub mod replay;
 pub mod scaled;
-pub mod serve;
 pub mod tablefmt;

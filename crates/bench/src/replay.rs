@@ -1,13 +1,13 @@
 //! Shared setup for the replay-throughput measurements.
 //!
-//! The `perf_replay` gate binary, the `perf_serve` load generator and the
-//! equivalence tests replay the same deterministic Zipf workload through
-//! the three cache systems in `Discard` mode; this module owns the workload
-//! parameters and the system constructors so they cannot drift apart. The
-//! measurement is *host* CPU cost of the simulator (the quantity
-//! the control-path indexes and the allocation-free data path optimize),
-//! not simulated device time — but each run also reports total simulated
-//! time, which must be byte-for-byte reproducible for a given seed.
+//! The `perf_replay` gate binary and the equivalence tests replay the same
+//! deterministic Zipf workload through the three cache systems in `Discard`
+//! mode; this module owns the workload parameters and the system
+//! constructors so they cannot drift apart. The measurement is *host* CPU
+//! cost of the simulator (the quantity the control-path indexes and the
+//! allocation-free data path optimize), not simulated device time — but
+//! each run also reports total simulated time, which must be byte-for-byte
+//! reproducible for a given seed.
 
 use std::thread;
 use std::time::Instant;
@@ -62,21 +62,6 @@ impl ReplaySetup {
         }
     }
 
-    /// The test-sized configuration: smaller span and cache so a replay
-    /// finishes quickly.
-    pub fn micro(events: u64) -> Self {
-        ReplaySetup {
-            name: "zipf-bench",
-            events,
-            range_blocks: 1 << 18,
-            unique_blocks: 1 << 14,
-            flash_bytes: 16 << 20,
-            seed: 0xBEAC_0002,
-            fault_ppm: 0,
-            stored: false,
-        }
-    }
-
     /// Overrides the workload seed (perf_replay's `--seed`).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -91,8 +76,7 @@ impl ReplaySetup {
     }
 
     /// Switches every tier to `Store` data mode so payloads survive to be
-    /// verified (the serve gate's network-fault mode checks acked writes
-    /// back against a shadow model after crash + recovery).
+    /// verified (the equivalence tests read every written block back).
     pub fn with_stored_data(mut self) -> Self {
         self.stored = true;
         self
@@ -194,10 +178,9 @@ impl ReplaySetup {
         system
     }
 
-    /// Share-nothing write-through shard stacks for the cache server: the
-    /// same 1/n-geometry split, decorrelated fault seeds and pure LBA
-    /// router as [`run_sharded_detail`], packaged as a
-    /// [`cachemgr::ShardSet`] the server's per-shard workers can own.
+    /// Share-nothing write-through shard stacks, as sharded replay runs
+    /// them: a 1/n-geometry split per shard, fault seeds decorrelated per
+    /// shard, and the pure LBA router.
     pub fn wt_shard_set(&self, shards: usize) -> ShardSet<FlashTierWt> {
         let config = self.wt_config();
         let per_shard = shard_config(&config, shards);
@@ -337,7 +320,7 @@ impl FaultReport {
         )
     }
 
-    /// The `,"faults":{…}` member both gate binaries append to a faulted
+    /// The `,"faults":{…}` member `perf_replay` appends to a faulted
     /// system's JSON object.
     pub fn json_member(&self) -> String {
         format!(
@@ -462,32 +445,27 @@ struct ShardOutcome {
 /// nothing and the per-shard outcomes are exactly those of `n` independent
 /// sequential replays — the merge is byte-for-byte reproducible regardless
 /// of host scheduling.
-fn timed_sharded<S, B, P>(
+fn timed_sharded<S, P>(
     kind: ReplaySystem,
     t: &Trace,
-    shards: usize,
-    ppb: u32,
+    set: ShardSet<S>,
     faulted: bool,
-    build: B,
     probe: P,
 ) -> ShardedRunDetail
 where
-    S: CacheSystem,
-    B: Fn(usize) -> S + Sync,
+    S: CacheSystem + Send,
     P: Fn(&S) -> (SscCounters, FaultReport) + Sync,
 {
-    let router = ShardRouter::new(shards, ppb);
+    let (stacks, router) = set.into_shards();
     let parts = partition_events(&t.events, router);
     let start = Instant::now();
     let outcomes: Vec<ShardOutcome> = thread::scope(|scope| {
-        let build = &build;
         let probe = &probe;
-        let handles: Vec<_> = parts
-            .iter()
-            .enumerate()
-            .map(|(i, events)| {
+        let handles: Vec<_> = stacks
+            .into_iter()
+            .zip(&parts)
+            .map(|(mut system, events)| {
                 scope.spawn(move || {
-                    let mut system = build(i);
                     let stats = replay(&mut system, events).expect("sharded replay");
                     let (counters, report) = probe(&system);
                     ShardOutcome {
@@ -527,8 +505,7 @@ where
 }
 
 /// One shard's SSC: the 1/n-geometry config with the fault seed
-/// decorrelated per shard (shared by sharded replay and the cache
-/// server's shard sets, so the two paths cannot drift apart).
+/// decorrelated per shard.
 fn build_shard_ssc(per_shard: SscConfig, plan: Option<FaultPlan>, i: usize) -> Ssc {
     let mut ssc = Ssc::new(per_shard);
     if let Some(mut p) = plan {
@@ -549,41 +526,27 @@ pub fn run_sharded_detail(
     shards: usize,
 ) -> ShardedRunDetail {
     assert!(shards >= 1, "need at least one shard");
-    let config = match kind {
-        ReplaySystem::FlashtierWt => setup.wt_config(),
-        ReplaySystem::FlashtierWb => setup.wb_config(),
-        ReplaySystem::NativeWb => {
-            return ShardedRunDetail {
-                result: run_system(kind, setup, t),
-                shard_counters: Vec::new(),
-                shard_sim_time_us: Vec::new(),
-            };
-        }
-    };
-    let per_shard = shard_config(&config, shards);
-    let ppb = config.flash.geometry.pages_per_block();
-    let plan = setup.fault_plan();
-    let build_ssc = |i: usize| build_shard_ssc(per_shard, plan, i);
+    let faulted = setup.fault_plan().is_some();
     match kind {
         ReplaySystem::FlashtierWt => timed_sharded(
             kind,
             t,
-            shards,
-            ppb,
-            plan.is_some(),
-            |i| FlashTierWt::new(build_ssc(i), setup.disk()),
+            setup.wt_shard_set(shards),
+            faulted,
             |s: &FlashTierWt| (s.ssc().counters(), FaultReport::of_wt(s)),
         ),
         ReplaySystem::FlashtierWb => timed_sharded(
             kind,
             t,
-            shards,
-            ppb,
-            plan.is_some(),
-            |i| FlashTierWb::new(build_ssc(i), setup.disk()),
+            setup.wb_shard_set(shards),
+            faulted,
             |s: &FlashTierWb| (s.ssc().counters(), FaultReport::of_wb(s)),
         ),
-        ReplaySystem::NativeWb => unreachable!(),
+        ReplaySystem::NativeWb => ShardedRunDetail {
+            result: run_system(kind, setup, t),
+            shard_counters: Vec::new(),
+            shard_sim_time_us: Vec::new(),
+        },
     }
 }
 

@@ -31,7 +31,6 @@ fn assert_usage_error(out: &Output, needle: &str) {
 }
 
 const REPLAY: &str = env!("CARGO_BIN_EXE_perf_replay");
-const SERVE: &str = env!("CARGO_BIN_EXE_perf_serve");
 const EXPERIMENTS: &str = env!("CARGO_BIN_EXE_experiments");
 
 #[test]
@@ -173,116 +172,4 @@ fn experiments_ablate_mapping_honours_scale() {
     let full = stdout.lines().find(|l| l.trim_start().starts_with("100%"));
     let entries = full.and_then(|l| l.split_whitespace().nth(1));
     assert_eq!(entries, Some("4096"), "{stdout}");
-}
-
-#[test]
-fn serve_rejects_unknown_flag() {
-    assert_usage_error(&run(SERVE, &["--connections", "2"]), "unknown argument");
-}
-
-#[test]
-fn serve_rejects_invalid_mode() {
-    assert_usage_error(&run(SERVE, &["--mode", "writeback"]), "invalid --mode");
-}
-
-#[test]
-fn serve_rejects_zero_conns_and_negative_rate() {
-    assert_usage_error(&run(SERVE, &["--conns", "0"]), "--conns must be at least 1");
-    assert_usage_error(
-        &run(SERVE, &["--rate", "-5"]),
-        "--rate must be a non-negative number",
-    );
-}
-
-#[test]
-fn serve_rejects_unparsable_ops() {
-    assert_usage_error(&run(SERVE, &["--ops", "lots"]), "invalid value for --ops");
-}
-
-#[test]
-fn serve_rejects_bad_net_faults() {
-    assert_usage_error(
-        &run(SERVE, &["--net-faults", "some"]),
-        "invalid value for --net-faults",
-    );
-    assert_usage_error(
-        &run(SERVE, &["--net-faults", "2000000"]),
-        "--net-faults is parts-per-million",
-    );
-}
-
-#[test]
-fn serve_net_faults_zero_is_the_clean_path() {
-    // `--net-faults 0` must not change the report format: no `net_faults`
-    // object, same keys as a run without the flag.
-    let out = run(
-        SERVE,
-        &[
-            "--ops",
-            "300",
-            "--conns",
-            "2",
-            "--shards",
-            "2",
-            "--window",
-            "8",
-            "--net-faults",
-            "0",
-        ],
-    );
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(!stdout.contains("net_faults"), "{stdout}");
-    assert!(stdout.contains("\"completed\":300"), "{stdout}");
-}
-
-#[test]
-fn serve_net_faults_torture_reports_and_loses_nothing() {
-    let out = run(
-        SERVE,
-        &[
-            "--ops",
-            "600",
-            "--conns",
-            "2",
-            "--shards",
-            "2",
-            "--net-faults",
-            "20000",
-        ],
-    );
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"net_faults\":{\"ppm\":20000"), "{stdout}");
-    assert!(stdout.contains("\"lost_acked_writes\":0"), "{stdout}");
-}
-
-#[test]
-fn serve_smoke_produces_json() {
-    let out = run(
-        SERVE,
-        &[
-            "--ops", "400", "--conns", "2", "--shards", "2", "--window", "8",
-        ],
-    );
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\"bench\":\"perf_serve\""), "{stdout}");
-    assert!(stdout.contains("\"completed\":400"), "{stdout}");
-    assert!(
-        stdout.contains("\"errors\":{\"op_errors\":0,\"protocol_errors\":0}"),
-        "{stdout}"
-    );
 }

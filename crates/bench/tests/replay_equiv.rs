@@ -14,8 +14,8 @@
 use std::collections::HashMap;
 
 use cachemgr::{
-    replay, write_payload_into, ByteFacade, CacheSystem, FlashTierWb, FlashTierWt, NativeCache,
-    PageBuf, ReplayStats,
+    replay, write_payload_into, CacheSystem, FlashTierWb, FlashTierWt, NativeCache, PageBuf,
+    ReplayStats,
 };
 use disksim::DiskCounters;
 use flashsim::{FaultCounters, FlashCounters};
@@ -27,8 +27,15 @@ use trace::{generate, Trace, TraceEvent, WorkloadSpec};
 
 const EVENTS: u64 = 20_000;
 
+/// The perf-gate workload on a quarter of its volume and cache, so every
+/// system evicts and merges within a short run.
 fn setup() -> ReplaySetup {
-    ReplaySetup::micro(EVENTS)
+    ReplaySetup {
+        range_blocks: 1 << 18,
+        unique_blocks: 1 << 14,
+        flash_bytes: 16 << 20,
+        ..ReplaySetup::perf(EVENTS)
+    }
 }
 
 /// Three trace shapes: the perf-gate Zipf mix, a sequential scan, and a
@@ -111,12 +118,6 @@ impl Stack for NativeCache<HybridFtl> {
             cached_pages: self.host_memory().entries as u64,
             dirty: vec![self.dirty_blocks() as u64],
         }
-    }
-}
-
-impl Stack for ByteFacade<FlashTierWt> {
-    fn below(&mut self) -> Below {
-        self.inner_mut().below()
     }
 }
 
@@ -213,10 +214,6 @@ fn wt_bloom(s: &ReplaySetup) -> FlashTierWt {
     FlashTierWt::new(Ssc::new(s.wt_config()), s.disk()).with_bloom_filter(0.01)
 }
 
-fn facade(s: &ReplaySetup) -> ByteFacade<FlashTierWt> {
-    ByteFacade::new(s.flashtier_wt())
-}
-
 /// Every system over every trace shape under `s`; `verify_data` adds the
 /// Store-mode read-back.
 fn check_all_systems(s: &ReplaySetup, mode: &str, verify_data: bool) {
@@ -232,7 +229,6 @@ fn check_all_systems(s: &ReplaySetup, mode: &str, verify_data: bool) {
         run(|| wt_bloom(s), &t, &label("wt-bloom"), verify_data);
         run(|| s.flashtier_wb(), &t, &label("wb"), verify_data);
         run(|| s.native_wb(), &t, &label("native"), verify_data);
-        run(|| facade(s), &t, &label("facade"), verify_data);
     }
 }
 
@@ -242,7 +238,6 @@ fn discard_mode_replay_matches_reference() {
     assert!(s.flashtier_wt().payload_discarded());
     assert!(s.flashtier_wb().payload_discarded());
     assert!(s.native_wb().payload_discarded());
-    assert!(facade(&s).payload_discarded());
     check_all_systems(&s, "discard", false);
 }
 
@@ -289,7 +284,6 @@ fn faulted_replay_draws_the_same_fault_stream() {
     let (mut wb, _) = check(|| s.flashtier_wb(), &t.events, "wb/faults");
     let (mut native, _) = check(|| s.native_wb(), &t.events, "native/faults");
     check(|| wt_bloom(&s), &t.events, "wt-bloom/faults");
-    check(|| facade(&s), &t.events, "facade/faults");
     assert!(injected(wt.below()) > 0, "wt: fault plan never fired");
     assert!(injected(wb.below()) > 0, "wb: fault plan never fired");
     assert!(

@@ -25,6 +25,16 @@ const EVENTS: u64 = 100_000;
 #[cfg(not(debug_assertions))]
 const EVENTS: u64 = 1_000_000;
 
+/// The perf-gate workload on a quarter of its volume and cache.
+fn small_setup() -> ReplaySetup {
+    ReplaySetup {
+        range_blocks: 1 << 18,
+        unique_blocks: 1 << 14,
+        flash_bytes: 16 << 20,
+        ..ReplaySetup::perf(EVENTS / 4)
+    }
+}
+
 #[test]
 fn one_shard_replay_is_bit_identical_to_unsharded() {
     let setup = ReplaySetup::perf(EVENTS);
@@ -65,7 +75,7 @@ fn one_shard_replay_is_bit_identical_to_unsharded() {
 
 #[test]
 fn partitioning_preserves_per_lba_order() {
-    let setup = ReplaySetup::micro(EVENTS / 4);
+    let setup = small_setup();
     let t = setup.workload();
     for n in [2usize, 4, 8] {
         let router = ShardRouter::new(n, 64);
@@ -91,7 +101,7 @@ fn partitioning_preserves_per_lba_order() {
 
 #[test]
 fn sharded_replay_is_rerun_deterministic() {
-    let setup = ReplaySetup::micro(EVENTS / 4);
+    let setup = small_setup();
     let t = setup.workload();
     for kind in [ReplaySystem::FlashtierWt, ReplaySystem::FlashtierWb] {
         for n in [2usize, 4] {

@@ -22,7 +22,6 @@
 pub mod bloom;
 pub mod dirty_table;
 pub mod error;
-pub mod facade;
 pub mod flashtier_wb;
 pub mod flashtier_wt;
 pub mod lru;
@@ -34,7 +33,6 @@ pub mod system;
 pub use bloom::BloomFilter;
 pub use dirty_table::DirtyTable;
 pub use error::CmError;
-pub use facade::ByteFacade;
 pub use flashtier_wb::{DestagePolicy, FlashTierWb};
 pub use flashtier_wt::FlashTierWt;
 pub use lru::LruList;

@@ -126,40 +126,3 @@ fn dirty_table_lru_run_is_contiguous_and_contains_lru() {
         }
     }
 }
-
-mod facade_props {
-    use cachemgr::{ByteFacade, FlashTierWt};
-    use disksim::{Disk, DiskConfig, DiskDataMode};
-    use flashtier_core::{Ssc, SscConfig};
-    use simkit::SimRng;
-
-    const SPAN_BYTES: usize = 16 * 512; // 16 blocks of 512 B
-
-    #[test]
-    fn byte_facade_matches_flat_memory() {
-        for case in 0..64u64 {
-            let mut rng = SimRng::seed_from(0xB100_4000 ^ case);
-            let n = 1 + rng.gen_range(59) as usize;
-            let ssc = Ssc::new(SscConfig::small_test());
-            let disk = Disk::new(DiskConfig::small_test(), DiskDataMode::Store);
-            let mut facade = ByteFacade::new(FlashTierWt::new(ssc, disk));
-            let mut shadow = vec![0u8; SPAN_BYTES];
-            for _ in 0..n {
-                let offset = rng.gen_range(SPAN_BYTES as u64) as usize;
-                let len = (rng.gen_range(600) as usize).min(SPAN_BYTES - offset);
-                let fill = rng.gen_range(256) as u8;
-                if rng.gen_bool(0.5) {
-                    let data: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
-                    facade.write_bytes(offset as u64, &data).unwrap();
-                    shadow[offset..offset + len].copy_from_slice(&data);
-                } else {
-                    let (got, _) = facade.read_bytes(offset as u64, len).unwrap();
-                    assert_eq!(&got[..], &shadow[offset..offset + len]);
-                }
-            }
-            // Final full-span sweep.
-            let (all, _) = facade.read_bytes(0, SPAN_BYTES).unwrap();
-            assert_eq!(all, shadow);
-        }
-    }
-}

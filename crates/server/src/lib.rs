@@ -22,10 +22,9 @@
 //! connections) is runtime-agnostic and is exactly what a tokio front-end
 //! would schedule onto tasks instead of threads.
 //!
-//! See `DESIGN.md` §11 for the ordering and drain guarantees, and the
-//! `perf_serve` binary in `flashtier-bench` for the open-loop load
-//! generator that measures p50/p99/p999 latency and saturation throughput
-//! against this server.
+//! See `DESIGN.md` §11 for the ordering and drain guarantees and §12 for
+//! the failure model; the `benchmark/` ledger measures this server's
+//! saturation throughput and open-loop latency (its `server.*` rows).
 
 pub mod client;
 pub mod netfault;

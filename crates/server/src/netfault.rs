@@ -55,9 +55,8 @@ pub struct NetFaultPlan {
 
 impl NetFaultPlan {
     /// A plan injecting every class at the same base rate with short,
-    /// test-friendly sleeps — the single-knob form used by
-    /// `perf_serve --net-faults` and the torture tests. Resets fire at the
-    /// base rate; the rarer classes scale down from it.
+    /// test-friendly sleeps — the single-knob form the torture tests use.
+    /// Resets fire at the base rate; the rarer classes scale down from it.
     pub fn uniform(seed: u64, ppm: u32) -> Self {
         NetFaultPlan {
             seed,

@@ -884,6 +884,12 @@ fn accept_loop(
         };
         let writer_registry = Arc::clone(&registry);
         let writer_counters = Arc::clone(&counters);
+        // Join the threads of connections that have ended: an unjoined
+        // thread keeps its stack mapped until shutdown, so a reconnecting
+        // client would grow the server without bound.
+        for t in conn_threads.extract_if(.., |t| t.is_finished()) {
+            let _ = t.join();
+        }
         conn_threads.push(std::thread::spawn(move || {
             // The permit rides with the writer: it is the last thread of
             // the connection to exit (it waits for every queued response).

@@ -262,6 +262,36 @@ fn malformed_frame_closes_one_connection_only() {
     assert_eq!(report.stats.protocol_errors, 1);
 }
 
+/// Memory mappings of this process; every thread stack not yet released
+/// holds one.
+#[cfg(target_os = "linux")]
+fn mapping_count() -> usize {
+    std::fs::read_to_string("/proc/self/maps")
+        .expect("read /proc/self/maps")
+        .lines()
+        .count()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn reconnect_churn_does_not_accumulate_connection_threads() {
+    const CONNECTIONS: usize = 2_000;
+    let server = Server::start(wt_set(1), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let before = mapping_count();
+    for _ in 0..CONNECTIONS {
+        let mut client = BlockClient::connect(server.addr()).unwrap();
+        assert!(client.get(1).unwrap().ok());
+    }
+    // Each connection ran two server threads: held until shutdown, their
+    // stacks alone would add thousands of mappings.
+    let grown = mapping_count().saturating_sub(before);
+    assert!(
+        grown < CONNECTIONS / 4,
+        "{grown} new mappings after {CONNECTIONS} connections"
+    );
+    server.shutdown();
+}
+
 #[test]
 fn semaphore_bounds_serviced_connections() {
     let config = ServerConfig {

@@ -4,7 +4,10 @@
 //!   drive the server while deterministic resets, partial writes, stalls
 //!   and delays are injected on both sides of the wire; a shadow model of
 //!   each client's last acknowledged PUT per LBA is verified live (GETs)
-//!   and again after graceful shutdown + crash + recovery.
+//!   and again after graceful shutdown + crash + recovery. It runs in two
+//!   shapes: a hot span that fits in the shards' caches, and a span wider
+//!   than a shard's data capacity, which must evict and merge under the
+//!   faults.
 //! * **Every call is deadline-bounded** — a `RetryingClient` call either
 //!   returns a response or errors within its op deadline, injected faults
 //!   or not.
@@ -14,19 +17,30 @@
 //!   keeps serving, and shutdown still drains the healthy shards.
 //! * **A bad address is not a fault** — a PUT the SSC cannot store
 //!   answers `ERR` and quarantines nothing.
+//! * **Media faults stay below the wire** — pipelined load over shards
+//!   whose flash injects seeded faults gets a response to every request
+//!   and never a malformed frame.
+//! * **A resent PUT is applied at most once** — the same `(session
+//!   token, req_id)` on a fresh connection is acknowledged, not applied
+//!   again (DESIGN.md §12).
 //!
-//! Scaled by `FLASHTIER_FUZZ_SCALE` (nightly deep CI sets 3) like the
-//! crash-point fuzzer.
+//! The torture runs scale with `FLASHTIER_FUZZ_SCALE` like the crash-point
+//! fuzzer: 1,200 operations each by default, 100,800 at the nightly deep
+//! CI's 84.
 
 use std::collections::HashMap;
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration as StdDuration, Instant};
 
 use cachemgr::{CacheSystem, FlashTierWb, FlashTierWt, ShardSet};
 use disksim::{Disk, DiskConfig, DiskDataMode};
-use flashtier_core::{shard_config, CrashSite, ShardRouter, Ssc, SscConfig};
+use flashsim::FaultPlan;
+use flashtier_core::{
+    decorrelate_fault_seed, shard_config, CrashSite, ShardRouter, Ssc, SscConfig,
+};
 use flashtier_server::{
-    BlockClient, NetFaultPlan, RetryConfig, RetryingClient, ServeSystem, Server, ServerConfig,
-    STATUS_ERR,
+    BlockClient, Hello, NetFaultPlan, Request, Response, RetryConfig, RetryingClient, ServeSystem,
+    Server, ServerConfig, STATUS_ERR, STATUS_OK,
 };
 
 const BLOCK: usize = 512;
@@ -35,9 +49,14 @@ const CLIENTS: usize = 4;
 /// operations are interfered with, orders of magnitude beyond any real
 /// network, so every retry path fires within a few hundred requests.
 const TORTURE_PPM: u32 = 25_000;
+/// LBAs per torture client. The hot span fits in the shards' caches; the
+/// pressure span alone is wider than one shard's data capacity.
+const HOT_SPAN: u64 = 64;
+const PRESSURE_SPAN: u64 = 1024;
+/// Media-fault rate of every class for the serve smoke.
+const MEDIA_PPM: u32 = 1_000;
 
-/// Campaign multiplier from `FLASHTIER_FUZZ_SCALE` (default 1; deep CI
-/// sets 3).
+/// Campaign multiplier from `FLASHTIER_FUZZ_SCALE` (default 1).
 fn fuzz_scale() -> u64 {
     std::env::var("FLASHTIER_FUZZ_SCALE")
         .ok()
@@ -96,6 +115,32 @@ fn wb_set(shards: usize) -> ShardSet<FlashTierWb> {
     )
 }
 
+/// What the tests need of a served stack once the server hands it back.
+trait Stack: ServeSystem + 'static {
+    fn ssc(&self) -> &Ssc;
+    fn recover(&mut self);
+}
+
+impl Stack for FlashTierWt {
+    fn ssc(&self) -> &Ssc {
+        FlashTierWt::ssc(self)
+    }
+
+    fn recover(&mut self) {
+        self.crash_and_recover().expect("recover wt shard");
+    }
+}
+
+impl Stack for FlashTierWb {
+    fn ssc(&self) -> &Ssc {
+        FlashTierWb::ssc(self)
+    }
+
+    fn recover(&mut self) {
+        self.crash_and_recover().expect("recover wb shard");
+    }
+}
+
 /// Self-identifying block content for (lba, version k).
 fn payload(lba: u64, k: u64) -> Vec<u8> {
     let tag = (lba.wrapping_mul(0x9E37_79B9).wrapping_add(k)) as u8;
@@ -106,12 +151,11 @@ fn payload(lba: u64, k: u64) -> Vec<u8> {
 }
 
 /// The torture body, generic over the manager: faulted server, faulted
-/// retrying clients on disjoint LBA classes, live read-your-writes
-/// checks, then crash + recovery and a full shadow-model read-back.
-fn run_torture<S>(set: ShardSet<S>, seed: u64, recover: impl Fn(&mut S))
-where
-    S: ServeSystem + 'static,
-{
+/// retrying clients on disjoint LBA classes of `span` blocks each, live
+/// read-your-writes checks, then crash + recovery and a full shadow-model
+/// read-back. Returns the silent evictions and merges the shards ran
+/// before recovery.
+fn run_torture<S: Stack>(set: ShardSet<S>, seed: u64, span: u64) -> u64 {
     let ops_per_client = 300 * fuzz_scale();
     let config = ServerConfig {
         net_faults: Some(NetFaultPlan::uniform(seed, TORTURE_PPM)),
@@ -144,7 +188,7 @@ where
                         let r = lcg(&mut state);
                         // Disjoint per-client LBA classes (mod CLIENTS) so
                         // "last acked PUT" needs no cross-client ordering.
-                        let lba = (r % 64) * CLIENTS as u64 + c as u64;
+                        let lba = (r % span) * CLIENTS as u64 + c as u64;
                         let started = Instant::now();
                         match r % 10 {
                             0 => {
@@ -230,8 +274,15 @@ where
         "server-side fault plan never fired"
     );
     let (mut stacks, router) = report.stacks.expect("no worker lost").into_shards();
+    let churn = stacks
+        .iter()
+        .map(|s| {
+            let c = s.ssc().counters();
+            c.silent_evictions + c.switch_merges + c.full_merges
+        })
+        .sum();
     for stack in &mut stacks {
-        recover(stack);
+        stack.recover();
     }
     let mut checked = 0u64;
     for (c, shadow) in shadows.iter().enumerate() {
@@ -247,20 +298,152 @@ where
         }
     }
     assert!(checked > 0, "torture run acked no writes");
+    churn
+}
+
+/// The torture over more LBAs than a shard can cache: eviction and merges
+/// must run while the faults fire.
+fn run_torture_under_pressure<S: Stack>(set: ShardSet<S>, seed: u64) {
+    let capacity = set.shard(0).ssc().data_capacity_pages();
+    assert!(
+        PRESSURE_SPAN > capacity,
+        "span {PRESSURE_SPAN} fits in {capacity} pages"
+    );
+    let churn = run_torture(set, seed, PRESSURE_SPAN);
+    assert!(
+        churn > 0,
+        "no silent eviction or merge under cache pressure"
+    );
 }
 
 #[test]
 fn torture_loses_no_acked_writes_wt() {
-    run_torture(wt_set(4), 0xF417_0001, |s| {
-        s.crash_and_recover().expect("recover wt shard");
-    });
+    run_torture(wt_set(4), 0xF417_0001, HOT_SPAN);
 }
 
 #[test]
 fn torture_loses_no_acked_writes_wb() {
-    run_torture(wb_set(4), 0xF417_0002, |s| {
-        s.crash_and_recover().expect("recover wb shard");
+    run_torture(wb_set(4), 0xF417_0002, HOT_SPAN);
+}
+
+#[test]
+fn torture_under_cache_pressure_loses_no_acked_writes_wt() {
+    run_torture_under_pressure(wt_set(4), 0xF417_0003);
+}
+
+#[test]
+fn torture_under_cache_pressure_loses_no_acked_writes_wb() {
+    run_torture_under_pressure(wb_set(4), 0xF417_0004);
+}
+
+#[test]
+fn media_faults_through_the_server_answer_every_request() {
+    const OPS: u64 = 1_000;
+    const WINDOW: u64 = 32;
+    let mut set = wb_set(4);
+    for i in 0..set.num_shards() {
+        let seed = decorrelate_fault_seed(0xFA17_5E4E, i);
+        set.shard_mut(i)
+            .set_fault_plan(FaultPlan::uniform(seed, MEDIA_PPM));
+    }
+    let server = Server::start(set, "127.0.0.1:0", ServerConfig::default()).expect("bind server");
+    let addr = server.addr();
+    std::thread::scope(|scope| {
+        for c in 0..CLIENTS as u64 {
+            scope.spawn(move || {
+                let client = BlockClient::connect(addr).expect("connect");
+                let (mut tx, mut rx) = client.into_split();
+                let mut answered = vec![false; OPS as usize];
+                let mut received = 0;
+                let mut state = 0xFA17_0000 ^ c;
+                for i in 0..OPS {
+                    let r = lcg(&mut state);
+                    let lba = r % 2048;
+                    if r.is_multiple_of(2) {
+                        tx.send_put(lba, &payload(lba, i)).expect("send put");
+                    } else {
+                        tx.send_get(lba).expect("send get");
+                    }
+                    // Pipelined in windows, drained between them so the
+                    // shard queues never fill and shed.
+                    if (i + 1).is_multiple_of(WINDOW) || i + 1 == OPS {
+                        tx.flush_io().expect("flush requests");
+                        // Each sent id is answered once, so `received`
+                        // reaching `sent` means none went unanswered.
+                        while received < tx.sent() {
+                            let resp = rx.recv().expect("every request gets a response");
+                            let seen = &mut answered[resp.req_id as usize];
+                            assert!(!*seen, "client {c}: request {} answered twice", resp.req_id);
+                            *seen = true;
+                            received += 1;
+                        }
+                    }
+                }
+            });
+        }
     });
+    let report = server.shutdown();
+    assert!(
+        report.panics.is_empty(),
+        "worker panics: {:?}",
+        report.panics
+    );
+    assert_eq!(
+        report.stats.protocol_errors, 0,
+        "media faults reached the wire"
+    );
+    assert_eq!(report.stats.requests, CLIENTS as u64 * OPS);
+    let injected: u64 = report
+        .stacks
+        .expect("no worker lost")
+        .shards()
+        .iter()
+        .map(|s| s.ssc().fault_counters().total())
+        .sum();
+    assert!(injected > 0, "the media-fault plan never fired");
+}
+
+/// A raw protocol connection that has read the hello and declared
+/// `token` as its session.
+fn session(addr: SocketAddr, token: u64) -> TcpStream {
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(StdDuration::from_secs(30)))
+        .expect("read timeout");
+    Hello::read_from(&mut conn).expect("hello");
+    Request::Session { token }
+        .write_to(&mut conn)
+        .expect("session frame");
+    conn
+}
+
+#[test]
+fn resent_put_is_applied_at_most_once() {
+    const TOKEN: u64 = 0x5E55_1011;
+    let lba = 5;
+    let (first, resent) = (payload(lba, 1), payload(lba, 2));
+    let server =
+        Server::start(wb_set(2), "127.0.0.1:0", ServerConfig::default()).expect("bind server");
+    // The same session and request id on two connections: the second is
+    // the resend of a PUT whose ack the client never saw.
+    for data in [&first, &resent] {
+        let mut conn = session(server.addr(), TOKEN);
+        Request::Put {
+            req_id: 7,
+            lba,
+            data: data.clone(),
+        }
+        .write_to(&mut conn)
+        .expect("put frame");
+        let resp = Response::read_from(&mut conn).expect("put response");
+        assert_eq!((resp.req_id, resp.status), (7, STATUS_OK));
+    }
+    let mut client = BlockClient::connect(server.addr()).expect("connect");
+    let resp = client.get(lba).expect("get");
+    assert!(resp.ok());
+    assert_eq!(resp.payload, first, "the resent PUT was applied again");
+    drop(client);
+    let report = server.shutdown();
+    assert_eq!(report.stats.deduped_puts, 1);
 }
 
 #[test]
