@@ -1,10 +1,8 @@
 //! `replay()` against a reference loop.
 //!
-//! The replay driver takes two liberties the simulation must never see: it
-//! issues *discard reads* (`CacheSystem::read_sink` — nothing materialized
-//! on a hit, no byte fill on a miss when both tiers discard payloads) and
-//! it skips filling write payloads when `CacheSystem::payload_discarded`
-//! holds. The reference loop here takes neither — it is built only from
+//! The replay driver takes one liberty the simulation must never see: it
+//! skips filling write payloads when `CacheSystem::payload_discarded`
+//! holds. The reference loop here does not — it is built only from
 //! `read_into`, filled payloads and `write` — and every simulated
 //! observable must match it bit for bit: simulated time, the Welford sums,
 //! histogram buckets, manager counters, the counters and fault streams of
@@ -275,8 +273,8 @@ fn discard_and_store_modes_agree_on_every_simulated_number() {
 
 #[test]
 fn faulted_replay_draws_the_same_fault_stream() {
-    // A discard read must advance the fault injector exactly as a filling
-    // read does, or every later fault lands on a different event.
+    // `replay()` must advance the fault injector exactly as the reference
+    // loop does, or every later fault lands on a different event.
     let s = setup().with_faults(500);
     let t = s.workload();
     let injected = |b: Below| b.faults.total();

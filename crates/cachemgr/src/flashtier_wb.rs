@@ -15,7 +15,7 @@ use sparsemap::MapMemory;
 
 use crate::dirty_table::DirtyTable;
 use crate::metrics::MgrCounters;
-use crate::system::{fetch_from_disk, CacheSystem};
+use crate::system::{tiers_discard, CacheSystem};
 use crate::Result;
 
 /// Longest contiguous dirty run merged into one disk write.
@@ -61,8 +61,9 @@ pub struct FlashTierWb {
     block_buf: PageBuf,
     /// Reusable LBA list of the run the cleaner is destaging.
     run_buf: Vec<u64>,
-    /// Both tiers run in discard mode: payload bytes are provably never
-    /// retained or read back, so destage transfers skip materializing them.
+    /// Both tiers run in discard mode: payload bytes are never retained,
+    /// produced or read back, so destage reads skip the copy into
+    /// `gather_buf`.
     payload_discarded: bool,
 }
 
@@ -77,7 +78,9 @@ impl FlashTierWb {
     ///
     /// # Panics
     ///
-    /// Panics on a block-size mismatch or a fraction outside `(0, 1]`.
+    /// Panics on a block-size mismatch, on tiers of different data modes
+    /// (one keeps payloads, the other discards them) or on a fraction
+    /// outside `(0, 1]`.
     pub fn with_dirty_fraction(ssc: Ssc, disk: Disk, fraction: f64) -> Self {
         assert_eq!(
             ssc.page_size(),
@@ -90,8 +93,8 @@ impl FlashTierWb {
         );
         let capacity = ssc.data_capacity_pages() as usize;
         let dirty_limit = ((capacity as f64 * fraction) as usize).max(1);
-        let payload_discarded = ssc.data_mode() == flashsim::DataMode::Discard
-            && disk.mode() == disksim::DiskDataMode::Discard;
+        let payload_discarded =
+            tiers_discard(ssc.data_mode() == flashsim::DataMode::Discard, &disk);
         FlashTierWb {
             ssc,
             disk,
@@ -145,17 +148,15 @@ impl FlashTierWb {
     }
 
     /// One destage read: fetches `lba` from the SSC into slot `i` of the
-    /// gather buffer. When both tiers discard payloads it is a discard read
-    /// and the gather slot is left stale — the discard-mode disk the run is
-    /// written to never looks at it.
+    /// gather buffer. When both tiers discard payloads the read produces no
+    /// bytes and the gather slot is left stale — the discard-mode disk the
+    /// run is written to never looks at it.
     fn destage_read(&mut self, lba: u64, i: usize, bs: usize) -> SscResult<Duration> {
-        if self.payload_discarded {
-            self.ssc.read_to(lba, None)
-        } else {
-            let cost = self.ssc.read_into(lba, &mut self.block_buf)?;
+        let cost = self.ssc.read_into(lba, &mut self.block_buf)?;
+        if !self.payload_discarded {
             self.gather_buf[i * bs..(i + 1) * bs].copy_from_slice(&self.block_buf);
-            Ok(cost)
         }
+        Ok(cost)
     }
 
     /// Writes back contiguous LRU runs until the dirty count reaches the low
@@ -270,15 +271,12 @@ impl FlashTierWb {
         }
         Ok(t)
     }
+}
 
-    /// The read path. `sink` marks a discard read: the caller will not
-    /// inspect `buf`, so a hit materializes nothing and a miss skips the
-    /// byte fill when both tiers discard payloads.
-    fn read_with(&mut self, lba: u64, buf: &mut PageBuf, sink: bool) -> Result<Duration> {
+impl CacheSystem for FlashTierWb {
+    fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
         self.counters.reads += 1;
-        let elide = sink && self.payload_discarded;
-        let dest = if sink { None } else { Some(&mut *buf) };
-        match self.ssc.read_to(lba, dest) {
+        match self.ssc.read_into(lba, buf) {
             Ok(cost) => {
                 self.counters.read_hits += 1;
                 self.dirty.touch_if_present(lba);
@@ -286,7 +284,7 @@ impl FlashTierWb {
             }
             Err(SscError::NotPresent(_)) => {
                 self.counters.read_misses += 1;
-                let disk_cost = fetch_from_disk(&mut self.disk, lba, buf, elide)?;
+                let disk_cost = self.disk.read_into(lba, buf)?;
                 let fill_cost = match self.ssc.write_clean(lba, buf) {
                     Ok(c) => c,
                     Err(SscError::OutOfSpace) => {
@@ -314,20 +312,10 @@ impl FlashTierWb {
                 }
                 self.counters.read_fault_fallbacks += 1;
                 self.counters.read_misses += 1;
-                Ok(evict_cost + fetch_from_disk(&mut self.disk, lba, buf, elide)?)
+                Ok(evict_cost + self.disk.read_into(lba, buf)?)
             }
             Err(e) => Err(e.into()),
         }
-    }
-}
-
-impl CacheSystem for FlashTierWb {
-    fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
-        self.read_with(lba, buf, false)
-    }
-
-    fn read_sink(&mut self, lba: u64, scratch: &mut PageBuf) -> Result<Duration> {
-        self.read_with(lba, scratch, true)
     }
 
     fn payload_discarded(&self) -> bool {
@@ -391,6 +379,14 @@ mod tests {
 
     fn block(fill: u8) -> Vec<u8> {
         vec![fill; 512]
+    }
+
+    #[test]
+    #[should_panic(expected = "data mode mismatch")]
+    fn discard_cache_over_store_disk_is_refused() {
+        let config = SscConfig::small_test().with_data_mode(flashsim::DataMode::Discard);
+        let disk = Disk::new(DiskConfig::small_test(), DiskDataMode::Store);
+        FlashTierWb::with_dirty_fraction(Ssc::new(config), disk, 0.2);
     }
 
     #[test]

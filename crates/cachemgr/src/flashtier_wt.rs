@@ -15,7 +15,7 @@ use sparsemap::MapMemory;
 
 use crate::bloom::BloomFilter;
 use crate::metrics::MgrCounters;
-use crate::system::{fetch_from_disk, CacheSystem};
+use crate::system::{tiers_discard, CacheSystem};
 use crate::Result;
 
 /// Write-through FlashTier system: SSC + disk, zero *required* host
@@ -28,26 +28,27 @@ pub struct FlashTierWt {
     disk: Disk,
     bloom: Option<BloomFilter>,
     counters: MgrCounters,
-    /// Both tiers run in discard mode: payload bytes are provably never
-    /// retained or read back.
+    /// Both tiers run in discard mode: payload bytes are never retained,
+    /// produced or read back.
     payload_discarded: bool,
 }
 
 impl FlashTierWt {
     /// Assembles the system. The SSC page size must match the disk block
-    /// size.
+    /// size, and both tiers must keep payloads or both discard them.
     ///
     /// # Panics
     ///
-    /// Panics on a block-size mismatch.
+    /// Panics on a block-size mismatch, or on tiers of different data
+    /// modes (one keeps payloads, the other discards them).
     pub fn new(ssc: Ssc, disk: Disk) -> Self {
         assert_eq!(
             ssc.page_size(),
             disk.block_size(),
             "cache/disk block size mismatch"
         );
-        let payload_discarded = ssc.data_mode() == flashsim::DataMode::Discard
-            && disk.mode() == disksim::DiskDataMode::Discard;
+        let payload_discarded =
+            tiers_discard(ssc.data_mode() == flashsim::DataMode::Discard, &disk);
         FlashTierWt {
             ssc,
             disk,
@@ -140,10 +141,9 @@ impl FlashTierWt {
     }
 
     /// Disk fetch + cache fill shared by the miss and Bloom-skip paths; the
-    /// fetched block ends up in `buf` unless `elide` is set (see
-    /// [`fetch_from_disk`]).
-    fn fetch_and_fill(&mut self, lba: u64, buf: &mut PageBuf, elide: bool) -> Result<Duration> {
-        let disk_cost = fetch_from_disk(&mut self.disk, lba, buf, elide)?;
+    /// fetched block ends up in `buf`.
+    fn fetch_and_fill(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
+        let disk_cost = self.disk.read_into(lba, buf)?;
         // Populate the cache with the fetched block; a cache that cannot
         // make space right now simply skips the fill.
         let fill_cost = match self.ssc.write_clean(lba, buf) {
@@ -154,30 +154,27 @@ impl FlashTierWt {
         self.bloom_note_insert(lba);
         Ok(disk_cost + fill_cost)
     }
+}
 
-    /// The read path. `sink` marks a discard read: the caller will not
-    /// inspect `buf`, so a hit materializes nothing and a miss skips the
-    /// byte fill when both tiers discard payloads.
-    fn read_with(&mut self, lba: u64, buf: &mut PageBuf, sink: bool) -> Result<Duration> {
+impl CacheSystem for FlashTierWt {
+    fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
         self.counters.reads += 1;
-        let elide = sink && self.payload_discarded;
         if let Some(filter) = &self.bloom {
             if !filter.may_contain(lba) {
                 // Definitively never cached: skip the device round-trip.
                 self.counters.bloom_skips += 1;
                 self.counters.read_misses += 1;
-                return self.fetch_and_fill(lba, buf, elide);
+                return self.fetch_and_fill(lba, buf);
             }
         }
-        let dest = if sink { None } else { Some(&mut *buf) };
-        match self.ssc.read_to(lba, dest) {
+        match self.ssc.read_into(lba, buf) {
             Ok(cost) => {
                 self.counters.read_hits += 1;
                 Ok(cost)
             }
             Err(SscError::NotPresent(_)) => {
                 self.counters.read_misses += 1;
-                self.fetch_and_fill(lba, buf, elide)
+                self.fetch_and_fill(lba, buf)
             }
             Err(SscError::Flash(e)) if e.is_media_fault() => {
                 // Unrecoverable cache read. All write-through data is clean,
@@ -186,20 +183,10 @@ impl FlashTierWt {
                 let evict_cost = self.ssc.evict(lba)?;
                 self.counters.read_fault_fallbacks += 1;
                 self.counters.read_misses += 1;
-                Ok(evict_cost + self.fetch_and_fill(lba, buf, elide)?)
+                Ok(evict_cost + self.fetch_and_fill(lba, buf)?)
             }
             Err(e) => Err(e.into()),
         }
-    }
-}
-
-impl CacheSystem for FlashTierWt {
-    fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
-        self.read_with(lba, buf, false)
-    }
-
-    fn read_sink(&mut self, lba: u64, scratch: &mut PageBuf) -> Result<Duration> {
-        self.read_with(lba, scratch, true)
     }
 
     fn payload_discarded(&self) -> bool {
@@ -260,6 +247,13 @@ mod tests {
 
     fn block(fill: u8) -> Vec<u8> {
         vec![fill; 512]
+    }
+
+    #[test]
+    #[should_panic(expected = "data mode mismatch")]
+    fn store_cache_over_discard_disk_is_refused() {
+        let disk = Disk::new(DiskConfig::small_test(), DiskDataMode::Discard);
+        FlashTierWt::new(Ssc::new(SscConfig::small_test()), disk);
     }
 
     #[test]

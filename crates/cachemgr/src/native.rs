@@ -23,7 +23,7 @@ use sparsemap::MapMemory;
 
 use crate::lru::LruList;
 use crate::metrics::MgrCounters;
-use crate::system::{fetch_from_disk, CacheSystem};
+use crate::system::{tiers_discard, CacheSystem};
 use crate::Result;
 
 /// Caching policy of the Native manager.
@@ -86,8 +86,8 @@ pub struct NativeCache<D: BlockDev> {
     counters: MgrCounters,
     /// Reusable buffer for victim write-backs and cleaner reads.
     victim_buf: PageBuf,
-    /// Both tiers run in discard mode: payload bytes are provably never
-    /// retained or read back, so destage transfers skip materializing them.
+    /// Both tiers run in discard mode: payload bytes are never retained,
+    /// produced or read back.
     payload_discarded: bool,
     /// Encoded metadata pages, kept in lockstep with `meta`. Each slot's
     /// 22-byte entry is re-encoded when that slot changes, so persisting a
@@ -95,8 +95,8 @@ pub struct NativeCache<D: BlockDev> {
     /// (zero-fill plus one CRC per entry) on every dirty-state change.
     /// Empty unless the configuration persists metadata to an SSD that
     /// keeps it: under `payload_discarded` the FTL drops the bytes and
-    /// recovery reads back synthetic pages whatever was written, so the
-    /// writes are issued (and counted, and charged) with a scratch page.
+    /// recovery reads back no entry whatever was written, so the writes
+    /// are issued (and counted, and charged) with a scratch page.
     md_cache: Vec<Box<[u8]>>,
 }
 
@@ -105,6 +105,11 @@ impl<D: BlockDev> NativeCache<D> {
     ///
     /// A slice of the SSD address space is reserved for persisted metadata;
     /// the rest becomes cache slots.
+    ///
+    /// # Panics
+    ///
+    /// On tiers of different data modes (one keeps payloads, the other
+    /// discards them).
     pub fn new(ssd: D, disk: Disk, mode: NativeMode, consistency: NativeConsistency) -> Self {
         let block_size = disk.block_size() as u64;
         let total = ssd.capacity_pages();
@@ -112,8 +117,7 @@ impl<D: BlockDev> NativeCache<D> {
         // Solve slots + ceil(slots/entries_per_page) <= total.
         let slots = (total * md_entries_per_page / (md_entries_per_page + 1)).max(1);
         let dirty_limit = ((slots as f64 * 0.20) as usize).max(1);
-        let payload_discarded =
-            ssd.payload_discarded() && disk.mode() == disksim::DiskDataMode::Discard;
+        let payload_discarded = tiers_discard(ssd.payload_discarded(), &disk);
         let mut cache = NativeCache {
             ssd,
             disk,
@@ -344,73 +348,30 @@ impl<D: BlockDev> NativeCache<D> {
     /// disk miss — never stale or wrong data. A dirty block's newest
     /// version is lost to the media; the last destaged disk version is
     /// served instead (availability over staleness).
-    fn read_fault_fallback(
-        &mut self,
-        slot: u32,
-        lba: u64,
-        buf: &mut PageBuf,
-        elide: bool,
-    ) -> Result<Duration> {
+    fn read_fault_fallback(&mut self, slot: u32, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
         let (pcost, was_dirty) = self.drop_faulted_slot(slot)?;
         if was_dirty {
             self.counters.lost_dirty_reads += 1;
         }
         self.counters.read_fault_fallbacks += 1;
-        Ok(pcost + self.read_miss(lba, buf, elide)?)
+        Ok(pcost + self.read_miss(lba, buf)?)
     }
 
-    /// The read-miss path: disk fetch (see [`fetch_from_disk`] for `elide`)
-    /// plus a clean install.
-    fn read_miss(&mut self, lba: u64, buf: &mut PageBuf, elide: bool) -> Result<Duration> {
+    /// The read-miss path: disk fetch plus a clean install.
+    fn read_miss(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
         self.counters.read_misses += 1;
-        let mut cost = fetch_from_disk(&mut self.disk, lba, buf, elide)?;
+        let mut cost = self.disk.read_into(lba, buf)?;
         self.install(lba, buf, false, &mut cost)?;
         Ok(cost)
     }
 
-    /// The read path. `sink` marks a discard read: the caller will not
-    /// inspect `buf`, so a hit materializes nothing and a miss skips the
-    /// byte fill when both tiers discard payloads.
-    fn read_with(&mut self, lba: u64, buf: &mut PageBuf, sink: bool) -> Result<Duration> {
-        self.counters.reads += 1;
-        let elide = sink && self.payload_discarded;
-        let Some(&slot) = self.table.get(&lba) else {
-            return self.read_miss(lba, buf, elide);
-        };
-        let dest = if sink { None } else { Some(&mut *buf) };
-        match self.ssd.read_to(slot as u64, dest) {
-            Ok(cost) => {
-                self.counters.read_hits += 1;
-                self.lru.touch(slot);
-                if self.meta[slot as usize].is_some_and(|m| m.dirty) {
-                    self.dirty_lru.touch(slot);
-                }
-                Ok(cost)
-            }
-            Err(ftl::FtlError::Flash(e)) if e.is_media_fault() => {
-                self.read_fault_fallback(slot, lba, buf, elide)
-            }
-            Err(e) => Err(e.into()),
-        }
-    }
-
     /// Reads a dirty slot for destage into `victim_buf`, with one bounded
     /// retry on a media fault. `Ok(Some(cost))` means the buffer holds the
-    /// block; `Ok(None)` means the block is unrecoverable and must be
-    /// dropped rather than destaged.
+    /// block (in discard mode: is one block long); `Ok(None)` means the
+    /// block is unrecoverable and must be dropped rather than destaged.
     fn read_dirty_for_destage(&mut self, slot: u32) -> Result<Option<Duration>> {
-        if self.payload_discarded {
-            // Size the buffer for the disk write's length check; the
-            // discard-mode disk never reads the (stale) bytes.
-            let _ = self.victim_buf.prepare(self.disk.block_size());
-        }
         for attempt in 0..2 {
-            let read = if self.payload_discarded {
-                self.ssd.read_sink(slot as u64)
-            } else {
-                self.ssd.read_into(slot as u64, &mut self.victim_buf)
-            };
-            match read {
+            match self.ssd.read_into(slot as u64, &mut self.victim_buf) {
                 Ok(rcost) => return Ok(Some(rcost)),
                 Err(ftl::FtlError::Flash(e)) if e.is_media_fault() => {
                     if attempt == 1 {
@@ -552,11 +513,24 @@ impl<D: BlockDev> NativeCache<D> {
 
 impl<D: BlockDev> CacheSystem for NativeCache<D> {
     fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
-        self.read_with(lba, buf, false)
-    }
-
-    fn read_sink(&mut self, lba: u64, scratch: &mut PageBuf) -> Result<Duration> {
-        self.read_with(lba, scratch, true)
+        self.counters.reads += 1;
+        let Some(&slot) = self.table.get(&lba) else {
+            return self.read_miss(lba, buf);
+        };
+        match self.ssd.read_into(slot as u64, buf) {
+            Ok(cost) => {
+                self.counters.read_hits += 1;
+                self.lru.touch(slot);
+                if self.meta[slot as usize].is_some_and(|m| m.dirty) {
+                    self.dirty_lru.touch(slot);
+                }
+                Ok(cost)
+            }
+            Err(ftl::FtlError::Flash(e)) if e.is_media_fault() => {
+                self.read_fault_fallback(slot, lba, buf)
+            }
+            Err(e) => Err(e.into()),
+        }
     }
 
     fn payload_discarded(&self) -> bool {
@@ -630,6 +604,14 @@ mod tests {
 
     fn block(fill: u8) -> Vec<u8> {
         vec![fill; 512]
+    }
+
+    #[test]
+    #[should_panic(expected = "data mode mismatch")]
+    fn discard_ssd_over_store_disk_is_refused() {
+        let ssd = HybridFtl::new(SsdConfig::small_test(), flashsim::DataMode::Discard);
+        let disk = Disk::new(DiskConfig::small_test(), DiskDataMode::Store);
+        NativeCache::new(ssd, disk, NativeMode::WriteBack, NativeConsistency::None);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The cache-system trait and the trace replay driver.
 
-use disksim::Disk;
+use disksim::{Disk, DiskDataMode};
 use simkit::{Duration, Histogram, PageBuf};
 use sparsemap::MapMemory;
 use trace::TraceEvent;
@@ -13,8 +13,9 @@ use crate::Result;
 pub trait CacheSystem {
     /// Handles one application read, filling the caller's buffer (resized to
     /// one block) with the data and returning the simulated time until
-    /// completion. This is the allocation-free primitive the replay loop
-    /// drives; [`CacheSystem::read`] is a convenience wrapper over it.
+    /// completion; when [`CacheSystem::payload_discarded`] holds, the buffer
+    /// is only resized. This is the allocation-free primitive the replay
+    /// loop drives; [`CacheSystem::read`] is a convenience wrapper over it.
     ///
     /// # Errors
     ///
@@ -40,27 +41,11 @@ pub trait CacheSystem {
     /// Device failures only.
     fn write(&mut self, lba: u64, data: &[u8]) -> Result<Duration>;
 
-    /// A *discard read*: one application read whose caller will not inspect
-    /// the data. The lookup, counters, fault draw, state changes and
-    /// simulated cost are exactly those of [`CacheSystem::read_into`]; a
-    /// system may skip materializing the payload — on a hit always, on a
-    /// miss only when [`CacheSystem::payload_discarded`] holds, so
-    /// store-mode tiers still receive real bytes. `scratch` is working
-    /// space for fills; its contents afterwards are unspecified. The
-    /// default is a filling read.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CacheSystem::read_into`].
-    fn read_sink(&mut self, lba: u64, scratch: &mut PageBuf) -> Result<Duration> {
-        self.read_into(lba, scratch)
-    }
-
     /// `true` when every tier provably ignores payload bytes (discard-mode
-    /// emulation on both the cache device and the disk): a caller that
-    /// never reads data back may then pass [`CacheSystem::write`] a
-    /// correctly sized buffer with stale contents. The conservative default
-    /// keeps store-mode semantics.
+    /// emulation on both the cache device and the disk): reads then produce
+    /// no bytes, and a caller that never reads data back may pass
+    /// [`CacheSystem::write`] a correctly sized buffer with stale contents.
+    /// The conservative default keeps store-mode semantics.
     fn payload_discarded(&self) -> bool {
         false
     }
@@ -81,23 +66,20 @@ pub trait CacheSystem {
     fn name(&self) -> &'static str;
 }
 
-/// The disk half of a miss: fetches `lba` into `buf` for the cache fill.
-/// With `elide` — a discard read against tiers that both discard payloads —
-/// the disk is charged without materializing bytes and `buf` is only sized,
-/// its contents left stale, which the discard-mode cache device ignores by
-/// construction.
-pub(crate) fn fetch_from_disk(
-    disk: &mut Disk,
-    lba: u64,
-    buf: &mut PageBuf,
-    elide: bool,
-) -> Result<Duration> {
-    if elide {
-        buf.prepare(disk.block_size());
-        Ok(disk.read_sink(lba)?)
-    } else {
-        Ok(disk.read_into(lba, buf)?)
-    }
+/// Whether a manager's two tiers discard payloads, which they must do
+/// alike: a discard-mode tier's reads produce no bytes, so a store-mode
+/// tier behind or in front of it would be handed a stale buffer.
+///
+/// # Panics
+///
+/// When one tier keeps payloads and the other discards them.
+pub(crate) fn tiers_discard(cache_discards: bool, disk: &Disk) -> bool {
+    let disk_discards = disk.mode() == DiskDataMode::Discard;
+    assert_eq!(
+        cache_discards, disk_discards,
+        "cache/disk data mode mismatch"
+    );
+    disk_discards
 }
 
 /// Results of replaying a trace against a system.
@@ -145,10 +127,9 @@ pub fn write_payload_into(lba: u64, op_index: u64, block_size: usize, buf: &mut 
 /// Replays `events` against `system`, accumulating simulated time and
 /// response statistics.
 ///
-/// The driver never looks at data, so reads are discard reads
-/// ([`CacheSystem::read_sink`]) and write payloads are only filled when a
-/// tier retains them ([`CacheSystem::payload_discarded`]); neither changes
-/// any simulated observable. The loop owns two buffers — read scratch and
+/// The driver never looks at data, so write payloads are only filled when
+/// a tier retains them ([`CacheSystem::payload_discarded`]), which changes
+/// no simulated observable. The loop owns two buffers — read scratch and
 /// write payload — reused across every event, so steady-state replay
 /// performs no per-event heap allocation.
 ///
@@ -175,7 +156,7 @@ pub fn replay<S: CacheSystem + ?Sized>(
             }
             system.write(event.lba, &payload_buf)?
         } else {
-            system.read_sink(event.lba, &mut scratch)?
+            system.read_into(event.lba, &mut scratch)?
         };
         let us = cost.as_micros();
         sim_time += cost;

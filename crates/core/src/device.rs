@@ -617,34 +617,23 @@ impl Ssc {
         Ok(cost)
     }
 
-    /// `read`, parameterised over where the payload goes: `Some(buf)` fills
-    /// `buf` (resized to one page); `None` is a *discard read* for callers
-    /// that will not inspect the data. The map lookup, counters, fault
-    /// draw and timing do not depend on `dest`.
+    /// `read` into the caller's buffer, resized to one page (in
+    /// `DataMode::Discard` its bytes are left as they were): the
+    /// allocation-free form of [`Ssc::read`].
     ///
     /// # Errors
     ///
     /// [`SscError::NotPresent`] on a miss (the normal cache-miss signal).
     #[inline]
-    pub fn read_to(&mut self, lba: u64, dest: Option<&mut PageBuf>) -> Result<Duration> {
+    pub fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
         self.counters.host_reads += 1;
         match self.maps.lookup(lba) {
-            Some(resolved) => Ok(self.dev.read_page_to(resolved.ppn(), dest)?),
+            Some(resolved) => Ok(self.dev.read_page_into(resolved.ppn(), buf)?),
             None => {
                 self.counters.read_misses += 1;
                 Err(SscError::NotPresent(lba))
             }
         }
-    }
-
-    /// `read` into the caller's buffer: the allocation-free form of
-    /// [`Ssc::read`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Ssc::read_to`].
-    pub fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
-        self.read_to(lba, Some(buf))
     }
 
     /// `read`: return the cached data for `lba`. Convenience wrapper over
@@ -1752,11 +1741,12 @@ mod tests {
         );
     }
 
-    /// A discard read is a filling read minus the bytes: same cost or
-    /// error (hits, misses, injected faults), same counters, same fault
-    /// stream, op for op, in both data modes.
+    /// A discard-mode read is a store-mode read minus the bytes: same cost
+    /// or error (hits, misses, injected faults), same counters, same fault
+    /// stream, op for op; its buffer comes back one page long with the
+    /// caller's bytes untouched.
     #[test]
-    fn read_sink_matches_read_into_exactly() {
+    fn discard_read_matches_a_store_read_minus_the_bytes() {
         let plan = flashsim::FaultPlan {
             seed: 0x51_4B,
             read_transient_ppm: 150_000,
@@ -1764,35 +1754,40 @@ mod tests {
             read_corrupt_ppm: 50_000,
             ..flashsim::FaultPlan::default()
         };
-        for mode in [flashsim::DataMode::Store, flashsim::DataMode::Discard] {
-            let config = SscConfig::small_test().with_data_mode(mode);
-            let (mut filled, mut sunk) = (Ssc::new(config), Ssc::new(config));
-            let page = page(&filled, 7);
-            for d in [&mut filled, &mut sunk] {
-                d.set_fault_plan(plan);
-                for lba in 0..48u64 {
-                    if lba % 3 == 0 {
-                        d.write_dirty(lba, &page).unwrap();
-                    } else {
-                        d.write_clean(lba, &page).unwrap();
-                    }
+        let config = SscConfig::small_test();
+        let mut stored = Ssc::new(config);
+        let mut discarded = Ssc::new(config.with_data_mode(flashsim::DataMode::Discard));
+        let page = page(&stored, 7);
+        for d in [&mut stored, &mut discarded] {
+            d.set_fault_plan(plan);
+            for lba in 0..48u64 {
+                if lba % 3 == 0 {
+                    d.write_dirty(lba, &page).unwrap();
+                } else {
+                    d.write_clean(lba, &page).unwrap();
                 }
             }
-            let mut buf = PageBuf::new();
-            // LBAs 48..64 were never written: misses on both sides.
-            for i in 0..400u64 {
-                let lba = (i * 7) % 64;
-                assert_eq!(
-                    filled.read_into(lba, &mut buf),
-                    sunk.read_to(lba, None),
-                    "{mode:?} read {i} lba {lba}"
-                );
-            }
-            assert_eq!(filled.counters(), sunk.counters());
-            assert_eq!(filled.fault_counters(), sunk.fault_counters());
-            assert!(filled.fault_counters().total() > 0, "plan never fired");
-            assert!(filled.counters().read_misses > 0);
         }
+        let (mut buf, mut poisoned) = (PageBuf::new(), PageBuf::new());
+        // LBAs 48..64 were never written: misses on both sides.
+        for i in 0..400u64 {
+            let lba = (i * 7) % 64;
+            poisoned.fill_with(2 * page.len(), 0xA5);
+            let want = stored.read_into(lba, &mut buf);
+            assert_eq!(
+                discarded.read_into(lba, &mut poisoned),
+                want,
+                "read {i} lba {lba}"
+            );
+            if want.is_ok() {
+                assert_eq!(buf.as_slice(), &page[..]);
+                assert_eq!(poisoned.to_vec(), vec![0xA5; page.len()], "read {i}");
+            }
+        }
+        assert_eq!(stored.counters(), discarded.counters());
+        assert_eq!(stored.fault_counters(), discarded.fault_counters());
+        assert!(stored.fault_counters().total() > 0, "plan never fired");
+        assert!(stored.counters().read_misses > 0);
     }
 }
 

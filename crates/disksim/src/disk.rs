@@ -1,12 +1,8 @@
 //! The simulated disk device.
 //!
-//! Discard mode keeps no payloads, only a write version per block so reads
-//! return deterministic synthetic bytes. The versions live in *extent
-//! pages*: one boxed `[u32; 64]` per 64-block extent that was ever written,
-//! keyed by `lba >> 6`, version 0 meaning "never written". Destage runs and
-//! sequential fills stay inside an extent, so a run costs one table probe
-//! per extent instead of one per block, and a written block costs about
-//! 4 bytes of table instead of a hash entry.
+//! Store mode keeps every written block's payload; discard mode keeps none,
+//! and a read there only sizes the caller's buffer. Either way the timing
+//! model is the head position and the counters alone.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -46,9 +42,11 @@ impl std::error::Error for DiskError {}
 /// `flashsim::DataMode` for the disk tier).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiskDataMode {
-    /// Keep payloads; reads return what was written.
+    /// Keep payloads; reads return what was written (zeros if never
+    /// written).
     Store,
-    /// Drop payloads; reads return deterministic synthetic bytes.
+    /// Neither store nor produce payloads; a read sizes the caller's buffer
+    /// to one block and writes nothing into it.
     Discard,
 }
 
@@ -63,9 +61,6 @@ pub struct DiskCounters {
     pub sequential_hits: u64,
 }
 
-/// Blocks per extent page of the discard-mode version table.
-const EXTENT_BLOCKS: u64 = 64;
-
 /// A simulated disk with positional timing.
 #[derive(Debug, Clone)]
 pub struct Disk {
@@ -73,10 +68,8 @@ pub struct Disk {
     mode: DiskDataMode,
     /// Position after the last transfer: the block that would stream next.
     head: Option<u64>,
+    /// Written payloads; empty in [`DiskDataMode::Discard`].
     data: HashMap<u64, Box<[u8]>, BlockHash>,
-    /// Write version per block, for deterministic discard-mode reads: one
-    /// page per touched extent (see module docs), 0 = never written.
-    versions: HashMap<u64, Box<[u32; EXTENT_BLOCKS as usize]>, BlockHash>,
     counters: DiskCounters,
 }
 
@@ -88,7 +81,6 @@ impl Disk {
             mode,
             head: None,
             data: HashMap::default(),
-            versions: HashMap::default(),
             counters: DiskCounters::default(),
         }
     }
@@ -138,60 +130,25 @@ impl Disk {
         }
     }
 
-    fn fake_data_into(lba: u64, version: u64, out: &mut [u8]) {
-        simkit::fill_pseudo(lba.rotate_left(32) ^ version, out);
-    }
-
-    /// Reads one block, parameterised over where the payload goes:
-    /// `Some(buf)` fills `buf` (resized to one block; unwritten blocks read
-    /// as zeros); `None` is a *discard read* for callers that will not
-    /// inspect the data. The bounds check, head movement, counters and
-    /// timing do not depend on `dest` — the disk models no data-dependent
-    /// behavior.
+    /// Reads one block into the caller's buffer, resized to one block: the
+    /// allocation-free form of [`Disk::read`]. Unwritten blocks read as
+    /// zeros; in [`DiskDataMode::Discard`] the bytes are left as they were.
     ///
     /// # Errors
     ///
     /// [`DiskError::LbaOutOfRange`] for bad addresses.
-    pub fn read_to(&mut self, lba: u64, dest: Option<&mut PageBuf>) -> Result<Duration> {
+    pub fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
         self.check(lba)?;
         let cost = self.access_cost(lba);
         self.counters.reads += 1;
-        if let Some(buf) = dest {
-            let out = buf.prepare(self.config.block_size);
-            match self.mode {
-                DiskDataMode::Store => match self.data.get(&lba) {
-                    Some(d) => out.copy_from_slice(d),
-                    None => out.fill(0),
-                },
-                DiskDataMode::Discard => {
-                    let page = self.versions.get(&(lba / EXTENT_BLOCKS));
-                    match page.map_or(0, |page| page[(lba % EXTENT_BLOCKS) as usize]) {
-                        0 => out.fill(0),
-                        v => Self::fake_data_into(lba, u64::from(v), out),
-                    }
-                }
+        let out = buf.prepare(self.config.block_size);
+        if self.mode == DiskDataMode::Store {
+            match self.data.get(&lba) {
+                Some(d) => out.copy_from_slice(d),
+                None => out.fill(0),
             }
         }
         Ok(cost)
-    }
-
-    /// Reads one block into the caller's buffer: the allocation-free form
-    /// of [`Disk::read`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Disk::read_to`].
-    pub fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
-        self.read_to(lba, Some(buf))
-    }
-
-    /// A discard read: [`Disk::read_to`] with no destination.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Disk::read_to`].
-    pub fn read_sink(&mut self, lba: u64) -> Result<Duration> {
-        self.read_to(lba, None)
     }
 
     /// Reads one block into a fresh `Vec`. Convenience wrapper over
@@ -218,32 +175,11 @@ impl Disk {
     }
 
     /// The content half of writing the first `blocks` blocks of `data` at
-    /// `lba` onward: payloads in store mode, one version bump per block in
-    /// discard mode — there with one table probe per extent the run touches.
+    /// `lba` onward: the payloads, in store mode only.
     fn retain(&mut self, lba: u64, blocks: u64, data: &[u8]) {
-        let end = lba + blocks;
-        match self.mode {
-            DiskDataMode::Store => {
-                for (lba, block) in (lba..end).zip(data.chunks(self.config.block_size)) {
-                    self.data.insert(lba, block.into());
-                }
-            }
-            DiskDataMode::Discard => {
-                let mut next = lba;
-                while next < end {
-                    let extent = next / EXTENT_BLOCKS;
-                    let stop = end.min((extent + 1) * EXTENT_BLOCKS);
-                    let page = self
-                        .versions
-                        .entry(extent)
-                        .or_insert_with(|| Box::new([0; EXTENT_BLOCKS as usize]));
-                    for v in &mut page[(next % EXTENT_BLOCKS) as usize..][..(stop - next) as usize]
-                    {
-                        // Never back to 0: that would read as unwritten.
-                        *v = v.wrapping_add(1).max(1);
-                    }
-                    next = stop;
-                }
+        if self.mode == DiskDataMode::Store {
+            for (lba, block) in (lba..lba + blocks).zip(data.chunks(self.config.block_size)) {
+                self.data.insert(lba, block.into());
             }
         }
     }
@@ -347,102 +283,42 @@ mod tests {
             d.write(0, &[1, 2, 3]).unwrap_err(),
             DiskError::BadBlockSize { got: 3 }
         );
+        // A run past the end fails at its first block out of range, with
+        // every block before it written and counted.
+        let run = [block(1), block(2)].concat();
+        assert_eq!(
+            d.write_run_concat(cap - 1, &run).unwrap_err(),
+            DiskError::LbaOutOfRange(cap)
+        );
+        assert_eq!(d.read(cap - 1).unwrap().0, block(1));
+        assert_eq!(d.counters().writes, 1);
     }
 
     #[test]
-    fn discard_mode_versions_are_deterministic() {
-        let mut a = Disk::new(DiskConfig::paper_default(), DiskDataMode::Discard);
-        let mut b = Disk::new(DiskConfig::paper_default(), DiskDataMode::Discard);
-        for d in [&mut a, &mut b] {
-            d.write(5, &block(0)).unwrap();
-            d.write(5, &block(0)).unwrap();
+    fn discard_read_matches_a_store_read_minus_the_bytes() {
+        // The same history on a store-mode and a discard-mode disk, with
+        // written, unwritten, sequential and random reads: identical costs,
+        // counters and head state at every step, and the discard read hands
+        // back the caller's bytes, cut to one block.
+        let mut stored = disk();
+        let mut discarded = Disk::new(DiskConfig::paper_default(), DiskDataMode::Discard);
+        for d in [&mut stored, &mut discarded] {
+            d.write_run_concat(7, &[block(1), block(2)].concat())
+                .unwrap();
         }
-        assert_eq!(a.read(5).unwrap().0, b.read(5).unwrap().0);
-        // Unwritten blocks are zeros even in discard mode.
-        assert!(a.read(6).unwrap().0.iter().all(|&z| z == 0));
-        // A third write changes the content.
-        a.write(5, &block(0)).unwrap();
-        assert_ne!(a.read(5).unwrap().0, b.read(5).unwrap().0);
-    }
-
-    #[test]
-    fn unwritten_block_in_a_written_extent_reads_zero() {
-        let mut d = Disk::new(DiskConfig::paper_default(), DiskDataMode::Discard);
-        d.write(64, &block(0)).unwrap();
-        assert!(d.read(65).unwrap().0.iter().all(|&z| z == 0));
-        assert!(d.read(63).unwrap().0.iter().all(|&z| z == 0));
-        assert!(d.read(64).unwrap().0.iter().any(|&z| z != 0));
-    }
-
-    #[test]
-    fn extent_pages_match_a_per_block_version_model() {
-        // Single writes and concatenated runs against one version counter
-        // per LBA, on a volume whose last block (130) sits two blocks into
-        // its third extent, with the addresses drawn around the extent
-        // boundaries (63|64, 127|128) and the end of the volume.
-        const CAPACITY: u64 = 131;
-        let config = DiskConfig {
-            capacity_blocks: CAPACITY,
-            ..DiskConfig::paper_default()
-        };
-        let mut rng = simkit::SimRng::seed_from(0xD15C_2000);
-        let mut disk = Disk::new(config, DiskDataMode::Discard);
-        let mut model: HashMap<u64, u64> = HashMap::new();
-        let hot = [0, 1, 62, 63, 64, 65, 126, 127, 128, 129, 130];
-        let mut expect = vec![0u8; 4096];
-        for _ in 0..4000 {
-            let lba = if rng.gen_bool(0.8) {
-                hot[rng.gen_range(hot.len() as u64) as usize]
-            } else {
-                rng.gen_range(CAPACITY)
-            };
-            match rng.gen_range(3) {
-                0 => {
-                    disk.write(lba, &block(0)).unwrap();
-                    *model.entry(lba).or_insert(0) += 1;
-                }
-                1 => {
-                    // Runs that reach past the volume fail at the first
-                    // block out of range, with everything before it written.
-                    let len = 1 + rng.gen_range(70);
-                    let run = disk.write_run_concat(lba, &vec![0u8; 4096 * len as usize]);
-                    assert_eq!(run.is_err(), lba + len > CAPACITY);
-                    for lba in lba..(lba + len).min(CAPACITY) {
-                        *model.entry(lba).or_insert(0) += 1;
-                    }
-                }
-                _ => {
-                    match model.get(&lba) {
-                        Some(&v) => Disk::fake_data_into(lba, v, &mut expect),
-                        None => expect.fill(0),
-                    }
-                    assert_eq!(disk.read(lba).unwrap().0, expect, "lba {lba}");
-                }
-            }
+        let (mut buf, mut poisoned) = (PageBuf::new(), PageBuf::new());
+        for lba in [7u64, 8, 9, 3, 4, 100, 7] {
+            poisoned.fill_with(2 * 4096, 0xA5);
+            let want = stored.read_into(lba, &mut buf).unwrap();
+            assert_eq!(
+                discarded.read_into(lba, &mut poisoned),
+                Ok(want),
+                "lba {lba}"
+            );
+            assert_eq!(poisoned.to_vec(), block(0xA5), "lba {lba}");
         }
-        let written = model.values().sum::<u64>();
-        assert_eq!(disk.counters().writes, written);
-    }
-
-    #[test]
-    fn read_sink_matches_read_into_exactly() {
-        // Same LBA sequence (mixing sequential and random positioning)
-        // through both read paths: identical costs, counters and head
-        // state at every step.
-        let lbas = [7u64, 8, 9, 3, 4, 100, 7];
-        let mut filled = Disk::new(DiskConfig::paper_default(), DiskDataMode::Discard);
-        let mut sunk = Disk::new(DiskConfig::paper_default(), DiskDataMode::Discard);
-        for d in [&mut filled, &mut sunk] {
-            d.write(7, &block(1)).unwrap();
-        }
-        let mut buf = simkit::PageBuf::new();
-        for &lba in &lbas {
-            let a = filled.read_into(lba, &mut buf).unwrap();
-            let b = sunk.read_sink(lba).unwrap();
-            assert_eq!(a, b, "lba {lba}");
-        }
-        assert_eq!(filled.counters(), sunk.counters());
-        assert!(sunk.read_sink(u64::MAX).is_err());
+        assert_eq!(stored.counters(), discarded.counters());
+        assert!(discarded.read_into(u64::MAX, &mut poisoned).is_err());
     }
 
     #[test]

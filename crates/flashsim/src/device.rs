@@ -17,13 +17,14 @@ use simkit::{Duration, PageBuf};
 /// [`DataMode::Discard`] reproduces the paper's emulation technique for
 /// caches larger than host DRAM: "it stores the metadata of all cached blocks
 /// in memory but discards data on writes and returns fake data on reads,
-/// similar to David". Fake data is deterministic in the page's OOB sequence
-/// number, so replays are reproducible.
+/// similar to David". Here the fake data is whatever the caller's buffer
+/// already held: no simulated number depends on payload bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataMode {
     /// Keep page payloads; reads return exactly what was programmed.
     Store,
-    /// Drop page payloads; reads return deterministic synthetic bytes.
+    /// Neither store nor produce payloads; a read sizes the caller's buffer
+    /// to one page and writes nothing into it.
     Discard,
 }
 
@@ -181,34 +182,23 @@ impl FlashDevice {
         Ok(Ppn(first.raw() + u64::from(wp)))
     }
 
-    /// Deterministic synthetic payload for discard-mode reads, written into
-    /// `out` (pseudo-random stream seeded from the page's identity).
-    fn fake_data_into(ppn: Ppn, oob: &OobData, out: &mut [u8]) {
-        let seed = ppn.raw() ^ oob.seq().rotate_left(17) ^ oob.lba().unwrap_or(u64::MAX);
-        simkit::fill_pseudo(seed, out);
-    }
-
     /// The single source of truth for what a programmed page reads back as:
-    /// the deterministic synthetic stream in discard mode, the stored
-    /// payload in store mode, zeros for a page a failed program consumed.
+    /// the stored payload in store mode, zeros for a page a failed program
+    /// consumed; discard mode writes nothing.
     fn payload_into(&self, ppn: Ppn, out: &mut [u8]) {
-        let at = ppn.raw() as usize;
         match self.mode {
-            DataMode::Discard => Self::fake_data_into(ppn, &self.oob[at], out),
-            DataMode::Store => match &self.payloads[at] {
+            DataMode::Discard => {}
+            DataMode::Store => match &self.payloads[ppn.raw() as usize] {
                 Some(data) => out.copy_from_slice(data),
                 None => out.fill(0),
             },
         }
     }
 
-    /// A *host* read of a programmed page, parameterised over where the
-    /// payload goes: `Some(buf)` fills `buf` (resized to one page); `None`
-    /// is a *discard read* for callers that will not inspect the data.
-    /// Validation, the fault draw (including transient retries), counters
-    /// and timing do not depend on `dest`, so the two are interchangeable
-    /// event for event — unlike [`FlashDevice::read_page_charge`], which
-    /// models a device-internal read and draws no fault.
+    /// A *host* read of a programmed page into `buf`, resized to one page
+    /// (in [`DataMode::Discard`] its bytes are left as they were). Unlike
+    /// [`FlashDevice::read_page_charge`], which models a device-internal
+    /// read, it draws from the fault plan.
     ///
     /// # Errors
     ///
@@ -221,7 +211,7 @@ impl FlashDevice {
     /// nothing; a transient fault succeeds at double read time (the internal
     /// retry).
     #[inline]
-    pub fn read_page_to(&mut self, ppn: Ppn, dest: Option<&mut PageBuf>) -> Result<Duration> {
+    pub fn read_page_into(&mut self, ppn: Ppn, buf: &mut PageBuf) -> Result<Duration> {
         self.locate_programmed(ppn)?;
         let mut retries = 0u64;
         if let Some(inj) = &mut self.faults {
@@ -232,22 +222,10 @@ impl FlashDevice {
                 ReadFault::Corrupt => return Err(FlashError::ReadCorrupt(ppn)),
             }
         }
-        if let Some(buf) = dest {
-            let out = buf.prepare(self.config.geometry.page_size());
-            self.payload_into(ppn, out);
-        }
+        let out = buf.prepare(self.config.geometry.page_size());
+        self.payload_into(ppn, out);
         self.counters.page_reads += 1;
         Ok(self.config.timing.read_cost() * (1 + retries))
-    }
-
-    /// Reads a programmed page into `buf` (resized to one page): the
-    /// zero-allocation form of [`FlashDevice::read_page`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`FlashDevice::read_page_to`].
-    pub fn read_page_into(&mut self, ppn: Ppn, buf: &mut PageBuf) -> Result<Duration> {
-        self.read_page_to(ppn, Some(buf))
     }
 
     /// Reads a programmed page, returning its payload and the simulated cost.
@@ -820,25 +798,6 @@ mod tests {
     }
 
     #[test]
-    fn discard_mode_returns_deterministic_fake_data() {
-        let config = FlashConfig::small_test();
-        let mut d1 = FlashDevice::new(config, DataMode::Discard);
-        let mut d2 = FlashDevice::new(config, DataMode::Discard);
-        let ppn = d1.geometry().ppn(0, 0, 0);
-        let data = vec![0xFF; d1.geometry().page_size()];
-        d1.program_page(ppn, &data, OobData::for_lba(1, false, 7))
-            .unwrap();
-        d2.program_page(ppn, &data, OobData::for_lba(1, false, 7))
-            .unwrap();
-        let (r1, _) = d1.read_page(ppn).unwrap();
-        let (r2, _) = d2.read_page(ppn).unwrap();
-        assert_eq!(r1, r2);
-        assert_eq!(r1.len(), d1.geometry().page_size());
-        // Fake data differs from what was written (payload was dropped).
-        assert_ne!(r1, data);
-    }
-
-    #[test]
     fn oob_read_charges_scan_cost() {
         let mut d = dev();
         let ppn = d.geometry().ppn(0, 0, 0);
@@ -1128,9 +1087,9 @@ mod relocation_tests {
     }
 
     #[test]
-    fn copy_page_from_matches_discard_fake_data() {
-        // In Discard mode the device regenerates payloads from the PPN, so a
-        // copy must read back exactly like a program of the same page would.
+    fn copy_page_from_in_discard_mode_matches_a_program() {
+        // In Discard mode a copy moves no payload; everything else about the
+        // new page is what a program of it would leave.
         let config = FlashConfig::small_test();
         let mut copied = FlashDevice::new(config, DataMode::Discard);
         let mut programmed = FlashDevice::new(config, DataMode::Discard);
@@ -1139,14 +1098,19 @@ mod relocation_tests {
         let (src, _) = copied
             .program_next(g.pbn(0, 0), &data, OobData::for_lba(8, false, 1))
             .unwrap();
+        programmed
+            .program_next(g.pbn(0, 0), &data, OobData::for_lba(8, false, 1))
+            .unwrap();
         let oob = OobData::for_lba(8, false, 2);
-        let (via_copy, _) = copied.copy_page_from(g.pbn(1, 0), src, oob).unwrap();
-        let (via_program, _) = programmed.program_next(g.pbn(1, 0), &data, oob).unwrap();
+        let via_copy = copied.copy_page_from(g.pbn(1, 0), src, oob).unwrap();
+        let via_program = programmed.program_next(g.pbn(1, 0), &data, oob).unwrap();
         assert_eq!(via_copy, via_program);
+        assert_eq!(copied.peek_oob(via_copy.0), Ok(oob));
         assert_eq!(
-            copied.read_page(via_copy).unwrap(),
-            programmed.read_page(via_program).unwrap()
+            copied.read_page(via_copy.0).unwrap(),
+            programmed.read_page(via_program.0).unwrap()
         );
+        assert_eq!(copied.counters(), programmed.counters());
     }
 
     #[test]
@@ -1223,8 +1187,10 @@ mod fault_tests {
 
     #[test]
     fn discard_read_matches_read_page_into_exactly() {
-        // A plan that mixes transient, permanent and corrupt outcomes: the
-        // discard read must draw the same fault stream as the filling read.
+        // A discard-mode read is a store-mode read minus the bytes: same
+        // cost or error and the same fault stream, under a plan that mixes
+        // transient, permanent and corrupt outcomes. Its buffer comes back
+        // one page long with the caller's bytes untouched.
         let plan = FaultPlan {
             seed: 9,
             read_transient_ppm: 200_000,
@@ -1232,34 +1198,45 @@ mod fault_tests {
             read_corrupt_ppm: 100_000,
             ..FaultPlan::default()
         };
-        let mut filled = dev_with(plan);
-        let mut sunk = dev_with(plan);
-        let g = *filled.geometry();
+        let mut stored = dev_with(plan);
+        let mut discarded = FlashDevice::new(FlashConfig::small_test(), DataMode::Discard);
+        discarded.set_fault_plan(plan);
+        let g = *stored.geometry();
         let data = vec![5u8; g.page_size()];
-        for d in [&mut filled, &mut sunk] {
+        for d in [&mut stored, &mut discarded] {
             for i in 0..8u64 {
                 d.program_next(g.pbn(0, 0), &data, OobData::for_lba(i, false, 1))
                     .unwrap();
             }
         }
         let first = g.first_page(g.pbn(0, 0)).raw();
-        let mut buf = PageBuf::new();
+        let (mut buf, mut poisoned) = (PageBuf::new(), PageBuf::new());
         // Programmed pages (some faulting), a free page and a bad address.
-        for round in 0..40u64 {
-            let ppn = Ppn(first + round % 10);
+        for round in 0..41u64 {
+            let ppn = Ppn(if round == 40 {
+                u64::MAX
+            } else {
+                first + round % 10
+            });
+            poisoned.fill_with(2 * g.page_size(), 0xA5);
+            let want = stored.read_page_into(ppn, &mut buf);
             assert_eq!(
-                filled.read_page_into(ppn, &mut buf),
-                sunk.read_page_to(ppn, None),
+                discarded.read_page_into(ppn, &mut poisoned),
+                want,
                 "round {round} ppn {ppn:?}"
             );
+            if want.is_ok() {
+                assert_eq!(buf.as_slice(), &data[..]);
+                assert_eq!(
+                    poisoned.to_vec(),
+                    vec![0xA5; g.page_size()],
+                    "round {round}"
+                );
+            }
         }
-        assert_eq!(
-            filled.read_page_into(Ppn(u64::MAX), &mut buf),
-            sunk.read_page_to(Ppn(u64::MAX), None)
-        );
-        assert_eq!(filled.counters(), sunk.counters());
-        assert_eq!(filled.fault_counters(), sunk.fault_counters());
-        assert!(filled.fault_counters().total() > 0, "plan never fired");
+        assert_eq!(stored.counters(), discarded.counters());
+        assert_eq!(stored.fault_counters(), discarded.fault_counters());
+        assert!(stored.fault_counters().total() > 0, "plan never fired");
     }
 
     #[test]

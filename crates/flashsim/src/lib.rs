@@ -33,8 +33,8 @@
 //! ([`FlashDevice::valid_mask`], [`FlashDevice::valid_pages_iter`],
 //! [`FlashDevice::block_state`]).
 //!
-//! Host traffic goes through [`FlashDevice::read_page_to`] (and its
-//! `read_page_into`/`read_page` wrappers), [`FlashDevice::program_next`] /
+//! Host traffic goes through [`FlashDevice::read_page_into`] (and its
+//! `read_page` wrapper), [`FlashDevice::program_next`] /
 //! [`FlashDevice::program_page`] and [`FlashDevice::erase_block`].
 //! Device-internal relocation never moves a payload to the host:
 //! [`FlashDevice::read_page_charge`] + [`FlashDevice::copy_page_from`]
@@ -46,9 +46,10 @@
 //! # Data modes
 //!
 //! Like the paper's SSC emulator (which discards data like the David
-//! emulator), the device can run in [`DataMode::Discard`] where page payloads
-//! are dropped and reads return deterministic synthetic bytes. Correctness
-//! tests use [`DataMode::Store`].
+//! emulator), the device can run in [`DataMode::Discard`], where it neither
+//! stores nor produces payload bytes: a read sizes the caller's buffer and
+//! writes nothing into it. Timing, counters and faults are those of
+//! [`DataMode::Store`], which correctness tests use.
 //!
 //! # Examples
 //!

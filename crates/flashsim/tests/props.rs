@@ -8,11 +8,24 @@
 
 use flashsim::{
     BlockState, DataMode, FaultCounters, FaultInjector, FaultPlan, FlashConfig, FlashCounters,
-    FlashDevice, FlashError, FlashTiming, Geometry, OobData, PageState, Pbn, Ppn, ReadFault,
+    FlashDevice, FlashError, FlashTiming, Geometry, OobData, PageBuf, PageState, Pbn, Ppn,
+    ReadFault,
 };
 use simkit::{Duration, SimRng};
 
 type Result<T> = std::result::Result<T, FlashError>;
+
+/// What a read buffer holds before each read. A `Discard`-mode read must
+/// leave it, cut to one page; a `Store`-mode read overwrites it.
+const POISON: u8 = 0xA5;
+
+/// `read_page_into` on a buffer two pages long of [`POISON`].
+fn read_poisoned(dev: &mut FlashDevice, ppn: Ppn) -> Result<(Vec<u8>, Duration)> {
+    let mut buf = PageBuf::new();
+    buf.fill_with(2 * dev.geometry().page_size(), POISON);
+    let cost = dev.read_page_into(ppn, &mut buf)?;
+    Ok((buf.into_vec(), cost))
+}
 
 /// One page of the reference model: the per-page record the device kept
 /// before validity became a bitmap per block.
@@ -92,19 +105,13 @@ impl RefDevice {
         Ok(Ppn(first.raw() + wp as u64))
     }
 
+    /// What [`read_poisoned`] finds in its buffer after reading `ppn`.
     fn payload(&self, ppn: Ppn) -> Vec<u8> {
-        let page = self.page(ppn).unwrap();
-        let mut out = vec![0u8; self.g.page_size()];
-        match (&page.data, self.mode) {
-            (Some(d), _) => out.copy_from_slice(d),
-            (None, DataMode::Discard) => {
-                let oob = page.oob;
-                let seed = ppn.raw() ^ oob.seq().rotate_left(17) ^ oob.lba().unwrap_or(u64::MAX);
-                simkit::fill_pseudo(seed, &mut out);
-            }
-            (None, DataMode::Store) => {}
+        match (&self.page(ppn).unwrap().data, self.mode) {
+            (Some(d), _) => d.clone(),
+            (None, DataMode::Discard) => vec![POISON; self.g.page_size()],
+            (None, DataMode::Store) => vec![0; self.g.page_size()],
         }
-        out
     }
 
     fn read(&mut self, ppn: Ppn) -> Result<(Vec<u8>, Duration)> {
@@ -525,7 +532,7 @@ fn device_matches_reference_model() {
                 }
                 10 => {
                     let ppn = pick_ppn(&mut rng, &model);
-                    assert_eq!(dev.read_page(ppn), model.read(ppn), "{at}");
+                    assert_eq!(read_poisoned(&mut dev, ppn), model.read(ppn), "{at}");
                     assert_eq!(dev.read_page_charge(ppn), model.read_charge(ppn), "{at}");
                 }
                 _ => {
@@ -537,7 +544,11 @@ fn device_matches_reference_model() {
         }
         // Read-back of every page, fault draws in lockstep.
         for ppn in (0..g.total_pages()).map(Ppn) {
-            assert_eq!(dev.read_page(ppn), model.read(ppn), "case {case} {ppn:?}");
+            assert_eq!(
+                read_poisoned(&mut dev, ppn),
+                model.read(ppn),
+                "case {case} {ppn:?}"
+            );
         }
     }
     assert!(faulted_programs > 0, "fault plans never consumed a page");

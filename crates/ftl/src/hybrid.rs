@@ -35,7 +35,7 @@ use sparsemap::{memory, MapMemory, SparseRow};
 use crate::config::SsdConfig;
 use crate::error::FtlError;
 use crate::pool::FreeBlockPool;
-use crate::ssd::{BlockDev, FtlCounters};
+use crate::ssd::{read_unwritten, BlockDev, FtlCounters};
 use crate::Result;
 
 /// The hybrid-mapped SSD.
@@ -360,18 +360,14 @@ impl BlockDev for HybridFtl {
         self.exposed_pages
     }
 
-    fn read_to(&mut self, lba: u64, dest: Option<&mut PageBuf>) -> Result<Duration> {
+    fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
         self.check_lba(lba)?;
         self.counters.host_reads += 1;
         let (lbn, offset) = self.split(lba);
-        if let Some(ppn) = self.live_page(lbn, offset)? {
-            return Ok(self.dev.read_page_to(ppn, dest)?);
+        match self.live_page(lbn, offset)? {
+            Some(ppn) => Ok(self.dev.read_page_into(ppn, buf)?),
+            None => Ok(read_unwritten(&self.dev, buf)),
         }
-        // Never written (or trimmed): disks return zeros.
-        if let Some(buf) = dest {
-            buf.fill_with(self.dev.geometry().page_size(), 0);
-        }
-        Ok(self.dev.timing().metadata_cost())
     }
 
     fn payload_discarded(&self) -> bool {
@@ -826,7 +822,7 @@ mod log_bits_oracle_tests {
                         }
                     }
                     13 => drop(ssd.background_merge().unwrap()),
-                    _ => drop(ssd.read_to(rng.gen_range(span), None).unwrap()),
+                    _ => drop(ssd.read(rng.gen_range(span)).unwrap()),
                 }
                 assert_rows_agree(&ssd, &written, &at);
             }

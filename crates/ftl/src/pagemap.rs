@@ -22,7 +22,7 @@ use sparsemap::{memory, MapMemory};
 use crate::config::SsdConfig;
 use crate::error::FtlError;
 use crate::pool::FreeBlockPool;
-use crate::ssd::{BlockDev, FtlCounters};
+use crate::ssd::{read_unwritten, BlockDev, FtlCounters};
 use crate::Result;
 
 /// A page-mapped SSD.
@@ -213,17 +213,12 @@ impl BlockDev for PageFtl {
         self.exposed_pages
     }
 
-    fn read_to(&mut self, lba: u64, dest: Option<&mut PageBuf>) -> Result<Duration> {
+    fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
         self.check_lba(lba)?;
         self.counters.host_reads += 1;
         match self.map.get(&lba) {
-            Some(&ppn) => Ok(self.dev.read_page_to(ppn, dest)?),
-            None => {
-                if let Some(buf) = dest {
-                    buf.fill_with(self.dev.geometry().page_size(), 0);
-                }
-                Ok(self.dev.timing().metadata_cost())
-            }
+            Some(&ppn) => Ok(self.dev.read_page_into(ppn, buf)?),
+            None => Ok(read_unwritten(&self.dev, buf)),
         }
     }
 

@@ -1,5 +1,6 @@
 //! The common block-device interface and counters for both FTLs.
 
+use flashsim::{DataMode, FlashDevice};
 use simkit::{Duration, PageBuf};
 use sparsemap::MapMemory;
 
@@ -45,23 +46,17 @@ impl FtlCounters {
 ///
 /// Reads of never-written (or trimmed) addresses succeed and return zeros —
 /// disk-replacement semantics, in contrast to the SSC which returns
-/// not-present errors. All methods return the simulated device time consumed,
+/// not-present errors. A device over [`flashsim::DataMode::Discard`] flash
+/// neither stores nor produces payload bytes: its reads only size the
+/// caller's buffer. All methods return the simulated device time consumed,
 /// including any garbage-collection work triggered.
 pub trait BlockDev {
     /// Exposed capacity in 4 KB logical pages.
     fn capacity_pages(&self) -> u64;
 
-    /// Reads one logical page, parameterised over where the payload goes:
-    /// `Some(buf)` fills `buf` (resized to one page); `None` is a *discard
-    /// read* for callers that will not inspect the data. The mapping
-    /// lookup, counters, fault draw and timing do not depend on `dest`.
-    fn read_to(&mut self, lba: u64, dest: Option<&mut PageBuf>) -> Result<Duration>;
-
-    /// Reads one logical page into the caller's buffer: the
-    /// allocation-free form of [`BlockDev::read`].
-    fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
-        self.read_to(lba, Some(buf))
-    }
+    /// Reads one logical page into the caller's buffer, resized to one
+    /// page: the allocation-free form of [`BlockDev::read`].
+    fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration>;
 
     /// Reads one logical page into a fresh `Vec`.
     fn read(&mut self, lba: u64) -> Result<(Vec<u8>, Duration)> {
@@ -70,16 +65,10 @@ pub trait BlockDev {
         Ok((buf.into_vec(), cost))
     }
 
-    /// A discard read: [`BlockDev::read_to`] with no destination.
-    fn read_sink(&mut self, lba: u64) -> Result<Duration> {
-        self.read_to(lba, None)
-    }
-
     /// `true` when the device provably ignores payload bytes (discard-mode
-    /// emulation): writes retain no data and reads synthesize it. Managers
-    /// use this — together with the same property on the disk tier — to
-    /// skip materializing payloads the simulation never looks at. The
-    /// conservative default keeps store-mode semantics.
+    /// emulation): writes retain no data and reads produce none. Managers
+    /// use this to skip filling or copying payloads nothing reads back.
+    /// The conservative default keeps store-mode semantics.
     fn payload_discarded(&self) -> bool {
         false
     }
@@ -118,6 +107,17 @@ pub trait BlockDev {
         self.ftl_counters()
             .write_amplification(self.flash_counters().page_writes)
     }
+}
+
+/// A [`BlockDev::read_into`] of a never-written (or trimmed) address on
+/// `dev`: zeros, for the cost of the mapping lookup — in discard mode only
+/// the buffer's size, like every other read there.
+pub(crate) fn read_unwritten(dev: &FlashDevice, buf: &mut PageBuf) -> Duration {
+    let out = buf.prepare(dev.geometry().page_size());
+    if dev.mode() == DataMode::Store {
+        out.fill(0);
+    }
+    dev.timing().metadata_cost()
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! by case number.
 
 use ftl::{BlockDev, HybridFtl, PageFtl, SsdConfig};
-use simkit::SimRng;
+use simkit::{PageBuf, SimRng};
 use std::collections::HashMap;
 
 #[derive(Debug, Clone)]
@@ -79,33 +79,59 @@ fn pagemap_is_an_ideal_block_store() {
 }
 
 /// Replays the same op sequence against a `Store` and a `Discard` instance
-/// in lockstep, asserting identical per-op simulated `Duration`s, then
-/// identical final counters. Timing and accounting must be data-independent:
-/// `Discard` exists purely to skip payload bookkeeping, never to change the
-/// model.
-fn assert_modes_agree<D: BlockDev>(mut store: D, mut discard: D, ops: &[Op], page_size: usize) {
+/// in lockstep, with `plan`'s read faults drawn on both, asserting identical
+/// per-op results (simulated `Duration` or error), then identical final
+/// counters and fault streams. Timing and accounting must be
+/// data-independent: `Discard` exists purely to skip payload bookkeeping,
+/// never to change the model. Its reads hand back the caller's bytes, cut
+/// to one page.
+fn assert_modes_agree<D: BlockDev>(
+    mut store: D,
+    mut discard: D,
+    ops: &[Op],
+    page_size: usize,
+    plan: Option<flashsim::FaultPlan>,
+) {
+    if let Some(plan) = plan {
+        store.set_fault_plan(plan);
+        discard.set_fault_plan(plan);
+    }
+    let (mut buf, mut poisoned) = (PageBuf::new(), PageBuf::new());
     for (i, op) in ops.iter().enumerate() {
         match *op {
             Op::Write(lba, fill) => {
                 let data = vec![fill; page_size];
-                let a = store.write(lba, &data).unwrap();
-                let b = discard.write(lba, &data).unwrap();
-                assert_eq!(a, b, "write cost diverged at op {i}");
+                let a = store.write(lba, &data);
+                assert_eq!(a, discard.write(lba, &data), "write diverged at op {i}");
             }
             Op::Trim(lba) => {
-                let a = store.trim(lba).unwrap();
-                let b = discard.trim(lba).unwrap();
-                assert_eq!(a, b, "trim cost diverged at op {i}");
+                assert_eq!(
+                    store.trim(lba),
+                    discard.trim(lba),
+                    "trim diverged at op {i}"
+                );
             }
             Op::Read(lba) => {
-                let (_, a) = store.read(lba).unwrap();
-                let (_, b) = discard.read(lba).unwrap();
-                assert_eq!(a, b, "read cost diverged at op {i}");
+                poisoned.fill_with(2 * page_size, 0xA5);
+                let a = store.read_into(lba, &mut buf);
+                assert_eq!(
+                    a,
+                    discard.read_into(lba, &mut poisoned),
+                    "read diverged at op {i}"
+                );
+                if a.is_ok() {
+                    assert_eq!(poisoned.to_vec(), vec![0xA5; page_size], "op {i}");
+                }
             }
         }
     }
+    assert_eq!(
+        store.read_into(u64::MAX, &mut buf),
+        discard.read_into(u64::MAX, &mut poisoned)
+    );
     assert_eq!(store.ftl_counters(), discard.ftl_counters());
     assert_eq!(store.flash_counters(), discard.flash_counters());
+    assert_eq!(store.fault_counters(), discard.fault_counters());
     assert_eq!(store.wear(), discard.wear());
 }
 
@@ -119,6 +145,7 @@ fn hybrid_store_and_discard_time_identically() {
             HybridFtl::new(SsdConfig::small_test(), flashsim::DataMode::Discard),
             &ops,
             512,
+            None,
         );
     }
 }
@@ -133,13 +160,13 @@ fn pagemap_store_and_discard_time_identically() {
             PageFtl::new(SsdConfig::small_test(), flashsim::DataMode::Discard),
             &ops,
             512,
+            None,
         );
     }
 }
 
-/// A discard read is a filling read minus the bytes: same cost or error,
-/// same counters, same fault stream, op for op.
-fn assert_sink_matches_into<D: BlockDev>(mut filled: D, mut sunk: D, ops: &[Op], page_size: usize) {
+#[test]
+fn store_and_discard_agree_under_read_faults() {
     let plan = flashsim::FaultPlan {
         seed: 0x51_4B,
         read_transient_ppm: 100_000,
@@ -147,51 +174,24 @@ fn assert_sink_matches_into<D: BlockDev>(mut filled: D, mut sunk: D, ops: &[Op],
         read_corrupt_ppm: 20_000,
         ..flashsim::FaultPlan::default()
     };
-    filled.set_fault_plan(plan);
-    sunk.set_fault_plan(plan);
-    let mut buf = simkit::PageBuf::new();
-    for (i, op) in ops.iter().enumerate() {
-        match *op {
-            Op::Write(lba, fill) => {
-                let data = vec![fill; page_size];
-                assert_eq!(filled.write(lba, &data), sunk.write(lba, &data), "op {i}");
-            }
-            Op::Trim(lba) => assert_eq!(filled.trim(lba), sunk.trim(lba), "op {i}"),
-            Op::Read(lba) => assert_eq!(
-                filled.read_into(lba, &mut buf),
-                sunk.read_sink(lba),
-                "read diverged at op {i}"
-            ),
-        }
-    }
-    assert_eq!(
-        filled.read_into(u64::MAX, &mut buf),
-        sunk.read_sink(u64::MAX)
-    );
-    assert_eq!(filled.ftl_counters(), sunk.ftl_counters());
-    assert_eq!(filled.flash_counters(), sunk.flash_counters());
-    assert_eq!(filled.fault_counters(), sunk.fault_counters());
-}
-
-#[test]
-fn read_sink_matches_read_into_exactly() {
+    let (store, discard) = (flashsim::DataMode::Store, flashsim::DataMode::Discard);
     for case in 0..32u64 {
         let mut rng = SimRng::seed_from(0xF71_5000 ^ case);
         let ops = random_ops(&mut rng, 60);
-        for mode in [flashsim::DataMode::Store, flashsim::DataMode::Discard] {
-            assert_sink_matches_into(
-                HybridFtl::new(SsdConfig::small_test(), mode),
-                HybridFtl::new(SsdConfig::small_test(), mode),
-                &ops,
-                512,
-            );
-            assert_sink_matches_into(
-                PageFtl::new(SsdConfig::small_test(), mode),
-                PageFtl::new(SsdConfig::small_test(), mode),
-                &ops,
-                512,
-            );
-        }
+        assert_modes_agree(
+            HybridFtl::new(SsdConfig::small_test(), store),
+            HybridFtl::new(SsdConfig::small_test(), discard),
+            &ops,
+            512,
+            Some(plan),
+        );
+        assert_modes_agree(
+            PageFtl::new(SsdConfig::small_test(), store),
+            PageFtl::new(SsdConfig::small_test(), discard),
+            &ops,
+            512,
+            Some(plan),
+        );
     }
 }
 

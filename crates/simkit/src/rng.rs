@@ -19,13 +19,12 @@ pub(crate) fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// Fills `out` with a deterministic pseudo-random byte stream derived from
-/// `seed`, cheaply enough for simulated-device hot paths.
+/// `seed`, cheaply enough to run once per page of a replay.
 ///
-/// Discard-mode devices return synthetic payloads on every read, so this
-/// fill runs once per simulated page read — it is the hottest data-path
-/// function in trace replay. One SplitMix64 step seeds each 64-byte run and
-/// eight odd lane constants spread it across the words, costing one
-/// multiply-mix per 64 bytes instead of one per 8.
+/// Store-mode oracles use it to give every written version of a block its
+/// own bytes. One SplitMix64 step seeds each 64-byte run and eight odd lane
+/// constants spread it across the words, costing one multiply-mix per 64
+/// bytes instead of one per 8.
 ///
 /// The stream is a pure function of `seed` (stable across runs and
 /// platforms) and changes completely when `seed` changes.

@@ -132,7 +132,7 @@ fn layout_runs(spec: &WorkloadSpec, rng: &mut SimRng) -> Runs {
 /// Filesystems allocate extents, so hot files occupy whole aligned chunks —
 /// the clustering that makes hybrid (block-granularity) mapping viable on
 /// real traces.
-const EXTENT_BLOCKS: u64 = 64;
+const CHUNK_BLOCKS: u64 = 64;
 
 /// Picks `quota` distinct blocks inside one region into `runs`: mostly
 /// large aligned extents (files), plus a tail of short scattered runs
@@ -152,13 +152,13 @@ fn pick_region_blocks(
         attempts += 1;
         let (run_start, run_len) = if rng.gen_bool(0.85) {
             // A large extent: one or more whole aligned chunks.
-            let chunks = len / EXTENT_BLOCKS;
+            let chunks = len / CHUNK_BLOCKS;
             if chunks == 0 {
                 (start, len)
             } else {
                 let chunk = rng.gen_range(chunks);
                 let extent_chunks = 1 + rng.gen_range(4).min(chunks - chunk - 1 + 1);
-                (start + chunk * EXTENT_BLOCKS, extent_chunks * EXTENT_BLOCKS)
+                (start + chunk * CHUNK_BLOCKS, extent_chunks * CHUNK_BLOCKS)
             }
         } else {
             // A short scattered run.

@@ -48,11 +48,28 @@ fn fail(msg: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// A flag value that parses but is out of range: exit status 2, nothing on
-/// standard output.
-fn fail_range(msg: &str) -> ExitCode {
+/// A flag that is unknown, does not apply or has a value that parses but is
+/// out of range: exit status 2, nothing on standard output.
+fn fail_usage(msg: &str) -> ExitCode {
     eprintln!("error: {msg}");
     ExitCode::from(2)
+}
+
+/// The first argument after the subcommand's operand that `flags` (name,
+/// takes a value) does not name.
+fn unknown_argument<'a>(args: &'a [String], flags: &[(&str, bool)]) -> Option<&'a str> {
+    let mut rest = args.iter().skip(2);
+    while let Some(arg) = rest.next() {
+        match flags.iter().find(|(name, _)| name == arg) {
+            Some(&(_, takes_value)) => {
+                if takes_value {
+                    rest.next();
+                }
+            }
+            None => return Some(arg),
+        }
+    }
+    None
 }
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
@@ -75,16 +92,30 @@ fn parsed_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Opt
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("gen-trace") => gen_trace(&args),
-        Some("import-msr") => import_msr(&args),
-        Some("stats") => stats(&args),
-        Some("replay") => replay_cmd(&args),
+    type Command = fn(&[String]) -> ExitCode;
+    let (command, flags): (Command, &[(&str, bool)]) = match args.first().map(String::as_str) {
+        Some("gen-trace") => (gen_trace, &[("--scale", true), ("--out", true)]),
+        Some("import-msr") => (import_msr, &[("--out", true), ("--max-events", true)]),
+        Some("stats") => (stats, &[]),
+        Some("replay") => (
+            replay_cmd,
+            &[
+                ("--system", true),
+                ("--cache-mb", true),
+                ("--ssc-r", false),
+                ("--consistency", true),
+                ("--warmup", true),
+            ],
+        ),
         Some("--help") | Some("-h") | None => {
             println!("{USAGE}");
-            ExitCode::SUCCESS
+            return ExitCode::SUCCESS;
         }
-        Some(other) => fail(&format!("unknown command '{other}'")),
+        Some(other) => return fail(&format!("unknown command '{other}'")),
+    };
+    match unknown_argument(&args, flags) {
+        Some(arg) => fail_usage(&format!("unknown argument '{arg}'")),
+        None => command(&args),
     }
 }
 
@@ -106,7 +137,7 @@ fn gen_trace(args: &[String]) -> ExitCode {
     // `--scale` divides the paper's sizes: 0, a negative or NaN divisor
     // has no meaning, and an infinite one shrinks every trace to one op.
     if !(scale.is_finite() && scale > 0.0) {
-        return fail_range(&format!("--scale must be finite and > 0, got {scale}"));
+        return fail_usage(&format!("--scale must be finite and > 0, got {scale}"));
     }
     let Some(out) = arg_value(args, "--out") else {
         return fail("gen-trace needs --out <file>");
@@ -199,12 +230,18 @@ fn replay_cmd(args: &[String]) -> ExitCode {
     let Some(path) = args.get(1) else {
         return fail("replay needs a trace file");
     };
+    let Some(kind) = arg_value(args, "--system") else {
+        return fail("replay needs --system");
+    };
+    let ssc_r = args.iter().any(|a| a == "--ssc-r");
+    if ssc_r && kind.starts_with("native") {
+        return fail_usage(&format!(
+            "--ssc-r selects a FlashTier device; {kind} has none"
+        ));
+    }
     let trace = match load_trace(path) {
         Ok(t) => t,
         Err(e) => return fail(&e),
-    };
-    let Some(kind) = arg_value(args, "--system") else {
-        return fail("replay needs --system");
     };
     let tstats = TraceStats::compute(&trace);
     let default_cache_blocks = (tstats.unique_blocks / 4).max(1024);
@@ -215,7 +252,7 @@ fn replay_cmd(args: &[String]) -> ExitCode {
         Ok(Some(mb)) => match mb.checked_mul(256) {
             Some(blocks) if mb >= 1 && blocks <= trace.range_blocks => blocks,
             _ => {
-                return fail_range(&format!(
+                return fail_usage(&format!(
                     "--cache-mb must be between 1 and {} (the trace spans {} blocks), got {mb}",
                     trace.range_blocks / 256,
                     trace.range_blocks
@@ -235,11 +272,10 @@ fn replay_cmd(args: &[String]) -> ExitCode {
         Err(e) => return fail(&e),
     };
     if !(0.0..1.0).contains(&warmup) {
-        return fail_range(&format!(
+        return fail_usage(&format!(
             "--warmup must be a fraction in [0, 1), got {warmup}"
         ));
     }
-    let ssc_r = args.iter().any(|a| a == "--ssc-r");
 
     let raw_flash =
         FlashConfig::with_capacity_bytes((cache_blocks * 4096) as f64 as u64 * 100 / 84);

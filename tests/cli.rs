@@ -1,7 +1,7 @@
-//! The `flashtier` command line, driven as a subprocess: bad flag values
-//! and missing inputs must fail loudly (non-zero exit, message naming the
-//! culprit) instead of silently running with a default, and the documented
-//! `gen-trace → stats → replay` session must work end to end.
+//! The `flashtier` command line, driven as a subprocess: unknown flags, bad
+//! flag values and missing inputs must fail loudly (non-zero exit, message
+//! naming the culprit) instead of silently running with a default, and the
+//! documented `gen-trace → stats → replay` session must work end to end.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -168,4 +168,72 @@ fn gen_trace_stats_replay_round_trip() {
             .unwrap_or_else(|| panic!("{system}: no ops line in {report}"));
         assert!(ops > 0, "{system}: replayed nothing");
     }
+}
+
+#[test]
+fn every_subcommand_rejects_an_unknown_flag() {
+    let path = scratch("unknown-flag");
+    gen_mail(&path);
+    let trace = path.to_str().unwrap();
+    let written = scratch("unknown-flag-out");
+    let _ = std::fs::remove_file(&written);
+    let out = written.to_str().unwrap();
+    let cases: [(&str, &[&str]); 4] = [
+        (
+            "--cache_mb",
+            &[
+                "replay",
+                trace,
+                "--system",
+                "flashtier-wb",
+                "--cache_mb",
+                "64",
+            ],
+        ),
+        (
+            "--seed",
+            &["gen-trace", "mail", "--seed", "3", "--out", out],
+        ),
+        (
+            "--max_events",
+            &["import-msr", trace, "--out", out, "--max_events", "10"],
+        ),
+        ("--verbose", &["stats", trace, "--verbose"]),
+    ];
+    for (flag, args) in cases {
+        let result = flashtier(args);
+        let err = stderr(&result);
+        assert_eq!(result.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(flag), "{args:?}: {err}");
+        assert!(result.stdout.is_empty(), "{args:?} printed to stdout");
+        assert!(!written.exists(), "{args:?} wrote a file");
+    }
+}
+
+#[test]
+fn replay_refuses_ssc_r_for_native_systems_and_takes_every_known_flag() {
+    let path = scratch("ssc-r");
+    gen_mail(&path);
+    let trace = path.to_str().unwrap();
+    for system in ["native-wt", "native-wb"] {
+        let out = flashtier(&["replay", trace, "--system", system, "--ssc-r"]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{system}: {err}");
+        assert!(err.contains("--ssc-r"), "{system}: {err}");
+        assert!(out.stdout.is_empty(), "{system} printed a report");
+    }
+    let out = flashtier(&[
+        "replay",
+        trace,
+        "--ssc-r",
+        "--system",
+        "flashtier-wb",
+        "--consistency",
+        "dirty",
+        "--warmup",
+        "0.1",
+        "--cache-mb",
+        "16",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
 }
