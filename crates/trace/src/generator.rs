@@ -15,7 +15,7 @@
 
 use simkit::SimRng;
 
-use crate::event::{Trace, TraceEvent};
+use crate::event::{OpKind, Trace, TraceEvent};
 use crate::workloads::WorkloadSpec;
 use crate::zipf::{scramble, ZipfSampler};
 
@@ -77,6 +77,44 @@ impl BitSet {
     }
 }
 
+/// `SimRng::gen_bool(p)` as one integer compare on the same draw: its
+/// `(next_u64() >> 11) as f64 * 2^-53 < p` scales exactly by 2^53, so it
+/// holds exactly when the 53-bit draw is below `ceil(p * 2^53)`.
+#[derive(Debug, Clone, Copy)]
+struct Coin(u64);
+
+impl Coin {
+    const fn new(p: f64) -> Self {
+        Coin((p.clamp(0.0, 1.0) * (1u64 << 53) as f64).ceil() as u64)
+    }
+
+    fn flip(self, rng: &mut SimRng) -> bool {
+        rng.next_u64() >> 11 < self.0
+    }
+}
+
+/// Geometric-ish run lengths with a given mean, at least 1 and at most four
+/// times the mean: a length cap and the `1 / mean` coin that ends a run.
+#[derive(Debug, Clone, Copy)]
+struct Geometric(u64, Coin);
+
+impl Geometric {
+    fn new(mean: u64) -> Self {
+        // A mean of 0 or 1 makes every run one block long, drawing nothing.
+        let cap = if mean <= 1 { 1 } else { 4 * mean };
+        Geometric(cap, Coin::new(1.0 / mean as f64))
+    }
+
+    fn sample(self, rng: &mut SimRng) -> u64 {
+        let Geometric(cap, stop) = self;
+        let mut n = 1;
+        while n < cap && !stop.flip(rng) {
+            n += 1;
+        }
+        n
+    }
+}
+
 /// Phase 1: choose which blocks of the volume exist in the trace.
 fn layout_runs(spec: &WorkloadSpec, rng: &mut SimRng) -> Runs {
     let unique = spec.unique_blocks.min(spec.range_blocks);
@@ -92,6 +130,7 @@ fn layout_runs(spec: &WorkloadSpec, rng: &mut SimRng) -> Runs {
         .collect();
     let total_weight: f64 = weights.iter().sum();
 
+    let short_run = Geometric::new(spec.seq_run_len);
     let mut runs = Runs::default();
     for (i, &region) in order.iter().enumerate() {
         let remaining = unique - runs.blocks;
@@ -106,7 +145,7 @@ fn layout_runs(spec: &WorkloadSpec, rng: &mut SimRng) -> Runs {
             quota = quota.max(remaining.min(len));
         }
         let quota = quota.min(remaining);
-        pick_region_blocks(start, len, quota, spec.seq_run_len, &mut runs, rng);
+        pick_region_blocks(start, len, quota, short_run, &mut runs, rng);
     }
     // If capping left a shortfall, fill uniformly at random. Regions are
     // disjoint and each dedups its own picks, so `runs.blocks` is also the
@@ -141,16 +180,17 @@ fn pick_region_blocks(
     start: u64,
     len: u64,
     quota: u64,
-    mean_run: u64,
+    short_run: Geometric,
     runs: &mut Runs,
     rng: &mut SimRng,
 ) {
+    const EXTENT: Coin = Coin::new(0.85);
     let mut seen = BitSet::new(len);
     let mut picked = 0u64;
     let mut attempts = 0u64;
     while picked < quota && attempts < quota * 8 + 64 {
         attempts += 1;
-        let (run_start, run_len) = if rng.gen_bool(0.85) {
+        let (run_start, run_len) = if EXTENT.flip(rng) {
             // A large extent: one or more whole aligned chunks.
             let chunks = len / CHUNK_BLOCKS;
             if chunks == 0 {
@@ -162,7 +202,7 @@ fn pick_region_blocks(
             }
         } else {
             // A short scattered run.
-            (start + rng.gen_range(len), geometric(mean_run, rng))
+            (start + rng.gen_range(len), short_run.sample(rng))
         };
         let run_len = run_len.min(quota - picked);
         for lba in run_start..(run_start + run_len).min(start + len) {
@@ -172,19 +212,6 @@ fn pick_region_blocks(
             }
         }
     }
-}
-
-/// Geometric-ish run length with the given mean (at least 1).
-fn geometric(mean: u64, rng: &mut SimRng) -> u64 {
-    if mean <= 1 {
-        return 1;
-    }
-    let p = 1.0 / mean as f64;
-    let mut n = 1;
-    while n < 4 * mean && !rng.gen_bool(p) {
-        n += 1;
-    }
-    n
 }
 
 /// Phase 2: emit the access stream.
@@ -204,7 +231,7 @@ fn access_stream(spec: &WorkloadSpec, runs: &Runs, rng: &mut SimRng) -> Trace {
     // utilization-driven silent eviction from hurting reads. The split
     // matches the spec's write fraction; a small cross-traffic fraction
     // keeps the populations overlapping.
-    const CROSS_TRAFFIC: f64 = 0.15;
+    const CROSS_TRAFFIC: Coin = Coin::new(0.15);
     let is_write_hot = |run_index: u64| -> bool {
         let u = scramble(run_index ^ spec.seed.rotate_left(13)) as f64 / u64::MAX as f64;
         u < spec.write_fraction
@@ -225,6 +252,11 @@ fn access_stream(spec: &WorkloadSpec, runs: &Runs, rng: &mut SimRng) -> Trace {
     }
     let write_zipf = ZipfSampler::new(write_runs.len() as u64, spec.zipf_theta);
     let read_zipf = ZipfSampler::new(read_runs.len() as u64, spec.zipf_theta);
+    // Reads are scan-heavy (whole-file reads); writes mix appends and
+    // in-place updates.
+    let read_scan = Coin::new((2.0 * spec.seq_run_prob).min(0.8));
+    let write_append = Coin::new(spec.seq_run_prob);
+    let append_len = Geometric::new(spec.seq_run_len);
     let mut events = Vec::with_capacity(spec.total_ops as usize);
     let mut write_events = 0u64;
     while (events.len() as u64) < spec.total_ops {
@@ -232,7 +264,7 @@ fn access_stream(spec: &WorkloadSpec, runs: &Runs, rng: &mut SimRng) -> Trace {
         // per-draw coin would skew the event-weighted mix; steer the choice
         // by the running fraction instead (deterministic and exact).
         let is_write = (write_events as f64) < spec.write_fraction * (events.len() as f64 + 1.0);
-        let cross = rng.gen_bool(CROSS_TRAFFIC);
+        let cross = CROSS_TRAFFIC.flip(rng);
         let from_writes = is_write != cross;
         // Popularity follows layout order in coarse bands: the layout puts
         // dense regions first, so hot runs cluster spatially (Figure 1's
@@ -250,39 +282,32 @@ fn access_stream(spec: &WorkloadSpec, runs: &Runs, rng: &mut SimRng) -> Trace {
             read_runs[banded(read_zipf.sample(rng), read_runs.len() as u64) as usize]
         };
         let (run_start, run_len) = runs[run_index as usize];
-        // Reads are scan-heavy (whole-file reads); writes mix appends and
-        // in-place updates.
-        let seq_prob = if is_write {
-            spec.seq_run_prob
-        } else {
-            (2.0 * spec.seq_run_prob).min(0.8)
-        };
-        let (first, burst) = if rng.gen_bool(seq_prob) {
-            let len = if is_write {
-                geometric(spec.seq_run_len, rng).min(run_len)
-            } else {
-                run_len // full-file scan
-            };
-            (run_start, len)
-        } else {
+        let sequential = if is_write { write_append } else { read_scan };
+        let (first, burst) = match (sequential.flip(rng), is_write) {
+            (true, true) => (run_start, append_len.sample(rng)),
+            (true, false) => (run_start, run_len), // full-file scan
             // Single access somewhere in the run.
-            (run_start + rng.gen_range(run_len), 1)
+            (false, _) => (run_start + rng.gen_range(run_len), 1),
         };
-        for lba in first..first + burst {
-            if events.len() as u64 >= spec.total_ops || lba >= run_start + run_len {
-                break;
-            }
-            if is_write {
-                write_events += 1;
-            }
-            events.push(if is_write {
-                TraceEvent::write(lba)
-            } else {
-                TraceEvent::read(lba)
-            });
-        }
+        // An append may overrun its run, and any burst the trace's length.
+        let n = burst
+            .min(run_start + run_len - first)
+            .min(spec.total_ops - events.len() as u64);
+        let kind = if is_write {
+            write_events += n;
+            OpKind::Write
+        } else {
+            OpKind::Read
+        };
+        events.extend((first..first + n).map(|lba| TraceEvent { lba, kind }));
     }
-    Trace::new(spec.name.clone(), spec.range_blocks, events)
+    // Bursts stay in runs and runs in the range: skip `Trace::new`'s check.
+    debug_assert!(events.iter().all(|e| e.lba < spec.range_blocks));
+    Trace {
+        name: spec.name.clone(),
+        range_blocks: spec.range_blocks,
+        events,
+    }
 }
 
 #[cfg(test)]
@@ -368,10 +393,207 @@ mod tests {
     fn geometric_mean_roughly_matches() {
         let mut rng = SimRng::seed_from(1);
         let n = 10_000;
-        let sum: u64 = (0..n).map(|_| geometric(8, &mut rng)).sum();
+        let sum: u64 = (0..n).map(|_| Geometric::new(8).sample(&mut rng)).sum();
         let mean = sum as f64 / n as f64;
         assert!((5.0..11.0).contains(&mean), "mean run {mean}");
-        assert_eq!(geometric(1, &mut rng), 1);
+        assert_eq!(Geometric::new(1).sample(&mut rng), 1);
+    }
+
+    /// `gen_bool(p)`'s formula applied to one raw draw `x`.
+    fn gen_bool_on(x: u64, p: f64) -> bool {
+        (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < p.clamp(0.0, 1.0)
+    }
+
+    /// The coin's threshold is exact: the 53-bit draws just below, at and
+    /// just above it land as `gen_bool`'s float compare says, for edge
+    /// probabilities, `1/m`, exact multiples of 2^-53 and random values.
+    #[test]
+    fn coin_is_gen_bool_exactly() {
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        let mut ps = vec![0.0, 1.0, ulp, 1.0 - ulp, 0.15, 0.85, -0.5, 1.5, f64::NAN];
+        ps.extend((2..=128).map(|m| 1.0 / m as f64));
+        let mut rng = SimRng::seed_from(0xC014);
+        for _ in 0..1_000 {
+            ps.push(rng.gen_range(1 << 53) as f64 * ulp);
+            ps.push(rng.gen_f64());
+            ps.push(rng.gen_f64() * ulp * (1u64 << rng.gen_range(53)) as f64);
+        }
+        for p in ps {
+            let t = Coin::new(p).0;
+            for u in [t.wrapping_sub(1), t, t + 1] {
+                if u >= 1 << 53 {
+                    continue;
+                }
+                let x = u << 11 | rng.gen_range(1 << 11);
+                assert_eq!(
+                    u < t,
+                    gen_bool_on(x, p),
+                    "p {p:e}, draw {u} vs threshold {t}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn coin_draws_match_gen_bool_from_one_seed() {
+        let ps = [0.15, 0.85, 0.4, 1.0 / 3.0, 1.0 / 16.0, 0.0, 1.0];
+        let mut coin_rng = SimRng::seed_from(0x5EED);
+        let mut float_rng = coin_rng.clone();
+        for i in 0..1_000_000 {
+            let p = ps[i % ps.len()];
+            assert_eq!(
+                Coin::new(p).flip(&mut coin_rng),
+                float_rng.gen_bool(p),
+                "draw {i}, p {p}"
+            );
+        }
+    }
+
+    /// Geometric-ish run length with the given mean (at least 1): the
+    /// `gen_bool` version the oracle below draws with.
+    fn geometric(mean: u64, rng: &mut SimRng) -> u64 {
+        if mean <= 1 {
+            return 1;
+        }
+        let p = 1.0 / mean as f64;
+        let mut n = 1;
+        while n < 4 * mean && !rng.gen_bool(p) {
+            n += 1;
+        }
+        n
+    }
+
+    /// The access stream as it was before it emitted whole bursts: one
+    /// event, two bounds checks and a `gen_bool` coin at a time, then the
+    /// checked `Trace::new`. Its code is kept unchanged (comments aside) as
+    /// the oracle for the burst version.
+    fn per_event_access_stream(spec: &WorkloadSpec, runs: &Runs, rng: &mut SimRng) -> Trace {
+        assert!(runs.blocks > 0, "workload population is empty");
+        let runs = &runs.runs;
+        let n_runs = runs.len() as u64;
+        const CROSS_TRAFFIC: f64 = 0.15;
+        let is_write_hot = |run_index: u64| -> bool {
+            let u = scramble(run_index ^ spec.seed.rotate_left(13)) as f64 / u64::MAX as f64;
+            u < spec.write_fraction
+        };
+        let mut write_runs: Vec<u64> = Vec::new();
+        let mut read_runs: Vec<u64> = Vec::new();
+        for i in 0..n_runs {
+            if is_write_hot(i) {
+                write_runs.push(i);
+            } else {
+                read_runs.push(i);
+            }
+        }
+        if write_runs.is_empty() || read_runs.is_empty() {
+            write_runs = (0..n_runs).collect();
+            read_runs = write_runs.clone();
+        }
+        let write_zipf = ZipfSampler::new(write_runs.len() as u64, spec.zipf_theta);
+        let read_zipf = ZipfSampler::new(read_runs.len() as u64, spec.zipf_theta);
+        let mut events = Vec::with_capacity(spec.total_ops as usize);
+        let mut write_events = 0u64;
+        while (events.len() as u64) < spec.total_ops {
+            let is_write =
+                (write_events as f64) < spec.write_fraction * (events.len() as f64 + 1.0);
+            let cross = rng.gen_bool(CROSS_TRAFFIC);
+            let from_writes = is_write != cross;
+            let banded = |rank: u64, n: u64| -> u64 {
+                let band = (n / 20).max(1);
+                let base = (rank / band) * band;
+                base + scramble(rank) % band.min(n - base)
+            };
+            let run_index = if from_writes {
+                write_runs[banded(write_zipf.sample(rng), write_runs.len() as u64) as usize]
+            } else {
+                read_runs[banded(read_zipf.sample(rng), read_runs.len() as u64) as usize]
+            };
+            let (run_start, run_len) = runs[run_index as usize];
+            let seq_prob = if is_write {
+                spec.seq_run_prob
+            } else {
+                (2.0 * spec.seq_run_prob).min(0.8)
+            };
+            let (first, burst) = if rng.gen_bool(seq_prob) {
+                let len = if is_write {
+                    geometric(spec.seq_run_len, rng).min(run_len)
+                } else {
+                    run_len // full-file scan
+                };
+                (run_start, len)
+            } else {
+                (run_start + rng.gen_range(run_len), 1)
+            };
+            for lba in first..first + burst {
+                if events.len() as u64 >= spec.total_ops || lba >= run_start + run_len {
+                    break;
+                }
+                if is_write {
+                    write_events += 1;
+                }
+                events.push(if is_write {
+                    TraceEvent::write(lba)
+                } else {
+                    TraceEvent::read(lba)
+                });
+            }
+        }
+        Trace::new(spec.name.clone(), spec.range_blocks, events)
+    }
+
+    /// `generate()` with the per-event oracle in place of the burst stream.
+    fn per_event_generate(spec: &WorkloadSpec) -> Trace {
+        let mut rng = SimRng::seed_from(spec.seed);
+        let runs = layout_runs(spec, &mut rng);
+        per_event_access_stream(spec, &runs, &mut rng)
+    }
+
+    /// The burst stream equals the per-event oracle event for event over
+    /// random specs and the degenerate ones: write fractions 0 and 1,
+    /// mean run lengths 0–2, single-block runs (one-block populations),
+    /// traces shorter than one burst, and a layout that takes the
+    /// shortfall fill.
+    #[test]
+    fn burst_stream_matches_the_per_event_oracle() {
+        let mut rng = SimRng::seed_from(0xB0257);
+        let mut specs = vec![dense_spec()];
+        for case in 0..320u64 {
+            let range = 1 + rng.gen_range(60_000);
+            let mut spec = WorkloadSpec {
+                name: format!("case {case}"),
+                range_blocks: range,
+                unique_blocks: 1 + rng.gen_range(range + range / 4),
+                total_ops: 1 + rng.gen_range(4_000),
+                write_fraction: rng.gen_f64(),
+                zipf_theta: 0.01 + rng.gen_f64() * 0.98,
+                seq_run_prob: rng.gen_f64(),
+                seq_run_len: rng.gen_range(48),
+                seed: rng.next_u64(),
+            };
+            match case % 8 {
+                0 => spec.write_fraction = 0.0,
+                1 => spec.write_fraction = 1.0,
+                2 => spec.seq_run_len = case % 3,
+                3 => spec.unique_blocks = 1 + case % 4,
+                4 => spec.total_ops = 1 + rng.gen_range(8),
+                _ => {}
+            }
+            specs.push(spec);
+        }
+        for spec in specs {
+            let (got, want) = (generate(&spec), per_event_generate(&spec));
+            let first_diff =
+                (0..got.len().max(want.len())).find(|&i| got.events.get(i) != want.events.get(i));
+            assert_eq!(
+                first_diff,
+                None,
+                "{}: {} vs {} events",
+                spec.name,
+                got.len(),
+                want.len()
+            );
+            assert_eq!(got, want, "{}", spec.name);
+        }
     }
 
     #[test]

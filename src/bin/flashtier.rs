@@ -134,10 +134,11 @@ fn gen_trace(args: &[String]) -> ExitCode {
         Ok(v) => v.unwrap_or(500.0),
         Err(e) => return fail(&e),
     };
-    // `--scale` divides the paper's sizes: 0, a negative or NaN divisor
-    // has no meaning, and an infinite one shrinks every trace to one op.
-    if !(scale.is_finite() && scale > 0.0) {
-        return fail_usage(&format!("--scale must be finite and > 0, got {scale}"));
+    // `--scale` divides the paper's sizes: below 1 it asks for a trace
+    // larger than the paper's (at 1e-12, one no allocation holds), NaN has
+    // no meaning, and an infinite one shrinks every trace to one op.
+    if !(scale.is_finite() && scale >= 1.0) {
+        return fail_usage(&format!("--scale must be finite and >= 1, got {scale}"));
     }
     let Some(out) = arg_value(args, "--out") else {
         return fail("gen-trace needs --out <file>");

@@ -57,7 +57,9 @@ fn gen_trace_rejects_unparsable_scale() {
 fn gen_trace_rejects_out_of_range_scale() {
     let path = scratch("range-scale");
     let _ = std::fs::remove_file(&path);
-    for value in ["0", "-1", "NaN", "inf", "-inf"] {
+    // Below 1 the divisor asks for a trace larger than the paper's; at
+    // 1e-12 one whose allocation aborted the process.
+    for value in ["0", "-1", "NaN", "inf", "-inf", "1e-12", "0.5"] {
         let out = flashtier(&[
             "gen-trace",
             "homes",
