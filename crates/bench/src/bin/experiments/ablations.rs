@@ -235,6 +235,14 @@ pub fn ablate_checkpoint(scale: f64) {
     println!("ratios leave long logs to replay (recovery cost) — 2/3 balances both.");
 }
 
+/// The address span [`ablate_mapping`] sweeps: 4M blocks (16 GB) at the
+/// default scale, shrunk by `scale` but never grown past that (the
+/// ablation has no paper size to reach) nor shrunk below 100 blocks, where
+/// the 1% row would hold no entry. The ratios do not depend on the span.
+fn mapping_span(scale: f64) -> u64 {
+    ((1u64 << 22) as f64 / scale.max(1.0)).max(100.0) as u64
+}
+
 /// Ablation: sparse vs dense mapping memory as address-space density
 /// varies — the §4.1 design choice in isolation.
 ///
@@ -243,8 +251,7 @@ pub fn ablate_checkpoint(scale: f64) {
 /// density below which an SSC-style map wins.
 pub fn ablate_mapping(scale: f64) {
     println!("Ablation: sparse vs dense map memory vs address-space density\n");
-    // 4M-block (16 GB) address span at the default scale.
-    let span = ((1u64 << 22) as f64 / scale) as u64;
+    let span = mapping_span(scale);
     let mut rows = Vec::new();
     for density_pct in [1u64, 5, 10, 25, 50, 75, 100] {
         let entries = span * density_pct / 100;
@@ -281,4 +288,19 @@ pub fn ablate_mapping(scale: f64) {
     println!("Expected: sparse wins below ~50% density (a cache holds a few GB out of");
     println!("TBs of disk: 1-25% density), dense wins for a full SSD address space.");
     println!("Probes stay bounded (~1-5) as the paper reports for the sparse map.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::mapping_span;
+
+    #[test]
+    fn mapping_span_is_clamped_at_both_ends() {
+        // Unclamped, 0.002 would allocate a 2.1G-slot dense map.
+        assert_eq!(mapping_span(0.002), 1 << 22);
+        assert_eq!(mapping_span(1.0), 1 << 22);
+        assert_eq!(mapping_span(20.0), 209_715);
+        // Unclamped, every row would be empty and print `NaNx`.
+        assert_eq!(mapping_span(1e9), 100);
+    }
 }

@@ -6,8 +6,11 @@
 //! paper's evaluation section that `bench_results.txt` records and
 //! `tests/experiments_golden.rs` pins at `--scale 20`. `--scale` multiplies
 //! every workload's default shrink factor (values below `1.0` grow the
-//! experiment toward paper scale) and must be finite and positive. Usage
-//! errors exit 2 with a message and print nothing on stdout.
+//! experiment toward paper scale) and must be finite and positive.
+//! `ablate_mapping` is synthetic and has no paper scale: `--scale` only
+//! shrinks its 4M-block span, never below 100 blocks, and a value below
+//! `1.0` leaves it at 4M. Usage errors exit 2 with a message and print
+//! nothing on stdout.
 
 mod ablations;
 mod paper;

@@ -1,11 +1,9 @@
-//! Strict flag parsing shared by the two binaries (`experiments`,
-//! `perf_replay`).
+//! Strict flag parsing for the `experiments` binary.
 //!
 //! The earlier ad-hoc parser silently ignored unknown flags and silently
-//! fell back to defaults on unparsable values — a CI gate that typos
-//! `--events` into `--event` must fail loudly, not measure the wrong
-//! thing. Every error here is a message suitable for `eprintln!` followed
-//! by `exit(2)`.
+//! fell back to defaults on unparsable values — a run that typos `--scale`
+//! into `--scal` must fail loudly, not print the default-scale tables.
+//! Every error here is a message suitable for [`usage_error`].
 
 use std::fmt::Display;
 use std::str::FromStr;
@@ -86,16 +84,8 @@ impl CliArgs {
     }
 }
 
-/// Parses argv for a gate binary: on any flag error, prints the message
-/// and exits with status 2 (the conventional usage-error code the CI
-/// smoke tests assert on).
-pub fn parse_or_exit(allowed: &[&str]) -> CliArgs {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    CliArgs::parse(&argv, allowed).unwrap_or_else(|e| usage_error(&e))
-}
-
-/// Prints a usage error and exits 2 (for semantic errors found after
-/// parsing, e.g. invalid flag *combinations*).
+/// Prints a usage error and exits 2, the conventional usage-error code
+/// the CLI tests assert on.
 pub fn usage_error(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);

@@ -1,23 +1,21 @@
-//! Shared setup for the replay-throughput measurements.
+//! Shared setup for the replay tests.
 //!
-//! The `perf_replay` gate binary and the equivalence tests replay the same
-//! deterministic Zipf workload through the three cache systems in `Discard`
-//! mode; this module owns the workload parameters and the system
-//! constructors so they cannot drift apart. The measurement is *host* CPU
-//! cost of the simulator (the quantity the control-path indexes and the
-//! allocation-free data path optimize), not simulated device time — but
-//! each run also reports total simulated time, which must be byte-for-byte
-//! reproducible for a given seed.
+//! The equivalence tests (`replay_equiv`, `shard_equiv`) and the pinned
+//! 1M-event replay (`sim_time_pins`) drive the same deterministic Zipf
+//! workload through the three cache systems; this module owns the workload
+//! parameters and the system constructors so they cannot drift apart, and
+//! the sharded replay that runs per-shard stacks on scoped threads. Every
+//! figure a run reports is simulated time or a counter, byte-for-byte
+//! reproducible for a given seed; host speed is the `benchmark/` ledger's.
 
 use std::thread;
-use std::time::Instant;
 
 use cachemgr::{
     replay, CacheSystem, FlashTierWb, FlashTierWt, NativeCache, NativeConsistency, NativeMode,
     ShardSet,
 };
 use disksim::{Disk, DiskConfig, DiskDataMode};
-use flashsim::{DataMode, FaultCounters, FaultPlan, FlashConfig};
+use flashsim::{DataMode, FaultPlan, FlashConfig};
 use flashtier_core::{shard_config, ConsistencyMode, ShardRouter, Ssc, SscConfig, SscCounters};
 use ftl::{HybridFtl, SsdConfig};
 use trace::{generate, Trace, TraceEvent, WorkloadSpec};
@@ -42,12 +40,12 @@ pub struct ReplaySetup {
     pub fault_ppm: u32,
     /// Retain payload bytes in the cache and disk tiers (`Store` data
     /// modes) so an end-to-end harness can verify content after the run.
-    /// Off by default: the perf gates measure the `Discard` fast path.
+    /// Off by default: the pinned replay runs the `Discard` fast path.
     pub stored: bool,
 }
 
 impl ReplaySetup {
-    /// The `perf_replay` gate configuration: a 4 GB volume with a 64 MB
+    /// The pinned replay's configuration: a 4 GB volume with a 64 MB
     /// flash cache (16 Ki pages, ~25% of the unique blocks).
     pub fn perf(events: u64) -> Self {
         ReplaySetup {
@@ -62,14 +60,8 @@ impl ReplaySetup {
         }
     }
 
-    /// Overrides the workload seed (perf_replay's `--seed`).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Enables deterministic media-fault injection at a base rate of
-    /// `ppm` parts-per-million (perf_replay's `--faults`).
+    /// `ppm` parts-per-million.
     pub fn with_faults(mut self, ppm: u32) -> Self {
         self.fault_ppm = ppm;
         self
@@ -224,181 +216,6 @@ impl ReplaySetup {
     }
 }
 
-/// The systems a replay run can drive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplaySystem {
-    /// FlashTier write-through over the SSC.
-    FlashtierWt,
-    /// FlashTier write-back over the SSC-R.
-    FlashtierWb,
-    /// Native write-back over the hybrid FTL.
-    NativeWb,
-}
-
-impl ReplaySystem {
-    /// All three systems, in the canonical reporting order.
-    pub const ALL: [ReplaySystem; 3] = [
-        ReplaySystem::FlashtierWt,
-        ReplaySystem::FlashtierWb,
-        ReplaySystem::NativeWb,
-    ];
-
-    /// The JSON/report key for this system.
-    pub fn name(self) -> &'static str {
-        match self {
-            ReplaySystem::FlashtierWt => "flashtier_wt",
-            ReplaySystem::FlashtierWb => "flashtier_wb",
-            ReplaySystem::NativeWb => "native_wb",
-        }
-    }
-
-    /// Parses a `--systems` list element (the JSON key spelling).
-    pub fn parse(s: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|k| k.name() == s)
-    }
-}
-
-simkit::counter_set! {
-    /// Fault-path outcome of one faulted replay: what the media injected and
-    /// how the stack degraded. Only populated when the fault plan is active,
-    /// so faults-off reports are byte-identical to the pre-fault format.
-    pub struct FaultReport {
-        /// Faults the media layer injected or absorbed (all classes).
-        pub injected: u64,
-        /// Unrecoverable read failures + detected corruptions surfaced.
-        pub read_faults: u64,
-        /// Program failures surfaced to the FTL/SSC.
-        pub program_faults: u64,
-        /// Erase failures surfaced to the FTL/SSC.
-        pub erase_faults: u64,
-        /// Blocks the FTL/SSC retired (grown bad or worn out).
-        pub blocks_retired: u64,
-        /// Cache reads converted into disk-served misses.
-        pub read_fault_fallbacks: u64,
-        /// Unreadable dirty blocks dropped by the destage path.
-        pub destage_fault_invalidations: u64,
-        /// Fallbacks that lost a dirty (not-yet-destaged) copy.
-        pub lost_dirty_reads: u64,
-    }
-}
-
-impl FaultReport {
-    fn new(injected: FaultCounters, retired: u64, mgr: cachemgr::MgrCounters) -> Self {
-        FaultReport {
-            injected: injected.total(),
-            read_faults: injected.read_failures + injected.read_corruptions,
-            program_faults: injected.program_failures,
-            erase_faults: injected.erase_failures,
-            blocks_retired: retired,
-            read_fault_fallbacks: mgr.read_fault_fallbacks,
-            destage_fault_invalidations: mgr.destage_fault_invalidations,
-            lost_dirty_reads: mgr.lost_dirty_reads,
-        }
-    }
-
-    fn of_ssc(ssc: &Ssc, mgr: cachemgr::MgrCounters) -> Self {
-        Self::new(ssc.fault_counters(), ssc.counters().blocks_retired, mgr)
-    }
-
-    /// The report for a FlashTier write-through stack.
-    pub(crate) fn of_wt(s: &FlashTierWt) -> Self {
-        Self::of_ssc(s.ssc(), s.counters())
-    }
-
-    /// The report for a FlashTier write-back stack.
-    pub(crate) fn of_wb(s: &FlashTierWb) -> Self {
-        Self::of_ssc(s.ssc(), s.counters())
-    }
-
-    /// The report for the Native stack.
-    pub(crate) fn of_native(s: &NativeCache<HybridFtl>) -> Self {
-        use ftl::BlockDev;
-        Self::new(
-            s.fault_counters(),
-            s.ssd().ftl_counters().blocks_retired,
-            s.counters(),
-        )
-    }
-
-    /// The `,"faults":{…}` member `perf_replay` appends to a faulted
-    /// system's JSON object.
-    pub fn json_member(&self) -> String {
-        format!(
-            ",\"faults\":{{\"injected\":{},\"read_faults\":{},\
-             \"program_faults\":{},\"erase_faults\":{},\
-             \"blocks_retired\":{},\"read_fault_fallbacks\":{},\
-             \"destage_fault_invalidations\":{},\"lost_dirty_reads\":{}}}",
-            self.injected,
-            self.read_faults,
-            self.program_faults,
-            self.erase_faults,
-            self.blocks_retired,
-            self.read_fault_fallbacks,
-            self.destage_fault_invalidations,
-            self.lost_dirty_reads
-        )
-    }
-}
-
-/// One system's replay measurement.
-#[derive(Debug, Clone)]
-pub struct SystemResult {
-    /// System key (see [`ReplaySystem::name`]).
-    pub name: &'static str,
-    /// Events replayed through this system.
-    pub events: u64,
-    /// Wall-clock seconds this system's replay took (its own thread's
-    /// start-to-finish time when systems run concurrently).
-    pub wall_s: f64,
-    /// Events per wall-clock second.
-    pub events_per_sec: f64,
-    /// Total simulated time — seed-deterministic, independent of host
-    /// speed or scheduling.
-    pub sim_time_us: u64,
-    /// Fault/degradation counters; `None` when faults are off.
-    pub faults: Option<FaultReport>,
-    /// Events routed to each shard, in shard order; `None` for an
-    /// unsharded run (keeps the default report format unchanged).
-    pub shard_events: Option<Vec<u64>>,
-}
-
-fn timed<S: CacheSystem>(
-    kind: ReplaySystem,
-    mut system: S,
-    t: &Trace,
-    faulted: bool,
-    probe: fn(&S) -> FaultReport,
-) -> SystemResult {
-    let start = Instant::now();
-    let stats = replay(&mut system, &t.events).expect("replay");
-    let wall = start.elapsed().as_secs_f64();
-    SystemResult {
-        name: kind.name(),
-        events: stats.ops,
-        wall_s: wall,
-        events_per_sec: stats.ops as f64 / wall,
-        sim_time_us: stats.sim_time.as_micros(),
-        faults: faulted.then(|| probe(&system)),
-        shard_events: None,
-    }
-}
-
-/// Builds and replays one system against a pre-generated trace.
-pub fn run_system(kind: ReplaySystem, setup: &ReplaySetup, t: &Trace) -> SystemResult {
-    let faulted = setup.fault_plan().is_some();
-    match kind {
-        ReplaySystem::FlashtierWt => {
-            timed(kind, setup.flashtier_wt(), t, faulted, FaultReport::of_wt)
-        }
-        ReplaySystem::FlashtierWb => {
-            timed(kind, setup.flashtier_wb(), t, faulted, FaultReport::of_wb)
-        }
-        ReplaySystem::NativeWb => {
-            timed(kind, setup.native_wb(), t, faulted, FaultReport::of_native)
-        }
-    }
-}
-
 /// Splits a trace into per-shard subsequences with [`ShardRouter`],
 /// preserving the original order *within* each shard. Because the router is
 /// a pure function of the LBA, every operation on a given logical block
@@ -415,95 +232,6 @@ pub fn partition_events(events: &[TraceEvent], router: ShardRouter) -> Vec<Vec<T
     parts
 }
 
-/// One sharded replay's full outcome: the merged [`SystemResult`] plus the
-/// per-shard breakdown the equivalence tests compare against unsharded
-/// runs.
-#[derive(Debug, Clone)]
-pub struct ShardedRunDetail {
-    /// The merged result (what `perf_replay` reports).
-    pub result: SystemResult,
-    /// Per-shard device counters, in shard order.
-    pub shard_counters: Vec<SscCounters>,
-    /// Per-shard simulated time in microseconds, in shard order. The
-    /// merged `sim_time_us` is the max of these — the logical wall time of
-    /// the parallel execution, independent of host scheduling.
-    pub shard_sim_time_us: Vec<u64>,
-}
-
-/// What one shard's replay produced; gathered at the join barrier.
-struct ShardOutcome {
-    ops: u64,
-    sim_time_us: u64,
-    counters: SscCounters,
-    faults: Option<FaultReport>,
-}
-
-/// Replays per-shard subsequences through per-shard stacks on scoped
-/// threads and merges deterministically: counters sum, simulated time
-/// max-merges. Each shard owns a complete stack (an SSC over a `1/n`
-/// geometry split, its own disk tier and manager), so threads share
-/// nothing and the per-shard outcomes are exactly those of `n` independent
-/// sequential replays — the merge is byte-for-byte reproducible regardless
-/// of host scheduling.
-fn timed_sharded<S, P>(
-    kind: ReplaySystem,
-    t: &Trace,
-    set: ShardSet<S>,
-    faulted: bool,
-    probe: P,
-) -> ShardedRunDetail
-where
-    S: CacheSystem + Send,
-    P: Fn(&S) -> (SscCounters, FaultReport) + Sync,
-{
-    let (stacks, router) = set.into_shards();
-    let parts = partition_events(&t.events, router);
-    let start = Instant::now();
-    let outcomes: Vec<ShardOutcome> = thread::scope(|scope| {
-        let probe = &probe;
-        let handles: Vec<_> = stacks
-            .into_iter()
-            .zip(&parts)
-            .map(|(mut system, events)| {
-                scope.spawn(move || {
-                    let stats = replay(&mut system, events).expect("sharded replay");
-                    let (counters, report) = probe(&system);
-                    ShardOutcome {
-                        ops: stats.ops,
-                        sim_time_us: stats.sim_time.as_micros(),
-                        counters,
-                        faults: faulted.then_some(report),
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard replay thread panicked"))
-            .collect()
-    });
-    let wall = start.elapsed().as_secs_f64();
-    let events: u64 = outcomes.iter().map(|o| o.ops).sum();
-    let shard_sim_time_us: Vec<u64> = outcomes.iter().map(|o| o.sim_time_us).collect();
-    let faults = outcomes
-        .iter()
-        .filter_map(|o| o.faults)
-        .reduce(|a, b| a.merged(&b));
-    ShardedRunDetail {
-        result: SystemResult {
-            name: kind.name(),
-            events,
-            wall_s: wall,
-            events_per_sec: events as f64 / wall,
-            sim_time_us: shard_sim_time_us.iter().copied().max().unwrap_or(0),
-            faults,
-            shard_events: Some(parts.iter().map(|p| p.len() as u64).collect()),
-        },
-        shard_counters: outcomes.iter().map(|o| o.counters).collect(),
-        shard_sim_time_us,
-    }
-}
-
 /// One shard's SSC: the 1/n-geometry config with the fault seed
 /// decorrelated per shard.
 fn build_shard_ssc(per_shard: SscConfig, plan: Option<FaultPlan>, i: usize) -> Ssc {
@@ -515,50 +243,66 @@ fn build_shard_ssc(per_shard: SscConfig, plan: Option<FaultPlan>, i: usize) -> S
     ssc
 }
 
-/// Builds and replays one system partitioned over `shards` shards,
-/// returning the per-shard breakdown. Only the two FlashTier systems
-/// shard (the native baseline has no partitioned build); asking for it
-/// falls back to the unsharded run with an empty breakdown.
-pub fn run_sharded_detail(
-    kind: ReplaySystem,
-    setup: &ReplaySetup,
-    t: &Trace,
-    shards: usize,
-) -> ShardedRunDetail {
-    assert!(shards >= 1, "need at least one shard");
-    let faulted = setup.fault_plan().is_some();
-    match kind {
-        ReplaySystem::FlashtierWt => timed_sharded(
-            kind,
-            t,
-            setup.wt_shard_set(shards),
-            faulted,
-            |s: &FlashTierWt| (s.ssc().counters(), FaultReport::of_wt(s)),
-        ),
-        ReplaySystem::FlashtierWb => timed_sharded(
-            kind,
-            t,
-            setup.wb_shard_set(shards),
-            faulted,
-            |s: &FlashTierWb| (s.ssc().counters(), FaultReport::of_wb(s)),
-        ),
-        ReplaySystem::NativeWb => ShardedRunDetail {
-            result: run_system(kind, setup, t),
-            shard_counters: Vec::new(),
-            shard_sim_time_us: Vec::new(),
-        },
+/// One sharded replay's outcome, per shard in shard order, plus the faults
+/// injected over all shards. The run's simulated time is the max over
+/// shards ([`ShardedRun::sim_time_us`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShardedRun {
+    /// Events each shard replayed.
+    pub shard_events: Vec<u64>,
+    /// Simulated time of each shard in microseconds.
+    pub shard_sim_time_us: Vec<u64>,
+    /// Device counters of each shard.
+    pub shard_counters: Vec<SscCounters>,
+    /// Media faults injected across every shard, all classes.
+    pub injected_faults: u64,
+}
+
+impl ShardedRun {
+    /// The logical wall time of the parallel execution: the max of the
+    /// per-shard simulated times, independent of host scheduling.
+    pub fn sim_time_us(&self) -> u64 {
+        self.shard_sim_time_us.iter().copied().max().unwrap_or(0)
     }
 }
 
-/// Builds and replays one system partitioned over `shards` shards against
-/// a pre-generated trace (the `perf_replay --shards` path). `shards == 1`
-/// replays the whole trace through a single full-geometry stack and is
-/// bit-identical to [`run_system`].
-pub fn run_system_sharded(
-    kind: ReplaySystem,
-    setup: &ReplaySetup,
-    t: &Trace,
-    shards: usize,
-) -> SystemResult {
-    run_sharded_detail(kind, setup, t, shards).result
+/// Replays `t` partitioned over the stacks of `set`, one scoped thread per
+/// shard, reading each shard's device through `ssc`. Each shard owns a
+/// complete stack (an SSC over a `1/n` geometry split, its own disk tier
+/// and manager), so threads share nothing and the outcome is exactly that
+/// of `n` independent sequential replays, whatever the host scheduling.
+pub fn replay_sharded<S>(set: ShardSet<S>, t: &Trace, ssc: fn(&S) -> &Ssc) -> ShardedRun
+where
+    S: CacheSystem + Send,
+{
+    let (stacks, router) = set.into_shards();
+    let parts = partition_events(&t.events, router);
+    let outcomes: Vec<(u64, u64, SscCounters, u64)> = thread::scope(|scope| {
+        let handles: Vec<_> = stacks
+            .into_iter()
+            .zip(&parts)
+            .map(|(mut system, events)| {
+                scope.spawn(move || {
+                    let stats = replay(&mut system, events).expect("sharded replay");
+                    let device = ssc(&system);
+                    (
+                        stats.ops,
+                        stats.sim_time.as_micros(),
+                        device.counters(),
+                        device.fault_counters().total(),
+                    )
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard replay thread panicked"))
+            .collect()
+    });
+    ShardedRun {
+        shard_events: outcomes.iter().map(|o| o.0).collect(),
+        shard_sim_time_us: outcomes.iter().map(|o| o.1).collect(),
+        shard_counters: outcomes.iter().map(|o| o.2).collect(),
+        injected_faults: outcomes.iter().map(|o| o.3).sum(),
+    }
 }

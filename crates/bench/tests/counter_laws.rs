@@ -8,7 +8,6 @@
 
 use cachemgr::MgrCounters;
 use flashsim::{FaultCounters, FlashCounters};
-use flashtier_bench::replay::FaultReport;
 use flashtier_core::SscCounters;
 use flashtier_server::NetFaultCounters;
 
@@ -83,15 +82,5 @@ fn every_counter_set_obeys_the_merge_and_since_laws() {
         partial_writes,
         stalls,
         delays,
-    });
-    check_laws!(FaultReport {
-        injected,
-        read_faults,
-        program_faults,
-        erase_faults,
-        blocks_retired,
-        read_fault_fallbacks,
-        destage_fault_invalidations,
-        lost_dirty_reads,
     });
 }

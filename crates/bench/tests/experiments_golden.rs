@@ -6,8 +6,8 @@
 //! host. A change to the device model, the workload generator or a printer
 //! shows up here as a line diff; if the change is deliberate, regenerate
 //! the file with the command the failure prints and review the diff like
-//! any other re-baseline (`BENCH_replay.json` plays the same role for
-//! `perf_replay`'s `sim_time_us`).
+//! any other re-baseline (`sim_time_pins.rs` plays the same role for the
+//! 1M-event replay's `sim_time_us`).
 
 use std::process::Command;
 

@@ -25,7 +25,7 @@ use trace::{generate, Trace, TraceEvent, WorkloadSpec};
 
 const EVENTS: u64 = 20_000;
 
-/// The perf-gate workload on a quarter of its volume and cache, so every
+/// The pinned workload on a quarter of its volume and cache, so every
 /// system evicts and merges within a short run.
 fn setup() -> ReplaySetup {
     ReplaySetup {
@@ -36,7 +36,7 @@ fn setup() -> ReplaySetup {
     }
 }
 
-/// Three trace shapes: the perf-gate Zipf mix, a sequential scan, and a
+/// Three trace shapes: the pinned Zipf mix, a sequential scan, and a
 /// write-heavy pattern with a flatter popularity curve.
 fn traces(setup: &ReplaySetup) -> Vec<Trace> {
     let shape = |name: &str, write_fraction, zipf_theta, seq_run_prob, seq_run_len, salt| {

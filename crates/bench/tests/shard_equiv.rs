@@ -4,7 +4,7 @@
 //!
 //! 1. **N=1 is the unsharded system, bit for bit.** A single-shard
 //!    partitioned replay must produce the exact `SscCounters` and
-//!    `sim_time_us` of the plain sequential replay on the Zipf gate
+//!    `sim_time_us` of the plain sequential replay on the pinned Zipf
 //!    workload — the shard layer adds routing and merging but no
 //!    semantics.
 //! 2. **Partitioning preserves per-LBA order.** The router is a pure
@@ -15,17 +15,18 @@
 //!    clocks are advanced independently and max-merged, so the outcome
 //!    cannot depend on host scheduling.
 
-use flashtier_bench::replay::{partition_events, run_sharded_detail, ReplaySetup, ReplaySystem};
-use flashtier_core::ShardRouter;
+use cachemgr::{FlashTierWb, FlashTierWt};
+use flashtier_bench::replay::{partition_events, replay_sharded, ReplaySetup, ShardedRun};
+use flashtier_core::{ShardRouter, SscCounters};
 
-/// Full gate size in release; trimmed in debug so `cargo test` stays fast
+/// Full pinned size in release; trimmed in debug so `cargo test` stays fast
 /// (tier-1 runs the debug profile).
 #[cfg(debug_assertions)]
 const EVENTS: u64 = 100_000;
 #[cfg(not(debug_assertions))]
 const EVENTS: u64 = 1_000_000;
 
-/// The perf-gate workload on a quarter of its volume and cache.
+/// The pinned workload on a quarter of its volume and cache.
 fn small_setup() -> ReplaySetup {
     ReplaySetup {
         range_blocks: 1 << 18,
@@ -35,42 +36,44 @@ fn small_setup() -> ReplaySetup {
     }
 }
 
+/// A one-shard run must be the plain sequential replay: every event in
+/// its one shard, the same device counters and the same simulated time.
+fn assert_matches_unsharded(label: &str, run: &ShardedRun, counters: SscCounters, sim_us: u64) {
+    assert_eq!(run.shard_events, [EVENTS], "{label}: N=1 lost events");
+    assert_eq!(
+        run.shard_counters,
+        [counters],
+        "{label}: N=1 sharded counters diverge from unsharded"
+    );
+    assert_eq!(
+        run.sim_time_us(),
+        sim_us,
+        "{label}: N=1 sharded sim_time diverges from unsharded"
+    );
+}
+
 #[test]
 fn one_shard_replay_is_bit_identical_to_unsharded() {
     let setup = ReplaySetup::perf(EVENTS);
     let t = setup.workload();
 
-    for kind in [ReplaySystem::FlashtierWt, ReplaySystem::FlashtierWb] {
-        let detail = run_sharded_detail(kind, &setup, &t, 1);
-        assert_eq!(detail.shard_counters.len(), 1);
-        assert_eq!(detail.result.shard_events.as_deref(), Some(&[EVENTS][..]));
+    let mut wt = setup.flashtier_wt();
+    let wt_us = cachemgr::replay(&mut wt, &t.events).unwrap().sim_time;
+    assert_matches_unsharded(
+        "wt",
+        &replay_sharded(setup.wt_shard_set(1), &t, FlashTierWt::ssc),
+        wt.ssc().counters(),
+        wt_us.as_micros(),
+    );
 
-        // The plain sequential replay of the same workload.
-        let (plain_counters, plain_sim_us) = match kind {
-            ReplaySystem::FlashtierWt => {
-                let mut s = setup.flashtier_wt();
-                let stats = cachemgr::replay(&mut s, &t.events).unwrap();
-                (s.ssc().counters(), stats.sim_time.as_micros())
-            }
-            ReplaySystem::FlashtierWb => {
-                let mut s = setup.flashtier_wb();
-                let stats = cachemgr::replay(&mut s, &t.events).unwrap();
-                (s.ssc().counters(), stats.sim_time.as_micros())
-            }
-            _ => unreachable!(),
-        };
-
-        assert_eq!(
-            detail.shard_counters[0], plain_counters,
-            "{}: N=1 sharded counters diverge from unsharded",
-            detail.result.name
-        );
-        assert_eq!(
-            detail.result.sim_time_us, plain_sim_us,
-            "{}: N=1 sharded sim_time diverges from unsharded",
-            detail.result.name
-        );
-    }
+    let mut wb = setup.flashtier_wb();
+    let wb_us = cachemgr::replay(&mut wb, &t.events).unwrap().sim_time;
+    assert_matches_unsharded(
+        "wb",
+        &replay_sharded(setup.wb_shard_set(1), &t, FlashTierWb::ssc),
+        wb.ssc().counters(),
+        wb_us.as_micros(),
+    );
 }
 
 #[test]
@@ -103,26 +106,20 @@ fn partitioning_preserves_per_lba_order() {
 fn sharded_replay_is_rerun_deterministic() {
     let setup = small_setup();
     let t = setup.workload();
-    for kind in [ReplaySystem::FlashtierWt, ReplaySystem::FlashtierWb] {
-        for n in [2usize, 4] {
-            let a = run_sharded_detail(kind, &setup, &t, n);
-            let b = run_sharded_detail(kind, &setup, &t, n);
+    for n in [2usize, 4] {
+        let wt = || replay_sharded(setup.wt_shard_set(n), &t, FlashTierWt::ssc);
+        let wb = || replay_sharded(setup.wb_shard_set(n), &t, FlashTierWb::ssc);
+        for (label, run) in [("wt", &wt as &dyn Fn() -> ShardedRun), ("wb", &wb)] {
+            let (a, b) = (run(), run());
             assert_eq!(
-                a.shard_counters, b.shard_counters,
-                "{} N={n}: per-shard counters differ across reruns",
-                a.result.name
+                a, b,
+                "{label} N={n}: per-shard events, times or counters differ across reruns"
             );
+            assert_eq!(a.shard_events.len(), n);
             assert_eq!(
-                a.shard_sim_time_us, b.shard_sim_time_us,
-                "{} N={n}: per-shard sim times differ across reruns",
-                a.result.name
-            );
-            assert_eq!(a.result.sim_time_us, b.result.sim_time_us);
-            assert_eq!(a.result.shard_events, b.result.shard_events);
-            assert_eq!(
-                a.result.events,
+                a.shard_events.iter().sum::<u64>(),
                 t.events.len() as u64,
-                "all events must be replayed"
+                "{label} N={n}: all events must be replayed"
             );
         }
     }

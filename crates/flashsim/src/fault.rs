@@ -56,7 +56,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// A plan injecting every fault kind at the same rate — the convenient
-    /// knob for smoke tests and the `perf_replay --faults` flag.
+    /// knob for smoke tests.
     pub fn uniform(seed: u64, ppm: u32) -> Self {
         FaultPlan {
             seed,

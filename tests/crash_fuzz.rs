@@ -337,7 +337,7 @@ fn native_wb_survives_crashes_at_operation_boundaries() {
 }
 
 /// Two complete manager stacks behind one [`CacheSystem`] face, routed by
-/// the same [`ShardRouter`] the server and `perf_replay --shards` use.
+/// the same [`ShardRouter`] the server and the bench sharded replay use.
 struct TwoShards<S>(ShardSet<S>);
 
 impl<S: CacheSystem> TwoShards<S> {
