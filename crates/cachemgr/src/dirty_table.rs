@@ -9,14 +9,14 @@
 //!
 //! The FlashTier manager tracks only **dirty** blocks here — clean blocks
 //! cost the host nothing, which is where the 89% host-memory saving of
-//! Table 4 comes from.
+//! Table 4 comes from. Our hash index is chained through the slot array
+//! rather than linear, so it stores no key of its own and a removal leaves
+//! no tombstone.
 
-use std::collections::HashMap;
-
-use simkit::hash::BlockHash;
 use sparsemap::MapMemory;
 
 use crate::lru::LruList;
+use crate::slot_index::SlotIndex;
 
 /// Modeled bytes per entry (no checksum: 8 LBA + 2+2 LRU + 2 state).
 pub const ENTRY_BYTES: u64 = 14;
@@ -24,9 +24,9 @@ pub const ENTRY_BYTES: u64 = 14;
 /// The dirty-block table: LBA set plus LRU ordering, fixed capacity.
 #[derive(Debug, Clone)]
 pub struct DirtyTable {
-    /// LBA -> slot index.
-    index: HashMap<u64, u32, BlockHash>,
-    /// Slot -> LBA (NIL slots hold `None`).
+    /// LBA -> slot, keyed by the LBAs `slots` holds.
+    index: SlotIndex,
+    /// Slot -> LBA (free slots hold `None`).
     slots: Vec<Option<u64>>,
     free: Vec<u32>,
     lru: LruList,
@@ -36,21 +36,26 @@ impl DirtyTable {
     /// Creates a table with room for `capacity` dirty blocks.
     pub fn new(capacity: usize) -> Self {
         DirtyTable {
-            index: HashMap::default(),
+            index: SlotIndex::new(capacity),
             slots: vec![None; capacity],
             free: (0..capacity as u32).rev().collect(),
             lru: LruList::new(capacity),
         }
     }
 
+    /// The slot tracking `lba`, if any.
+    fn slot_of(&self, lba: u64) -> Option<u32> {
+        self.index.get(lba, |s| self.slots[s as usize] == Some(lba))
+    }
+
     /// Number of tracked dirty blocks.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.slots.len() - self.free.len()
     }
 
     /// Returns `true` if no dirty block is tracked.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len() == 0
     }
 
     /// Maximum dirty blocks the table can hold.
@@ -60,14 +65,14 @@ impl DirtyTable {
 
     /// Returns `true` if `lba` is tracked as dirty.
     pub fn contains(&self, lba: u64) -> bool {
-        self.index.contains_key(&lba)
+        self.slot_of(lba).is_some()
     }
 
     /// Refreshes the recency of `lba` if it is tracked, with a single index
     /// probe. Returns whether it was.
     pub fn touch_if_present(&mut self, lba: u64) -> bool {
-        match self.index.get(&lba) {
-            Some(&slot) => {
+        match self.slot_of(lba) {
+            Some(slot) => {
                 self.lru.touch(slot);
                 true
             }
@@ -94,8 +99,9 @@ impl DirtyTable {
 
     /// Removes `lba` (it was cleaned or evicted). Returns `true` if present.
     pub fn remove(&mut self, lba: u64) -> bool {
-        match self.index.remove(&lba) {
+        match self.slot_of(lba) {
             Some(slot) => {
+                self.index.remove(lba, slot);
                 self.slots[slot as usize] = None;
                 self.lru.remove(slot);
                 self.free.push(slot);
@@ -136,19 +142,19 @@ impl DirtyTable {
         run.sort_unstable();
     }
 
-    /// Iterates all tracked dirty blocks, in an unspecified order that is the
-    /// same on every run (the index hashes with [`BlockHash`]).
+    /// Iterates all tracked dirty blocks in slot order, which is the same
+    /// on every run (neither LBA nor recency order).
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.index.keys().copied()
+        self.slots.iter().flatten().copied()
     }
 
     /// Host-memory report, using the paper's 14-byte-per-dirty-block model.
     pub fn memory(&self) -> MapMemory {
         MapMemory {
-            entries: self.index.len(),
-            modeled_bytes: self.index.len() as u64 * ENTRY_BYTES,
+            entries: self.len(),
+            modeled_bytes: self.len() as u64 * ENTRY_BYTES,
             heap_bytes: (self.slots.capacity() * std::mem::size_of::<Option<u64>>()
-                + self.index.capacity() * 2 * std::mem::size_of::<(u64, u32)>()
+                + self.index.heap_bytes()
                 + self.free.capacity() * 4) as u64,
         }
     }
@@ -157,6 +163,49 @@ impl DirtyTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slot_index::Model;
+
+    /// Oracle under forced collisions: every key shares one bucket, so one
+    /// chain holds up to the whole table and removals unlink its head,
+    /// middle and tail. After every step the slots, the index and the LRU
+    /// order must equal the reference model.
+    #[test]
+    fn colliding_keys_match_the_model() {
+        let mut t = DirtyTable::new(12);
+        let keys = t.index.colliding(16);
+        let mut model = Model::new(t.capacity());
+        let mut rng = simkit::SimRng::seed_from(0xD1C7_C0DE);
+        let mut longest = 0;
+        for step in 0..4000 {
+            let lba = keys[rng.gen_range(keys.len() as u64) as usize];
+            let chain = t.index.chain(lba);
+            longest = longest.max(chain.len());
+            if rng.gen_bool(0.55) {
+                assert_eq!(t.touch(lba), model.touch(lba, false, &chain), "{step}");
+            } else {
+                assert_eq!(t.remove(lba), model.remove(lba, &chain), "{step}");
+            }
+            for &k in &keys {
+                let want = model.slot_of.get(&k).copied();
+                assert_eq!(t.slot_of(k), want, "step {step}: lba {k}");
+                assert_eq!(t.contains(k), want.is_some(), "step {step}: lba {k}");
+            }
+            let order: Vec<u64> = t
+                .lru
+                .iter_lru()
+                .map(|s| t.slots[s as usize].unwrap())
+                .collect();
+            assert_eq!(order, model.lru_order(), "step {step}");
+            assert_eq!(t.len(), model.slot_of.len(), "step {step}");
+            assert_eq!(t.index.len(), t.len(), "step {step}");
+        }
+        assert!(longest >= 3, "longest chain {longest}");
+        assert!(
+            model.removed_at.iter().all(|&n| n > 50),
+            "{:?}",
+            model.removed_at
+        );
+    }
 
     #[test]
     fn touch_remove_contains() {

@@ -15,7 +15,7 @@ use sparsemap::MapMemory;
 
 use crate::dirty_table::DirtyTable;
 use crate::metrics::MgrCounters;
-use crate::system::{tiers_discard, CacheSystem};
+use crate::system::{check_disk_lba, tiers_discard, CacheSystem};
 use crate::Result;
 
 /// Longest contiguous dirty run merged into one disk write.
@@ -178,7 +178,21 @@ impl FlashTierWb {
             let mut present: u64 = 0;
             let mut dropped: u64 = 0;
             for (i, &lba) in run.iter().enumerate() {
-                match self.destage_read(lba, i, bs) {
+                let mut read = self.destage_read(lba, i, bs);
+                if matches!(&read, Err(SscError::Flash(e)) if e.is_media_fault()) {
+                    // One retry, then invalidate: an unreadable dirty copy
+                    // can never be destaged and would only wedge the
+                    // cleaner; the disk keeps the last destaged version.
+                    read = self.destage_read(lba, i, bs);
+                    if read.is_err() {
+                        cost += self.ssc.evict(lba)?;
+                        self.dirty.remove(lba);
+                        self.counters.destage_fault_invalidations += 1;
+                        dropped |= 1 << i;
+                        continue;
+                    }
+                }
+                match read {
                     Ok(rcost) => {
                         cost += rcost;
                         present |= 1 << i;
@@ -186,24 +200,6 @@ impl FlashTierWb {
                     // Defensive: the SSC never silently evicts dirty data,
                     // but a stale table entry just gets dropped.
                     Err(SscError::NotPresent(_)) => {}
-                    Err(SscError::Flash(e)) if e.is_media_fault() => {
-                        // Bounded retry, then invalidate: an unreadable dirty
-                        // copy can never be destaged, so holding it only
-                        // wedges the cleaner. Drop the entry; the disk keeps
-                        // the last destaged version.
-                        match self.destage_read(lba, i, bs) {
-                            Ok(rcost) => {
-                                cost += rcost;
-                                present |= 1 << i;
-                            }
-                            Err(_) => {
-                                cost += self.ssc.evict(lba)?;
-                                self.dirty.remove(lba);
-                                self.counters.destage_fault_invalidations += 1;
-                                dropped |= 1 << i;
-                            }
-                        }
-                    }
                     Err(e) => return Err(e.into()),
                 }
             }
@@ -324,6 +320,7 @@ impl CacheSystem for FlashTierWb {
 
     fn write(&mut self, lba: u64, data: &[u8]) -> Result<Duration> {
         self.counters.writes += 1;
+        check_disk_lba(&self.disk, lba)?;
         let mut cost = Duration::ZERO;
         let write_result = self.ssc.write_dirty(lba, data);
         let wcost = match write_result {
@@ -467,6 +464,24 @@ mod tests {
             let (data, _) = s.read(lba).unwrap();
             assert_eq!(data, block(lba as u8 + 1), "dirty lba {lba} lost");
         }
+    }
+
+    #[test]
+    fn write_past_the_disk_is_refused_before_caching() {
+        // Cached and acked, such a block would fail the cleaner on every
+        // later pass and surface on unrelated writes.
+        let mut s = system();
+        let lba = s.disk.capacity_blocks() + 5;
+        let err = s.write(lba, &block(1)).unwrap_err();
+        assert_eq!(
+            err,
+            crate::CmError::Disk(disksim::DiskError::LbaOutOfRange(lba))
+        );
+        assert_eq!(s.dirty_blocks(), 0);
+        for lba in 0..200u64 {
+            s.write(lba, &block(lba as u8)).unwrap();
+        }
+        assert!(s.dirty_blocks() <= s.dirty_limit());
     }
 
     #[test]

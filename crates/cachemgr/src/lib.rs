@@ -28,6 +28,7 @@ pub mod lru;
 pub mod metrics;
 pub mod native;
 pub mod sharded;
+mod slot_index;
 pub mod system;
 
 pub use bloom::BloomFilter;

@@ -13,17 +13,15 @@
 //! metadata to a reserved SSD region on every dirty-state change — the
 //! consistency cost FlashTier's logging replaces (Figure 4).
 
-use std::collections::HashMap;
-
 use disksim::Disk;
 use ftl::BlockDev;
-use simkit::hash::BlockHash;
 use simkit::{Duration, PageBuf};
 use sparsemap::MapMemory;
 
 use crate::lru::LruList;
 use crate::metrics::MgrCounters;
-use crate::system::{tiers_discard, CacheSystem};
+use crate::slot_index::SlotIndex;
+use crate::system::{check_disk_lba, tiers_discard, CacheSystem};
 use crate::Result;
 
 /// Caching policy of the Native manager.
@@ -57,6 +55,18 @@ struct SlotMeta {
     dirty: bool,
 }
 
+/// Encodes one 22-byte metadata entry: `[disk lba (8)] [flags (1)]
+/// [reserved (9)] [crc32 (4)]`, flags bit 0 = occupied, bit 1 = dirty.
+fn encode_entry(meta: Option<SlotMeta>, entry: &mut [u8]) {
+    entry.fill(0);
+    if let Some(meta) = meta {
+        entry[0..8].copy_from_slice(&meta.lba.to_le_bytes());
+        entry[8] = 1 | if meta.dirty { 2 } else { 0 };
+    }
+    let crc = simkit::crc32(&entry[0..18]);
+    entry[18..22].copy_from_slice(&crc.to_le_bytes());
+}
+
 /// The Native caching system over any [`BlockDev`] SSD.
 #[derive(Debug)]
 pub struct NativeCache<D: BlockDev> {
@@ -64,10 +74,9 @@ pub struct NativeCache<D: BlockDev> {
     disk: Disk,
     mode: NativeMode,
     consistency: NativeConsistency,
-    /// Disk LBA -> cache slot, probed on every host read and write. A host
-    /// table the paper charges at a flat 22 B per slot, so a plain hash
-    /// table; sized for twice the slots, it never resizes (see `new`).
-    table: HashMap<u64, u32, BlockHash>,
+    /// Disk LBA -> cache slot, probed on every host read and write: chains
+    /// through the slots, keyed by the LBAs `meta` holds (no copy of its own).
+    table: SlotIndex,
     /// Per-slot metadata; `None` = free.
     meta: Vec<Option<SlotMeta>>,
     free: Vec<u32>,
@@ -123,10 +132,7 @@ impl<D: BlockDev> NativeCache<D> {
             disk,
             mode,
             consistency,
-            // At most one key per slot, so a full cache fills at most half
-            // the table: std then clears deletion markers by rehashing in
-            // place instead of growing.
-            table: HashMap::with_capacity_and_hasher(2 * slots as usize, BlockHash::default()),
+            table: SlotIndex::new(slots as usize),
             meta: vec![None; slots as usize],
             free: (0..slots as u32).rev().collect(),
             lru: LruList::new(slots as usize),
@@ -179,25 +185,20 @@ impl<D: BlockDev> NativeCache<D> {
         self.dirty_count
     }
 
-    /// Encodes the metadata page covering `slot` into `out`: 22-byte entries
-    /// of `[disk lba (8)] [flags (1)] [reserved (9)] [crc32 (4)]`, flags bit
-    /// 0 = occupied, bit 1 = dirty.
+    /// The slot caching `lba`, if any.
+    fn lookup(&self, lba: u64) -> Option<u32> {
+        self.table
+            .get(lba, |s| self.meta[s as usize].is_some_and(|m| m.lba == lba))
+    }
+
+    /// Encodes metadata page `page_index` into `out`.
     fn encode_md_page(&self, page_index: u64, out: &mut PageBuf) {
         let payload = out.fill_with(self.disk.block_size(), 0);
-        let first_slot = page_index * self.md_entries_per_page;
-        for i in 0..self.md_entries_per_page {
-            let slot = first_slot + i;
-            if slot >= self.meta.len() as u64 {
-                break;
-            }
-            let offset = (i * NATIVE_ENTRY_BYTES) as usize;
-            let entry = &mut payload[offset..offset + NATIVE_ENTRY_BYTES as usize];
-            if let Some(meta) = self.meta[slot as usize] {
-                entry[0..8].copy_from_slice(&meta.lba.to_le_bytes());
-                entry[8] = 1 | if meta.dirty { 2 } else { 0 };
-            }
-            let crc = simkit::crc32(&entry[0..18]);
-            entry[18..22].copy_from_slice(&crc.to_le_bytes());
+        let per_page = self.md_entries_per_page as usize;
+        let metas = self.meta.iter().skip(page_index as usize * per_page);
+        let entries = payload.chunks_exact_mut(NATIVE_ENTRY_BYTES as usize);
+        for (entry, &meta) in entries.zip(metas).take(per_page) {
+            encode_entry(meta, entry);
         }
     }
 
@@ -230,13 +231,7 @@ impl<D: BlockDev> NativeCache<D> {
         let page = (slot as u64 / self.md_entries_per_page) as usize;
         let offset = (slot as u64 % self.md_entries_per_page * NATIVE_ENTRY_BYTES) as usize;
         let entry = &mut self.md_cache[page][offset..offset + NATIVE_ENTRY_BYTES as usize];
-        entry.fill(0);
-        if let Some(meta) = self.meta[slot as usize] {
-            entry[0..8].copy_from_slice(&meta.lba.to_le_bytes());
-            entry[8] = 1 | if meta.dirty { 2 } else { 0 };
-        }
-        let crc = simkit::crc32(&entry[0..18]);
-        entry[18..22].copy_from_slice(&crc.to_le_bytes());
+        encode_entry(self.meta[slot as usize], entry);
     }
 
     /// Persists the metadata page covering `slot` to the SSD (a no-op
@@ -272,7 +267,7 @@ impl<D: BlockDev> NativeCache<D> {
     pub fn crash_and_recover(&mut self) -> Result<Duration> {
         // Volatile manager state is gone.
         let slots = self.meta.len();
-        self.table.clear();
+        self.table = SlotIndex::new(slots);
         self.meta = vec![None; slots];
         self.free = (0..slots as u32).rev().collect();
         self.lru = LruList::new(slots);
@@ -331,7 +326,7 @@ impl<D: BlockDev> NativeCache<D> {
     /// dropped block was dirty.
     fn drop_faulted_slot(&mut self, slot: u32) -> Result<(Duration, bool)> {
         let meta = self.meta[slot as usize].expect("faulted slot in use");
-        self.table.remove(&meta.lba);
+        self.table.remove(meta.lba, slot);
         self.meta[slot as usize] = None;
         self.lru.remove(slot);
         if meta.dirty {
@@ -365,23 +360,22 @@ impl<D: BlockDev> NativeCache<D> {
         Ok(cost)
     }
 
-    /// Reads a dirty slot for destage into `victim_buf`, with one bounded
-    /// retry on a media fault. `Ok(Some(cost))` means the buffer holds the
-    /// block (in discard mode: is one block long); `Ok(None)` means the
+    /// Writes dirty `slot` back to `lba` on disk through `victim_buf`,
+    /// retrying its flash read once on a media fault. `Ok(None)` means the
     /// block is unrecoverable and must be dropped rather than destaged.
-    fn read_dirty_for_destage(&mut self, slot: u32) -> Result<Option<Duration>> {
-        for attempt in 0..2 {
-            match self.ssd.read_into(slot as u64, &mut self.victim_buf) {
-                Ok(rcost) => return Ok(Some(rcost)),
-                Err(ftl::FtlError::Flash(e)) if e.is_media_fault() => {
-                    if attempt == 1 {
-                        return Ok(None);
-                    }
-                }
-                Err(e) => return Err(e.into()),
-            }
+    fn write_back(&mut self, slot: u32, lba: u64) -> Result<Option<Duration>> {
+        let mut read = self.ssd.read_into(slot as u64, &mut self.victim_buf);
+        if matches!(&read, Err(ftl::FtlError::Flash(e)) if e.is_media_fault()) {
+            read = self.ssd.read_into(slot as u64, &mut self.victim_buf);
         }
-        unreachable!("loop returns on the second attempt")
+        let rcost = match read {
+            Ok(rcost) => rcost,
+            Err(ftl::FtlError::Flash(e)) if e.is_media_fault() => return Ok(None),
+            Err(e) => return Err(e.into()),
+        };
+        let wcost = self.disk.write(lba, &self.victim_buf)?;
+        self.counters.writebacks += 1;
+        Ok(Some(rcost + wcost))
     }
 
     fn set_dirty(&mut self, slot: u32, dirty: bool) -> Result<Duration> {
@@ -416,18 +410,14 @@ impl<D: BlockDev> NativeCache<D> {
             // is unrecoverable even after a retry, drop the block instead of
             // destaging garbage — the last destaged version on disk stays
             // the authoritative copy.
-            match self.read_dirty_for_destage(victim)? {
-                Some(rcost) => {
-                    *cost += rcost;
-                    *cost += self.disk.write(meta.lba, &self.victim_buf)?;
-                    self.counters.writebacks += 1;
-                }
+            match self.write_back(victim, meta.lba)? {
+                Some(wcost) => *cost += wcost,
                 None => self.counters.destage_fault_invalidations += 1,
             }
             self.dirty_lru.remove(victim);
             self.dirty_count -= 1;
         }
-        self.table.remove(&meta.lba);
+        self.table.remove(meta.lba, victim);
         self.meta[victim as usize] = None;
         self.sync_md_entry(victim);
         // Invalidation is a metadata update (§2): persist it so recovery
@@ -439,7 +429,7 @@ impl<D: BlockDev> NativeCache<D> {
 
     /// Installs `data` for `lba` in the cache with the given dirty state.
     fn install(&mut self, lba: u64, data: &[u8], dirty: bool, cost: &mut Duration) -> Result<u32> {
-        if let Some(&slot) = self.table.get(&lba) {
+        if let Some(slot) = self.lookup(lba) {
             *cost += self.ssd.write(slot as u64, data)?;
             self.lru.touch(slot);
             if self.meta[slot as usize].is_some_and(|m| m.dirty) {
@@ -472,11 +462,9 @@ impl<D: BlockDev> NativeCache<D> {
                 break;
             };
             let lba = self.meta[slot as usize].expect("dirty slot in use").lba;
-            match self.read_dirty_for_destage(slot)? {
-                Some(rcost) => {
-                    cost += rcost;
-                    cost += self.disk.write(lba, &self.victim_buf)?;
-                    self.counters.writebacks += 1;
+            match self.write_back(slot, lba)? {
+                Some(wcost) => {
+                    cost += wcost;
                     cost += self.set_dirty(slot, false)?;
                 }
                 None => {
@@ -514,7 +502,7 @@ impl<D: BlockDev> NativeCache<D> {
 impl<D: BlockDev> CacheSystem for NativeCache<D> {
     fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
         self.counters.reads += 1;
-        let Some(&slot) = self.table.get(&lba) else {
+        let Some(slot) = self.lookup(lba) else {
             return self.read_miss(lba, buf);
         };
         match self.ssd.read_into(slot as u64, buf) {
@@ -548,6 +536,7 @@ impl<D: BlockDev> CacheSystem for NativeCache<D> {
                 cost += disk_cost.max(cache_cost);
             }
             NativeMode::WriteBack => {
+                check_disk_lba(&self.disk, lba)?;
                 self.install(lba, data, true, &mut cost)?;
                 if self.dirty_count > self.dirty_limit {
                     cost += self.clean_down_to(self.dirty_limit * 4 / 5)?;
@@ -566,11 +555,10 @@ impl<D: BlockDev> CacheSystem for NativeCache<D> {
     /// memory for both").
     fn host_memory(&self) -> MapMemory {
         MapMemory {
-            entries: self.table.len(),
+            entries: self.meta.iter().flatten().count(),
             modeled_bytes: self.meta.len() as u64 * NATIVE_ENTRY_BYTES,
-            heap_bytes: self.meta.capacity() as u64
-                * std::mem::size_of::<Option<SlotMeta>>() as u64
-                + (self.table.capacity() * 2 * std::mem::size_of::<(u64, u32)>()) as u64,
+            heap_bytes: (self.meta.capacity() * std::mem::size_of::<Option<SlotMeta>>()
+                + self.table.heap_bytes()) as u64,
         }
     }
 
@@ -593,6 +581,7 @@ impl<D: BlockDev> CacheSystem for NativeCache<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slot_index::Model;
     use disksim::{DiskConfig, DiskDataMode};
     use ftl::{HybridFtl, SsdConfig};
 
@@ -668,6 +657,22 @@ mod tests {
     }
 
     #[test]
+    fn write_back_refuses_a_write_past_the_disk_before_caching() {
+        let mut s = system(NativeMode::WriteBack);
+        let lba = s.disk.capacity_blocks() + 5;
+        let err = s.write(lba, &block(1)).unwrap_err();
+        assert_eq!(
+            err,
+            crate::CmError::Disk(disksim::DiskError::LbaOutOfRange(lba))
+        );
+        assert_eq!(s.dirty_blocks(), 0);
+        for lba in 0..200u64 {
+            s.write(lba, &block(lba as u8)).unwrap();
+        }
+        assert!(s.dirty_blocks() <= s.dirty_limit);
+    }
+
+    #[test]
     fn cleaner_bounds_dirty_count() {
         let mut s = system(NativeMode::WriteBack);
         for i in 0..200u64 {
@@ -697,13 +702,26 @@ mod tests {
         );
     }
 
+    /// The index finds exactly the slots `meta` holds: each occupied slot
+    /// under its own LBA, and no other slot at all.
+    fn assert_index_matches_meta(s: &NativeCache<HybridFtl>, step: u64) {
+        let mut occupied = 0;
+        for (slot, meta) in s.meta.iter().enumerate() {
+            if let Some(m) = meta {
+                occupied += 1;
+                assert_eq!(s.lookup(m.lba), Some(slot as u32), "step {step}");
+            }
+        }
+        assert_eq!(s.table.len(), occupied, "step {step}: index vs meta");
+    }
+
     #[test]
     fn churn_at_constant_live_size_never_resizes_the_table() {
         // The miss path at steady state: once the cache is full every fill
-        // evicts, so the table loses one key and gains another per event
+        // evicts, so the index loses one key and gains another per event
         // while its live size stays at the slot count.
         let mut s = system(NativeMode::WriteThrough);
-        let capacity = s.table.capacity();
+        let heap = s.table.heap_bytes();
         let span = 3 * s.slots() as u64;
         let mut rng = simkit::SimRng::seed_from(0x7AB1E);
         for step in 0..100_000u64 {
@@ -713,11 +731,112 @@ mod tests {
             } else {
                 s.read(lba).unwrap();
             }
-            let occupied = s.meta.iter().flatten().count();
-            assert_eq!(s.table.len(), occupied, "step {step}: table vs meta");
-            assert!(s.table.capacity() <= capacity, "step {step}: table grew");
+            assert_index_matches_meta(&s, step);
+            assert_eq!(s.table.heap_bytes(), heap, "step {step}: index grew");
         }
         assert!(s.counters().evictions > 50_000, "{:?}", s.counters());
+    }
+
+    /// Oracle under forced collisions: every key shares one bucket, so the
+    /// whole cache hangs off one chain, and evictions and faulted-slot drops
+    /// unlink its head, middle and tail. After every step the index, `meta`
+    /// and the LRU order must equal the reference model, which also fixes
+    /// the slot every fill takes.
+    #[test]
+    fn colliding_keys_match_the_model() {
+        let mut s = system(NativeMode::WriteThrough);
+        let keys = s.table.colliding(s.slots() + s.slots() / 2);
+        let mut model = Model::new(s.slots());
+        let mut rng = simkit::SimRng::seed_from(0xC011_1DE5);
+        for step in 0..3000u64 {
+            let mut lba = keys[rng.gen_range(keys.len() as u64) as usize];
+            let chain = s.table.chain(lba);
+            if step % 8 == 0 && !chain.is_empty() {
+                // Fault the chain's head, middle or tail in turn.
+                let slot = [0, chain.len() / 2, chain.len() - 1][step as usize / 8 % 3];
+                lba = s.meta[chain[slot] as usize].unwrap().lba;
+                s.drop_faulted_slot(chain[slot]).unwrap();
+                model.remove(lba, &chain);
+            } else {
+                if step % 3 == 0 {
+                    s.write(lba, &block(step as u8)).unwrap();
+                } else {
+                    s.read(lba).unwrap();
+                }
+                model.touch(lba, true, &chain);
+            }
+            for &k in &keys {
+                let want = model.slot_of.get(&k).copied();
+                assert_eq!(s.lookup(k), want, "step {step}: lba {k}");
+            }
+            let lba_of = |slot: u32| s.meta[slot as usize].unwrap().lba;
+            let order: Vec<u64> = s.lru.iter_lru().map(lba_of).collect();
+            assert_eq!(order, model.lru_order(), "step {step}");
+            assert_index_matches_meta(&s, step);
+        }
+        assert!(
+            model.removed_at.iter().all(|&n| n > 50),
+            "{:?}",
+            model.removed_at
+        );
+    }
+
+    /// Native's slot numbers are SSD LBAs, so the slot a fill takes moves
+    /// every simulated figure. Pins it through fills, LRU eviction of clean
+    /// and dirty victims, a crash and recovery, and fills after it.
+    #[test]
+    fn slot_reuse_order_is_pinned() {
+        let mut s = system(NativeMode::WriteBack);
+        let n = s.slots() as u64;
+        let slots_of = |s: &NativeCache<HybridFtl>, lbas: std::ops::Range<u64>| -> Vec<u32> {
+            lbas.map(|lba| s.lookup(lba).expect("cached")).collect()
+        };
+        // Fills take the lowest free slot first; two of them are dirty.
+        for lba in 100..100 + n {
+            if lba == 101 || lba == 103 {
+                s.write(lba, &block(1)).unwrap();
+            } else {
+                s.read(lba).unwrap();
+            }
+        }
+        assert_eq!(
+            slots_of(&s, 100..100 + n),
+            (0..n as u32).collect::<Vec<_>>()
+        );
+        // Refresh slot 0; the next fills reuse the LRU victims' slots
+        // directly, clean and dirty alike (the dirty ones written back).
+        s.read(100).unwrap();
+        for lba in 500..504 {
+            s.read(lba).unwrap();
+        }
+        assert_eq!(slots_of(&s, 500..504), [1, 2, 3, 4]);
+        assert_eq!((s.counters().evictions, s.counters().writebacks), (4, 2));
+        for lba in 600..603 {
+            s.write(lba, &block(2)).unwrap();
+        }
+        assert_eq!(slots_of(&s, 600..603), [5, 6, 7]);
+        // A faulted slot goes back on the free list and fills next.
+        s.drop_faulted_slot(6).unwrap();
+        s.read(650).unwrap();
+        assert_eq!(s.lookup(650), Some(6));
+        s.drop_faulted_slot(2).unwrap();
+        // Recovery restores the entries metadata page 0 (slots 0-22) held
+        // when slot 2's drop last wrote it, and rebuilds the free list from
+        // the unused slots, lowest first again.
+        s.crash_and_recover().unwrap();
+        let recovered: Vec<u32> = (0..n as u32)
+            .filter(|&slot| s.meta[slot as usize].is_some())
+            .collect();
+        assert_eq!(
+            recovered,
+            (0..23).filter(|&slot| slot != 2).collect::<Vec<_>>()
+        );
+        assert_eq!(slots_of(&s, 600..601), [5]);
+        assert_eq!(slots_of(&s, 650..651), [6]);
+        for lba in 700..704 {
+            s.read(lba).unwrap();
+        }
+        assert_eq!(slots_of(&s, 700..704), [2, 23, 24, 25]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The cache-system trait and the trace replay driver.
 
-use disksim::{Disk, DiskDataMode};
+use disksim::{Disk, DiskDataMode, DiskError};
 use simkit::{Duration, Histogram, PageBuf};
 use sparsemap::MapMemory;
 use trace::TraceEvent;
@@ -82,6 +82,14 @@ pub(crate) fn tiers_discard(cache_discards: bool, disk: &Disk) -> bool {
     disk_discards
 }
 
+/// Refuses a write past `disk`'s end, which a write-back cleaner could never destage.
+pub(crate) fn check_disk_lba(disk: &Disk, lba: u64) -> Result<()> {
+    if lba < disk.capacity_blocks() {
+        return Ok(());
+    }
+    Err(DiskError::LbaOutOfRange(lba).into())
+}
+
 /// Results of replaying a trace against a system.
 #[derive(Debug, Clone)]
 pub struct ReplayStats {
@@ -104,12 +112,6 @@ impl ReplayStats {
         } else {
             self.ops as f64 / self.sim_time.as_secs_f64()
         }
-    }
-
-    /// Approximate response-time percentile in microseconds (upper bucket
-    /// bound), `None` when no requests were replayed.
-    pub fn response_percentile_us(&self, q: f64) -> Option<u64> {
-        self.response_hist.quantile(q)
     }
 }
 
@@ -230,7 +232,7 @@ mod tests {
             response_hist: Histogram::new(),
             counters: MgrCounters::default(),
         };
-        assert_eq!(empty.response_percentile_us(0.99), None);
+        assert_eq!(empty.response_hist.quantile(0.99), None);
         assert_eq!(empty.iops(), 0.0);
     }
 }

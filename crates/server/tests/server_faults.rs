@@ -15,8 +15,9 @@
 //!   device fault (`PowerLoss` inside group commit) quarantines the
 //!   owning shard: its requests answer `SHARD_FAILED`, every other shard
 //!   keeps serving, and shutdown still drains the healthy shards.
-//! * **A bad address is not a fault** — a PUT the SSC cannot store
-//!   answers `ERR` and quarantines nothing.
+//! * **A bad address is not a fault** — a PUT the SSC cannot store, or
+//!   one past the disk's end, answers `ERR`, quarantines nothing and
+//!   leaves the shard acking later PUTs.
 //! * **Media faults stay below the wire** — pipelined load over shards
 //!   whose flash injects seeded faults gets a response to every request
 //!   and never a malformed frame.
@@ -476,6 +477,39 @@ fn put_at_the_top_lba_is_refused_without_quarantine() {
     assert!(report.panics.is_empty(), "{:?}", report.panics);
     assert_eq!(report.stats.shards_quarantined, 0);
     assert!(report.shard_health.iter().all(|h| h.is_healthy()));
+}
+
+#[test]
+fn put_past_the_disk_is_refused_and_the_shard_keeps_acking() {
+    let set = wb_set(2);
+    let router = set.router();
+    let bad = disk().capacity_blocks() + 5;
+    let owner = router.shard_of(bad);
+    let server = Server::start(set, "127.0.0.1:0", ServerConfig::default()).expect("bind server");
+    let mut client = BlockClient::connect(server.addr()).expect("connect");
+
+    // A write-back shard must refuse the block before caching it: acked,
+    // it would fail its cleaner on every later pass and turn the shard's
+    // later PUTs into errors.
+    let resp = client.put(bad, &payload(bad, 1)).expect("bad put");
+    assert_eq!(resp.status, STATUS_ERR);
+
+    // Enough PUTs on the owning shard to run its cleaner many times over.
+    let lbas: Vec<u64> = (0..100_000u64)
+        .filter(|&l| router.shard_of(l) == owner)
+        .take(400)
+        .collect();
+    for &lba in &lbas {
+        let resp = client.put(lba, &payload(lba, 2)).expect("owner put");
+        assert_eq!(resp.status, STATUS_OK, "put {lba}");
+    }
+    let resp = client.get(lbas[0]).expect("owner get");
+    assert_eq!(resp.payload, payload(lbas[0], 2));
+
+    drop(client);
+    let report = server.shutdown();
+    assert!(report.panics.is_empty(), "{:?}", report.panics);
+    assert_eq!(report.stats.shards_quarantined, 0);
 }
 
 #[test]
