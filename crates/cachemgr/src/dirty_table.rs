@@ -9,48 +9,49 @@
 //!
 //! The FlashTier manager tracks only **dirty** blocks here — clean blocks
 //! cost the host nothing, which is where the 89% host-memory saving of
-//! Table 4 comes from. Our hash index is chained through the slot array
-//! rather than linear, so it stores no key of its own and a removal leaves
-//! no tombstone.
+//! Table 4 comes from. The table is the crate's slot table, one fixed
+//! record per entry: its hash index is chained through the records rather
+//! than linear, so it stores no key beyond the entry's own LBA and a
+//! removal leaves no tombstone.
 
 use sparsemap::MapMemory;
 
-use crate::lru::LruList;
-use crate::slot_index::SlotIndex;
+use crate::slot_cache::SlotCache;
 
 /// Modeled bytes per entry (no checksum: 8 LBA + 2+2 LRU + 2 state).
 pub const ENTRY_BYTES: u64 = 14;
 
 /// The dirty-block table: LBA set plus LRU ordering, fixed capacity.
+///
+/// # Examples
+///
+/// ```
+/// use cachemgr::DirtyTable;
+///
+/// let mut table = DirtyTable::new(4);
+/// table.touch(10);
+/// table.touch(20);
+/// table.touch(10); // 10 becomes most recent
+/// assert_eq!(table.lru_block(), Some(20));
+/// ```
 #[derive(Debug, Clone)]
 pub struct DirtyTable {
-    /// LBA -> slot, keyed by the LBAs `slots` holds.
-    index: SlotIndex,
-    /// Slot -> LBA (free slots hold `None`).
-    slots: Vec<Option<u64>>,
-    free: Vec<u32>,
-    lru: LruList,
+    /// Every entry is a dirty block, so entries are filed clean: the
+    /// slot table's dirty sub-list stays empty.
+    cache: SlotCache,
 }
 
 impl DirtyTable {
     /// Creates a table with room for `capacity` dirty blocks.
     pub fn new(capacity: usize) -> Self {
         DirtyTable {
-            index: SlotIndex::new(capacity),
-            slots: vec![None; capacity],
-            free: (0..capacity as u32).rev().collect(),
-            lru: LruList::new(capacity),
+            cache: SlotCache::new(capacity),
         }
-    }
-
-    /// The slot tracking `lba`, if any.
-    fn slot_of(&self, lba: u64) -> Option<u32> {
-        self.index.get(lba, |s| self.slots[s as usize] == Some(lba))
     }
 
     /// Number of tracked dirty blocks.
     pub fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
+        self.cache.len()
     }
 
     /// Returns `true` if no dirty block is tracked.
@@ -60,20 +61,20 @@ impl DirtyTable {
 
     /// Maximum dirty blocks the table can hold.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.cache.capacity()
     }
 
     /// Returns `true` if `lba` is tracked as dirty.
     pub fn contains(&self, lba: u64) -> bool {
-        self.slot_of(lba).is_some()
+        self.cache.get(lba).is_some()
     }
 
     /// Refreshes the recency of `lba` if it is tracked, with a single index
     /// probe. Returns whether it was.
     pub fn touch_if_present(&mut self, lba: u64) -> bool {
-        match self.slot_of(lba) {
+        match self.cache.get(lba) {
             Some(slot) => {
-                self.lru.touch(slot);
+                self.cache.touch(slot);
                 true
             }
             None => false,
@@ -86,11 +87,9 @@ impl DirtyTable {
         if self.touch_if_present(lba) {
             return true;
         }
-        match self.free.pop() {
+        match self.cache.pop_free() {
             Some(slot) => {
-                self.slots[slot as usize] = Some(lba);
-                self.index.insert(lba, slot);
-                self.lru.push_front(slot);
+                self.cache.fill(slot, lba, false);
                 true
             }
             None => false,
@@ -99,12 +98,9 @@ impl DirtyTable {
 
     /// Removes `lba` (it was cleaned or evicted). Returns `true` if present.
     pub fn remove(&mut self, lba: u64) -> bool {
-        match self.slot_of(lba) {
+        match self.cache.get(lba) {
             Some(slot) => {
-                self.index.remove(lba, slot);
-                self.slots[slot as usize] = None;
-                self.lru.remove(slot);
-                self.free.push(slot);
+                self.cache.remove(slot);
                 true
             }
             None => false,
@@ -113,7 +109,7 @@ impl DirtyTable {
 
     /// The least recently used dirty block.
     pub fn lru_block(&self) -> Option<u64> {
-        self.lru.back().and_then(|slot| self.slots[slot as usize])
+        Some(self.cache.entry(self.cache.lru()?)?.0)
     }
 
     /// Starting from the LRU block, expands to the contiguous dirty run
@@ -145,7 +141,7 @@ impl DirtyTable {
     /// Iterates all tracked dirty blocks in slot order, which is the same
     /// on every run (neither LBA nor recency order).
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.slots.iter().flatten().copied()
+        (0..self.capacity() as u32).filter_map(|slot| Some(self.cache.entry(slot)?.0))
     }
 
     /// Host-memory report, using the paper's 14-byte-per-dirty-block model.
@@ -153,9 +149,7 @@ impl DirtyTable {
         MapMemory {
             entries: self.len(),
             modeled_bytes: self.len() as u64 * ENTRY_BYTES,
-            heap_bytes: (self.slots.capacity() * std::mem::size_of::<Option<u64>>()
-                + self.index.heap_bytes()
-                + self.free.capacity() * 4) as u64,
+            heap_bytes: self.cache.heap_bytes() as u64,
         }
     }
 }
@@ -163,7 +157,7 @@ impl DirtyTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slot_index::Model;
+    use crate::slot_cache::Model;
 
     /// Oracle under forced collisions: every key shares one bucket, so one
     /// chain holds up to the whole table and removals unlink its head,
@@ -172,13 +166,13 @@ mod tests {
     #[test]
     fn colliding_keys_match_the_model() {
         let mut t = DirtyTable::new(12);
-        let keys = t.index.colliding(16);
+        let keys = t.cache.colliding(16);
         let mut model = Model::new(t.capacity());
         let mut rng = simkit::SimRng::seed_from(0xD1C7_C0DE);
         let mut longest = 0;
         for step in 0..4000 {
             let lba = keys[rng.gen_range(keys.len() as u64) as usize];
-            let chain = t.index.chain(lba);
+            let chain = t.cache.chain(lba);
             longest = longest.max(chain.len());
             if rng.gen_bool(0.55) {
                 assert_eq!(t.touch(lba), model.touch(lba, false, &chain), "{step}");
@@ -187,17 +181,18 @@ mod tests {
             }
             for &k in &keys {
                 let want = model.slot_of.get(&k).copied();
-                assert_eq!(t.slot_of(k), want, "step {step}: lba {k}");
+                assert_eq!(t.cache.get(k), want, "step {step}: lba {k}");
                 assert_eq!(t.contains(k), want.is_some(), "step {step}: lba {k}");
             }
             let order: Vec<u64> = t
-                .lru
-                .iter_lru()
-                .map(|s| t.slots[s as usize].unwrap())
+                .cache
+                .lru_order()
+                .into_iter()
+                .map(|s| t.cache.entry(s).unwrap().0)
                 .collect();
             assert_eq!(order, model.lru_order(), "step {step}");
             assert_eq!(t.len(), model.slot_of.len(), "step {step}");
-            assert_eq!(t.index.len(), t.len(), "step {step}");
+            assert_eq!(t.cache.chained(), t.len(), "step {step}");
         }
         assert!(longest >= 3, "longest chain {longest}");
         assert!(
@@ -293,6 +288,19 @@ mod tests {
         let m = t.memory();
         assert_eq!(m.entries, 100);
         assert_eq!(m.modeled_bytes, 100 * ENTRY_BYTES);
+    }
+
+    /// Real bytes are the whole slot table, occupied or not: per slot one
+    /// half-cache-line record (which also carries the free list) and two
+    /// bucket heads.
+    #[test]
+    fn heap_bytes_count_records_and_heads() {
+        let mut t = DirtyTable::new(1024);
+        t.touch(7);
+        assert_eq!(t.cache.buckets(), 2 * 1024);
+        let record = crate::slot_cache::SlotCache::RECORD_BYTES;
+        assert_eq!(record, 32);
+        assert_eq!(t.memory().heap_bytes, 1024 * (record + 2 * 4) as u64);
     }
 
     #[test]

@@ -24,11 +24,10 @@ pub mod dirty_table;
 pub mod error;
 pub mod flashtier_wb;
 pub mod flashtier_wt;
-pub mod lru;
 pub mod metrics;
 pub mod native;
 pub mod sharded;
-mod slot_index;
+mod slot_cache;
 pub mod system;
 
 pub use bloom::BloomFilter;
@@ -36,7 +35,6 @@ pub use dirty_table::DirtyTable;
 pub use error::CmError;
 pub use flashtier_wb::{DestagePolicy, FlashTierWb};
 pub use flashtier_wt::FlashTierWt;
-pub use lru::LruList;
 pub use metrics::MgrCounters;
 pub use native::{NativeCache, NativeConsistency, NativeMode};
 pub use sharded::ShardSet;

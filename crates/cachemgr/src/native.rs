@@ -18,9 +18,8 @@ use ftl::BlockDev;
 use simkit::{Duration, PageBuf};
 use sparsemap::MapMemory;
 
-use crate::lru::LruList;
 use crate::metrics::MgrCounters;
-use crate::slot_index::SlotIndex;
+use crate::slot_cache::SlotCache;
 use crate::system::{check_disk_lba, tiers_discard, CacheSystem};
 use crate::Result;
 
@@ -49,19 +48,13 @@ pub enum NativeConsistency {
 /// and block state").
 pub const NATIVE_ENTRY_BYTES: u64 = 22;
 
-#[derive(Debug, Clone, Copy)]
-struct SlotMeta {
-    lba: u64,
-    dirty: bool,
-}
-
-/// Encodes one 22-byte metadata entry: `[disk lba (8)] [flags (1)]
-/// [reserved (9)] [crc32 (4)]`, flags bit 0 = occupied, bit 1 = dirty.
-fn encode_entry(meta: Option<SlotMeta>, entry: &mut [u8]) {
+/// Encodes a slot's `(lba, dirty)` as a 22-byte entry: `[disk lba (8)]
+/// [flags (1)] [reserved (9)] [crc32 (4)]`, flags bit 0 = occupied, bit 1 = dirty.
+fn encode_entry(meta: Option<(u64, bool)>, entry: &mut [u8]) {
     entry.fill(0);
-    if let Some(meta) = meta {
-        entry[0..8].copy_from_slice(&meta.lba.to_le_bytes());
-        entry[8] = 1 | if meta.dirty { 2 } else { 0 };
+    if let Some((lba, dirty)) = meta {
+        entry[0..8].copy_from_slice(&lba.to_le_bytes());
+        entry[8] = 1 | if dirty { 2 } else { 0 };
     }
     let crc = simkit::crc32(&entry[0..18]);
     entry[18..22].copy_from_slice(&crc.to_le_bytes());
@@ -74,20 +67,10 @@ pub struct NativeCache<D: BlockDev> {
     disk: Disk,
     mode: NativeMode,
     consistency: NativeConsistency,
-    /// Disk LBA -> cache slot, probed on every host read and write: chains
-    /// through the slots, keyed by the LBAs `meta` holds (no copy of its own).
-    table: SlotIndex,
-    /// Per-slot metadata; `None` = free.
-    meta: Vec<Option<SlotMeta>>,
-    free: Vec<u32>,
-    lru: LruList,
-    /// Dirty slots only, kept in the same relative order as [`lru`] — an
-    /// incrementally maintained index so the cleaner finds its LRU dirty
-    /// victim in O(1) instead of scanning the whole replacement list. Its
-    /// membership always equals `meta[s].dirty`, and its order the main
-    /// list's order restricted to dirty slots (oracle-tested below).
-    dirty_lru: LruList,
-    dirty_count: usize,
+    /// The host mapping table, probed on every host read and write. Its
+    /// dirty list keeps the replacement list's order, so the cleaner finds
+    /// its LRU dirty victim in O(1) (oracle-tested below).
+    cache: SlotCache,
     dirty_limit: usize,
     /// First SSD page of the reserved metadata region.
     md_base: u64,
@@ -98,7 +81,7 @@ pub struct NativeCache<D: BlockDev> {
     /// Both tiers run in discard mode: payload bytes are never retained,
     /// produced or read back.
     payload_discarded: bool,
-    /// Encoded metadata pages, kept in lockstep with `meta`. Each slot's
+    /// Encoded metadata pages, kept in lockstep with `cache`. Each slot's
     /// 22-byte entry is re-encoded when that slot changes, so persisting a
     /// page is a single device write instead of a full page re-encode
     /// (zero-fill plus one CRC per entry) on every dirty-state change.
@@ -132,12 +115,7 @@ impl<D: BlockDev> NativeCache<D> {
             disk,
             mode,
             consistency,
-            table: SlotIndex::new(slots as usize),
-            meta: vec![None; slots as usize],
-            free: (0..slots as u32).rev().collect(),
-            lru: LruList::new(slots as usize),
-            dirty_lru: LruList::new(slots as usize),
-            dirty_count: 0,
+            cache: SlotCache::new(slots as usize),
             dirty_limit,
             md_base: slots,
             md_entries_per_page,
@@ -177,33 +155,27 @@ impl<D: BlockDev> NativeCache<D> {
 
     /// Number of cache slots.
     pub fn slots(&self) -> usize {
-        self.meta.len()
+        self.cache.capacity()
     }
 
     /// Currently dirty slots.
     pub fn dirty_blocks(&self) -> usize {
-        self.dirty_count
-    }
-
-    /// The slot caching `lba`, if any.
-    fn lookup(&self, lba: u64) -> Option<u32> {
-        self.table
-            .get(lba, |s| self.meta[s as usize].is_some_and(|m| m.lba == lba))
+        self.cache.dirty_len()
     }
 
     /// Encodes metadata page `page_index` into `out`.
     fn encode_md_page(&self, page_index: u64, out: &mut PageBuf) {
         let payload = out.fill_with(self.disk.block_size(), 0);
-        let per_page = self.md_entries_per_page as usize;
-        let metas = self.meta.iter().skip(page_index as usize * per_page);
+        let first = page_index * self.md_entries_per_page;
+        let last = (first + self.md_entries_per_page).min(self.slots() as u64);
         let entries = payload.chunks_exact_mut(NATIVE_ENTRY_BYTES as usize);
-        for (entry, &meta) in entries.zip(metas).take(per_page) {
-            encode_entry(meta, entry);
+        for (entry, slot) in entries.zip(first as u32..last as u32) {
+            encode_entry(self.cache.entry(slot), entry);
         }
     }
 
-    /// Re-encodes every metadata page from `meta` into the cache (or clears
-    /// it in configurations whose encoded metadata nothing can read back).
+    /// Re-encodes every metadata page from the slot table into the cache (or
+    /// clears it in configurations whose encoded metadata nothing can read back).
     /// The resulting bytes are exactly what [`NativeCache::encode_md_page`]
     /// would produce.
     fn rebuild_md_cache(&mut self) {
@@ -211,7 +183,7 @@ impl<D: BlockDev> NativeCache<D> {
             self.md_cache.clear();
             return;
         }
-        let md_pages = (self.meta.len() as u64).div_ceil(self.md_entries_per_page);
+        let md_pages = (self.slots() as u64).div_ceil(self.md_entries_per_page);
         let mut buf = PageBuf::new();
         let mut cache = Vec::with_capacity(md_pages as usize);
         for page_index in 0..md_pages {
@@ -221,9 +193,10 @@ impl<D: BlockDev> NativeCache<D> {
         self.md_cache = cache;
     }
 
-    /// Re-encodes the cached 22-byte entry for `slot` after its `meta`
-    /// changed. Must be called at every `meta` mutation site so the cache
-    /// stays bit-identical to a fresh [`NativeCache::encode_md_page`].
+    /// Re-encodes the cached 22-byte entry for `slot` after its entry
+    /// changed. Must be called wherever a slot is filled, emptied or changes
+    /// dirty bit, so the cache stays bit-identical to a fresh
+    /// [`NativeCache::encode_md_page`].
     fn sync_md_entry(&mut self, slot: u32) {
         if self.md_cache.is_empty() {
             return;
@@ -231,7 +204,7 @@ impl<D: BlockDev> NativeCache<D> {
         let page = (slot as u64 / self.md_entries_per_page) as usize;
         let offset = (slot as u64 % self.md_entries_per_page * NATIVE_ENTRY_BYTES) as usize;
         let entry = &mut self.md_cache[page][offset..offset + NATIVE_ENTRY_BYTES as usize];
-        encode_entry(self.meta[slot as usize], entry);
+        encode_entry(self.cache.entry(slot), entry);
     }
 
     /// Persists the metadata page covering `slot` to the SSD (a no-op
@@ -266,19 +239,15 @@ impl<D: BlockDev> NativeCache<D> {
     /// Device failures while reading the metadata region.
     pub fn crash_and_recover(&mut self) -> Result<Duration> {
         // Volatile manager state is gone.
-        let slots = self.meta.len();
-        self.table = SlotIndex::new(slots);
-        self.meta = vec![None; slots];
-        self.free = (0..slots as u32).rev().collect();
-        self.lru = LruList::new(slots);
-        self.dirty_lru = LruList::new(slots);
-        self.dirty_count = 0;
+        self.cache = SlotCache::new(self.slots());
         if self.consistency != NativeConsistency::Durable || self.mode != NativeMode::WriteBack {
             return Ok(Duration::ZERO);
         }
-        // Read back every metadata page and rebuild the tables.
+        // Read back every metadata page and rebuild the table.
+        let slots = self.slots();
         let md_pages = (slots as u64).div_ceil(self.md_entries_per_page);
         let mut cost = Duration::ZERO;
+        let mut entries = Vec::new();
         for page_index in 0..md_pages {
             let (payload, rcost) = self.ssd.read(self.md_base + page_index)?;
             cost += rcost;
@@ -296,25 +265,12 @@ impl<D: BlockDev> NativeCache<D> {
                 if entry[8] & 1 == 0 {
                     continue;
                 }
-                let meta = SlotMeta {
-                    lba: u64::from_le_bytes(entry[0..8].try_into().expect("8 bytes")),
-                    dirty: entry[8] & 2 != 0,
-                };
-                let slot = slot as u32;
-                self.meta[slot as usize] = Some(meta);
-                self.table.insert(meta.lba, slot);
-                self.lru.push_front(slot);
-                if meta.dirty {
-                    self.dirty_lru.push_front(slot);
-                    self.dirty_count += 1;
-                }
+                let lba = u64::from_le_bytes(entry[0..8].try_into().expect("8 bytes"));
+                entries.push((slot as u32, lba, entry[8] & 2 != 0));
             }
         }
-        self.free = (0..slots as u32)
-            .rev()
-            .filter(|&s| self.meta[s as usize].is_none())
-            .collect();
-        // `meta` was replaced wholesale; re-derive the encoded pages.
+        self.cache.restore(entries);
+        // The table was replaced wholesale; re-derive the encoded pages.
         self.rebuild_md_cache();
         Ok(cost)
     }
@@ -325,18 +281,11 @@ impl<D: BlockDev> NativeCache<D> {
     /// unreadable flash. Returns the persistence cost and whether the
     /// dropped block was dirty.
     fn drop_faulted_slot(&mut self, slot: u32) -> Result<(Duration, bool)> {
-        let meta = self.meta[slot as usize].expect("faulted slot in use");
-        self.table.remove(meta.lba, slot);
-        self.meta[slot as usize] = None;
-        self.lru.remove(slot);
-        if meta.dirty {
-            self.dirty_lru.remove(slot);
-            self.dirty_count -= 1;
-        }
-        self.free.push(slot);
+        let (_, dirty) = self.cache.entry(slot).expect("faulted slot in use");
+        self.cache.remove(slot);
         self.sync_md_entry(slot);
         let cost = self.persist_metadata(slot)?;
-        Ok((cost, meta.dirty))
+        Ok((cost, dirty))
     }
 
     /// The read-fault fallback: invalidate the faulted slot and serve a
@@ -378,21 +327,11 @@ impl<D: BlockDev> NativeCache<D> {
         Ok(Some(rcost + wcost))
     }
 
+    /// Dirtying always happens right after the slot moved to the front of
+    /// the replacement list, which keeps the dirty list in its order.
     fn set_dirty(&mut self, slot: u32, dirty: bool) -> Result<Duration> {
-        let meta = self.meta[slot as usize].as_mut().expect("slot in use");
-        if meta.dirty == dirty {
+        if !self.cache.set_dirty(slot, dirty) {
             return Ok(Duration::ZERO);
-        }
-        meta.dirty = dirty;
-        if dirty {
-            // Dirtying always happens right after the slot moved to the
-            // front of the main list, so fronting it here keeps the dirty
-            // index in the main list's relative order.
-            self.dirty_lru.push_front(slot);
-            self.dirty_count += 1;
-        } else {
-            self.dirty_lru.remove(slot);
-            self.dirty_count -= 1;
         }
         self.sync_md_entry(slot);
         self.persist_metadata(slot)
@@ -400,25 +339,22 @@ impl<D: BlockDev> NativeCache<D> {
 
     /// Makes a slot available, evicting the LRU block if necessary.
     fn take_slot(&mut self, cost: &mut Duration) -> Result<u32> {
-        if let Some(slot) = self.free.pop() {
+        if let Some(slot) = self.cache.pop_free() {
             return Ok(slot);
         }
-        let victim = self.lru.pop_back().expect("no free slot and empty LRU");
-        let meta = self.meta[victim as usize].expect("victim in use");
-        if meta.dirty {
+        let victim = self.cache.lru().expect("no free slot and empty LRU");
+        let (lba, dirty) = self.cache.entry(victim).expect("victim in use");
+        if dirty {
             // Write the dirty victim back to disk first. If the flash copy
             // is unrecoverable even after a retry, drop the block instead of
             // destaging garbage — the last destaged version on disk stays
             // the authoritative copy.
-            match self.write_back(victim, meta.lba)? {
+            match self.write_back(victim, lba)? {
                 Some(wcost) => *cost += wcost,
                 None => self.counters.destage_fault_invalidations += 1,
             }
-            self.dirty_lru.remove(victim);
-            self.dirty_count -= 1;
         }
-        self.table.remove(meta.lba, victim);
-        self.meta[victim as usize] = None;
+        self.cache.evict(victim);
         self.sync_md_entry(victim);
         // Invalidation is a metadata update (§2): persist it so recovery
         // can never resurrect the old mapping onto reused data.
@@ -429,24 +365,17 @@ impl<D: BlockDev> NativeCache<D> {
 
     /// Installs `data` for `lba` in the cache with the given dirty state.
     fn install(&mut self, lba: u64, data: &[u8], dirty: bool, cost: &mut Duration) -> Result<u32> {
-        if let Some(slot) = self.lookup(lba) {
+        if let Some(slot) = self.cache.get(lba) {
             *cost += self.ssd.write(slot as u64, data)?;
-            self.lru.touch(slot);
-            if self.meta[slot as usize].is_some_and(|m| m.dirty) {
-                self.dirty_lru.touch(slot);
-            }
+            self.cache.touch(slot);
             *cost += self.set_dirty(slot, dirty)?;
             return Ok(slot);
         }
         let slot = self.take_slot(cost)?;
         *cost += self.ssd.write(slot as u64, data)?;
-        self.meta[slot as usize] = Some(SlotMeta { lba, dirty });
+        self.cache.fill(slot, lba, dirty);
         self.sync_md_entry(slot);
-        self.table.insert(lba, slot);
-        self.lru.push_front(slot);
         if dirty {
-            self.dirty_lru.push_front(slot);
-            self.dirty_count += 1;
             *cost += self.persist_metadata(slot)?;
         }
         Ok(slot)
@@ -455,13 +384,13 @@ impl<D: BlockDev> NativeCache<D> {
     /// Writes back LRU dirty blocks until below the threshold.
     fn clean_down_to(&mut self, target: usize) -> Result<Duration> {
         let mut cost = Duration::ZERO;
-        while self.dirty_count > target {
-            // The dirty index mirrors the main list's order, so its back is
+        while self.cache.dirty_len() > target {
+            // The dirty list mirrors the main list's order, so its back is
             // exactly what a tail-to-head scan for a dirty slot would find.
-            let Some(slot) = self.dirty_lru.back() else {
+            let Some(slot) = self.cache.lru_dirty() else {
                 break;
             };
-            let lba = self.meta[slot as usize].expect("dirty slot in use").lba;
+            let (lba, _) = self.cache.entry(slot).expect("dirty slot in use");
             match self.write_back(slot, lba)? {
                 Some(wcost) => {
                     cost += wcost;
@@ -483,7 +412,7 @@ impl<D: BlockDev> NativeCache<D> {
     /// Modeled recovery time for the manager's own state (Figure 5's
     /// "Native-FC"): read back the persisted metadata region.
     pub fn manager_recovery_cost(&self) -> Duration {
-        let md_bytes = self.meta.len() as u64 * NATIVE_ENTRY_BYTES;
+        let md_bytes = self.slots() as u64 * NATIVE_ENTRY_BYTES;
         let pages = md_bytes.div_ceil(self.disk.block_size() as u64);
         // Sequential page reads from the SSD region.
         Duration::from_micros(pages * 77)
@@ -502,16 +431,13 @@ impl<D: BlockDev> NativeCache<D> {
 impl<D: BlockDev> CacheSystem for NativeCache<D> {
     fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
         self.counters.reads += 1;
-        let Some(slot) = self.lookup(lba) else {
+        let Some(slot) = self.cache.get(lba) else {
             return self.read_miss(lba, buf);
         };
         match self.ssd.read_into(slot as u64, buf) {
             Ok(cost) => {
                 self.counters.read_hits += 1;
-                self.lru.touch(slot);
-                if self.meta[slot as usize].is_some_and(|m| m.dirty) {
-                    self.dirty_lru.touch(slot);
-                }
+                self.cache.touch(slot);
                 Ok(cost)
             }
             Err(ftl::FtlError::Flash(e)) if e.is_media_fault() => {
@@ -538,7 +464,7 @@ impl<D: BlockDev> CacheSystem for NativeCache<D> {
             NativeMode::WriteBack => {
                 check_disk_lba(&self.disk, lba)?;
                 self.install(lba, data, true, &mut cost)?;
-                if self.dirty_count > self.dirty_limit {
+                if self.cache.dirty_len() > self.dirty_limit {
                     cost += self.clean_down_to(self.dirty_limit * 4 / 5)?;
                 }
             }
@@ -552,13 +478,12 @@ impl<D: BlockDev> CacheSystem for NativeCache<D> {
 
     /// The paper's model: 22 bytes for *every* cache slot, write-back and
     /// write-through alike ("the native system uses the same amount of
-    /// memory for both").
+    /// memory for both"). Real bytes are the whole slot table.
     fn host_memory(&self) -> MapMemory {
         MapMemory {
-            entries: self.meta.iter().flatten().count(),
-            modeled_bytes: self.meta.len() as u64 * NATIVE_ENTRY_BYTES,
-            heap_bytes: (self.meta.capacity() * std::mem::size_of::<Option<SlotMeta>>()
-                + self.table.heap_bytes()) as u64,
+            entries: self.cache.len(),
+            modeled_bytes: self.slots() as u64 * NATIVE_ENTRY_BYTES,
+            heap_bytes: self.cache.heap_bytes() as u64,
         }
     }
 
@@ -581,7 +506,7 @@ impl<D: BlockDev> CacheSystem for NativeCache<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slot_index::Model;
+    use crate::slot_cache::Model;
     use disksim::{DiskConfig, DiskDataMode};
     use ftl::{HybridFtl, SsdConfig};
 
@@ -702,17 +627,17 @@ mod tests {
         );
     }
 
-    /// The index finds exactly the slots `meta` holds: each occupied slot
-    /// under its own LBA, and no other slot at all.
+    /// The index finds exactly the occupied slots: each under its own LBA,
+    /// and no other slot at all.
     fn assert_index_matches_meta(s: &NativeCache<HybridFtl>, step: u64) {
         let mut occupied = 0;
-        for (slot, meta) in s.meta.iter().enumerate() {
-            if let Some(m) = meta {
+        for slot in 0..s.slots() as u32 {
+            if let Some((lba, _)) = s.cache.entry(slot) {
                 occupied += 1;
-                assert_eq!(s.lookup(m.lba), Some(slot as u32), "step {step}");
+                assert_eq!(s.cache.get(lba), Some(slot), "step {step}");
             }
         }
-        assert_eq!(s.table.len(), occupied, "step {step}: index vs meta");
+        assert_eq!(s.cache.chained(), occupied, "step {step}: index vs meta");
     }
 
     #[test]
@@ -721,7 +646,7 @@ mod tests {
         // evicts, so the index loses one key and gains another per event
         // while its live size stays at the slot count.
         let mut s = system(NativeMode::WriteThrough);
-        let heap = s.table.heap_bytes();
+        let heap = s.cache.heap_bytes();
         let span = 3 * s.slots() as u64;
         let mut rng = simkit::SimRng::seed_from(0x7AB1E);
         for step in 0..100_000u64 {
@@ -732,29 +657,29 @@ mod tests {
                 s.read(lba).unwrap();
             }
             assert_index_matches_meta(&s, step);
-            assert_eq!(s.table.heap_bytes(), heap, "step {step}: index grew");
+            assert_eq!(s.cache.heap_bytes(), heap, "step {step}: index grew");
         }
         assert!(s.counters().evictions > 50_000, "{:?}", s.counters());
     }
 
     /// Oracle under forced collisions: every key shares one bucket, so the
     /// whole cache hangs off one chain, and evictions and faulted-slot drops
-    /// unlink its head, middle and tail. After every step the index, `meta`
+    /// unlink its head, middle and tail. After every step the index, the slots
     /// and the LRU order must equal the reference model, which also fixes
     /// the slot every fill takes.
     #[test]
     fn colliding_keys_match_the_model() {
         let mut s = system(NativeMode::WriteThrough);
-        let keys = s.table.colliding(s.slots() + s.slots() / 2);
+        let keys = s.cache.colliding(s.slots() + s.slots() / 2);
         let mut model = Model::new(s.slots());
         let mut rng = simkit::SimRng::seed_from(0xC011_1DE5);
         for step in 0..3000u64 {
             let mut lba = keys[rng.gen_range(keys.len() as u64) as usize];
-            let chain = s.table.chain(lba);
+            let chain = s.cache.chain(lba);
             if step % 8 == 0 && !chain.is_empty() {
                 // Fault the chain's head, middle or tail in turn.
                 let slot = [0, chain.len() / 2, chain.len() - 1][step as usize / 8 % 3];
-                lba = s.meta[chain[slot] as usize].unwrap().lba;
+                lba = s.cache.entry(chain[slot]).unwrap().0;
                 s.drop_faulted_slot(chain[slot]).unwrap();
                 model.remove(lba, &chain);
             } else {
@@ -767,10 +692,10 @@ mod tests {
             }
             for &k in &keys {
                 let want = model.slot_of.get(&k).copied();
-                assert_eq!(s.lookup(k), want, "step {step}: lba {k}");
+                assert_eq!(s.cache.get(k), want, "step {step}: lba {k}");
             }
-            let lba_of = |slot: u32| s.meta[slot as usize].unwrap().lba;
-            let order: Vec<u64> = s.lru.iter_lru().map(lba_of).collect();
+            let lba_of = |slot: u32| s.cache.entry(slot).unwrap().0;
+            let order: Vec<u64> = s.cache.lru_order().into_iter().map(lba_of).collect();
             assert_eq!(order, model.lru_order(), "step {step}");
             assert_index_matches_meta(&s, step);
         }
@@ -789,7 +714,7 @@ mod tests {
         let mut s = system(NativeMode::WriteBack);
         let n = s.slots() as u64;
         let slots_of = |s: &NativeCache<HybridFtl>, lbas: std::ops::Range<u64>| -> Vec<u32> {
-            lbas.map(|lba| s.lookup(lba).expect("cached")).collect()
+            lbas.map(|lba| s.cache.get(lba).expect("cached")).collect()
         };
         // Fills take the lowest free slot first; two of them are dirty.
         for lba in 100..100 + n {
@@ -818,14 +743,14 @@ mod tests {
         // A faulted slot goes back on the free list and fills next.
         s.drop_faulted_slot(6).unwrap();
         s.read(650).unwrap();
-        assert_eq!(s.lookup(650), Some(6));
+        assert_eq!(s.cache.get(650), Some(6));
         s.drop_faulted_slot(2).unwrap();
         // Recovery restores the entries metadata page 0 (slots 0-22) held
         // when slot 2's drop last wrote it, and rebuilds the free list from
         // the unused slots, lowest first again.
         s.crash_and_recover().unwrap();
         let recovered: Vec<u32> = (0..n as u32)
-            .filter(|&slot| s.meta[slot as usize].is_some())
+            .filter(|&slot| s.cache.entry(slot).is_some())
             .collect();
         assert_eq!(
             recovered,
@@ -844,6 +769,17 @@ mod tests {
         let s = system(NativeMode::WriteBack);
         let m = s.host_memory();
         assert_eq!(m.modeled_bytes, s.slots() as u64 * NATIVE_ENTRY_BYTES);
+    }
+
+    /// Real bytes are the whole slot table: per slot one record (which
+    /// also carries the free list) and the bucket heads' share.
+    #[test]
+    fn host_heap_bytes_count_records_and_heads() {
+        let s = system(NativeMode::WriteBack);
+        let (slots, heads) = (s.slots(), 4 * s.cache.buckets());
+        let record = crate::slot_cache::SlotCache::RECORD_BYTES;
+        let heap = s.host_memory().heap_bytes as usize;
+        assert_eq!(heap, slots * record + heads, "{slots} slots");
     }
 
     #[test]
@@ -911,7 +847,7 @@ mod recovery_tests {
     }
 
     /// Oracle: the incrementally maintained metadata-page cache must be
-    /// bit-identical to a fresh full encode of the live `meta` table.
+    /// bit-identical to a fresh full encode of the live slot table.
     fn assert_md_cache_fresh(s: &NativeCache<HybridFtl>) {
         let md_pages = (s.slots() as u64).div_ceil(s.md_entries_per_page);
         assert_eq!(s.md_cache.len(), md_pages as usize);
@@ -954,13 +890,14 @@ mod recovery_tests {
     /// scan it replaced would have chosen.
     fn assert_dirty_index_matches_scan(s: &NativeCache<HybridFtl>) {
         let scanned: Vec<u32> = s
-            .lru
-            .iter_lru()
-            .filter(|&slot| s.meta[slot as usize].is_some_and(|m| m.dirty))
+            .cache
+            .lru_order()
+            .into_iter()
+            .filter(|&slot| s.cache.entry(slot).is_some_and(|(_, dirty)| dirty))
             .collect();
-        let indexed: Vec<u32> = s.dirty_lru.iter_lru().collect();
+        let indexed: Vec<u32> = s.cache.dirty_order();
         assert_eq!(indexed, scanned, "dirty index diverged from LRU scan");
-        assert_eq!(indexed.len(), s.dirty_count, "dirty count out of sync");
+        assert_eq!(indexed.len(), s.dirty_blocks(), "dirty count out of sync");
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Property tests for cache-manager data structures: the Bloom filter's
-//! one-sided error, the LRU list against a reference deque, and the dirty
-//! table against a reference ordered set.
+//! one-sided error, the dirty table's LRU order against a reference deque,
+//! and the dirty table against a reference ordered set.
 //!
 //! Cases come from the deterministic `simkit::SimRng`; failures reproduce
 //! by case number.
 
-use cachemgr::{BloomFilter, DirtyTable, LruList};
+use cachemgr::{BloomFilter, DirtyTable};
 use simkit::SimRng;
 use std::collections::{HashSet, VecDeque};
 
@@ -34,37 +34,47 @@ fn bloom_has_no_false_negatives() {
     }
 }
 
+/// The dirty table's recency list against a reference deque: touches,
+/// removals and LRU pops, then the whole order by draining from the back.
 #[test]
 fn lru_matches_reference_deque() {
     for case in 0..128u64 {
         let mut rng = SimRng::seed_from(0xB100_1000 ^ case);
         let n = 1 + rng.gen_range(399) as usize;
-        let mut sut = LruList::new(32);
+        let mut sut = DirtyTable::new(32);
         // Reference: front = most recent.
-        let mut reference: VecDeque<u32> = VecDeque::new();
+        let mut reference: VecDeque<u64> = VecDeque::new();
         for _ in 0..n {
-            let slot = rng.gen_range(32) as u32;
+            let lba = rng.gen_range(32);
             match rng.gen_range(3) {
                 0 => {
-                    // touch (links if missing)
-                    sut.touch(slot);
-                    reference.retain(|&s| s != slot);
-                    reference.push_front(slot);
+                    assert!(sut.touch(lba));
+                    reference.retain(|&l| l != lba);
+                    reference.push_front(lba);
                 }
                 1 => {
-                    sut.remove(slot);
-                    reference.retain(|&s| s != slot);
+                    sut.remove(lba);
+                    reference.retain(|&l| l != lba);
                 }
                 _ => {
-                    assert_eq!(sut.pop_back(), reference.pop_back());
+                    let victim = sut.lru_block();
+                    assert_eq!(victim, reference.pop_back());
+                    if let Some(lba) = victim {
+                        assert!(sut.remove(lba));
+                    }
                 }
             }
             assert_eq!(sut.len(), reference.len());
-            assert_eq!(sut.back(), reference.back().copied());
+            assert_eq!(sut.lru_block(), reference.back().copied());
         }
         // Full-order check.
-        let order: Vec<u32> = sut.iter_lru().collect();
-        let expect: Vec<u32> = reference.iter().rev().copied().collect();
+        let order: Vec<u64> = std::iter::from_fn(|| {
+            let lba = sut.lru_block()?;
+            sut.remove(lba);
+            Some(lba)
+        })
+        .collect();
+        let expect: Vec<u64> = reference.iter().rev().copied().collect();
         assert_eq!(order, expect);
     }
 }

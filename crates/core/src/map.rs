@@ -206,6 +206,8 @@ pub struct SscMaps {
     /// Entries that have a data block.
     blocks: usize,
     ppb: u32,
+    /// `log2(ppb)`.
+    shift: u32,
 }
 
 impl SscMaps {
@@ -214,7 +216,7 @@ impl SscMaps {
     /// # Panics
     ///
     /// Panics if `ppb` exceeds 64 (the bitmap width; the paper's geometry
-    /// uses 64).
+    /// uses 64) or is not a power of two.
     pub fn new(ppb: u32) -> Self {
         Self::with_capacity(ppb, 0, 0)
     }
@@ -229,11 +231,15 @@ impl SscMaps {
     /// # Panics
     ///
     /// Panics if `ppb` exceeds 64 (the bitmap width; the paper's geometry
-    /// uses 64).
+    /// uses 64) or is not a power of two.
     pub fn with_capacity(ppb: u32, page_hint: usize, block_hint: usize) -> Self {
         assert!(
             ppb <= 64,
             "dirty/valid bitmaps support at most 64 pages per block"
+        );
+        assert!(
+            ppb.is_power_of_two(),
+            "{ppb} pages per block is not a power of two"
         );
         const MAX_HINT: usize = 1 << 22;
         SscMaps {
@@ -241,6 +247,7 @@ impl SscMaps {
             pages: 0,
             blocks: 0,
             ppb,
+            shift: ppb.trailing_zeros(),
         }
     }
 
@@ -295,7 +302,7 @@ impl SscMaps {
 
     /// Splits an LBA into (lbn, offset).
     pub fn split(&self, lba: u64) -> (u64, u32) {
-        (lba / self.ppb as u64, (lba % self.ppb as u64) as u32)
+        (lba >> self.shift, (lba & (self.ppb as u64 - 1)) as u32)
     }
 
     /// Resolves `lba` to its newest physical location, page level first.
@@ -311,7 +318,7 @@ impl SscMaps {
         }
         let block = entry.block.filter(|b| b.is_valid(offset))?;
         Some(Resolved::BlockLevel {
-            ppn: Ppn(block.pbn * self.ppb as u64 + offset as u64),
+            ppn: Ppn(block.pbn << self.shift | offset as u64),
             dirty: block.is_dirty(offset),
         })
     }

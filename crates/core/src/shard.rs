@@ -37,14 +37,15 @@ pub fn decorrelate_fault_seed(seed: u64, shard: usize) -> u64 {
     }
 }
 
-/// Routes LBAs to shards: `mix64(lba / ppb) % n`.
+/// Routes LBAs to shards: `mix64(lba / ppb) % n`, the division a shift.
 ///
 /// Pure and stateless — the same LBA always lands on the same shard, and
 /// every page of a logical block lands together.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardRouter {
     n: usize,
-    ppb: u64,
+    /// `log2(ppb)`.
+    shift: u32,
 }
 
 impl ShardRouter {
@@ -53,11 +54,17 @@ impl ShardRouter {
     ///
     /// # Panics
     ///
-    /// Panics if `n` or `ppb` is zero.
+    /// Panics if `n` is zero or `ppb` is not a power of two.
     pub fn new(n: usize, ppb: u32) -> Self {
         assert!(n > 0, "need at least one shard");
-        assert!(ppb > 0, "pages per block must be non-zero");
-        ShardRouter { n, ppb: ppb as u64 }
+        assert!(
+            ppb.is_power_of_two(),
+            "pages per block must be a power of two"
+        );
+        ShardRouter {
+            n,
+            shift: ppb.trailing_zeros(),
+        }
     }
 
     /// Number of shards routed over.
@@ -72,7 +79,7 @@ impl ShardRouter {
         if self.n == 1 {
             return 0;
         }
-        (mix64(lba / self.ppb) % self.n as u64) as usize
+        (mix64(lba >> self.shift) % self.n as u64) as usize
     }
 }
 

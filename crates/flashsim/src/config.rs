@@ -12,6 +12,8 @@ pub struct Geometry {
     planes: u32,
     blocks_per_plane: u32,
     pages_per_block: u32,
+    /// `log2(pages_per_block)`: page numbers split by shift and mask.
+    page_shift: u32,
     page_size: usize,
     oob_size: usize,
 }
@@ -25,8 +27,8 @@ impl Geometry {
     ///
     /// # Panics
     ///
-    /// Panics if any dimension is zero, or if `pages_per_block` exceeds
-    /// [`Geometry::MAX_PAGES_PER_BLOCK`].
+    /// Panics if any dimension is zero, if `pages_per_block` exceeds
+    /// [`Geometry::MAX_PAGES_PER_BLOCK`], or if it is not a power of two.
     pub fn new(
         planes: u32,
         blocks_per_plane: u32,
@@ -48,11 +50,16 @@ impl Geometry {
             "{pages_per_block} pages per block exceed the {}-bit per-block validity bitmap",
             Self::MAX_PAGES_PER_BLOCK
         );
+        assert!(
+            pages_per_block.is_power_of_two(),
+            "{pages_per_block} pages per block is not a power of two"
+        );
         assert!(page_size > 0, "geometry needs a non-zero page size");
         Geometry {
             planes,
             blocks_per_plane,
             pages_per_block,
+            page_shift: pages_per_block.trailing_zeros(),
             page_size,
             oob_size,
         }
@@ -71,6 +78,12 @@ impl Geometry {
     /// Pages per erase block.
     pub const fn pages_per_block(&self) -> u32 {
         self.pages_per_block
+    }
+
+    /// `log2` of [`Geometry::pages_per_block`], a power of two: a page
+    /// number shifted right by it is its block number.
+    pub const fn page_shift(&self) -> u32 {
+        self.page_shift
     }
 
     /// Page payload size in bytes.
@@ -113,7 +126,7 @@ impl Geometry {
         assert!(block < self.blocks_per_plane, "block {block} out of range");
         assert!(page < self.pages_per_block, "page {page} out of range");
         let pbn = plane as u64 * self.blocks_per_plane as u64 + block as u64;
-        Ppn(pbn * self.pages_per_block as u64 + page as u64)
+        Ppn(pbn << self.page_shift | page as u64)
     }
 
     /// Builds the flat block number for (plane, block-in-plane).
@@ -129,12 +142,12 @@ impl Geometry {
 
     /// Returns the block containing `ppn`.
     pub fn block_of(&self, ppn: Ppn) -> Pbn {
-        Pbn(ppn.raw() / self.pages_per_block as u64)
+        Pbn(ppn.raw() >> self.page_shift)
     }
 
     /// Returns the in-block page index of `ppn`.
     pub fn page_in_block(&self, ppn: Ppn) -> u32 {
-        (ppn.raw() % self.pages_per_block as u64) as u32
+        (ppn.raw() & (self.pages_per_block as u64 - 1)) as u32
     }
 
     /// Returns the plane containing `pbn`.
@@ -149,7 +162,7 @@ impl Geometry {
 
     /// Returns the first page of `pbn`.
     pub fn first_page(&self, pbn: Pbn) -> Ppn {
-        Ppn(pbn.raw() * self.pages_per_block as u64)
+        Ppn(pbn.raw() << self.page_shift)
     }
 
     /// Iterates all pages of `pbn` in programming order.
@@ -316,6 +329,12 @@ mod tests {
     #[should_panic(expected = "65 pages per block exceed the 64-bit per-block validity bitmap")]
     fn blocks_wider_than_the_validity_bitmap_rejected() {
         Geometry::new(1, 1, 65, 512, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "48 pages per block is not a power of two")]
+    fn blocks_of_a_non_power_of_two_rejected() {
+        Geometry::new(1, 1, 48, 512, 0);
     }
 
     #[test]

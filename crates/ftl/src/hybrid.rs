@@ -187,8 +187,9 @@ impl HybridFtl {
 
     /// Splits `lba` into its logical block and the page offset within it.
     fn split(&self, lba: u64) -> (usize, u32) {
-        let ppb = self.ppb() as u64;
-        ((lba / ppb) as usize, (lba % ppb) as u32)
+        let g = &self.config.flash.geometry;
+        let offset = lba & (g.pages_per_block() as u64 - 1);
+        ((lba >> g.page_shift()) as usize, offset as u32)
     }
 
     /// The live copy of offset `offset` of `lbn`: its log page where the
@@ -427,7 +428,7 @@ impl BlockDev for HybridFtl {
         let mut cost = self.dev.timing().metadata_cost();
         self.invalidate_lba(lba)?;
         // Reclaim a data block that no longer holds live pages.
-        let lbn = (lba / self.ppb() as u64) as usize;
+        let (lbn, _) = self.split(lba);
         if let Some(pbn) = self.data_map[lbn] {
             if self.dev.block_state(pbn)?.valid_pages == 0 {
                 self.data_map[lbn] = None;
