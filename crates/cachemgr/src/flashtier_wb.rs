@@ -24,25 +24,6 @@ const CLEAN_RUN_MAX: usize = 64;
 // The cleaner tracks run membership in a u64 bitmask.
 const _: () = assert!(CLEAN_RUN_MAX <= 64);
 
-/// What the write-back manager does with a block after writing it back to
-/// disk.
-///
-/// The paper's manager uses [`DestagePolicy::Clean`] ("the manager
-/// notifies the SSC that the block is clean, which then allows the SSC to
-/// evict the block in the future ... the manager can still consult the
-/// cache on reads"). It also describes — but does not use — explicit
-/// eviction ("the cache manager can leave data dirty and explicitly evict
-/// selected victim blocks"); [`DestagePolicy::Evict`] implements that
-/// alternative: space is reclaimed immediately at the cost of losing the
-/// cached copy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DestagePolicy {
-    /// `clean` the block: it remains readable until the SSC needs space.
-    Clean,
-    /// `evict` the block: the device reclaims it immediately.
-    Evict,
-}
-
 /// Write-back FlashTier system: SSC + disk + dirty-block table.
 #[derive(Debug)]
 pub struct FlashTierWb {
@@ -53,7 +34,6 @@ pub struct FlashTierWb {
     dirty_limit: usize,
     /// Cleaning stops once the count falls to this.
     dirty_low: usize,
-    destage: DestagePolicy,
     counters: MgrCounters,
     /// Reusable concatenated-run buffer for the cleaner.
     gather_buf: PageBuf,
@@ -101,20 +81,12 @@ impl FlashTierWb {
             dirty: DirtyTable::new(capacity.max(dirty_limit * 2)),
             dirty_limit,
             dirty_low: (dirty_limit * 4 / 5).max(1),
-            destage: DestagePolicy::Clean,
             counters: MgrCounters::default(),
             gather_buf: PageBuf::new(),
             block_buf: PageBuf::new(),
             run_buf: Vec::new(),
             payload_discarded,
         }
-    }
-
-    /// Selects what happens to blocks after write-back (default:
-    /// [`DestagePolicy::Clean`]).
-    pub fn with_destage_policy(mut self, policy: DestagePolicy) -> Self {
-        self.destage = policy;
-        self
     }
 
     /// The cache device.
@@ -219,16 +191,8 @@ impl FlashTierWb {
                     // Already invalidated above; nothing was written back.
                     continue;
                 }
-                match self.destage {
-                    DestagePolicy::Clean => {
-                        cost += self.ssc.clean(lba)?;
-                        self.counters.cleans_issued += 1;
-                    }
-                    DestagePolicy::Evict => {
-                        cost += self.ssc.evict(lba)?;
-                        self.counters.evictions += 1;
-                    }
-                }
+                cost += self.ssc.clean(lba)?;
+                self.counters.cleans_issued += 1;
                 self.dirty.remove(lba);
                 self.counters.writebacks += 1;
             }
@@ -571,63 +535,5 @@ mod tests {
         s.write(2, &block(2)).unwrap();
         s.read(1).unwrap(); // touch 1 so 2 becomes LRU
         assert_eq!(s.dirty.lru_block(), Some(2));
-    }
-}
-
-#[cfg(test)]
-mod destage_tests {
-    use super::*;
-    use disksim::{DiskConfig, DiskDataMode};
-    use flashtier_core::SscConfig;
-
-    fn block(fill: u8) -> Vec<u8> {
-        vec![fill; 512]
-    }
-
-    fn system(policy: DestagePolicy) -> FlashTierWb {
-        let ssc = Ssc::new(SscConfig::small_test());
-        let disk = Disk::new(DiskConfig::small_test(), DiskDataMode::Store);
-        FlashTierWb::new(ssc, disk).with_destage_policy(policy)
-    }
-
-    #[test]
-    fn evict_destage_reclaims_but_loses_cached_copies() {
-        let mut cleaner = system(DestagePolicy::Clean);
-        let mut evicter = system(DestagePolicy::Evict);
-        let limit = cleaner.dirty_limit() as u64;
-        for lba in 0..limit + 4 {
-            cleaner.write(lba, &block(lba as u8)).unwrap();
-            evicter.write(lba, &block(lba as u8)).unwrap();
-        }
-        assert!(cleaner.counters().cleans_issued > 0);
-        assert!(evicter.counters().evictions > 0);
-        assert_eq!(evicter.counters().cleans_issued, 0);
-        // The cleaner's destaged blocks are still cache hits; the
-        // evicter's destaged blocks go to disk.
-        let hits_before = (cleaner.counters().read_hits, evicter.counters().read_hits);
-        for lba in 0..4u64 {
-            let (a, _) = cleaner.read(lba).unwrap();
-            let (b, _) = evicter.read(lba).unwrap();
-            assert_eq!(a, block(lba as u8));
-            assert_eq!(b, block(lba as u8), "evicted block still correct via disk");
-        }
-        let hits_after = (cleaner.counters().read_hits, evicter.counters().read_hits);
-        assert!(hits_after.0 - hits_before.0 >= hits_after.1 - hits_before.1);
-        // Evicted blocks freed device space.
-        assert!(evicter.ssc().cached_pages() <= cleaner.ssc().cached_pages());
-    }
-
-    #[test]
-    fn evict_destage_data_survives_crash() {
-        let mut s = system(DestagePolicy::Evict);
-        let limit = s.dirty_limit() as u64;
-        for lba in 0..limit + 4 {
-            s.write(lba, &block(lba as u8)).unwrap();
-        }
-        s.crash_and_recover().unwrap();
-        for lba in 0..limit + 4 {
-            let (data, _) = s.read(lba).unwrap();
-            assert_eq!(data, block(lba as u8), "lba {lba}");
-        }
     }
 }

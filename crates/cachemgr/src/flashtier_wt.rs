@@ -126,20 +126,6 @@ impl FlashTierWt {
         Ok(self.ssc.recover()?)
     }
 
-    /// Fills the cache from disk data (used to warm caches outside the
-    /// measured window).
-    ///
-    /// # Errors
-    ///
-    /// Device failures.
-    pub fn prefill(&mut self, lbas: impl Iterator<Item = u64>) -> Result<()> {
-        for lba in lbas {
-            let (data, _) = self.disk.read(lba)?;
-            self.ssc.write_clean(lba, &data)?;
-        }
-        Ok(())
-    }
-
     /// Disk fetch + cache fill shared by the miss and Bloom-skip paths; the
     /// fetched block ends up in `buf`.
     fn fetch_and_fill(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
@@ -342,7 +328,8 @@ mod tests {
     fn prefill_warms_cache() {
         let mut s = system();
         s.disk.write(42, &block(5)).unwrap();
-        s.prefill([42u64].into_iter()).unwrap();
+        let (data, _) = s.disk.read(42).unwrap();
+        s.ssc.write_clean(42, &data).unwrap();
         let reads_before = s.disk.counters().reads;
         let (data, _) = s.read(42).unwrap();
         assert_eq!(data, block(5));

@@ -33,7 +33,7 @@ pub mod system;
 pub use bloom::BloomFilter;
 pub use dirty_table::DirtyTable;
 pub use error::CmError;
-pub use flashtier_wb::{DestagePolicy, FlashTierWb};
+pub use flashtier_wb::FlashTierWb;
 pub use flashtier_wt::FlashTierWt;
 pub use metrics::MgrCounters;
 pub use native::{NativeCache, NativeConsistency, NativeMode};

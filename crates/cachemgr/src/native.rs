@@ -337,7 +337,7 @@ impl<D: BlockDev> NativeCache<D> {
         self.persist_metadata(slot)
     }
 
-    /// Makes a slot available, evicting the LRU block if necessary.
+    /// Takes a free slot, evicting the LRU block if necessary.
     fn take_slot(&mut self, cost: &mut Duration) -> Result<u32> {
         if let Some(slot) = self.cache.pop_free() {
             return Ok(slot);

@@ -60,15 +60,6 @@ impl SscCounters {
     pub fn host_writes(&self) -> u64 {
         self.writes_clean + self.writes_dirty
     }
-
-    /// Hit rate of reads (1 - miss rate).
-    pub fn read_hit_rate(&self) -> f64 {
-        if self.host_reads == 0 {
-            0.0
-        } else {
-            1.0 - self.read_misses as f64 / self.host_reads as f64
-        }
-    }
 }
 
 /// A multi-step SSC operation a scripted power failure can interrupt.
@@ -95,18 +86,6 @@ pub enum CrashSite {
     /// Inside `clean`, before the dirty→clean metadata update — models a
     /// crash between a manager's destage write and its acknowledgement.
     Clean,
-}
-
-/// Per-block metadata returned by [`Ssc::exists_meta`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CachedBlockMeta {
-    /// Disk address of the cached block.
-    pub lba: u64,
-    /// Whether the cached copy is dirty.
-    pub dirty: bool,
-    /// Device sequence number of the write that produced the cached copy
-    /// (a recency signal for cache-content management).
-    pub write_seq: u64,
 }
 
 /// The solid-state cache device.
@@ -704,42 +683,6 @@ impl Ssc {
         )
     }
 
-    /// Extended `exists` (§4.2.1: it "could be extended to return
-    /// additional per-block metadata, such as access time or frequency, to
-    /// help manage cache contents"): per-block dirty state plus the write
-    /// sequence number, served from device memory and the OOB mirror.
-    pub fn exists_meta(&mut self, start: u64, end: u64) -> (Vec<CachedBlockMeta>, Duration) {
-        self.counters.exists_ops += 1;
-        let ppb = self.ppb() as u64;
-        let mut out: Vec<CachedBlockMeta> = Vec::new();
-        let mut push = |lba: u64, ppn: Ppn, dirty: bool, dev: &FlashDevice| {
-            if lba < start || lba >= end {
-                return;
-            }
-            let write_seq = dev.peek_oob(ppn).map(|oob| oob.seq()).unwrap_or(0);
-            out.push(CachedBlockMeta {
-                lba,
-                dirty,
-                write_seq,
-            });
-        };
-        for (lbn, entry) in self.maps.lbns() {
-            for (offset, ptr) in entry.log.iter() {
-                push(lbn * ppb + offset as u64, ptr.ppn(), ptr.dirty(), &self.dev);
-            }
-            let Some(block) = entry.block else {
-                continue;
-            };
-            for offset in set_bits(block.valid) {
-                let lba = lbn * ppb + offset as u64;
-                let ppn = Ppn(block.pbn * ppb + offset as u64);
-                push(lba, ppn, block.is_dirty(offset), &self.dev);
-            }
-        }
-        out.sort_unstable_by_key(|m| m.lba);
-        (out, self.dev.timing().metadata_cost())
-    }
-
     /// Per-write bookkeeping: group commit high-water mark and checkpoint
     /// policy.
     fn bookkeeping(&mut self) -> Result<Duration> {
@@ -1204,102 +1147,6 @@ impl Ssc {
         }
     }
 
-    /// Background garbage collection (§5: silent eviction integrates "with
-    /// background and foreground garbage collection"): proactively frees
-    /// space while the device is idle, up to `target_free` pooled blocks,
-    /// and returns the simulated time spent. Never errors out for lack of
-    /// candidates — it simply stops.
-    ///
-    /// Call this from idle periods; foreground operations still collect on
-    /// demand, so it is purely an optimization that moves collection time
-    /// off the request path.
-    ///
-    /// # Errors
-    ///
-    /// Flash faults only.
-    pub fn background_collect(&mut self, target_free: usize) -> Result<Duration> {
-        let mut cost = Duration::ZERO;
-        let mut rounds = 0;
-        while self.pool.len() < target_free && rounds < 64 {
-            rounds += 1;
-            let evicted = self.evict_clean_batch()?;
-            if !evicted.is_zero() {
-                cost += evicted;
-                continue;
-            }
-            // No clean victims: recycle a log block if that can help.
-            if self.log_blocks.len() > 1 {
-                cost += self.recycle_log()?;
-            } else {
-                break;
-            }
-        }
-        // Pre-recycle the log down to half its budget: foreground writes
-        // stall on log exhaustion just as they do on pool exhaustion, so an
-        // idle device drains both.
-        let log_target = (self.config.log_block_limit() as usize / 2).max(1);
-        while self.log_blocks.len() > log_target && rounds < 128 {
-            rounds += 1;
-            cost += self.recycle_log()?;
-        }
-        Ok(cost)
-    }
-
-    /// Static wear leveling: when the wear spread exceeds `max_difference`
-    /// erase cycles, silently evict the *clean* data block sitting on the
-    /// least-worn flash (cold data parks on unworn blocks; evicting it puts
-    /// that block back into wear-levelled circulation). Returns the time
-    /// spent; zero when wear is balanced or no clean victim exists.
-    ///
-    /// A cache gets wear leveling almost for free: instead of migrating
-    /// cold data (an SSD's only option), it can simply drop it.
-    ///
-    /// # Errors
-    ///
-    /// Flash faults only.
-    pub fn wear_level(&mut self, max_difference: u64) -> Result<Duration> {
-        let wear = self.dev.wear();
-        if wear.wear_difference() <= max_difference {
-            return Ok(Duration::ZERO);
-        }
-        let Some((erases, lbn)) = self.wear_victim_scan() else {
-            return Ok(Duration::ZERO);
-        };
-        let entry = self.maps.block(lbn).expect("victim lbn is mapped");
-        if erases >= wear.min_erases + max_difference / 2 {
-            // The cold block is not what is holding the minimum down.
-            return Ok(Duration::ZERO);
-        }
-        let mut cost = Duration::ZERO;
-        self.maps.remove_block(lbn);
-        self.index_mark(lbn);
-        self.log_append(LogRecord::RemoveBlock { lbn });
-        cost += self.commit_sync()?;
-        self.counters.silently_evicted_pages += self.invalidate_valid_pages(Pbn(entry.pbn))?;
-        cost += self.retire_block(Pbn(entry.pbn))?;
-        self.counters.silent_evictions += 1;
-        Ok(cost)
-    }
-
-    /// The wear-level victim: the clean data block with the lowest
-    /// `(erase_count, lbn)`, found by scanning every block-level entry.
-    /// Wear leveling runs from idle periods, if at all, so nothing is kept
-    /// ordered for it.
-    fn wear_victim_scan(&self) -> Option<(u64, u64)> {
-        self.maps
-            .blocks()
-            .filter(|(_, e)| e.is_clean())
-            .map(|(lbn, e)| {
-                let erases = self
-                    .dev
-                    .block_state(Pbn(e.pbn))
-                    .map(|s| s.erase_count)
-                    .unwrap_or(u64::MAX);
-                (erases, lbn)
-            })
-            .min()
-    }
-
     /// Number of live log blocks.
     pub fn log_blocks_in_use(&self) -> usize {
         self.log_blocks.len()
@@ -1625,7 +1472,7 @@ mod tests {
         assert_eq!(c.host_writes(), 2);
         assert_eq!(c.writes_clean, 1);
         assert_eq!(c.writes_dirty, 1);
-        assert!((c.read_hit_rate() - 1.0).abs() < 1e-12);
+        assert_eq!((c.host_reads, c.read_misses), (1, 0));
         let mem = s.map_memory();
         assert!(mem.modeled_bytes > 0);
         assert!(mem.entries >= 2);
@@ -1792,143 +1639,6 @@ mod tests {
 }
 
 #[cfg(test)]
-mod exists_meta_tests {
-    use super::*;
-
-    #[test]
-    fn exists_meta_reports_state_and_recency() {
-        let mut s = Ssc::new(SscConfig::small_test());
-        let page = vec![1u8; s.page_size()];
-        s.write_clean(10, &page).unwrap();
-        s.write_dirty(11, &page).unwrap();
-        s.write_dirty(12, &page).unwrap();
-        s.clean(12).unwrap();
-        let (meta, cost) = s.exists_meta(0, 100);
-        assert!(cost.as_micros() > 0);
-        assert_eq!(meta.len(), 3);
-        assert_eq!(meta[0].lba, 10);
-        assert!(!meta[0].dirty);
-        assert!(meta[1].dirty, "lba 11 stays dirty");
-        assert!(!meta[2].dirty, "lba 12 was cleaned");
-        // Write recency increases with issue order.
-        assert!(meta[0].write_seq < meta[1].write_seq);
-        assert!(meta[1].write_seq < meta[2].write_seq);
-        // Range filtering.
-        let (meta, _) = s.exists_meta(11, 12);
-        assert_eq!(meta.len(), 1);
-        assert_eq!(meta[0].lba, 11);
-    }
-
-    #[test]
-    fn exists_meta_covers_block_mapped_data() {
-        let mut s = Ssc::new(SscConfig::small_test());
-        let ppb = s.ppb() as u64;
-        // Enough sequential passes to force data blocks via merges.
-        for pass in 0..3u8 {
-            for lba in 0..4 * ppb {
-                s.write_clean(lba, &vec![pass; s.page_size()]).unwrap();
-            }
-        }
-        assert!(s.counters().switch_merges + s.counters().full_merges > 0);
-        let (meta, _) = s.exists_meta(0, 4 * ppb);
-        assert_eq!(meta.len() as u64, 4 * ppb, "every cached block reported");
-        assert!(meta.iter().all(|m| !m.dirty));
-        assert!(
-            meta.windows(2).all(|w| w[0].lba < w[1].lba),
-            "sorted by lba"
-        );
-    }
-}
-
-#[cfg(test)]
-mod background_tests {
-    use super::*;
-
-    #[test]
-    fn background_collect_builds_free_headroom() {
-        let mut s = Ssc::new(SscConfig::small_test());
-        let capacity = s.data_capacity_pages();
-        for lba in 0..capacity {
-            s.write_clean(lba, &vec![1u8; s.page_size()]).unwrap();
-        }
-        let free_before = s.free_blocks();
-        let cost = s.background_collect(free_before + 3).unwrap();
-        assert!(
-            s.free_blocks() >= free_before + 3,
-            "{} -> {}",
-            free_before,
-            s.free_blocks()
-        );
-        assert!(cost.as_micros() > 0);
-        // Collected space means the next writes pay no foreground GC.
-        let quiet = s
-            .write_clean(capacity + 1, &vec![2u8; s.page_size()])
-            .unwrap();
-        assert!(
-            quiet.as_micros() < 2 * 97 + 1000,
-            "write after background GC is cheap: {quiet}"
-        );
-    }
-
-    #[test]
-    fn background_collect_stops_when_nothing_to_do() {
-        let mut s = Ssc::new(SscConfig::small_test());
-        // Empty device: target unreachable beyond total blocks, but the
-        // call terminates without error.
-        let total = s.config.total_blocks() as usize;
-        let cost = s.background_collect(total + 10).unwrap();
-        assert!(cost.is_zero());
-        // All-dirty device: no clean victims, bounded work, no error.
-        for lba in 0..24u64 {
-            s.write_dirty(lba, &vec![1u8; s.page_size()]).unwrap();
-        }
-        s.background_collect(total).unwrap();
-    }
-}
-
-#[cfg(test)]
-mod wear_level_tests {
-    use super::*;
-
-    #[test]
-    fn wear_level_noop_when_balanced() {
-        let mut s = Ssc::new(SscConfig::small_test());
-        s.write_clean(0, &vec![1u8; s.page_size()]).unwrap();
-        assert!(s.wear_level(10).unwrap().is_zero());
-    }
-
-    #[test]
-    fn wear_level_recirculates_cold_clean_blocks() {
-        let mut s = Ssc::new(SscConfig::small_test());
-        let page = vec![1u8; s.page_size()];
-        let ppb = s.ppb() as u64;
-        // Park cold clean data in data blocks (sequential fill + merges).
-        for pass in 0..2u8 {
-            for lba in 0..3 * ppb {
-                s.write_clean(lba, &vec![pass; s.page_size()]).unwrap();
-            }
-        }
-        // Hammer a distant hot region to concentrate wear elsewhere.
-        for i in 0..600u64 {
-            s.write_clean(1_000 + (i % 8), &page).unwrap();
-        }
-        let before = s.wear();
-        if before.wear_difference() > 2 {
-            let evictions_before = s.counters().silent_evictions;
-            let cost = s.wear_level(2).unwrap();
-            if !cost.is_zero() {
-                assert_eq!(s.counters().silent_evictions, evictions_before + 1);
-            }
-        }
-        // Repeated calls always terminate and never corrupt hot data.
-        for _ in 0..8 {
-            s.wear_level(2).unwrap();
-        }
-        assert_eq!(s.read(1_000).unwrap().0, page);
-    }
-}
-
-#[cfg(test)]
 mod index_oracle_tests {
     use std::collections::HashMap;
 
@@ -2041,7 +1751,7 @@ mod index_oracle_tests {
     }
 
     /// Drives an arbitrary operation trace (all six interface ops plus
-    /// background GC, wear leveling and clean or torn crash/recovery) and
+    /// whole-logical-block writes and clean or torn crash/recovery) and
     /// checks the map/flash agreement after every single operation and the
     /// index/scan agreement after every `check_every`-th: the check flushes
     /// the index, so 1 pins each mutation's mark on its own and a longer
@@ -2085,7 +1795,7 @@ mod index_oracle_tests {
                 87..=90 => {
                     let _ = s.read(lba);
                 }
-                91..=92 => {
+                91..=97 => {
                     // A whole logical block start to end, after filling up
                     // the active log block: unless recycling compacts dirty
                     // pages into the fresh one first, the logical block has
@@ -2096,17 +1806,6 @@ mod index_oracle_tests {
                         }
                         assert_maps_agree(&s, span, &dirty);
                     }
-                }
-                93..=95 => {
-                    // A mostly-dirty small cache can legitimately run out of
-                    // space mid-collection; only flash faults are bugs here.
-                    match s.background_collect((step(&mut rng) % 8) as usize + 1) {
-                        Ok(_) | Err(SscError::OutOfSpace) => {}
-                        Err(e) => panic!("background_collect failed: {e}"),
-                    }
-                }
-                96..=97 => {
-                    s.wear_level(step(&mut rng) % 4 + 1).unwrap();
                 }
                 _ => {
                     // Half the power failures also tear the final log flush.
@@ -2225,19 +1924,6 @@ mod index_oracle_tests {
     }
 
     #[test]
-    fn background_collect_reaches_headroom_with_index() {
-        let mut s = Ssc::new(SscConfig::small_test());
-        let capacity = s.data_capacity_pages();
-        for lba in 0..capacity {
-            s.write_clean(lba, &vec![3u8; s.page_size()]).unwrap();
-        }
-        let target = s.free_blocks() + 4;
-        s.background_collect(target).unwrap();
-        assert!(s.free_blocks() >= target, "headroom target not reached");
-        assert_index_agrees(&mut s);
-    }
-
-    #[test]
     fn dirty_blocks_survive_index_driven_eviction_pressure() {
         let mut s = Ssc::new(SscConfig::small_test());
         let dirty_page = vec![0xDDu8; s.page_size()];
@@ -2259,32 +1945,6 @@ mod index_oracle_tests {
                 "dirty lba {lba} was silently evicted"
             );
         }
-        assert_index_agrees(&mut s);
-    }
-
-    #[test]
-    fn wear_leveling_converges_erase_counts_with_index() {
-        let mut s = Ssc::new(SscConfig::small_test());
-        let ppb = s.ppb() as u64;
-        // Cold clean data parked in data blocks.
-        for pass in 0..2u8 {
-            for lba in 0..3 * ppb {
-                s.write_clean(lba, &vec![pass; s.page_size()]).unwrap();
-            }
-        }
-        // Hot churn far away, with periodic index-driven wear leveling.
-        let hot = vec![7u8; s.page_size()];
-        for i in 0..1200u64 {
-            s.write_clean(10_000 + (i % 8), &hot).unwrap();
-            if i % 50 == 0 {
-                s.wear_level(2).unwrap();
-                assert_index_agrees(&mut s);
-            }
-        }
-        // With leveling active the spread stays bounded; without it the
-        // same workload runs away (hot blocks only ever churn).
-        let spread = s.wear().wear_difference();
-        assert!(spread <= 8, "wear spread failed to converge: {spread}");
         assert_index_agrees(&mut s);
     }
 }

@@ -55,7 +55,7 @@ pub mod shard;
 pub mod wal;
 
 pub use config::{ConsistencyMode, EvictionPolicy, SscConfig, VictimSelection};
-pub use device::{CachedBlockMeta, CrashSite, Ssc, SscCounters};
+pub use device::{CrashSite, Ssc, SscCounters};
 pub use error::SscError;
 pub use map::{BlockEntry, PagePtr, SscMaps};
 pub use shard::{decorrelate_fault_seed, shard_config, ShardRouter};

@@ -62,8 +62,8 @@ impl WearStats {
 /// Incrementally maintained wear statistics: a histogram of per-block erase
 /// counts plus running min/max/total, updated on every erase. This replaces
 /// the full-device iteration [`WearStats::from_counts`] would need per query,
-/// making the device-wide wear snapshot O(1) no matter how often policy code
-/// (wear leveling, Table 5 reporting) asks for it.
+/// making the device-wide wear snapshot O(1) no matter how often a caller
+/// (Table 5 reporting, the ledger's wear spread) asks for it.
 ///
 /// Invariant (checked by the oracle test in `flashsim::device`): after any
 /// sequence of erases, `stats()` equals `WearStats::from_counts` over the

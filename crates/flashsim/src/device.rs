@@ -82,11 +82,6 @@ impl FlashDevice {
         self.faults = Some(FaultInjector::new(plan));
     }
 
-    /// Whether a fault plan is installed.
-    pub fn faults_enabled(&self) -> bool {
-        self.faults.is_some()
-    }
-
     /// Cumulative injected-fault statistics (all zero when faults are off).
     pub fn fault_counters(&self) -> FaultCounters {
         self.faults
@@ -615,7 +610,7 @@ impl FlashDevice {
         }))
     }
 
-    /// Iterates the erase counts of every block (for wear-leveling policy).
+    /// Iterates the erase counts of every block (the wear-statistics oracle).
     pub fn erase_counts(&self) -> impl Iterator<Item = (Pbn, u64)> + '_ {
         self.blocks
             .iter()
@@ -1182,7 +1177,7 @@ mod fault_tests {
             faulty.fault_counters(),
             crate::fault::FaultCounters::default()
         );
-        assert!(faulty.faults_enabled() && !plain.faults_enabled());
+        assert!(faulty.faults.is_some() && plain.faults.is_none());
     }
 
     #[test]

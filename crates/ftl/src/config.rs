@@ -65,11 +65,6 @@ impl SsdConfig {
             .saturating_sub(self.gc_reserve_blocks as u64)
     }
 
-    /// Logical pages the hybrid FTL exposes.
-    pub fn exposed_pages_hybrid(&self) -> u64 {
-        self.exposed_lbns_hybrid() * self.flash.geometry.pages_per_block() as u64
-    }
-
     /// Logical pages the page-mapped FTL exposes (no log blocks, only
     /// over-provisioning and GC reserve).
     pub fn exposed_pages_pagemap(&self) -> u64 {
@@ -91,8 +86,7 @@ mod tests {
         assert_eq!(c.op_blocks(), 180); // ceil(2560 * 0.07)
         assert_eq!(c.log_block_limit(), 180);
         assert_eq!(c.exposed_lbns_hybrid(), 2560 - 180 - 180 - 4);
-        assert_eq!(c.exposed_pages_hybrid(), c.exposed_lbns_hybrid() * 64);
-        assert!(c.exposed_pages_pagemap() > c.exposed_pages_hybrid());
+        assert!(c.exposed_pages_pagemap() > c.exposed_lbns_hybrid() * 64);
     }
 
     #[test]

@@ -123,20 +123,6 @@ impl HybridFtl {
         self.pool.len()
     }
 
-    /// Background garbage collection: merges the oldest log block while the
-    /// device is idle so foreground writes find log space ready. Returns
-    /// the simulated time spent (zero when there is nothing to merge).
-    ///
-    /// # Errors
-    ///
-    /// Flash faults or pool exhaustion during the merge.
-    pub fn background_merge(&mut self) -> Result<Duration> {
-        if self.log_blocks.len() < 2 {
-            return Ok(Duration::ZERO);
-        }
-        self.merge_oldest()
-    }
-
     fn ppb(&self) -> u32 {
         self.config.flash.geometry.pages_per_block()
     }
@@ -822,7 +808,6 @@ mod log_bits_oracle_tests {
                             assert_rows_agree(&ssd, &written, &at);
                         }
                     }
-                    13 => drop(ssd.background_merge().unwrap()),
                     _ => drop(ssd.read(rng.gen_range(span)).unwrap()),
                 }
                 assert_rows_agree(&ssd, &written, &at);
@@ -833,35 +818,5 @@ mod log_bits_oracle_tests {
         assert!(runs.iter().all(|c| c.switch_merges > 0), "{runs:?}");
         assert!(runs.iter().all(|c| c.full_merges > 0), "{runs:?}");
         assert!(runs[1].program_reissues > 0, "{runs:?}");
-    }
-}
-
-#[cfg(test)]
-mod background_tests {
-    use super::*;
-    use crate::ssd::BlockDev;
-
-    #[test]
-    fn background_merge_drains_the_log() {
-        let mut ssd = HybridFtl::new(SsdConfig::small_test(), DataMode::Store);
-        let page = vec![3u8; 512];
-        for lba in 0..20u64 {
-            ssd.write(lba, &page).unwrap();
-        }
-        let logs_before = ssd.log_blocks_in_use();
-        assert!(logs_before >= 2);
-        // A sequential log block switch-merges at zero cost; either way the
-        // log must shrink.
-        ssd.background_merge().unwrap();
-        assert!(ssd.log_blocks_in_use() < logs_before);
-        // Data intact afterwards.
-        for lba in 0..20u64 {
-            assert_eq!(ssd.read(lba).unwrap().0, page, "lba {lba}");
-        }
-        // Empty-ish log: no-op.
-        while ssd.log_blocks_in_use() >= 2 {
-            ssd.background_merge().unwrap();
-        }
-        assert!(ssd.background_merge().unwrap().is_zero());
     }
 }

@@ -16,7 +16,7 @@
 //! * graceful shutdown that drains in-flight operations through the
 //!   `barrier_flush` durability barrier and returns the stacks.
 //!
-//! The workspace builds offline with no async runtime available, so the
+//! The workspace builds offline with no async runtime to depend on, so the
 //! server is plain `std::net` blocking I/O on OS threads — the
 //! architecture (bounded accept, share-nothing shard workers, pipelined
 //! connections) is runtime-agnostic and is exactly what a tokio front-end

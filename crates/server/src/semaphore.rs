@@ -3,38 +3,27 @@
 //! The standard library has no semaphore; this is the classic
 //! mutex-plus-condvar construction with an RAII permit, shared through an
 //! `Arc` so permits can be released from whichever thread finishes the
-//! connection. Acquisition blocks — under connection pressure the accept
-//! loop waits instead of spawning unboundedly, which is the back-pressure
-//! behaviour an open-loop load generator measures as queueing delay.
+//! connection. Acquisition waits, up to a timeout — under connection
+//! pressure the accept loop waits instead of spawning unboundedly, which is
+//! the back-pressure behaviour an open-loop load generator measures as
+//! queueing delay.
 
 use std::sync::{Arc, Condvar, Mutex};
 
-/// A counting semaphore with blocking acquisition.
+/// A counting semaphore with timed acquisition.
 #[derive(Debug)]
 pub struct Semaphore {
     permits: Mutex<usize>,
-    available: Condvar,
+    freed: Condvar,
 }
 
 impl Semaphore {
-    /// Creates a semaphore with `permits` initially available.
+    /// Creates a semaphore with `permits` initially free.
     pub fn new(permits: usize) -> Arc<Semaphore> {
         Arc::new(Semaphore {
             permits: Mutex::new(permits),
-            available: Condvar::new(),
+            freed: Condvar::new(),
         })
-    }
-
-    /// Blocks until a permit is available and takes it.
-    pub fn acquire(self: &Arc<Self>) -> Permit {
-        let mut n = self.permits.lock().expect("semaphore mutex poisoned");
-        while *n == 0 {
-            n = self.available.wait(n).expect("semaphore mutex poisoned");
-        }
-        *n -= 1;
-        Permit {
-            sem: Arc::clone(self),
-        }
     }
 
     /// Blocks up to `timeout` for a permit; `None` if none freed in time.
@@ -50,7 +39,7 @@ impl Semaphore {
                 return None;
             }
             let (guard, result) = self
-                .available
+                .freed
                 .wait_timeout(n, deadline - now)
                 .expect("semaphore mutex poisoned");
             n = guard;
@@ -64,27 +53,10 @@ impl Semaphore {
         })
     }
 
-    /// Takes a permit only if one is free right now.
-    pub fn try_acquire(self: &Arc<Self>) -> Option<Permit> {
-        let mut n = self.permits.lock().expect("semaphore mutex poisoned");
-        if *n == 0 {
-            return None;
-        }
-        *n -= 1;
-        Some(Permit {
-            sem: Arc::clone(self),
-        })
-    }
-
-    /// Permits currently available (diagnostics only — racy by nature).
-    pub fn available(&self) -> usize {
-        *self.permits.lock().expect("semaphore mutex poisoned")
-    }
-
     fn release(&self) {
         let mut n = self.permits.lock().expect("semaphore mutex poisoned");
         *n += 1;
-        self.available.notify_one();
+        self.freed.notify_one();
     }
 }
 
@@ -109,40 +81,35 @@ mod tests {
     #[test]
     fn bounds_concurrency() {
         let sem = Semaphore::new(2);
-        let a = sem.acquire();
-        let _b = sem.acquire();
-        assert!(sem.try_acquire().is_none(), "both permits taken");
-        drop(a);
-        assert!(sem.try_acquire().is_some(), "released permit reusable");
-    }
-
-    #[test]
-    fn acquire_timeout_expires_and_succeeds() {
-        let sem = Semaphore::new(1);
-        let held = sem.acquire();
+        let short = Duration::from_millis(10);
+        let a = sem.acquire_timeout(short).expect("first permit");
+        let _b = sem.acquire_timeout(short).expect("second permit");
         assert!(
-            sem.acquire_timeout(Duration::from_millis(10)).is_none(),
-            "no permit frees within the timeout"
+            sem.acquire_timeout(short).is_none(),
+            "both permits taken: no permit frees within the timeout"
         );
-        drop(held);
+        drop(a);
         assert!(
-            sem.acquire_timeout(Duration::from_millis(10)).is_some(),
-            "a free permit is taken immediately"
+            sem.acquire_timeout(short).is_some(),
+            "released permit reusable"
         );
     }
 
     #[test]
     fn blocked_acquirer_wakes_on_release() {
         let sem = Semaphore::new(1);
-        let held = sem.acquire();
+        let held = sem.acquire_timeout(Duration::from_millis(10)).unwrap();
         let sem2 = Arc::clone(&sem);
-        let waiter = thread::spawn(move || {
-            let _p = sem2.acquire();
-        });
+        let waiter = thread::spawn(move || sem2.acquire_timeout(Duration::from_secs(10)).is_some());
         thread::sleep(Duration::from_millis(20));
-        assert!(!waiter.is_finished(), "acquire must block while held");
+        assert!(
+            !waiter.is_finished(),
+            "the waiter must wait while the permit is held"
+        );
         drop(held);
-        waiter.join().unwrap();
-        assert_eq!(sem.available(), 1);
+        assert!(
+            waiter.join().unwrap(),
+            "the released permit reaches the waiter"
+        );
     }
 }

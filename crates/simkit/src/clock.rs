@@ -1,14 +1,14 @@
-//! Simulated time base.
+//! Simulated time.
 //!
 //! All device models in this workspace express operation costs in
-//! microseconds of *simulated* time. [`SimTime`] is an absolute instant on the
-//! simulated timeline, [`Duration`] is a span between instants, and
-//! [`SimClock`] is the mutable clock a replay harness advances as it charges
-//! device costs.
+//! microseconds of *simulated* time, as a [`Duration`]. There is no clock:
+//! each operation *returns* its cost, and the replay harness sums those
+//! costs into a run's simulated time. That keeps the timing model
+//! composable (a cache manager can, for example, overlap a disk write and a
+//! flash write by charging only the maximum of the two costs).
 //!
-//! Both types are thin wrappers over `u64` microsecond counts; the newtypes
-//! exist so that instants and spans cannot be confused, and so that unit
-//! conversions are spelled out at the call site.
+//! [`Duration`] is a thin wrapper over a `u64` microsecond count, so that
+//! unit conversions are spelled out at the call site.
 
 use std::fmt;
 use std::iter::Sum;
@@ -131,115 +131,6 @@ impl fmt::Display for Duration {
     }
 }
 
-/// An absolute instant on the simulated timeline, in microseconds since the
-/// start of the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SimTime(u64);
-
-impl SimTime {
-    /// The origin of the simulated timeline.
-    pub const ZERO: SimTime = SimTime(0);
-
-    /// Creates an instant `us` microseconds after the origin.
-    pub const fn from_micros(us: u64) -> Self {
-        SimTime(us)
-    }
-
-    /// Returns the instant as microseconds since the origin.
-    pub const fn as_micros(self) -> u64 {
-        self.0
-    }
-
-    /// Returns the span from `earlier` to `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `earlier` is after `self`.
-    pub fn since(self, earlier: SimTime) -> Duration {
-        Duration(
-            self.0
-                .checked_sub(earlier.0)
-                .expect("SimTime::since: earlier is in the future"),
-        )
-    }
-}
-
-impl Add<Duration> for SimTime {
-    type Output = SimTime;
-    fn add(self, rhs: Duration) -> SimTime {
-        SimTime(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign<Duration> for SimTime {
-    fn add_assign(&mut self, rhs: Duration) {
-        self.0 += rhs.0;
-    }
-}
-
-impl fmt::Display for SimTime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t+{}", Duration(self.0))
-    }
-}
-
-/// A mutable simulated clock.
-///
-/// The replay harness owns one clock per simulated system and advances it by
-/// the latency of every operation it charges. Devices never advance the clock
-/// themselves; they *return* costs, which keeps the timing model composable
-/// (a cache manager can, for example, overlap a disk write and a flash write
-/// by charging only the maximum of the two costs).
-///
-/// # Examples
-///
-/// ```
-/// use simkit::{Duration, SimClock};
-///
-/// let mut clock = SimClock::new();
-/// clock.advance(Duration::from_micros(85));
-/// clock.advance(Duration::from_micros(65));
-/// assert_eq!(clock.now().as_micros(), 150);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SimClock {
-    now: SimTime,
-}
-
-impl SimClock {
-    /// Creates a clock at the origin of the simulated timeline.
-    pub fn new() -> Self {
-        SimClock { now: SimTime::ZERO }
-    }
-
-    /// Returns the current simulated instant.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Advances the clock by `d`.
-    pub fn advance(&mut self, d: Duration) {
-        self.now += d;
-    }
-
-    /// Advances the clock to `t` if `t` is in the future; otherwise leaves it
-    /// unchanged. Returns the span actually waited.
-    pub fn advance_to(&mut self, t: SimTime) -> Duration {
-        if t > self.now {
-            let waited = t.since(self.now);
-            self.now = t;
-            waited
-        } else {
-            Duration::ZERO
-        }
-    }
-
-    /// Resets the clock to the origin.
-    pub fn reset(&mut self) {
-        self.now = SimTime::ZERO;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,36 +161,5 @@ mod tests {
         assert_eq!(Duration::from_micros(7).to_string(), "7us");
         assert_eq!(Duration::from_micros(1_500).to_string(), "1.500ms");
         assert_eq!(Duration::from_secs(2).to_string(), "2.000s");
-    }
-
-    #[test]
-    fn simtime_since_and_add() {
-        let t0 = SimTime::from_micros(100);
-        let t1 = t0 + Duration::from_micros(50);
-        assert_eq!(t1.since(t0).as_micros(), 50);
-        assert_eq!(t1.as_micros(), 150);
-    }
-
-    #[test]
-    #[should_panic(expected = "earlier is in the future")]
-    fn simtime_since_panics_on_reversed_order() {
-        let t0 = SimTime::from_micros(100);
-        let t1 = SimTime::from_micros(50);
-        let _ = t1.since(t0);
-    }
-
-    #[test]
-    fn clock_advance_and_advance_to() {
-        let mut c = SimClock::new();
-        c.advance(Duration::from_micros(10));
-        assert_eq!(c.now().as_micros(), 10);
-        let waited = c.advance_to(SimTime::from_micros(25));
-        assert_eq!(waited.as_micros(), 15);
-        // Advancing to the past is a no-op.
-        let waited = c.advance_to(SimTime::from_micros(5));
-        assert_eq!(waited, Duration::ZERO);
-        assert_eq!(c.now().as_micros(), 25);
-        c.reset();
-        assert_eq!(c.now(), SimTime::ZERO);
     }
 }

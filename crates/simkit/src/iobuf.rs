@@ -57,13 +57,6 @@ impl PageBuf {
         out
     }
 
-    /// Replaces the contents with a copy of `src`.
-    pub fn copy_from(&mut self, src: &[u8]) -> &mut [u8] {
-        let out = self.prepare(src.len());
-        out.copy_from_slice(src);
-        out
-    }
-
     /// Current logical length in bytes.
     pub fn len(&self) -> usize {
         self.len
@@ -176,7 +169,7 @@ mod tests {
         assert!(buf.is_empty());
         buf.fill_with(8, 0xAB);
         assert_eq!(buf.as_slice(), &[0xAB; 8]);
-        buf.copy_from(&[1, 2, 3]);
+        buf.prepare(3).copy_from_slice(&[1, 2, 3]);
         assert_eq!(&buf[..], &[1, 2, 3]);
         assert_eq!(buf.to_vec(), vec![1, 2, 3]);
         assert_eq!(buf.into_vec(), vec![1, 2, 3]);
@@ -185,7 +178,7 @@ mod tests {
     #[test]
     fn deref_slicing_works() {
         let mut buf = PageBuf::new();
-        buf.copy_from(&[9, 8, 7, 6]);
+        buf.prepare(4).copy_from_slice(&[9, 8, 7, 6]);
         buf[1] = 0;
         assert_eq!(&buf[..2], &[9, 0]);
     }

@@ -2,13 +2,13 @@
 //!
 //! The FlashTier reproduction is built around *discrete simulated time*: every
 //! device model (flash, SSC, SSD, disk) reports how many simulated
-//! microseconds an operation took, and the replay harness accumulates those
-//! costs on a [`SimClock`]. Nothing in the workspace reads the wall clock, so
-//! every experiment is exactly reproducible.
+//! microseconds an operation took as a [`Duration`], and the replay harness
+//! sums those costs; there is no clock object. Nothing in the workspace reads
+//! the wall clock, so every experiment is exactly reproducible.
 //!
 //! The crate provides:
 //!
-//! * [`SimClock`] / [`SimTime`] / [`Duration`] — the simulated time base.
+//! * [`Duration`] — a span of simulated time, the unit every cost is in.
 //! * [`rng`] — small deterministic PRNGs (SplitMix64 and xoshiro256++) so that
 //!   workload generation does not depend on external crate versions for
 //!   reproducibility of the published numbers.
@@ -29,7 +29,7 @@ pub mod iobuf;
 pub mod rng;
 pub mod stats;
 
-pub use clock::{Duration, SimClock, SimTime};
+pub use clock::Duration;
 pub use crc::{crc32, crc32_bytewise};
 pub use iobuf::PageBuf;
 pub use rng::{fill_pseudo, SimRng};

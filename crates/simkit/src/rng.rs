@@ -164,16 +164,6 @@ impl SimRng {
             slice.swap(i, j);
         }
     }
-
-    /// Picks a uniformly random element of a non-empty slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice is empty.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> &'a T {
-        assert!(!slice.is_empty(), "choose on empty slice");
-        &slice[self.gen_range(slice.len() as u64) as usize]
-    }
 }
 
 #[cfg(test)]
@@ -327,14 +317,5 @@ mod tests {
             (0..50).collect::<Vec<_>>(),
             "50 elements should not stay sorted"
         );
-    }
-
-    #[test]
-    fn choose_returns_member() {
-        let mut r = SimRng::seed_from(2);
-        let items = [10, 20, 30];
-        for _ in 0..50 {
-            assert!(items.contains(r.choose(&items)));
-        }
     }
 }

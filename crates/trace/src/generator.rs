@@ -115,7 +115,7 @@ impl Geometric {
     }
 }
 
-/// Phase 1: choose which blocks of the volume exist in the trace.
+/// Phase 1: pick which blocks of the volume exist in the trace.
 fn layout_runs(spec: &WorkloadSpec, rng: &mut SimRng) -> Runs {
     let unique = spec.unique_blocks.min(spec.range_blocks);
     let region_count = spec.range_blocks.div_ceil(REGION_BLOCKS).max(1);

@@ -89,12 +89,6 @@ impl ZipfSampler {
         let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
         rank.min(self.n - 1)
     }
-
-    /// Draws a rank and scrambles it with a fixed 64-bit mixer so popularity
-    /// is spread over the whole domain (YCSB's "scrambled zipfian").
-    pub fn sample_scrambled(&self, rng: &mut SimRng) -> u64 {
-        scramble(self.sample(rng)) % self.n
-    }
 }
 
 /// A fixed 64-bit finalizer (SplitMix64) used to decorrelate rank from
@@ -116,7 +110,6 @@ mod tests {
         let mut rng = SimRng::seed_from(2);
         for _ in 0..10_000 {
             assert!(z.sample(&mut rng) < 100);
-            assert!(z.sample_scrambled(&mut rng) < 100);
         }
     }
 
@@ -169,7 +162,6 @@ mod tests {
         let z = ZipfSampler::new(1, 0.5);
         let mut rng = SimRng::seed_from(5);
         assert_eq!(z.sample(&mut rng), 0);
-        assert_eq!(z.sample_scrambled(&mut rng), 0);
     }
 
     #[test]
