@@ -20,8 +20,9 @@
 //! kind of table, and `Ssc::map_memory` still *charges* the log directory
 //! at that rate. Filing them as one row inside the logical block's entry is
 //! ours: a lookup resolves its LBN with one search of the map (an operation
-//! makes several on one LBN; the map answers a repeat from its last hit),
-//! and a merge takes a block's log pages as one array.
+//! makes several on one LBN; the map answers a repeat of its last search,
+//! hit or miss, from a memo), and a merge takes a block's log pages as one
+//! array.
 
 use flashsim::{set_bits, Ppn};
 use sparsemap::{SparseHashMap, SparseRow};

@@ -58,15 +58,6 @@ impl<V> Group<V> {
         Some((first, &self.slots[first..first + len]))
     }
 
-    /// Whether bucket `i` holds `key` in packed `slot`: the slot holds the
-    /// key, and the bucket is occupied with that slot as its rank.
-    #[inline]
-    pub(crate) fn holds(&self, i: usize, slot: usize, key: u64) -> bool {
-        self.slots.get(slot).is_some_and(|(k, _)| *k == key)
-            && self.occupancy >> i & 1 == 1
-            && self.rank(i) == slot
-    }
-
     /// The packed entries, in bucket order.
     #[inline]
     pub(crate) fn entries(&self) -> &[(u64, V)] {

@@ -21,9 +21,9 @@
 //! That layout and the memory model of [`memory`] are the paper's. Collision
 //! handling and deletion it does not specify; ours read the occupancy bitmap
 //! as the probe sequence — linear probing over runs of occupied buckets,
-//! backward-shift deletion, no deletion markers — and a lookup first tries
-//! where the last hit landed, a memo that checks itself (see
-//! [`SparseHashMap`]).
+//! backward-shift deletion, no deletion markers — and a repeat of the last
+//! lookup, hit or miss, is answered from a memo that every entry move
+//! retires (see [`SparseHashMap`]).
 //!
 //! [`SparseHashMap`] is the sparse structure; [`DenseMap`] is the
 //! linear-table baseline an SSD uses for its own (dense) address space. Both

@@ -14,6 +14,9 @@ const MAX_LOAD: f64 = 0.75;
 /// Shrink when `len / buckets` falls below this (down to the minimum table).
 const MIN_LOAD: f64 = 0.10;
 
+/// A lookup's answer: see [`SparseHashMap::find`].
+type Found = Result<(usize, usize, usize), usize>;
+
 /// A hash map from 64-bit keys to values, stored sparsely.
 ///
 /// The layout and the memory model are the paper's (§4.1, the Google sparse
@@ -31,12 +34,12 @@ const MIN_LOAD: f64 = 0.10;
 /// entries are neighbours in the packed array — one bitmap load and a short
 /// contiguous scan, entering the next group only when the run reaches the
 /// end of this one; an empty home bucket is a miss decided from the bitmap
-/// alone. Before probing, a lookup tries where the last hit landed, because
-/// one operation looks its key up several times. Removal is
-/// **backward-shift deletion**: the entries after the freed bucket in its
-/// run move back over it unless that would carry them in front of their
-/// own home, so a run never has a gap and a table whose live size is
-/// constant is never rebuilt, however long keys come and go.
+/// alone. A repeat of the last lookup, hit or miss, is answered from a memo
+/// without probing, because one operation looks its key up several times.
+/// Removal is **backward-shift deletion**: the entries after the freed
+/// bucket in its run move back over it unless that would carry them in front
+/// of their own home, so a run never has a gap and a table whose live size
+/// is constant is never rebuilt, however long keys come and go.
 ///
 /// The paper bounds runtime by the constant `M` and observes "typically
 /// there are no more than 4-5 probes per lookup";
@@ -60,10 +63,17 @@ pub struct SparseHashMap<V> {
     groups: Vec<Group<V>>,
     buckets: usize,
     occupied: usize,
-    /// `(key, bucket, slot)` of the last successful
-    /// [`SparseHashMap::find`]. Nothing that moves entries maintains it:
-    /// `find` checks it first. A `Cell`, so the map is `Send` but not `Sync`.
-    last: Cell<(u64, usize, usize)>,
+    /// Bumped by the two paths that move stored entries in place: a new
+    /// key's packed insert and a removal's shifts. A resize rebuilds the
+    /// map, and with it the epoch and the memo.
+    epoch: u64,
+    /// `(key, epoch)` of the last [`SparseHashMap::find`], whose answer,
+    /// hit or miss, is `answer`: the memo, exact while `epoch` is the map's.
+    /// A fresh map's memo names an epoch it never reaches. `Cell`s, so the
+    /// map is `Send` but not `Sync`.
+    last: Cell<(u64, u64)>,
+    /// Kept apart from `last` so that a lookup loads it only to return it.
+    answer: Cell<Found>,
 }
 
 impl<V> Default for SparseHashMap<V> {
@@ -96,7 +106,9 @@ impl<V> SparseHashMap<V> {
             groups: (0..buckets / GROUP_SIZE).map(|_| Group::new()).collect(),
             buckets,
             occupied: 0,
-            last: Cell::new((0, 0, 0)),
+            epoch: 0,
+            last: Cell::new((0, u64::MAX)),
+            answer: Cell::new(Err(0)),
         }
     }
 
@@ -129,35 +141,29 @@ impl<V> SparseHashMap<V> {
     /// `Err(bucket)` is the first empty bucket of its probe sequence, where
     /// it would be stored.
     ///
-    /// The last hit is tried before the probe, when it was `key`'s. It
-    /// stands only if its packed slot still holds `key` and its bucket is
-    /// still occupied with exactly that slot: a key is stored once, and an
-    /// occupied bucket's slot is its rank, so a memo that passes names the
-    /// key's one location, and a stale one — whatever moved, grew or shrank
-    /// the table since — falls through.
+    /// A repeat of the last lookup returns the memo, that lookup's answer,
+    /// after two compares (key and epoch) and without touching the table.
+    /// The answer is exact, a miss's as much as a hit's: only a new key's
+    /// insert, a removal and a resize can change any key's answer, the first
+    /// two bump the epoch and the third replaces the memo. Any other lookup
+    /// probes, and its answer becomes the memo.
     #[inline]
-    fn find(&self, key: u64) -> Result<(usize, usize, usize), usize> {
-        let (last_key, bucket, slot) = self.last.get();
-        let gi = bucket / GROUP_SIZE;
-        if key == last_key
-            && self
-                .groups
-                .get(gi)
-                .is_some_and(|g| g.holds(bucket % GROUP_SIZE, slot, key))
-        {
-            return Ok((bucket, gi, slot));
+    fn find(&self, key: u64) -> Found {
+        if self.last.get() == (key, self.epoch) {
+            return self.answer.get();
         }
         let found = self.probe(key);
-        if let Ok((bucket, _, slot)) = found {
-            self.last.set((key, bucket, slot));
-        }
+        self.last.set((key, self.epoch));
+        self.answer.set(found);
         found
     }
 
     /// The probe behind [`SparseHashMap::find`], same answer. Terminates
     /// because the load factor keeps at least a quarter of the buckets empty.
     #[inline]
-    fn probe(&self, key: u64) -> Result<(usize, usize, usize), usize> {
+    fn probe(&self, key: u64) -> Found {
+        #[cfg(test)]
+        tests::PROBES.with(|n| n.set(n.get() + 1));
         let mut bucket = self.home(key);
         loop {
             let gi = bucket / GROUP_SIZE;
@@ -179,8 +185,9 @@ impl<V> SparseHashMap<V> {
     }
 
     /// Stores the absent `key` at `bucket`, the `Err` of its `find`, and
-    /// returns the group and packed slot it landed in. The only place a table
-    /// grows: when this new key would push live load past `MAX_LOAD`.
+    /// returns the group and packed slot it landed in, which become the
+    /// memo. The only place a table grows: when this new key would push live
+    /// load past `MAX_LOAD`.
     fn insert_absent(&mut self, mut bucket: usize, key: u64, value: V) -> (usize, usize) {
         if (self.occupied + 1) as f64 > self.buckets as f64 * MAX_LOAD {
             self.resize(self.buckets * 2);
@@ -188,7 +195,12 @@ impl<V> SparseHashMap<V> {
         }
         self.occupied += 1;
         let gi = bucket / GROUP_SIZE;
-        (gi, self.groups[gi].insert(bucket % GROUP_SIZE, key, value))
+        let slot = self.groups[gi].insert(bucket % GROUP_SIZE, key, value);
+        // The packed insert moved the group's later entries up a slot.
+        self.epoch += 1;
+        self.last.set((key, self.epoch));
+        self.answer.set(Ok((bucket, gi, slot)));
+        (gi, slot)
     }
 
     /// Inserts or updates `key`, returning the previous value if any.
@@ -227,15 +239,12 @@ impl<V> SparseHashMap<V> {
         Some(&mut self.groups[gi].entries_mut()[slot].1)
     }
 
-    /// Returns `true` if `key` is present.
-    pub fn contains_key(&self, key: u64) -> bool {
-        self.find(key).is_ok()
-    }
-
     /// Removes `key`, returning its value. Frees a packed slot and leaves no
     /// gap in the probe run, so nothing of the entry remains.
     pub fn remove(&mut self, key: u64) -> Option<V> {
         let (mut hole, mut hole_group, mut hole_slot) = self.find(key).ok()?;
+        // The swaps and the packed take below move entries.
+        self.epoch += 1;
         // Backward-shift deletion. The entry's bucket is a hole in its run:
         // walk the rest of the run and exchange the hole with every entry
         // that stays reachable in it (its home is not cyclically inside
@@ -281,12 +290,8 @@ impl<V> SparseHashMap<V> {
         }
     }
 
-    /// Removes every entry, keeping the minimum table.
-    pub fn clear(&mut self) {
-        *self = Self::with_buckets(MIN_BUCKETS);
-    }
-
-    /// Rebuilds the table with `buckets` buckets.
+    /// Rebuilds the table with `buckets` buckets: a new map, so a new epoch
+    /// and memo too.
     fn resize(&mut self, buckets: usize) {
         let old = std::mem::replace(self, Self::with_buckets(buckets));
         self.occupied = old.occupied;
@@ -327,7 +332,7 @@ impl<V> SparseHashMap<V> {
     /// does. The oracle the property tests call after every step.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
-        let (key, ..) = self.last.get();
+        let (key, _) = self.last.get();
         assert_eq!(self.find(key), self.probe(key), "memo for key {key:#x}");
         assert_eq!(self.groups.len() * GROUP_SIZE, self.buckets);
         assert!(self.occupied as f64 <= self.buckets as f64 * MAX_LOAD);
@@ -360,6 +365,15 @@ impl<V> SparseHashMap<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    thread_local! {
+        /// Probes this thread has run, counted in `SparseHashMap::probe`.
+        pub(super) static PROBES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn probes() -> u64 {
+        PROBES.with(Cell::get)
+    }
 
     #[test]
     fn insert_get_remove_roundtrip() {
@@ -410,6 +424,12 @@ mod tests {
             assert_eq!(m.get(i), Some(&i));
         }
         assert_eq!(m.len(), 10);
+        for i in 9_990..10_000u64 {
+            assert_eq!(m.remove(i), Some(i));
+        }
+        assert!(m.is_empty());
+        assert_eq!(m.buckets(), MIN_BUCKETS, "an emptied table is the minimum");
+        assert_eq!(m.get(5), None);
     }
 
     #[test]
@@ -480,27 +500,127 @@ mod tests {
         assert!(m.probe_stats() < 5.0, "avg probes {}", m.probe_stats());
     }
 
+    /// The first `n` keys whose home in `m`'s table is `home`.
+    fn homed_at(m: &SparseHashMap<u64>, home: usize, n: usize) -> Vec<u64> {
+        (1u64..).filter(|&k| m.home(k) == home).take(n).collect()
+    }
+
     #[test]
-    fn any_memo_is_checked_before_it_is_trusted() {
-        // Nothing that moves entries maintains the memo, so a lookup must be
-        // right whatever it holds: plant every (key, bucket, slot) a group
-        // could name, and out-of-range ones, and compare with the probe.
-        let mut m = SparseHashMap::new();
-        for i in 0..40u64 {
-            m.insert(i * 7, i);
-        }
-        for i in 0..10u64 {
-            m.remove(i * 21);
-        }
-        let keys: Vec<u64> = m.keys().chain([1 << 40]).collect();
-        for &key in &keys {
-            for bucket in 0..m.buckets() + GROUP_SIZE {
-                for slot in 0..=GROUP_SIZE {
-                    m.last.set((key, bucket, slot));
-                    assert_eq!(m.find(key), m.probe(key), "memo ({key}, {bucket}, {slot})");
-                }
+    fn every_entry_move_retires_the_memo() {
+        // Three keys a home on 29..=33 of the 64-bucket table: one run from
+        // bucket 29 to 43, across the group boundary at 32.
+        let mut cluster = SparseHashMap::new();
+        for home in 29..=33 {
+            for k in homed_at(&cluster, home, 3) {
+                cluster.insert(k, k);
             }
         }
+        let head = homed_at(&cluster, 29, 1)[0];
+        let spill = homed_at(&cluster, 30, 1)[0];
+        let mut shifted = cluster.clone();
+        shifted.remove(head);
+        let bucket = |m: &SparseHashMap<u64>, k| m.probe(k).map(|(b, ..)| b);
+        assert_eq!(
+            (bucket(&cluster, spill), bucket(&shifted, spill)),
+            (Ok(32), Ok(31))
+        );
+        // As full as the minimum table gets, and one key above the next
+        // table's shrink line.
+        let mut full = SparseHashMap::new();
+        (0..48u64).for_each(|k| assert!(full.insert(k * 7, k).is_none()));
+        let mut sparse = full.clone();
+        sparse.insert(1 << 40, 0);
+        (0..36u64).for_each(|k| assert!(sparse.remove(k * 7).is_some()));
+        assert_eq!(
+            (full.buckets(), sparse.buckets(), sparse.len()),
+            (64, 128, 13)
+        );
+
+        type Step = fn(&mut SparseHashMap<u64>, u64);
+        let (insert, remove): (Step, Step) = (
+            |m, k| assert!(m.insert(k, 0).is_none()),
+            |m, k| assert!(m.remove(k).is_some()),
+        );
+        let fresh = homed_at(&cluster, 28, 1)[0];
+        let cases = [
+            ("insert of a new key", &cluster, insert, fresh, false),
+            (
+                "remove across the group boundary",
+                &cluster,
+                remove,
+                head,
+                false,
+            ),
+            ("grow", &full, insert, 1 << 41, true),
+            ("shrink", &sparse, remove, 1 << 40, true),
+        ];
+        for (what, map, step, key, resizes) in cases {
+            let mut after = map.clone();
+            step(&mut after, key);
+            if resizes {
+                assert_ne!(after.buckets(), map.buckets(), "{what}");
+            } else {
+                assert!(after.epoch > map.epoch, "{what}: the epoch stayed");
+            }
+            // Every key stored before or after, and misses whose answer
+            // the step moves or keeps.
+            let absent = [key, 3, 1 << 42, u64::MAX].into_iter();
+            let misses = homed_at(map, 28, 2).into_iter().chain(homed_at(map, 31, 6));
+            let keys: Vec<u64> = map
+                .keys()
+                .chain(after.keys())
+                .chain(absent)
+                .chain(misses)
+                .collect();
+            for &planted in &keys {
+                let mut m = map.clone();
+                let _ = m.find(planted);
+                step(&mut m, key);
+                for &k in std::iter::once(&planted).chain(&keys) {
+                    assert_eq!(
+                        m.find(k),
+                        m.probe(k),
+                        "{what}, memo of {planted:#x}, key {k:#x}"
+                    );
+                }
+                m.check_invariants();
+            }
+        }
+
+        // Value-only writes move nothing and keep the epoch.
+        let mut m = cluster.clone();
+        for k in cluster.keys() {
+            assert_eq!(m.insert(k, 1), Some(k));
+            *m.get_mut(k).unwrap() += 1;
+            *m.get_or_insert_with(k, || unreachable!("present")) += 1;
+        }
+        assert_eq!(m.epoch, cluster.epoch);
+    }
+
+    #[test]
+    fn repeat_lookups_of_one_key_probe_once() {
+        let mut m = SparseHashMap::new();
+        for k in 0..20u64 {
+            m.insert(k << 8, k);
+        }
+        let (key, other) = (7, 5 << 8);
+        let before = probes();
+        assert_eq!(m.get(key), None);
+        assert!(m.get_mut(key).is_none());
+        *m.get_or_insert_with(key, || 1) += 1;
+        assert_eq!(m.get(key), Some(&2));
+        *m.get_mut(key).unwrap() += 1;
+        assert_eq!(m.insert(key, 9), Some(3));
+        assert_eq!(
+            probes() - before,
+            1,
+            "the miss, the insert and the hits share one probe"
+        );
+        assert_eq!(m.get(other), Some(&5));
+        assert_eq!(probes() - before, 2, "another key probes once");
+        assert_eq!(m.get(key), Some(&9));
+        assert_eq!(m.get(key), Some(&9));
+        assert_eq!(probes() - before, 3, "the key probes again, once");
     }
 
     #[test]
@@ -526,21 +646,8 @@ mod tests {
         m.insert(42, 1);
         *m.get_mut(42).unwrap() += 10;
         assert_eq!(m.get(42), Some(&11));
-        assert!(m.contains_key(42));
-        assert!(!m.contains_key(43));
+        assert!(m.get(43).is_none());
         assert!(m.get_mut(43).is_none());
-    }
-
-    #[test]
-    fn clear_resets_to_minimum() {
-        let mut m = SparseHashMap::new();
-        for i in 0..1_000u64 {
-            m.insert(i, ());
-        }
-        m.clear();
-        assert!(m.is_empty());
-        assert_eq!(m.buckets(), MIN_BUCKETS);
-        assert_eq!(m.get(5), None);
     }
 
     #[test]

@@ -57,6 +57,16 @@ fn sparse_map_matches_hashmap() {
                     assert_eq!(sut.get(k), reference.get(&k));
                 }
             }
+            // An absent key's miss is memoised; a quarter of them are then
+            // filled from that memo and must land where a fresh probe would.
+            let absent = std::iter::repeat_with(|| random_key(&mut rng))
+                .find(|k| !reference.contains_key(k))
+                .unwrap();
+            assert_eq!(sut.get(absent), None);
+            if rng.gen_bool(0.25) {
+                *sut.get_or_insert_with(absent, || 1) += 1;
+                reference.insert(absent, 2);
+            }
             assert_eq!(sut.len(), reference.len());
             sut.check_invariants();
         }
@@ -245,7 +255,7 @@ fn fifo_churn_across_grow_and_shrink_cycles() {
 
 #[test]
 fn memo_follows_hot_keys_through_shifts_swaps_and_resizes() {
-    // A lookup first tries where the last hit landed. Hammer a few hot keys
+    // A repeat lookup is answered from the memo. Hammer a few hot keys
     // with repeated lookups, and between them insert and remove keys homed
     // in the same and the adjacent group: those shift the hot keys' packed
     // slots, carry them across buckets by backward-shift swaps, and move
