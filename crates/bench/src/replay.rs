@@ -95,7 +95,6 @@ impl ReplaySetup {
             read_transient_ppm: ppm,
             read_permanent_ppm: ppm / 2,
             read_corrupt_ppm: ppm / 2,
-            oob_corrupt_ppm: ppm / 8,
             program_fail_ppm: ppm / 2,
             erase_fail_ppm: ppm / 4,
         })

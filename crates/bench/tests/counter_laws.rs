@@ -64,7 +64,6 @@ fn every_counter_set_obeys_the_merge_and_since_laws() {
     check_laws!(FlashCounters {
         page_reads,
         page_writes,
-        oob_reads,
         erases,
         invalidations,
     });
@@ -72,7 +71,6 @@ fn every_counter_set_obeys_the_merge_and_since_laws() {
         read_transients,
         read_failures,
         read_corruptions,
-        oob_corruptions,
         program_failures,
         erase_failures,
         grown_bad_blocks,

@@ -18,7 +18,7 @@ use cachemgr::{
 use disksim::DiskCounters;
 use flashsim::{FaultCounters, FlashCounters};
 use flashtier_bench::replay::{partition_events, ReplaySetup};
-use flashtier_core::{Ssc, SscCounters};
+use flashtier_core::SscCounters;
 use ftl::{BlockDev, FtlCounters, HybridFtl};
 use simkit::{Duration, Histogram};
 use trace::{generate, Trace, TraceEvent, WorkloadSpec};
@@ -208,10 +208,6 @@ fn assert_data_intact<S: Stack>(driven: &mut S, reference: &mut S, t: &Trace, la
     }
 }
 
-fn wt_bloom(s: &ReplaySetup) -> FlashTierWt {
-    FlashTierWt::new(Ssc::new(s.wt_config()), s.disk()).with_bloom_filter(0.01)
-}
-
 /// Every system over every trace shape under `s`; `verify_data` adds the
 /// Store-mode read-back.
 fn check_all_systems(s: &ReplaySetup, mode: &str, verify_data: bool) {
@@ -224,7 +220,6 @@ fn check_all_systems(s: &ReplaySetup, mode: &str, verify_data: bool) {
     for t in traces(s) {
         let label = |system: &str| format!("{system}/{mode}/{}", t.name);
         run(|| s.flashtier_wt(), &t, &label("wt"), verify_data);
-        run(|| wt_bloom(s), &t, &label("wt-bloom"), verify_data);
         run(|| s.flashtier_wb(), &t, &label("wb"), verify_data);
         run(|| s.native_wb(), &t, &label("native"), verify_data);
     }
@@ -281,7 +276,6 @@ fn faulted_replay_draws_the_same_fault_stream() {
     let (mut wt, _) = check(|| s.flashtier_wt(), &t.events, "wt/faults");
     let (mut wb, _) = check(|| s.flashtier_wb(), &t.events, "wb/faults");
     let (mut native, _) = check(|| s.native_wb(), &t.events, "native/faults");
-    check(|| wt_bloom(&s), &t.events, "wt-bloom/faults");
     assert!(injected(wt.below()) > 0, "wt: fault plan never fired");
     assert!(injected(wb.below()) > 0, "wb: fault plan never fired");
     assert!(

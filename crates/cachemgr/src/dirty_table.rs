@@ -71,7 +71,7 @@ impl DirtyTable {
 
     /// Refreshes the recency of `lba` if it is tracked, with a single index
     /// probe. Returns whether it was.
-    pub fn touch_if_present(&mut self, lba: u64) -> bool {
+    pub(crate) fn touch_if_present(&mut self, lba: u64) -> bool {
         match self.cache.get(lba) {
             Some(slot) => {
                 self.cache.touch(slot);

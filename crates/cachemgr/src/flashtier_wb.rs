@@ -61,7 +61,7 @@ impl FlashTierWb {
     /// Panics on a block-size mismatch, on tiers of different data modes
     /// (one keeps payloads, the other discards them) or on a fraction
     /// outside `(0, 1]`.
-    pub fn with_dirty_fraction(ssc: Ssc, disk: Disk, fraction: f64) -> Self {
+    pub(crate) fn with_dirty_fraction(ssc: Ssc, disk: Disk, fraction: f64) -> Self {
         assert_eq!(
             ssc.page_size(),
             disk.block_size(),

@@ -13,20 +13,17 @@ use flashtier_core::{Ssc, SscError};
 use simkit::{Duration, PageBuf};
 use sparsemap::MapMemory;
 
-use crate::bloom::BloomFilter;
 use crate::metrics::MgrCounters;
 use crate::system::{tiers_discard, CacheSystem};
 use crate::Result;
 
-/// Write-through FlashTier system: SSC + disk, zero *required* host
-/// metadata. An optional Bloom filter (§4.2.1) can short-circuit reads of
-/// never-cached blocks; this is only safe in write-through mode, where all
-/// cached data is clean and the disk is always authoritative.
+/// Write-through FlashTier system: SSC + disk and no host metadata. All
+/// cached data is clean and the disk is authoritative, so every read consults
+/// the SSC and every miss or unreadable cache page is served from the disk.
 #[derive(Debug)]
 pub struct FlashTierWt {
     ssc: Ssc,
     disk: Disk,
-    bloom: Option<BloomFilter>,
     counters: MgrCounters,
     /// Both tiers run in discard mode: payload bytes are never retained,
     /// produced or read back.
@@ -52,34 +49,8 @@ impl FlashTierWt {
         FlashTierWt {
             ssc,
             disk,
-            bloom: None,
             counters: MgrCounters::default(),
             payload_discarded,
-        }
-    }
-
-    /// Enables the §4.2.1 Bloom filter: reads of blocks the filter has
-    /// never seen skip the device lookup entirely. A saturated filter
-    /// (fill > 50%) is cleared and re-learned — safe because a filter miss
-    /// merely routes the read to the (authoritative) disk and re-fills the
-    /// cache entry.
-    pub fn with_bloom_filter(mut self, fp_rate: f64) -> Self {
-        let capacity = self.ssc.data_capacity_pages().max(64);
-        self.bloom = Some(BloomFilter::for_capacity(capacity, fp_rate));
-        self
-    }
-
-    /// The Bloom filter, when enabled.
-    pub fn bloom(&self) -> Option<&BloomFilter> {
-        self.bloom.as_ref()
-    }
-
-    fn bloom_note_insert(&mut self, lba: u64) {
-        if let Some(filter) = &mut self.bloom {
-            if filter.fill_ratio() > 0.5 {
-                filter.clear();
-            }
-            filter.insert(lba);
         }
     }
 
@@ -126,7 +97,7 @@ impl FlashTierWt {
         Ok(self.ssc.recover()?)
     }
 
-    /// Disk fetch + cache fill shared by the miss and Bloom-skip paths; the
+    /// Disk fetch + cache fill shared by the miss and read-fault paths; the
     /// fetched block ends up in `buf`.
     fn fetch_and_fill(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
         let disk_cost = self.disk.read_into(lba, buf)?;
@@ -137,7 +108,6 @@ impl FlashTierWt {
             Err(SscError::OutOfSpace) => Duration::ZERO,
             Err(e) => return Err(e.into()),
         };
-        self.bloom_note_insert(lba);
         Ok(disk_cost + fill_cost)
     }
 }
@@ -145,14 +115,6 @@ impl FlashTierWt {
 impl CacheSystem for FlashTierWt {
     fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
         self.counters.reads += 1;
-        if let Some(filter) = &self.bloom {
-            if !filter.may_contain(lba) {
-                // Definitively never cached: skip the device round-trip.
-                self.counters.bloom_skips += 1;
-                self.counters.read_misses += 1;
-                return self.fetch_and_fill(lba, buf);
-            }
-        }
         match self.ssc.read_into(lba, buf) {
             Ok(cost) => {
                 self.counters.read_hits += 1;
@@ -185,7 +147,6 @@ impl CacheSystem for FlashTierWt {
         // request completes when the slower one does.
         let disk_cost = self.disk.write(lba, data)?;
         let ssc_cost = self.ssc.write_clean(lba, data)?;
-        self.bloom_note_insert(lba);
         Ok(disk_cost.max(ssc_cost))
     }
 
@@ -193,17 +154,9 @@ impl CacheSystem for FlashTierWt {
         self.counters
     }
 
-    /// Zero without the Bloom filter ("its memory usage is effectively
-    /// zero" in write-through mode); the optional filter's bits otherwise.
+    /// Zero: in write-through mode "its memory usage is effectively zero".
     fn host_memory(&self) -> MapMemory {
-        match &self.bloom {
-            Some(f) => MapMemory {
-                entries: f.inserted() as usize,
-                modeled_bytes: f.memory_bytes(),
-                heap_bytes: f.memory_bytes(),
-            },
-            None => MapMemory::default(),
-        }
+        MapMemory::default()
     }
 
     fn device_memory(&self) -> MapMemory {
@@ -334,69 +287,5 @@ mod tests {
         let (data, _) = s.read(42).unwrap();
         assert_eq!(data, block(5));
         assert_eq!(s.disk.counters().reads, reads_before);
-    }
-}
-
-#[cfg(test)]
-mod bloom_tests {
-    use super::*;
-    use disksim::{DiskConfig, DiskDataMode};
-    use flashtier_core::SscConfig;
-
-    fn system_with_bloom() -> FlashTierWt {
-        let ssc = Ssc::new(SscConfig::small_test());
-        let disk = Disk::new(DiskConfig::small_test(), DiskDataMode::Store);
-        FlashTierWt::new(ssc, disk).with_bloom_filter(0.01)
-    }
-
-    #[test]
-    fn filter_skips_never_cached_reads() {
-        let mut s = system_with_bloom();
-        s.disk.write(99, &vec![5u8; 512]).unwrap();
-        // Never cached: the filter short-circuits past the SSC.
-        let ssc_reads_before = s.ssc().counters().host_reads;
-        let (data, _) = s.read(99).unwrap();
-        assert_eq!(data, vec![5u8; 512]);
-        assert_eq!(
-            s.ssc().counters().host_reads,
-            ssc_reads_before,
-            "SSC lookup skipped"
-        );
-        assert_eq!(s.counters().bloom_skips, 1);
-        // Now it is cached and filtered-in: next read consults the SSC.
-        let (_, cost) = s.read(99).unwrap();
-        assert!(cost.as_micros() < 1000, "second read is a cache hit");
-        assert_eq!(s.counters().bloom_skips, 1);
-    }
-
-    #[test]
-    fn filter_never_hides_cached_data() {
-        let mut s = system_with_bloom();
-        for lba in 0..64u64 {
-            s.write(lba, &vec![lba as u8; 512]).unwrap();
-        }
-        for lba in 0..64u64 {
-            let (data, _) = s.read(lba).unwrap();
-            assert_eq!(data, vec![lba as u8; 512], "lba {lba}");
-        }
-        assert!(s.bloom().unwrap().inserted() >= 64);
-        assert!(s.host_memory().modeled_bytes > 0);
-    }
-
-    #[test]
-    fn saturation_clears_and_stays_correct() {
-        let mut s = system_with_bloom();
-        // Push well past filter capacity with disk-backed blocks.
-        for lba in 0..4_000u64 {
-            s.disk.write(lba, &vec![1u8; 512]).unwrap();
-        }
-        for lba in 0..4_000u64 {
-            let (data, _) = s.read(lba).unwrap();
-            assert_eq!(data[0], 1, "lba {lba} readable through saturation");
-        }
-        assert!(
-            s.bloom().unwrap().fill_ratio() <= 0.75,
-            "rebuilds bound saturation"
-        );
     }
 }

@@ -19,18 +19,16 @@
 //! [`replay`] drives any manager with a trace and gathers the
 //! IOPS/latency/hit-rate statistics behind Figures 3, 4 and 6.
 
-pub mod bloom;
 pub mod dirty_table;
-pub mod error;
-pub mod flashtier_wb;
-pub mod flashtier_wt;
-pub mod metrics;
+mod error;
+mod flashtier_wb;
+mod flashtier_wt;
+mod metrics;
 pub mod native;
-pub mod sharded;
+mod sharded;
 mod slot_cache;
-pub mod system;
+mod system;
 
-pub use bloom::BloomFilter;
 pub use dirty_table::DirtyTable;
 pub use error::CmError;
 pub use flashtier_wb::FlashTierWb;

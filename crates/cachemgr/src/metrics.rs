@@ -19,7 +19,8 @@ simkit::counter_set! {
         pub evictions: u64,
         /// Metadata pages persisted to the SSD (Native write-back only).
         pub metadata_writes: u64,
-        /// Device lookups skipped by the Bloom filter (write-through only).
+        /// Always zero: no manager has a Bloom filter. Kept only because
+        /// the performance ledger still reads it.
         pub bloom_skips: u64,
         /// Unrecoverable cache-read media faults converted into disk-served
         /// misses (the faulted mapping is invalidated; never stale data).

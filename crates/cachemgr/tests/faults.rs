@@ -24,7 +24,6 @@ fn faulty_plan() -> FaultPlan {
         read_transient_ppm: 10_000,
         read_permanent_ppm: 15_000,
         read_corrupt_ppm: 15_000,
-        oob_corrupt_ppm: 1_000,
         program_fail_ppm: 5_000,
         erase_fail_ppm: 1_000,
     }

@@ -1,38 +1,13 @@
-//! Property tests for cache-manager data structures: the Bloom filter's
-//! one-sided error, the dirty table's LRU order against a reference deque,
-//! and the dirty table against a reference ordered set.
+//! Property tests for cache-manager data structures: the dirty table's LRU
+//! order against a reference deque, and the dirty table against a reference
+//! ordered set.
 //!
 //! Cases come from the deterministic `simkit::SimRng`; failures reproduce
 //! by case number.
 
-use cachemgr::{BloomFilter, DirtyTable};
+use cachemgr::DirtyTable;
 use simkit::SimRng;
 use std::collections::{HashSet, VecDeque};
-
-#[test]
-fn bloom_has_no_false_negatives() {
-    for case in 0..128u64 {
-        let mut rng = SimRng::seed_from(0xB100_0000 ^ case);
-        let mut keys: HashSet<u64> = HashSet::new();
-        let target = 1 + rng.gen_range(499) as usize;
-        while keys.len() < target {
-            keys.insert(rng.next_u64());
-        }
-        let probes: Vec<u64> = (0..rng.gen_range(200)).map(|_| rng.next_u64()).collect();
-        let mut filter = BloomFilter::for_capacity(keys.len() as u64, 0.01);
-        for &k in &keys {
-            filter.insert(k);
-        }
-        for &k in &keys {
-            assert!(filter.may_contain(k), "false negative for {}", k);
-        }
-        // Probes of non-members may return either answer; just exercise.
-        for &p in &probes {
-            let _ = filter.may_contain(p);
-        }
-        assert_eq!(filter.inserted(), keys.len() as u64);
-    }
-}
 
 /// The dirty table's recency list against a reference deque: touches,
 /// removals and LRU pops, then the whole order by draining from the back.

@@ -21,14 +21,14 @@ use simkit::Duration;
 use crate::map::{BlockEntry, PagePtr, SscMaps};
 
 /// Serialized bytes per page-level entry (one CRC-framed record).
-pub const PAGE_ENTRY_BYTES: u64 = crate::wal::RECORD_BYTES;
+pub(crate) const PAGE_ENTRY_BYTES: u64 = crate::wal::RECORD_BYTES;
 /// Serialized bytes per block-level entry (a two-frame record).
-pub const BLOCK_ENTRY_BYTES: u64 = 2 * crate::wal::RECORD_BYTES;
+pub(crate) const BLOCK_ENTRY_BYTES: u64 = 2 * crate::wal::RECORD_BYTES;
 
 /// One durable snapshot of the forward maps.
 ///
 /// The snapshot stands for the encoded bytes a real device would write —
-/// a CRC-framed stream of insert records (see [`crate::codec`]) — and
+/// a CRC-framed stream of insert records (see the `codec` module) — and
 /// restoring it encodes, decodes and validates that wire format, so a
 /// corrupted slot is *detected* rather than trusted (which is what the
 /// two-slot scheme exists for).
@@ -70,7 +70,7 @@ impl Checkpoint {
     /// and their bytes are produced on demand. `recycled` — the checkpoint
     /// whose slot this one overwrites — donates its vectors, so steady-state
     /// capture does not allocate.
-    pub fn capture(maps: &SscMaps, lsn: u64, recycled: Option<Checkpoint>) -> Self {
+    pub(crate) fn capture(maps: &SscMaps, lsn: u64, recycled: Option<Checkpoint>) -> Self {
         let (mut pages, mut blocks) = match recycled.map(|c| c.snapshot) {
             Some(Snapshot::Deferred { pages, blocks }) => (pages, blocks),
             _ => (Vec::new(), Vec::new()),
@@ -259,7 +259,7 @@ impl CheckpointStore {
     }
 
     /// Test hook: corrupts the newest snapshot in place.
-    pub fn corrupt_latest(&mut self) {
+    pub(crate) fn corrupt_latest(&mut self) {
         let newest = match (&self.slots[0], &self.slots[1]) {
             (Some(a), Some(b)) => {
                 if a.lsn >= b.lsn {
@@ -279,12 +279,12 @@ impl CheckpointStore {
 
     /// Size of the newest checkpoint in bytes (0 when none) — the reference
     /// point for the log-size policy.
-    pub fn latest_bytes(&self) -> u64 {
+    pub(crate) fn latest_bytes(&self) -> u64 {
         self.latest().map(|c| c.bytes()).unwrap_or(0)
     }
 
     /// Simulated cost of reading the newest checkpoint back at recovery.
-    pub fn load_cost(&self) -> Duration {
+    pub(crate) fn load_cost(&self) -> Duration {
         match self.latest() {
             Some(c) => {
                 let pages = c.bytes().div_ceil(self.page_size as u64).max(1);

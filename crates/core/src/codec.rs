@@ -58,34 +58,10 @@ fn frame(lsn: u64, tag: u8, logical: u64, physical: u64, bitmap: u64) -> Frame {
     out
 }
 
-/// Encodes one record as one or two CRC-framed wire frames.
-pub fn encode_record(lsn: u64, record: &LogRecord) -> Vec<Frame> {
-    match *record {
-        LogRecord::InsertPage { lba, ppn, dirty } => {
-            let tag = TAG_INSERT_PAGE | if dirty { FLAG_DIRTY } else { 0 };
-            vec![frame(lsn, tag, lba, ppn, 0)]
-        }
-        LogRecord::RemovePage { lba } => vec![frame(lsn, TAG_REMOVE_PAGE, lba, 0, 0)],
-        LogRecord::InsertBlock {
-            lbn,
-            pbn,
-            valid,
-            dirty,
-        } => vec![
-            frame(lsn, TAG_INSERT_BLOCK, lbn, pbn, valid),
-            frame(lsn, TAG_INSERT_BLOCK_DIRTY, lbn, pbn, dirty),
-        ],
-        LogRecord::RemoveBlock { lbn } => vec![frame(lsn, TAG_REMOVE_BLOCK, lbn, 0, 0)],
-        LogRecord::MaskBlockPage { lba } => vec![frame(lsn, TAG_MASK_BLOCK_PAGE, lba, 0, 0)],
-        LogRecord::SetClean { lba } => vec![frame(lsn, TAG_SET_CLEAN, lba, 0, 0)],
-    }
-}
-
 /// Appends the one or two CRC-framed wire frames for `record` directly to
-/// a byte stream. Produces exactly the bytes of [`encode_record`] without
-/// the per-record frame `Vec`, so flush and checkpoint loops can encode
-/// thousands of records with zero heap traffic.
-pub fn encode_record_into(lsn: u64, record: &LogRecord, out: &mut Vec<u8>) {
+/// a byte stream, with no per-record frame `Vec`, so flush and checkpoint
+/// loops can encode thousands of records with zero heap traffic.
+pub(crate) fn encode_record_into(lsn: u64, record: &LogRecord, out: &mut Vec<u8>) {
     match *record {
         LogRecord::InsertPage { lba, ppn, dirty } => {
             let tag = TAG_INSERT_PAGE | if dirty { FLAG_DIRTY } else { 0 };
@@ -113,8 +89,8 @@ pub fn encode_record_into(lsn: u64, record: &LogRecord, out: &mut Vec<u8>) {
     }
 }
 
-/// Number of wire frames [`encode_record`] produces for `record`.
-pub fn record_frames(record: &LogRecord) -> u64 {
+/// Number of wire frames [`encode_record_into`] appends for `record`.
+pub(crate) fn record_frames(record: &LogRecord) -> u64 {
     match record {
         LogRecord::InsertBlock { .. } => 2,
         _ => 1,
@@ -123,7 +99,7 @@ pub fn record_frames(record: &LogRecord) -> u64 {
 
 /// Result of decoding a frame stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeEnd {
+pub(crate) enum DecodeEnd {
     /// Every frame decoded cleanly.
     Clean,
     /// Decoding stopped at byte offset because of a bad CRC, a truncated
@@ -136,7 +112,7 @@ pub enum DecodeEnd {
 
 /// Decodes a byte stream of frames back into `(lsn, record)` pairs,
 /// stopping (not failing) at the first sign of a torn tail.
-pub fn decode_records(bytes: &[u8]) -> (Vec<(u64, LogRecord)>, DecodeEnd) {
+pub(crate) fn decode_records(bytes: &[u8]) -> (Vec<(u64, LogRecord)>, DecodeEnd) {
     let frame_len = RECORD_BYTES as usize;
     let mut out = Vec::new();
     let mut offset = 0;
@@ -200,6 +176,30 @@ pub fn decode_records(bytes: &[u8]) -> (Vec<(u64, LogRecord)>, DecodeEnd) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reference encoder: one record as one or two CRC-framed wire frames,
+    /// each its own allocation. [`encode_record_into`] must produce its bytes.
+    fn encode_record(lsn: u64, record: &LogRecord) -> Vec<Frame> {
+        match *record {
+            LogRecord::InsertPage { lba, ppn, dirty } => {
+                let tag = TAG_INSERT_PAGE | if dirty { FLAG_DIRTY } else { 0 };
+                vec![frame(lsn, tag, lba, ppn, 0)]
+            }
+            LogRecord::RemovePage { lba } => vec![frame(lsn, TAG_REMOVE_PAGE, lba, 0, 0)],
+            LogRecord::InsertBlock {
+                lbn,
+                pbn,
+                valid,
+                dirty,
+            } => vec![
+                frame(lsn, TAG_INSERT_BLOCK, lbn, pbn, valid),
+                frame(lsn, TAG_INSERT_BLOCK_DIRTY, lbn, pbn, dirty),
+            ],
+            LogRecord::RemoveBlock { lbn } => vec![frame(lsn, TAG_REMOVE_BLOCK, lbn, 0, 0)],
+            LogRecord::MaskBlockPage { lba } => vec![frame(lsn, TAG_MASK_BLOCK_PAGE, lba, 0, 0)],
+            LogRecord::SetClean { lba } => vec![frame(lsn, TAG_SET_CLEAN, lba, 0, 0)],
+        }
+    }
 
     fn all_record_kinds() -> Vec<LogRecord> {
         vec![

@@ -168,7 +168,7 @@ impl SscConfig {
     /// entry per log page), the block level up to one entry per erase
     /// block. Sizing the map for these bounds at construction avoids rehash
     /// churn during warm-up.
-    pub fn map_capacity_hints(&self) -> (usize, usize) {
+    pub(crate) fn map_capacity_hints(&self) -> (usize, usize) {
         let ppb = self.flash.geometry.pages_per_block() as u64;
         let pages = self.log_block_limit() * ppb;
         let blocks = self.total_blocks();

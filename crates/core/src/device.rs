@@ -1104,8 +1104,8 @@ impl Ssc {
     /// Brute-force rebuild-and-sort victim selection — the reference
     /// implementation the index is checked against. Retained solely for the
     /// index/scan oracle tests.
-    #[doc(hidden)]
-    pub fn select_eviction_victims_scan(&self) -> Vec<(u64, BlockEntry)> {
+    #[cfg(test)]
+    pub(crate) fn select_eviction_victims_scan(&self) -> Vec<(u64, BlockEntry)> {
         let geometry = self.dev.geometry();
         let preferred_plane = self.pool.emptiest_plane();
         let mut candidates: Vec<(u64, u64, bool, u64, BlockEntry)> = self
@@ -1175,40 +1175,6 @@ impl Ssc {
     /// Test/debug helper: page-level entry count.
     pub fn debug_page_entries(&self) -> usize {
         self.maps.page_count()
-    }
-}
-
-impl Ssc {
-    /// Test/debug helper: classify every erase block.
-    pub fn debug_block_census(&self) -> Vec<String> {
-        let geometry = self.dev.geometry();
-        let data: std::collections::HashSet<u64> = self.maps.blocks().map(|(_, e)| e.pbn).collect();
-        let logs: std::collections::HashSet<u64> =
-            self.log_blocks.iter().map(|p| p.raw()).collect();
-        let mut out = Vec::new();
-        for plane in 0..geometry.planes() {
-            for block in 0..geometry.blocks_per_plane() {
-                let pbn = geometry.pbn(plane, block);
-                let st = self.dev.block_state(pbn).unwrap();
-                let role = if data.contains(&pbn.raw()) {
-                    "data"
-                } else if logs.contains(&pbn.raw()) {
-                    "log"
-                } else if st.is_empty() {
-                    "free?"
-                } else {
-                    "ORPHAN"
-                };
-                out.push(format!(
-                    "pbn {} role {role} wp {} valid {} invalid {}",
-                    pbn.raw(),
-                    st.write_ptr,
-                    st.valid_pages,
-                    st.invalid_pages
-                ));
-            }
-        }
-        out
     }
 }
 
@@ -1959,13 +1925,5 @@ impl Ssc {
             };
             (r.ppn().raw(), r.dirty(), level)
         })
-    }
-}
-
-impl Ssc {
-    /// Test/debug helper: (latest ckpt lsn, durable lsn, records since ckpt).
-    pub fn debug_wal_state(&self) -> (u64, u64, Vec<(u64, crate::wal::LogRecord)>) {
-        let base = self.ckpt.latest().map(|c| c.lsn).unwrap_or(0);
-        (base, self.wal.durable_lsn(), self.wal.records_since(base))
     }
 }

@@ -44,14 +44,14 @@
 //! ```
 
 pub mod checkpoint;
-pub mod codec;
-pub mod config;
-pub mod device;
-pub mod error;
+mod codec;
+mod config;
+mod device;
+mod error;
 mod evict_index;
-pub mod map;
-pub mod recovery;
-pub mod shard;
+mod map;
+mod recovery;
+mod shard;
 pub mod wal;
 
 pub use config::{ConsistencyMode, EvictionPolicy, SscConfig, VictimSelection};

@@ -84,34 +84,34 @@ impl BlockEntry {
     }
 
     /// Whether offset `i` holds live data.
-    pub fn is_valid(&self, i: u32) -> bool {
+    pub(crate) fn is_valid(&self, i: u32) -> bool {
         self.valid & (1 << i) != 0
     }
 
     /// Whether offset `i` is dirty.
-    pub fn is_dirty(&self, i: u32) -> bool {
+    pub(crate) fn is_dirty(&self, i: u32) -> bool {
         self.dirty & (1 << i) != 0
     }
 
     /// Number of live pages.
-    pub fn valid_count(&self) -> u32 {
+    pub(crate) fn valid_count(&self) -> u32 {
         self.valid.count_ones()
     }
 
     /// Returns `true` if no page is dirty (the block is a silent-eviction
     /// candidate).
-    pub fn is_clean(&self) -> bool {
+    pub(crate) fn is_clean(&self) -> bool {
         self.dirty == 0
     }
 
     /// Clears validity (and dirtiness) of offset `i`.
-    pub fn mask_page(&mut self, i: u32) {
+    pub(crate) fn mask_page(&mut self, i: u32) {
         self.valid &= !(1u64 << i);
         self.dirty &= !(1u64 << i);
     }
 
     /// Clears the dirty flag of offset `i`.
-    pub fn clean_page(&mut self, i: u32) {
+    pub(crate) fn clean_page(&mut self, i: u32) {
         self.dirty &= !(1u64 << i);
     }
 }
@@ -164,7 +164,7 @@ pub struct LbnEntry {
 
 impl LbnEntry {
     /// Live pages across the data block and the log.
-    pub fn live_pages(&self) -> u32 {
+    pub(crate) fn live_pages(&self) -> u32 {
         self.block.map_or(0, |b| b.valid_count()) + self.log.len() as u32
     }
 
@@ -184,7 +184,7 @@ impl LbnEntry {
 
 /// What [`SscMaps::remove_lba`] took out of the maps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Removed {
+pub(crate) enum Removed {
     /// A log page.
     Page(PagePtr),
     /// One page of the data block `pbn`; `survivor` is the block's entry as
@@ -275,12 +275,12 @@ impl SscMaps {
     }
 
     /// Number of data blocks.
-    pub fn block_count(&self) -> usize {
+    pub(crate) fn block_count(&self) -> usize {
         self.blocks
     }
 
     /// Number of page-level (log) entries.
-    pub fn page_count(&self) -> usize {
+    pub(crate) fn page_count(&self) -> usize {
         self.pages
     }
 
@@ -325,7 +325,8 @@ impl SscMaps {
     }
 
     /// Returns `true` if `lba` is present and dirty.
-    pub fn is_dirty(&self, lba: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_dirty(&self, lba: u64) -> bool {
         self.lookup(lba).is_some_and(|r| r.dirty())
     }
 
@@ -350,7 +351,7 @@ impl SscMaps {
     }
 
     /// Removes a page-level mapping.
-    pub fn remove_page(&mut self, lba: u64) -> Option<PagePtr> {
+    pub(crate) fn remove_page(&mut self, lba: u64) -> Option<PagePtr> {
         let (lbn, offset) = self.split(lba);
         let old = self.edit(lbn, |e| e.log.remove(offset))??;
         self.pages -= 1;
@@ -368,7 +369,7 @@ impl SscMaps {
     }
 
     /// Inserts a block-level mapping, returning the previous entry.
-    pub fn insert_block(&mut self, lbn: u64, block: BlockEntry) -> Option<BlockEntry> {
+    pub(crate) fn insert_block(&mut self, lbn: u64, block: BlockEntry) -> Option<BlockEntry> {
         let entry = self.lbns.get_or_insert_with(lbn, LbnEntry::default);
         let old = entry.block.replace(block);
         self.blocks += usize::from(old.is_none());
@@ -376,7 +377,7 @@ impl SscMaps {
     }
 
     /// Removes a block-level mapping.
-    pub fn remove_block(&mut self, lbn: u64) -> Option<BlockEntry> {
+    pub(crate) fn remove_block(&mut self, lbn: u64) -> Option<BlockEntry> {
         let old = self.edit(lbn, |e| e.block.take())??;
         self.blocks -= 1;
         Some(old)
@@ -385,7 +386,7 @@ impl SscMaps {
     /// Masks one page of a block-level entry (page invalidated by overwrite
     /// or eviction); drops the entry when its last page goes. Returns the
     /// entry as it now stands: `None` when it was dropped (or never there).
-    pub fn mask_block_page(&mut self, lba: u64) -> Option<BlockEntry> {
+    pub(crate) fn mask_block_page(&mut self, lba: u64) -> Option<BlockEntry> {
         let (lbn, offset) = self.split(lba);
         let survivor = self.edit(lbn, |e| e.mask(offset).map(|_| e.block))??;
         self.blocks -= usize::from(survivor.is_none());
@@ -394,7 +395,7 @@ impl SscMaps {
 
     /// Removes the live copy of `lba` at whichever level holds it, with one
     /// probe, and reports what went.
-    pub fn remove_lba(&mut self, lba: u64) -> Option<Removed> {
+    pub(crate) fn remove_lba(&mut self, lba: u64) -> Option<Removed> {
         let (lbn, offset) = self.split(lba);
         let removed = self.edit(lbn, |e| {
             if let Some(ptr) = e.log.remove(offset) {
@@ -418,7 +419,7 @@ impl SscMaps {
     /// `None` if `lba` is not cached, else which level held it: `Some(None)`
     /// for a log page, `Some(Some(entry))` for a data-block page — `entry`
     /// being the block's entry as it now stands.
-    pub fn set_clean(&mut self, lba: u64) -> Option<Option<BlockEntry>> {
+    pub(crate) fn set_clean(&mut self, lba: u64) -> Option<Option<BlockEntry>> {
         let (lbn, offset) = self.split(lba);
         let entry = self.lbns.get_mut(lbn)?;
         if let Some(ptr) = entry.log.get_mut(offset) {
@@ -431,7 +432,7 @@ impl SscMaps {
     }
 
     /// All dirty LBAs within `[start, end)` — the data behind `exists`.
-    pub fn dirty_in_range(&self, start: u64, end: u64) -> Vec<u64> {
+    pub(crate) fn dirty_in_range(&self, start: u64, end: u64) -> Vec<u64> {
         let mut out = Vec::new();
         for (lbn, entry) in self.lbns.iter() {
             let first = lbn * self.ppb as u64;

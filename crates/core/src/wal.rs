@@ -12,7 +12,7 @@
 //! `clean`). A crash discards the buffer; recovery replays flushed records.
 //!
 //! The simulator keeps durable records structurally and materialises their
-//! wire bytes (the CRC frames of [`crate::codec`]) on demand: a flush is
+//! wire bytes (the CRC frames of the `codec` module) on demand: a flush is
 //! priced by its frame count, and the bytes exist whenever something reads
 //! the log back — every [`crate::Ssc::recover`] decodes them, every torn
 //! crash cuts them mid-frame and keeps what the CRCs still vouch for. A
@@ -237,7 +237,7 @@ impl Wal {
     /// durable suffix is intact, `bytes_since(lsn)` equals this counter
     /// minus a constant — the identity the checkpoint-trigger memo in
     /// [`crate::Ssc`] relies on. Only a torn crash can rewind it.
-    pub fn appended_bytes(&self) -> u64 {
+    pub(crate) fn appended_bytes(&self) -> u64 {
         self.appended_bytes
     }
 

@@ -112,7 +112,7 @@ impl Geometry {
     }
 
     /// Erase block size in bytes (256 KB with default geometry).
-    pub const fn block_bytes(&self) -> u64 {
+    pub(crate) const fn block_bytes(&self) -> u64 {
         self.pages_per_block as u64 * self.page_size as u64
     }
 
@@ -155,20 +155,9 @@ impl Geometry {
         (pbn.raw() / self.blocks_per_plane as u64) as u32
     }
 
-    /// Returns the in-plane block index of `pbn`.
-    pub fn block_in_plane(&self, pbn: Pbn) -> u32 {
-        (pbn.raw() % self.blocks_per_plane as u64) as u32
-    }
-
     /// Returns the first page of `pbn`.
     pub fn first_page(&self, pbn: Pbn) -> Ppn {
         Ppn(pbn.raw() << self.page_shift)
-    }
-
-    /// Iterates all pages of `pbn` in programming order.
-    pub fn pages_of(&self, pbn: Pbn) -> impl Iterator<Item = Ppn> {
-        let first = self.first_page(pbn).raw();
-        (first..first + self.pages_per_block as u64).map(Ppn)
     }
 
     /// Returns `true` if `ppn` addresses an existing page.
@@ -269,22 +258,8 @@ mod tests {
             let ppn = g.ppn(plane, block, page);
             let pbn = g.block_of(ppn);
             assert_eq!(g.plane_of(pbn), plane);
-            assert_eq!(g.block_in_plane(pbn), block);
             assert_eq!(g.page_in_block(ppn), page);
             assert_eq!(g.pbn(plane, block), pbn);
-        }
-    }
-
-    #[test]
-    fn pages_of_is_sequential_within_block() {
-        let g = FlashConfig::small_test().geometry;
-        let pbn = g.pbn(1, 3);
-        let pages: Vec<_> = g.pages_of(pbn).collect();
-        assert_eq!(pages.len(), g.pages_per_block() as usize);
-        assert_eq!(pages[0], g.first_page(pbn));
-        for (i, p) in pages.iter().enumerate() {
-            assert_eq!(g.block_of(*p), pbn);
-            assert_eq!(g.page_in_block(*p), i as u32);
         }
     }
 

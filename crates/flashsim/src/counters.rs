@@ -11,8 +11,6 @@ simkit::counter_set! {
         pub page_reads: u64,
         /// Pages programmed.
         pub page_writes: u64,
-        /// OOB-only reads (recovery scans).
-        pub oob_reads: u64,
         /// Blocks erased.
         pub erases: u64,
         /// Pages invalidated by the layer above.
@@ -33,7 +31,8 @@ pub struct WearStats {
 
 impl WearStats {
     /// Computes wear statistics from per-block erase counts.
-    pub fn from_counts(counts: impl Iterator<Item = u64>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_counts(counts: impl Iterator<Item = u64>) -> Self {
         let mut stats = WearStats {
             min_erases: u64::MAX,
             max_erases: 0,
@@ -69,7 +68,7 @@ impl WearStats {
 /// sequence of erases, `stats()` equals `WearStats::from_counts` over the
 /// live per-block counts.
 #[derive(Debug, Clone)]
-pub struct WearTracker {
+pub(crate) struct WearTracker {
     /// `hist[c]` = number of blocks whose erase count is `c`.
     hist: Vec<u64>,
     min: u64,
@@ -90,7 +89,7 @@ impl WearTracker {
     }
 
     /// Records one block moving from erase count `old` to `old + 1`.
-    pub fn record_erase(&mut self, old: u64) {
+    pub(crate) fn record_erase(&mut self, old: u64) {
         let idx = old as usize;
         debug_assert!(
             self.hist.get(idx).is_some_and(|&n| n > 0),
@@ -129,21 +128,18 @@ mod tests {
         let a = FlashCounters {
             page_reads: 10,
             page_writes: 5,
-            oob_reads: 1,
             erases: 2,
             invalidations: 3,
         };
         let b = FlashCounters {
             page_reads: 25,
             page_writes: 9,
-            oob_reads: 4,
             erases: 2,
             invalidations: 10,
         };
         let d = b.since(&a);
         assert_eq!(d.page_reads, 15);
         assert_eq!(d.page_writes, 4);
-        assert_eq!(d.oob_reads, 3);
         assert_eq!(d.erases, 0);
         assert_eq!(d.invalidations, 7);
     }

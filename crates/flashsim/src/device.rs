@@ -90,11 +90,6 @@ impl FlashDevice {
             .unwrap_or_default()
     }
 
-    /// Whether `pbn` is a grown bad block (its erases fail permanently).
-    pub fn is_grown_bad(&self, pbn: Pbn) -> bool {
-        self.faults.as_ref().is_some_and(|f| f.is_bad_block(pbn))
-    }
-
     /// Number of grown bad blocks.
     pub fn grown_bad_blocks(&self) -> usize {
         self.faults
@@ -250,23 +245,6 @@ impl FlashDevice {
         Ok(self.config.timing.read_cost())
     }
 
-    /// Reads only the OOB metadata of a programmed page, charging the
-    /// (cheaper) OOB scan cost. Used by recovery scans.
-    ///
-    /// # Errors
-    ///
-    /// Same addressing/state errors as [`FlashDevice::read_page`].
-    pub fn read_oob(&mut self, ppn: Ppn) -> Result<(OobData, Duration)> {
-        let oob = self.peek_oob(ppn)?;
-        if let Some(inj) = &mut self.faults {
-            if inj.on_oob() {
-                return Err(FlashError::ReadCorrupt(ppn));
-            }
-        }
-        self.counters.oob_reads += 1;
-        Ok((oob, self.config.timing.oob_read_cost()))
-    }
-
     /// Returns OOB metadata without charging simulated time.
     ///
     /// This models the FTL/SSC controller consulting state it already has in
@@ -385,7 +363,7 @@ impl FlashDevice {
     /// plane's serialized cell reads, one bus transfer per page — cell reads
     /// on different planes overlap) plus one page program per slot. Like
     /// every relocation primitive it draws no injected faults (see
-    /// [`crate::fault`]).
+    /// [`crate::FaultInjector`]).
     ///
     /// # Errors
     ///
@@ -790,23 +768,6 @@ mod tests {
         assert_eq!(valid[0].0, p1);
         assert_eq!(valid[0].1.lba(), Some(11));
         assert!(valid[0].1.dirty());
-    }
-
-    #[test]
-    fn oob_read_charges_scan_cost() {
-        let mut d = dev();
-        let ppn = d.geometry().ppn(0, 0, 0);
-        let data = page_of(&d, 1);
-        d.program_page(ppn, &data, OobData::for_lba(3, true, 9))
-            .unwrap();
-        let (oob, cost) = d.read_oob(ppn).unwrap();
-        assert_eq!(oob.lba(), Some(3));
-        assert_eq!(cost.as_micros(), 75);
-        assert_eq!(d.counters().oob_reads, 1);
-        // peek_oob is free and uncounted.
-        let peek = d.peek_oob(ppn).unwrap();
-        assert_eq!(peek, oob);
-        assert_eq!(d.counters().oob_reads, 1);
     }
 
     #[test]
@@ -1299,24 +1260,8 @@ mod fault_tests {
             .unwrap();
         assert_eq!(d.read_page(ppn).unwrap_err(), FlashError::ReadCorrupt(ppn));
         assert_eq!(d.fault_counters().read_corruptions, 1);
-    }
-
-    #[test]
-    fn oob_corruption_faults_metered_reads_only() {
-        let mut d = dev_with(FaultPlan {
-            seed: 5,
-            oob_corrupt_ppm: 1_000_000,
-            ..FaultPlan::default()
-        });
-        let g = *d.geometry();
-        let data = vec![1u8; g.page_size()];
-        let (ppn, _) = d
-            .program_next(g.pbn(0, 1), &data, OobData::for_lba(3, true, 1))
-            .unwrap();
-        assert_eq!(d.read_oob(ppn).unwrap_err(), FlashError::ReadCorrupt(ppn));
         // peek_oob models controller RAM, immune to media faults.
-        assert_eq!(d.peek_oob(ppn).unwrap().lba(), Some(3));
-        assert_eq!(d.fault_counters().oob_corruptions, 1);
+        assert_eq!(d.peek_oob(ppn).unwrap().lba(), Some(8));
     }
 
     #[test]
@@ -1375,7 +1320,6 @@ mod fault_tests {
             d.erase_block(pbn).unwrap_err(),
             FlashError::EraseFailed(pbn)
         );
-        assert!(d.is_grown_bad(pbn));
         assert_eq!(d.grown_bad_blocks(), 1);
         assert_eq!(
             d.counters().erases,

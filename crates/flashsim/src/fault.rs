@@ -14,8 +14,8 @@
 //! no branches through this module beyond a single `Option` check, draws no
 //! hashes and charges no extra time — the fault layer is zero-cost when off.
 //!
-//! Scope: faults apply to *host-visible* operations (page reads, OOB reads,
-//! host programs, erases). Device-internal relocation traffic
+//! Scope: faults apply to *host-visible* operations (page reads, host
+//! programs, erases). Device-internal relocation traffic
 //! (`read_page_charge`/`copy_page_from` for single pages, `rebuild_block`
 //! for whole-block rebuilds) is exempt — it neither draws fresh faults nor
 //! surfaces grown bad pages — modelling firmware-level read-retry and
@@ -44,8 +44,6 @@ pub struct FaultPlan {
     /// Detected payload corruption: ECC reports an uncorrectable error; the
     /// page is treated as a grown bad page thereafter.
     pub read_corrupt_ppm: u32,
-    /// Detected OOB corruption on a metered OOB read.
-    pub oob_corrupt_ppm: u32,
     /// Program failure: the target page is consumed (left unusable) and the
     /// caller must re-issue the write to the next free page.
     pub program_fail_ppm: u32,
@@ -63,7 +61,6 @@ impl FaultPlan {
             read_transient_ppm: ppm,
             read_permanent_ppm: ppm,
             read_corrupt_ppm: ppm,
-            oob_corrupt_ppm: ppm,
             program_fail_ppm: ppm,
             erase_fail_ppm: ppm,
         }
@@ -80,8 +77,6 @@ simkit::counter_set! {
         pub read_failures: u64,
         /// Detected payload corruptions surfaced to the caller.
         pub read_corruptions: u64,
-        /// Detected OOB corruptions surfaced to the caller.
-        pub oob_corruptions: u64,
         /// Program failures surfaced to the caller.
         pub program_failures: u64,
         /// Erase failures surfaced to the caller.
@@ -97,7 +92,6 @@ impl FaultCounters {
         self.read_transients
             + self.read_failures
             + self.read_corruptions
-            + self.oob_corruptions
             + self.program_failures
             + self.erase_failures
     }
@@ -193,17 +187,6 @@ impl FaultInjector {
         }
     }
 
-    /// Decides whether a metered OOB read reports detected corruption.
-    pub fn on_oob(&mut self) -> bool {
-        let p = self.plan.oob_corrupt_ppm;
-        if p > 0 && self.draw(2) < p {
-            self.counters.oob_corruptions += 1;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Decides whether a host program of one page fails.
     pub fn on_program(&mut self) -> bool {
         let p = self.plan.program_fail_ppm;
@@ -244,13 +227,8 @@ impl FaultInjector {
         }
     }
 
-    /// Whether `pbn` is a grown bad block.
-    pub fn is_bad_block(&self, pbn: Pbn) -> bool {
-        self.bad_blocks.contains(&pbn.raw())
-    }
-
     /// Number of grown bad blocks.
-    pub fn bad_block_count(&self) -> usize {
+    pub(crate) fn bad_block_count(&self) -> usize {
         self.bad_blocks.len()
     }
 }
@@ -271,7 +249,6 @@ mod tests {
             assert_eq!(a.on_read(Ppn(i % 13)), b.on_read(Ppn(i % 13)));
             assert_eq!(a.on_program(), b.on_program());
             assert_eq!(a.on_erase(Pbn(i % 5)), b.on_erase(Pbn(i % 5)));
-            assert_eq!(a.on_oob(), b.on_oob());
         }
         assert_eq!(a.counters(), b.counters());
         assert!(a.counters().total() > 0, "20% rates must fire in 500 ops");
@@ -319,7 +296,6 @@ mod tests {
         };
         let mut inj = FaultInjector::new(plan);
         assert!(inj.on_erase(Pbn(4)));
-        assert!(inj.is_bad_block(Pbn(4)));
         assert!(inj.on_erase(Pbn(4)));
         assert_eq!(inj.counters().grown_bad_blocks, 1, "grown once");
         assert_eq!(inj.counters().erase_failures, 2);
@@ -336,7 +312,6 @@ mod tests {
             assert_eq!(inj.on_read(Ppn(i)), ReadFault::None);
             assert!(!inj.on_program());
             assert!(!inj.on_erase(Pbn(i)));
-            assert!(!inj.on_oob());
         }
         assert_eq!(inj.counters(), FaultCounters::default());
     }

@@ -19,8 +19,8 @@
 //! 3. erasing operates on whole blocks only.
 //!
 //! Every operation returns its simulated cost as a [`simkit::Duration`],
-//! computed from the [`timing`] model with the Intel-300-series parameters of
-//! the paper's Table 2 as defaults.
+//! computed from the [`FlashTiming`] model with the Intel-300-series
+//! parameters of the paper's Table 2 as defaults.
 //!
 //! # State and primitives
 //!
@@ -65,21 +65,21 @@
 //! assert_eq!(read, data);
 //! ```
 
-pub mod addr;
-pub mod block;
-pub mod config;
-pub mod counters;
-pub mod device;
-pub mod error;
-pub mod fault;
-pub mod oob;
-pub mod page;
-pub mod timing;
+mod addr;
+mod block;
+mod config;
+mod counters;
+mod device;
+mod error;
+mod fault;
+mod oob;
+mod page;
+mod timing;
 
 pub use addr::{Pbn, Ppn};
 pub use block::{set_bits, Block, BlockState};
 pub use config::{FlashConfig, Geometry};
-pub use counters::{FlashCounters, WearStats, WearTracker};
+pub use counters::{FlashCounters, WearStats};
 pub use device::{DataMode, FlashDevice};
 pub use error::FlashError;
 pub use fault::{FaultCounters, FaultInjector, FaultPlan, ReadFault};

@@ -84,8 +84,8 @@ impl OobData {
         self.seq_dirty & !DIRTY
     }
 
-    /// Serialized size in bytes, used to check it fits the OOB area and to
-    /// price recovery scans: 8-byte LBA + 1-byte flags + 8-byte sequence.
+    /// Serialized size in bytes: 8-byte LBA + 1-byte flags + 8-byte
+    /// sequence. A test checks that it fits the smallest OOB area.
     pub const ENCODED_LEN: usize = 17;
 }
 

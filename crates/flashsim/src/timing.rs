@@ -62,13 +62,6 @@ impl FlashTiming {
         self.control + self.block_erase
     }
 
-    /// Cost of reading only the OOB area of a page (used by recovery scans).
-    pub fn oob_read_cost(&self) -> Duration {
-        // The cell array must still be sensed; only the bus transfer shrinks
-        // to a negligible size.
-        self.control + self.page_read
-    }
-
     /// Cost of a pure in-memory metadata operation on the device controller.
     pub fn metadata_cost(&self) -> Duration {
         self.control
@@ -91,7 +84,6 @@ mod tests {
         assert_eq!(t.read_cost().as_micros(), 77);
         assert_eq!(t.write_cost().as_micros(), 97);
         assert_eq!(t.erase_cost().as_micros(), 1010);
-        assert_eq!(t.oob_read_cost().as_micros(), 75);
         assert_eq!(t.metadata_cost().as_micros(), 10);
     }
 

@@ -67,11 +67,6 @@ impl FreeBlockPool {
         self.total == 0
     }
 
-    /// Free blocks in one plane.
-    pub fn len_in_plane(&self, plane: u32) -> usize {
-        self.planes[plane as usize].len()
-    }
-
     /// Returns a freshly erased block to the pool. Releasing a block that
     /// is already pooled is ignored.
     ///
@@ -146,8 +141,6 @@ mod tests {
         let g = geom();
         let pool = FreeBlockPool::full(&g);
         assert_eq!(pool.len(), g.total_blocks() as usize);
-        assert_eq!(pool.len_in_plane(0), 8);
-        assert_eq!(pool.len_in_plane(1), 8);
         assert!(!pool.is_empty());
     }
 
@@ -245,7 +238,7 @@ mod tests {
             }
             assert_eq!(pool.len(), free.len());
             for p in 0..g.planes() {
-                assert_eq!(pool.len_in_plane(p), in_plane(&free, p));
+                assert_eq!(pool.planes[p as usize].len(), in_plane(&free, p));
             }
             let emptiest = (0..g.planes()).min_by_key(|&p| (in_plane(&free, p), p));
             assert_eq!(Some(pool.emptiest_plane()), emptiest);
@@ -286,7 +279,7 @@ mod tests {
         pool.release(g.pbn(1, 3), 4, &g);
         pool.release(g.pbn(1, 3), 5, &g);
         // Release builds ignore the second call: one block, handed out once.
-        assert_eq!((pool.len(), pool.len_in_plane(1)), (1, 1));
+        assert_eq!(pool.len(), 1);
         assert_eq!(pool.alloc(), Some(g.pbn(1, 3)));
         assert_eq!(pool.alloc(), None);
     }

@@ -1,7 +1,7 @@
 //! Deterministic network fault injection for the serve path.
 //!
 //! The media layer already has a seeded fault injector
-//! (`flashsim::fault::FaultInjector`); this module is its network
+//! (`flashsim::FaultInjector`); this module is its network
 //! counterpart. A [`FaultyTransport`] wraps one direction of a TCP stream
 //! and, on each `read`/`write` call, consults a pure hash of the plan seed
 //! and a per-transport operation counter to decide whether to inject one

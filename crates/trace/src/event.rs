@@ -201,7 +201,7 @@ mod json {
     }
 
     /// Writes `s` as a JSON string literal with the escapes the format needs.
-    pub fn write_string<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
+    pub(crate) fn write_string<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
         w.write_all(b"\"")?;
         for c in s.chars() {
             match c {
@@ -218,7 +218,7 @@ mod json {
     }
 
     /// Parses one flat JSON object of string/integer fields.
-    pub fn parse_object(line: &str) -> Result<HashMap<String, Value>, String> {
+    pub(crate) fn parse_object(line: &str) -> Result<HashMap<String, Value>, String> {
         let mut p = Parser {
             bytes: line.as_bytes(),
             pos: 0,

@@ -21,7 +21,7 @@ use crate::zipf::{scramble, ZipfSampler};
 
 /// Region granularity used for density shaping (Figure 1 analyzes
 /// "100,000 4 KB block regions of the disk address space").
-pub const REGION_BLOCKS: u64 = 100_000;
+pub(crate) const REGION_BLOCKS: u64 = 100_000;
 
 /// Generates the synthetic trace for a workload specification.
 ///

@@ -36,7 +36,7 @@ const BLOCK_BYTES: u64 = 4096;
 /// # Examples
 ///
 /// ```
-/// use trace::import::from_msr_csv;
+/// use trace::from_msr_csv;
 ///
 /// let csv = "\
 /// 128166372003061629,usr,0,Read,7014609920,24576,41286

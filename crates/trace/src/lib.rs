@@ -18,16 +18,16 @@
 //!   hot set absorbs most traffic and hot blocks see several times the
 //!   average write rate (§2 "Wear Management").
 //!
-//! [`stats`] recomputes all of those properties from any trace, which is how
-//! the Table 3 / Figure 1 reproductions validate the generator — and how a
+//! [`TraceStats`] recomputes all of those properties from any trace, which is
+//! how the Table 3 / Figure 1 reproductions validate the generator — and how a
 //! user's own imported trace (JSON lines, [`Trace::from_jsonl`]) can be
 //! characterized before replay.
 
-pub mod event;
-pub mod generator;
-pub mod import;
-pub mod stats;
-pub mod workloads;
+mod event;
+mod generator;
+mod import;
+mod stats;
+mod workloads;
 pub mod zipf;
 
 pub use event::{OpKind, Trace, TraceEvent};

@@ -134,7 +134,8 @@ impl TraceStats {
     }
 
     /// Total accesses (reads + writes) to one block.
-    pub fn accesses_to(&self, lba: u64) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn accesses_to(&self, lba: u64) -> u64 {
         self.counts.get(&lba).map(|&(r, w)| r + w).unwrap_or(0)
     }
 }

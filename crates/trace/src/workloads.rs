@@ -143,7 +143,8 @@ impl WorkloadSpec {
 
     /// Ratio of operations to unique blocks — how overwrite/reread-heavy the
     /// workload is.
-    pub fn ops_per_unique(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn ops_per_unique(&self) -> f64 {
         self.total_ops as f64 / self.unique_blocks as f64
     }
 }
