@@ -9,10 +9,12 @@
 //!
 //! The FlashTier manager tracks only **dirty** blocks here — clean blocks
 //! cost the host nothing, which is where the 89% host-memory saving of
-//! Table 4 comes from. The table is the crate's slot table, one fixed
-//! record per entry: its hash index is chained through the records rather
-//! than linear, so it stores no key beyond the entry's own LBA and a
-//! removal leaves no tombstone.
+//! Table 4 comes from. The table is the crate's slot table, one record per
+//! slot it has handed out: its hash index is chained through the records
+//! rather than linear, so it stores no key beyond the entry's own LBA and a
+//! removal leaves no tombstone. Records and bucket heads grow with the
+//! most dirty blocks tracked at once, up to the capacity, so the real
+//! bytes follow the dirty count rather than the cache size.
 
 use sparsemap::MapMemory;
 
@@ -21,7 +23,8 @@ use crate::slot_cache::SlotCache;
 /// Modeled bytes per entry (no checksum: 8 LBA + 2+2 LRU + 2 state).
 pub const ENTRY_BYTES: u64 = 14;
 
-/// The dirty-block table: LBA set plus LRU ordering, fixed capacity.
+/// The dirty-block table: LBA set plus LRU ordering, growing on demand up
+/// to a capacity.
 ///
 /// # Examples
 ///
@@ -42,7 +45,8 @@ pub struct DirtyTable {
 }
 
 impl DirtyTable {
-    /// Creates a table with room for `capacity` dirty blocks.
+    /// Creates an empty table that grows to at most `capacity` dirty
+    /// blocks.
     pub fn new(capacity: usize) -> Self {
         DirtyTable {
             cache: SlotCache::new(capacity),
@@ -141,7 +145,7 @@ impl DirtyTable {
     /// Iterates all tracked dirty blocks in slot order, which is the same
     /// on every run (neither LBA nor recency order).
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.capacity() as u32).filter_map(|slot| Some(self.cache.entry(slot)?.0))
+        self.cache.entries().map(|(_, lba, _)| lba)
     }
 
     /// Host-memory report, using the paper's 14-byte-per-dirty-block model.
@@ -290,17 +294,40 @@ mod tests {
         assert_eq!(m.modeled_bytes, 100 * ENTRY_BYTES);
     }
 
-    /// Real bytes are the whole slot table, occupied or not: per slot one
-    /// half-cache-line record (which also carries the free list) and two
-    /// bucket heads.
+    /// Real bytes are the slot table grown so far: one half-cache-line
+    /// record (which also carries the free list) per slot its allocation
+    /// holds, doubling and clipped at the capacity, plus the bucket heads,
+    /// eight per record up to the count of a full table, twice its slots
+    /// rounded up.
     #[test]
     fn heap_bytes_count_records_and_heads() {
-        let mut t = DirtyTable::new(1024);
-        t.touch(7);
-        assert_eq!(t.cache.buckets(), 2 * 1024);
         let record = crate::slot_cache::SlotCache::RECORD_BYTES;
         assert_eq!(record, 32);
-        assert_eq!(t.memory().heap_bytes, 1024 * (record + 2 * 4) as u64);
+        let mut t = DirtyTable::new(1000);
+        let mut tracked = 0;
+        for (len, records, heads) in [
+            (0, 0, 2),
+            (1, 1, 8),
+            (3, 4, 32),
+            (100, 128, 1024),
+            (300, 512, 2048),
+            (600, 1000, 2048),
+            (1000, 1000, 2048),
+        ] {
+            while tracked < len {
+                assert!(t.touch(tracked));
+                tracked += 1;
+            }
+            assert_eq!(t.cache.buckets(), heads, "{len} blocks");
+            let heap = (records * record + heads * 4) as u64;
+            assert_eq!(t.memory().heap_bytes, heap, "{len} blocks");
+        }
+        assert!(!t.touch(tracked), "full at its capacity");
+        // Removals free slots for reuse but keep what the table grew.
+        for lba in 0..500 {
+            t.remove(lba);
+        }
+        assert_eq!(t.memory().heap_bytes, (1000 * record + 2048 * 4) as u64);
     }
 
     #[test]

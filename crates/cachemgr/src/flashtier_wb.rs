@@ -158,7 +158,8 @@ impl FlashTierWb {
                     read = self.destage_read(lba, i, bs);
                     if read.is_err() {
                         cost += self.ssc.evict(lba)?;
-                        self.dirty.remove(lba);
+                        let tracked = self.dirty.remove(lba);
+                        debug_assert!(tracked, "cleaned untracked block {lba}");
                         self.counters.destage_fault_invalidations += 1;
                         dropped |= 1 << i;
                         continue;
@@ -193,7 +194,10 @@ impl FlashTierWb {
                 }
                 cost += self.ssc.clean(lba)?;
                 self.counters.cleans_issued += 1;
-                self.dirty.remove(lba);
+                // The run came from the table: a failed removal would keep
+                // the loop above from ever reaching its target.
+                let tracked = self.dirty.remove(lba);
+                debug_assert!(tracked, "cleaned untracked block {lba}");
                 self.counters.writebacks += 1;
             }
         }
@@ -461,6 +465,27 @@ mod tests {
         for lba in 0..64u64 {
             s.read(lba).unwrap();
         }
+    }
+
+    /// The dirty table holds records only for the blocks it has tracked at
+    /// once: a new manager holds no record, and writes grow the table with
+    /// the dirty count, which the cleaner bounds, not with the cache size.
+    #[test]
+    fn dirty_table_grows_with_the_dirty_count() {
+        let mut s = system();
+        assert!(s.host_memory().heap_bytes < 1024, "{:?}", s.host_memory());
+        for lba in 0..4 * s.dirty_limit() as u64 {
+            s.write(lba, &block(1)).unwrap();
+        }
+        assert!(s.counters().writebacks > 0, "the cleaner never ran");
+        let most = s.dirty_limit() + 1;
+        let heads = (8 * most).next_power_of_two();
+        let grown = (most.next_power_of_two() * 32 + heads * 4) as u64;
+        assert!(s.host_memory().heap_bytes <= grown, "{:?}", s.host_memory());
+        assert!(
+            grown < s.dirty.capacity() as u64 * 32,
+            "no smaller than eager"
+        );
     }
 
     #[test]

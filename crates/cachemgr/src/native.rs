@@ -646,7 +646,8 @@ mod tests {
         // evicts, so the index loses one key and gains another per event
         // while its live size stays at the slot count.
         let mut s = system(NativeMode::WriteThrough);
-        let heap = s.cache.heap_bytes();
+        // The table grows while it fills; from then on its size is fixed.
+        let mut heap = None;
         let span = 3 * s.slots() as u64;
         let mut rng = simkit::SimRng::seed_from(0x7AB1E);
         for step in 0..100_000u64 {
@@ -657,8 +658,12 @@ mod tests {
                 s.read(lba).unwrap();
             }
             assert_index_matches_meta(&s, step);
-            assert_eq!(s.cache.heap_bytes(), heap, "step {step}: index grew");
+            if s.cache.len() == s.slots() {
+                let full = *heap.get_or_insert(s.cache.heap_bytes());
+                assert_eq!(s.cache.heap_bytes(), full, "step {step}: index grew");
+            }
         }
+        assert!(heap.is_some(), "the table never filled");
         assert!(s.counters().evictions > 50_000, "{:?}", s.counters());
     }
 
@@ -771,15 +776,33 @@ mod tests {
         assert_eq!(m.modeled_bytes, s.slots() as u64 * NATIVE_ENTRY_BYTES);
     }
 
-    /// Real bytes are the whole slot table: per slot one record (which
-    /// also carries the free list) and the bucket heads' share.
+    /// Real bytes are the slot table grown so far: one record (which also
+    /// carries the free list) per slot its allocation holds, doubling and
+    /// clipped at the slot count, and the bucket heads, a power of two,
+    /// eight per record up to twice the slot count.
     #[test]
     fn host_heap_bytes_count_records_and_heads() {
-        let s = system(NativeMode::WriteBack);
-        let (slots, heads) = (s.slots(), 4 * s.cache.buckets());
+        let mut s = system(NativeMode::WriteThrough);
+        let slots = s.slots();
         let record = crate::slot_cache::SlotCache::RECORD_BYTES;
-        let heap = s.host_memory().heap_bytes as usize;
-        assert_eq!(heap, slots * record + heads, "{slots} slots");
+        let part = slots / 3 + 1;
+        let mut filled = 0;
+        for (len, records) in [(0, 0), (part, part.next_power_of_two()), (slots, slots)] {
+            while filled < len {
+                s.read(1000 + filled as u64).unwrap();
+                filled += 1;
+            }
+            assert_eq!(s.cache.len(), len);
+            let full = (2 * slots).next_power_of_two();
+            let heads = (8 * len).next_power_of_two().clamp(2, full);
+            assert_eq!(s.cache.buckets(), heads, "{len} of {slots} slots");
+            let heap = s.host_memory().heap_bytes as usize;
+            assert_eq!(heap, records * record + heads * 4, "{len} of {slots} slots");
+        }
+        assert!(
+            part.next_power_of_two() < slots,
+            "{slots} slots: part-full is not full"
+        );
     }
 
     #[test]

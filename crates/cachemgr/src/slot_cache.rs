@@ -1,10 +1,12 @@
-//! The slot table both cache managers keep (§4.4, §6.1): one fixed record
-//! per cache slot, like the paper's dirty-block entry with its "two 2-byte
-//! indexes to the previous and next blocks in the LRU cache replacement
-//! list". A record holds its block's LBA, dirty bit, hash-chain link and
-//! replacement-list neighbours (plus a second pair for Native's dirty
-//! list), so a hit reads one bucket head and one record and relinks its
-//! neighbours. Bucket heads and the LIFO free list complete the table.
+//! The slot table both cache managers keep (§4.4, §6.1): one record per
+//! cache slot handed out, like the paper's dirty-block entry with its "two
+//! 2-byte indexes to the previous and next blocks in the LRU cache
+//! replacement list". A record holds its block's LBA, dirty bit, hash-chain
+//! link and replacement-list neighbours (plus a second pair for Native's
+//! dirty list), so a hit reads one bucket head and one record and relinks
+//! its neighbours. Bucket heads and the LIFO free list complete the table.
+//! Records and heads grow with the highest slot handed out, never past the
+//! table's capacity, so the host holds state only for what it tracks.
 
 /// No slot: the end of a chain or list, or an empty bucket.
 const NIL: u32 = u32::MAX;
@@ -13,6 +15,22 @@ const NIL: u32 = u32::MAX;
 const MAIN: usize = 0;
 /// Dirty slots only, in the main list's relative order.
 const DIRTY: usize = 1;
+
+/// Bucket heads for `records` records of a table of `capacity` slots: a
+/// power of two, eight per record so that a probe for an absent LBA seldom
+/// reads a record, but never more than twice the capacity (rounded up),
+/// the count of a full table; and at least two, so a bucket is a hash's
+/// top bits.
+fn buckets_for(records: usize, capacity: usize) -> usize {
+    let full = (2 * capacity).next_power_of_two();
+    (8 * records).next_power_of_two().min(full).max(2)
+}
+
+/// The Fibonacci hash of `lba`: its top bits pick a bucket, which spreads
+/// sequential LBAs.
+fn hash(lba: u64) -> u64 {
+    lba.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
 
 /// One slot's record: 29 bytes, aligned to 32 so it never straddles a
 /// cache line.
@@ -31,28 +49,44 @@ struct Slot {
     dirty: bool,
 }
 
+impl Slot {
+    /// A free record: on no chain and on no list.
+    fn free(slot: u32) -> Self {
+        Slot {
+            lba: 0,
+            chain: slot,
+            prev: [NIL; 2],
+            next: [NIL; 2],
+            dirty: false,
+        }
+    }
+}
+
 fn some(slot: u32) -> Option<u32> {
     (slot != NIL).then_some(slot)
 }
 
-/// Fixed-capacity slot table: LBA index, two recency lists and free list
-/// over slots `0..capacity`.
+/// Slot table: LBA index, two recency lists and free list over slots
+/// `0..capacity`, holding records only for the slots it has handed out.
 ///
 /// Slot discipline, which fixes every slot number a manager hands out:
-/// [`SlotCache::pop_free`] yields the lowest never-used slot first, a
-/// victim [`SlotCache::evict`]ed to make room is refilled directly, a slot
-/// [`SlotCache::remove`]d goes back on top of the free list, and
-/// [`SlotCache::restore`] rebuilds the free list in slot order.
+/// [`SlotCache::pop_free`] takes the top of the free list, else grows the
+/// table by its lowest never-used slot; a victim [`SlotCache::evict`]ed to
+/// make room is refilled directly, a slot [`SlotCache::remove`]d goes back
+/// on top of the free list, and [`SlotCache::restore`] rebuilds the free
+/// list in slot order.
 #[derive(Debug, Clone)]
 pub(crate) struct SlotCache {
+    /// Records of slots `0..high-water`: every slot ever handed out.
     slots: Vec<Slot>,
-    /// Bucket `b`'s first slot: a power of two of buckets, at least twice
-    /// the slots.
+    /// Bucket `b`'s first slot: see [`buckets_for`].
     heads: Vec<u32>,
     /// `64 - log2(buckets)`: a bucket is the hash's top bits.
     shift: u32,
+    /// The most records the table grows to.
+    capacity: usize,
     /// The free list's top: a stack linked through the free records' idle
-    /// `next[MAIN]`, at first every slot, lowest on top.
+    /// `next[MAIN]`. The never-used slots above the records follow it.
     free: u32,
     len: usize,
     /// Per list, its most and least recent slot.
@@ -62,22 +96,15 @@ pub(crate) struct SlotCache {
 }
 
 impl SlotCache {
+    /// An empty table of up to `capacity` slots; it holds no record yet.
     pub(crate) fn new(capacity: usize) -> Self {
-        let buckets = (2 * capacity).next_power_of_two().max(2);
-        let n = capacity as u32;
+        let buckets = buckets_for(0, capacity);
         SlotCache {
-            slots: (0..n)
-                .map(|s| Slot {
-                    lba: 0,
-                    chain: s,
-                    prev: [NIL; 2],
-                    next: [if s + 1 < n { s + 1 } else { NIL }, NIL],
-                    dirty: false,
-                })
-                .collect(),
+            slots: Vec::new(),
             heads: vec![NIL; buckets],
             shift: 64 - buckets.trailing_zeros(),
-            free: if n > 0 { 0 } else { NIL },
+            capacity,
+            free: NIL,
             len: 0,
             head: [NIL; 2],
             tail: [NIL; 2],
@@ -86,7 +113,7 @@ impl SlotCache {
     }
 
     pub(crate) fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Occupied slots.
@@ -99,9 +126,9 @@ impl SlotCache {
         self.dirty_count
     }
 
-    /// Where `lba`'s chain starts: Fibonacci hashing spreads sequential LBAs.
+    /// Where `lba`'s chain starts.
     fn bucket(&self, lba: u64) -> usize {
-        (lba.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+        (hash(lba) >> self.shift) as usize
     }
 
     /// The slot holding `lba`, if any.
@@ -115,8 +142,13 @@ impl SlotCache {
 
     /// `slot`'s LBA and dirty bit, or `None` while it is free.
     pub(crate) fn entry(&self, slot: u32) -> Option<(u64, bool)> {
-        let rec = &self.slots[slot as usize];
+        let rec = self.slots.get(slot as usize)?;
         (rec.chain != slot).then_some((rec.lba, rec.dirty))
+    }
+
+    /// Every occupied slot's `(slot, lba, dirty)`, in slot order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (u32, u64, bool)> + '_ {
+        (0..self.slots.len() as u32).filter_map(|s| self.entry(s).map(|(l, d)| (s, l, d)))
     }
 
     /// The least recently used slot.
@@ -129,11 +161,45 @@ impl SlotCache {
         some(self.tail[DIRTY])
     }
 
-    /// Takes the free slot on top of the free list.
+    /// Takes the free slot on top of the free list, else the lowest
+    /// never-used one; `None` once every slot is in use.
     pub(crate) fn pop_free(&mut self) -> Option<u32> {
-        let slot = some(self.free)?;
-        self.free = self.slots[slot as usize].next[MAIN];
-        Some(slot)
+        if let Some(slot) = some(self.free) {
+            self.free = self.slots[slot as usize].next[MAIN];
+            return Some(slot);
+        }
+        let slot = self.slots.len();
+        if slot == self.capacity {
+            return None;
+        }
+        self.grow_to(slot + 1);
+        Some(slot as u32)
+    }
+
+    /// Grows the records to `n` (at most the capacity), each new one free
+    /// and off the free list. Their allocation doubles, clipped at the
+    /// capacity; the bucket heads double while the records outgrow an
+    /// eighth of them, and the occupied records are re-chained into the
+    /// new heads.
+    fn grow_to(&mut self, n: usize) {
+        debug_assert!(n <= self.capacity, "slot {n} past the capacity");
+        let have = self.slots.len();
+        if n > self.slots.capacity() {
+            let want = n.max(2 * self.slots.capacity()).min(self.capacity);
+            self.slots.reserve_exact(want - have);
+        }
+        self.slots.extend((have as u32..n as u32).map(Slot::free));
+        let buckets = buckets_for(n, self.capacity);
+        if buckets > self.heads.len() {
+            self.heads = vec![NIL; buckets];
+            self.shift = 64 - buckets.trailing_zeros();
+            for s in 0..have as u32 {
+                if self.slots[s as usize].chain != s {
+                    let bucket = self.bucket(self.slots[s as usize].lba);
+                    self.slots[s as usize].chain = std::mem::replace(&mut self.heads[bucket], s);
+                }
+            }
+        }
     }
 
     /// Files `lba` in `slot` (free, and off the free list) as the most
@@ -200,23 +266,27 @@ impl SlotCache {
     }
 
     /// Fills a new, empty table with recovered `(slot, lba, dirty)`
-    /// entries in the order given; the slots left over stay on the free
-    /// list, lowest on top.
+    /// entries in the order given, growing it to the highest restored
+    /// slot. The unused slots below that go on the free list, lowest on
+    /// top; the never-used ones above it follow in the same order.
     pub(crate) fn restore(&mut self, entries: impl IntoIterator<Item = (u32, u64, bool)>) {
         debug_assert_eq!(self.len(), 0, "restore into a new table");
         for (slot, lba, dirty) in entries {
+            if slot as usize >= self.slots.len() {
+                self.grow_to(slot as usize + 1);
+            }
             self.fill(slot, lba, dirty);
         }
         self.free = NIL;
-        for s in (0..self.capacity() as u32).rev() {
+        for s in (0..self.slots.len() as u32).rev() {
             if self.slots[s as usize].chain == s {
                 self.slots[s as usize].next[MAIN] = std::mem::replace(&mut self.free, s);
             }
         }
     }
 
-    /// Real heap bytes: records and bucket heads (the free list lives in
-    /// the records).
+    /// Real heap bytes: the records and bucket heads grown so far (the free
+    /// list lives in the records).
     pub(crate) fn heap_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<Slot>()
             + self.heads.capacity() * std::mem::size_of::<u32>()
@@ -288,10 +358,15 @@ impl SlotCache {
         self.heads.iter().map(chain).sum()
     }
 
-    /// The first `n` LBAs that share bucket 0: keys that force one long
-    /// chain.
+    /// The first `n` LBAs that share bucket 0 once the table is full:
+    /// keys that force one long chain. Their hash's top bits are zero, so
+    /// they share bucket 0 at every smaller bucket count too.
     pub(crate) fn colliding(&self, n: usize) -> Vec<u64> {
-        (0..).filter(|&lba| self.bucket(lba) == 0).take(n).collect()
+        let shift = 64 - buckets_for(self.capacity, self.capacity).trailing_zeros();
+        (0..)
+            .filter(|&lba| hash(lba) >> shift == 0)
+            .take(n)
+            .collect()
     }
 
     /// The main list's slots, least recent first.
@@ -306,7 +381,8 @@ impl SlotCache {
 
     /// The slot the next fill from the free list takes.
     pub(crate) fn next_free(&self) -> Option<u32> {
-        some(self.free)
+        let fresh = self.slots.len();
+        some(self.free).or((fresh < self.capacity).then_some(fresh as u32))
     }
 
     /// Bucket heads.
@@ -638,5 +714,95 @@ mod tests {
                 assert_eq!(c.dirty_len(), dirty.len());
             }
         }
+    }
+
+    /// Growth on demand against the model: random fills (with and without
+    /// evicting), removals and recoveries over tables of up to 160 slots,
+    /// so fills cross every doubling of the records and bucket heads and a
+    /// recovery restores slots the new table has not grown to, leaving
+    /// gaps below its highest slot and never-used slots above it. After
+    /// every step the index, the replacement order, the chains and the
+    /// next free slot must match the model, and the bucket heads must be
+    /// the fewest that keep twice the records.
+    #[test]
+    fn growth_on_demand_matches_the_model() {
+        let mut short_restores = 0;
+        for case in 0..32u64 {
+            let mut rng = simkit::SimRng::seed_from(0x6E0F_0DE5 ^ case);
+            let capacity = 1 + rng.gen_range(160) as usize;
+            let span = 2 * capacity as u64 + 3;
+            let mut c = SlotCache::new(capacity);
+            let mut model = Model::new(capacity);
+            let mut grown = 0;
+            for step in 0..8 * capacity as u64 + 64 {
+                let lba = rng.gen_range(span);
+                if step % span == span - 1 {
+                    // Crash: three blocks in four survive, refiled in slot
+                    // order into a table that holds no record.
+                    let kept: Vec<(u32, u64, bool)> =
+                        c.entries().filter(|&(_, l, _)| l % 4 != step % 4).collect();
+                    c = SlotCache::new(capacity);
+                    assert_eq!((c.heap_bytes(), c.next_free()), (2 * 4, Some(0)));
+                    c.restore(kept.iter().copied());
+                    let survivors: HashSet<u64> = kept.iter().map(|e| e.1).collect();
+                    model.recover(|l| survivors.contains(&l));
+                    if c.slots.len() < capacity && c.len() < c.slots.len() {
+                        short_restores += 1;
+                    }
+                } else {
+                    match rng.gen_range(16) {
+                        0..=8 => {
+                            let victim = c.lru().map(|s| c.entry(s).unwrap().0);
+                            let chain = victim.map_or(Vec::new(), |v| c.chain(v));
+                            access(&mut c, lba, false);
+                            assert!(model.touch(lba, true, &chain));
+                        }
+                        9..=11 => {
+                            let filed = match c.get(lba) {
+                                Some(slot) => {
+                                    c.touch(slot);
+                                    true
+                                }
+                                None => c.pop_free().map(|slot| c.fill(slot, lba, false)).is_some(),
+                            };
+                            assert_eq!(
+                                filed,
+                                model.touch(lba, false, &[]),
+                                "case {case} step {step}"
+                            );
+                        }
+                        _ => {
+                            let chain = c.chain(lba);
+                            if let Some(slot) = c.get(lba) {
+                                c.remove(slot);
+                            }
+                            model.remove(lba, &chain);
+                        }
+                    }
+                }
+                for (&l, &s) in &model.slot_of {
+                    assert_eq!(c.get(l), Some(s), "case {case} step {step}: lba {l}");
+                }
+                assert_eq!(c.get(span), None);
+                assert_eq!(
+                    lbas(&c, c.lru_order()),
+                    model.lru_order(),
+                    "case {case} step {step}"
+                );
+                assert_eq!(c.len(), model.slot_of.len(), "case {case} step {step}");
+                assert_eq!(c.chained(), c.len(), "case {case} step {step}");
+                assert_eq!(c.next_free(), model.next_free(), "case {case} step {step}");
+                assert_eq!(
+                    c.buckets(),
+                    buckets_for(c.slots.len(), capacity),
+                    "case {case} step {step}"
+                );
+                grown = grown.max(c.slots.len());
+            }
+            assert_eq!(grown, capacity, "case {case}: the table never filled");
+            assert!(c.slots.len() <= c.slots.capacity() && c.slots.capacity() <= capacity);
+        }
+        // Recoveries that left free slots both below and above their mark.
+        assert!(short_restores >= 8, "{short_restores}");
     }
 }

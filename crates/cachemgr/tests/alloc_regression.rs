@@ -8,12 +8,16 @@
 //! Only the measuring thread's allocations count, and only while it has
 //! armed the counter: the libtest harness thread allocates on its own
 //! schedule and must not trip the assertion.
+//!
+//! The same allocator also keeps a live-bytes count, which checks that the
+//! host tables' `heap_bytes` are the bytes they really hold.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use cachemgr::{
-    replay, CacheSystem, FlashTierWt, NativeCache, NativeConsistency, NativeMode, PageBuf,
+    replay, CacheSystem, DirtyTable, FlashTierWt, NativeCache, NativeConsistency, NativeMode,
+    PageBuf,
 };
 use disksim::{Disk, DiskConfig, DiskDataMode};
 use flashsim::{DataMode, FlashConfig};
@@ -23,7 +27,7 @@ use trace::TraceEvent;
 
 /// Counts the allocations and reallocations of a thread that has armed it
 /// (frees are irrelevant: a loop that allocates-and-frees per op is exactly
-/// the regression to catch).
+/// the regression to catch), and separately the bytes it holds.
 struct CountingAlloc;
 
 thread_local! {
@@ -32,6 +36,9 @@ thread_local! {
     /// reading it inside the allocator never allocates or registers
     /// anything.
     static ALLOCATIONS: Cell<Option<u64>> = const { Cell::new(None) };
+    /// `Some(n)`: this thread is measuring and holds `n` more bytes than
+    /// when it armed this count (negative once it frees older blocks).
+    static LIVE_BYTES: Cell<Option<isize>> = const { Cell::new(None) };
 }
 
 fn count_one() {
@@ -39,18 +46,25 @@ fn count_one() {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get().map(|n| n + 1)));
 }
 
+fn count_live(delta: isize) {
+    let _ = LIVE_BYTES.try_with(|n| n.set(n.get().map(|n| n + delta)));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
+        count_live(layout.size() as isize);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_live(-(layout.size() as isize));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one();
+        count_live(new_size as isize - layout.size() as isize);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -64,6 +78,21 @@ fn allocations_of<R>(measured: impl FnOnce() -> R) -> (u64, R) {
     ALLOCATIONS.set(Some(0));
     let result = measured();
     (ALLOCATIONS.take().expect("armed above"), result)
+}
+
+/// Runs `measured` with this thread's live-bytes count armed at zero; it
+/// reads the count with [`live_bytes`].
+fn with_live_bytes<R>(measured: impl FnOnce() -> R) -> R {
+    LIVE_BYTES.set(Some(0));
+    let result = measured();
+    LIVE_BYTES.set(None);
+    result
+}
+
+/// Bytes this thread holds beyond what it held when it armed the count.
+fn live_bytes() -> u64 {
+    let live = LIVE_BYTES.get().expect("armed by with_live_bytes");
+    u64::try_from(live).expect("freed more than it allocated since arming")
 }
 
 fn disk() -> Disk {
@@ -194,4 +223,77 @@ fn native_log_resident_hits_do_not_allocate() {
     assert_eq!(during, 0, "log-resident hit loop allocated {during} times");
     let hits = system.counters().since(&hits_before);
     assert_eq!(hits.read_hits, OPS, "loop was not pure cache hits");
+}
+
+/// A dirty-block table built and driven with the live-bytes count armed
+/// holds exactly what `host_memory().heap_bytes` reports: nothing but its
+/// bucket heads while empty, then its records and heads as fills cross
+/// the doublings, up to the full table.
+#[test]
+fn dirty_table_heap_bytes_are_the_bytes_it_holds() {
+    let mut sizes = Vec::with_capacity(64);
+    with_live_bytes(|| {
+        let mut table = DirtyTable::new(1000);
+        assert_eq!(table.memory().heap_bytes, live_bytes(), "empty");
+        assert!(live_bytes() < 64, "an empty table holds {} B", live_bytes());
+        sizes.push(live_bytes());
+        for lba in 0..1000u64 {
+            assert!(table.touch(3 * lba));
+            assert_eq!(
+                table.memory().heap_bytes,
+                live_bytes(),
+                "{} blocks",
+                lba + 1
+            );
+            if sizes.last() != Some(&live_bytes()) {
+                sizes.push(live_bytes());
+            }
+        }
+        assert!(!table.touch(1), "full");
+        assert_eq!(table.memory().heap_bytes, live_bytes(), "full");
+        assert!(sizes.len() >= 10, "grew only through {sizes:?}");
+        drop(table);
+        assert_eq!(live_bytes(), 0, "the dropped table left bytes behind");
+    });
+}
+
+/// The same for a Native stack built and driven with the count armed. Its
+/// construction allocates only its slot table's bucket heads. Its fills
+/// also grow the FTL's log directory, and the first one sets up a few
+/// bytes of FTL state that neither report counts; after that, every byte
+/// the stack comes to hold must be in its host table's `heap_bytes` or in
+/// its FTL's, fill by fill, up to the full table.
+#[test]
+fn native_heap_bytes_are_the_bytes_its_table_holds() {
+    let ssd = HybridFtl::new(SsdConfig::small_test(), DataMode::Discard);
+    let device_start = ssd.map_memory().heap_bytes;
+    let disk = disk();
+    let mut buf = PageBuf::with_capacity(disk.block_size());
+    let mut sizes = Vec::with_capacity(64);
+    with_live_bytes(|| {
+        let mut system =
+            NativeCache::new(ssd, disk, NativeMode::WriteThrough, NativeConsistency::None);
+        let host = |s: &NativeCache<HybridFtl>| s.host_memory().heap_bytes;
+        assert_eq!(host(&system), live_bytes(), "empty");
+        assert!(live_bytes() < 64, "an empty table holds {} B", live_bytes());
+        // What the stack holds beyond the two reports.
+        let unreported = |s: &NativeCache<HybridFtl>| {
+            live_bytes() - host(s) - (s.device_memory().heap_bytes - device_start)
+        };
+        system.read_into(0, &mut buf).unwrap();
+        let first_write = unreported(&system);
+        assert!(
+            first_write <= 64,
+            "the first fill held {first_write} B unreported"
+        );
+        for lba in 1..system.slots() as u64 {
+            system.read_into(lba, &mut buf).unwrap();
+            assert_eq!(unreported(&system), first_write, "{} fills", lba + 1);
+            if sizes.last() != Some(&host(&system)) {
+                sizes.push(host(&system));
+            }
+        }
+        assert_eq!(system.host_memory().entries, system.slots(), "full");
+    });
+    assert!(sizes.len() >= 6, "grew only through {sizes:?}");
 }

@@ -38,16 +38,30 @@ impl PageBuf {
     }
 
     /// Sets the logical length to `len` and returns the whole buffer as a
-    /// mutable slice. Reuses existing capacity; only grows (and thus
-    /// allocates and zero-fills the new part) when `len` exceeds the
-    /// high-water mark. Contents are unspecified — the caller is expected
+    /// mutable slice. Reuses existing capacity; only grows when `len`
+    /// exceeds the high-water mark. Growing within the capacity zero-fills
+    /// the new part; growing past it takes a fresh zeroed allocation, so
+    /// pages no caller writes (a discard-mode gather buffer's) never
+    /// become resident. Contents are unspecified — the caller is expected
     /// to overwrite every byte.
     pub fn prepare(&mut self, len: usize) -> &mut [u8] {
         if self.data.len() < len {
-            self.data.resize(len, 0);
+            self.grow(len);
         }
         self.len = len;
         &mut self.data[..len]
+    }
+
+    /// Raises the high-water mark to `len`, off the path of every
+    /// `prepare` that fits.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, len: usize) {
+        if self.data.capacity() < len {
+            self.data = vec![0; len];
+        } else {
+            self.data.resize(len, 0);
+        }
     }
 
     /// Sets the logical length to `len` and fills the buffer with `byte`.
