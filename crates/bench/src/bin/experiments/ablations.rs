@@ -3,7 +3,9 @@
 //! which needs no trace). Sizing comes from [`build`] and the 15% warm-up
 //! split from [`warm_and_measure`], as for the paper's own figures.
 
-use cachemgr::{CacheSystem, FlashTierWb, FlashTierWt, NativeCache, NativeConsistency, NativeMode};
+use cachemgr::{
+    CacheSystem, FlashTierWb, FlashTierWt, NativeCache, NativeConsistency, NativeMode, StackSpec,
+};
 use flashsim::DataMode;
 use flashtier_bench::build;
 use flashtier_bench::experiments::warm_and_measure;
@@ -25,11 +27,12 @@ use crate::print_table;
 pub fn ablate_logreserve(scale: f64) {
     let w = build_workload(WorkloadSpec::homes(), scale);
     println!("Ablation: SSC-R log-block fraction sweep on homes (write-through)\n");
+    let stack = build::ablation_stack(w.cache_blocks, w.spec.range_blocks);
     let mut rows = Vec::new();
     for log_fraction in [0.02, 0.05, 0.07, 0.10, 0.20, 0.30] {
-        let mut config = build::ablation_ssc_config(w.cache_blocks, true, ConsistencyMode::None);
+        let mut config = stack.ssc_config(true, ConsistencyMode::None);
         config.log_fraction = log_fraction;
-        let mut system = FlashTierWt::new(Ssc::new(config), build::disk(w.spec.range_blocks));
+        let mut system = FlashTierWt::new(Ssc::new(config), stack.disk());
         let stats = warm_and_measure(&mut system, &w);
         let c = system.ssc().counters();
         rows.push(vec![
@@ -75,11 +78,12 @@ pub fn ablate_eviction(scale: f64) {
         ),
         ("util-then-recency", VictimSelection::UtilizationThenRecency),
     ];
+    let stack = build::ablation_stack(w.cache_blocks, w.spec.range_blocks);
     let mut rows = Vec::new();
     for (label, selection) in selectors {
-        let mut config = build::ablation_ssc_config(w.cache_blocks, false, ConsistencyMode::None);
+        let mut config = stack.ssc_config(false, ConsistencyMode::None);
         config.victim_selection = selection;
-        let mut system = FlashTierWt::new(Ssc::new(config), build::disk(w.spec.range_blocks));
+        let mut system = FlashTierWt::new(Ssc::new(config), stack.disk());
         let stats = warm_and_measure(&mut system, &w);
         rows.push(vec![
             label.to_string(),
@@ -113,7 +117,7 @@ where
 {
     let mut system = NativeCache::new(
         ssd,
-        build::disk(w.spec.range_blocks),
+        StackSpec::for_cache(w.cache_blocks, w.spec.range_blocks).disk(),
         NativeMode::WriteThrough,
         NativeConsistency::None,
     );
@@ -162,12 +166,12 @@ pub fn ablate_ftl(scale: f64) {
 pub fn ablate_commit(scale: f64) {
     let w = build_workload(WorkloadSpec::homes(), scale);
     println!("Ablation: group-commit batch size on homes (write-back, FlashTier-D)\n");
+    let stack = build::ablation_stack(w.cache_blocks, w.spec.range_blocks);
     let mut rows = Vec::new();
     for batch in [1usize, 10, 100, 1_000, 10_000] {
-        let mut config =
-            build::ablation_ssc_config(w.cache_blocks, false, ConsistencyMode::DirtyOnly);
+        let mut config = stack.ssc_config(false, ConsistencyMode::DirtyOnly);
         config.group_commit_records = batch;
-        let mut system = FlashTierWb::new(Ssc::new(config), build::disk(w.spec.range_blocks));
+        let mut system = FlashTierWb::new(Ssc::new(config), stack.disk());
         let stats = warm_and_measure(&mut system, &w);
         let wal = system.ssc().wal_counters();
         rows.push(vec![
@@ -203,12 +207,12 @@ pub fn ablate_checkpoint(scale: f64) {
     // policy only differentiates once the map outgrows the one-page floor.
     let w = build_workload(WorkloadSpec::homes(), scale * 0.25);
     println!("Ablation: checkpoint log/checkpoint ratio on homes (write-back)\n");
+    let stack = build::ablation_stack(w.cache_blocks, w.spec.range_blocks);
     let mut rows = Vec::new();
     for ratio in [0.1, 0.33, 0.67, 2.0, 8.0] {
-        let mut config =
-            build::ablation_ssc_config(w.cache_blocks, false, ConsistencyMode::CleanAndDirty);
+        let mut config = stack.ssc_config(false, ConsistencyMode::CleanAndDirty);
         config.checkpoint_log_ratio = ratio;
-        let mut system = FlashTierWb::new(Ssc::new(config), build::disk(w.spec.range_blocks));
+        let mut system = FlashTierWb::new(Ssc::new(config), stack.disk());
         let stats = warm_and_measure(&mut system, &w);
         let checkpoints = system.ssc().counters().checkpoints;
         let ckpt_pages = system.ssc().checkpoint_counters().pages_written;

@@ -1,6 +1,6 @@
 //! The experiment implementations, one per table/figure of §6.
 
-use cachemgr::{replay, CacheSystem, NativeConsistency, NativeMode, ReplayStats};
+use cachemgr::{replay, CacheSystem, NativeConsistency, NativeMode, ReplayStats, StackSpec};
 use flashtier_core::ConsistencyMode;
 use ftl::BlockDev;
 use simkit::Duration;
@@ -161,32 +161,25 @@ pub fn fig3_performance(multiplier: f64) -> Vec<PerfRow> {
     paper_workloads(multiplier)
         .into_iter()
         .map(|w| {
-            let (cache, range) = (w.cache_blocks, w.spec.range_blocks);
+            let stack = StackSpec::for_cache(w.cache_blocks, w.spec.range_blocks);
             let native_wb = {
-                let mut s = build::native(
-                    cache,
-                    range,
-                    NativeMode::WriteBack,
-                    NativeConsistency::Durable,
-                );
+                let mut s = stack.native(NativeMode::WriteBack, NativeConsistency::Durable);
                 warm_and_measure(&mut s, &w).iops()
             };
             let ssc_wt = {
-                let mut s =
-                    build::flashtier_wt(cache, range, false, ConsistencyMode::CleanAndDirty);
+                let mut s = stack.wt(false, ConsistencyMode::CleanAndDirty);
                 warm_and_measure(&mut s, &w).iops()
             };
             let ssc_r_wt = {
-                let mut s = build::flashtier_wt(cache, range, true, ConsistencyMode::CleanAndDirty);
+                let mut s = stack.wt(true, ConsistencyMode::CleanAndDirty);
                 warm_and_measure(&mut s, &w).iops()
             };
             let ssc_wb = {
-                let mut s =
-                    build::flashtier_wb(cache, range, false, ConsistencyMode::CleanAndDirty);
+                let mut s = stack.wb(false, ConsistencyMode::CleanAndDirty);
                 warm_and_measure(&mut s, &w).iops()
             };
             let ssc_r_wb = {
-                let mut s = build::flashtier_wb(cache, range, true, ConsistencyMode::CleanAndDirty);
+                let mut s = stack.wb(true, ConsistencyMode::CleanAndDirty);
                 warm_and_measure(&mut s, &w).iops()
             };
             PerfRow {
@@ -283,15 +276,14 @@ pub fn table4_memory(multiplier: f64) -> Vec<MemoryRow> {
         .map(|w| {
             let hot_fraction = if w.spec.name == "proj-50" { 0.50 } else { 0.25 };
             let full_cache = w.full_spec.cache_blocks(hot_fraction);
-            let (cache, range) = (w.cache_blocks, w.spec.range_blocks);
+            let stack = StackSpec::for_cache(w.cache_blocks, w.spec.range_blocks);
 
             // Measured: replay the trace on each system, then read the maps.
-            let mut native =
-                build::native(cache, range, NativeMode::WriteBack, NativeConsistency::None);
+            let mut native = stack.native(NativeMode::WriteBack, NativeConsistency::None);
             warm_and_measure(&mut native, &w);
-            let mut ssc = build::flashtier_wb(cache, range, false, ConsistencyMode::None);
+            let mut ssc = stack.wb(false, ConsistencyMode::None);
             warm_and_measure(&mut ssc, &w);
-            let mut ssc_r = build::flashtier_wb(cache, range, true, ConsistencyMode::None);
+            let mut ssc_r = stack.wb(true, ConsistencyMode::None);
             warm_and_measure(&mut ssc_r, &w);
 
             MemoryRow {
@@ -346,13 +338,13 @@ pub fn fig4_consistency(multiplier: f64) -> Vec<ConsistencyRow> {
     paper_workloads(multiplier)
         .into_iter()
         .map(|w| {
-            let (cache, range) = (w.cache_blocks, w.spec.range_blocks);
+            let stack = StackSpec::for_cache(w.cache_blocks, w.spec.range_blocks);
             let run_native = |consistency: NativeConsistency| {
-                let mut s = build::native(cache, range, NativeMode::WriteBack, consistency);
+                let mut s = stack.native(NativeMode::WriteBack, consistency);
                 warm_and_measure(&mut s, &w)
             };
             let run_ft = |mode: ConsistencyMode| {
-                let mut s = build::flashtier_wb(cache, range, false, mode);
+                let mut s = stack.wb(false, mode);
                 warm_and_measure(&mut s, &w)
             };
             let native_none = run_native(NativeConsistency::None);
@@ -426,18 +418,13 @@ pub fn fig5_recovery(multiplier: f64) -> Vec<RecoveryRow> {
     paper_workloads(multiplier)
         .into_iter()
         .map(|w| {
-            let (cache, range) = (w.cache_blocks, w.spec.range_blocks);
+            let stack = StackSpec::for_cache(w.cache_blocks, w.spec.range_blocks);
             // Populate a write-back FlashTier system, then crash it.
-            let mut ft = build::flashtier_wb(cache, range, false, ConsistencyMode::CleanAndDirty);
+            let mut ft = stack.wb(false, ConsistencyMode::CleanAndDirty);
             warm_and_measure(&mut ft, &w);
             let flashtier_measured = ft.crash_and_recover().expect("recovery failed");
             // Populate the native system for its recovery models.
-            let mut native = build::native(
-                cache,
-                range,
-                NativeMode::WriteBack,
-                NativeConsistency::Durable,
-            );
+            let mut native = stack.native(NativeMode::WriteBack, NativeConsistency::Durable);
             warm_and_measure(&mut native, &w);
             let native_measured = [
                 native.manager_recovery_cost(),
@@ -491,15 +478,10 @@ pub fn gc_experiment(multiplier: f64) -> Vec<GcRow> {
     paper_workloads(multiplier)
         .into_iter()
         .map(|w| {
-            let (cache, range) = (w.cache_blocks, w.spec.range_blocks);
+            let stack = StackSpec::for_cache(w.cache_blocks, w.spec.range_blocks);
 
             let ssd = {
-                let mut s = build::native(
-                    cache,
-                    range,
-                    NativeMode::WriteThrough,
-                    NativeConsistency::None,
-                );
+                let mut s = stack.native(NativeMode::WriteThrough, NativeConsistency::None);
                 let stats = warm_and_measure(&mut s, &w);
                 GcDevice {
                     device: "SSD",
@@ -511,7 +493,7 @@ pub fn gc_experiment(multiplier: f64) -> Vec<GcRow> {
                 }
             };
             let run_ssc = |ssc_r: bool, label: &'static str| {
-                let mut s = build::flashtier_wt(cache, range, ssc_r, ConsistencyMode::None);
+                let mut s = stack.wt(ssc_r, ConsistencyMode::None);
                 let stats = warm_and_measure(&mut s, &w);
                 GcDevice {
                     device: label,

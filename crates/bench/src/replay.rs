@@ -3,8 +3,9 @@
 //! The equivalence tests (`replay_equiv`, `shard_equiv`) and the pinned
 //! 1M-event replay (`sim_time_pins`) drive the same deterministic Zipf
 //! workload through the three cache systems; this module owns the workload
-//! parameters and the system constructors so they cannot drift apart, and
-//! the sharded replay that runs per-shard stacks on scoped threads. Every
+//! parameters and the systems' pairing with their [`StackSpec`] so they
+//! cannot drift apart, and the sharded replay that runs per-shard stacks on
+//! scoped threads. Every
 //! figure a run reports is simulated time or a counter, byte-for-byte
 //! reproducible for a given seed; host speed is the `benchmark/` ledger's.
 
@@ -12,12 +13,11 @@ use std::thread;
 
 use cachemgr::{
     replay, CacheSystem, FlashTierWb, FlashTierWt, NativeCache, NativeConsistency, NativeMode,
-    ShardSet,
+    ShardSet, StackSpec,
 };
-use disksim::{Disk, DiskConfig, DiskDataMode};
 use flashsim::{DataMode, FaultPlan, FlashConfig};
-use flashtier_core::{shard_config, ConsistencyMode, ShardRouter, Ssc, SscConfig, SscCounters};
-use ftl::{HybridFtl, SsdConfig};
+use flashtier_core::{ConsistencyMode, ShardRouter, Ssc, SscCounters};
+use ftl::HybridFtl;
 use trace::{generate, Trace, TraceEvent, WorkloadSpec};
 
 /// Workload and device sizing for one replay run.
@@ -74,14 +74,6 @@ impl ReplaySetup {
         self
     }
 
-    fn data_mode(&self) -> DataMode {
-        if self.stored {
-            DataMode::Store
-        } else {
-            DataMode::Discard
-        }
-    }
-
     /// The seeded fault plan for this setup, or `None` when faults are
     /// off. Read faults fire at the base rate; the rarer classes scale
     /// down from it so a single knob exercises every path.
@@ -115,103 +107,49 @@ impl ReplaySetup {
         })
     }
 
-    /// Flash configuration for the cache device.
-    pub fn flash(&self) -> FlashConfig {
-        FlashConfig::with_capacity_bytes(self.flash_bytes)
-    }
-
-    /// Disk tier covering the workload span.
-    pub fn disk(&self) -> Disk {
-        Disk::new(
-            DiskConfig {
-                capacity_blocks: self.range_blocks,
-                ..DiskConfig::paper_default()
-            },
-            if self.stored {
-                DiskDataMode::Store
-            } else {
-                DiskDataMode::Discard
-            },
+    /// The stacks every replay of this setup runs: the pinned flash over
+    /// the workload's span, in the setup's payload mode, with its faults.
+    pub fn stack(&self) -> StackSpec {
+        let mode = if self.stored {
+            DataMode::Store
+        } else {
+            DataMode::Discard
+        };
+        StackSpec::new(
+            FlashConfig::with_capacity_bytes(self.flash_bytes),
+            self.range_blocks,
         )
-    }
-
-    /// SSC configuration for the write-through system (clean+dirty
-    /// durable maps).
-    pub fn wt_config(&self) -> SscConfig {
-        SscConfig::ssc(self.flash())
-            .with_data_mode(self.data_mode())
-            .with_consistency(ConsistencyMode::CleanAndDirty)
-    }
-
-    /// SSC-R configuration for the write-back system (dirty-only durable
-    /// maps).
-    pub fn wb_config(&self) -> SscConfig {
-        SscConfig::ssc_r(self.flash())
-            .with_data_mode(self.data_mode())
-            .with_consistency(ConsistencyMode::DirtyOnly)
+        .with_data_mode(mode)
+        .with_faults(self.fault_plan())
     }
 
     /// FlashTier write-through: SSC with clean+dirty durable maps.
     pub fn flashtier_wt(&self) -> FlashTierWt {
-        let mut system = FlashTierWt::new(Ssc::new(self.wt_config()), self.disk());
-        if let Some(plan) = self.fault_plan() {
-            system.set_fault_plan(plan);
-        }
-        system
+        self.stack().wt(false, ConsistencyMode::CleanAndDirty)
     }
 
     /// FlashTier write-back: SSC-R with dirty-only durable maps.
     pub fn flashtier_wb(&self) -> FlashTierWb {
-        let mut system = FlashTierWb::new(Ssc::new(self.wb_config()), self.disk());
-        if let Some(plan) = self.fault_plan() {
-            system.set_fault_plan(plan);
-        }
-        system
+        self.stack().wb(true, ConsistencyMode::DirtyOnly)
     }
 
-    /// Share-nothing write-through shard stacks, as sharded replay runs
-    /// them: a 1/n-geometry split per shard, fault seeds decorrelated per
-    /// shard, and the pure LBA router.
+    /// [`ReplaySetup::flashtier_wt`] split over `shards` share-nothing stacks.
     pub fn wt_shard_set(&self, shards: usize) -> ShardSet<FlashTierWt> {
-        let config = self.wt_config();
-        let per_shard = shard_config(&config, shards);
-        let plan = self.fault_plan();
-        ShardSet::from_parts(
-            (0..shards)
-                .map(|i| FlashTierWt::new(build_shard_ssc(per_shard, plan, i), self.disk()))
-                .collect(),
-            ShardRouter::new(shards, config.flash.geometry.pages_per_block()),
-        )
+        self.stack()
+            .wt_shards(shards, false, ConsistencyMode::CleanAndDirty)
     }
 
-    /// Share-nothing write-back shard stacks (see
-    /// [`ReplaySetup::wt_shard_set`]).
+    /// [`ReplaySetup::flashtier_wb`] split over `shards` share-nothing stacks.
     pub fn wb_shard_set(&self, shards: usize) -> ShardSet<FlashTierWb> {
-        let config = self.wb_config();
-        let per_shard = shard_config(&config, shards);
-        let plan = self.fault_plan();
-        ShardSet::from_parts(
-            (0..shards)
-                .map(|i| FlashTierWb::new(build_shard_ssc(per_shard, plan, i), self.disk()))
-                .collect(),
-            ShardRouter::new(shards, config.flash.geometry.pages_per_block()),
-        )
+        self.stack()
+            .wb_shards(shards, true, ConsistencyMode::DirtyOnly)
     }
 
     /// Native write-back: FlashCache-style manager over the hybrid FTL,
     /// persisting metadata on every dirty-state change.
     pub fn native_wb(&self) -> NativeCache<HybridFtl> {
-        let ssd = HybridFtl::new(SsdConfig::paper_default(self.flash()), self.data_mode());
-        let mut system = NativeCache::new(
-            ssd,
-            self.disk(),
-            NativeMode::WriteBack,
-            NativeConsistency::Durable,
-        );
-        if let Some(plan) = self.fault_plan() {
-            system.set_fault_plan(plan);
-        }
-        system
+        self.stack()
+            .native(NativeMode::WriteBack, NativeConsistency::Durable)
     }
 }
 
@@ -229,17 +167,6 @@ pub fn partition_events(events: &[TraceEvent], router: ShardRouter) -> Vec<Vec<T
         parts[router.shard_of(e.lba)].push(e);
     }
     parts
-}
-
-/// One shard's SSC: the 1/n-geometry config with the fault seed
-/// decorrelated per shard.
-fn build_shard_ssc(per_shard: SscConfig, plan: Option<FaultPlan>, i: usize) -> Ssc {
-    let mut ssc = Ssc::new(per_shard);
-    if let Some(mut p) = plan {
-        p.seed = flashtier_core::decorrelate_fault_seed(p.seed, i);
-        ssc.set_fault_plan(p);
-    }
-    ssc
 }
 
 /// One sharded replay's outcome, per shard in shard order, plus the faults

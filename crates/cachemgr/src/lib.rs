@@ -16,8 +16,10 @@
 //!   per-update metadata persistence to the SSD for crash safety — the
 //!   baseline of §6.
 //!
-//! [`replay`] drives any manager with a trace and gathers the
-//! IOPS/latency/hit-rate statistics behind Figures 3, 4 and 6.
+//! [`StackSpec`] assembles every manager the evaluation compares over one
+//! shared flash, disk and payload mode. [`replay`] drives any manager with
+//! a trace and gathers the IOPS/latency/hit-rate statistics behind Figures
+//! 3, 4 and 6.
 
 pub mod dirty_table;
 mod error;
@@ -27,6 +29,7 @@ mod metrics;
 pub mod native;
 mod sharded;
 mod slot_cache;
+mod stack;
 mod system;
 
 pub use dirty_table::DirtyTable;
@@ -37,6 +40,7 @@ pub use metrics::MgrCounters;
 pub use native::{NativeCache, NativeConsistency, NativeMode};
 pub use sharded::ShardSet;
 pub use simkit::PageBuf;
+pub use stack::StackSpec;
 pub use system::{replay, write_payload_into, CacheSystem, ReplayStats};
 
 /// Result alias for cache-manager operations.

@@ -20,8 +20,8 @@ use cachemgr::{
     PageBuf,
 };
 use disksim::{Disk, DiskConfig, DiskDataMode};
-use flashsim::{DataMode, FlashConfig};
-use flashtier_core::{ConsistencyMode, Ssc, SscConfig};
+use flashsim::{DataMode, FlashConfig, Ppn};
+use flashtier_core::{BlockEntry, ConsistencyMode, PagePtr, Ssc, SscConfig, SscMaps};
 use ftl::{BlockDev, HybridFtl, SsdConfig};
 use trace::TraceEvent;
 
@@ -296,4 +296,51 @@ fn native_heap_bytes_are_the_bytes_its_table_holds() {
         assert_eq!(system.host_memory().entries, system.slots(), "full");
     });
     assert!(sizes.len() >= 6, "grew only through {sizes:?}");
+}
+
+/// The SSC's forward map built and driven with the live-bytes count armed
+/// holds exactly what `heap_bytes` reports: nothing while empty, then its
+/// table and log rows through page inserts, block upserts and row growth
+/// across the table's doublings, and its bare table once every row is
+/// taken and every block removed.
+#[test]
+fn ssc_maps_heap_bytes_are_the_bytes_they_hold() {
+    const LBNS: u64 = 2048;
+    let mut sizes = Vec::with_capacity(4 * LBNS as usize);
+    with_live_bytes(|| {
+        let mut maps = SscMaps::new(64);
+        assert_eq!(maps.heap_bytes(), live_bytes(), "empty");
+        // The label is formatted only on failure: a `String` would count.
+        let mut check = |maps: &SscMaps, step: &str, lbn: u64| {
+            assert_eq!(maps.heap_bytes(), live_bytes(), "{step} lbn {lbn}");
+            if sizes.last() != Some(&live_bytes()) {
+                sizes.push(live_bytes());
+            }
+        };
+        // A log page for one logical block, a data block for another.
+        for lbn in 0..LBNS {
+            maps.insert_page(lbn * 64 + lbn % 64, PagePtr::new(Ppn(lbn), true));
+            maps.insert_block(LBNS + lbn, BlockEntry::new(lbn, u64::MAX, 0));
+            check(&maps, "filled", lbn);
+        }
+        // Upsert every block and grow every row.
+        for lbn in 0..LBNS {
+            maps.insert_block(LBNS + lbn, BlockEntry::new(lbn, u64::MAX, 1));
+            for offset in [lbn % 64 + 1, lbn % 64 + 2].map(|o| o % 64) {
+                maps.insert_page(lbn * 64 + offset, PagePtr::new(Ppn(offset), false));
+            }
+            check(&maps, "grew", lbn);
+        }
+        // Drain.
+        for lbn in 0..LBNS {
+            assert_eq!(maps.take_log(lbn).count(), 3, "lbn {lbn}");
+            assert!(maps.remove_block(LBNS + lbn).is_some(), "lbn {lbn}");
+            check(&maps, "drained", lbn);
+        }
+        assert_eq!(maps.cached_pages(), 0, "drained");
+        drop(maps);
+        assert_eq!(live_bytes(), 0, "the dropped maps left bytes behind");
+    });
+    // Every row the fill and growth phases allocate moves the count.
+    assert!(sizes.len() >= 2 * LBNS as usize, "{} sizes", sizes.len());
 }

@@ -3,30 +3,20 @@
 //! results — the property every experiment in the paper reproduction rests
 //! on.
 
-use cachemgr::{
-    replay, CacheSystem, FlashTierWb, FlashTierWt, NativeCache, NativeConsistency, NativeMode,
-};
-use disksim::{Disk, DiskConfig, DiskDataMode};
-use flashsim::{DataMode, FaultCounters, FlashConfig};
-use flashtier_core::{ConsistencyMode, Ssc, SscConfig};
-use ftl::{HybridFtl, SsdConfig};
+use cachemgr::{replay, CacheSystem, NativeConsistency, NativeMode, StackSpec};
+use flashsim::{FaultCounters, FlashConfig};
+use flashtier_core::ConsistencyMode;
 use trace::{generate, WorkloadSpec};
 
 fn workload() -> trace::Trace {
     generate(&WorkloadSpec::homes().scaled(2_000.0))
 }
 
-fn flash() -> FlashConfig {
-    FlashConfig::with_capacity_bytes(8 << 20)
-}
-
-fn disk(range: u64) -> Disk {
-    Disk::new(
-        DiskConfig {
-            capacity_blocks: range,
-            ..DiskConfig::paper_default()
-        },
-        DiskDataMode::Discard,
+/// The stacks under test: 8 MB of flash over the workload's span.
+fn stack() -> StackSpec {
+    StackSpec::new(
+        FlashConfig::with_capacity_bytes(8 << 20),
+        workload().range_blocks,
     )
 }
 
@@ -47,38 +37,20 @@ fn assert_deterministic<S: CacheSystem>(mut build: impl FnMut() -> S) {
 
 #[test]
 fn flashtier_wt_replay_is_deterministic() {
-    let range = workload().range_blocks;
-    assert_deterministic(|| {
-        let config = SscConfig::ssc(flash())
-            .with_data_mode(DataMode::Discard)
-            .with_consistency(ConsistencyMode::CleanAndDirty);
-        FlashTierWt::new(Ssc::new(config), disk(range))
-    });
+    let stack = stack();
+    assert_deterministic(|| stack.wt(false, ConsistencyMode::CleanAndDirty));
 }
 
 #[test]
 fn flashtier_wb_replay_is_deterministic() {
-    let range = workload().range_blocks;
-    assert_deterministic(|| {
-        let config = SscConfig::ssc_r(flash())
-            .with_data_mode(DataMode::Discard)
-            .with_consistency(ConsistencyMode::DirtyOnly);
-        FlashTierWb::new(Ssc::new(config), disk(range))
-    });
+    let stack = stack();
+    assert_deterministic(|| stack.wb(true, ConsistencyMode::DirtyOnly));
 }
 
 #[test]
 fn native_replay_is_deterministic() {
-    let range = workload().range_blocks;
-    assert_deterministic(|| {
-        let ssd = HybridFtl::new(SsdConfig::paper_default(flash()), DataMode::Discard);
-        NativeCache::new(
-            ssd,
-            disk(range),
-            NativeMode::WriteBack,
-            NativeConsistency::Durable,
-        )
-    });
+    let stack = stack();
+    assert_deterministic(|| stack.native(NativeMode::WriteBack, NativeConsistency::Durable));
 }
 
 /// A plan that sets every fault class, so determinism is checked on the
@@ -131,16 +103,9 @@ fn assert_fault_deterministic<S: CacheSystem>(
 
 #[test]
 fn flashtier_wt_faulted_replay_is_deterministic() {
-    let range = workload().range_blocks;
+    let stack = stack().with_faults(Some(fault_plan()));
     assert_fault_deterministic(
-        || {
-            let config = SscConfig::ssc(flash())
-                .with_data_mode(DataMode::Discard)
-                .with_consistency(ConsistencyMode::CleanAndDirty);
-            let mut s = FlashTierWt::new(Ssc::new(config), disk(range));
-            s.set_fault_plan(fault_plan());
-            s
-        },
+        || stack.wt(false, ConsistencyMode::CleanAndDirty),
         |s| (s.ssc().fault_counters(), s.ssc().counters().blocks_retired),
         &[PROGRAM_FAILURE],
     );
@@ -148,16 +113,9 @@ fn flashtier_wt_faulted_replay_is_deterministic() {
 
 #[test]
 fn flashtier_wb_faulted_replay_is_deterministic() {
-    let range = workload().range_blocks;
+    let stack = stack().with_faults(Some(fault_plan()));
     assert_fault_deterministic(
-        || {
-            let config = SscConfig::ssc_r(flash())
-                .with_data_mode(DataMode::Discard)
-                .with_consistency(ConsistencyMode::DirtyOnly);
-            let mut s = FlashTierWb::new(Ssc::new(config), disk(range));
-            s.set_fault_plan(fault_plan());
-            s
-        },
+        || stack.wb(true, ConsistencyMode::DirtyOnly),
         |s| (s.ssc().fault_counters(), s.ssc().counters().blocks_retired),
         &[
             READ_TRANSIENT,
@@ -170,19 +128,9 @@ fn flashtier_wb_faulted_replay_is_deterministic() {
 
 #[test]
 fn native_faulted_replay_is_deterministic() {
-    let range = workload().range_blocks;
+    let stack = stack().with_faults(Some(fault_plan()));
     assert_fault_deterministic(
-        || {
-            let ssd = HybridFtl::new(SsdConfig::paper_default(flash()), DataMode::Discard);
-            let mut s = NativeCache::new(
-                ssd,
-                disk(range),
-                NativeMode::WriteBack,
-                NativeConsistency::Durable,
-            );
-            s.set_fault_plan(fault_plan());
-            s
-        },
+        || stack.native(NativeMode::WriteBack, NativeConsistency::Durable),
         |s| {
             use ftl::BlockDev;
             (s.fault_counters(), s.ssd().ftl_counters().blocks_retired)
@@ -193,19 +141,9 @@ fn native_faulted_replay_is_deterministic() {
 
 #[test]
 fn native_wt_faulted_replay_is_deterministic() {
-    let range = workload().range_blocks;
+    let stack = stack().with_faults(Some(fault_plan()));
     assert_fault_deterministic(
-        || {
-            let ssd = HybridFtl::new(SsdConfig::paper_default(flash()), DataMode::Discard);
-            let mut s = NativeCache::new(
-                ssd,
-                disk(range),
-                NativeMode::WriteThrough,
-                NativeConsistency::None,
-            );
-            s.set_fault_plan(fault_plan());
-            s
-        },
+        || stack.native(NativeMode::WriteThrough, NativeConsistency::None),
         |s| {
             use ftl::BlockDev;
             (s.fault_counters(), s.ssd().ftl_counters().blocks_retired)
@@ -217,11 +155,9 @@ fn native_wt_faulted_replay_is_deterministic() {
 #[test]
 fn crash_recovery_is_deterministic() {
     let t = workload();
+    let stack = stack();
     let run = || {
-        let config = SscConfig::ssc(flash())
-            .with_data_mode(DataMode::Discard)
-            .with_consistency(ConsistencyMode::CleanAndDirty);
-        let mut system = FlashTierWb::new(Ssc::new(config), disk(t.range_blocks));
+        let mut system = stack.wb(false, ConsistencyMode::CleanAndDirty);
         replay(&mut system, t.prefix(0.5)).unwrap();
         let recovery = system.crash_and_recover().unwrap();
         let stats = replay(&mut system, t.suffix(0.5)).unwrap();

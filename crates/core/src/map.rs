@@ -369,7 +369,7 @@ impl SscMaps {
     }
 
     /// Inserts a block-level mapping, returning the previous entry.
-    pub(crate) fn insert_block(&mut self, lbn: u64, block: BlockEntry) -> Option<BlockEntry> {
+    pub fn insert_block(&mut self, lbn: u64, block: BlockEntry) -> Option<BlockEntry> {
         let entry = self.lbns.get_or_insert_with(lbn, LbnEntry::default);
         let old = entry.block.replace(block);
         self.blocks += usize::from(old.is_none());
@@ -377,7 +377,7 @@ impl SscMaps {
     }
 
     /// Removes a block-level mapping.
-    pub(crate) fn remove_block(&mut self, lbn: u64) -> Option<BlockEntry> {
+    pub fn remove_block(&mut self, lbn: u64) -> Option<BlockEntry> {
         let old = self.edit(lbn, |e| e.block.take())??;
         self.blocks -= 1;
         Some(old)

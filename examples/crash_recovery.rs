@@ -12,30 +12,20 @@
 //!
 //! Run with: `cargo run --release --example crash_recovery`
 
-use flashtier::cachemgr::{CacheSystem, FlashTierWb};
-use flashtier::disksim::{Disk, DiskConfig, DiskDataMode};
+use flashtier::cachemgr::{CacheSystem, StackSpec};
+use flashtier::disksim::DiskConfig;
 use flashtier::flashsim::{DataMode, FlashConfig};
 use flashtier::simkit::SimRng;
-use flashtier::ssc::{ConsistencyMode, Ssc, SscConfig};
+use flashtier::ssc::ConsistencyMode;
 
 const VOLUME_BLOCKS: u64 = (1 << 30) / 4096;
 const CACHE_BYTES: u64 = 64 << 20;
 const WARM_OPS: u64 = 40_000;
 
 fn main() {
-    let ssc = Ssc::new(
-        SscConfig::ssc(FlashConfig::with_capacity_bytes(CACHE_BYTES))
-            .with_data_mode(DataMode::Store)
-            .with_consistency(ConsistencyMode::CleanAndDirty),
-    );
-    let disk = Disk::new(
-        DiskConfig {
-            capacity_blocks: VOLUME_BLOCKS,
-            ..DiskConfig::paper_default()
-        },
-        DiskDataMode::Store,
-    );
-    let mut system = FlashTierWb::new(ssc, disk);
+    let mut system = StackSpec::new(FlashConfig::with_capacity_bytes(CACHE_BYTES), VOLUME_BLOCKS)
+        .with_data_mode(DataMode::Store)
+        .wb(false, ConsistencyMode::CleanAndDirty);
 
     // Warm the cache: mixed reads and writes over hot extents sized well
     // within the cache (a cache only works when the working set fits).

@@ -10,11 +10,10 @@
 //!
 //! Run with: `cargo run --release --example database_writeback`
 
-use flashtier::cachemgr::{CacheSystem, FlashTierWb, FlashTierWt};
-use flashtier::disksim::{Disk, DiskConfig, DiskDataMode};
-use flashtier::flashsim::{DataMode, FlashConfig};
+use flashtier::cachemgr::{CacheSystem, StackSpec};
+use flashtier::flashsim::FlashConfig;
 use flashtier::simkit::{Duration, SimRng};
-use flashtier::ssc::{ConsistencyMode, Ssc, SscConfig};
+use flashtier::ssc::ConsistencyMode;
 
 /// 1 GB database volume.
 const VOLUME_BLOCKS: u64 = (1 << 30) / 4096;
@@ -36,24 +35,6 @@ fn transactions() -> Vec<(u64, bool)> {
         .collect()
 }
 
-fn build_ssc() -> Ssc {
-    Ssc::new(
-        SscConfig::ssc(FlashConfig::with_capacity_bytes(CACHE_BYTES))
-            .with_data_mode(DataMode::Discard)
-            .with_consistency(ConsistencyMode::CleanAndDirty),
-    )
-}
-
-fn disk() -> Disk {
-    Disk::new(
-        DiskConfig {
-            capacity_blocks: VOLUME_BLOCKS,
-            ..DiskConfig::paper_default()
-        },
-        DiskDataMode::Discard,
-    )
-}
-
 fn run(system: &mut dyn CacheSystem, txns: &[(u64, bool)]) -> Duration {
     let page = vec![7u8; 4096];
     let mut total = Duration::ZERO;
@@ -69,11 +50,12 @@ fn run(system: &mut dyn CacheSystem, txns: &[(u64, bool)]) -> Duration {
 
 fn main() {
     let txns = transactions();
+    let stack = StackSpec::new(FlashConfig::with_capacity_bytes(CACHE_BYTES), VOLUME_BLOCKS);
 
-    let mut wt = FlashTierWt::new(build_ssc(), disk());
+    let mut wt = stack.wt(false, ConsistencyMode::CleanAndDirty);
     let wt_time = run(&mut wt, &txns);
 
-    let mut wb = FlashTierWb::new(build_ssc(), disk());
+    let mut wb = stack.wb(false, ConsistencyMode::CleanAndDirty);
     let wb_time = run(&mut wb, &txns);
 
     let iops = |t: Duration| TXNS as f64 / t.as_secs_f64();

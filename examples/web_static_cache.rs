@@ -9,11 +9,10 @@
 //!
 //! Run with: `cargo run --release --example web_static_cache`
 
-use flashtier::cachemgr::{CacheSystem, FlashTierWt};
-use flashtier::disksim::{Disk, DiskConfig, DiskDataMode};
-use flashtier::flashsim::{DataMode, FlashConfig};
+use flashtier::cachemgr::{CacheSystem, StackSpec};
+use flashtier::flashsim::FlashConfig;
 use flashtier::simkit::{Duration, SimRng};
-use flashtier::ssc::{ConsistencyMode, Ssc, SscConfig};
+use flashtier::ssc::ConsistencyMode;
 use flashtier::trace::ZipfSampler;
 
 /// 1 GB volume of static objects, 4 KB blocks.
@@ -41,13 +40,10 @@ fn zipf_requests(n: u64) -> Vec<u64> {
 fn main() {
     let all = zipf_requests(WARMUP + REQUESTS);
     let (warm, requests) = all.split_at(WARMUP as usize);
-    let disk_config = DiskConfig {
-        capacity_blocks: VOLUME_BLOCKS,
-        ..DiskConfig::paper_default()
-    };
+    let stack = StackSpec::new(FlashConfig::with_capacity_bytes(CACHE_BYTES), VOLUME_BLOCKS);
 
     // Baseline: every read goes to the disk.
-    let mut bare_disk = Disk::new(disk_config, DiskDataMode::Discard);
+    let mut bare_disk = stack.disk();
     let mut bare_time = Duration::ZERO;
     for &lba in requests {
         bare_time += bare_disk.read(lba).unwrap().1;
@@ -55,13 +51,7 @@ fn main() {
 
     // FlashTier write-through: SSC in front of the same disk; warm it with
     // the first half of the request stream, then measure.
-    let ssc_config = SscConfig::ssc(FlashConfig::with_capacity_bytes(CACHE_BYTES))
-        .with_data_mode(DataMode::Discard)
-        .with_consistency(ConsistencyMode::CleanAndDirty);
-    let mut cached = FlashTierWt::new(
-        Ssc::new(ssc_config),
-        Disk::new(disk_config, DiskDataMode::Discard),
-    );
+    let mut cached = stack.wt(false, ConsistencyMode::CleanAndDirty);
     for &lba in warm {
         cached.read(lba).unwrap();
     }
@@ -73,7 +63,7 @@ fn main() {
     let bare_iops = REQUESTS as f64 / bare_time.as_secs_f64();
     let cached_iops = REQUESTS as f64 / cached_time.as_secs_f64();
     let counters = cached.counters();
-    println!("web static-content cache: {REQUESTS} requests over a 2 GB volume");
+    println!("web static-content cache: {REQUESTS} requests over a 1 GB volume");
     println!("  bare disk:  {bare_iops:8.0} IOPS  ({bare_time} total)");
     println!("  flashtier:  {cached_iops:8.0} IOPS  ({cached_time} total)");
     println!("  speedup:    {:.1}x", cached_iops / bare_iops);

@@ -17,13 +17,8 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 
-use flashtier::cachemgr::{
-    replay, CacheSystem, FlashTierWb, FlashTierWt, NativeCache, NativeConsistency, NativeMode,
-};
-use flashtier::disksim::{Disk, DiskConfig, DiskDataMode};
-use flashtier::flashsim::{DataMode, FlashConfig};
-use flashtier::ftl::{HybridFtl, SsdConfig};
-use flashtier::ssc::{ConsistencyMode, Ssc, SscConfig};
+use flashtier::cachemgr::{replay, CacheSystem, NativeConsistency, NativeMode, StackSpec};
+use flashtier::ssc::ConsistencyMode;
 use flashtier::trace::{generate, Trace, TraceStats, WorkloadSpec};
 
 const USAGE: &str = "\
@@ -39,7 +34,7 @@ REPLAY OPTIONS:
     --system <kind>       flashtier-wt | flashtier-wb | native-wt | native-wb
     --cache-mb <n>        cache size in MB (default: 25% of the trace's unique blocks)
     --ssc-r               use the SSC-R (SE-Merge, 20% log) device
-    --consistency <mode>  none | dirty | full   (default: full)
+    --consistency <mode>  none | dirty | full   (default: full; not for native-wt)
     --warmup <frac>       untimed warm-up fraction of the trace (default 0.15)
 ";
 
@@ -240,6 +235,11 @@ fn replay_cmd(args: &[String]) -> ExitCode {
             "--ssc-r selects a FlashTier device; {kind} has none"
         ));
     }
+    if kind == "native-wt" && args.iter().any(|a| a == "--consistency") {
+        return fail_usage(
+            "--consistency sets what a cache persists; native-wt persists no metadata",
+        );
+    }
     let trace = match load_trace(path) {
         Ok(t) => t,
         Err(e) => return fail(&e),
@@ -278,37 +278,17 @@ fn replay_cmd(args: &[String]) -> ExitCode {
         ));
     }
 
-    let raw_flash =
-        FlashConfig::with_capacity_bytes((cache_blocks * 4096) as f64 as u64 * 100 / 84);
-    let disk_config = DiskConfig {
-        capacity_blocks: trace.range_blocks.max(1),
-        ..DiskConfig::paper_default()
-    };
-    let disk = Disk::new(disk_config, DiskDataMode::Discard);
-    let ssc_config = if ssc_r {
-        SscConfig::ssc_r(raw_flash)
-    } else {
-        SscConfig::ssc(raw_flash)
-    }
-    .with_consistency(consistency)
-    .with_data_mode(DataMode::Discard);
-
+    let stack = StackSpec::for_cache(cache_blocks, trace.range_blocks);
     let mut system: Box<dyn CacheSystem> = match kind.as_str() {
-        "flashtier-wt" => Box::new(FlashTierWt::new(Ssc::new(ssc_config), disk)),
-        "flashtier-wb" => Box::new(FlashTierWb::new(Ssc::new(ssc_config), disk)),
-        "native-wt" | "native-wb" => {
-            let ssd = HybridFtl::new(SsdConfig::paper_default(raw_flash), DataMode::Discard);
-            let mode = if kind == "native-wb" {
-                NativeMode::WriteBack
-            } else {
-                NativeMode::WriteThrough
+        "flashtier-wt" => Box::new(stack.wt(ssc_r, consistency)),
+        "flashtier-wb" => Box::new(stack.wb(ssc_r, consistency)),
+        "native-wt" => Box::new(stack.native(NativeMode::WriteThrough, NativeConsistency::None)),
+        "native-wb" => {
+            let durability = match consistency {
+                ConsistencyMode::None => NativeConsistency::None,
+                _ => NativeConsistency::Durable,
             };
-            let durability = match (mode, consistency) {
-                (NativeMode::WriteBack, ConsistencyMode::None) => NativeConsistency::None,
-                (NativeMode::WriteBack, _) => NativeConsistency::Durable,
-                _ => NativeConsistency::None,
-            };
-            Box::new(NativeCache::new(ssd, disk, mode, durability))
+            Box::new(stack.native(NativeMode::WriteBack, durability))
         }
         other => return fail(&format!("unknown system '{other}'")),
     };

@@ -3,8 +3,14 @@
 //! naming the culprit) instead of silently running with a default, and the
 //! documented `gen-trace → stats → replay` session must work end to end.
 
+use std::fs::File;
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+use flashtier::cachemgr::{replay, CacheSystem, NativeConsistency, NativeMode, StackSpec};
+use flashtier::ssc::ConsistencyMode;
+use flashtier::trace::Trace;
 
 fn flashtier(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_flashtier"))
@@ -143,6 +149,24 @@ fn replay_of_a_missing_trace_fails() {
     assert_fails_naming(&out, "cannot open");
 }
 
+/// The simulated time of `system` replaying `trace` in process over the
+/// evaluation's stacks for a `cache_mb` cache, with the CLI's defaults: a
+/// 15% warm-up split and full consistency.
+fn in_process_sim_time(trace: &Trace, system: &str, cache_mb: u64) -> String {
+    let stack = StackSpec::for_cache(cache_mb * 256, trace.range_blocks);
+    let full = ConsistencyMode::CleanAndDirty;
+    let mut s: Box<dyn CacheSystem> = match system {
+        "flashtier-wt" => Box::new(stack.wt(false, full)),
+        "flashtier-wb" => Box::new(stack.wb(false, full)),
+        "native-wt" => Box::new(stack.native(NativeMode::WriteThrough, NativeConsistency::None)),
+        "native-wb" => Box::new(stack.native(NativeMode::WriteBack, NativeConsistency::Durable)),
+        other => panic!("unknown system {other}"),
+    };
+    replay(s.as_mut(), trace.prefix(0.15)).unwrap();
+    let measured = replay(s.as_mut(), trace.suffix(0.15)).unwrap();
+    measured.sim_time.to_string()
+}
+
 #[test]
 fn gen_trace_stats_replay_round_trip() {
     let path = scratch("round-trip");
@@ -155,7 +179,8 @@ fn gen_trace_stats_replay_round_trip() {
     assert!(stats.contains("unique blocks:"), "{stats}");
     assert!(stats.contains("write fraction:"), "{stats}");
 
-    for system in ["flashtier-wt", "flashtier-wb", "native-wb"] {
+    let parsed = Trace::from_jsonl(BufReader::new(File::open(&path).unwrap())).unwrap();
+    for system in ["flashtier-wt", "flashtier-wb", "native-wt", "native-wb"] {
         let out = flashtier(&["replay", trace, "--system", system, "--cache-mb", "16"]);
         assert!(out.status.success(), "{system}: {}", stderr(&out));
         let report = String::from_utf8_lossy(&out.stdout).into_owned();
@@ -169,6 +194,15 @@ fn gen_trace_stats_replay_round_trip() {
             .and_then(|v| v.trim().parse().ok())
             .unwrap_or_else(|| panic!("{system}: no ops line in {report}"));
         assert!(ops > 0, "{system}: replayed nothing");
+        let sim_time = report
+            .lines()
+            .find_map(|l| l.strip_prefix("simulated time:"))
+            .unwrap_or_else(|| panic!("{system}: no simulated time in {report}"));
+        assert_eq!(
+            sim_time.trim(),
+            in_process_sim_time(&parsed, system, 16),
+            "{system}: the CLI must replay the evaluation's stack"
+        );
     }
 }
 
@@ -217,12 +251,20 @@ fn replay_refuses_ssc_r_for_native_systems_and_takes_every_known_flag() {
     let path = scratch("ssc-r");
     gen_mail(&path);
     let trace = path.to_str().unwrap();
-    for system in ["native-wt", "native-wb"] {
-        let out = flashtier(&["replay", trace, "--system", system, "--ssc-r"]);
+    let refused: [(&str, &[&str]); 3] = [
+        ("--ssc-r", &["--system", "native-wt", "--ssc-r"]),
+        ("--ssc-r", &["--system", "native-wb", "--ssc-r"]),
+        (
+            "--consistency",
+            &["--system", "native-wt", "--consistency", "full"],
+        ),
+    ];
+    for (flag, rest) in refused {
+        let out = flashtier(&[&["replay", trace], rest].concat());
         let err = stderr(&out);
-        assert_eq!(out.status.code(), Some(2), "{system}: {err}");
-        assert!(err.contains("--ssc-r"), "{system}: {err}");
-        assert!(out.stdout.is_empty(), "{system} printed a report");
+        assert_eq!(out.status.code(), Some(2), "{rest:?}: {err}");
+        assert!(err.contains(flag), "{rest:?}: {err}");
+        assert!(out.stdout.is_empty(), "{rest:?} printed a report");
     }
     let out = flashtier(&[
         "replay",

@@ -2,35 +2,18 @@
 //! disk) replaying generated workloads in Store mode, with data verified
 //! against a shadow model — including across crashes.
 
-use flashtier::cachemgr::{
-    CacheSystem, FlashTierWb, FlashTierWt, NativeCache, NativeConsistency, NativeMode,
-};
-use flashtier::disksim::{Disk, DiskConfig, DiskDataMode};
+use flashtier::cachemgr::{CacheSystem, NativeConsistency, NativeMode, StackSpec};
 use flashtier::flashsim::{DataMode, FlashConfig};
-use flashtier::ftl::{HybridFtl, SsdConfig};
 use flashtier::simkit::SimRng;
-use flashtier::ssc::{ConsistencyMode, Ssc, SscConfig};
+use flashtier::ssc::ConsistencyMode;
 use std::collections::HashMap;
 
 const VOLUME_BLOCKS: u64 = 4096;
-const CACHE_BYTES: u64 = 4 << 20; // 4 MB cache
 
-fn ssc(consistency: ConsistencyMode) -> Ssc {
-    Ssc::new(
-        SscConfig::ssc(FlashConfig::with_capacity_bytes(CACHE_BYTES))
-            .with_data_mode(DataMode::Store)
-            .with_consistency(consistency),
-    )
-}
-
-fn disk() -> Disk {
-    Disk::new(
-        DiskConfig {
-            capacity_blocks: VOLUME_BLOCKS,
-            ..DiskConfig::paper_default()
-        },
-        DiskDataMode::Store,
-    )
+/// Stacks with a 4 MB cache over the volume, keeping every payload.
+fn stack() -> StackSpec {
+    StackSpec::new(FlashConfig::with_capacity_bytes(4 << 20), VOLUME_BLOCKS)
+        .with_data_mode(DataMode::Store)
 }
 
 fn page(fill: u8) -> Vec<u8> {
@@ -65,14 +48,14 @@ fn churn_and_verify<S: CacheSystem>(system: &mut S, ops: u64, write_fraction: f6
 
 #[test]
 fn flashtier_write_through_integrity() {
-    let mut system = FlashTierWt::new(ssc(ConsistencyMode::CleanAndDirty), disk());
+    let mut system = stack().wt(false, ConsistencyMode::CleanAndDirty);
     churn_and_verify(&mut system, 6_000, 0.5, 1);
     assert!(system.counters().read_hits > 0);
 }
 
 #[test]
 fn flashtier_write_back_integrity() {
-    let mut system = FlashTierWb::new(ssc(ConsistencyMode::CleanAndDirty), disk());
+    let mut system = stack().wb(false, ConsistencyMode::CleanAndDirty);
     churn_and_verify(&mut system, 6_000, 0.7, 2);
     assert!(
         system.counters().writebacks > 0,
@@ -82,37 +65,19 @@ fn flashtier_write_back_integrity() {
 
 #[test]
 fn native_write_back_integrity() {
-    let ssd = HybridFtl::new(
-        SsdConfig::paper_default(FlashConfig::with_capacity_bytes(CACHE_BYTES)),
-        DataMode::Store,
-    );
-    let mut system = NativeCache::new(
-        ssd,
-        disk(),
-        NativeMode::WriteBack,
-        NativeConsistency::Durable,
-    );
+    let mut system = stack().native(NativeMode::WriteBack, NativeConsistency::Durable);
     churn_and_verify(&mut system, 6_000, 0.7, 3);
 }
 
 #[test]
 fn native_write_through_integrity() {
-    let ssd = HybridFtl::new(
-        SsdConfig::paper_default(FlashConfig::with_capacity_bytes(CACHE_BYTES)),
-        DataMode::Store,
-    );
-    let mut system = NativeCache::new(
-        ssd,
-        disk(),
-        NativeMode::WriteThrough,
-        NativeConsistency::None,
-    );
+    let mut system = stack().native(NativeMode::WriteThrough, NativeConsistency::None);
     churn_and_verify(&mut system, 6_000, 0.5, 4);
 }
 
 #[test]
 fn write_back_crash_preserves_all_dirty_data() {
-    let mut system = FlashTierWb::new(ssc(ConsistencyMode::CleanAndDirty), disk());
+    let mut system = stack().wb(false, ConsistencyMode::CleanAndDirty);
     let mut rng = SimRng::seed_from(9);
     let mut shadow: HashMap<u64, u8> = HashMap::new();
     // Interleave several crash points into the churn.
@@ -140,7 +105,7 @@ fn write_back_crash_preserves_all_dirty_data() {
 
 #[test]
 fn write_through_crash_is_instantly_usable() {
-    let mut system = FlashTierWt::new(ssc(ConsistencyMode::CleanAndDirty), disk());
+    let mut system = stack().wt(false, ConsistencyMode::CleanAndDirty);
     churn_and_verify(&mut system, 3_000, 0.5, 5);
     let hits_before = system.counters().read_hits;
     system.crash_and_recover().unwrap();
@@ -165,7 +130,7 @@ fn scattered_dirty_overload_degrades_gracefully() {
     // Pathological anti-cache workload: uniform random dirty writes over a
     // span far larger than the cache, never clustered. The system must
     // keep serving (cleaning as needed) and never corrupt data or panic.
-    let mut system = FlashTierWb::new(ssc(ConsistencyMode::CleanAndDirty), disk());
+    let mut system = stack().wb(false, ConsistencyMode::CleanAndDirty);
     let mut rng = SimRng::seed_from(13);
     let mut shadow: HashMap<u64, u8> = HashMap::new();
     for i in 0..8_000u64 {
@@ -185,17 +150,8 @@ fn scattered_dirty_overload_degrades_gracefully() {
 fn ssc_beats_ssd_on_write_heavy_churn() {
     // The headline claim at integration scale: same churn, same disk, the
     // SSC-based system spends less simulated time than the SSD-based one.
-    let mut ft = FlashTierWt::new(ssc(ConsistencyMode::None), disk());
-    let ssd = HybridFtl::new(
-        SsdConfig::paper_default(FlashConfig::with_capacity_bytes(CACHE_BYTES)),
-        DataMode::Store,
-    );
-    let mut native = NativeCache::new(
-        ssd,
-        disk(),
-        NativeMode::WriteThrough,
-        NativeConsistency::None,
-    );
+    let mut ft = stack().wt(false, ConsistencyMode::None);
+    let mut native = stack().native(NativeMode::WriteThrough, NativeConsistency::None);
 
     let mut rng = SimRng::seed_from(21);
     let mut ft_time = 0u64;
