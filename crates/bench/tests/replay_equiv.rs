@@ -9,8 +9,6 @@
 //! every layer below the manager, and the end state. In `Store` mode the
 //! data is read back as well.
 
-use std::collections::HashMap;
-
 use cachemgr::{
     replay, write_payload_into, CacheSystem, FlashTierWb, FlashTierWt, NativeCache, PageBuf,
     ReplayStats,
@@ -19,6 +17,7 @@ use disksim::DiskCounters;
 use flashsim::{FaultCounters, FlashCounters};
 use flashtier_bench::replay::{partition_events, ReplaySetup};
 use flashtier_core::SscCounters;
+use flashtier_testkit::{Model, Replayed};
 use ftl::{BlockDev, FtlCounters, HybridFtl};
 use simkit::{Duration, Histogram};
 use trace::{generate, Trace, TraceEvent, WorkloadSpec};
@@ -181,30 +180,23 @@ fn check<S: Stack>(build: impl Fn() -> S, events: &[TraceEvent], label: &str) ->
 /// Store mode only: every block the trace touched reads back, on both
 /// systems, as the payload of its last write (zeros if never written).
 fn assert_data_intact<S: Stack>(driven: &mut S, reference: &mut S, t: &Trace, label: &str) {
-    let bs = driven.block_size();
-    let mut last_write: HashMap<u64, Option<u64>> = HashMap::new();
+    let mut model = Model::with_codec(Replayed, driven.block_size());
     for (i, e) in t.events.iter().enumerate() {
-        let slot = last_write.entry(e.lba).or_default();
         if e.is_write() {
-            *slot = Some(i as u64);
+            model.ack(e.lba, i as u64);
         }
     }
-    let (mut a, mut b, mut want) = (PageBuf::new(), PageBuf::new(), PageBuf::new());
-    for (&lba, &written) in &last_write {
-        match written {
-            Some(i) => write_payload_into(lba, i, bs, &mut want),
-            None => {
-                want.fill_with(bs, 0);
-            }
-        }
-        driven.read_into(lba, &mut a).expect("read back");
-        reference.read_into(lba, &mut b).expect("read back");
-        assert_eq!(a.as_slice(), want.as_slice(), "{label}: lba {lba} (replay)");
-        assert_eq!(
-            b.as_slice(),
-            want.as_slice(),
-            "{label}: lba {lba} (reference)"
-        );
+    // Each touched block once, scattered: in ascending or trace order the
+    // read-back misses refill in runs that take debug builds 10x longer.
+    let mut touched: Vec<u64> = t.events.iter().map(|e| e.lba).collect();
+    touched.sort_unstable_by_key(|&lba| lba.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    touched.dedup();
+    let mut buf = PageBuf::new();
+    for lba in touched {
+        driven.read_into(lba, &mut buf).expect("read back");
+        model.assert_read(lba, Some(&buf), format_args!("{label} (replay)"));
+        reference.read_into(lba, &mut buf).expect("read back");
+        model.assert_read(lba, Some(&buf), format_args!("{label} (reference)"));
     }
 }
 

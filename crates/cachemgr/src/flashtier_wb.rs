@@ -302,7 +302,11 @@ impl CacheSystem for FlashTierWb {
             Err(e) => return Err(e.into()),
         };
         cost += wcost;
-        self.dirty.touch(lba);
+        // The table holds at least 2 x `dirty_limit` blocks and every write
+        // past the limit cleans back below it, so it always has room: an
+        // untracked dirty block would be acked and never destaged.
+        let tracked = self.dirty.touch(lba);
+        debug_assert!(tracked, "dirty table full at block {lba}");
         if self.dirty.len() > self.dirty_limit {
             cost += self.clean_down_to(self.dirty_low)?;
         }

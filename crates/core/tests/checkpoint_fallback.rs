@@ -10,20 +10,7 @@
 //! device's newest checkpoint, and demanding bit-identical recovered state.
 
 use flashtier_core::{Ssc, SscConfig, SscError};
-
-fn lcg(state: &mut u64) -> u64 {
-    *state = state
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    *state >> 33
-}
-
-fn encode(page_size: usize, lba: u64, version: u64) -> Vec<u8> {
-    let mut data = vec![(lba as u8) ^ (version as u8); page_size];
-    data[0..8].copy_from_slice(&lba.to_le_bytes());
-    data[8..16].copy_from_slice(&version.to_le_bytes());
-    data
-}
+use flashtier_testkit::{lcg, Codec, Tagged};
 
 fn config() -> SscConfig {
     let mut config = SscConfig::small_test();
@@ -41,10 +28,10 @@ fn drive(ssc: &mut Ssc, seed: u64) {
         let lba = lcg(&mut rng) % SPAN;
         match lcg(&mut rng) % 8 {
             0..=4 => ssc
-                .write_dirty(lba, &encode(page_size, lba, version))
+                .write_dirty(lba, &Tagged.encode(lba, version, page_size))
                 .map(|_| ())
                 .unwrap(),
-            5 => match ssc.write_clean(lba, &encode(page_size, lba, version)) {
+            5 => match ssc.write_clean(lba, &Tagged.encode(lba, version, page_size)) {
                 Ok(_) | Err(SscError::OutOfSpace) => {}
                 Err(e) => panic!("seed {seed}: {e}"),
             },
@@ -103,7 +90,7 @@ fn corrupted_newest_slot_recovers_identically_to_uncorrupted() {
         );
         // The device with the corrupted slot stays fully operational and
         // can checkpoint again.
-        let page = encode(scribbled.page_size(), 7, 10_000);
+        let page = Tagged.encode(7, 10_000, scribbled.page_size());
         scribbled.write_dirty(7, &page).unwrap();
         assert_eq!(scribbled.read(7).unwrap().0, page);
     }

@@ -5,23 +5,24 @@
 //!    not-present.
 //! 3. A read following an eviction returns not-present.
 //!
-//! The model runs arbitrary operation sequences — including crash/recover at
-//! arbitrary points — against a shadow map that tracks what each guarantee
-//! permits. Sequences come from the deterministic `simkit::SimRng`, so
-//! every failure reproduces by case number.
+//! Arbitrary operation sequences — including crash/recover at arbitrary
+//! points — run against the guarantee model of `flashtier_testkit`, which
+//! tracks what each guarantee permits. Sequences come from the
+//! deterministic `simkit::SimRng`, so every failure reproduces by case
+//! number.
 
 use flashtier_core::{ConsistencyMode, Ssc, SscConfig, SscError};
+use flashtier_testkit::{read_ssc, Model};
 use simkit::SimRng;
-use std::collections::HashMap;
 
 #[derive(Debug, Clone)]
 enum Op {
-    WriteDirty(u64, u8),
-    WriteClean(u64, u8),
+    WriteDirty(u64),
+    WriteClean(u64),
     Read(u64),
     Evict(u64),
     Clean(u64),
-    CrashRecover,
+    Crash,
     /// Crash with a torn (non-atomic) tail of the durable log: the last
     /// `n` bytes vanish mid-frame. CRC framing must keep recovery sound.
     CrashTorn(u16),
@@ -37,164 +38,89 @@ fn random_ops(rng: &mut SimRng, consistency_modelled: bool) -> Vec<Op> {
     (0..n)
         .map(|_| {
             let lba = rng.gen_range(24);
-            let fill = rng.gen_range(256) as u8;
+            // Once a fill byte; still drawn so every case keeps its ops.
+            rng.gen_range(256);
             match rng.gen_range(total_weight) {
-                0..=2 => Op::WriteClean(lba, fill),
-                3..=4 => Op::WriteDirty(lba, fill),
+                0..=2 => Op::WriteClean(lba),
+                3..=4 => Op::WriteDirty(lba),
                 5..=7 => Op::Read(lba),
                 8 => Op::Evict(lba),
                 9..=10 => Op::Clean(lba),
-                11 => Op::CrashRecover,
+                11 => Op::Crash,
                 _ => Op::CrashTorn(1 + rng.gen_range(199) as u16),
             }
         })
         .collect()
 }
 
-/// Per-LBA shadow state.
-#[derive(Debug, Clone, Default)]
-struct ShadowEntry {
-    /// Newest fill byte and dirty flag, when written since the last torn
-    /// crash (full guarantees apply).
-    current: Option<(u8, bool)>,
-    /// Every fill ever written to this LBA: after a *torn* crash (no
-    /// atomic-write primitive), durability may roll back to an older
-    /// committed version, but the device must never fabricate data or
-    /// serve another block's content.
-    history: Vec<u8>,
-}
-
-fn run(mode: ConsistencyMode, ops: &[Op]) {
+fn run(mode: ConsistencyMode, ops: &[Op], case: u64) {
     let mut ssc = Ssc::new(SscConfig::small_test().with_consistency(mode));
-    let page_size = ssc.page_size();
-    let page = |fill: u8| vec![fill; page_size];
-    let mut shadow: HashMap<u64, ShadowEntry> = HashMap::new();
-    let record_write = |shadow: &mut HashMap<u64, ShadowEntry>, lba: u64, fill: u8, dirty: bool| {
-        let entry = shadow.entry(lba).or_default();
-        entry.current = Some((fill, dirty));
-        entry.history.push(fill);
-    };
-
-    for op in ops {
+    let mut model = Model::new(ssc.page_size());
+    let mut version = 0u64;
+    for (i, op) in ops.iter().enumerate() {
+        let context = format!("{mode:?} case {case} op {i} {op:?}");
         match *op {
-            Op::WriteDirty(lba, fill) => match ssc.write_dirty(lba, &page(fill)) {
-                Ok(_) => record_write(&mut shadow, lba, fill, true),
-                Err(SscError::OutOfSpace) => {
-                    // Legal when the cache is full of dirty data; clean a
-                    // few blocks like a real manager and retry once.
-                    let (dirty, _) = ssc.exists(0, u64::MAX);
-                    for l in dirty.iter().take(8) {
-                        ssc.clean(*l).unwrap();
-                        if let Some(e) = shadow.get_mut(l) {
-                            if let Some(c) = &mut e.current {
-                                c.1 = false;
-                            }
+            Op::WriteDirty(lba) => {
+                version += 1;
+                let data = model.payload(lba, version);
+                match ssc.write_dirty(lba, &data) {
+                    Ok(_) => model.ack(lba, version),
+                    Err(SscError::OutOfSpace) => {
+                        // Legal when the cache is full of dirty data; clean a
+                        // few blocks like a real manager and retry once.
+                        let (dirty, _) = ssc.exists(0, u64::MAX);
+                        for &l in dirty.iter().take(8) {
+                            ssc.clean(l).unwrap();
+                            model.clean(l);
+                        }
+                        if ssc.write_dirty(lba, &data).is_ok() {
+                            model.ack(lba, version);
                         }
                     }
-                    if ssc.write_dirty(lba, &page(fill)).is_ok() {
-                        record_write(&mut shadow, lba, fill, true);
-                    }
-                }
-                Err(e) => panic!("unexpected write_dirty error {e}"),
-            },
-            Op::WriteClean(lba, fill) => {
-                ssc.write_clean(lba, &page(fill)).unwrap();
-                record_write(&mut shadow, lba, fill, false);
-            }
-            Op::Read(lba) => {
-                let entry = shadow.get(&lba);
-                match (ssc.read(lba), entry) {
-                    (Ok((data, _)), Some(entry)) => match entry.current {
-                        Some((fill, _)) => {
-                            assert_eq!(data, page(fill), "stale data at lba {lba}")
-                        }
-                        // Written only before a torn crash: any historical
-                        // version of THIS block is acceptable; garbage or
-                        // cross-block data is not.
-                        None => {
-                            let fill = data[0];
-                            assert!(
-                                data == page(fill) && entry.history.contains(&fill),
-                                "fabricated data at lba {lba} after torn crash"
-                            );
-                        }
-                    },
-                    (Ok(_), None) => panic!("read of never-written lba {lba} succeeded"),
-                    (Err(SscError::NotPresent(_)), Some(entry)) => {
-                        if let Some((fill, true)) = entry.current {
-                            panic!("dirty data lost at lba {lba} (fill {fill})");
-                        }
-                    }
-                    (Err(SscError::NotPresent(_)), None) => {}
-                    (Err(e), _) => panic!("unexpected read error {e}"),
+                    Err(e) => panic!("{context}: unexpected write_dirty error {e}"),
                 }
             }
+            Op::WriteClean(lba) => {
+                version += 1;
+                ssc.write_clean(lba, &model.payload(lba, version)).unwrap();
+                model.ack_clean(lba, version);
+            }
+            Op::Read(lba) => drop(read_ssc(&mut ssc, &model, lba, &context)),
             Op::Evict(lba) => {
                 ssc.evict(lba).unwrap();
-                // Eviction wipes expectations entirely (guarantee 3), but a
-                // later torn crash may legally resurrect a pre-eviction
-                // version, so history persists.
-                if let Some(e) = shadow.get_mut(&lba) {
-                    e.current = None;
-                }
-                // Until the next torn crash, reads must miss.
-                match ssc.read(lba) {
-                    Err(SscError::NotPresent(_)) => {}
-                    Ok(_) => panic!("read after evict of {lba} succeeded"),
-                    Err(e) => panic!("unexpected {e}"),
-                }
+                model.evict(lba);
+                read_ssc(&mut ssc, &model, lba, &context);
             }
             Op::Clean(lba) => {
                 ssc.clean(lba).unwrap();
-                if let Some(e) = shadow.get_mut(&lba) {
-                    if let Some(c) = &mut e.current {
-                        c.1 = false;
-                    }
-                }
+                model.clean(lba);
             }
-            Op::CrashRecover => {
+            // Dirty data stays exact; clean data may vanish (silent
+            // eviction) but never goes stale. No case crashes in
+            // `ConsistencyMode::None`, where nothing survives a crash.
+            Op::Crash => {
                 ssc.crash();
                 ssc.recover().unwrap();
-                match mode {
-                    ConsistencyMode::None => shadow.clear(),
-                    _ => {
-                        // Dirty data stays `Data`; clean data may vanish
-                        // (silent-eviction semantics) but never goes stale.
-                        for entry in shadow.values_mut() {
-                            if let Some((_, false)) = entry.current {
-                                // keep: DataOrAbsent is encoded by the read
-                                // arm tolerating NotPresent for clean.
-                            }
-                        }
-                    }
-                }
             }
             Op::CrashTorn(n) => {
                 // Without the atomic-write primitive, durability of any
                 // suffix of the log may vanish: every block degrades to
-                // "some historical version or absent".
+                // "some version ever written, or absent".
                 ssc.wal_crash_torn(n as usize);
                 ssc.crash();
                 ssc.recover().unwrap();
-                if mode == ConsistencyMode::None {
-                    shadow.clear();
-                } else {
-                    for entry in shadow.values_mut() {
-                        entry.current = None;
-                    }
-                }
+                model.tear();
             }
         }
     }
-    // Final audit: every dirty block written since the last torn crash must
-    // still be present with its data.
-    for (&lba, entry) in &shadow {
-        if let Some((fill, true)) = entry.current {
-            let (data, _) = ssc
-                .read(lba)
-                .unwrap_or_else(|e| panic!("dirty lba {lba} lost at end: {e}"));
-            assert_eq!(data, page(fill));
-        }
+    // Final audit: every block the sequence touched.
+    for lba in model.lbas().collect::<Vec<_>>() {
+        read_ssc(
+            &mut ssc,
+            &model,
+            lba,
+            format_args!("{mode:?} case {case} final"),
+        );
     }
 }
 
@@ -203,7 +129,7 @@ fn guarantees_hold_with_full_consistency() {
     for case in 0..96u64 {
         let mut rng = SimRng::seed_from(0x55C_0000 ^ case);
         let ops = random_ops(&mut rng, true);
-        run(ConsistencyMode::CleanAndDirty, &ops);
+        run(ConsistencyMode::CleanAndDirty, &ops, case);
     }
 }
 
@@ -212,7 +138,7 @@ fn guarantees_hold_with_dirty_only_consistency() {
     for case in 0..96u64 {
         let mut rng = SimRng::seed_from(0x55C_1000 ^ case);
         let ops = random_ops(&mut rng, true);
-        run(ConsistencyMode::DirtyOnly, &ops);
+        run(ConsistencyMode::DirtyOnly, &ops, case);
     }
 }
 
@@ -223,6 +149,6 @@ fn semantics_hold_without_consistency_machinery() {
     for case in 0..96u64 {
         let mut rng = SimRng::seed_from(0x55C_2000 ^ case);
         let ops = random_ops(&mut rng, false);
-        run(ConsistencyMode::None, &ops);
+        run(ConsistencyMode::None, &ops, case);
     }
 }

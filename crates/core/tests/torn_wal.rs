@@ -12,18 +12,10 @@
 //!    penultimate flush, or not-present where that is legal; it never
 //!    panics and stays fully operational.
 
-use std::collections::{HashMap, HashSet};
-
 use flashsim::FlashTiming;
 use flashtier_core::wal::{LogRecord, Wal, RECORD_BYTES};
 use flashtier_core::{Ssc, SscConfig, SscError};
-
-fn lcg(state: &mut u64) -> u64 {
-    *state = state
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    *state >> 33
-}
+use flashtier_testkit::{lcg, read_ssc, Model};
 
 fn random_record(rng: &mut u64) -> LogRecord {
     match lcg(rng) % 6 {
@@ -100,22 +92,6 @@ fn torn_tail_recovers_an_exact_prefix_for_random_offsets() {
     }
 }
 
-/// Host-visible per-LBA state in the shadow model. Versions are a global
-/// strictly increasing counter; every written payload encodes
-/// `(lba, version)` so any read can be identified.
-#[derive(Clone, Copy, PartialEq)]
-enum State {
-    Written { version: u64, dirty: bool },
-    Evicted { version: u64 },
-}
-
-fn encode(page_size: usize, lba: u64, version: u64) -> Vec<u8> {
-    let mut data = vec![(lba as u8) ^ (version as u8); page_size];
-    data[0..8].copy_from_slice(&lba.to_le_bytes());
-    data[8..16].copy_from_slice(&version.to_le_bytes());
-    data
-}
-
 #[test]
 fn torn_recovery_never_serves_data_older_than_the_penultimate_flush() {
     const SPAN: u64 = 24;
@@ -123,78 +99,41 @@ fn torn_recovery_never_serves_data_older_than_the_penultimate_flush() {
     for seed in 0..60u64 {
         let mut rng = seed.wrapping_mul(0xA076_1D64_78BD_642F) | 1;
         let mut ssc = Ssc::new(SscConfig::small_test());
-        let page_size = ssc.page_size();
+        let mut model = Model::new(ssc.page_size());
 
-        // Shadow now, shadow at the last two flush boundaries, and the set
-        // of LBAs touched by any op since the penultimate flush. A touched
-        // block may legally be absent: an in-flight overwrite logs
-        // remove-then-insert in the final flush, and a suffix tear can keep
-        // the remove while losing the insert (not-present, never stale).
-        let mut cur: HashMap<u64, State> = HashMap::new();
-        let mut snap_last: HashMap<u64, State> = HashMap::new();
-        let mut snap_prev: HashMap<u64, State> = HashMap::new();
-        let mut softened_last: HashSet<u64> = HashSet::new();
-        let mut softened_prev: HashSet<u64> = HashSet::new();
-        let mut flushes_seen = 0u64;
-        let mut version = 0u64;
+        // The model at the last two flush boundaries: only the final flush
+        // is tearable, so recovery may lose what happened since the
+        // penultimate one (an in-flight overwrite logs remove-then-insert in
+        // the final flush; a tear can keep the remove but lose the insert).
+        let (mut last, mut penultimate) = (model.mark(), model.mark());
+        let (mut flushes_seen, mut version) = (0u64, 0u64);
 
         for _ in 0..OPS {
             let lba = lcg(&mut rng) % SPAN;
             version += 1;
             match lcg(&mut rng) % 8 {
                 0..=3 => {
-                    ssc.write_dirty(lba, &encode(page_size, lba, version))
-                        .unwrap();
-                    cur.insert(
-                        lba,
-                        State::Written {
-                            version,
-                            dirty: true,
-                        },
-                    );
-                    softened_last.insert(lba);
+                    ssc.write_dirty(lba, &model.payload(lba, version)).unwrap();
+                    model.ack(lba, version);
                 }
-                4..=5 => {
-                    match ssc.write_clean(lba, &encode(page_size, lba, version)) {
-                        Ok(_) => {
-                            cur.insert(
-                                lba,
-                                State::Written {
-                                    version,
-                                    dirty: false,
-                                },
-                            );
-                            softened_last.insert(lba);
-                        }
-                        Err(SscError::OutOfSpace) => {} // cache full of dirty data
-                        Err(e) => panic!("seed {seed}: {e}"),
-                    }
-                }
+                4..=5 => match ssc.write_clean(lba, &model.payload(lba, version)) {
+                    Ok(_) => model.ack_clean(lba, version),
+                    Err(SscError::OutOfSpace) => {} // cache full of dirty data
+                    Err(e) => panic!("seed {seed}: {e}"),
+                },
                 6 => {
                     ssc.evict(lba).unwrap();
-                    cur.insert(lba, State::Evicted { version });
-                    softened_last.insert(lba);
+                    model.evict(lba);
                 }
                 _ => {
                     ssc.clean(lba).unwrap();
-                    if let Some(State::Written { version, .. }) = cur.get(&lba).copied() {
-                        cur.insert(
-                            lba,
-                            State::Written {
-                                version,
-                                dirty: false,
-                            },
-                        );
-                    }
-                    softened_last.insert(lba);
+                    model.clean(lba);
                 }
             }
             let flushes = ssc.wal_counters().flushes;
             if flushes > flushes_seen {
                 flushes_seen = flushes;
-                snap_prev = snap_last.clone();
-                snap_last = cur.clone();
-                softened_prev = std::mem::take(&mut softened_last);
+                penultimate = std::mem::replace(&mut last, model.mark());
             }
         }
 
@@ -203,63 +142,15 @@ fn torn_recovery_never_serves_data_older_than_the_penultimate_flush() {
         ssc.wal_crash_torn(tear);
         ssc.crash();
         ssc.recover().unwrap();
+        model.tear_back_to(&penultimate);
 
-        let softened: HashSet<u64> = softened_prev.union(&softened_last).copied().collect();
         for lba in 0..SPAN {
-            let newest = match cur.get(&lba) {
-                Some(State::Written { version, .. }) => *version,
-                Some(State::Evicted { version }) => *version,
-                None => 0,
-            };
-            match ssc.read(lba) {
-                Ok((data, _)) => {
-                    let got_lba = u64::from_le_bytes(data[0..8].try_into().unwrap());
-                    let got_ver = u64::from_le_bytes(data[8..16].try_into().unwrap());
-                    assert_eq!(got_lba, lba, "seed {seed}: wrong block's data");
-                    assert!(
-                        got_ver <= newest,
-                        "seed {seed} lba {lba}: version {got_ver} from the future"
-                    );
-                    assert_eq!(
-                        data,
-                        encode(page_size, got_lba, got_ver),
-                        "seed {seed}: payload corrupted"
-                    );
-                    match snap_prev.get(&lba) {
-                        // Anything at least as new as the penultimate flush
-                        // is acceptable; older is stale.
-                        Some(State::Written { version, .. }) => assert!(
-                            got_ver >= *version,
-                            "seed {seed} lba {lba}: {got_ver} older than \
-                             penultimate-flush version {version}"
-                        ),
-                        // A durable eviction may only be shadowed by a
-                        // *later* write.
-                        Some(State::Evicted { version }) => assert!(
-                            got_ver > *version,
-                            "seed {seed} lba {lba}: durably evicted data came back"
-                        ),
-                        None => {}
-                    }
-                }
-                Err(SscError::NotPresent(_)) => {
-                    // Not-present is legal unless the block was durably
-                    // dirty at the penultimate flush and untouched since —
-                    // that data is guaranteed.
-                    if let Some(State::Written { dirty: true, .. }) = snap_prev.get(&lba) {
-                        assert!(
-                            softened.contains(&lba),
-                            "seed {seed} lba {lba}: durable dirty data lost"
-                        );
-                    }
-                }
-                Err(e) => panic!("seed {seed} lba {lba}: unexpected error {e}"),
-            }
+            read_ssc(&mut ssc, &model, lba, format_args!("seed {seed}"));
         }
 
         // Fully operational after the torn recovery.
         version += 1;
-        ssc.write_dirty(0, &encode(page_size, 0, version)).unwrap();
-        assert_eq!(ssc.read(0).unwrap().0, encode(page_size, 0, version));
+        ssc.write_dirty(0, &model.payload(0, version)).unwrap();
+        assert_eq!(ssc.read(0).unwrap().0, model.payload(0, version));
     }
 }

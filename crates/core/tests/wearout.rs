@@ -4,13 +4,7 @@
 
 use flashsim::FlashConfig;
 use flashtier_core::{Ssc, SscConfig, SscError};
-
-fn lcg(state: &mut u64) -> u64 {
-    *state = state
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    *state >> 33
-}
+use flashtier_testkit::lcg;
 
 #[test]
 fn ssc_survives_wearout_by_retiring_blocks() {
