@@ -13,7 +13,7 @@ use flashsim::{DataMode, FaultPlan, FlashConfig};
 use flashtier_core::{
     decorrelate_fault_seed, shard_config, ConsistencyMode, ShardRouter, Ssc, SscConfig,
 };
-use ftl::{HybridFtl, SsdConfig};
+use ftl::{BlockDev, HybridFtl, SsdConfig};
 
 use crate::{
     CacheSystem, FlashTierWb, FlashTierWt, NativeCache, NativeConsistency, NativeMode, ShardSet,
@@ -192,7 +192,6 @@ impl StackSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftl::BlockDev;
 
     #[test]
     fn devices_meet_cache_capacity() {

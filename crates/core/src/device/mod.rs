@@ -1,19 +1,35 @@
-//! The SSC device: interface operations, internal FTL, silent eviction.
+//! The SSC device: the hybrid FTL of the `ftl` crate with a cache interface
+//! on top. [`Ssc`] is one type; its methods are split by the paper's
+//! sections:
+//!
+//! * `ops` — the six interface operations (§4.2.1);
+//! * `log` — the operation log, group commit and checkpoints (§4.2.2);
+//! * `merge` — log blocks, switch and full merges, compaction and block
+//!   retirement: the FAST-style FTL underneath;
+//! * `evict` — silent eviction and its clean-block index (§4.3);
+//! * `inspect` — read-only views for tests and debugging.
+//!
+//! Crash and roll-forward recovery live in `recovery.rs`.
 
 use std::collections::VecDeque;
 
-use flashsim::{set_bits, FlashCounters, FlashDevice, OobData, Pbn, Ppn, WearStats};
+use flashsim::{FlashCounters, FlashDevice, Pbn, Ppn, WearStats};
 use ftl::FreeBlockPool;
-use simkit::{Duration, PageBuf};
 use sparsemap::{memory, MapMemory};
 
 use crate::checkpoint::CheckpointStore;
-use crate::config::{ConsistencyMode, EvictionPolicy, SscConfig};
+use crate::config::{EvictionPolicy, SscConfig};
 use crate::error::SscError;
 use crate::evict_index::CleanBlockIndex;
-use crate::map::{BlockEntry, PagePtr, Removed, SscMaps};
-use crate::wal::{LogRecord, Wal};
+use crate::map::SscMaps;
+use crate::wal::Wal;
 use crate::Result;
+
+mod evict;
+mod inspect;
+mod log;
+mod merge;
+mod ops;
 
 simkit::counter_set! {
     /// Cumulative SSC statistics.
@@ -320,53 +336,24 @@ impl Ssc {
         }
     }
 
+    /// Number of live log blocks.
+    pub fn log_blocks_in_use(&self) -> usize {
+        self.log_blocks.len()
+    }
+
+    /// Free blocks currently pooled.
+    pub fn free_blocks(&self) -> usize {
+        self.pool.len()
+    }
+
+    /// The silent-eviction policy in effect.
+    pub fn policy(&self) -> EvictionPolicy {
+        self.config.policy
+    }
+
     fn next_seq(&mut self) -> u64 {
         self.seq += 1;
         self.seq
-    }
-
-    /// Marks `lbn`'s eviction-index key stale. Call after any mutation that
-    /// can change its block-level entry (insert/remove/mask/clean); the key
-    /// is re-derived by the next [`Ssc::flush_index`]. The list is flushed
-    /// once it is as long as the device has blocks — the most keys the index
-    /// itself can hold — so it is bounded however rarely eviction runs.
-    fn index_mark(&mut self, lbn: u64) {
-        self.index_stale.push(lbn);
-        if self.index_stale.len() as u64 >= self.config.total_blocks() {
-            self.flush_index();
-        }
-    }
-
-    /// Brings the eviction index up to date — re-derives the key of every
-    /// marked LBN from its block-level entry and the device state as they
-    /// stand — and returns it. The only way `clean_index` is read.
-    fn flush_index(&mut self) -> &CleanBlockIndex {
-        self.index_stale.sort_unstable();
-        self.index_stale.dedup();
-        for i in 0..self.index_stale.len() {
-            let lbn = self.index_stale[i];
-            match self.maps.block(lbn) {
-                Some(entry) if entry.is_clean() => {
-                    let score = self.victim_score(&entry);
-                    let plane = self.dev.geometry().plane_of(Pbn(entry.pbn));
-                    self.clean_index.upsert(lbn, score, plane);
-                }
-                _ => self.clean_index.remove(lbn),
-            }
-        }
-        self.index_stale.clear();
-        &self.clean_index
-    }
-
-    /// Rebuilds the eviction index from scratch — needed when the maps are
-    /// replaced wholesale (crash wipe, roll-forward recovery) rather than
-    /// mutated through the tracked paths.
-    pub(crate) fn rebuild_clean_index(&mut self) {
-        self.clean_index = CleanBlockIndex::new(self.dev.geometry().planes());
-        self.index_stale.clear();
-        self.index_stale
-            .extend(self.maps.blocks().map(|(lbn, _)| lbn));
-        self.flush_index();
     }
 
     fn ppb(&self) -> u32 {
@@ -383,804 +370,14 @@ impl Ssc {
             })
         }
     }
-
-    fn logging_enabled(&self) -> bool {
-        self.config.consistency != ConsistencyMode::None
-    }
-
-    fn log_append(&mut self, record: LogRecord) {
-        if self.logging_enabled() {
-            self.wal.append(record);
-        }
-    }
-
-    /// Synchronous commit of every buffered record (atomic append).
-    fn commit_sync(&mut self) -> Result<Duration> {
-        if self.logging_enabled() {
-            if self.wal.buffered() > 0 {
-                // Power fails before the buffered records reach the media.
-                self.crash_point(CrashSite::GroupCommit)?;
-            }
-            let cost = self.wal.flush();
-            if !cost.is_zero() {
-                self.erases_at_last_flush = self.dev.counters().erases;
-            }
-            Ok(cost)
-        } else {
-            Ok(Duration::ZERO)
-        }
-    }
-
-    /// Barrier flush: synchronously commits any buffered log records.
-    /// Public so a sharded front-end can drain every shard's group-commit
-    /// buffer at an explicit sync point.
-    ///
-    /// # Errors
-    ///
-    /// [`SscError::PowerLoss`] if a scripted crash is armed at the
-    /// group-commit site.
-    pub fn commit_log(&mut self) -> Result<Duration> {
-        self.commit_sync()
-    }
-
-    /// Group commit: flush only once enough records have accumulated.
-    fn maybe_group_commit(&mut self) -> Result<Duration> {
-        if self.logging_enabled() && self.wal.buffered() >= self.config.group_commit_records {
-            self.commit_sync()
-        } else {
-            Ok(Duration::ZERO)
-        }
-    }
-
-    /// Checkpoint policy: log larger than the configured fraction of the
-    /// checkpoint, or the write-interval reached.
-    fn maybe_checkpoint(&mut self) -> Result<Duration> {
-        if !self.logging_enabled() {
-            return Ok(Duration::ZERO);
-        }
-        let base_lsn = self.ckpt.latest().map(|c| c.lsn).unwrap_or(0);
-        // The size half of the policy compares bytes appended past the base
-        // checkpoint against a threshold derived from that checkpoint's
-        // size. Both the base offset and the threshold only change when a
-        // new checkpoint lands, so the hot path is one comparison of the
-        // monotonic appended-bytes counter against a memoized trigger —
-        // exactly equivalent to recomputing `bytes_since` and the scaled
-        // threshold every write.
-        let trigger = match self.ckpt_trigger {
-            Some((lsn, trigger)) if lsn == base_lsn => trigger,
-            _ => {
-                let threshold = (self.ckpt.latest_bytes() as f64 * self.config.checkpoint_log_ratio)
-                    .max(self.page_size() as f64) as u64;
-                let base_offset = self.wal.appended_bytes() - self.wal.bytes_since(base_lsn);
-                let trigger = base_offset + threshold;
-                self.ckpt_trigger = Some((base_lsn, trigger));
-                trigger
-            }
-        };
-        if self.wal.appended_bytes() <= trigger
-            && self.writes_since_ckpt < self.config.checkpoint_write_interval
-        {
-            return Ok(Duration::ZERO);
-        }
-        // Power fails after deciding to checkpoint but before the new
-        // snapshot exists: both old slots stay intact.
-        self.crash_point(CrashSite::Checkpoint)?;
-        let mut cost = self.commit_sync()?;
-        let lsn = self.wal.durable_lsn();
-        cost += self.ckpt.write(&self.maps, lsn);
-        // Power fails mid-slot-write: the fresh snapshot is torn. Recovery
-        // must detect the bad CRC and fall back to the older slot.
-        if self.crash_fires(CrashSite::CheckpointTorn) {
-            self.ckpt.corrupt_latest();
-            return Err(SscError::PowerLoss);
-        }
-        // Keep the log long enough for the *older* checkpoint slot: if the
-        // newest snapshot turns out corrupted, recovery falls back to the
-        // previous one and must be able to roll forward from its LSN.
-        if let Some(previous) = self.ckpt.previous() {
-            let safe_lsn = previous.lsn;
-            self.wal.truncate_through(safe_lsn);
-        }
-        self.writes_since_ckpt = 0;
-        self.counters.checkpoints += 1;
-        Ok(cost)
-    }
-
-    /// Erases `pbn` and returns it to the pool. A worn-out or erase-failed
-    /// block is retired instead — permanently removed from circulation
-    /// (capacity shrinks, the cache keeps going) rather than surfacing an
-    /// error.
-    fn retire_block(&mut self, pbn: Pbn) -> Result<Duration> {
-        let cost = match self.dev.erase_block(pbn) {
-            Ok(cost) => cost,
-            Err(flashsim::FlashError::WornOut(_) | flashsim::FlashError::EraseFailed(_)) => {
-                self.counters.blocks_retired += 1;
-                return Ok(Duration::ZERO);
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let erases = self.dev.block_state(pbn)?.erase_count;
-        let geometry = *self.dev.geometry();
-        self.pool.release(pbn, erases, &geometry);
-        Ok(cost)
-    }
-
-    /// Invalidates every valid page of `pbn` (a block whose mapping was just
-    /// dropped or replaced) and returns how many there were.
-    fn invalidate_valid_pages(&mut self, pbn: Pbn) -> Result<u64> {
-        let first = self.dev.geometry().first_page(pbn).raw();
-        let valid = self.dev.valid_mask(pbn)?;
-        for page in set_bits(valid) {
-            self.dev.invalidate_page(Ppn(first + u64::from(page)))?;
-        }
-        Ok(u64::from(valid.count_ones()))
-    }
-
-    /// Invalidates the current copy of `lba` (both levels), appending the
-    /// matching log records.
-    fn invalidate_lba(&mut self, lba: u64) -> Result<()> {
-        match self.maps.remove_lba(lba) {
-            Some(Removed::Page(ptr)) => {
-                self.dev.invalidate_page(ptr.ppn())?;
-                self.log_append(LogRecord::RemovePage { lba });
-            }
-            Some(Removed::BlockPage { pbn, survivor }) => {
-                let (lbn, offset) = self.maps.split(lba);
-                let ppn = Ppn(pbn * self.ppb() as u64 + offset as u64);
-                self.dev.invalidate_page(ppn)?;
-                self.index_mark(lbn);
-                self.log_append(LogRecord::MaskBlockPage { lba });
-                if survivor.is_none() {
-                    // Last live page gone: the physical block is reclaimable
-                    // once the mask record is durable.
-                    self.pending_retire.push(Pbn(pbn));
-                }
-            }
-            None => {}
-        }
-        Ok(())
-    }
-
-    /// Erases blocks emptied by earlier invalidations. Callers invoke this
-    /// only after the corresponding records were committed (or with logging
-    /// off).
-    fn drain_retires(&mut self) -> Result<Duration> {
-        let mut cost = Duration::ZERO;
-        while let Some(pbn) = self.pending_retire.pop() {
-            cost += self.retire_block(pbn)?;
-        }
-        Ok(cost)
-    }
-
-    // ------------------------------------------------------------------
-    // The six interface operations (§4.2.1).
-    // ------------------------------------------------------------------
-
-    /// `write-dirty`: insert or update `lba` with dirty data. Durable (data
-    /// *and* mapping) before the call returns.
-    ///
-    /// # Errors
-    ///
-    /// [`SscError::BadPageSize`], [`SscError::LbaOutOfRange`] (`lba` is
-    /// `u64::MAX`), [`SscError::OutOfSpace`] (cache full of dirty data), or a
-    /// flash fault.
-    pub fn write_dirty(&mut self, lba: u64, data: &[u8]) -> Result<Duration> {
-        let mut cost = self.insert(lba, data, true)?;
-        cost += self.commit_sync()?;
-        cost += self.drain_retires()?;
-        cost += self.bookkeeping()?;
-        self.counters.writes_dirty += 1;
-        Ok(cost)
-    }
-
-    /// `write-clean`: insert or update `lba` with clean data. Buffered
-    /// unless it replaces existing data (the mapping change must be durable
-    /// so a later read can never see the stale version); in
-    /// [`ConsistencyMode::CleanAndDirty`] it always commits synchronously.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Ssc::write_dirty`].
-    pub fn write_clean(&mut self, lba: u64, data: &[u8]) -> Result<Duration> {
-        let had_old = self.maps.lookup(lba).is_some();
-        let mut cost = self.insert(lba, data, false)?;
-        let must_sync = had_old || self.config.consistency == ConsistencyMode::CleanAndDirty;
-        cost += if must_sync {
-            self.commit_sync()?
-        } else {
-            self.maybe_group_commit()?
-        };
-        cost += self.drain_retires()?;
-        cost += self.bookkeeping()?;
-        self.counters.writes_clean += 1;
-        Ok(cost)
-    }
-
-    /// `read` into the caller's buffer, resized to one page (in
-    /// `DataMode::Discard` its bytes are left as they were): the
-    /// allocation-free form of [`Ssc::read`].
-    ///
-    /// # Errors
-    ///
-    /// [`SscError::NotPresent`] on a miss (the normal cache-miss signal).
-    #[inline]
-    pub fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
-        self.counters.host_reads += 1;
-        match self.maps.lookup(lba) {
-            Some(resolved) => Ok(self.dev.read_page_into(resolved.ppn(), buf)?),
-            None => {
-                self.counters.read_misses += 1;
-                Err(SscError::NotPresent(lba))
-            }
-        }
-    }
-
-    /// `read`: return the cached data for `lba`. Convenience wrapper over
-    /// [`Ssc::read_into`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Ssc::read_into`].
-    pub fn read(&mut self, lba: u64) -> Result<(Vec<u8>, Duration)> {
-        let mut buf = PageBuf::new();
-        let cost = self.read_into(lba, &mut buf)?;
-        Ok((buf.into_vec(), cost))
-    }
-
-    /// `evict`: force `lba` out of the cache; a subsequent read returns
-    /// not-present. Durable before the call returns, like `write-dirty`.
-    /// Evicting an absent block is a successful no-op.
-    ///
-    /// # Errors
-    ///
-    /// Flash faults only.
-    pub fn evict(&mut self, lba: u64) -> Result<Duration> {
-        let mut cost = self.dev.timing().metadata_cost();
-        self.invalidate_lba(lba)?;
-        cost += self.commit_sync()?;
-        // If the eviction emptied a data block, reclaim it (records are
-        // already durable, so the erase cannot expose stale mappings).
-        cost += self.drain_retires()?;
-        cost += self.bookkeeping()?;
-        self.counters.evict_ops += 1;
-        Ok(cost)
-    }
-
-    /// `clean`: mark `lba` eligible for silent eviction. Asynchronous —
-    /// after a crash, cleaned blocks may return to their dirty state.
-    /// Cleaning an absent block is a successful no-op.
-    ///
-    /// # Errors
-    ///
-    /// Flash faults only (none in practice; the signature is uniform with
-    /// the other operations).
-    pub fn clean(&mut self, lba: u64) -> Result<Duration> {
-        let mut cost = self.dev.timing().metadata_cost();
-        // Power fails between a manager's destage write and this
-        // acknowledgement: the block stays dirty, destage is not recorded.
-        self.crash_point(CrashSite::Clean)?;
-        if let Some(level) = self.maps.set_clean(lba) {
-            // A log page's flag is not the eviction index's business.
-            if level.is_some() {
-                let (lbn, _) = self.maps.split(lba);
-                self.index_mark(lbn);
-            }
-            self.log_append(LogRecord::SetClean { lba });
-            cost += self.maybe_group_commit()?;
-        }
-        self.counters.clean_ops += 1;
-        Ok(cost)
-    }
-
-    /// `exists`: the dirty blocks within `[start, end)`. Served from device
-    /// memory — no flash scan. Used by the write-back cache manager to
-    /// rebuild its dirty-block table after a crash.
-    pub fn exists(&mut self, start: u64, end: u64) -> (Vec<u64>, Duration) {
-        self.counters.exists_ops += 1;
-        (
-            self.maps.dirty_in_range(start, end),
-            self.dev.timing().metadata_cost(),
-        )
-    }
-
-    /// Per-write bookkeeping: group commit high-water mark and checkpoint
-    /// policy.
-    fn bookkeeping(&mut self) -> Result<Duration> {
-        self.writes_since_ckpt += 1;
-        Ok(self.maybe_group_commit()? + self.maybe_checkpoint()?)
-    }
-
-    // ------------------------------------------------------------------
-    // Internal FTL: log-structured writes, merges, silent eviction.
-    // ------------------------------------------------------------------
-
-    /// Common insert path for both write flavours (excluding commit policy).
-    fn insert(&mut self, lba: u64, data: &[u8], dirty: bool) -> Result<Duration> {
-        self.check_size(data)?;
-        // The OOB area reserves this address for internal pages.
-        if lba == u64::MAX {
-            return Err(SscError::LbaOutOfRange(lba));
-        }
-        let mut cost = Duration::ZERO;
-        let mut active = self.log_block_with_space(&mut cost)?;
-        self.invalidate_lba(lba)?;
-        // An injected program failure consumes the target page; re-issue the
-        // write to the next free page (recycling as needed) until it lands.
-        let ppn = loop {
-            let seq = self.next_seq();
-            match self
-                .dev
-                .program_next(active, data, OobData::for_lba(lba, dirty, seq))
-            {
-                Ok((ppn, wcost)) => {
-                    cost += wcost;
-                    break ppn;
-                }
-                Err(flashsim::FlashError::ProgramFailed(_)) => {
-                    self.counters.program_reissues += 1;
-                    active = self.log_block_with_space(&mut cost)?;
-                }
-                Err(e) => return Err(e.into()),
-            }
-        };
-        self.maps.insert_page(lba, PagePtr::new(ppn, dirty));
-        self.log_append(LogRecord::InsertPage {
-            lba,
-            ppn: ppn.raw(),
-            dirty,
-        });
-        Ok(cost)
-    }
-
-    /// Ensures a log block with free space exists, recycling and evicting as
-    /// needed. The fresh block is allocated *before* the oldest log block is
-    /// recycled so the recycler can compact sparse dirty pages forward into
-    /// it.
-    fn log_block_with_space(&mut self, cost: &mut Duration) -> Result<Pbn> {
-        // Recycling compacts dirty pages forward into the newest log block,
-        // which can fill it before the caller writes — hence the loop.
-        for _ in 0..64 {
-            if let Some(&active) = self.log_blocks.back() {
-                if !self.dev.block_state(active)?.is_full(self.ppb()) {
-                    return Ok(active);
-                }
-            }
-            if self.pool.len() <= self.config.gc_reserve_blocks {
-                *cost += self.make_free_space()?;
-            }
-            let fresh = self.pool.alloc().ok_or(SscError::OutOfSpace)?;
-            self.log_blocks.push_back(fresh);
-            if self.log_blocks.len() as u64 > self.config.log_block_limit() {
-                *cost += self.recycle_log()?;
-            }
-        }
-        // Unreachable unless every recycle round re-fills the fresh block
-        // with circulating dirty data — the cache is effectively all dirty.
-        Err(SscError::OutOfSpace)
-    }
-
-    /// Recycles the oldest log block with a switch merge when possible and a
-    /// full merge otherwise.
-    fn recycle_log(&mut self) -> Result<Duration> {
-        // Power fails as GC starts relocating the oldest log block.
-        self.crash_point(CrashSite::Merge)?;
-        let victim = self
-            .log_blocks
-            .pop_front()
-            .expect("recycle with no log blocks");
-        match self.switch_candidate(victim)? {
-            Some(lbn) => self.switch_merge(victim, lbn),
-            None => self.full_merge(victim),
-        }
-    }
-
-    /// A log block qualifies for a switch merge when it holds exactly one
-    /// LBN, fully valid, in logical order.
-    fn switch_candidate(&self, victim: Pbn) -> Result<Option<u64>> {
-        let ppb = self.ppb() as u64;
-        if u64::from(self.dev.block_state(victim)?.valid_pages) != ppb {
-            return Ok(None);
-        }
-        let mut valid = self.dev.valid_pages_iter(victim)?;
-        let Some(first_lba) = valid
-            .next()
-            .and_then(|(_, oob)| oob.lba())
-            .filter(|lba| lba % ppb == 0)
-        else {
-            return Ok(None);
-        };
-        Ok(valid
-            .zip(first_lba + 1..)
-            .all(|((_, oob), lba)| oob.lba() == Some(lba))
-            .then_some(first_lba / ppb))
-    }
-
-    /// Switch merge: the victim log block becomes the LBN's data block with
-    /// no copying ("which convert a sequentially written log block into a
-    /// data block without copying data", §4.3).
-    fn switch_merge(&mut self, victim: Pbn, lbn: u64) -> Result<Duration> {
-        let mut cost = Duration::ZERO;
-        let ppb = self.ppb() as u64;
-        let mut dirty = 0u64;
-        for (offset, ptr) in self.maps.take_log(lbn) {
-            if ptr.dirty() {
-                dirty |= 1 << offset;
-            }
-            let lba = lbn * ppb + u64::from(offset);
-            self.log_append(LogRecord::RemovePage { lba });
-        }
-        let valid = if ppb == 64 {
-            u64::MAX
-        } else {
-            (1u64 << ppb) - 1
-        };
-        let entry = BlockEntry::new(victim.raw(), valid, dirty);
-        let old = self.maps.insert_block(lbn, entry);
-        self.index_mark(lbn);
-        self.log_append(LogRecord::InsertBlock {
-            lbn,
-            pbn: victim.raw(),
-            valid,
-            dirty,
-        });
-        // Make the re-mapping durable before destroying the old copies.
-        cost += self.commit_sync()?;
-        if let Some(old_entry) = old {
-            self.invalidate_valid_pages(Pbn(old_entry.pbn))?;
-            cost += self.retire_block(Pbn(old_entry.pbn))?;
-        }
-        self.counters.switch_merges += 1;
-        Ok(cost)
-    }
-
-    /// Full merge of a victim log block. Logical blocks with enough live
-    /// pages are rebuilt into data blocks; for the rest, the cache exploits
-    /// its freedom (§4.3): clean pages are *silently evicted* instead of
-    /// copied, and the (few) dirty pages are compacted forward into the
-    /// active log block. Thin logical blocks therefore never consume a
-    /// whole erase block.
-    fn full_merge(&mut self, victim: Pbn) -> Result<Duration> {
-        let mut cost = Duration::ZERO;
-        let ppb = self.ppb() as u64;
-        // Sorted LBAs of the victim's valid pages, in the reusable scratch
-        // vector (taken out of `self` for the merge; an early `?` return
-        // just costs a future re-growth). Grouping the sorted list by LBN
-        // visits logical blocks in ascending order, and within a group the
-        // candidates come out in ascending page offset — the same visit
-        // order as a `0..ppb` scan.
-        let mut lbas = std::mem::take(&mut self.lba_scratch);
-        lbas.clear();
-        lbas.extend(
-            self.dev
-                .valid_pages_iter(victim)?
-                .filter_map(|(_, oob)| oob.lba()),
-        );
-        lbas.sort_unstable();
-        lbas.dedup();
-        let mut next = 0;
-        while next < lbas.len() {
-            let lbn = lbas[next] / ppb;
-            let group_start = next;
-            while next < lbas.len() && lbas[next] / ppb == lbn {
-                next += 1;
-            }
-            // Live pages of this LBN across its data block and the log.
-            let live = self.maps.lbn(lbn).map_or(0, |e| e.live_pages());
-            if live >= self.config.min_merge_pages {
-                cost += self.merge_lbn(lbn)?;
-                continue;
-            }
-            // Thin LBN: drop clean pages, compact dirty ones forward. Only
-            // pages physically in the victim need handling, and every such
-            // page's LBA is in the candidate group (OOB metadata names the
-            // mapped LBA, and a mapped PPN is always a valid page), so the
-            // group replaces the old probe over every offset of the LBN.
-            for &lba in &lbas[group_start..next] {
-                let Some(ptr) = self.maps.page(lba) else {
-                    continue;
-                };
-                // Live pages in younger log blocks stay where they are.
-                if self.dev.geometry().block_of(ptr.ppn()) != victim {
-                    continue;
-                }
-                if ptr.dirty() {
-                    cost += self.compact_forward(lba, ptr)?;
-                } else {
-                    self.maps.remove_page(lba);
-                    self.log_append(LogRecord::RemovePage { lba });
-                    self.dev.invalidate_page(ptr.ppn())?;
-                    self.counters.silently_evicted_pages += 1;
-                }
-            }
-        }
-        self.lba_scratch = lbas;
-        // Durable un-mappings before the erase destroys the old copies.
-        cost += self.commit_sync()?;
-        debug_assert_eq!(self.dev.block_state(victim)?.valid_pages, 0);
-        cost += self.retire_block(victim)?;
-        self.counters.full_merges += 1;
-        Ok(cost)
-    }
-
-    /// Moves one live dirty page out of a victim log block into the newest
-    /// log block (a log-structured copy-forward).
-    fn compact_forward(&mut self, lba: u64, ptr: PagePtr) -> Result<Duration> {
-        let mut cost = Duration::ZERO;
-        // Charge the read, then copy device-internally: same timing and
-        // counters as read + program, no host round-trip for the payload.
-        cost += self.dev.read_page_charge(ptr.ppn())?;
-        // The newest log block was allocated before recycling began; if
-        // compaction filled it, take another (pool reserve covers this).
-        let dest = match self.log_blocks.back() {
-            Some(&b) if !self.dev.block_state(b)?.is_full(self.ppb()) => b,
-            _ => {
-                let fresh = self.pool.alloc().ok_or(SscError::OutOfSpace)?;
-                self.log_blocks.push_back(fresh);
-                fresh
-            }
-        };
-        let seq = self.next_seq();
-        let (new_ppn, wcost) =
-            self.dev
-                .copy_page_from(dest, ptr.ppn(), OobData::for_lba(lba, true, seq))?;
-        cost += wcost;
-        self.dev.invalidate_page(ptr.ppn())?;
-        self.maps.insert_page(lba, PagePtr::new(new_ppn, true));
-        self.log_append(LogRecord::RemovePage { lba });
-        self.log_append(LogRecord::InsertPage {
-            lba,
-            ppn: new_ppn.raw(),
-            dirty: true,
-        });
-        self.counters.gc_copies += 1;
-        Ok(cost)
-    }
-
-    /// Allocates a data block for a merge, silently evicting clean blocks
-    /// first when the pool is nearly empty. Merges can consume up to one
-    /// block per logical block in the victim, so they cannot rely on the
-    /// caller's headroom check alone.
-    fn alloc_for_merge(&mut self, cost: &mut Duration) -> Result<Pbn> {
-        if self.pool.len() <= 1 {
-            *cost += self.evict_clean_batch()?;
-        }
-        self.pool.alloc().ok_or(SscError::OutOfSpace)
-    }
-
-    /// Copies the newest version of every cached page of `lbn` into a fresh
-    /// data block, preserving dirty flags.
-    fn merge_lbn(&mut self, lbn: u64) -> Result<Duration> {
-        let mut cost = Duration::ZERO;
-        let ppb = self.ppb() as u64;
-        // Allocate before resolving sources: the allocation may trigger
-        // silent eviction, which can remove (clean) data blocks — including
-        // this LBN's.
-        let fresh = self.alloc_for_merge(&mut cost)?;
-        // Newest copy of each offset: log page first, then old data block.
-        let (old, logged) = match self.maps.lbn(lbn) {
-            Some(entry) => (entry.block, entry.log.bits()),
-            None => (None, 0),
-        };
-        let in_data = old.map_or(0, |e| e.valid);
-        debug_assert_eq!(logged & in_data, 0, "two valid copies of one LBA");
-        let live = logged | in_data;
-        if live == 0 {
-            // Nothing live for this LBN; return the unused block.
-            let erases = self.dev.block_state(fresh)?.erase_count;
-            let geometry = *self.dev.geometry();
-            self.pool.release(fresh, erases, &geometry);
-            if self.maps.remove_block(lbn).is_some() {
-                self.index_mark(lbn);
-                self.log_append(LogRecord::RemoveBlock { lbn });
-                cost += self.commit_sync()?;
-                if let Some(e) = old {
-                    cost += self.retire_block(Pbn(e.pbn))?;
-                }
-            }
-            return Ok(cost);
-        }
-        // Rebuild offsets `0..=last live`: the old data block's pages, over
-        // which go the log's — the whole row is taken, the copy supersedes
-        // it. The scratch vector is taken out of `self` for the duration of
-        // the merge (it starts and ends empty, so an early `?` return just
-        // costs a future re-growth).
-        let mut overlay = std::mem::take(&mut self.overlay_scratch);
-        let mut dirty = old.map_or(0, |e| e.dirty);
-        for (offset, ptr) in self.maps.take_log(lbn) {
-            self.log_append(LogRecord::RemovePage {
-                lba: lbn * ppb + u64::from(offset),
-            });
-            if ptr.dirty() {
-                dirty |= 1 << offset;
-            }
-            overlay.push((offset, ptr.ppn()));
-        }
-        // One device-internal rebuild: a multi-plane batch read of the
-        // sources (§5's multi-plane device) and one program per offset; the
-        // payloads never cross to the host.
-        let len = (u64::BITS - live.leading_zeros()) as usize;
-        let seq0 = self.seq;
-        let base = old.map(|e| (Pbn(e.pbn), e.valid));
-        cost += self.dev.rebuild_block(fresh, len, base, &overlay, |i| {
-            let dirty = dirty & (1 << i) != 0;
-            OobData::for_lba(lbn * ppb + i as u64, dirty, seq0 + 1 + i as u64)
-        })?;
-        self.seq += len as u64;
-        self.counters.gc_copies += len as u64;
-        // Zero-filled holes are physically present but never mapped.
-        let first = self.dev.geometry().first_page(fresh).raw();
-        for hole in set_bits(!live & (u64::MAX >> live.leading_zeros())) {
-            self.dev.invalidate_page(Ppn(first + u64::from(hole)))?;
-        }
-        overlay.clear();
-        self.overlay_scratch = overlay;
-        // Power fails mid-merge: pages were copied and their sources
-        // invalidated in device RAM, but the new block mapping is not yet
-        // durable. Recovery must roll back to the durable mappings.
-        self.crash_point(CrashSite::Merge)?;
-        let entry = BlockEntry::new(fresh.raw(), live, dirty);
-        self.maps.insert_block(lbn, entry);
-        self.index_mark(lbn);
-        self.log_append(LogRecord::InsertBlock {
-            lbn,
-            pbn: fresh.raw(),
-            valid: live,
-            dirty,
-        });
-        // Durable before the old block is erased.
-        cost += self.commit_sync()?;
-        if let Some(e) = old {
-            debug_assert_eq!(self.dev.block_state(Pbn(e.pbn))?.valid_pages, 0);
-            cost += self.retire_block(Pbn(e.pbn))?;
-        }
-        Ok(cost)
-    }
-
-    /// Silent eviction (§4.3): free space by *dropping* clean data blocks
-    /// instead of copying them; fall back to log recycling when no clean
-    /// candidate exists.
-    fn make_free_space(&mut self) -> Result<Duration> {
-        let mut cost = Duration::ZERO;
-        let mut rounds = 0u64;
-        while self.pool.len() <= self.config.gc_reserve_blocks {
-            rounds += 1;
-            if rounds > 4 * self.config.total_blocks() {
-                return Err(SscError::OutOfSpace);
-            }
-            let evicted = self.evict_clean_batch()?;
-            if evicted.is_zero() && self.flush_index().is_empty() {
-                // "If there are not enough candidate blocks to provide free
-                // space, it reverts to regular garbage collection."
-                self.counters.eviction_fallbacks += 1;
-                if self.log_blocks.len() > 1 {
-                    cost += self.recycle_log()?;
-                } else {
-                    return Err(SscError::OutOfSpace);
-                }
-                continue;
-            }
-            cost += evicted;
-        }
-        Ok(cost)
-    }
-
-    /// One batch of silent eviction: drop up to `evict_batch` clean data
-    /// blocks. Returns zero time when no candidate exists. Never merges or
-    /// allocates, so it is safe to call from inside a merge.
-    fn evict_clean_batch(&mut self) -> Result<Duration> {
-        let mut cost = Duration::ZERO;
-        for (lbn, entry) in self.select_eviction_victims() {
-            // Log the un-mapping and make it durable before erasing.
-            self.maps.remove_block(lbn);
-            self.index_mark(lbn);
-            self.log_append(LogRecord::RemoveBlock { lbn });
-            cost += self.commit_sync()?;
-            let pbn = Pbn(entry.pbn);
-            self.counters.silently_evicted_pages += self.invalidate_valid_pages(pbn)?;
-            cost += self.retire_block(pbn)?;
-            self.counters.silent_evictions += 1;
-        }
-        Ok(cost)
-    }
-
-    /// Picks up to `evict_batch` clean data blocks by the configured
-    /// victim selector, preferring the plane with the fewest free blocks
-    /// ("selects a flash plane to clean and then selects the top-k victim
-    /// blocks"). Served by the index, brought up to date first; must agree
-    /// with [`Ssc::select_eviction_victims_scan`] (oracle-tested).
-    fn select_eviction_victims(&mut self) -> Vec<(u64, BlockEntry)> {
-        let preferred_plane = self.pool.emptiest_plane();
-        let batch = self.config.evict_batch;
-        self.flush_index()
-            .select_victims(preferred_plane, batch)
-            .into_iter()
-            .map(|lbn| {
-                let entry = self.maps.block(lbn).expect("indexed lbn is mapped");
-                (lbn, entry)
-            })
-            .collect()
-    }
-
-    /// Brute-force rebuild-and-sort victim selection — the reference
-    /// implementation the index is checked against. Retained solely for the
-    /// index/scan oracle tests.
-    #[cfg(test)]
-    pub(crate) fn select_eviction_victims_scan(&self) -> Vec<(u64, BlockEntry)> {
-        let geometry = self.dev.geometry();
-        let preferred_plane = self.pool.emptiest_plane();
-        let mut candidates: Vec<(u64, u64, bool, u64, BlockEntry)> = self
-            .maps
-            .blocks()
-            .filter(|(_, e)| e.is_clean())
-            .map(|(lbn, e)| {
-                let plane = geometry.plane_of(Pbn(e.pbn));
-                let primary = self.victim_score(e);
-                (primary.0, primary.1, plane != preferred_plane, lbn, *e)
-            })
-            .collect();
-        // Lowest score first; same-plane victims preferred; LBN for
-        // determinism.
-        candidates.sort_by_key(|&(a, b, off_plane, lbn, _)| (a, b, off_plane, lbn));
-        candidates
-            .into_iter()
-            .take(self.config.evict_batch)
-            .map(|(_, _, _, lbn, e)| (lbn, e))
-            .collect()
-    }
-
-    /// Two-level victim score (smaller evicts first) per the configured
-    /// [`crate::config::VictimSelection`].
-    fn victim_score(&self, entry: &BlockEntry) -> (u64, u64) {
-        let newest_seq = || -> u64 {
-            self.dev
-                .valid_pages_iter(Pbn(entry.pbn))
-                .map(|pages| pages.map(|(_, oob)| oob.seq()).max().unwrap_or(0))
-                .unwrap_or(0)
-        };
-        match self.config.victim_selection {
-            crate::config::VictimSelection::Utilization => (entry.valid_count() as u64, 0),
-            crate::config::VictimSelection::LeastRecentlyWritten => (newest_seq(), 0),
-            crate::config::VictimSelection::UtilizationThenRecency => {
-                let quarter = (self.ppb() / 4).max(1);
-                ((entry.valid_count() / quarter) as u64, newest_seq())
-            }
-        }
-    }
-
-    /// Number of live log blocks.
-    pub fn log_blocks_in_use(&self) -> usize {
-        self.log_blocks.len()
-    }
-
-    /// Free blocks currently pooled.
-    pub fn free_blocks(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// The silent-eviction policy in effect.
-    pub fn policy(&self) -> EvictionPolicy {
-        self.config.policy
-    }
-}
-
-impl Ssc {
-    /// Test/debug helper: block-level entries.
-    pub fn debug_block_entries(&self) -> Vec<(u64, u64, u32, bool)> {
-        self.maps
-            .blocks()
-            .map(|(lbn, e)| (lbn, e.pbn, e.valid_count(), e.is_clean()))
-            .collect()
-    }
-
-    /// Test/debug helper: page-level entry count.
-    pub fn debug_page_entries(&self) -> usize {
-        self.maps.page_count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use simkit::PageBuf;
+
     use super::*;
+    use crate::config::ConsistencyMode;
 
     fn ssc() -> Ssc {
         Ssc::new(SscConfig::small_test())
@@ -1608,6 +805,8 @@ mod tests {
 mod index_oracle_tests {
     use std::collections::HashMap;
 
+    use flashsim::set_bits;
+
     use super::*;
     use crate::config::VictimSelection;
 
@@ -1912,18 +1111,5 @@ mod index_oracle_tests {
             );
         }
         assert_index_agrees(&mut s);
-    }
-}
-
-impl Ssc {
-    /// Test/debug helper: current page-map target of an LBA.
-    pub fn debug_lookup(&self, lba: u64) -> Option<(u64, bool, &'static str)> {
-        self.maps.lookup(lba).map(|r| {
-            let level = match r {
-                crate::map::Resolved::PageLevel { .. } => "page",
-                crate::map::Resolved::BlockLevel { .. } => "block",
-            };
-            (r.ppn().raw(), r.dirty(), level)
-        })
     }
 }

@@ -211,17 +211,9 @@ impl Ssc {
                             // background; modelled as an immediate erase
                             // whose time is not charged to recovery. A block
                             // that refuses the erase (worn out or grown bad)
-                            // stays retired: it never enters the pool.
-                            match self.dev.erase_block(pbn) {
-                                Ok(_) => {
-                                    let erased = self.dev.block_state(pbn)?;
-                                    pool.release(pbn, erased.erase_count, &geometry);
-                                }
-                                Err(
-                                    flashsim::FlashError::WornOut(_)
-                                    | flashsim::FlashError::EraseFailed(_),
-                                ) => {}
-                                Err(e) => return Err(e.into()),
+                            // is retired: it never enters the pool.
+                            if pool.erase_or_retire(&mut self.dev, pbn)?.is_none() {
+                                self.counters.blocks_retired += 1;
                             }
                         }
                     }
@@ -286,6 +278,29 @@ mod tests {
         // The cache remains fully usable.
         ssc.write_clean(7, &p).unwrap();
         assert_eq!(ssc.read(7).unwrap().0, p);
+    }
+
+    #[test]
+    fn a_stale_block_that_refuses_its_erase_is_retired_and_counted() {
+        // Buffered clean inserts filling one log block: the crash loses
+        // their records, so recovery finds that block fully stale.
+        let config = SscConfig::small_test().with_consistency(ConsistencyMode::DirtyOnly);
+        let mut ssc = Ssc::new(config);
+        let p = page(&ssc, 0x5E);
+        for lba in 0..u64::from(ssc.maps.ppb()) {
+            ssc.write_clean(lba, &p).unwrap();
+        }
+        assert_eq!(ssc.wal_counters().flushes, 0, "the inserts stay buffered");
+        ssc.crash();
+        ssc.set_fault_plan(flashsim::FaultPlan {
+            erase_fail_ppm: 1_000_000,
+            ..flashsim::FaultPlan::default()
+        });
+        let retired = ssc.counters().blocks_retired;
+        ssc.recover().unwrap();
+        assert_eq!(ssc.counters().blocks_retired, retired + 1);
+        let pooled = ssc.free_blocks() as u64;
+        assert_eq!(pooled, ssc.config.total_blocks() - 1, "retired, not pooled");
     }
 
     #[test]

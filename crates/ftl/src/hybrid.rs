@@ -97,30 +97,9 @@ impl HybridFtl {
         }
     }
 
-    /// The configuration this SSD was built with.
-    pub fn config(&self) -> &SsdConfig {
-        &self.config
-    }
-
-    /// Installs a deterministic media-fault plan on the underlying flash.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.dev.set_fault_plan(plan);
-    }
-
-    /// Injected-fault statistics of the underlying flash (zero when faults
-    /// are off).
-    pub fn fault_counters(&self) -> FaultCounters {
-        self.dev.fault_counters()
-    }
-
     /// Number of live log blocks.
     pub fn log_blocks_in_use(&self) -> usize {
         self.log_blocks.len()
-    }
-
-    /// Free blocks currently pooled.
-    pub fn free_blocks(&self) -> usize {
-        self.pool.len()
     }
 
     fn ppb(&self) -> u32 {
@@ -140,23 +119,14 @@ impl HybridFtl {
         self.seq
     }
 
-    /// Erases `pbn` and returns it to the pool. A worn-out or erase-failed
-    /// block is retired instead — permanently removed from circulation
-    /// (capacity shrinks, the device keeps going) rather than surfacing an
-    /// error.
+    /// Erases `pbn` and returns it to the pool, or retires it (see
+    /// [`FreeBlockPool::erase_or_retire`]).
     fn retire_block(&mut self, pbn: Pbn) -> Result<Duration> {
-        let cost = match self.dev.erase_block(pbn) {
-            Ok(cost) => cost,
-            Err(FlashError::WornOut(_) | FlashError::EraseFailed(_)) => {
-                self.counters.blocks_retired += 1;
-                return Ok(Duration::ZERO);
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let erases = self.dev.block_state(pbn)?.erase_count;
-        let geometry = *self.dev.geometry();
-        self.pool.release(pbn, erases, &geometry);
-        Ok(cost)
+        let cost = self.pool.erase_or_retire(&mut self.dev, pbn)?;
+        if cost.is_none() {
+            self.counters.blocks_retired += 1;
+        }
+        Ok(cost.unwrap_or(Duration::ZERO))
     }
 
     /// Invalidate the current physical copy of `lba` wherever it lives.
@@ -220,32 +190,11 @@ impl HybridFtl {
             .log_blocks
             .pop_front()
             .expect("merge with no log blocks");
-        if let Some(lbn) = self.switch_candidate(victim)? {
+        if let Some(lbn) = switch_candidate(&self.dev, victim)? {
             self.switch_merge(victim, lbn)
         } else {
             self.full_merge(victim)
         }
-    }
-
-    /// Returns the single LBN if `victim` qualifies for a switch merge: all
-    /// pages valid, belonging to one LBN, in logical order.
-    fn switch_candidate(&self, victim: Pbn) -> Result<Option<u64>> {
-        let ppb = self.ppb();
-        if self.dev.block_state(victim)?.valid_pages != ppb {
-            return Ok(None);
-        }
-        let mut first_lba = 0;
-        for (i, (_, oob)) in self.dev.valid_pages_iter(victim)?.enumerate() {
-            if i == 0 {
-                match oob.lba() {
-                    Some(lba) if lba % ppb as u64 == 0 => first_lba = lba,
-                    _ => return Ok(None),
-                }
-            } else if oob.lba() != Some(first_lba + i as u64) {
-                return Ok(None);
-            }
-        }
-        Ok(Some(first_lba / ppb as u64))
     }
 
     /// Switch merge: re-point the LBN's data block at the victim log block.
@@ -457,12 +406,37 @@ impl BlockDev for HybridFtl {
     }
 
     fn set_fault_plan(&mut self, plan: FaultPlan) {
-        HybridFtl::set_fault_plan(self, plan);
+        self.dev.set_fault_plan(plan);
     }
 
     fn fault_counters(&self) -> FaultCounters {
-        HybridFtl::fault_counters(self)
+        self.dev.fault_counters()
     }
+}
+
+/// The logical block a switch merge can turn log block `victim` into, if
+/// any: every page valid, in logical order from a first LBA that starts a
+/// logical block. Both the hybrid FTL and the SSC choose their merge by it.
+pub fn switch_candidate(
+    dev: &FlashDevice,
+    victim: Pbn,
+) -> std::result::Result<Option<u64>, FlashError> {
+    let ppb = u64::from(dev.geometry().pages_per_block());
+    if u64::from(dev.block_state(victim)?.valid_pages) != ppb {
+        return Ok(None);
+    }
+    let mut valid = dev.valid_pages_iter(victim)?;
+    let Some(first_lba) = valid
+        .next()
+        .and_then(|(_, oob)| oob.lba())
+        .filter(|lba| lba % ppb == 0)
+    else {
+        return Ok(None);
+    };
+    Ok(valid
+        .zip(first_lba + 1..)
+        .all(|((_, oob), lba)| oob.lba() == Some(lba))
+        .then_some(first_lba / ppb))
 }
 
 #[cfg(test)]
@@ -602,18 +576,49 @@ mod tests {
             }
         }
         assert!(ssd.ftl_counters().switch_merges + ssd.ftl_counters().full_merges > 0);
-        let free_before = ssd.free_blocks();
+        let free_before = ssd.pool.len();
         for lba in 0..ppb {
             ssd.trim(lba).unwrap();
         }
         assert!(
-            ssd.free_blocks() > free_before,
+            ssd.pool.len() > free_before,
             "trim should free the data block"
         );
         for lba in 0..ppb {
             let (got, _) = ssd.read(lba).unwrap();
             assert!(got.iter().all(|&b| b == 0), "lba {lba} not zeroed");
         }
+    }
+
+    #[test]
+    fn switch_candidate_needs_one_whole_aligned_block_in_order() {
+        let config = flashsim::FlashConfig::small_test();
+        let ppb = u64::from(config.geometry.pages_per_block());
+        let data = vec![0u8; config.geometry.page_size()];
+        let mut dev = FlashDevice::new(config, DataMode::Store);
+        let swapped = |i| match i {
+            1 => 2,
+            2 => 1,
+            i => i,
+        };
+        let runs: [Vec<u64>; 4] = [
+            (ppb..2 * ppb).collect(),
+            (ppb + 1..2 * ppb + 1).collect(),
+            (0..ppb).map(swapped).collect(),
+            (0..ppb - 1).collect(),
+        ];
+        for (pbn, lbas) in (0..).map(Pbn).zip(&runs) {
+            for (seq, &lba) in (1..).zip(lbas) {
+                let oob = OobData::for_lba(lba, false, seq);
+                dev.program_next(pbn, &data, oob).unwrap();
+            }
+        }
+        let found: Vec<_> = (0..4)
+            .map(|pbn| switch_candidate(&dev, Pbn(pbn)).unwrap())
+            .collect();
+        // Only the whole, aligned, in-order run qualifies: not one that
+        // starts mid-block, one out of order, or one a page short.
+        assert_eq!(found, [Some(1), None, None, None]);
     }
 
     #[test]

@@ -19,8 +19,11 @@
 //! * [`HybridFtl`] — the FAST-style SSD used as the paper's Native baseline,
 //! * [`PageFtl`] — a pure page-mapped FTL with greedy garbage collection,
 //!   used for ablations,
-//! * [`FreeBlockPool`] — wear-aware, plane-balanced free-block management
-//!   shared with the SSC in `flashtier-core`,
+//! * the flash-block rules the SSC in `flashtier-core` shares with both
+//!   FTLs: [`FreeBlockPool`] (wear-aware, plane-balanced free blocks) with
+//!   [`FreeBlockPool::erase_or_retire`], the one way a block is erased back
+//!   into the pool or retired for good, and [`switch_candidate`], the
+//!   switch-merge test,
 //! * the [`BlockDev`] trait both FTLs implement.
 //!
 //! Both FTLs charge every flash operation (including all merge and GC work)
@@ -36,7 +39,7 @@ pub mod ssd;
 
 pub use config::SsdConfig;
 pub use error::FtlError;
-pub use hybrid::HybridFtl;
+pub use hybrid::{switch_candidate, HybridFtl};
 pub use pagemap::PageFtl;
 pub use pool::FreeBlockPool;
 pub use ssd::{BlockDev, FtlCounters};

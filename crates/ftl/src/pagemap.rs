@@ -76,21 +76,6 @@ impl PageFtl {
         }
     }
 
-    /// Free blocks currently pooled.
-    pub fn free_blocks(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Installs a deterministic media-fault plan on the underlying flash.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.dev.set_fault_plan(plan);
-    }
-
-    /// Injected-fault statistics of the underlying flash.
-    pub fn fault_counters(&self) -> FaultCounters {
-        self.dev.fault_counters()
-    }
-
     fn check_lba(&self, lba: u64) -> Result<()> {
         if lba < self.exposed_pages {
             Ok(())
@@ -102,24 +87,6 @@ impl PageFtl {
     fn next_seq(&mut self) -> u64 {
         self.seq += 1;
         self.seq
-    }
-
-    /// Erases `pbn` and pools it; worn-out or erase-failed blocks are
-    /// retired (dropped from circulation) instead of erroring out.
-    fn retire_block(&mut self, pbn: Pbn) -> Result<Duration> {
-        let cost = match self.dev.erase_block(pbn) {
-            Ok(cost) => cost,
-            Err(FlashError::WornOut(_) | FlashError::EraseFailed(_)) => {
-                self.retired.insert(pbn.raw());
-                self.counters.blocks_retired += 1;
-                return Ok(Duration::ZERO);
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let erases = self.dev.block_state(pbn)?.erase_count;
-        let geometry = *self.dev.geometry();
-        self.pool.release(pbn, erases, &geometry);
-        Ok(cost)
     }
 
     /// Returns a block (host or GC stream) with at least one free page.
@@ -202,7 +169,13 @@ impl PageFtl {
             self.map.insert(lba, new_ppn);
             self.counters.gc_copies += 1;
         }
-        cost += self.retire_block(victim)?;
+        match self.pool.erase_or_retire(&mut self.dev, victim)? {
+            Some(erase) => cost += erase,
+            None => {
+                self.retired.insert(victim.raw());
+                self.counters.blocks_retired += 1;
+            }
+        }
         self.counters.gc_collections += 1;
         Ok(cost)
     }
@@ -289,11 +262,11 @@ impl BlockDev for PageFtl {
     }
 
     fn set_fault_plan(&mut self, plan: FaultPlan) {
-        PageFtl::set_fault_plan(self, plan);
+        self.dev.set_fault_plan(plan);
     }
 
     fn fault_counters(&self) -> FaultCounters {
-        PageFtl::fault_counters(self)
+        self.dev.fault_counters()
     }
 }
 

@@ -15,8 +15,13 @@
 //! `(erase_count, pbn)` per plane, the fullest or emptiest plane found by
 //! scanning the planes' lengths (the paper's device has ten), and one bit
 //! per block recording pool membership, which a heap cannot answer.
+//!
+//! The pool also owns the rule every layer over it uses to reclaim a block,
+//! [`FreeBlockPool::erase_or_retire`]: erase it and pool it, or retire it
+//! for good when the media refuses the erase.
 
-use flashsim::{Geometry, Pbn};
+use flashsim::{FlashDevice, FlashError, Geometry, Pbn};
+use simkit::Duration;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -84,6 +89,25 @@ impl FreeBlockPool {
             self.pooled[word] |= bit;
             self.planes[geometry.plane_of(pbn) as usize].push(Reverse((erase_count, pbn)));
             self.total += 1;
+        }
+    }
+
+    /// Erases `pbn` on `dev` and pools it at its new erase count, returning
+    /// the erase time; or, when the block is worn out or fails the erase,
+    /// retires it — it never re-enters the pool — and returns `None`.
+    pub fn erase_or_retire(
+        &mut self,
+        dev: &mut FlashDevice,
+        pbn: Pbn,
+    ) -> Result<Option<Duration>, FlashError> {
+        match dev.erase_block(pbn) {
+            Ok(cost) => {
+                let erases = dev.block_state(pbn)?.erase_count;
+                self.release(pbn, erases, dev.geometry());
+                Ok(Some(cost))
+            }
+            Err(FlashError::WornOut(_) | FlashError::EraseFailed(_)) => Ok(None),
+            Err(e) => Err(e),
         }
     }
 
@@ -282,6 +306,21 @@ mod tests {
         assert_eq!(pool.len(), 1);
         assert_eq!(pool.alloc(), Some(g.pbn(1, 3)));
         assert_eq!(pool.alloc(), None);
+    }
+
+    #[test]
+    fn erase_or_retire_pools_an_erased_block_and_drops_a_worn_one() {
+        let config = FlashConfig::small_test().with_endurance(1);
+        let mut dev = FlashDevice::new(config, flashsim::DataMode::Store);
+        let mut pool = FreeBlockPool::new(dev.geometry().planes());
+        let pbn = dev.geometry().pbn(1, 3);
+        let cost = pool.erase_or_retire(&mut dev, pbn).unwrap();
+        assert_eq!(cost, Some(config.timing.erase_cost()));
+        assert_eq!(dev.block_state(pbn).unwrap().erase_count, 1);
+        assert_eq!(pool.alloc(), Some(pbn), "the erased block is pooled");
+        // Its endurance spent, the block refuses the next erase: retired.
+        assert_eq!(pool.erase_or_retire(&mut dev, pbn), Ok(None));
+        assert!(pool.is_empty(), "a worn-out block never re-enters the pool");
     }
 
     #[test]
