@@ -132,8 +132,9 @@ impl FlashTierWb {
     }
 
     /// Writes back contiguous LRU runs until the dirty count reaches the low
-    /// watermark, returning the simulated time consumed.
-    fn clean_down_to(&mut self, target: usize) -> Result<Duration> {
+    /// watermark, returning the simulated time consumed. `acking` names the
+    /// block a write is about to acknowledge, and its bytes.
+    fn clean_down_to(&mut self, target: usize, acking: Option<(u64, &[u8])>) -> Result<Duration> {
         let mut cost = Duration::ZERO;
         let bs = self.ssc.page_size();
         // Taken out of `self` for the loop; an early `?` return just costs
@@ -154,13 +155,20 @@ impl FlashTierWb {
                 if matches!(&read, Err(SscError::Flash(e)) if e.is_media_fault()) {
                     // One retry, then invalidate: an unreadable dirty copy
                     // can never be destaged and would only wedge the
-                    // cleaner; the disk keeps the last destaged version.
+                    // cleaner; the disk keeps the last destaged version,
+                    // unless the caller still holds the block's bytes.
                     read = self.destage_read(lba, i, bs);
                     if read.is_err() {
                         cost += self.ssc.evict(lba)?;
                         let tracked = self.dirty.remove(lba);
                         debug_assert!(tracked, "cleaned untracked block {lba}");
-                        self.counters.destage_fault_invalidations += 1;
+                        match acking {
+                            Some((acked, data)) if acked == lba => {
+                                cost += self.disk.write(lba, data)?;
+                                self.counters.writebacks += 1;
+                            }
+                            _ => self.counters.destage_fault_invalidations += 1,
+                        }
                         dropped |= 1 << i;
                         continue;
                     }
@@ -254,7 +262,7 @@ impl CacheSystem for FlashTierWb {
                     Err(SscError::OutOfSpace) => {
                         // Scattered dirty pages can pin every erase block;
                         // clean some and retry, or serve without caching.
-                        let cleaned = self.clean_down_to(self.dirty_low)?;
+                        let cleaned = self.clean_down_to(self.dirty_low, None)?;
                         match self.ssc.write_clean(lba, buf) {
                             Ok(c) => cleaned + c,
                             Err(SscError::OutOfSpace) => cleaned,
@@ -296,7 +304,7 @@ impl CacheSystem for FlashTierWb {
             Err(SscError::OutOfSpace) => {
                 // The device ran out of clean victims; clean aggressively
                 // and retry once.
-                cost += self.clean_down_to(self.dirty_low / 2)?;
+                cost += self.clean_down_to(self.dirty_low / 2, None)?;
                 self.ssc.write_dirty(lba, data)?
             }
             Err(e) => return Err(e.into()),
@@ -308,7 +316,7 @@ impl CacheSystem for FlashTierWb {
         let tracked = self.dirty.touch(lba);
         debug_assert!(tracked, "dirty table full at block {lba}");
         if self.dirty.len() > self.dirty_limit {
-            cost += self.clean_down_to(self.dirty_low)?;
+            cost += self.clean_down_to(self.dirty_low, Some((lba, data)))?;
         }
         Ok(cost)
     }
@@ -404,6 +412,26 @@ mod tests {
             d.sequential_hits > 0,
             "contiguous cleaning should stream: {d:?}"
         );
+    }
+
+    #[test]
+    fn an_acked_write_its_own_clean_cannot_read_back_reaches_the_disk() {
+        let mut s = system();
+        // Every other block up to the limit, so the cleaner's first run is
+        // block 0 and the blocks written next to it.
+        for i in 0..s.dirty_limit() as u64 {
+            s.write(2 * i, &block(1)).unwrap();
+        }
+        assert_eq!(s.counters().writebacks, 0, "no clean yet");
+        s.set_fault_plan(flashsim::FaultPlan {
+            read_permanent_ppm: 1_000_000,
+            ..flashsim::FaultPlan::default()
+        });
+        // Block 1 joins block 0's run and takes the count past the limit;
+        // the clean then cannot read any of the run back.
+        s.write(1, &block(7)).unwrap();
+        assert!(s.counters().destage_fault_invalidations > 0);
+        assert_eq!(s.disk.read(1).unwrap().0, block(7), "acked, then lost");
     }
 
     #[test]
