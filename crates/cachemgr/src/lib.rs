@@ -40,7 +40,7 @@ pub use metrics::MgrCounters;
 pub use native::{NativeCache, NativeConsistency, NativeMode};
 pub use sharded::ShardSet;
 pub use simkit::PageBuf;
-pub use stack::StackSpec;
+pub use stack::{build_shards, StackSpec};
 pub use system::{replay, write_payload_into, CacheSystem, ReplayStats};
 
 /// Result alias for cache-manager operations.

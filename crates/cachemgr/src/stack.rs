@@ -112,18 +112,14 @@ impl StackSpec {
 
     /// FlashTier write-through over an SSC or SSC-R.
     pub fn wt(&self, ssc_r: bool, consistency: ConsistencyMode) -> FlashTierWt {
-        FlashTierWt::new(
-            self.ssc(self.ssc_config(ssc_r, consistency), 0),
-            self.disk(),
-        )
+        let config = self.ssc_config(ssc_r, consistency);
+        FlashTierWt::new(faulted_ssc(config, self.faults, 0), self.disk())
     }
 
     /// FlashTier write-back over an SSC or SSC-R.
     pub fn wb(&self, ssc_r: bool, consistency: ConsistencyMode) -> FlashTierWb {
-        FlashTierWb::new(
-            self.ssc(self.ssc_config(ssc_r, consistency), 0),
-            self.disk(),
-        )
+        let config = self.ssc_config(ssc_r, consistency);
+        FlashTierWb::new(faulted_ssc(config, self.faults, 0), self.disk())
     }
 
     /// The Native manager over the hybrid-FTL SSD on this flash.
@@ -146,7 +142,8 @@ impl StackSpec {
         ssc_r: bool,
         consistency: ConsistencyMode,
     ) -> ShardSet<FlashTierWt> {
-        self.shards(n, self.ssc_config(ssc_r, consistency), FlashTierWt::new)
+        let config = self.ssc_config(ssc_r, consistency);
+        build_shards(&config, n, self.faults, || self.disk(), FlashTierWt::new)
     }
 
     /// `n` share-nothing write-back stacks (see [`StackSpec::wb`]).
@@ -156,37 +153,41 @@ impl StackSpec {
         ssc_r: bool,
         consistency: ConsistencyMode,
     ) -> ShardSet<FlashTierWb> {
-        self.shards(n, self.ssc_config(ssc_r, consistency), FlashTierWb::new)
+        let config = self.ssc_config(ssc_r, consistency);
+        build_shards(&config, n, self.faults, || self.disk(), FlashTierWb::new)
     }
+}
 
-    /// Shard stacks over the 1/n geometry split of `config`, each with its
-    /// own disk tier and fault stream, and the pure LBA router.
-    fn shards<S: CacheSystem>(
-        &self,
-        n: usize,
-        config: SscConfig,
-        manager: fn(Ssc, Disk) -> S,
-    ) -> ShardSet<S> {
-        let per_shard = shard_config(&config, n);
-        ShardSet::from_parts(
-            (0..n)
-                .map(|i| manager(self.ssc(per_shard, i), self.disk()))
-                .collect(),
-            ShardRouter::new(n, config.flash.geometry.pages_per_block()),
-        )
-    }
+/// `n` share-nothing stacks over the `n`-way geometry split of `config`
+/// behind the pure LBA router: each is `manager` over its own SSC and a
+/// disk from `disk`, and `faults` goes to every SSC with its seed
+/// decorrelated per shard.
+pub fn build_shards<S: CacheSystem>(
+    config: &SscConfig,
+    n: usize,
+    faults: Option<FaultPlan>,
+    disk: impl Fn() -> Disk,
+    manager: impl Fn(Ssc, Disk) -> S,
+) -> ShardSet<S> {
+    let per_shard = shard_config(config, n);
+    ShardSet::from_parts(
+        (0..n)
+            .map(|i| manager(faulted_ssc(per_shard, faults, i), disk()))
+            .collect(),
+        ShardRouter::new(n, config.flash.geometry.pages_per_block()),
+    )
+}
 
-    /// An SSC over `config` with the fault plan's seed decorrelated for
-    /// shard `shard` (shard 0 keeps it verbatim, so an unsharded device and
-    /// a one-shard set fault alike).
-    fn ssc(&self, config: SscConfig, shard: usize) -> Ssc {
-        let mut ssc = Ssc::new(config);
-        if let Some(mut plan) = self.faults {
-            plan.seed = decorrelate_fault_seed(plan.seed, shard);
-            ssc.set_fault_plan(plan);
-        }
-        ssc
+/// An SSC over `config` with `faults`' seed decorrelated for shard `shard`
+/// (shard 0 keeps it verbatim, so an unsharded device and a one-shard set
+/// fault alike).
+fn faulted_ssc(config: SscConfig, faults: Option<FaultPlan>, shard: usize) -> Ssc {
+    let mut ssc = Ssc::new(config);
+    if let Some(mut plan) = faults {
+        plan.seed = decorrelate_fault_seed(plan.seed, shard);
+        ssc.set_fault_plan(plan);
     }
+    ssc
 }
 
 #[cfg(test)]

@@ -34,14 +34,16 @@
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration as StdDuration, Instant};
 
-use cachemgr::{CacheSystem, FlashTierWb, FlashTierWt, ShardSet};
+use cachemgr::{build_shards, CacheSystem, FlashTierWb, FlashTierWt, ShardSet};
 use flashsim::FaultPlan;
-use flashtier_core::{decorrelate_fault_seed, CrashSite};
+use flashtier_core::CrashSite;
 use flashtier_server::{
     BlockClient, Hello, NetFaultPlan, Request, Response, RetryConfig, RetryingClient, ServeSystem,
     Server, ServerConfig, STATUS_ERR, STATUS_OK,
 };
-use flashtier_testkit::{fuzz_scale, test_disk, wide_shards, Codec, Model, PowerCycle, Tagged};
+use flashtier_testkit::{
+    fuzz_scale, test_disk, wide_config, wide_shards, Codec, Model, PowerCycle, Tagged,
+};
 
 const BLOCK: usize = 512;
 const CLIENTS: usize = 4;
@@ -253,12 +255,8 @@ fn torture_under_cache_pressure_loses_no_acked_writes_wb() {
 fn media_faults_through_the_server_answer_every_request() {
     const OPS: u64 = 1_000;
     const WINDOW: u64 = 32;
-    let mut set = wide_shards(4, FlashTierWb::new);
-    for i in 0..set.num_shards() {
-        let seed = decorrelate_fault_seed(0xFA17_5E4E, i);
-        set.shard_mut(i)
-            .set_fault_plan(FaultPlan::uniform(seed, MEDIA_PPM));
-    }
+    let plan = FaultPlan::uniform(0xFA17_5E4E, MEDIA_PPM);
+    let set = build_shards(&wide_config(), 4, Some(plan), test_disk, FlashTierWb::new);
     let server = Server::start(set, "127.0.0.1:0", ServerConfig::default()).expect("bind server");
     let addr = server.addr();
     std::thread::scope(|scope| {

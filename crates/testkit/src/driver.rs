@@ -6,8 +6,7 @@ use cachemgr::{CacheSystem, CmError, FlashTierWb, FlashTierWt, MgrCounters, Nati
 use cachemgr::{PageBuf, ShardSet};
 use disksim::{Disk, DiskConfig, DiskDataMode};
 use flashsim::FaultPlan;
-use flashtier_core::{decorrelate_fault_seed, shard_config, CrashSite, ShardRouter};
-use flashtier_core::{Ssc, SscConfig, SscError};
+use flashtier_core::{CrashSite, Ssc, SscConfig, SscError};
 use simkit::Duration;
 use sparsemap::MapMemory;
 use std::fmt::Display;
@@ -49,15 +48,19 @@ pub fn read_ssc(ssc: &mut Ssc, model: &Model, lba: u64, context: impl Display) -
     }
 }
 
-/// `n` stacks of `manager` over the split of [`SscConfig::small_test`]
-/// widened to 32 blocks per plane, so a 4-way split leaves usable shards;
-/// faults off.
-pub fn wide_shards<S: CacheSystem>(n: usize, manager: impl Fn(Ssc, Disk) -> S) -> ShardSet<S> {
+/// [`SscConfig::small_test`] widened to 32 blocks per plane, so a 4-way
+/// split leaves usable shards.
+pub fn wide_config() -> SscConfig {
     let mut config = SscConfig::small_test();
     let g = config.flash.geometry;
     let (planes, ppb, page, oob) = (g.planes(), g.pages_per_block(), g.page_size(), g.oob_size());
     config.flash.geometry = flashsim::Geometry::new(planes, 32, ppb, page, oob);
-    Shards::new(&config, n, None, test_disk, manager).0
+    config
+}
+
+/// `n` stacks of `manager` over the split of [`wide_config`]; faults off.
+pub fn wide_shards<S: CacheSystem>(n: usize, manager: impl Fn(Ssc, Disk) -> S) -> ShardSet<S> {
+    cachemgr::build_shards(&wide_config(), n, None, test_disk, manager)
 }
 
 /// Media faults of every class at rates far beyond real flash (1-1.5% of
@@ -125,14 +128,13 @@ impl<D: ftl::BlockDev> PowerCycle for NativeCache<D> {
 }
 
 /// Share-nothing manager stacks behind one [`CacheSystem`] face, routed by
-/// the [`ShardRouter`] the server and the sharded replay use. A power
+/// the [`flashtier_core::ShardRouter`] the server and the sharded replay use. A power
 /// failure takes down every stack, armed or not.
 pub struct Shards<S>(pub ShardSet<S>);
 
 impl<S: CacheSystem> Shards<S> {
-    /// `n` stacks over the `n`-way split of `config`, each `manager` over
-    /// its own SSC and a disk from `disk`; `faults` goes to every shard
-    /// with its seed decorrelated per shard.
+    /// The product's shard sets ([`cachemgr::build_shards`]) behind a
+    /// [`CacheSystem`] face.
     pub fn new(
         config: &SscConfig,
         n: usize,
@@ -140,17 +142,7 @@ impl<S: CacheSystem> Shards<S> {
         disk: impl Fn() -> Disk,
         manager: impl Fn(Ssc, Disk) -> S,
     ) -> Self {
-        let per_shard = shard_config(config, n);
-        let shards = (0..n).map(|i| {
-            let mut ssc = Ssc::new(per_shard);
-            if let Some(plan) = faults {
-                let seed = decorrelate_fault_seed(plan.seed, i);
-                ssc.set_fault_plan(FaultPlan { seed, ..plan });
-            }
-            manager(ssc, disk())
-        });
-        let router = ShardRouter::new(n, per_shard.flash.geometry.pages_per_block());
-        Shards(ShardSet::from_parts(shards.collect(), router))
+        Shards(cachemgr::build_shards(config, n, faults, disk, manager))
     }
 
     fn sum(&self, memory: impl Fn(&S) -> MapMemory) -> MapMemory {

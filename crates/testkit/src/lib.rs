@@ -18,7 +18,7 @@ mod driver;
 mod model;
 
 pub use driver::{
-    aggressive_faults, fuzz_scale, fuzz_sites, lcg, read_ssc, test_disk, wide_shards, Crash,
-    Driven, PowerCycle, Shards,
+    aggressive_faults, fuzz_scale, fuzz_sites, lcg, read_ssc, test_disk, wide_config, wide_shards,
+    Crash, Driven, PowerCycle, Shards,
 };
 pub use model::{Codec, Mark, Model, Replayed, Tagged};
