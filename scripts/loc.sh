@@ -13,11 +13,32 @@
 # no manifest's [dependencies] — is test support: all of its lines count
 # as test. One row per crate, one for the root package, then the total.
 #
+# The src column is only honest while no product code follows a test
+# module, so the script first fails, naming the file and line, when a
+# column-0 item (`impl`, `fn`, `pub`, `struct`, ...) follows a file's first
+# `#[cfg(test)]` without a `#[cfg(test)]` of its own.
+#
 #   ./scripts/loc.sh
 
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# Attributes, doc comments and comments between `#[cfg(test)]` and its
+# item keep the item guarded; any other line ends the guard.
+misplaced=$(find crates/*/src src -name '*.rs' -exec awk '
+    FNR == 1 { in_tests = 0; guarded = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1; guarded = 1; next }
+    !NF || /^#\[/ || /^[ \t]*\/\// { next }
+    in_tests && !guarded && /^(pub|impl|fn|struct|enum|trait|type|const|static|mod|use|unsafe|extern|macro_rules)[ (!<]/ {
+        print FILENAME ":" FNR ": " $0
+    }
+    { guarded = 0 }' {} +)
+if [ -n "$misplaced" ]; then
+    echo "loc: product code after a test module (give it #[cfg(test)] or move it up):" >&2
+    echo "$misplaced" >&2
+    exit 1
+fi
 
 # Succeeds when the package rooted at $1 is dev-only.
 dev_only() {
