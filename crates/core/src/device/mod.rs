@@ -359,17 +359,6 @@ impl Ssc {
     fn ppb(&self) -> u32 {
         self.maps.ppb()
     }
-
-    fn check_size(&self, data: &[u8]) -> Result<()> {
-        if data.len() == self.page_size() {
-            Ok(())
-        } else {
-            Err(SscError::BadPageSize {
-                got: data.len(),
-                expected: self.page_size(),
-            })
-        }
-    }
 }
 
 #[cfg(test)]

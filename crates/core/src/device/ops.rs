@@ -149,7 +149,11 @@ impl Ssc {
 
     /// Common insert path for both write flavours (excluding commit policy).
     fn insert(&mut self, lba: u64, data: &[u8], dirty: bool) -> Result<Duration> {
-        self.check_size(data)?;
+        let expected = self.page_size();
+        if data.len() != expected {
+            let got = data.len();
+            return Err(SscError::BadPageSize { got, expected });
+        }
         // The OOB area reserves this address for internal pages.
         if lba == u64::MAX {
             return Err(SscError::LbaOutOfRange(lba));

@@ -17,7 +17,7 @@
 //! a plane, a k-way merge across the per-plane sets with the query's
 //! preferred plane reproduces the scan's exact order.
 //!
-//! Invariant (enforced by the oracle tests in `device.rs`): after a flush
+//! Invariant (enforced by the oracle tests in `device/mod.rs`): after a flush
 //! the index selects exactly what the retained scan implementation selects,
 //! for every victim-selection policy.
 

@@ -26,6 +26,11 @@
 //!   enabling cheap switch merges) — the paper's SSC and SSC-R
 //!   configurations.
 //!
+//! [`Ssc`]'s code is split the same way: `device/ops.rs` (§4.2.1),
+//! `device/log.rs` and `recovery.rs` (§4.2.2), `device/evict.rs` (§4.3),
+//! and `device/merge.rs`, the hybrid FTL underneath, which takes its
+//! erase-or-retire and switch-merge rules from the `ftl` crate.
+//!
 //! # Examples
 //!
 //! ```
