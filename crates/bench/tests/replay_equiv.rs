@@ -186,8 +186,10 @@ fn assert_data_intact<S: Stack>(driven: &mut S, reference: &mut S, t: &Trace, la
             model.ack(e.lba, i as u64);
         }
     }
-    // Each touched block once, scattered: in ascending or trace order the
-    // read-back misses refill in runs that take debug builds 10x longer.
+    // Each touched block once, scattered. In ascending or first-touch order
+    // the write-back stack's read-back fills set off a simulated cascade of
+    // full merges, hundreds of times the scattered order's work in release
+    // builds and in Discard mode too (ROADMAP item 10).
     let mut touched: Vec<u64> = t.events.iter().map(|e| e.lba).collect();
     touched.sort_unstable_by_key(|&lba| lba.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     touched.dedup();

@@ -124,7 +124,7 @@ impl FlashTierWb {
     /// bytes and the gather slot is left stale — the discard-mode disk the
     /// run is written to never looks at it.
     fn destage_read(&mut self, lba: u64, i: usize, bs: usize) -> SscResult<Duration> {
-        let cost = self.ssc.read_into(lba, &mut self.block_buf)?;
+        let (cost, _) = self.ssc.read_into(lba, &mut self.block_buf)?;
         if !self.payload_discarded {
             self.gather_buf[i * bs..(i + 1) * bs].copy_from_slice(&self.block_buf);
         }
@@ -249,9 +249,21 @@ impl CacheSystem for FlashTierWb {
     fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
         self.counters.reads += 1;
         match self.ssc.read_into(lba, buf) {
-            Ok(cost) => {
+            Ok((cost, dirty)) => {
                 self.counters.read_hits += 1;
-                self.dirty.touch_if_present(lba);
+                // Clean blocks are untracked: a block enters the table with
+                // its write-dirty and leaves it with the clean after its
+                // destage or the eviction of an unreadable copy, and a crash
+                // rebuilds the table from `exists`. A clean hit has nothing
+                // to refresh.
+                if dirty {
+                    self.dirty.touch_if_present(lba);
+                } else {
+                    debug_assert!(
+                        !self.dirty.contains(lba),
+                        "clean hit on block {lba}, which the dirty table tracks"
+                    );
+                }
                 Ok(cost)
             }
             Err(SscError::NotPresent(_)) => {
@@ -583,6 +595,30 @@ mod tests {
             );
         }
         assert!(fired >= 2, "cleaning and the retry both commit");
+    }
+
+    /// A dirty read hit moves its block to the back of the cleaning order;
+    /// a clean hit leaves the order, and the table, alone.
+    #[test]
+    fn only_dirty_read_hits_move_in_the_cleaning_order() {
+        let mut s = system();
+        s.disk.write(9, &block(9)).unwrap();
+        s.read(9).unwrap(); // a clean fill
+        for lba in [2, 4, 6] {
+            s.write(lba, &block(lba as u8)).unwrap();
+        }
+        s.read(9).unwrap();
+        assert_eq!(s.counters().read_hits, 1);
+        assert!(!s.dirty.contains(9), "a clean hit is not tracked");
+        assert_eq!((s.dirty_blocks(), s.dirty.lru_block()), (3, Some(2)));
+        s.read(2).unwrap();
+        // Block 2 is now the most recently used: cleaned last.
+        let mut order = Vec::new();
+        while let Some(lba) = s.dirty.lru_block() {
+            order.push(lba);
+            s.dirty.remove(lba);
+        }
+        assert_eq!(order, [4, 6, 2]);
     }
 
     #[test]

@@ -116,7 +116,7 @@ impl CacheSystem for FlashTierWt {
     fn read_into(&mut self, lba: u64, buf: &mut PageBuf) -> Result<Duration> {
         self.counters.reads += 1;
         match self.ssc.read_into(lba, buf) {
-            Ok(cost) => {
+            Ok((cost, _)) => {
                 self.counters.read_hits += 1;
                 Ok(cost)
             }

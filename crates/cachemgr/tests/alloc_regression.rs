@@ -20,9 +20,10 @@ use cachemgr::{
     PageBuf,
 };
 use disksim::{Disk, DiskConfig, DiskDataMode};
-use flashsim::{DataMode, FlashConfig, Ppn};
+use flashsim::{DataMode, FlashConfig, Geometry, Ppn};
 use flashtier_core::{BlockEntry, ConsistencyMode, PagePtr, Ssc, SscConfig, SscMaps};
 use ftl::{BlockDev, HybridFtl, SsdConfig};
+use simkit::SimRng;
 use trace::TraceEvent;
 
 /// Counts the allocations and reallocations of a thread that has armed it
@@ -225,6 +226,88 @@ fn native_log_resident_hits_do_not_allocate() {
     assert_eq!(hits.read_hits, OPS, "loop was not pure cache hits");
 }
 
+/// The native stack in steady state off the hit path: one seeded cycle of
+/// reads and writes over four times the cache, replayed again and again,
+/// misses, fills, evicts and overwrites, so its FTL keeps appending to log
+/// blocks and merging them (64-page blocks, so log rows pass through every
+/// array class). Once warm, a replay session allocates a per-session
+/// constant: a session four times as long allocates exactly as often.
+///
+/// Two things grow for good, and the warm-up must outlast the first. The
+/// row pool holds the most arrays of each class the directory has ever had
+/// live at once, a record that random traffic still breaks now and then
+/// after 20 cycles here and, repeating one cycle, no longer after that.
+/// And flashsim's wear histogram grows, by doubling, with the highest
+/// erase count: a handful of allocations over a device's life, which the
+/// measured sessions must not straddle — the test checks that they do not.
+#[test]
+fn native_replay_through_merges_allocates_a_per_session_constant() {
+    let flash = FlashConfig {
+        geometry: Geometry::new(2, 32, 64, 512, 16),
+        ..FlashConfig::small_test()
+    };
+    let ssd = HybridFtl::new(
+        SsdConfig {
+            flash,
+            ..SsdConfig::small_test()
+        },
+        DataMode::Discard,
+    );
+    let span = 4 * 4096;
+    let disk = Disk::new(
+        DiskConfig {
+            capacity_blocks: span,
+            ..DiskConfig::small_test()
+        },
+        DiskDataMode::Discard,
+    );
+    let mut system = NativeCache::new(ssd, disk, NativeMode::WriteBack, NativeConsistency::Durable);
+    assert!(span >= 4 * system.slots() as u64);
+    let mut rng = SimRng::seed_from(0x5EED);
+    const CYCLE: usize = 5_000;
+    let cycle: Vec<TraceEvent> = (0..CYCLE)
+        .map(|_| {
+            let lba = rng.gen_range(span);
+            match rng.gen_range(10) {
+                0..=2 => TraceEvent::write(lba),
+                _ => TraceEvent::read(lba),
+            }
+        })
+        .collect();
+    let mut session = |cycles: usize| {
+        let events = cycle.repeat(cycles);
+        let ftl_before = system.ssd().ftl_counters();
+        let (during, stats) = allocations_of(|| replay(&mut system, &events));
+        assert_eq!(stats.unwrap().ops, events.len() as u64);
+        let ftl = system.ssd().ftl_counters();
+        let merges =
+            ftl.full_merges + ftl.switch_merges - ftl_before.full_merges - ftl_before.switch_merges;
+        assert!(merges > 0, "{cycles} cycles merged nothing");
+        (during, system.ssd().wear().max_erases)
+    };
+    let (_, wear_before) = session(40);
+    let (short, _) = session(1);
+    let (long, wear_after) = session(4);
+    // The histogram holds `max_erases + 2` counts, in a power-of-two
+    // capacity that this keeps the same.
+    assert_eq!(
+        (wear_before + 1).ilog2(),
+        (wear_after + 1).ilog2(),
+        "the highest erase count went from {wear_before} to {wear_after}: \
+         re-pick the warm-up so that the sessions stay inside one doubling"
+    );
+    assert!(
+        short <= 8,
+        "replay session allocated {short} times for {CYCLE} events; \
+         expected a per-session constant"
+    );
+    assert_eq!(
+        long, short,
+        "native replay allocates per event: {short} allocations for {CYCLE} \
+         events, {long} for four times as many"
+    );
+}
+
 /// A dirty-block table built and driven with the live-bytes count armed
 /// holds exactly what `host_memory().heap_bytes` reports: nothing but its
 /// bucket heads while empty, then its records and heads as fills cross
@@ -300,13 +383,15 @@ fn native_heap_bytes_are_the_bytes_its_table_holds() {
 
 /// The SSC's forward map built and driven with the live-bytes count armed
 /// holds exactly what `heap_bytes` reports: nothing while empty, then its
-/// table and log rows through page inserts, block upserts and row growth
-/// across the table's doublings, and its bare table once every row is
-/// taken and every block removed.
+/// table and log rows through page inserts, block upserts and rows growing
+/// into the next array class across the table's doublings. The arrays rows
+/// give up wait in the row pool, counted: rows started after a drain take
+/// them without growing the heap, and dropping the maps frees everything.
 #[test]
 fn ssc_maps_heap_bytes_are_the_bytes_they_hold() {
     const LBNS: u64 = 2048;
     let mut sizes = Vec::with_capacity(4 * LBNS as usize);
+    let mut taken = Vec::with_capacity(64);
     with_live_bytes(|| {
         let mut maps = SscMaps::new(64);
         assert_eq!(maps.heap_bytes(), live_bytes(), "empty");
@@ -323,24 +408,89 @@ fn ssc_maps_heap_bytes_are_the_bytes_they_hold() {
             maps.insert_block(LBNS + lbn, BlockEntry::new(lbn, u64::MAX, 0));
             check(&maps, "filled", lbn);
         }
-        // Upsert every block and grow every row.
+        // Upsert every block, and grow every row past its 4-slot array.
         for lbn in 0..LBNS {
             maps.insert_block(LBNS + lbn, BlockEntry::new(lbn, u64::MAX, 1));
-            for offset in [lbn % 64 + 1, lbn % 64 + 2].map(|o| o % 64) {
+            for offset in (1..5).map(|o| (lbn % 64 + o) % 64) {
                 maps.insert_page(lbn * 64 + offset, PagePtr::new(Ppn(offset), false));
             }
             check(&maps, "grew", lbn);
         }
-        // Drain.
+        // Drain the rows: their log-only entries go, the blocks' stay.
         for lbn in 0..LBNS {
-            assert_eq!(maps.take_log(lbn).count(), 3, "lbn {lbn}");
-            assert!(maps.remove_block(LBNS + lbn).is_some(), "lbn {lbn}");
+            taken.clear();
+            assert_eq!(maps.take_log(lbn, &mut taken), 1 << (lbn % 64));
+            assert_eq!(taken.len(), 5, "lbn {lbn}");
             check(&maps, "drained", lbn);
         }
-        assert_eq!(maps.cached_pages(), 0, "drained");
+        // Every row array is in the pool now, and rows started in the
+        // blocks' entries take theirs from it.
+        let pooled = live_bytes();
+        for lbn in 0..LBNS {
+            maps.insert_page((LBNS + lbn) * 64, PagePtr::new(Ppn(lbn), false));
+            assert_eq!(live_bytes(), pooled, "refilled lbn {lbn}");
+            check(&maps, "refilled", lbn);
+        }
+        for lbn in LBNS..2 * LBNS {
+            taken.clear();
+            maps.take_log(lbn, &mut taken);
+            assert!(maps.remove_block(lbn).is_some(), "lbn {lbn}");
+            check(&maps, "emptied", lbn);
+        }
+        assert_eq!(maps.cached_pages(), 0, "emptied");
         drop(maps);
         assert_eq!(live_bytes(), 0, "the dropped maps left bytes behind");
     });
     // Every row the fill and growth phases allocate moves the count.
     assert!(sizes.len() >= 2 * LBNS as usize, "{} sizes", sizes.len());
+}
+
+/// The SSC's log rows churned through every array class — pages inserted,
+/// overwritten, removed one by one and taken whole — make no allocator
+/// call once the row pool has seen the churn's busiest moment. Every
+/// logical block keeps a data block, so the table never gains or loses an
+/// entry and only the rows change.
+#[test]
+fn ssc_log_row_churn_does_not_allocate_on_a_warm_pool() {
+    // A multiple of 63, so that every round has the same multiset of row
+    // lengths, rotated among the blocks.
+    const LBNS: u64 = 4 * 63;
+    let mut maps = SscMaps::new(64);
+    for lbn in 0..LBNS {
+        maps.insert_block(lbn, BlockEntry::new(lbn, 1, 0));
+    }
+    let mut taken = Vec::with_capacity(64);
+    let mut round = |maps: &mut SscMaps, round: u64| {
+        // Offsets 1..=len: offset 0 is the data block's.
+        let len = |lbn: u64| 1 + (lbn + round) * 7 % 63;
+        for lbn in 0..LBNS {
+            for offset in (1..=len(lbn)).rev() {
+                maps.insert_page(lbn * 64 + offset, PagePtr::new(Ppn(offset), true));
+            }
+            maps.insert_page(lbn * 64 + 1, PagePtr::new(Ppn(0), false));
+        }
+        for lbn in 0..LBNS {
+            if (lbn + round).is_multiple_of(2) {
+                taken.clear();
+                assert_eq!(
+                    maps.take_log(lbn, &mut taken).count_ones() as u64,
+                    len(lbn) - 1
+                );
+                assert_eq!(taken.len() as u64, len(lbn), "lbn {lbn}");
+            } else {
+                for offset in 1..=len(lbn) {
+                    maps.remove_page(lbn * 64 + offset).expect("a mapped page");
+                }
+            }
+            assert_eq!(maps.page(lbn * 64 + 1), None, "lbn {lbn}");
+        }
+        assert_eq!(maps.cached_pages(), LBNS, "the data blocks' pages");
+    };
+    round(&mut maps, 0);
+    let (during, ()) = allocations_of(|| {
+        for r in 1..=8 {
+            round(&mut maps, r);
+        }
+    });
+    assert_eq!(during, 0, "log-row churn allocated {during} times");
 }

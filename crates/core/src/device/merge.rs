@@ -61,14 +61,15 @@ impl Ssc {
     fn switch_merge(&mut self, victim: Pbn, lbn: u64) -> Result<Duration> {
         let mut cost = Duration::ZERO;
         let ppb = self.ppb() as u64;
-        let mut dirty = 0u64;
-        for (offset, ptr) in self.maps.take_log(lbn) {
-            if ptr.dirty() {
-                dirty |= 1 << offset;
-            }
+        // The row goes through the merge scratch vector; see `merge_lbn`.
+        let mut taken = std::mem::take(&mut self.overlay_scratch);
+        let dirty = self.maps.take_log(lbn, &mut taken);
+        for &(offset, _) in &taken {
             let lba = lbn * ppb + u64::from(offset);
             self.log_append(LogRecord::RemovePage { lba });
         }
+        taken.clear();
+        self.overlay_scratch = taken;
         let valid = if ppb == 64 {
             u64::MAX
         } else {
@@ -244,15 +245,11 @@ impl Ssc {
         // the merge (it starts and ends empty, so an early `?` return just
         // costs a future re-growth).
         let mut overlay = std::mem::take(&mut self.overlay_scratch);
-        let mut dirty = old.map_or(0, |e| e.dirty);
-        for (offset, ptr) in self.maps.take_log(lbn) {
+        let dirty = old.map_or(0, |e| e.dirty) | self.maps.take_log(lbn, &mut overlay);
+        for &(offset, _) in &overlay {
             self.log_append(LogRecord::RemovePage {
                 lba: lbn * ppb + u64::from(offset),
             });
-            if ptr.dirty() {
-                dirty |= 1 << offset;
-            }
-            overlay.push((offset, ptr.ppn()));
         }
         // One device-internal rebuild: a multi-plane batch read of the
         // sources (§5's multi-plane device) and one program per offset; the

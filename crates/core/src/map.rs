@@ -22,10 +22,11 @@
 //! ours: a lookup resolves its LBN with one search of the map (an operation
 //! makes several on one LBN; the map answers a repeat of its last search,
 //! hit or miss, from a memo), and a merge takes a block's log pages as one
-//! array.
+//! array. The rows' arrays come from a [`RowPool`] the maps own, and go
+//! back there when a row grows into a bigger array, empties or is taken.
 
 use flashsim::{set_bits, Ppn};
-use sparsemap::{SparseHashMap, SparseRow};
+use sparsemap::{RowPool, SparseHashMap, SparseRow};
 
 /// A page-map value: physical page number with the dirty flag packed into
 /// the top bit.
@@ -153,7 +154,7 @@ impl Resolved {
 
 /// Everything the SSC maps for one logical block: its data block, if it
 /// has one, and the log pages that supersede or extend it.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct LbnEntry {
     /// The data block.
     pub block: Option<BlockEntry>,
@@ -198,10 +199,12 @@ pub(crate) enum Removed {
 }
 
 /// The combined hybrid forward map.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SscMaps {
     /// LBN → data block and log row. An entry with neither is never stored.
     lbns: SparseHashMap<LbnEntry>,
+    /// The log rows' spare arrays.
+    pool: RowPool<PagePtr>,
     /// Page-level entries across all rows.
     pages: usize,
     /// Entries that have a data block.
@@ -245,6 +248,7 @@ impl SscMaps {
         const MAX_HINT: usize = 1 << 22;
         SscMaps {
             lbns: SparseHashMap::with_capacity(page_hint.saturating_add(block_hint).min(MAX_HINT)),
+            pool: RowPool::new(),
             pages: 0,
             blocks: 0,
             ppb,
@@ -290,10 +294,10 @@ impl SscMaps {
         self.lbns.get(lbn)?.log.get(offset).copied()
     }
 
-    /// Real heap bytes of the map and its rows.
+    /// Real heap bytes of the map, its rows and their pool.
     pub fn heap_bytes(&self) -> u64 {
         let rows: usize = self.lbns.iter().map(|(_, e)| e.log.heap_bytes()).sum();
-        self.lbns.memory().heap_bytes + rows as u64
+        self.lbns.memory().heap_bytes + (rows + self.pool.heap_bytes()) as u64
     }
 
     /// Pages per erase block.
@@ -334,16 +338,21 @@ impl SscMaps {
     pub fn insert_page(&mut self, lba: u64, ptr: PagePtr) -> Option<PagePtr> {
         let (lbn, offset) = self.split(lba);
         let entry = self.lbns.get_or_insert_with(lbn, LbnEntry::default);
-        let old = entry.log.insert(offset, ptr);
+        let old = entry.log.insert(offset, ptr, &mut self.pool);
         self.pages += usize::from(old.is_none());
         old
     }
 
     /// Applies `edit` to `lbn`'s entry, if it has one, and drops the entry
     /// should the edit leave it with neither a data block nor a log page.
-    fn edit<R>(&mut self, lbn: u64, edit: impl FnOnce(&mut LbnEntry) -> R) -> Option<R> {
+    /// The edit gets the row pool alongside.
+    fn edit<R>(
+        &mut self,
+        lbn: u64,
+        edit: impl FnOnce(&mut LbnEntry, &mut RowPool<PagePtr>) -> R,
+    ) -> Option<R> {
         let entry = self.lbns.get_mut(lbn)?;
-        let result = edit(entry);
+        let result = edit(entry, &mut self.pool);
         if entry.is_empty() {
             self.lbns.remove(lbn);
         }
@@ -351,21 +360,28 @@ impl SscMaps {
     }
 
     /// Removes a page-level mapping.
-    pub(crate) fn remove_page(&mut self, lba: u64) -> Option<PagePtr> {
+    pub fn remove_page(&mut self, lba: u64) -> Option<PagePtr> {
         let (lbn, offset) = self.split(lba);
-        let old = self.edit(lbn, |e| e.log.remove(offset))??;
+        let old = self.edit(lbn, |e, pool| e.log.remove(offset, pool))??;
         self.pages -= 1;
         Some(old)
     }
 
-    /// Removes every page-level mapping of `lbn` — all gone when this
-    /// returns — yielding `(offset, ptr)` in ascending offset order.
-    pub fn take_log(&mut self, lbn: u64) -> impl Iterator<Item = (u32, PagePtr)> + use<> {
-        let mut row = self
-            .edit(lbn, |e| std::mem::take(&mut e.log))
-            .unwrap_or_default();
-        self.pages -= row.len();
-        row.take()
+    /// Removes every page-level mapping of `lbn`, appending `(offset, ppn)`
+    /// to `out` in ascending offset order, and returns the bitmap of the
+    /// offsets that were dirty.
+    pub fn take_log(&mut self, lbn: u64, out: &mut Vec<(u32, Ppn)>) -> u64 {
+        let mut dirty = 0;
+        let taken = self.edit(lbn, |e, pool| {
+            let taken = e.log.len();
+            e.log.drain(pool, |offset, ptr| {
+                dirty |= u64::from(ptr.dirty()) << offset;
+                out.push((offset, ptr.ppn()));
+            });
+            taken
+        });
+        self.pages -= taken.unwrap_or(0);
+        dirty
     }
 
     /// Inserts a block-level mapping, returning the previous entry.
@@ -378,7 +394,7 @@ impl SscMaps {
 
     /// Removes a block-level mapping.
     pub fn remove_block(&mut self, lbn: u64) -> Option<BlockEntry> {
-        let old = self.edit(lbn, |e| e.block.take())??;
+        let old = self.edit(lbn, |e, _| e.block.take())??;
         self.blocks -= 1;
         Some(old)
     }
@@ -388,7 +404,7 @@ impl SscMaps {
     /// entry as it now stands: `None` when it was dropped (or never there).
     pub(crate) fn mask_block_page(&mut self, lba: u64) -> Option<BlockEntry> {
         let (lbn, offset) = self.split(lba);
-        let survivor = self.edit(lbn, |e| e.mask(offset).map(|_| e.block))??;
+        let survivor = self.edit(lbn, |e, _| e.mask(offset).map(|_| e.block))??;
         self.blocks -= usize::from(survivor.is_none());
         survivor
     }
@@ -397,8 +413,8 @@ impl SscMaps {
     /// probe, and reports what went.
     pub(crate) fn remove_lba(&mut self, lba: u64) -> Option<Removed> {
         let (lbn, offset) = self.split(lba);
-        let removed = self.edit(lbn, |e| {
-            if let Some(ptr) = e.log.remove(offset) {
+        let removed = self.edit(lbn, |e, pool| {
+            if let Some(ptr) = e.log.remove(offset, pool) {
                 return Some(Removed::Page(ptr));
             }
             e.block.filter(|b| b.is_valid(offset))?;
@@ -536,7 +552,15 @@ mod tests {
         m.remove_page(15);
         assert!(m.lbn(1).is_none(), "an entry left with nothing is dropped");
         assert_eq!(m.page_count(), 0);
-        assert!(m.heap_bytes() < rows_held, "heap bytes count the rows");
+        // The emptied row's array waits in the pool, still counted, and the
+        // next row takes it without growing the heap.
+        let pooled = m.heap_bytes();
+        assert!(
+            pooled > rows_held,
+            "heap bytes count the pool's array and list"
+        );
+        m.insert_page(12, PagePtr::new(Ppn(4), false));
+        assert_eq!(m.heap_bytes(), pooled, "the next row reuses the array");
     }
 
     #[test]
@@ -547,14 +571,26 @@ mod tests {
             m.insert_page(16 + offset, PagePtr::new(Ppn(ppn), false));
         }
         m.insert_page(8, PagePtr::new(Ppn(1), false));
-        let taken: Vec<(u32, u64)> = m.take_log(2).map(|(o, p)| (o, p.ppn().raw())).collect();
-        assert_eq!(taken, [(1, 10), (3, 30), (5, 50)]);
+        m.insert_page(20, PagePtr::new(Ppn(40), true));
+        let mut taken = vec![(0, Ppn(0))];
+        let dirty = m.take_log(2, &mut taken);
+        let ppns = [(0, 0), (1, 10), (3, 30), (4, 40), (5, 50)];
+        assert_eq!(
+            taken,
+            ppns.map(|(o, p)| (o, Ppn(p))),
+            "appended in offset order"
+        );
+        assert_eq!(dirty, 1 << 4);
         assert_eq!(m.page_count(), 1, "the other LBN keeps its page");
         // The data block keeps the entry alive; a log-only entry goes.
         assert!(m.lbn(2).is_some_and(|e| e.log.is_empty()));
-        assert_eq!(m.take_log(1).count(), 1);
+        taken.clear();
+        assert_eq!(m.take_log(1, &mut taken), 0);
+        assert_eq!(taken, [(0, Ppn(1))]);
         assert!(m.lbn(1).is_none());
-        assert_eq!(m.take_log(9).count(), 0, "absent LBN: nothing to take");
+        taken.clear();
+        assert_eq!(m.take_log(9, &mut taken), 0);
+        assert!(taken.is_empty(), "absent LBN: nothing to take");
         assert_eq!((m.page_count(), m.block_count()), (0, 1));
     }
 

@@ -16,8 +16,10 @@
 //!
 //! The log directory is one [`SparseRow`] per LBN, slot `i` naming the log
 //! page that holds offset `i`: a host operation indexes its LBN's row and a
-//! merge takes the row whole. Table 4 still charges the directory as the
-//! LBA-keyed table of a real FAST device (16 B per log page).
+//! merge takes the row whole. The rows' arrays come from a [`RowPool`] the
+//! FTL owns and go back to it, so sustained merging makes no allocator
+//! call. Table 4 still charges the directory as the LBA-keyed table of a
+//! real FAST device (16 B per log page).
 //!
 //! All merge work is charged to the write that triggered it, so sustained
 //! random writes see the full garbage-collection cost — the behaviour
@@ -30,7 +32,7 @@ use flashsim::{
     WearStats,
 };
 use simkit::{Duration, PageBuf};
-use sparsemap::{memory, MapMemory, SparseRow};
+use sparsemap::{memory, MapMemory, RowPool, SparseRow};
 
 use crate::config::SsdConfig;
 use crate::error::FtlError;
@@ -58,9 +60,11 @@ pub struct HybridFtl {
     /// Block-level map: LBN -> data block.
     data_map: Vec<Option<Pbn>>,
     /// Page-level map for log-block contents, one row per LBN: slot `i`
-    /// holds the log page of `lbn * ppb + i`. A merged LBN's row is empty
-    /// and holds no heap.
+    /// holds the log page of `lbn * ppb + i`. A merged LBN's row is empty;
+    /// its array is back in `row_pool`.
     log_rows: Vec<SparseRow<Ppn>>,
+    /// The log rows' spare arrays.
+    row_pool: RowPool<Ppn>,
     /// Entries across all rows.
     log_pages: usize,
     /// Log blocks in allocation order; the front is the next merge victim.
@@ -85,7 +89,10 @@ impl HybridFtl {
             config,
             dev,
             data_map: vec![None; exposed_lbns as usize],
-            log_rows: vec![SparseRow::new(); exposed_lbns as usize],
+            log_rows: std::iter::repeat_with(SparseRow::new)
+                .take(exposed_lbns as usize)
+                .collect(),
+            row_pool: RowPool::new(),
             log_pages: 0,
             log_blocks: VecDeque::new(),
             pool,
@@ -132,7 +139,7 @@ impl HybridFtl {
     /// Invalidate the current physical copy of `lba` wherever it lives.
     fn invalidate_lba(&mut self, lba: u64) -> Result<()> {
         let (lbn, offset) = self.split(lba);
-        if let Some(ppn) = self.log_rows[lbn].remove(offset) {
+        if let Some(ppn) = self.log_rows[lbn].remove(offset, &mut self.row_pool) {
             self.log_pages -= 1;
             self.dev.invalidate_page(ppn)?;
         } else if let Some(ppn) = self.data_page(lbn, offset)? {
@@ -201,7 +208,9 @@ impl HybridFtl {
     fn switch_merge(&mut self, victim: Pbn, lbn: u64) -> Result<Duration> {
         let mut cost = Duration::ZERO;
         // Drop the page-level mappings; the block-level map takes over.
-        self.log_pages -= self.log_rows[lbn as usize].take().count();
+        let row = &mut self.log_rows[lbn as usize];
+        self.log_pages -= row.len();
+        row.drain(&mut self.row_pool, |_, _| {});
         if let Some(old) = self.data_map[lbn as usize].take() {
             cost += self.retire_block(old)?;
         }
@@ -240,9 +249,8 @@ impl HybridFtl {
 
     /// Copies the newest version of every page of `lbn` into a fresh data
     /// block; the old data block (if any) is erased. The merge's own lists
-    /// live in reusable scratch buffers; what sustained GC does allocate is
-    /// the log row, whose array a merge frees and the LBN's next log write
-    /// starts again.
+    /// live in reusable scratch buffers, and the row's array goes back to
+    /// the pool.
     fn merge_lbn(&mut self, lbn: u64) -> Result<Duration> {
         let mut cost = Duration::ZERO;
         let ppb = self.ppb() as u64;
@@ -270,7 +278,9 @@ impl HybridFtl {
         // out of `self` for the duration of the merge (it starts and ends
         // empty, so an early `?` return just costs a future re-growth).
         let mut overlay = std::mem::take(&mut self.overlay_scratch);
-        overlay.extend(self.log_rows[lbn as usize].take());
+        self.log_rows[lbn as usize].drain(&mut self.row_pool, |offset, ppn| {
+            overlay.push((offset, ppn));
+        });
         self.log_pages -= overlay.len();
         let len = (u64::BITS - live.leading_zeros()) as usize;
         let seq0 = self.seq;
@@ -338,7 +348,7 @@ impl BlockDev for HybridFtl {
                     // The row must not name the dead page past this attempt:
                     // a merge below would copy it as live.
                     if std::mem::take(&mut stale_slot) {
-                        self.log_rows[lbn].remove(offset);
+                        self.log_rows[lbn].remove(offset, &mut self.row_pool);
                         self.log_pages -= 1;
                     }
                     let FlashError::ProgramFailed(_) = e else {
@@ -353,7 +363,8 @@ impl BlockDev for HybridFtl {
                 }
             }
         };
-        self.log_pages += usize::from(self.log_rows[lbn].insert(offset, ppn).is_none());
+        let old = self.log_rows[lbn].insert(offset, ppn, &mut self.row_pool);
+        self.log_pages += usize::from(old.is_none());
         self.counters.host_writes += 1;
         Ok(cost)
     }
@@ -397,7 +408,8 @@ impl BlockDev for HybridFtl {
         let rows: usize = self.log_rows.iter().map(SparseRow::heap_bytes).sum();
         let heap = self.data_map.capacity() * std::mem::size_of::<Option<Pbn>>()
             + self.log_rows.capacity() * std::mem::size_of::<SparseRow<Ppn>>()
-            + rows;
+            + rows
+            + self.row_pool.heap_bytes();
         MapMemory {
             entries: self.data_map.iter().filter(|e| e.is_some()).count() + self.log_pages,
             modeled_bytes: modeled,

@@ -35,7 +35,10 @@
 //! the log-block directory as one row per logical block, slot = page offset,
 //! is ours: the paper keys its page-granularity entries by block address in
 //! the hash table, and the devices are still *charged* for them that way
-//! (8 B address + 8 B value + 3.5 bits per log page, [`memory`]).
+//! (8 B address + 8 B value + 3.5 bits per log page, [`memory`]). A row's
+//! packed array comes from a [`RowPool`] its owner keeps, in one of five
+//! capacity classes, and goes back there when the row grows into the next
+//! class or empties, so a warm directory's churn makes no allocator call.
 //!
 //! # Examples
 //!
@@ -58,4 +61,4 @@ pub mod row;
 pub use dense::DenseMap;
 pub use map::SparseHashMap;
 pub use memory::MapMemory;
-pub use row::SparseRow;
+pub use row::{RowPool, SparseRow};

@@ -5,9 +5,46 @@
 //! Cases come from the deterministic `simkit::SimRng`, so every run covers
 //! the same operation sequences and failures reproduce by case number.
 
-use simkit::SimRng;
-use sparsemap::{DenseMap, SparseHashMap, SparseRow};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::HashMap;
+
+use simkit::SimRng;
+use sparsemap::{DenseMap, RowPool, SparseHashMap, SparseRow};
+
+/// Counts the bytes a thread that has armed it holds, so that a structure's
+/// `heap_bytes` can be checked against what it really allocated.
+struct LiveBytes;
+
+thread_local! {
+    /// `Some(n)`: this thread holds `n` more bytes than when it armed the
+    /// count. `const`-initialised, so the allocator can read it.
+    static LIVE: Cell<Option<isize>> = const { Cell::new(None) };
+}
+
+fn count_live(delta: isize) {
+    let _ = LIVE.try_with(|n| n.set(n.get().map(|n| n + delta)));
+}
+
+unsafe impl GlobalAlloc for LiveBytes {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_live(layout.size() as isize);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_live(-(layout.size() as isize));
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_live(new_size as isize - layout.size() as isize);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LiveBytes = LiveBytes;
 
 /// An operation in a random map workload.
 #[derive(Debug, Clone)]
@@ -445,6 +482,7 @@ fn sparse_row_matches_a_64_slot_array() {
     const EDGES: [u32; 4] = [0, 31, 32, 63];
     for case in 0..128u64 {
         let mut rng = SimRng::seed_from(0x0520_0000 ^ case);
+        let mut pool = RowPool::new();
         let mut row: SparseRow<u64> = SparseRow::new();
         let mut model = [None; 64];
         // Some cases live in a few slots (so removes and overwrites hit),
@@ -461,17 +499,22 @@ fn sparse_row_matches_a_64_slot_array() {
                 // Insert or overwrite.
                 0..=3 => {
                     let value = rng.next_u64();
-                    let old = row.insert(slot, value);
+                    let old = row.insert(slot, value, &mut pool);
                     assert_eq!(old, model[slot as usize].replace(value), "{at}");
                 }
                 // Remove, present or absent.
-                4..=6 => assert_eq!(row.remove(slot), model[slot as usize].take(), "{at}"),
+                4..=6 => {
+                    let old = row.remove(slot, &mut pool);
+                    assert_eq!(old, model[slot as usize].take(), "{at}");
+                }
                 // Take the whole row.
                 _ => {
                     let want: Vec<(u32, u64)> = (0..64)
                         .filter_map(|i| Some((i, model[i as usize].take()?)))
                         .collect();
-                    assert_eq!(row.take().collect::<Vec<_>>(), want, "{at}");
+                    let mut taken = Vec::new();
+                    row.drain(&mut pool, |i, v| taken.push((i, v)));
+                    assert_eq!(taken, want, "{at}");
                 }
             }
             assert_row_matches(&mut row, &model, &at);
@@ -481,25 +524,103 @@ fn sparse_row_matches_a_64_slot_array() {
 
 #[test]
 fn sparse_row_holds_all_64_slots() {
+    let mut pool = RowPool::new();
     let mut row: SparseRow<u64> = SparseRow::new();
     let mut model = [None; 64];
     // Filled from both ends toward the middle, so inserts land in front of,
     // behind and between the values already packed.
     for n in 0..32u32 {
         for slot in [63 - n, n] {
-            assert_eq!(row.insert(slot, u64::from(slot) * 3), None);
+            assert_eq!(row.insert(slot, u64::from(slot) * 3, &mut pool), None);
             model[slot as usize] = Some(u64::from(slot) * 3);
             assert_row_matches(&mut row, &model, &format!("filling {slot}"));
         }
     }
     assert_eq!(row.bits(), u64::MAX);
     assert_eq!(row.len(), 64);
-    assert_eq!(row.insert(63, 1), Some(189), "a full row still overwrites");
-    assert_eq!(row.remove(63), Some(1));
+    assert_eq!(
+        row.insert(63, 1, &mut pool),
+        Some(189),
+        "a full row still overwrites"
+    );
+    assert_eq!(row.remove(63, &mut pool), Some(1));
     model[63] = None;
     assert_row_matches(&mut row, &model, "63 removed");
-    let taken: Vec<(u32, u64)> = row.take().collect();
+    let mut taken: Vec<(u32, u64)> = Vec::new();
+    row.drain(&mut pool, |i, v| taken.push((i, v)));
     assert_eq!(taken.len(), 63);
     assert!(taken.iter().all(|&(i, v)| v == u64::from(i) * 3));
     assert_row_matches(&mut row, &[None; 64], "taken");
+}
+
+/// Rows sharing one pool against 64-slot arrays, through every capacity
+/// class and back: each row's contents as above, its array the class a
+/// row of its history must have (4 slots for its first value, the next
+/// class each time it fills, none once empty), and every byte the rows and
+/// the pool hold counted by their `heap_bytes` — checked against the
+/// allocator after every step, and nothing left once they drop.
+#[test]
+fn pooled_rows_match_the_model_across_every_class_change() {
+    const ROWS: usize = 4;
+    for case in 0..32u64 {
+        let mut rng = SimRng::seed_from(0x9001_0000 ^ case);
+        let mut taken = Vec::with_capacity(64);
+        LIVE.set(Some(0));
+        let mut pool = RowPool::new();
+        let mut rows: [SparseRow<u64>; ROWS] = std::array::from_fn(|_| SparseRow::new());
+        let mut models = [[None; 64]; ROWS];
+        // The capacity each row's array must have.
+        let mut slots = [0usize; ROWS];
+        let mut classes_seen = 0u32;
+        for step in 0..1200 {
+            let r = rng.gen_range(ROWS as u64) as usize;
+            let (row, model) = (&mut rows[r], &mut models[r]);
+            let slot = rng.gen_range(64) as u32;
+            // Mostly inserts, so rows climb into the 64-slot class; removes
+            // and the odd drain bring them back.
+            match rng.gen_range(64) {
+                0..=47 => {
+                    let value = rng.next_u64();
+                    let new = model[slot as usize].is_none();
+                    if new && row.len() == slots[r] {
+                        slots[r] = (2 * slots[r]).max(4);
+                    }
+                    let old = row.insert(slot, value, &mut pool);
+                    assert_eq!(old, model[slot as usize].replace(value));
+                }
+                48..=62 => {
+                    let old = row.remove(slot, &mut pool);
+                    assert_eq!(old, model[slot as usize].take());
+                    if row.is_empty() {
+                        slots[r] = 0;
+                    }
+                }
+                _ => {
+                    taken.clear();
+                    row.drain(&mut pool, |i, v| taken.push((i, v)));
+                    let want: Vec<(u32, u64)> = (0..64)
+                        .filter_map(|i| Some((i, model[i as usize].take()?)))
+                        .collect();
+                    assert_eq!(taken, want);
+                    slots[r] = 0;
+                }
+            }
+            let at = format!("case {case} step {step} row {r}");
+            assert_row_matches(row, model, &at);
+            assert_eq!(row.heap_bytes(), 8 * slots[r], "{at}: array class");
+            classes_seen |= slots[r] as u32;
+            // The label above is the step's one allocation; it is freed
+            // before the count is read.
+            drop(at);
+            let rows_bytes: usize = rows.iter().map(SparseRow::heap_bytes).sum();
+            assert_eq!(
+                Some((rows_bytes + pool.heap_bytes()) as isize),
+                LIVE.get(),
+                "case {case} step {step}: heap_bytes against the allocator"
+            );
+        }
+        assert_eq!(classes_seen, 4 | 8 | 16 | 32 | 64, "case {case}");
+        drop((rows, pool));
+        assert_eq!(LIVE.take(), Some(0), "case {case}: bytes left behind");
+    }
 }
