@@ -83,7 +83,7 @@ fn native_wb_recovers_after_faulted_run() {
     // consistent cache: every read after recovery obeys the same model
     // (clean contents are legally lost at recovery; a resurrected stale
     // mapping shows as another block's data or a corrupted payload).
-    run.system.crash_and_recover().unwrap();
     run.context = "after recovery".into();
+    run.power_cycle();
     run.sweep(0..SPAN);
 }

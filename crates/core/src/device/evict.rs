@@ -64,7 +64,7 @@ impl Ssc {
     /// victim selector, preferring the plane with the fewest free blocks
     /// ("selects a flash plane to clean and then selects the top-k victim
     /// blocks"). Served by the index, brought up to date first; must agree
-    /// with [`Ssc::select_eviction_victims_scan`] (oracle-tested).
+    /// with the brute-force scan [`Ssc::check`] compares it with.
     pub(super) fn select_eviction_victims(&mut self) -> Vec<(u64, BlockEntry)> {
         let preferred_plane = self.pool.emptiest_plane();
         let batch = self.config.evict_batch;

@@ -41,7 +41,9 @@ impl Ssc {
     }
 
     /// Recycles the oldest log block with a switch merge when possible and a
-    /// full merge otherwise.
+    /// full merge otherwise. A full merge that runs out of space leaves the
+    /// victim holding live pages, so it goes back to the head of the log to
+    /// be merged again; a switch merge never runs out of space.
     pub(super) fn recycle_log(&mut self) -> Result<Duration> {
         // Power fails as GC starts relocating the oldest log block.
         self.crash_point(CrashSite::Merge)?;
@@ -51,7 +53,11 @@ impl Ssc {
             .expect("recycle with no log blocks");
         match ftl::switch_candidate(&self.dev, victim)? {
             Some(lbn) => self.switch_merge(victim, lbn),
-            None => self.full_merge(victim),
+            None => self.full_merge(victim).inspect_err(|e| {
+                if *e == SscError::OutOfSpace {
+                    self.log_blocks.push_front(victim);
+                }
+            }),
         }
     }
 

@@ -794,93 +794,25 @@ mod tests {
 mod index_oracle_tests {
     use std::collections::HashMap;
 
-    use flashsim::set_bits;
-
     use super::*;
     use crate::config::VictimSelection;
 
-    /// Asserts the flushed index agrees with its brute-force scan reference:
-    /// eviction selection and the full index contents (membership, scores,
-    /// planes, one ordered key per row). Reaches the index the way the
-    /// product does — through `flush_index()`.
-    fn assert_index_agrees(s: &mut Ssc) {
-        assert_eq!(
-            s.select_eviction_victims(),
-            s.select_eviction_victims_scan(),
-            "eviction victims diverged from scan"
-        );
-        let mut expect: Vec<(u64, (u64, u64), u32)> = s
-            .maps
-            .blocks()
-            .filter(|(_, e)| e.is_clean())
-            .map(|(lbn, e)| {
-                (
-                    lbn,
-                    s.victim_score(e),
-                    s.dev.geometry().plane_of(Pbn(e.pbn)),
-                )
-            })
-            .collect();
-        expect.sort_unstable();
-        let index = s.flush_index();
-        assert_eq!(index.snapshot(), expect, "index contents diverged");
-        assert_eq!(index.ordered_keys(), expect.len(), "stray ordered key");
+    /// [`Ssc::check`], with the context of the step that broke it.
+    fn check(s: &mut Ssc, at: impl std::fmt::Display) {
+        if let Err(broken) = s.check() {
+            panic!("{at}: {broken}");
+        }
     }
 
-    /// The forward map against the flash it describes. Every valid flash
-    /// page is some LBA's one live copy and the map files it under exactly
-    /// that LBA (rows by OOB address, data blocks by position); a row never
-    /// shadows a valid data-block page; the entry counters equal a recount;
-    /// nothing empty is retained; and `lookup` of every address in `span`
-    /// returns what the walk found, with the dirty flag `dirty` predicts.
-    fn assert_maps_agree(s: &Ssc, span: u64, dirty: &HashMap<u64, bool>) {
+    /// The test's own model of the dirty flags: every address in `span`
+    /// that resolves carries the flag `dirty` predicts, and nothing
+    /// outside `span` is mapped.
+    fn assert_dirty_flags(s: &Ssc, span: u64, dirty: &HashMap<u64, bool>) {
         let ppb = s.ppb() as u64;
-        let geometry = s.dev.geometry();
-        let mut on_flash: HashMap<u64, Ppn> = HashMap::new();
-        for pbn in (0..geometry.total_blocks()).map(Pbn) {
-            for (ppn, oob) in s.dev.valid_pages_iter(pbn).unwrap() {
-                let lba = oob.lba().expect("a valid page carries its LBA");
-                assert_eq!(on_flash.insert(lba, ppn), None, "two valid copies of {lba}");
-            }
-        }
-        let mut mapped: HashMap<u64, (Ppn, bool)> = HashMap::new();
-        let (mut pages, mut blocks) = (0, 0);
-        for (lbn, entry) in s.maps.lbns() {
-            let row = &entry.log;
-            assert!(
-                entry.block.is_some() || !row.is_empty(),
-                "empty entry kept for lbn {lbn}"
-            );
-            if row.is_empty() {
-                assert_eq!(row.heap_bytes(), 0, "lbn {lbn}: empty row holds heap");
-            }
-            pages += row.len();
-            for (offset, ptr) in row.iter() {
-                mapped.insert(lbn * ppb + u64::from(offset), (ptr.ppn(), ptr.dirty()));
-            }
-            let Some(block) = entry.block else {
-                continue;
-            };
-            blocks += 1;
-            assert_ne!(block.valid, 0, "lbn {lbn}: data block with no live page");
-            assert_eq!(row.bits() & block.valid, 0, "lbn {lbn}: two live copies");
-            assert_eq!(s.dev.valid_mask(Pbn(block.pbn)).unwrap(), block.valid);
-            for offset in set_bits(block.valid) {
-                let at = u64::from(offset);
-                let found = (Ppn(block.pbn * ppb + at), block.is_dirty(offset));
-                mapped.insert(lbn * ppb + at, found);
-            }
-        }
-        assert_eq!((s.maps.page_count(), s.maps.block_count()), (pages, blocks));
-        let pointers: HashMap<u64, Ppn> =
-            mapped.iter().map(|(&lba, &(ppn, _))| (lba, ppn)).collect();
-        assert_eq!(pointers, on_flash, "map and valid flash pages diverged");
-        assert!(mapped.keys().all(|&lba| lba < span));
+        assert!(s.maps.lbns().all(|(lbn, _)| lbn < span.div_ceil(ppb)));
         for lba in 0..span {
-            let found = s.maps.lookup(lba).map(|r| (r.ppn(), r.dirty()));
-            assert_eq!(found, mapped.get(&lba).copied(), "lookup of {lba}");
-            if let Some((_, is_dirty)) = found {
-                assert_eq!(is_dirty, dirty[&lba], "dirty flag of {lba}");
+            if let Some(found) = s.maps.lookup(lba) {
+                assert_eq!(found.dirty(), dirty[&lba], "dirty flag of {lba}");
             }
         }
     }
@@ -905,11 +837,13 @@ mod index_oracle_tests {
     }
 
     /// Drives an arbitrary operation trace (all six interface ops plus
-    /// whole-logical-block writes and clean or torn crash/recovery) and
-    /// checks the map/flash agreement after every single operation and the
-    /// index/scan agreement after every `check_every`-th: the check flushes
-    /// the index, so 1 pins each mutation's mark on its own and a longer
-    /// stride lets marks pile up between flushes as they do in the product.
+    /// whole-logical-block writes and clean or torn crash/recovery),
+    /// checks the dirty flags after every operation, and runs
+    /// [`Ssc::check`] after every `check_every`-th and after every
+    /// recovery. The check flushes the index, so 1 pins each mutation's
+    /// mark on its own (and checks each write of a whole logical block),
+    /// and a longer stride lets marks pile up between flushes as they do
+    /// in the product.
     fn run_trace(policy: VictimSelection, seed: u64, ops: u64, check_every: u64) {
         let mut config = SscConfig::small_test();
         config.victim_selection = policy;
@@ -958,7 +892,9 @@ mod index_oracle_tests {
                         if s.write_clean(lba, &fill).is_ok() {
                             dirty.insert(lba, false);
                         }
-                        assert_maps_agree(&s, span, &dirty);
+                        if check_every == 1 {
+                            check(&mut s, format_args!("op {i}, lba {lba}"));
+                        }
                     }
                 }
                 _ => {
@@ -968,6 +904,7 @@ mod index_oracle_tests {
                     }
                     s.crash();
                     s.recover().unwrap();
+                    check(&mut s, format_args!("op {i}, recovery"));
                     // Buffered cleans (and a torn tail's records) are lost:
                     // take the recovered flags as the new baseline.
                     dirty = (0..span)
@@ -976,11 +913,11 @@ mod index_oracle_tests {
                 }
             }
             if (i + 1) % check_every == 0 {
-                assert_index_agrees(&mut s);
+                check(&mut s, format_args!("op {i}"));
             }
-            assert_maps_agree(&s, span, &dirty);
+            assert_dirty_flags(&s, span, &dirty);
         }
-        assert_index_agrees(&mut s);
+        check(&mut s, "end");
         assert!(
             s.counters().silent_evictions > 0,
             "trace too tame to exercise eviction"
@@ -1044,7 +981,7 @@ mod index_oracle_tests {
         // Nothing consulted the index, so only the bound can have flushed it.
         assert_eq!(s.counters().silent_evictions, 0);
         assert_eq!(peak, bound - 1, "the bound never came into play");
-        assert_index_agrees(&mut s);
+        check(&mut s, "end");
     }
 
     #[test]
@@ -1060,7 +997,7 @@ mod index_oracle_tests {
             }
         };
         map_block_0(&mut s);
-        assert_index_agrees(&mut s);
+        check(&mut s, "block 0 mapped");
         // Unmap the block page by page, then map it again, with no flush in
         // between: the removal and the insertion both wait in the list.
         for lba in 0..ppb {
@@ -1070,11 +1007,8 @@ mod index_oracle_tests {
         map_block_0(&mut s);
         let pending = s.index_stale.iter().filter(|&&lbn| lbn == 0).count();
         assert_eq!(pending as u64, ppb + 1, "a flush ran in between");
-        let index = s.flush_index();
-        let rows = index.snapshot();
-        assert_eq!(rows.iter().filter(|row| row.0 == 0).count(), 1);
-        assert_eq!(index.ordered_keys(), rows.len(), "stray ordered key");
-        assert_index_agrees(&mut s);
+        // One row for block 0 and no stray ordered key.
+        check(&mut s, "end");
     }
 
     #[test]
@@ -1099,6 +1033,6 @@ mod index_oracle_tests {
                 "dirty lba {lba} was silently evicted"
             );
         }
-        assert_index_agrees(&mut s);
+        check(&mut s, "end");
     }
 }

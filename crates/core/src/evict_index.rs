@@ -82,9 +82,8 @@ impl CleanBlockIndex {
         self.keys.is_empty()
     }
 
-    /// Full index contents sorted by lbn: `(lbn, score, plane)`. Oracle-test
-    /// hook for comparing against a brute-force recomputation.
-    #[cfg(test)]
+    /// Full index contents sorted by lbn: `(lbn, score, plane)`, which
+    /// [`crate::Ssc::check`] compares with a brute-force recomputation.
     pub(crate) fn snapshot(&self) -> Vec<(u64, (u64, u64), u32)> {
         let mut out: Vec<_> = self
             .keys
@@ -97,7 +96,6 @@ impl CleanBlockIndex {
 
     /// Keys held in the ordered sets; equals the row count of
     /// [`CleanBlockIndex::snapshot`] when the two structures agree.
-    #[cfg(test)]
     pub(crate) fn ordered_keys(&self) -> usize {
         self.by_score.iter().map(BTreeSet::len).sum()
     }

@@ -294,6 +294,12 @@ impl SscMaps {
         self.lbns.get(lbn)?.log.get(offset).copied()
     }
 
+    /// Panics unless the LBN table is well formed (see
+    /// `SparseHashMap::check_invariants`).
+    pub(crate) fn check_invariants(&self) {
+        self.lbns.check_invariants();
+    }
+
     /// Real heap bytes of the map, its rows and their pool.
     pub fn heap_bytes(&self) -> u64 {
         let rows: usize = self.lbns.iter().map(|(_, e)| e.log.heap_bytes()).sum();

@@ -184,6 +184,7 @@ impl Ssc {
         let mut log_blocks: Vec<(u64, Pbn)> = Vec::new();
 
         let mut pool = FreeBlockPool::new(geometry.planes());
+        let mut retired = 0;
         for plane in 0..geometry.planes() {
             for block in 0..geometry.blocks_per_plane() {
                 let pbn = geometry.pbn(plane, block);
@@ -203,18 +204,18 @@ impl Ssc {
                 }
                 match newest_seq {
                     Some(seq) => log_blocks.push((seq, pbn)),
+                    None if state.is_empty() => pool.release(pbn, state.erase_count, &geometry),
+                    // Retired before the power failure (or worn out since
+                    // its last erase): it stays out for good, and is not
+                    // tried again.
+                    None if self.dev.refuses_erase(pbn)? => retired += 1,
+                    // Fully stale block: erase lazily in the background;
+                    // modelled as an immediate erase whose time is not
+                    // charged to recovery. A block that fails the erase
+                    // grows bad and is retired: it never enters the pool.
                     None => {
-                        if state.is_empty() {
-                            pool.release(pbn, state.erase_count, &geometry);
-                        } else {
-                            // Fully stale block: erase lazily in the
-                            // background; modelled as an immediate erase
-                            // whose time is not charged to recovery. A block
-                            // that refuses the erase (worn out or grown bad)
-                            // is retired: it never enters the pool.
-                            if pool.erase_or_retire(&mut self.dev, pbn)?.is_none() {
-                                self.counters.blocks_retired += 1;
-                            }
+                        if pool.erase_or_retire(&mut self.dev, pbn)?.is_none() {
+                            retired += 1;
                         }
                     }
                 }
@@ -223,7 +224,20 @@ impl Ssc {
         log_blocks.sort_unstable();
         self.log_blocks = log_blocks.into_iter().map(|(_, pbn)| pbn).collect();
         self.pool = pool;
+        // Retirement is permanent and the device knows every block that
+        // refuses an erase, so the count is re-derived with the pool: each
+        // retired block counts once, however many recoveries find it.
+        self.counters.blocks_retired = retired;
         // Data-block pages not referenced by the recovered entry are stale.
+        // Defensive: no operation sequence reaches this. The simulated
+        // device keeps page validity across the power failure, and a data
+        // block's valid pages only shrink between the record that maps it
+        // and its erase, which waits for the records that unmap it to be
+        // durable; so a recovered entry is never narrower than what the
+        // device holds valid. It keeps this function a full re-derivation
+        // of page validity from the forward map, as §4.2.2 describes;
+        // `a_data_block_page_the_recovered_entry_drops_is_invalidated`
+        // reaches it with a crafted log.
         let entries: Vec<(u64, crate::map::BlockEntry)> =
             self.maps.blocks().map(|(lbn, e)| (lbn, *e)).collect();
         for (_, entry) in entries {
@@ -255,6 +269,7 @@ mod tests {
         ssc.write_dirty(123, &p).unwrap();
         ssc.crash();
         let t = ssc.recover().unwrap();
+        ssc.check().unwrap();
         assert!(t.as_micros() > 0);
         assert_eq!(
             ssc.read(123).unwrap().0,
@@ -272,6 +287,7 @@ mod tests {
         ssc.write_clean(7, &p).unwrap();
         ssc.crash();
         ssc.recover().unwrap();
+        ssc.check().unwrap();
         // Guarantee 2: either the data or not-present — with the insert
         // record lost, not-present.
         assert!(matches!(ssc.read(7), Err(SscError::NotPresent(7))));
@@ -298,9 +314,52 @@ mod tests {
         });
         let retired = ssc.counters().blocks_retired;
         ssc.recover().unwrap();
+        ssc.check().unwrap();
         assert_eq!(ssc.counters().blocks_retired, retired + 1);
         let pooled = ssc.free_blocks() as u64;
         assert_eq!(pooled, ssc.config.total_blocks() - 1, "retired, not pooled");
+        // Later recoveries find the retired block again: it stays out of
+        // the pool, is not erased again, and is not counted again.
+        let faults = ssc.fault_counters();
+        for _ in 0..3 {
+            ssc.crash();
+            ssc.recover().unwrap();
+            ssc.check().unwrap();
+        }
+        assert_eq!(ssc.counters().blocks_retired, retired + 1);
+        assert_eq!(ssc.fault_counters(), faults, "no erase of a retired block");
+        assert_eq!(ssc.grown_bad_blocks(), 1);
+        assert_eq!(ssc.free_blocks() as u64, ssc.config.total_blocks() - 1);
+    }
+
+    #[test]
+    fn a_data_block_page_the_recovered_entry_drops_is_invalidated() {
+        // A durable log that re-maps a full log block as LBN 0's data block
+        // without its page 0, which the device still holds valid.
+        let mut ssc = Ssc::new(SscConfig::small_test());
+        let ppb = u64::from(ssc.maps.ppb());
+        for lba in 0..ppb {
+            ssc.write_clean(lba, &page(&ssc, lba as u8)).unwrap();
+        }
+        let pbn = ssc.log_blocks[0];
+        assert_eq!(ssc.dev.valid_mask(pbn).unwrap(), (1 << ppb) - 1);
+        for lba in 0..ppb {
+            ssc.wal.append(LogRecord::RemovePage { lba });
+        }
+        let valid = (1 << ppb) - 2;
+        ssc.wal.append(LogRecord::InsertBlock {
+            lbn: 0,
+            pbn: pbn.raw(),
+            valid,
+            dirty: 0,
+        });
+        ssc.commit_log().unwrap();
+        ssc.crash();
+        ssc.recover().unwrap();
+        assert_eq!(ssc.dev.valid_mask(pbn).unwrap(), valid);
+        ssc.check().unwrap();
+        assert!(matches!(ssc.read(0), Err(SscError::NotPresent(0))));
+        assert_eq!(ssc.read(1).unwrap().0, page(&ssc, 1));
     }
 
     #[test]
@@ -310,6 +369,7 @@ mod tests {
         ssc.write_clean(9, &p).unwrap();
         ssc.crash();
         ssc.recover().unwrap();
+        ssc.check().unwrap();
         assert_eq!(ssc.read(9).unwrap().0, p);
     }
 
@@ -321,6 +381,7 @@ mod tests {
         ssc.evict(5).unwrap();
         ssc.crash();
         ssc.recover().unwrap();
+        ssc.check().unwrap();
         assert!(
             matches!(ssc.read(5), Err(SscError::NotPresent(5))),
             "guarantee 3: read after evict is not-present, even after crash"
@@ -340,6 +401,7 @@ mod tests {
         ssc.write_clean(3, &new).unwrap();
         ssc.crash();
         ssc.recover().unwrap();
+        ssc.check().unwrap();
         match ssc.read(3) {
             Ok((data, _)) => assert_eq!(data, new, "stale data returned after crash"),
             Err(SscError::NotPresent(_)) => {} // acceptable per guarantee 2
@@ -355,6 +417,7 @@ mod tests {
         ssc.clean(11).unwrap(); // buffered, may be lost
         ssc.crash();
         ssc.recover().unwrap();
+        ssc.check().unwrap();
         assert_eq!(ssc.read(11).unwrap().0, p);
         // The paper allows cleaned blocks to "return to their dirty state".
         assert!(ssc.maps.is_dirty(11));
@@ -374,6 +437,7 @@ mod tests {
         }
         ssc.crash();
         ssc.recover().unwrap();
+        ssc.check().unwrap();
         for lba in 0..span {
             let fill = (5 * span + lba) as u8;
             assert_eq!(ssc.read(lba).unwrap().0, page(&ssc, fill), "lba {lba}");
@@ -390,6 +454,7 @@ mod tests {
         ssc.write_dirty(1, &page(&ssc, 1)).unwrap();
         ssc.crash();
         let t = ssc.recover().unwrap();
+        ssc.check().unwrap();
         assert!(matches!(ssc.read(1), Err(SscError::NotPresent(1))));
         // Recovery is nearly instant: nothing to load.
         assert!(t.as_micros() < 100);
@@ -422,6 +487,7 @@ mod tests {
         ssc.recover().unwrap();
         ssc.crash();
         ssc.recover().unwrap();
+        ssc.check().unwrap();
         assert_eq!(ssc.read(50).unwrap().0, p);
     }
 }
@@ -454,6 +520,7 @@ mod corruption_tests {
         ssc.ckpt.corrupt_latest();
         ssc.crash();
         ssc.recover().unwrap();
+        ssc.check().unwrap();
         // Recovery fell back to the older slot and replayed the longer log
         // suffix; every dirty block still holds its newest value.
         for lba in 0..30u64 {
@@ -473,6 +540,7 @@ mod corruption_tests {
         ssc.wal.crash_torn(crate::wal::RECORD_BYTES as usize / 2);
         ssc.crash();
         ssc.recover().unwrap();
+        ssc.check().unwrap();
         // The intact prefix must replay; anything torn away behaves like a
         // silent eviction (clean) — never stale data.
         match ssc.read(5) {

@@ -58,6 +58,11 @@ fn corrupted_newest_slot_recovers_identically_to_uncorrupted() {
         scribbled.crash();
         let t_pristine = pristine.recover().unwrap();
         let t_scribbled = scribbled.recover().unwrap();
+        for recovered in [&mut pristine, &mut scribbled] {
+            if let Err(broken) = recovered.check() {
+                panic!("seed {seed}: {broken}");
+            }
+        }
 
         // Same maps, bit for bit: the older slot plus the longer log suffix
         // replays to exactly what the newest slot plus the shorter one does.

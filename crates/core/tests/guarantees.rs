@@ -101,6 +101,8 @@ fn run(mode: ConsistencyMode, ops: &[Op], case: u64) {
             Op::Crash => {
                 ssc.crash();
                 ssc.recover().unwrap();
+                ssc.check()
+                    .unwrap_or_else(|broken| panic!("{context}: {broken}"));
             }
             Op::CrashTorn(n) => {
                 // Without the atomic-write primitive, durability of any
@@ -109,6 +111,8 @@ fn run(mode: ConsistencyMode, ops: &[Op], case: u64) {
                 ssc.wal_crash_torn(n as usize);
                 ssc.crash();
                 ssc.recover().unwrap();
+                ssc.check()
+                    .unwrap_or_else(|broken| panic!("{context}: {broken}"));
                 model.tear();
             }
         }

@@ -142,6 +142,8 @@ fn torn_recovery_never_serves_data_older_than_the_penultimate_flush() {
         ssc.wal_crash_torn(tear);
         ssc.crash();
         ssc.recover().unwrap();
+        ssc.check()
+            .unwrap_or_else(|broken| panic!("seed {seed}: {broken}"));
         model.tear_back_to(&penultimate);
 
         for lba in 0..SPAN {

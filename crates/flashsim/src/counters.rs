@@ -31,7 +31,6 @@ pub struct WearStats {
 
 impl WearStats {
     /// Computes wear statistics from per-block erase counts.
-    #[cfg(test)]
     pub(crate) fn from_counts(counts: impl Iterator<Item = u64>) -> Self {
         let mut stats = WearStats {
             min_erases: u64::MAX,
@@ -64,9 +63,9 @@ impl WearStats {
 /// making the device-wide wear snapshot O(1) no matter how often a caller
 /// (Table 5 reporting, the ledger's wear spread) asks for it.
 ///
-/// Invariant (checked by the oracle test in `flashsim::device`): after any
-/// sequence of erases, `stats()` equals `WearStats::from_counts` over the
-/// live per-block counts.
+/// Invariant (checked by [`crate::FlashDevice::check`]): after any sequence
+/// of erases, `stats()` equals `WearStats::from_counts` over the live
+/// per-block counts.
 #[derive(Debug, Clone)]
 pub(crate) struct WearTracker {
     /// `hist[c]` = number of blocks whose erase count is `c`.

@@ -11,6 +11,7 @@ use crate::page::PageState;
 use crate::timing::FlashTiming;
 use crate::Result;
 use simkit::{Duration, PageBuf};
+use std::collections::HashMap;
 
 /// Whether the device stores page payloads.
 ///
@@ -588,12 +589,96 @@ impl FlashDevice {
         }))
     }
 
-    /// Iterates the erase counts of every block (the wear-statistics oracle).
+    /// Iterates the erase counts of every block.
     pub fn erase_counts(&self) -> impl Iterator<Item = (Pbn, u64)> + '_ {
         self.blocks
             .iter()
             .enumerate()
             .map(|(i, b)| (Pbn(i as u64), b.erase_count))
+    }
+
+    /// Whether an erase of `pbn` would be refused: the block has reached
+    /// the endurance limit or has grown bad. Neither ever heals, so a
+    /// layer above that holds such a block in none of its lists has
+    /// retired it for good. A free peek: no fault draw, no counter.
+    ///
+    /// # Errors
+    ///
+    /// [`FlashError::PbnOutOfRange`] for bad addresses.
+    pub fn refuses_erase(&self, pbn: Pbn) -> Result<bool> {
+        self.check_pbn(pbn)?;
+        let worn = self
+            .config
+            .endurance
+            .is_some_and(|limit| self.block(pbn).erase_count >= limit);
+        Ok(worn || self.faults.as_ref().is_some_and(|f| f.is_bad_block(pbn)))
+    }
+
+    /// Checks the device's own bookkeeping and names the first broken
+    /// rule: every valid page lies below its block's write pointer, and
+    /// the wear tracker equals a scan of the per-block erase counts.
+    /// Test support; no device operation calls it.
+    pub fn check(&self) -> std::result::Result<(), String> {
+        let ppb = self.config.geometry.pages_per_block();
+        for (pbn, block) in (0u64..).zip(&self.blocks) {
+            let above = block.valid.checked_shr(block.write_ptr).unwrap_or(0);
+            if block.write_ptr > ppb || above != 0 {
+                let wp = block.write_ptr;
+                return Err(format!(
+                    "block {pbn}: a valid page at or past write pointer {wp}"
+                ));
+            }
+        }
+        let scan = WearStats::from_counts(self.blocks.iter().map(|b| b.erase_count));
+        if self.wear() != scan {
+            return Err(format!("wear tracker {:?}, scan {scan:?}", self.wear()));
+        }
+        Ok(())
+    }
+
+    /// The reverse map: every valid page's LBA (from its OOB area) to its
+    /// PPN, the walk a layer above checks its forward map against. Fails
+    /// on a valid page that carries no LBA and on two valid pages that
+    /// carry the same one.
+    fn valid_lbas(&self) -> std::result::Result<HashMap<u64, Ppn>, String> {
+        let mut found = HashMap::new();
+        for pbn in (0..self.config.geometry.total_blocks()).map(Pbn) {
+            for (ppn, oob) in self.valid_pages_iter(pbn).map_err(|e| e.to_string())? {
+                let page = ppn.raw();
+                let lba = oob
+                    .lba()
+                    .ok_or_else(|| format!("valid page {page} carries no LBA"))?;
+                if let Some(other) = found.insert(lba, ppn) {
+                    let other = other.raw();
+                    return Err(format!(
+                        "LBA {lba}: two valid copies, pages {other} and {page}"
+                    ));
+                }
+            }
+        }
+        Ok(found)
+    }
+
+    /// Checks a layer's forward map — LBA to the PPN it names — against
+    /// the reverse map walked from the flash: every valid page's OOB LBA
+    /// to its PPN. Names a valid page that carries no LBA, two valid pages
+    /// that carry the same one, or else the lowest LBA on which the maps
+    /// differ.
+    pub fn check_forward_map(
+        &self,
+        forward: &HashMap<u64, Ppn>,
+    ) -> std::result::Result<(), String> {
+        let on_flash = self.valid_lbas()?;
+        if *forward == on_flash {
+            return Ok(());
+        }
+        let differ = |lba: &&u64| forward.get(lba) != on_flash.get(lba);
+        let lba = forward.keys().chain(on_flash.keys()).filter(differ).min();
+        let lba = *lba.expect("unequal maps differ somewhere");
+        let (mapped, valid) = (forward.get(&lba), on_flash.get(&lba));
+        Err(format!(
+            "LBA {lba}: mapped to {mapped:?}, valid on flash at {valid:?}"
+        ))
     }
 }
 
@@ -776,16 +861,49 @@ mod tests {
         let mut d = FlashDevice::new(config, DataMode::Store);
         let pbn = d.geometry().pbn(0, 0);
         d.erase_block(pbn).unwrap();
+        assert_eq!(d.refuses_erase(pbn), Ok(false));
         d.erase_block(pbn).unwrap();
+        assert_eq!(
+            d.refuses_erase(pbn),
+            Ok(true),
+            "the limit is known before the erase"
+        );
         assert_eq!(d.erase_block(pbn), Err(FlashError::WornOut(pbn)));
         assert_eq!(d.wear().max_erases, 2);
     }
 
     #[test]
+    fn the_lba_walk_refuses_a_page_without_an_lba_and_a_second_copy() {
+        let mut d = dev();
+        let data = page_of(&d, 1);
+        let (a, b) = (d.geometry().pbn(0, 0), d.geometry().pbn(1, 0));
+        let (first, _) = d
+            .program_next(a, &data, OobData::for_lba(7, false, 1))
+            .unwrap();
+        d.program_next(a, &data, OobData::for_lba(8, false, 2))
+            .unwrap();
+        let walk = d.valid_lbas().unwrap();
+        assert_eq!((walk.len(), walk[&7]), (2, first));
+        // A newer copy of LBA 7 while the old one is still valid.
+        let (second, _) = d
+            .program_next(b, &data, OobData::for_lba(7, false, 3))
+            .unwrap();
+        let err = d.valid_lbas().unwrap_err();
+        assert!(err.contains("LBA 7: two valid copies"), "{err}");
+        d.invalidate_page(first).unwrap();
+        assert_eq!(d.valid_lbas().unwrap()[&7], second);
+        d.program_next(b, &data, OobData::default()).unwrap();
+        let err = d.valid_lbas().unwrap_err();
+        assert!(err.contains("carries no LBA"), "{err}");
+        d.check().unwrap();
+    }
+
+    #[test]
     fn wear_tracker_matches_full_scan_after_random_erases() {
-        // Oracle: the incremental histogram must agree with a brute-force
-        // recount after an arbitrary erase sequence (skewed so some blocks
-        // wear far faster than others, exercising min advancement).
+        // Oracle: `check` finds the incremental histogram equal to a
+        // recount after every erase of an arbitrary sequence (skewed so
+        // some blocks wear far faster than others, exercising min
+        // advancement).
         let mut d = dev();
         let total = d.geometry().total_blocks();
         let mut rng = 0x5EED_0001u64;
@@ -797,8 +915,7 @@ mod tests {
             let r = (rng >> 33) % (total * total);
             let pbn = Pbn(r.isqrt().min(total - 1));
             d.erase_block(pbn).unwrap();
-            let scan = WearStats::from_counts(d.erase_counts().map(|(_, c)| c));
-            assert_eq!(d.wear(), scan, "tracker diverged from scan");
+            d.check().unwrap();
         }
         assert!(
             d.wear().wear_difference() > 0,
@@ -1328,6 +1445,12 @@ mod fault_tests {
         );
         assert_eq!(d.block_state(pbn).unwrap().erase_count, 0);
         assert_eq!(d.fault_counters().grown_bad_blocks, 1);
+        assert_eq!(
+            d.refuses_erase(pbn),
+            Ok(true),
+            "a grown bad block stays bad"
+        );
+        assert_eq!(d.refuses_erase(g.pbn(1, 2)), Ok(false));
     }
 
     #[test]

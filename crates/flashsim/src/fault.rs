@@ -231,6 +231,11 @@ impl FaultInjector {
     pub(crate) fn bad_block_count(&self) -> usize {
         self.bad_blocks.len()
     }
+
+    /// Whether `pbn` has grown bad (every later erase of it fails).
+    pub(crate) fn is_bad_block(&self, pbn: Pbn) -> bool {
+        self.bad_blocks.contains(&pbn.raw())
+    }
 }
 
 #[cfg(test)]

@@ -25,11 +25,11 @@
 //! random writes see the full garbage-collection cost — the behaviour
 //! FlashTier's silent eviction removes (§4.3, Figure 6).
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 use flashsim::{
-    DataMode, FaultCounters, FaultPlan, FlashCounters, FlashDevice, FlashError, OobData, Pbn, Ppn,
-    WearStats,
+    set_bits, DataMode, FaultCounters, FaultPlan, FlashCounters, FlashDevice, FlashError, OobData,
+    Pbn, Ppn, WearStats,
 };
 use simkit::{Duration, PageBuf};
 use sparsemap::{memory, MapMemory, RowPool, SparseRow};
@@ -298,6 +298,60 @@ impl HybridFtl {
         }
         self.data_map[lbn as usize] = Some(fresh);
         Ok(cost)
+    }
+
+    /// Checks the FTL's bookkeeping against the flash it describes and
+    /// names the first broken rule:
+    ///
+    /// * the device's own rules ([`FlashDevice::check`]);
+    /// * the forward map — each row's log pages, each data block's valid
+    ///   pages by position — equals the flash walk
+    ///   ([`FlashDevice::check_forward_map`]); a row never shadows a valid
+    ///   data-block page, and every log page lies in a log block;
+    /// * `log_pages` equals a recount, and an empty row holds no heap;
+    /// * the block census ([`FreeBlockPool::census`]) over the data and
+    ///   log blocks.
+    ///
+    /// Holds between operations. Test support: no operation calls it.
+    pub fn check(&self) -> std::result::Result<(), String> {
+        self.dev.check()?;
+        let geometry = self.dev.geometry();
+        let ppb = u64::from(self.ppb());
+        let mut forward = HashMap::new();
+        let mut pages = 0;
+        for (lbn, (row, data)) in (0u64..).zip(self.log_rows.iter().zip(&self.data_map)) {
+            if row.is_empty() && row.heap_bytes() != 0 {
+                return Err(format!("lbn {lbn}: an empty row holds heap"));
+            }
+            pages += row.len();
+            for (offset, &ppn) in row.iter() {
+                if !self.log_blocks.contains(&geometry.block_of(ppn)) {
+                    return Err(format!(
+                        "lbn {lbn}: log page {ppn:?} outside the log blocks"
+                    ));
+                }
+                forward.insert(lbn * ppb + u64::from(offset), ppn);
+            }
+            let Some(pbn) = *data else {
+                continue;
+            };
+            let valid = self.dev.valid_mask(pbn).map_err(|e| e.to_string())?;
+            if row.bits() & valid != 0 {
+                return Err(format!("lbn {lbn}: a log page shadows a valid data page"));
+            }
+            let first = geometry.first_page(pbn).raw();
+            for offset in set_bits(valid).map(u64::from) {
+                forward.insert(lbn * ppb + offset, Ppn(first + offset));
+            }
+        }
+        if pages != self.log_pages {
+            let counted = self.log_pages;
+            return Err(format!("{pages} log pages in the rows, {counted} counted"));
+        }
+        self.dev.check_forward_map(&forward)?;
+        let owners = self.data_map.iter().flatten().chain(&self.log_blocks);
+        let retired = self.counters.blocks_retired;
+        self.pool.census(&self.dev, owners.copied(), retired)
     }
 }
 
@@ -699,13 +753,9 @@ mod tests {
         // Copied: LBA 1 and the eight live pages of LBN 1, nothing else.
         assert_eq!(ssd.flash_counters().page_reads - reads_before, 9);
         assert_eq!(c.gc_copies, 2 + 8);
-        let copies = (0..ssd.dev.geometry().total_blocks())
-            .flat_map(|pbn| ssd.dev.valid_pages_of(Pbn(pbn)).unwrap())
-            .filter(|(_, oob)| oob.lba() == Some(0))
-            .count();
-        assert_eq!(copies, 1, "one valid physical copy of the rewritten LBA");
-        let recount: usize = ssd.log_rows.iter().map(SparseRow::len).sum();
-        assert_eq!(ssd.log_pages, recount);
+        // One valid physical copy of the rewritten LBA, and the page count
+        // still a recount.
+        ssd.check().unwrap();
         assert_eq!(ssd.read(0).unwrap().0, page(&ssd, 0xEE));
         for lba in (1..2).chain(ppb..4 * ppb - 3) {
             assert_eq!(ssd.read(lba).unwrap().0, page(&ssd, lba as u8), "lba {lba}");
@@ -735,49 +785,29 @@ mod tests {
 
 #[cfg(test)]
 mod log_bits_oracle_tests {
-    use std::collections::{HashMap, HashSet};
+    use std::collections::HashSet;
 
     use super::*;
     use simkit::SimRng;
 
-    /// The log directory against the flash it describes: every valid flash
-    /// page is some LBA's one live copy and `live_page` resolves that LBA to
-    /// it (rows by OOB address, data blocks by position); a row never
-    /// shadows a valid data-block page; the entry counter equals a recount;
-    /// an empty row holds no heap; every log page is one the test wrote and
-    /// has not trimmed since, and every such LBA still resolves.
-    fn assert_rows_agree(ssd: &HybridFtl, written: &HashSet<u64>, at: &str) {
-        let ppb = ssd.ppb() as u64;
-        let geometry = ssd.dev.geometry();
-        let mut on_flash: HashMap<u64, Ppn> = HashMap::new();
-        for pbn in (0..geometry.total_blocks()).map(Pbn) {
-            for (ppn, oob) in ssd.dev.valid_pages_iter(pbn).unwrap() {
-                let lba = oob.lba().expect("a valid page carries its LBA");
-                assert_eq!(on_flash.insert(lba, ppn), None, "{at}: two copies of {lba}");
-            }
+    /// [`HybridFtl::check`], then the test's own model: every log page is
+    /// one the test wrote and has not trimmed since, and every such LBA
+    /// still resolves.
+    fn assert_written(ssd: &HybridFtl, written: &HashSet<u64>, at: &str) {
+        if let Err(broken) = ssd.check() {
+            panic!("{at}: {broken}");
         }
-        let mut entries = 0;
-        for (lbn, row) in ssd.log_rows.iter().enumerate() {
-            if row.is_empty() {
-                assert_eq!(row.heap_bytes(), 0, "{at}: lbn {lbn}: empty row holds heap");
-            }
-            if let Some(pbn) = ssd.data_map[lbn] {
-                let in_data = ssd.dev.valid_mask(pbn).unwrap();
-                assert_eq!(row.bits() & in_data, 0, "{at}: lbn {lbn}: two live copies");
-            }
-            entries += row.len();
+        let ppb = ssd.ppb() as u64;
+        for (lbn, row) in (0u64..).zip(&ssd.log_rows) {
             for (offset, _) in row.iter() {
-                let lba = lbn as u64 * ppb + u64::from(offset);
+                let lba = lbn * ppb + u64::from(offset);
                 assert!(written.contains(&lba), "{at}: log page for unwritten {lba}");
             }
         }
-        assert_eq!(entries, ssd.log_pages, "{at}: log page counter");
-        for lba in 0..ssd.capacity_pages() {
+        for &lba in written {
             let (lbn, offset) = ssd.split(lba);
-            let found = ssd.live_page(lbn, offset).unwrap();
-            assert_eq!(found, on_flash.get(&lba).copied(), "{at}: lba {lba}");
             assert!(
-                found.is_some() || !written.contains(&lba),
+                ssd.live_page(lbn, offset).unwrap().is_some(),
                 "{at}: {lba} lost"
             );
         }
@@ -822,12 +852,12 @@ mod log_bits_oracle_tests {
                         for lba in lbn * ppb..(lbn + 1) * ppb {
                             ssd.write(lba, &page).unwrap();
                             written.insert(lba);
-                            assert_rows_agree(&ssd, &written, &at);
+                            assert_written(&ssd, &written, &at);
                         }
                     }
                     _ => drop(ssd.read(rng.gen_range(span)).unwrap()),
                 }
-                assert_rows_agree(&ssd, &written, &at);
+                assert_written(&ssd, &written, &at);
             }
             runs.push(ssd.ftl_counters());
         }

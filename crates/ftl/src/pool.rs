@@ -18,7 +18,9 @@
 //!
 //! The pool also owns the rule every layer over it uses to reclaim a block,
 //! [`FreeBlockPool::erase_or_retire`]: erase it and pool it, or retire it
-//! for good when the media refuses the erase.
+//! for good when the media refuses the erase; and the block census those
+//! layers' structural checks share, [`FreeBlockPool::census`]: every block
+//! is pooled, owned once, or retired.
 
 use flashsim::{FlashDevice, FlashError, Geometry, Pbn};
 use simkit::Duration;
@@ -70,6 +72,12 @@ impl FreeBlockPool {
     /// Returns `true` if no block is free.
     pub fn is_empty(&self) -> bool {
         self.total == 0
+    }
+
+    /// Returns `true` if `pbn` is pooled.
+    pub fn contains(&self, pbn: Pbn) -> bool {
+        let (word, bit) = ((pbn.raw() / 64) as usize, 1u64 << (pbn.raw() % 64));
+        self.pooled.get(word).is_some_and(|w| w & bit != 0)
     }
 
     /// Returns a freshly erased block to the pool. Releasing a block that
@@ -148,6 +156,84 @@ impl FreeBlockPool {
             .zip(lens)
             .min_by_key(|&(plane, len)| (len, plane))
             .map_or(0, |(plane, _)| plane)
+    }
+
+    /// The block census a layer's structural check runs over its device:
+    /// every physical block of `dev` is exactly one of
+    ///
+    /// * pooled: erased, and filed at its erase count;
+    /// * owned, named once by `owners` (the layer's data and log blocks);
+    /// * retired: in neither, and refusing erase
+    ///   ([`FlashDevice::refuses_erase`]) — and there are exactly
+    ///   `blocks_retired` of those, the layer's own count.
+    ///
+    /// It also checks the pool itself: the membership bits name exactly
+    /// the heaps' blocks, each heap holds blocks of its own plane only, and
+    /// `len()` is the heaps' total. Returns the first broken rule. Test
+    /// support; no pool or device operation calls it.
+    pub fn census(
+        &self,
+        dev: &FlashDevice,
+        owners: impl IntoIterator<Item = Pbn>,
+        blocks_retired: u64,
+    ) -> Result<(), String> {
+        let geometry = dev.geometry();
+        let mut heaped = 0;
+        for (plane, heap) in (0u32..).zip(&self.planes) {
+            for &Reverse((erases, pbn)) in heap {
+                let block = pbn.raw();
+                let state = dev.block_state(pbn).map_err(|e| e.to_string())?;
+                if geometry.plane_of(pbn) != plane || !self.contains(pbn) {
+                    return Err(format!(
+                        "pool: block {block} misfiled in plane {plane}'s heap"
+                    ));
+                }
+                if !state.is_empty() || state.erase_count != erases {
+                    return Err(format!(
+                        "pool: block {block} filed at {erases} erases holds {} pages at {}",
+                        state.write_ptr, state.erase_count
+                    ));
+                }
+            }
+            heaped += heap.len();
+        }
+        let marked: usize = self.pooled.iter().map(|w| w.count_ones() as usize).sum();
+        if marked != heaped || self.total != heaped {
+            let total = self.total;
+            return Err(format!(
+                "pool: {marked} members marked, {heaped} in the heaps, {total} counted"
+            ));
+        }
+        let mut owned = vec![false; geometry.total_blocks() as usize];
+        for pbn in owners {
+            let block = pbn.raw();
+            let slot = owned
+                .get_mut(block as usize)
+                .ok_or_else(|| format!("owner names block {block}, past the device"))?;
+            if std::mem::replace(slot, true) {
+                return Err(format!("block {block} owned twice"));
+            }
+        }
+        let mut retired = 0;
+        for (block, owned) in (0u64..).zip(owned) {
+            let pbn = Pbn(block);
+            match (owned, self.contains(pbn)) {
+                (true, true) => return Err(format!("block {block} both owned and pooled")),
+                (false, false) if dev.refuses_erase(pbn).map_err(|e| e.to_string())? => {
+                    retired += 1;
+                }
+                (false, false) => {
+                    return Err(format!("block {block} leaked: unowned, unpooled, erasable"))
+                }
+                _ => {}
+            }
+        }
+        if retired != blocks_retired {
+            return Err(format!(
+                "{retired} blocks retired on the device, {blocks_retired} counted"
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -321,6 +407,43 @@ mod tests {
         // Its endurance spent, the block refuses the next erase: retired.
         assert_eq!(pool.erase_or_retire(&mut dev, pbn), Ok(None));
         assert!(pool.is_empty(), "a worn-out block never re-enters the pool");
+    }
+
+    #[test]
+    fn census_finds_every_block_pooled_owned_once_or_retired() {
+        let config = FlashConfig::small_test();
+        let mut dev = FlashDevice::new(config, flashsim::DataMode::Discard);
+        let g = *dev.geometry();
+        let mut pool = FreeBlockPool::full(&g);
+        assert_eq!(pool.census(&dev, [], 0), Ok(()));
+        let held = pool.alloc().unwrap();
+        assert!(!pool.contains(held));
+        let leaked = pool.census(&dev, [], 0).unwrap_err();
+        assert!(leaked.contains("leaked"), "{leaked}");
+        assert_eq!(pool.census(&dev, [held], 0), Ok(()));
+        let twice = pool.census(&dev, [held, held], 0).unwrap_err();
+        assert!(twice.contains("owned twice"), "{twice}");
+        let pooled = g.pbn(1, 7);
+        let both = pool.census(&dev, [held, pooled], 0).unwrap_err();
+        assert!(both.contains("both owned and pooled"), "{both}");
+        // A pool that files a block at the wrong erase count.
+        let mut lone = FreeBlockPool::new(g.planes());
+        lone.release(held, 5, &g);
+        let rest = (0..g.total_blocks()).map(Pbn).filter(|&b| b != held);
+        let misfiled = lone.census(&dev, rest, 0).unwrap_err();
+        assert!(misfiled.contains("filed at 5 erases"), "{misfiled}");
+        // The held block fails its erase: it grows bad and is retired.
+        dev.set_fault_plan(flashsim::FaultPlan {
+            erase_fail_ppm: 1_000_000,
+            ..flashsim::FaultPlan::default()
+        });
+        assert_eq!(pool.erase_or_retire(&mut dev, held), Ok(None));
+        assert_eq!(pool.census(&dev, [], 1), Ok(()));
+        let uncounted = pool.census(&dev, [], 0).unwrap_err();
+        assert!(uncounted.contains("1 blocks retired on the device, 0 counted"));
+        pool.total += 1;
+        let miscounted = pool.census(&dev, [], 1).unwrap_err();
+        assert!(miscounted.starts_with("pool:"), "{miscounted}");
     }
 
     #[test]

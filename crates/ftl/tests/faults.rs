@@ -35,6 +35,8 @@ fn churn<D: BlockDev>(dev: &mut D, writes: u64, lbas: u64) {
 fn hybrid_survives_wearout_by_retiring_blocks() {
     let mut ssd = HybridFtl::new(tiny_endurance_config(12), DataMode::Store);
     churn(&mut ssd, 1200, 6);
+    // Every worn block is out of the pool and counted once.
+    ssd.check().unwrap();
 }
 
 #[test]
@@ -76,6 +78,7 @@ fn hybrid_reissues_failed_programs() {
         ..FaultPlan::default()
     });
     program_fault_workload(&mut ssd);
+    ssd.check().unwrap();
 }
 
 #[test]

@@ -199,6 +199,7 @@ fn run_torture<S: ServeSystem + PowerCycle + 'static>(
         .sum();
     for stack in &mut stacks {
         stack.power_cycle().expect("recover shard");
+        stack.check().expect("the recovered shard is whole");
     }
     let mut checked = 0u64;
     for (c, model) in models.iter().enumerate() {

@@ -7,6 +7,7 @@ use cachemgr::{PageBuf, ShardSet};
 use disksim::{Disk, DiskConfig, DiskDataMode};
 use flashsim::FaultPlan;
 use flashtier_core::{CrashSite, Ssc, SscConfig, SscError};
+use ftl::HybridFtl;
 use simkit::Duration;
 use sparsemap::MapMemory;
 use std::fmt::Display;
@@ -91,6 +92,10 @@ pub trait PowerCycle: CacheSystem {
     /// returns why it could not).
     fn power_cycle(&mut self) -> Result<(), CmError>;
 
+    /// The structural check of every cache device under the system
+    /// ([`Ssc::check`], [`HybridFtl::check`]): the first broken rule.
+    fn check(&mut self) -> Result<(), String>;
+
     /// The SSC of shard `shard`, where crash sites are armed; `None` for a
     /// cache without one.
     fn ssc_mut(&mut self, _shard: usize) -> Option<&mut Ssc> {
@@ -107,6 +112,9 @@ impl PowerCycle for FlashTierWt {
     fn power_cycle(&mut self) -> Result<(), CmError> {
         self.crash_and_recover().map(drop)
     }
+    fn check(&mut self) -> Result<(), String> {
+        FlashTierWt::ssc_mut(self).check()
+    }
     fn ssc_mut(&mut self, _shard: usize) -> Option<&mut Ssc> {
         Some(FlashTierWt::ssc_mut(self))
     }
@@ -116,14 +124,20 @@ impl PowerCycle for FlashTierWb {
     fn power_cycle(&mut self) -> Result<(), CmError> {
         self.crash_and_recover().map(drop)
     }
+    fn check(&mut self) -> Result<(), String> {
+        FlashTierWb::ssc_mut(self).check()
+    }
     fn ssc_mut(&mut self, _shard: usize) -> Option<&mut Ssc> {
         Some(FlashTierWb::ssc_mut(self))
     }
 }
 
-impl<D: ftl::BlockDev> PowerCycle for NativeCache<D> {
+impl PowerCycle for NativeCache<HybridFtl> {
     fn power_cycle(&mut self) -> Result<(), CmError> {
         self.crash_and_recover().map(drop)
+    }
+    fn check(&mut self) -> Result<(), String> {
+        self.ssd().check()
     }
 }
 
@@ -186,6 +200,12 @@ impl<S: CacheSystem> CacheSystem for Shards<S> {
 impl<S: PowerCycle> PowerCycle for Shards<S> {
     fn power_cycle(&mut self) -> Result<(), CmError> {
         (0..self.0.num_shards()).try_for_each(|i| self.0.shard_mut(i).power_cycle())
+    }
+    fn check(&mut self) -> Result<(), String> {
+        (0..self.0.num_shards()).try_for_each(|i| {
+            let checked = self.0.shard_mut(i).check();
+            checked.map_err(|broken| format!("shard {i}: {broken}"))
+        })
     }
     fn ssc_mut(&mut self, shard: usize) -> Option<&mut Ssc> {
         self.0.shard_mut(shard).ssc_mut(0)
@@ -308,9 +328,27 @@ pub enum Crash {
 }
 
 impl<S: PowerCycle> Driven<S> {
+    /// Runs the system's structural check ([`PowerCycle::check`]); a
+    /// broken rule panics with the context.
+    pub fn check(&mut self) {
+        if let Err(broken) = self.system.check() {
+            panic!("{}: {broken}", self.context);
+        }
+    }
+
+    /// Power fails and the system recovers, then passes its structural
+    /// check; a failed recovery or a broken rule panics.
+    pub fn power_cycle(&mut self) {
+        if let Err(e) = self.system.power_cycle() {
+            panic!("{}: recovery failed: {e}", self.context);
+        }
+        self.check();
+    }
+
     /// One seeded operation over the campaign span, a read one time in
-    /// three, else a write. A power failure is `Err`, naming the LBA of a
-    /// write it left in flight.
+    /// three, else a write; debug builds run the structural check after
+    /// each one that completes. A power failure is `Err`, naming the LBA
+    /// of a write it left in flight.
     fn step(&mut self, rng: &mut u64) -> Result<(), Option<u64>> {
         let lba = lcg(rng) % SPAN;
         let read = lcg(rng).is_multiple_of(3);
@@ -321,7 +359,12 @@ impl<S: PowerCycle> Driven<S> {
             self.write(lba).map(drop)
         };
         match result {
-            Ok(()) => Ok(()),
+            Ok(()) => {
+                if cfg!(debug_assertions) {
+                    self.check();
+                }
+                Ok(())
+            }
             Err(CmError::Ssc(SscError::PowerLoss)) => {
                 // A manager evicts an unreadable dirty copy before it counts
                 // the drop, so power can fail in between: each read fault of
@@ -351,9 +394,9 @@ impl<S: PowerCycle> Driven<S> {
     }
 
     /// One campaign: warm up, crash (an armed site firing, or at an
-    /// operation boundary), recover, sweep the whole span, re-read and
-    /// overwrite the block left in flight, and keep operating. Returns
-    /// whether the power failure fired.
+    /// operation boundary), recover, check the structure, sweep the whole
+    /// span, re-read and overwrite the block left in flight, and keep
+    /// operating. Returns whether the power failure fired.
     pub fn crash_campaign(&mut self, seed: u64, crash: Crash) -> bool {
         let mut rng;
         let ops = match crash {
@@ -386,10 +429,8 @@ impl<S: PowerCycle> Driven<S> {
                 (0..self.system.shards()).for_each(|i| self.ssc(i).disarm_crash());
             }
         }
-        if let Err(e) = self.system.power_cycle() {
-            panic!("{}: recovery failed: {e}", self.context);
-        }
         self.context = format!("seed {seed} {crash:?} (fired: {fired})");
+        self.power_cycle();
         self.sweep(0..SPAN);
         if let Some(lba) = in_flight {
             let rewritten = self.read(lba).and_then(|_| self.write(lba));

@@ -9,7 +9,10 @@
 //! [`Driven`] pairs a cache system with a model, and
 //! [`Driven::crash_campaign`] runs one seeded crash campaign: operations,
 //! an armed [`flashtier_core::CrashSite`] or a crash at an operation
-//! boundary, recovery, and a sweep of every block.
+//! boundary, recovery, and a sweep of every block. Besides what reads
+//! return, it checks that each cache device's own bookkeeping is whole
+//! ([`PowerCycle::check`]): after every power cycle, and in debug builds
+//! after every operation of a campaign.
 //!
 //! Test support only: no product crate depends on it, and integration
 //! tests reach it through `[dev-dependencies]`.

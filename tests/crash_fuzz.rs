@@ -3,8 +3,10 @@
 //! Scripted power failures fire *inside* the SSC's consistency machinery —
 //! mid-group-commit, mid-checkpoint (clean and torn), mid-merge and
 //! mid-destage — while a seeded workload runs through a full cache system.
-//! After every crash the system recovers and every block is checked
-//! against the guarantee model of `flashtier_testkit`:
+//! After every crash the system recovers, each cache device passes its
+//! structural check (`Ssc::check`, `HybridFtl::check`: the maps against
+//! the flash, every block pooled, owned once or retired), and every block
+//! is checked against the guarantee model of `flashtier_testkit`:
 //!
 //! * no acknowledged write is ever lost (write-back: dirty data is durable;
 //!   write-through: the disk is authoritative),
@@ -13,16 +15,16 @@
 //! * recovery leaves the system fully operational.
 //!
 //! The native write-back cache has no SSC crash sites; it is fuzzed by
-//! crashing at random operation boundaries instead, which its per-change
-//! durable metadata must survive exactly. The last campaigns crash while
-//! media faults fire, on one shard and on two.
+//! crashing at random operation boundaries instead, on one shard and on
+//! two, which its per-change durable metadata must survive exactly. The
+//! last campaigns crash while media faults fire, on one shard and on two.
 
 use flashtier::cachemgr::{FlashTierWb, FlashTierWt, MgrCounters, NativeCache};
-use flashtier::cachemgr::{NativeConsistency, NativeMode};
+use flashtier::cachemgr::{NativeConsistency, NativeMode, ShardSet};
 use flashtier::disksim::Disk;
 use flashtier::flashsim::{DataMode, FaultPlan};
 use flashtier::ftl::{HybridFtl, SsdConfig};
-use flashtier::ssc::{CrashSite, Ssc, SscConfig};
+use flashtier::ssc::{CrashSite, ShardRouter, Ssc, SscConfig};
 use flashtier_testkit::{aggressive_faults, fuzz_scale, fuzz_sites, test_disk};
 use flashtier_testkit::{Crash, Driven, PowerCycle, Shards};
 
@@ -77,8 +79,11 @@ fn native_wb_survives_crashes_at_operation_boundaries() {
         let (mode, consistency) = (NativeMode::WriteBack, NativeConsistency::Durable);
         NativeCache::new(ssd, test_disk(), mode, consistency)
     };
+    let ppb = SsdConfig::small_test().flash.geometry.pages_per_block();
     for seed in 0..60 * fuzz_scale() {
         Driven::new(build()).crash_campaign(seed, Crash::Boundary);
+        let two = ShardSet::from_parts(vec![build(), build()], ShardRouter::new(2, ppb));
+        Driven::new(Shards(two)).crash_campaign(seed, Crash::Boundary);
     }
 }
 

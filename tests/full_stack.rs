@@ -1,7 +1,8 @@
 //! End-to-end integration tests: whole systems (manager + cache device +
 //! disk) replaying generated workloads in Store mode, with every read
 //! checked against the guarantee model of `flashtier_testkit` — including
-//! across crashes.
+//! across crashes, after each of which the cache device passes its
+//! structural check.
 
 use flashtier::cachemgr::StackSpec;
 use flashtier::cachemgr::{CacheSystem, FlashTierWb, FlashTierWt, NativeConsistency, NativeMode};
@@ -78,7 +79,7 @@ fn write_back_crash_preserves_all_dirty_data() {
     for round in 0..4u64 {
         run.context = format!("round {round}");
         run.churn(1_500, || (clustered(&mut rng), rng.gen_bool(0.6)));
-        run.system.crash_and_recover().unwrap();
+        run.power_cycle();
         // After recovery every write must still read back correctly: the
         // newest version came from write-dirty (durable), or was cleaned
         // and written to disk, or was refetched — never stale.
@@ -91,7 +92,7 @@ fn write_back_crash_preserves_all_dirty_data() {
 fn write_through_crash_is_instantly_usable() {
     let mut run = churn_and_verify(wt(), 3_000, 0.5, 5);
     let hits_before = run.system.counters().read_hits;
-    run.system.crash_and_recover().unwrap();
+    run.power_cycle();
     // Every read is served (cache or disk) and exact, and the cache still
     // hits after recovery (clean data was persisted).
     run.context = "after the crash".into();
