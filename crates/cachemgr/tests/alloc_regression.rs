@@ -16,8 +16,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use cachemgr::{
-    replay, CacheSystem, DirtyTable, FlashTierWt, NativeCache, NativeConsistency, NativeMode,
-    PageBuf,
+    replay, CacheSystem, DirtyTable, FlashTierWb, FlashTierWt, NativeCache, NativeConsistency,
+    NativeMode, PageBuf,
 };
 use disksim::{Disk, DiskConfig, DiskDataMode};
 use flashsim::{DataMode, FlashConfig, Geometry, Ppn};
@@ -308,6 +308,97 @@ fn native_replay_through_merges_allocates_a_per_session_constant() {
     );
 }
 
+/// The FlashTier stacks in steady state off the hit path: the same kind of
+/// seeded cycle over four times the cache, replayed through a write-through
+/// and a write-back manager over one SSC each, so every session fills,
+/// overwrites, merges and silently evicts. Once warm, a replay session
+/// allocates a per-session constant, as the native stack's does (see
+/// there for the warm-up and the wear histogram).
+#[test]
+fn flashtier_replay_through_silent_evictions_allocates_a_per_session_constant() {
+    let flash = FlashConfig {
+        geometry: Geometry::new(2, 32, 64, 512, 16),
+        ..FlashConfig::small_test()
+    };
+    let config = SscConfig::ssc(flash).with_data_mode(DataMode::Discard);
+    let span = 4 * 4096;
+    let disk = || {
+        Disk::new(
+            DiskConfig {
+                capacity_blocks: span,
+                ..DiskConfig::small_test()
+            },
+            DiskDataMode::Discard,
+        )
+    };
+    // Runs of eight blocks, so that logical blocks fill densely enough to
+    // merge into data blocks, which silent eviction then drops.
+    let mut rng = SimRng::seed_from(0x5EED);
+    const RUNS: usize = 625;
+    let cycle: Vec<TraceEvent> = (0..RUNS)
+        .flat_map(|_| {
+            let start = rng.gen_range(span / 8) * 8;
+            let write = rng.gen_range(10) < 3;
+            (start..start + 8).map(move |lba| {
+                if write {
+                    TraceEvent::write(lba)
+                } else {
+                    TraceEvent::read(lba)
+                }
+            })
+        })
+        .collect();
+    fn sessions<S: CacheSystem>(
+        label: &str,
+        system: &mut S,
+        ssc: fn(&S) -> &Ssc,
+        cycle: &[TraceEvent],
+    ) {
+        assert!(4 * ssc(system).data_capacity_pages() <= 4 * 4096);
+        let mut session = |cycles: usize| {
+            let events = cycle.repeat(cycles);
+            let before = ssc(system).counters();
+            let (during, stats) = allocations_of(|| replay(system, &events));
+            assert_eq!(stats.unwrap().ops, events.len() as u64);
+            let after = ssc(system).counters();
+            let evictions = after.silent_evictions - before.silent_evictions;
+            let merges =
+                after.full_merges + after.switch_merges - before.full_merges - before.switch_merges;
+            assert!(
+                evictions > 0 && merges > 0,
+                "{label}: {cycles} cycles: {evictions} evictions, {merges} merges"
+            );
+            (during, ssc(system).wear().max_erases)
+        };
+        let (_, wear_before) = session(50);
+        let (short, _) = session(1);
+        let (long, wear_after) = session(4);
+        assert_eq!(
+            (wear_before + 1).ilog2(),
+            (wear_after + 1).ilog2(),
+            "{label}: the highest erase count went from {wear_before} to {wear_after}: \
+             re-pick the warm-up so that the sessions stay inside one doubling"
+        );
+        assert!(
+            short <= 8,
+            "{label}: replay session allocated {short} times for {} events; \
+             expected a per-session constant",
+            cycle.len()
+        );
+        assert_eq!(
+            long,
+            short,
+            "{label}: replay allocates per event: {short} allocations for {} \
+             events, {long} for four times as many",
+            cycle.len()
+        );
+    }
+    let mut wt = FlashTierWt::new(Ssc::new(config), disk());
+    sessions("wt", &mut wt, FlashTierWt::ssc, &cycle);
+    let mut wb = FlashTierWb::new(Ssc::new(config), disk());
+    sessions("wb", &mut wb, FlashTierWb::ssc, &cycle);
+}
+
 /// A dirty-block table built and driven with the live-bytes count armed
 /// holds exactly what `host_memory().heap_bytes` reports: nothing but its
 /// bucket heads while empty, then its records and heads as fills cross
@@ -382,9 +473,9 @@ fn native_heap_bytes_are_the_bytes_its_table_holds() {
 }
 
 /// The SSC's forward map built and driven with the live-bytes count armed
-/// holds exactly what `heap_bytes` reports: nothing while empty, then its
-/// table and log rows through page inserts, block upserts and rows growing
-/// into the next array class across the table's doublings. The arrays rows
+/// holds exactly what `heap_bytes` reports: its clean-block table and
+/// pre-sized LBN table while empty, then its log rows through page inserts,
+/// block upserts and rows growing into the next array class. The arrays rows
 /// give up wait in the row pool, counted: rows started after a drain take
 /// them without growing the heap, and dropping the maps frees everything.
 #[test]
@@ -393,7 +484,7 @@ fn ssc_maps_heap_bytes_are_the_bytes_they_hold() {
     let mut sizes = Vec::with_capacity(4 * LBNS as usize);
     let mut taken = Vec::with_capacity(64);
     with_live_bytes(|| {
-        let mut maps = SscMaps::new(64);
+        let mut maps = SscMaps::with_capacity(64, 0, LBNS as usize);
         assert_eq!(maps.heap_bytes(), live_bytes(), "empty");
         // The label is formatted only on failure: a `String` would count.
         let mut check = |maps: &SscMaps, step: &str, lbn: u64| {
@@ -455,7 +546,7 @@ fn ssc_log_row_churn_does_not_allocate_on_a_warm_pool() {
     // A multiple of 63, so that every round has the same multiset of row
     // lengths, rotated among the blocks.
     const LBNS: u64 = 4 * 63;
-    let mut maps = SscMaps::new(64);
+    let mut maps = SscMaps::with_capacity(64, 0, LBNS as usize);
     for lbn in 0..LBNS {
         maps.insert_block(lbn, BlockEntry::new(lbn, 1, 0));
     }

@@ -306,7 +306,7 @@ mod tests {
     use flashsim::Ppn;
 
     fn sample_maps() -> SscMaps {
-        let mut m = SscMaps::new(64);
+        let mut m = SscMaps::with_capacity(64, 0, 64);
         for i in 0..100 {
             m.insert_page(i * 7, PagePtr::new(Ppn(i), i % 2 == 0));
         }

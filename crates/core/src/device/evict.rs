@@ -1,16 +1,19 @@
 //! Silent eviction (§4.3): free space by dropping clean data blocks, picked
-//! through the clean-block index and its mark/flush protocol (see
-//! [`crate::evict_index`]).
+//! from the maps' clean-block table ([`crate::map`]), which files them by
+//! valid-page count.
 
-use flashsim::Pbn;
+use flashsim::{Pbn, Ppn};
 use simkit::Duration;
 
 use super::Ssc;
+use crate::config::VictimSelection;
 use crate::error::SscError;
-use crate::evict_index::CleanBlockIndex;
-use crate::map::BlockEntry;
 use crate::wal::LogRecord;
 use crate::Result;
+
+/// A clean data block's place in victim order, smallest first:
+/// `(score, off the preferred plane, lbn)`.
+pub(super) type VictimKey = ((u64, u64), bool, u64);
 
 impl Ssc {
     /// Silent eviction (§4.3): free space by *dropping* clean data blocks
@@ -25,7 +28,7 @@ impl Ssc {
                 return Err(SscError::OutOfSpace);
             }
             let evicted = self.evict_clean_batch()?;
-            if evicted.is_zero() && self.flush_index().is_empty() {
+            if evicted.is_zero() && self.maps.clean_blocks().is_empty() {
                 // "If there are not enough candidate blocks to provide free
                 // space, it reverts to regular garbage collection."
                 self.counters.eviction_fallbacks += 1;
@@ -46,10 +49,13 @@ impl Ssc {
     /// allocates, so it is safe to call from inside a merge.
     pub(super) fn evict_clean_batch(&mut self) -> Result<Duration> {
         let mut cost = Duration::ZERO;
-        for (lbn, entry) in self.select_eviction_victims() {
+        // The victims go through a scratch vector taken out of `self` (an
+        // early `?` return just costs a future re-growth).
+        let mut victims = std::mem::take(&mut self.victim_scratch);
+        self.select_eviction_victims(&mut victims);
+        for &(_, _, lbn) in &victims {
             // Log the un-mapping and make it durable before erasing.
-            self.maps.remove_block(lbn);
-            self.index_mark(lbn);
+            let entry = self.maps.remove_block(lbn).expect("a victim is mapped");
             self.log_append(LogRecord::RemoveBlock { lbn });
             cost += self.commit_log()?;
             let pbn = Pbn(entry.pbn);
@@ -57,87 +63,81 @@ impl Ssc {
             cost += self.retire_block(pbn)?;
             self.counters.silent_evictions += 1;
         }
+        self.victim_scratch = victims;
         Ok(cost)
     }
 
-    /// Picks up to `evict_batch` clean data blocks by the configured
-    /// victim selector, preferring the plane with the fewest free blocks
-    /// ("selects a flash plane to clean and then selects the top-k victim
-    /// blocks"). Served by the index, brought up to date first; must agree
-    /// with the brute-force scan [`Ssc::check`] compares it with.
-    pub(super) fn select_eviction_victims(&mut self) -> Vec<(u64, BlockEntry)> {
-        let preferred_plane = self.pool.emptiest_plane();
+    /// Fills `out` with the first `evict_batch` clean data blocks in victim
+    /// order, preferring the plane with the fewest free blocks ("selects a
+    /// flash plane to clean and then selects the top-k victim blocks"), as
+    /// the scan [`Ssc::check`] compares it with does. Walks the buckets up
+    /// from the fewest valid pages, the preferred plane's blocks first, and
+    /// skips whatever cannot sort before the worst block it holds.
+    pub(super) fn select_eviction_victims(&self, out: &mut Vec<VictimKey>) {
+        out.clear();
         let batch = self.config.evict_batch;
-        self.flush_index()
-            .select_victims(preferred_plane, batch)
-            .into_iter()
-            .map(|lbn| {
-                let entry = self.maps.block(lbn).expect("indexed lbn is mapped");
-                (lbn, entry)
-            })
-            .collect()
-    }
-
-    /// Two-level victim score (smaller evicts first) per the configured
-    /// [`crate::config::VictimSelection`].
-    pub(super) fn victim_score(&self, entry: &BlockEntry) -> (u64, u64) {
-        let newest_seq = || -> u64 {
-            self.dev
-                .valid_pages_iter(Pbn(entry.pbn))
-                .map(|pages| pages.map(|(_, oob)| oob.seq()).max().unwrap_or(0))
-                .unwrap_or(0)
+        let geometry = self.dev.geometry();
+        let first = geometry.pbn(self.pool.emptiest_plane(), 0).raw();
+        let end = first + u64::from(geometry.blocks_per_plane());
+        let clean = self.maps.clean_blocks();
+        let beaten = |out: &Vec<VictimKey>, floor: VictimKey| {
+            out.len() == batch && out.last().is_none_or(|worst| *worst < floor)
         };
-        match self.config.victim_selection {
-            crate::config::VictimSelection::Utilization => (entry.valid_count() as u64, 0),
-            crate::config::VictimSelection::LeastRecentlyWritten => (newest_seq(), 0),
-            crate::config::VictimSelection::UtilizationThenRecency => {
-                let quarter = (self.ppb() / 4).max(1);
-                ((entry.valid_count() / quarter) as u64, newest_seq())
-            }
-        }
-    }
-
-    /// Marks `lbn`'s eviction-index key stale. Call after any mutation that
-    /// can change its block-level entry (insert/remove/mask/clean); the key
-    /// is re-derived by the next [`Ssc::flush_index`]. The list is flushed
-    /// once it is as long as the device has blocks — the most keys the index
-    /// itself can hold — so it is bounded however rarely eviction runs.
-    pub(super) fn index_mark(&mut self, lbn: u64) {
-        self.index_stale.push(lbn);
-        if self.index_stale.len() as u64 >= self.config.total_blocks() {
-            self.flush_index();
-        }
-    }
-
-    /// Brings the eviction index up to date — re-derives the key of every
-    /// marked LBN from its block-level entry and the device state as they
-    /// stand — and returns it. The only way `clean_index` is read.
-    pub(super) fn flush_index(&mut self) -> &CleanBlockIndex {
-        self.index_stale.sort_unstable();
-        self.index_stale.dedup();
-        for i in 0..self.index_stale.len() {
-            let lbn = self.index_stale[i];
-            match self.maps.block(lbn) {
-                Some(entry) if entry.is_clean() => {
-                    let score = self.victim_score(&entry);
-                    let plane = self.dev.geometry().plane_of(Pbn(entry.pbn));
-                    self.clean_index.upsert(lbn, score, plane);
+        for count in clean.counts() {
+            let rank = self.utilization_rank(count);
+            for (pbns, off_plane) in [(first..end, false), (0..first, true), (end..u64::MAX, true)]
+            {
+                if beaten(out, ((rank, 0), off_plane, 0)) {
+                    break;
                 }
-                _ => self.clean_index.remove(lbn),
+                for (pbn, lbn) in clean.with_count(count, pbns) {
+                    let key = (self.victim_score(Pbn(pbn), count), off_plane, lbn);
+                    if out.len() == batch {
+                        if out.last().is_none_or(|worst| key >= *worst) {
+                            continue;
+                        }
+                        out.pop();
+                    }
+                    out.insert(out.partition_point(|k| *k < key), key);
+                }
+            }
+            if beaten(out, ((rank, 0), false, 0)) {
+                break;
             }
         }
-        self.index_stale.clear();
-        &self.clean_index
     }
 
-    /// Rebuilds the eviction index from scratch — needed when the maps are
-    /// replaced wholesale (crash wipe, roll-forward recovery) rather than
-    /// mutated through the tracked paths.
-    pub(crate) fn rebuild_clean_index(&mut self) {
-        self.clean_index = CleanBlockIndex::new(self.dev.geometry().planes());
-        self.index_stale.clear();
-        self.index_stale
-            .extend(self.maps.blocks().map(|(lbn, _)| lbn));
-        self.flush_index();
+    /// The utilization part of the victim score of a block with `count`
+    /// valid pages: blocks of one rank are ordered by the rest of the score.
+    fn utilization_rank(&self, count: u32) -> u64 {
+        match self.config.victim_selection {
+            VictimSelection::Utilization => u64::from(count),
+            VictimSelection::LeastRecentlyWritten => 0,
+            VictimSelection::UtilizationThenRecency => u64::from(count / (self.ppb() / 4).max(1)),
+        }
+    }
+
+    /// Two-level victim score (smaller evicts first) of the clean data block
+    /// `pbn` with `count` valid pages, per the configured
+    /// [`crate::config::VictimSelection`].
+    pub(super) fn victim_score(&self, pbn: Pbn, count: u32) -> (u64, u64) {
+        let rank = self.utilization_rank(count);
+        match self.config.victim_selection {
+            VictimSelection::Utilization => (rank, 0),
+            VictimSelection::LeastRecentlyWritten => (self.newest_seq(pbn), 0),
+            VictimSelection::UtilizationThenRecency => (rank, self.newest_seq(pbn)),
+        }
+    }
+
+    /// The newest OOB sequence number among the valid pages of data block
+    /// `pbn`: its highest valid page's, since a data block is programmed in
+    /// offset order ([`Ssc::check`] holds every data block to that).
+    fn newest_seq(&self, pbn: Pbn) -> u64 {
+        let valid = self.dev.valid_mask(pbn).unwrap_or(0);
+        let Some(last) = valid.checked_ilog2() else {
+            return 0;
+        };
+        let ppn = Ppn(self.dev.geometry().first_page(pbn).raw() + u64::from(last));
+        self.dev.peek_oob(ppn).map_or(0, |oob| oob.seq())
     }
 }

@@ -1,11 +1,12 @@
 //! Read-only views of the device's maps for tests and debugging, and the
-//! structural check: the maps, the block lists and the clean-block index
+//! structural check: the maps, the block lists and the clean-block table
 //! against the flash they describe.
 
 use std::collections::HashMap;
 
 use flashsim::{set_bits, Pbn, Ppn};
 
+use super::evict::VictimKey;
 use super::Ssc;
 use crate::map::Resolved;
 
@@ -45,22 +46,22 @@ impl Ssc {
     ///   ([`flashsim::FlashDevice::check_forward_map`]), and `lookup`
     ///   resolves every mapped LBA to its page;
     /// * no empty entry is kept and an empty row holds no heap; a data
-    ///   block has a live page, its valid bits are the device's and its
-    ///   dirty bits name only valid offsets; a row never shadows a valid
+    ///   block has a live page, its valid bits are the device's, its dirty
+    ///   bits name only valid offsets and its valid pages' OOB sequence
+    ///   numbers rise with the offset; a row never shadows a valid
     ///   data-block page, and every log page lies in a log block;
     /// * the page and block counts equal a recount;
     /// * the block census ([`ftl::FreeBlockPool::census`]) over the data
     ///   blocks, the log blocks and the blocks awaiting erase;
-    /// * the clean-block index equals the scan: the same victims, and one
-    ///   row per clean data block with its score and plane. It flushes the
-    ///   index first, as every read of it does, which nothing can observe
-    ///   (DESIGN.md §7, invariant 3);
+    /// * the clean-block table equals a scan of the data blocks, row for
+    ///   row (physical block, LBN, valid pages), and selects the victims
+    ///   the brute-force scan selects;
     /// * the LBN table's own invariants, which panic rather than return.
     ///
     /// Holds at operation boundaries, not between a
     /// [`SscError::PowerLoss`](crate::SscError::PowerLoss) and
     /// [`Ssc::crash`]. Test support: no operation calls it.
-    pub fn check(&mut self) -> Result<(), String> {
+    pub fn check(&self) -> Result<(), String> {
         self.dev.check()?;
         let geometry = *self.dev.geometry();
         let ppb = u64::from(self.ppb());
@@ -99,6 +100,14 @@ impl Ssc {
             if row.bits() & valid != 0 {
                 return Err(format!("lbn {lbn}: a log page shadows a valid data page"));
             }
+            let pages = self.dev.valid_pages_iter(Pbn(block.pbn));
+            let seqs = pages.map_err(|e| e.to_string())?.map(|(_, oob)| oob.seq());
+            if !seqs.is_sorted_by(|a, b| a < b) {
+                return Err(format!(
+                    "lbn {lbn}: data block {} not programmed in offset order",
+                    block.pbn
+                ));
+            }
             for offset in set_bits(valid).map(u64::from) {
                 forward.insert(lbn * ppb + offset, Ppn(block.pbn * ppb + offset));
             }
@@ -123,46 +132,42 @@ impl Ssc {
         self.pool
             .census(&self.dev, owners, self.counters.blocks_retired)?;
         self.maps.check_invariants();
-        let scan = self.select_eviction_victims_scan();
-        if self.select_eviction_victims() != scan {
-            return Err("eviction victims differ from the scan's".into());
-        }
-        let mut rows: Vec<(u64, (u64, u64), u32)> = self
-            .maps
-            .blocks()
-            .filter(|(_, e)| e.is_clean())
-            .map(|(lbn, e)| (lbn, self.victim_score(e), geometry.plane_of(Pbn(e.pbn))))
+        let clean = self.maps.blocks().filter(|(_, e)| e.is_clean());
+        let mut want: Vec<_> = clean
+            .map(|(lbn, e)| (e.pbn, lbn, e.valid_count()))
             .collect();
-        rows.sort_unstable();
-        let index = self.flush_index();
-        if index.snapshot() != rows || index.ordered_keys() != rows.len() {
-            return Err("the clean-block index differs from the scan".into());
+        want.sort_unstable();
+        if self.maps.clean_blocks().rows()? != want {
+            return Err("the clean-block table differs from the scan".into());
+        }
+        let mut victims = Vec::new();
+        self.select_eviction_victims(&mut victims);
+        if victims != self.select_eviction_victims_scan() {
+            return Err("eviction victims differ from the scan's".into());
         }
         Ok(())
     }
 
-    /// Brute-force rebuild-and-sort victim selection — the reference the
-    /// clean-block index is checked against by [`Ssc::check`].
-    fn select_eviction_victims_scan(&self) -> Vec<(u64, crate::map::BlockEntry)> {
+    /// Brute-force score-and-sort victim selection over every data block —
+    /// the reference [`Ssc::check`] holds the clean-block table's selection
+    /// to.
+    fn select_eviction_victims_scan(&self) -> Vec<VictimKey> {
         let geometry = self.dev.geometry();
         let preferred_plane = self.pool.emptiest_plane();
-        let mut candidates: Vec<_> = self
+        let mut candidates: Vec<VictimKey> = self
             .maps
             .blocks()
             .filter(|(_, e)| e.is_clean())
             .map(|(lbn, e)| {
-                let plane = geometry.plane_of(Pbn(e.pbn));
-                let primary = self.victim_score(e);
-                (primary.0, primary.1, plane != preferred_plane, lbn, *e)
+                let pbn = Pbn(e.pbn);
+                let off_plane = geometry.plane_of(pbn) != preferred_plane;
+                (self.victim_score(pbn, e.valid_count()), off_plane, lbn)
             })
             .collect();
         // Lowest score first; same-plane victims preferred; LBN for
         // determinism.
-        candidates.sort_by_key(|&(a, b, off_plane, lbn, _)| (a, b, off_plane, lbn));
+        candidates.sort_unstable();
+        candidates.truncate(self.config.evict_batch);
         candidates
-            .into_iter()
-            .take(self.config.evict_batch)
-            .map(|(_, _, _, lbn, e)| (lbn, e))
-            .collect()
     }
 }

@@ -83,7 +83,6 @@ impl Ssc {
         };
         let entry = BlockEntry::new(victim.raw(), valid, dirty);
         let old = self.maps.insert_block(lbn, entry);
-        self.index_mark(lbn);
         self.log_append(LogRecord::InsertBlock {
             lbn,
             pbn: victim.raw(),
@@ -236,7 +235,6 @@ impl Ssc {
             let erases = self.dev.block_state(fresh)?.erase_count;
             self.pool.release(fresh, erases, self.dev.geometry());
             if self.maps.remove_block(lbn).is_some() {
-                self.index_mark(lbn);
                 self.log_append(LogRecord::RemoveBlock { lbn });
                 cost += self.commit_log()?;
                 if let Some(e) = old {
@@ -282,7 +280,6 @@ impl Ssc {
         self.crash_point(CrashSite::Merge)?;
         let entry = BlockEntry::new(fresh.raw(), live, dirty);
         self.maps.insert_block(lbn, entry);
-        self.index_mark(lbn);
         self.log_append(LogRecord::InsertBlock {
             lbn,
             pbn: fresh.raw(),

@@ -6,7 +6,8 @@
 //! * `log` — the operation log, group commit and checkpoints (§4.2.2);
 //! * `merge` — log blocks, switch and full merges, compaction and block
 //!   retirement: the FAST-style FTL underneath;
-//! * `evict` — silent eviction and its clean-block index (§4.3);
+//! * `evict` — silent eviction's victim selection over the maps'
+//!   clean-block table (§4.3);
 //! * `inspect` — read-only views for tests and debugging.
 //!
 //! Crash and roll-forward recovery live in `recovery.rs`.
@@ -20,7 +21,6 @@ use sparsemap::{memory, MapMemory};
 use crate::checkpoint::CheckpointStore;
 use crate::config::{EvictionPolicy, SscConfig};
 use crate::error::SscError;
-use crate::evict_index::CleanBlockIndex;
 use crate::map::SscMaps;
 use crate::wal::Wal;
 use crate::Result;
@@ -142,14 +142,8 @@ pub struct Ssc {
     /// monotonic byte-counter comparison. Invalidated by base-LSN change
     /// (a new checkpoint, recovery).
     pub(crate) ckpt_trigger: Option<(u64, u64)>,
-    /// Ordered mirror of the clean block-level entries, so victim selection
-    /// is an ordered lookup instead of a full-map scan. Current only for
-    /// LBNs not in `index_stale`: read it through [`Ssc::flush_index`]. See
-    /// [`crate::evict_index`].
-    clean_index: CleanBlockIndex,
-    /// LBNs whose block-level entry changed since `clean_index` last saw
-    /// them (duplicates allowed); never longer than the device has blocks.
-    index_stale: Vec<u64>,
+    /// Scratch buffer of one silent-eviction batch's victims.
+    victim_scratch: Vec<evict::VictimKey>,
 }
 
 impl Ssc {
@@ -157,7 +151,6 @@ impl Ssc {
     pub fn new(config: SscConfig) -> Self {
         let dev = FlashDevice::new(config.flash, config.data_mode);
         let pool = FreeBlockPool::full(dev.geometry());
-        let planes = dev.geometry().planes();
         let ppb = config.flash.geometry.pages_per_block();
         let timing = config.flash.timing;
         let page_size = config.flash.geometry.page_size();
@@ -179,8 +172,7 @@ impl Ssc {
             overlay_scratch: Vec::new(),
             lba_scratch: Vec::new(),
             ckpt_trigger: None,
-            clean_index: CleanBlockIndex::new(planes),
-            index_stale: Vec::new(),
+            victim_scratch: Vec::new(),
         }
     }
 
@@ -798,7 +790,7 @@ mod index_oracle_tests {
     use crate::config::VictimSelection;
 
     /// [`Ssc::check`], with the context of the step that broke it.
-    fn check(s: &mut Ssc, at: impl std::fmt::Display) {
+    fn check(s: &Ssc, at: impl std::fmt::Display) {
         if let Err(broken) = s.check() {
             panic!("{at}: {broken}");
         }
@@ -840,10 +832,9 @@ mod index_oracle_tests {
     /// whole-logical-block writes and clean or torn crash/recovery),
     /// checks the dirty flags after every operation, and runs
     /// [`Ssc::check`] after every `check_every`-th and after every
-    /// recovery. The check flushes the index, so 1 pins each mutation's
-    /// mark on its own (and checks each write of a whole logical block),
-    /// and a longer stride lets marks pile up between flushes as they do
-    /// in the product.
+    /// recovery: 1 checks each mutation on its own (and each write of a
+    /// whole logical block), and a longer stride lets several go by
+    /// unchecked, as they do in the product.
     fn run_trace(policy: VictimSelection, seed: u64, ops: u64, check_every: u64) {
         let mut config = SscConfig::small_test();
         config.victim_selection = policy;
@@ -893,7 +884,7 @@ mod index_oracle_tests {
                             dirty.insert(lba, false);
                         }
                         if check_every == 1 {
-                            check(&mut s, format_args!("op {i}, lba {lba}"));
+                            check(&s, format_args!("op {i}, lba {lba}"));
                         }
                     }
                 }
@@ -904,7 +895,7 @@ mod index_oracle_tests {
                     }
                     s.crash();
                     s.recover().unwrap();
-                    check(&mut s, format_args!("op {i}, recovery"));
+                    check(&s, format_args!("op {i}, recovery"));
                     // Buffered cleans (and a torn tail's records) are lost:
                     // take the recovered flags as the new baseline.
                     dirty = (0..span)
@@ -913,11 +904,11 @@ mod index_oracle_tests {
                 }
             }
             if (i + 1) % check_every == 0 {
-                check(&mut s, format_args!("op {i}"));
+                check(&s, format_args!("op {i}"));
             }
             assert_dirty_flags(&s, span, &dirty);
         }
-        check(&mut s, "end");
+        check(&s, "end");
         assert!(
             s.counters().silent_evictions > 0,
             "trace too tame to exercise eviction"
@@ -966,26 +957,39 @@ mod index_oracle_tests {
     }
 
     #[test]
-    fn stale_list_stays_bounded_without_eviction() {
+    fn clean_table_never_holds_more_slots_than_the_device_has_blocks() {
         let mut s = roomy();
-        let bound = s.config.total_blocks() as usize;
+        let blocks = s.config.total_blocks() as usize;
         let hot = 16 * s.ppb() as u64;
         let fill = vec![0u8; s.page_size()];
         let mut rng = 0xBEEF_0004;
-        let mut peak = 0;
-        for _ in 0..100_000 {
-            s.write_clean(step(&mut rng) % hot, &fill).unwrap();
-            peak = peak.max(s.index_stale.len());
-            assert!(s.index_stale.len() < bound, "stale list reached its bound");
+        let mut most = 0;
+        for i in 0..20_000 {
+            let lba = step(&mut rng) % hot;
+            let done = match i % 10 {
+                0 => s.evict(lba),
+                1 => s.clean(lba),
+                2 => s.write_dirty(lba, &fill),
+                _ => s.write_clean(lba, &fill),
+            };
+            done.unwrap();
+            let clean = s.maps.clean_blocks();
+            let rows = clean.rows().unwrap().len();
+            most = most.max(rows);
+            assert!(rows <= s.maps.block_count(), "op {i}");
+            assert_eq!(clean.slots(), blocks, "op {i}");
         }
-        // Nothing consulted the index, so only the bound can have flushed it.
-        assert_eq!(s.counters().silent_evictions, 0);
-        assert_eq!(peak, bound - 1, "the bound never came into play");
-        check(&mut s, "end");
+        assert!(most > 0, "no clean data block was ever filed");
+        s.crash();
+        s.recover().unwrap();
+        // A restored table is sized from the checkpoint and grows only to
+        // cover a physical block that holds a clean data block.
+        assert!(s.maps.clean_blocks().slots() <= blocks, "recovered");
+        check(&s, "end");
     }
 
     #[test]
-    fn remove_and_reinsert_between_flushes_leaves_one_key() {
+    fn a_block_unmapped_page_by_page_and_mapped_again_leaves_one_slot() {
         let mut s = roomy();
         let ppb = s.ppb() as u64;
         let mut filler = 100;
@@ -996,19 +1000,24 @@ mod index_oracle_tests {
                 filler += 1;
             }
         };
+        let slots_of_0 = |s: &Ssc| {
+            let rows = s.maps.clean_blocks().rows().unwrap();
+            rows.iter().filter(|&&(_, lbn, _)| lbn == 0).count()
+        };
         map_block_0(&mut s);
-        check(&mut s, "block 0 mapped");
-        // Unmap the block page by page, then map it again, with no flush in
-        // between: the removal and the insertion both wait in the list.
+        check(&s, "block 0 mapped");
+        assert_eq!(slots_of_0(&s), 1);
+        // Unmap the block page by page: each page moves it one bucket down
+        // until the last one unfiles it.
         for lba in 0..ppb {
             s.evict(lba).unwrap();
+            check(&s, format_args!("lba {lba} evicted"));
         }
         assert!(s.maps.block(0).is_none());
+        assert_eq!(slots_of_0(&s), 0);
         map_block_0(&mut s);
-        let pending = s.index_stale.iter().filter(|&&lbn| lbn == 0).count();
-        assert_eq!(pending as u64, ppb + 1, "a flush ran in between");
-        // One row for block 0 and no stray ordered key.
-        check(&mut s, "end");
+        assert_eq!(slots_of_0(&s), 1);
+        check(&s, "end");
     }
 
     #[test]
@@ -1017,7 +1026,7 @@ mod index_oracle_tests {
         let dirty_page = vec![0xDDu8; s.page_size()];
         let ppb = s.ppb() as u64;
         // Park dirty data across two logical blocks, then flood with clean
-        // traffic so every eviction decision flows through the index.
+        // traffic so every eviction decision flows through the table.
         for lba in 0..2 * ppb {
             s.write_dirty(lba, &dirty_page).unwrap();
         }
@@ -1033,6 +1042,6 @@ mod index_oracle_tests {
                 "dirty lba {lba} was silently evicted"
             );
         }
-        check(&mut s, "end");
+        check(&s, "end");
     }
 }

@@ -123,12 +123,7 @@ impl Ssc {
         // Power fails between a manager's destage write and this
         // acknowledgement: the block stays dirty, destage is not recorded.
         self.crash_point(CrashSite::Clean)?;
-        if let Some(level) = self.maps.set_clean(lba) {
-            // A log page's flag is not the eviction index's business.
-            if level.is_some() {
-                let (lbn, _) = self.maps.split(lba);
-                self.index_mark(lbn);
-            }
+        if self.maps.set_clean(lba) {
             self.log_append(LogRecord::SetClean { lba });
             cost += self.maybe_group_commit()?;
         }
@@ -205,10 +200,9 @@ impl Ssc {
                 self.log_append(LogRecord::RemovePage { lba });
             }
             Some(Removed::BlockPage { pbn, survivor }) => {
-                let (lbn, offset) = self.maps.split(lba);
+                let (_, offset) = self.maps.split(lba);
                 let ppn = Ppn(pbn * self.ppb() as u64 + offset as u64);
                 self.dev.invalidate_page(ppn)?;
-                self.index_mark(lbn);
                 self.log_append(LogRecord::MaskBlockPage { lba });
                 if survivor.is_none() {
                     // Last live page gone: the physical block is reclaimable

@@ -53,7 +53,6 @@ mod codec;
 mod config;
 mod device;
 mod error;
-mod evict_index;
 mod map;
 mod recovery;
 mod shard;

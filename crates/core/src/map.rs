@@ -24,6 +24,12 @@
 //! hit or miss, from a memo), and a merge takes a block's log pages as one
 //! array. The rows' arrays come from a [`RowPool`] the maps own, and go
 //! back there when a row grows into a bigger array, empties or is taken.
+//!
+//! Beside it the maps keep [`CleanBlocks`], where silent eviction picks its
+//! victims (§4.3). The five calls that change a data block re-file it, so
+//! the table is current whenever the maps are, after recovery too.
+
+use std::ops::Range;
 
 use flashsim::{set_bits, Ppn};
 use sparsemap::{RowPool, SparseHashMap, SparseRow};
@@ -198,6 +204,129 @@ pub(crate) enum Removed {
     },
 }
 
+/// The clean data blocks by physical block, bucketed by valid pages: per
+/// block an LBN and one bit in each of 64 bitsets, about 16 bytes. It
+/// covers the physical blocks below its length and grows to cover a
+/// higher one when a clean data block lands there.
+#[derive(Debug)]
+pub(crate) struct CleanBlocks {
+    /// `pbn` → the LBN of the clean data block on it, where a bucket files
+    /// `pbn`.
+    lbns: Vec<u64>,
+    /// Bit `pbn % 64` of word `pbn / 64 * 64 + c - 1` is set while `pbn`
+    /// holds a clean data block with `c` valid pages.
+    buckets: Vec<u64>,
+    /// Blocks per bucket, and bit `c - 1` set while bucket `c` has any.
+    sizes: [u32; 64],
+    filled: u64,
+}
+
+impl CleanBlocks {
+    fn new(blocks: usize) -> Self {
+        CleanBlocks {
+            lbns: vec![0; blocks],
+            buckets: vec![0; blocks.div_ceil(64) * 64],
+            sizes: [0; 64],
+            filled: 0,
+        }
+    }
+
+    /// Re-files `lbn` after its data block went from `before` to `after`.
+    fn refile(&mut self, lbn: u64, before: Option<BlockEntry>, after: Option<BlockEntry>) {
+        let filed = |b: Option<BlockEntry>| {
+            b.filter(BlockEntry::is_clean)
+                .map(|b| (b.pbn, b.valid_count() as usize - 1))
+        };
+        let (old, new) = (filed(before), filed(after));
+        if old == new {
+            return;
+        }
+        if let Some((pbn, i)) = old {
+            self.buckets[(pbn / 64 * 64) as usize + i] &= !(1 << (pbn % 64));
+            self.sizes[i] -= 1;
+            self.filled &= !(u64::from(self.sizes[i] == 0) << i);
+        }
+        if let Some((pbn, i)) = new {
+            if pbn as usize >= self.lbns.len() {
+                self.grow(pbn as usize + 1);
+            }
+            self.lbns[pbn as usize] = lbn;
+            self.buckets[(pbn / 64 * 64) as usize + i] |= 1 << (pbn % 64);
+            self.sizes[i] += 1;
+            self.filled |= 1 << i;
+        }
+    }
+
+    /// Covers the physical blocks below `blocks`.
+    #[cold]
+    fn grow(&mut self, blocks: usize) {
+        self.lbns.resize(blocks, 0);
+        self.buckets.resize(blocks.div_ceil(64) * 64, 0);
+    }
+
+    /// Whether no clean data block is filed.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.filled == 0
+    }
+
+    /// The valid-page counts that have clean data blocks, ascending.
+    pub(crate) fn counts(&self) -> impl Iterator<Item = u32> {
+        set_bits(self.filled).map(|bit| bit + 1)
+    }
+
+    /// `(pbn, lbn)` of every clean data block with `count` valid pages on a
+    /// physical block in `pbns`, in `pbn` order.
+    pub(crate) fn with_count(
+        &self,
+        count: u32,
+        pbns: Range<u64>,
+    ) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let end = pbns.end.min(self.lbns.len() as u64);
+        let start = pbns.start.min(end);
+        let in_range = (start / 64..end.div_ceil(64)).flat_map(move |group| {
+            let first = group * 64;
+            let (lo, hi) = (start.max(first) - first, end.min(first + 64) - first);
+            // `hi - lo` bits from `lo`; none in an empty range.
+            let mask = u64::MAX.checked_shr((64 - (hi - lo)) as u32).unwrap_or(0) << lo;
+            let bits = self.buckets[group as usize * 64 + count as usize - 1] & mask;
+            set_bits(bits).map(move |bit| first + u64::from(bit))
+        });
+        in_range.map(|pbn| (pbn, self.lbns[pbn as usize]))
+    }
+
+    /// Every filed block as `(pbn, lbn, count)`, sorted, or the first bucket
+    /// whose size or filled bit disagrees with its bits ([`crate::Ssc::check`]).
+    pub(crate) fn rows(&self) -> Result<Vec<(u64, u64, u32)>, String> {
+        let mut rows = Vec::new();
+        for count in 1..=64 {
+            let filed = self
+                .with_count(count, 0..u64::MAX)
+                .map(|(p, l)| (p, l, count));
+            let (before, i) = (rows.len(), count as usize - 1);
+            rows.extend(filed);
+            let size = (rows.len() - before) as u32;
+            if size != self.sizes[i] || (size > 0) != (self.filled >> i & 1 == 1) {
+                return Err(format!(
+                    "clean bucket {count}: {size} filed, {} counted",
+                    self.sizes[i]
+                ));
+            }
+        }
+        rows.sort_unstable();
+        Ok(rows)
+    }
+
+    /// Slots the table holds: one per physical block it covers.
+    #[cfg(test)]
+    pub(crate) fn slots(&self) -> usize {
+        self.lbns.len()
+    }
+
+    fn heap_bytes(&self) -> usize {
+        (self.lbns.capacity() + self.buckets.capacity()) * std::mem::size_of::<u64>()
+    }
+}
+
 /// The combined hybrid forward map.
 #[derive(Debug)]
 pub struct SscMaps {
@@ -212,25 +341,19 @@ pub struct SscMaps {
     ppb: u32,
     /// `log2(ppb)`.
     shift: u32,
+    /// The clean data blocks, for silent eviction.
+    clean: CleanBlocks,
 }
 
 impl SscMaps {
-    /// Creates empty maps for a device with `ppb` pages per erase block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ppb` exceeds 64 (the bitmap width; the paper's geometry
-    /// uses 64) or is not a power of two.
-    pub fn new(ppb: u32) -> Self {
-        Self::with_capacity(ppb, 0, 0)
-    }
-
     /// Creates empty maps pre-sized for `page_hint` page-level and
     /// `block_hint` block-level entries (in the worst case every log page
     /// belongs to a logical block of its own), avoiding rehash churn while
-    /// the cache warms up. Hints are advisory: the map still grows on
-    /// demand, and oversized hints are clamped so a huge configured device
-    /// cannot balloon an idle map.
+    /// the cache warms up. The clean-block table is pre-sized for the
+    /// physical blocks below `block_hint`, so a device passes its erase
+    /// blocks (the most data blocks there can be). Hints are advisory: the
+    /// map and the table still grow on demand, and oversized hints are
+    /// clamped so a huge configured device cannot balloon an idle map.
     ///
     /// # Panics
     ///
@@ -249,6 +372,7 @@ impl SscMaps {
         SscMaps {
             lbns: SparseHashMap::with_capacity(page_hint.saturating_add(block_hint).min(MAX_HINT)),
             pool: RowPool::new(),
+            clean: CleanBlocks::new(block_hint.min(MAX_HINT)),
             pages: 0,
             blocks: 0,
             ppb,
@@ -278,6 +402,11 @@ impl SscMaps {
             .filter_map(|(lbn, e)| Some((lbn, e.block.as_ref()?)))
     }
 
+    /// The clean data blocks.
+    pub(crate) fn clean_blocks(&self) -> &CleanBlocks {
+        &self.clean
+    }
+
     /// Number of data blocks.
     pub(crate) fn block_count(&self) -> usize {
         self.blocks
@@ -300,10 +429,12 @@ impl SscMaps {
         self.lbns.check_invariants();
     }
 
-    /// Real heap bytes of the map, its rows and their pool.
+    /// Real heap bytes of the map, its rows, their pool and the clean-block
+    /// table.
     pub fn heap_bytes(&self) -> u64 {
         let rows: usize = self.lbns.iter().map(|(_, e)| e.log.heap_bytes()).sum();
-        self.lbns.memory().heap_bytes + (rows + self.pool.heap_bytes()) as u64
+        let tables = rows + self.pool.heap_bytes() + self.clean.heap_bytes();
+        self.lbns.memory().heap_bytes + tables as u64
     }
 
     /// Pages per erase block.
@@ -395,6 +526,7 @@ impl SscMaps {
         let entry = self.lbns.get_or_insert_with(lbn, LbnEntry::default);
         let old = entry.block.replace(block);
         self.blocks += usize::from(old.is_none());
+        self.clean.refile(lbn, old, Some(block));
         old
     }
 
@@ -402,6 +534,7 @@ impl SscMaps {
     pub fn remove_block(&mut self, lbn: u64) -> Option<BlockEntry> {
         let old = self.edit(lbn, |e, _| e.block.take())??;
         self.blocks -= 1;
+        self.clean.refile(lbn, Some(old), None);
         Some(old)
     }
 
@@ -410,8 +543,13 @@ impl SscMaps {
     /// entry as it now stands: `None` when it was dropped (or never there).
     pub(crate) fn mask_block_page(&mut self, lba: u64) -> Option<BlockEntry> {
         let (lbn, offset) = self.split(lba);
-        let survivor = self.edit(lbn, |e, _| e.mask(offset).map(|_| e.block))??;
+        let (before, survivor) = self.edit(lbn, |e, _| {
+            let before = e.block?;
+            e.mask(offset);
+            Some((before, e.block))
+        })??;
         self.blocks -= usize::from(survivor.is_none());
+        self.clean.refile(lbn, Some(before), survivor);
         survivor
     }
 
@@ -419,38 +557,43 @@ impl SscMaps {
     /// probe, and reports what went.
     pub(crate) fn remove_lba(&mut self, lba: u64) -> Option<Removed> {
         let (lbn, offset) = self.split(lba);
-        let removed = self.edit(lbn, |e, pool| {
+        let (removed, before) = self.edit(lbn, |e, pool| {
             if let Some(ptr) = e.log.remove(offset, pool) {
-                return Some(Removed::Page(ptr));
+                return Some((Removed::Page(ptr), None));
             }
-            e.block.filter(|b| b.is_valid(offset))?;
+            let before = e.block.filter(|b| b.is_valid(offset))?;
             let pbn = e.mask(offset)?;
-            Some(Removed::BlockPage {
-                pbn,
-                survivor: e.block,
-            })
+            let survivor = e.block;
+            Some((Removed::BlockPage { pbn, survivor }, Some(before)))
         })??;
         match removed {
             Removed::Page(_) => self.pages -= 1,
-            Removed::BlockPage { survivor, .. } => self.blocks -= usize::from(survivor.is_none()),
+            Removed::BlockPage { survivor, .. } => {
+                self.blocks -= usize::from(survivor.is_none());
+                self.clean.refile(lbn, before, survivor);
+            }
         }
         Some(removed)
     }
 
     /// Clears the dirty flag of `lba` at whichever level holds it. Returns
-    /// `None` if `lba` is not cached, else which level held it: `Some(None)`
-    /// for a log page, `Some(Some(entry))` for a data-block page — `entry`
-    /// being the block's entry as it now stands.
-    pub(crate) fn set_clean(&mut self, lba: u64) -> Option<Option<BlockEntry>> {
+    /// whether `lba` is cached.
+    pub(crate) fn set_clean(&mut self, lba: u64) -> bool {
         let (lbn, offset) = self.split(lba);
-        let entry = self.lbns.get_mut(lbn)?;
+        let Some(entry) = self.lbns.get_mut(lbn) else {
+            return false;
+        };
         if let Some(ptr) = entry.log.get_mut(offset) {
             *ptr = ptr.cleaned();
-            return Some(None);
+            return true;
         }
-        let block = entry.block.as_mut().filter(|b| b.is_valid(offset))?;
+        let Some(block) = entry.block.as_mut().filter(|b| b.is_valid(offset)) else {
+            return false;
+        };
+        let before = *block;
         block.clean_page(offset);
-        Some(Some(*block))
+        self.clean.refile(lbn, Some(before), Some(*block));
+        true
     }
 
     /// All dirty LBAs within `[start, end)` — the data behind `exists`.
@@ -523,7 +666,7 @@ mod tests {
 
     #[test]
     fn lookup_prefers_page_level() {
-        let mut m = SscMaps::new(8);
+        let mut m = SscMaps::with_capacity(8, 0, 16);
         m.insert_block(0, BlockEntry::new(5, 0xFF, 0));
         m.insert_page(3, PagePtr::new(Ppn(100), true));
         let r = m.lookup(3).unwrap();
@@ -542,7 +685,7 @@ mod tests {
 
     #[test]
     fn log_offsets_follow_page_inserts_and_removes() {
-        let mut m = SscMaps::new(8);
+        let mut m = SscMaps::with_capacity(8, 0, 16);
         assert_eq!(log_offsets(&m, 1), 0);
         m.insert_page(9, PagePtr::new(Ppn(1), false));
         m.insert_page(15, PagePtr::new(Ppn(2), true));
@@ -571,7 +714,7 @@ mod tests {
 
     #[test]
     fn take_log_empties_the_row_in_offset_order() {
-        let mut m = SscMaps::new(8);
+        let mut m = SscMaps::with_capacity(8, 0, 16);
         m.insert_block(2, BlockEntry::new(7, 0b0001, 0));
         for (offset, ppn) in [(5, 50), (1, 10), (3, 30)] {
             m.insert_page(16 + offset, PagePtr::new(Ppn(ppn), false));
@@ -602,7 +745,7 @@ mod tests {
 
     #[test]
     fn remove_lba_reports_what_it_removed() {
-        let mut m = SscMaps::new(8);
+        let mut m = SscMaps::with_capacity(8, 0, 16);
         m.insert_block(0, BlockEntry::new(4, 0b0110, 0b0100));
         m.insert_page(0, PagePtr::new(Ppn(99), true));
         assert_eq!(m.remove_lba(3), None, "offset not valid in the block");
@@ -631,7 +774,7 @@ mod tests {
 
     #[test]
     fn lookup_misses() {
-        let mut m = SscMaps::new(8);
+        let mut m = SscMaps::with_capacity(8, 0, 16);
         assert!(m.lookup(9).is_none());
         m.insert_block(1, BlockEntry::new(2, 0b0001, 0));
         assert!(m.lookup(8).is_some());
@@ -640,7 +783,7 @@ mod tests {
 
     #[test]
     fn mask_block_page_drops_empty_entries() {
-        let mut m = SscMaps::new(8);
+        let mut m = SscMaps::with_capacity(8, 0, 16);
         m.insert_block(0, BlockEntry::new(1, 0b0011, 0b0001));
         assert_eq!(m.mask_block_page(0), Some(BlockEntry::new(1, 0b0010, 0)));
         assert_eq!(m.block(0), Some(BlockEntry::new(1, 0b0010, 0)));
@@ -659,22 +802,63 @@ mod tests {
 
     #[test]
     fn set_clean_both_levels() {
-        let mut m = SscMaps::new(8);
+        let mut m = SscMaps::with_capacity(8, 0, 16);
         m.insert_page(1, PagePtr::new(Ppn(50), true));
         m.insert_block(1, BlockEntry::new(2, 0b0100, 0b0100)); // lba 10 dirty
         assert!(m.is_dirty(1));
         assert!(m.is_dirty(10));
-        assert_eq!(m.set_clean(1), Some(None), "a log page");
-        assert_eq!(m.set_clean(10), Some(Some(BlockEntry::new(2, 0b0100, 0))));
+        assert!(m.set_clean(1), "a log page");
+        assert!(m.set_clean(10), "a data-block page");
+        assert_eq!(m.block(1), Some(BlockEntry::new(2, 0b0100, 0)));
         assert!(!m.is_dirty(1));
         assert!(!m.is_dirty(10));
-        assert_eq!(m.set_clean(99), None, "absent block reports not-present");
-        assert_eq!(m.set_clean(11), None, "so does an invalid offset");
+        assert!(!m.set_clean(99), "absent block reports not-present");
+        assert!(!m.set_clean(11), "so does an invalid offset");
+    }
+
+    /// The clean-block table's rows, `(pbn, lbn, valid pages)`.
+    fn clean_rows(m: &SscMaps) -> Vec<(u64, u64, u32)> {
+        m.clean_blocks().rows().unwrap()
+    }
+
+    #[test]
+    fn the_five_block_calls_refile_clean_blocks() {
+        let mut m = SscMaps::with_capacity(8, 0, 16);
+        m.insert_block(1, BlockEntry::new(3, 0b0111, 0b0001));
+        assert_eq!(clean_rows(&m), [], "a dirty block is not filed");
+        assert!(m.set_clean(8));
+        assert_eq!(clean_rows(&m), [(3, 1, 3)], "cleaned: filed");
+        assert_eq!(m.mask_block_page(9), Some(BlockEntry::new(3, 0b0101, 0)));
+        assert_eq!(clean_rows(&m), [(3, 1, 2)], "one page fewer");
+        m.insert_block(2, BlockEntry::new(5, 0b0011, 0b0010));
+        assert_eq!(m.remove_lba(17).map(|_| ()), Some(()));
+        assert_eq!(clean_rows(&m), [(3, 1, 2), (5, 2, 1)], "masked clean");
+        m.insert_block(1, BlockEntry::new(7, 0xFF, 0));
+        assert_eq!(clean_rows(&m), [(5, 2, 1), (7, 1, 8)], "re-mapped");
+        m.insert_block(1, BlockEntry::new(7, 0xFF, 0b1000_0000));
+        assert_eq!(clean_rows(&m), [(5, 2, 1)], "dirtied in place");
+        assert_eq!(m.remove_lba(16).map(|_| ()), Some(()));
+        assert!(m.remove_block(1).is_some());
+        assert_eq!(clean_rows(&m), []);
+        assert!(m.clean_blocks().is_empty());
+        assert_eq!(m.clean_blocks().slots(), 16);
+    }
+
+    #[test]
+    fn the_clean_table_grows_to_cover_a_higher_block() {
+        let mut m = SscMaps::with_capacity(8, 0, 0);
+        assert_eq!(m.clean_blocks().slots(), 0);
+        m.insert_block(4, BlockEntry::new(100, 0b0011, 0));
+        assert_eq!(clean_rows(&m), [(100, 4, 2)]);
+        assert_eq!(m.clean_blocks().slots(), 101);
+        m.insert_block(5, BlockEntry::new(7, 0b0001, 0));
+        assert_eq!(clean_rows(&m), [(7, 5, 1), (100, 4, 2)]);
+        assert_eq!(m.clean_blocks().slots(), 101, "a lower block fits");
     }
 
     #[test]
     fn dirty_in_range_merges_levels() {
-        let mut m = SscMaps::new(8);
+        let mut m = SscMaps::with_capacity(8, 0, 16);
         m.insert_page(5, PagePtr::new(Ppn(1), true));
         m.insert_page(6, PagePtr::new(Ppn(2), false));
         m.insert_block(2, BlockEntry::new(9, 0b0011, 0b0010)); // lba 17 dirty
@@ -685,7 +869,7 @@ mod tests {
 
     #[test]
     fn cached_pages_counts_both_levels() {
-        let mut m = SscMaps::new(8);
+        let mut m = SscMaps::with_capacity(8, 0, 16);
         m.insert_page(100, PagePtr::new(Ppn(1), false));
         m.insert_block(0, BlockEntry::new(1, 0b0111, 0));
         assert_eq!(m.cached_pages(), 4);
@@ -694,6 +878,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at most 64")]
     fn rejects_wide_blocks() {
-        SscMaps::new(65);
+        SscMaps::with_capacity(65, 0, 0);
     }
 }

@@ -37,7 +37,6 @@ impl Ssc {
         let lost = self.wal.crash();
         let (page_hint, block_hint) = self.config.map_capacity_hints();
         self.maps = SscMaps::with_capacity(self.maps.ppb(), page_hint, block_hint);
-        self.rebuild_clean_index();
         self.log_blocks.clear();
         self.pending_retire.clear();
         // A pending crash schedule dies with the power, and so does the
@@ -111,10 +110,6 @@ impl Ssc {
         }
         self.maps = maps;
         self.reconcile()?;
-        // The maps were replaced wholesale (and reconcile adjusted device
-        // page validity), so the eviction index must be rebuilt rather than
-        // incrementally patched.
-        self.rebuild_clean_index();
         Ok(cost)
     }
 
